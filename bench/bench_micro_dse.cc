@@ -52,7 +52,7 @@ benchSpec()
 }
 
 /** One cold evaluation of @p point: compile + simulate with no cache,
- *  the same deterministic solver limits the sweep uses. Returns wall
+ *  the same node-bounded solver limits the sweep uses. Returns wall
  *  seconds. */
 double
 coldPoint(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
@@ -69,8 +69,6 @@ coldPoint(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
     opt.slotThreshold = point.slotThreshold;
     opt.hbmBindingSweep = point.bindingSweep;
     opt.pipeline.stagesPerCrossing = point.depth;
-    opt.inter.solver.timeLimitSeconds = 0.0;
-    opt.intra.solver.timeLimitSeconds = 0.0;
 
     TaskGraph local = g;
     const CompileResult result =

@@ -2,12 +2,12 @@
  * @file
  * Microbenchmarks (google-benchmark) for the ILP substrate: simplex
  * pivot throughput on LPs of growing size, branch-and-bound on
- * knapsacks, and the end-to-end floorplanning ILP for a coarse
- * partitioning instance.
+ * knapsacks, the end-to-end floorplanning ILP for a coarse
+ * partitioning instance, and cold-vs-warm node LPs on a model shaped
+ * like the level-1 assignment ILP (paper eq. 1-2).
  */
 
-#include <chrono>
-#include <map>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -24,7 +24,7 @@ using namespace tapacs::ilp;
 namespace
 {
 
-/** Knapsack instance shared by the serial and MT variants. */
+/** Knapsack instance for the branch-and-bound bench. */
 Model
 makeKnapsack(int n)
 {
@@ -69,44 +69,6 @@ makePartitionIlp(int v)
     }
     m.setObjective(std::move(obj));
     return m;
-}
-
-/**
- * Run one solver configuration and report speedup against the
- * 1-thread run of the same instance. Registration order puts the
- * 1-thread variant first per instance size, so the baseline is always
- * populated by the time the MT variants execute.
- */
-void
-runThreadSweep(benchmark::State &state, const Model &m,
-               const SolverOptions &base,
-               std::map<std::int64_t, double> &baselines)
-{
-    const int threads = static_cast<int>(state.range(1));
-    double total = 0.0;
-    std::int64_t iters = 0;
-    double objective = 0.0;
-    for (auto _ : state) {
-        const auto t0 = std::chrono::steady_clock::now();
-        SolverOptions opt = base;
-        opt.numThreads = threads;
-        BranchBoundSolver solver(opt);
-        Solution s = solver.solve(m);
-        total += std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-        ++iters;
-        objective = s.objective;
-        benchmark::DoNotOptimize(s.status);
-    }
-    const double per_iter = iters > 0 ? total / iters : 0.0;
-    if (threads == 1)
-        baselines[state.range(0)] = per_iter;
-    state.counters["threads"] = threads;
-    state.counters["objective"] = objective;
-    const auto it = baselines.find(state.range(0));
-    if (it != baselines.end() && per_iter > 0.0)
-        state.counters["speedup_vs_1t"] = it->second / per_iter;
 }
 
 Model
@@ -160,17 +122,6 @@ BM_BranchBoundKnapsack(benchmark::State &state)
 BENCHMARK(BM_BranchBoundKnapsack)->Arg(8)->Arg(16)->Arg(24);
 
 void
-BM_BranchBoundKnapsackMT(benchmark::State &state)
-{
-    static std::map<std::int64_t, double> baselines;
-    Model m = makeKnapsack(static_cast<int>(state.range(0)));
-    runThreadSweep(state, m, SolverOptions{}, baselines);
-}
-BENCHMARK(BM_BranchBoundKnapsackMT)
-    ->ArgsProduct({{16, 24}, {1, 2, 4, 8}})
-    ->UseRealTime();
-
-void
 BM_AssignmentIlp(benchmark::State &state)
 {
     // Mirrors one coarse level-1 solve.
@@ -178,7 +129,6 @@ BM_AssignmentIlp(benchmark::State &state)
     for (auto _ : state) {
         SolverOptions opt;
         opt.maxNodes = 200;
-        opt.timeLimitSeconds = 2.0;
         BranchBoundSolver solver(opt);
         Solution s = solver.solve(m);
         benchmark::DoNotOptimize(s.status);
@@ -186,19 +136,132 @@ BM_AssignmentIlp(benchmark::State &state)
 }
 BENCHMARK(BM_AssignmentIlp)->Arg(16)->Arg(32)->Arg(64);
 
-void
-BM_AssignmentIlpMT(benchmark::State &state)
+/**
+ * Level-1-shaped MILP: @p v tasks onto 4 devices in a ring, one device
+ * per task, one area row per device, and the compact eq. 2 rows
+ * d_e >= sum_q D(p,q) x_vq - max_q D(p,q) (1 - x_up) per edge and
+ * source device p, with a chain plus random long edges.
+ */
+Model
+makeL1Ilp(int v)
 {
-    static std::map<std::int64_t, double> baselines;
-    Model m = makePartitionIlp(static_cast<int>(state.range(0)));
-    SolverOptions base;
-    base.maxNodes = 200;
-    base.timeLimitSeconds = 2.0;
-    runThreadSweep(state, m, base, baselines);
+    constexpr int kDevs = 4;
+    Rng rng(29);
+    Model m;
+    std::vector<VarId> x(static_cast<size_t>(v) * kDevs);
+    for (auto &var : x)
+        var = m.addBinary();
+    std::vector<double> area(v);
+    double total = 0.0;
+    for (int t = 0; t < v; ++t) {
+        LinExpr one;
+        for (int d = 0; d < kDevs; ++d)
+            one.add(x[t * kDevs + d], 1.0);
+        m.addConstraint(std::move(one), Sense::Equal, 1.0);
+        area[t] = rng.uniformReal(1.0, 4.0);
+        total += area[t];
+    }
+    for (int d = 0; d < kDevs; ++d) {
+        LinExpr cap;
+        for (int t = 0; t < v; ++t)
+            cap.add(x[t * kDevs + d], area[t]);
+        m.addConstraint(std::move(cap), Sense::LessEqual,
+                        1.15 * total / kDevs);
+    }
+    auto ring = [](int p, int q) {
+        const int k = std::abs(p - q);
+        return static_cast<double>(std::min(k, kDevs - k));
+    };
+    LinExpr obj;
+    for (int e = 0; e < v + v / 4; ++e) {
+        const bool chain = e < v - 1;
+        const int src =
+            chain ? e : static_cast<int>(rng.uniformInt(0, v - 1));
+        const int dst =
+            chain ? e + 1 : static_cast<int>(rng.uniformInt(0, v - 1));
+        if (src == dst)
+            continue;
+        const VarId de = m.addContinuous(0.0);
+        for (int p = 0; p < kDevs; ++p) {
+            LinExpr row;
+            for (int q = 0; q < kDevs; ++q)
+                row.add(x[dst * kDevs + q], ring(p, q));
+            row.add(x[src * kDevs + p], 2.0).add(de, -1.0);
+            m.addConstraint(std::move(row), Sense::LessEqual, 2.0);
+        }
+        obj.add(de, 32.0 * (1 << rng.uniformInt(0, 4)));
+    }
+    m.setObjective(std::move(obj));
+    return m;
 }
-BENCHMARK(BM_AssignmentIlpMT)
-    ->ArgsProduct({{32, 64}, {1, 2, 4, 8}})
-    ->UseRealTime();
+
+/** Bounds of every node a 150-node search visits, in visit order. */
+struct NodeTrace
+{
+    std::vector<std::vector<double>> lower, upper;
+};
+
+NodeTrace
+traceSearch(const Model &m)
+{
+    NodeTrace trace;
+    SolverOptions opt;
+    opt.maxNodes = 150;
+    opt.nodeObserver = [&](const Model &, const std::vector<double> &lo,
+                           const std::vector<double> &hi, const LpResult &) {
+        trace.lower.push_back(lo);
+        trace.upper.push_back(hi);
+    };
+    BranchBoundSolver(opt).solve(m);
+    return trace;
+}
+
+/**
+ * Replay one search's node LPs either cold (a fresh slack-basis solve
+ * per node) or warm (one engine carried from node to node) and report
+ * simplex iterations per node next to the wall time.
+ */
+void
+replayNodes(benchmark::State &state, bool warm)
+{
+    const Model m = makeL1Ilp(static_cast<int>(state.range(0)));
+    const NodeTrace trace = traceSearch(m);
+    std::int64_t pivots = 0, replays = 0, fallbacks = 0;
+    for (auto _ : state) {
+        LpEngine engine(m);
+        for (size_t k = 0; k < trace.lower.size(); ++k) {
+            const LpResult r = warm ? engine.solve(trace.lower[k],
+                                                   trace.upper[k])
+                                    : solveLp(m, trace.lower[k],
+                                              trace.upper[k]);
+            pivots += r.iterations;
+            benchmark::DoNotOptimize(r.objective);
+        }
+        fallbacks += engine.coldFallbacks();
+        ++replays;
+    }
+    const double solves =
+        static_cast<double>(replays) * trace.lower.size();
+    state.counters["rows"] = m.numConstraints();
+    state.counters["nodes"] = static_cast<double>(trace.lower.size());
+    state.counters["pivots_per_node"] = solves > 0 ? pivots / solves : 0.0;
+    state.counters["cold_fallbacks"] =
+        replays > 0 ? static_cast<double>(fallbacks) / replays : 0.0;
+}
+
+void
+BM_NodeLpCold(benchmark::State &state)
+{
+    replayNodes(state, false);
+}
+BENCHMARK(BM_NodeLpCold)->Arg(32)->Arg(64);
+
+void
+BM_NodeLpWarm(benchmark::State &state)
+{
+    replayNodes(state, true);
+}
+BENCHMARK(BM_NodeLpWarm)->Arg(32)->Arg(64);
 
 } // namespace
 

@@ -12,17 +12,13 @@ namespace tapacs::cache
 namespace
 {
 
-/** Fold the solver knobs that can change which solution comes back
- *  (thread count included: the parallel search may return a different
- *  tied-optimal point than the serial one). */
+/** Fold the solver knobs that can change which solution comes back. */
 void
 mixSolver(KeyBuilder &b, const ilp::SolverOptions &s)
 {
     b.i64(s.maxNodes)
-        .f64(s.timeLimitSeconds)
         .f64(s.intTol)
         .f64(s.relativeGap)
-        .i64(s.numThreads)
         .f64(s.lp.tol)
         .i64(s.lp.maxIterations);
 }

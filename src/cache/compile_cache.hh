@@ -60,17 +60,17 @@
 namespace tapacs::cache
 {
 
-/** Bumped whenever an entry format or key derivation changes, so
- *  stale on-disk tiers miss instead of misparsing. */
-constexpr int kSchemaVersion = 3;
+/** Bumped whenever an entry format, key derivation or solver result
+ *  changes, so stale on-disk tiers miss instead of misparsing or
+ *  serving partitions the current code would not produce. */
+constexpr int kSchemaVersion = 4;
 
 /** Content key of one pre-synthesis task (includes the task name:
  *  synthesis results are joined back onto vertices by name). */
 CacheKey hlsTaskKey(const hls::TaskIr &task);
 
 /** Exact key of a level-1 inter-FPGA solve. Excludes only
- *  solver-irrelevant knobs (thread counts are *included* here, since
- *  the parallel ILP may return a different tied-optimal point). */
+ *  solver-irrelevant knobs (thread counts, the deadline). */
 CacheKey interKey(const GraphFingerprint &fp, const Cluster &cluster,
                   int numFpgas, const InterFpgaOptions &options);
 

@@ -164,6 +164,7 @@ writeStats(EntryWriter &w, const ilp::SolverStats &s)
     w.i64(s.nodesExplored);
     w.i64(s.lpSolves);
     w.i64(s.lpIterations);
+    w.i64(s.coldFallbacks);
     w.i64(s.incumbentUpdates);
     w.f64(s.wallSeconds);
     w.i64(s.provenOptimal ? 1 : 0);
@@ -176,6 +177,7 @@ readStats(EntryReader &r, ilp::SolverStats *s)
     std::int64_t threads = 0;
     const bool ok = r.i64(&s->nodesExplored) && r.i64(&s->lpSolves) &&
                     r.i64(&s->lpIterations) &&
+                    r.i64(&s->coldFallbacks) &&
                     r.i64(&s->incumbentUpdates) &&
                     r.f64(&s->wallSeconds) && r.boolean(&s->provenOptimal) &&
                     r.i64(&threads);

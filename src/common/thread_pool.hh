@@ -6,9 +6,8 @@
  * hot paths of the compiler (paper section 5.6 reports 1.9-37.8 s of
  * solver time with Gurobi); every parallel consumer in this repo
  * draws workers from the one fixed-size pool below rather than
- * spawning ad-hoc threads, so nested parallelism (a parallel solver
- * inside a parallel per-device loop) composes without
- * oversubscription.
+ * spawning ad-hoc threads, so nested parallelism (a parallelFor issued
+ * from inside a pool task) composes without oversubscription.
  *
  * Design: one deque of tasks per worker, each guarded by its own
  * mutex. A worker pops from the back of its own deque (LIFO, cache

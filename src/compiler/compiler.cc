@@ -167,7 +167,9 @@ compile(const TaskGraph &g, const Cluster &cluster,
     // A context that can fire mid-solve makes the result depend on
     // wall-clock timing; such runs may read the compile cache but
     // never write it, so exact keys only ever hold full-quality,
-    // reproducible artifacts.
+    // reproducible artifacts. A phase whose budget is already spent
+    // does not read it either: it takes the deterministic degraded
+    // path, whatever full-quality answer the cache may hold.
     const bool volatile_ctx =
         options.ctx.hasDeadline() || options.ctx.cancellable_token();
 
@@ -279,23 +281,19 @@ compile(const TaskGraph &g, const Cluster &cluster,
         inter.channelsPerDevice = dev.memory().channels;
         // Phase budget: the level-1 solve may spend at most half the
         // remaining time, leaving the rest for level 2 and the cheap
-        // tail phases. The solver's own wall-clock limit is clamped
-        // to the same slice so whichever fires first drains the
-        // search with its best incumbent.
+        // tail phases. When that slice runs out the search drains
+        // with its best incumbent.
         inter.ctx = options.ctx;
         if (options.ctx.hasDeadline()) {
             const double remain =
                 std::max(options.ctx.remainingSeconds(), 0.0);
             inter.ctx = options.ctx.withBudget(0.5 * remain);
-            inter.solver.timeLimitSeconds =
-                std::min(inter.solver.timeLimitSeconds,
-                         std::max(0.5 * remain, 1.0e-3));
         }
         cache::CacheKey l1_key;
         cache::CacheKey fam_key;
         bool l1_cached = false;
         InterFpgaResult l1;
-        if (cc != nullptr) {
+        if (cc != nullptr && !inter.ctx.done()) {
             // The exact key is derived before any warm-start hint is
             // injected, so it always names the *request*, never the
             // history that happened to be in the cache.
@@ -496,7 +494,7 @@ compile(const TaskGraph &g, const Cluster &cluster,
             std::vector<char> cached(num_devices, 0);
             std::vector<char> interrupted_of(num_devices, 0);
             std::vector<cache::CacheKey> dev_keys(num_devices);
-            if (cc != nullptr) {
+            if (cc != nullptr && !intra.ctx.done()) {
                 for (DeviceId d = 0; d < num_devices; ++d) {
                     dev_keys[d] = cache::intraDeviceKey(
                         dg, out.partition, d, dev, intra, bind_opt);

@@ -114,13 +114,6 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
     CompileOptions base = options.base;
     base.cache = cc;
     base.cacheWarmStart = options.familyWarmStart;
-    if (options.deterministic) {
-        // Node-bounded solves only: a binding wall-clock limit
-        // truncates at a load-dependent node, which would make point
-        // results depend on machine load and thread count.
-        base.inter.solver.timeLimitSeconds = 0.0;
-        base.intra.solver.timeLimitSeconds = 0.0;
-    }
 
     const std::size_t n = spec.numPoints();
     out.trace.resize(n);

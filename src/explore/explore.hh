@@ -83,13 +83,6 @@ struct ExploreOptions
     /** Simulate each routable point for the latency objective. */
     bool simulate = true;
     sim::SimEngine simEngine = sim::SimEngine::Serial;
-    /**
-     * Zero the ILP wall-clock cutoffs so solves are node-bounded and
-     * load-independent (the differential suites' contract). Disable
-     * to keep the caller's time limits — faster under pressure, but
-     * results may then vary with machine load.
-     */
-    bool deterministic = true;
 };
 
 /** One evaluated grid point. */

@@ -492,8 +492,10 @@ solveAssignmentIlp(const TaskGraph &g, const Cluster &cluster,
             }
         }
     }
-    // Edge communication distance (eq. 2): d_e >= D(p,q) *
-    // (x_up + x_vq - 1) for every device pair with D > 0.
+    // Edge communication distance (eq. 2), one row per source device:
+    // d_e >= sum_q D(p,q) x_vq - max_q D(p,q) (1 - x_up). At integral
+    // points this is exactly d_e >= D(dev(u), dev(v)): the row of the
+    // source's device binds and every other row is slack.
     ilp::LinExpr objective;
     std::vector<ilp::VarId> dvar(g.numEdges(), -1);
     for (EdgeId e = 0; e < g.numEdges(); ++e) {
@@ -504,17 +506,19 @@ solveAssignmentIlp(const TaskGraph &g, const Cluster &cluster,
                                                   strprintf("d_%d", e));
         dvar[e] = de;
         for (int pdev = 0; pdev < f; ++pdev) {
+            ilp::LinExpr lhs;
+            double reach = 0.0;
             for (int q = 0; q < f; ++q) {
                 const double dist = cluster.costDistance(pdev, q);
-                if (dist <= 0.0)
-                    continue;
-                ilp::LinExpr lhs;
-                lhs.add(x[edge.src * f + pdev], dist);
                 lhs.add(x[edge.dst * f + q], dist);
-                lhs.add(de, -1.0);
-                model.addConstraint(std::move(lhs),
-                                    ilp::Sense::LessEqual, dist);
+                reach = std::max(reach, dist);
             }
+            if (reach <= 0.0)
+                continue;
+            lhs.add(x[edge.src * f + pdev], reach);
+            lhs.add(de, -1.0);
+            model.addConstraint(std::move(lhs), ilp::Sense::LessEqual,
+                                reach);
         }
         objective.add(de, static_cast<double>(edge.widthBits));
     }
@@ -727,7 +731,7 @@ floorplanInterFpga(const TaskGraph &g, const Cluster &cluster,
         // The coarse ILP inherits the request token: when it fires
         // mid-search the solver hands back its best incumbent (the
         // greedy warm start at worst) instead of running out the
-        // configured node/time limits.
+        // configured node budget.
         copt.solver.ctx = options.ctx;
         if (!options.hint.empty()) {
             copt.hint.assign(coarse.graph.numVertices(), -1);

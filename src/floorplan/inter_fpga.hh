@@ -166,10 +166,12 @@ struct InterFpgaOptions
             count += allowed(d) ? 1 : 0;
         return count;
     }
-    /** Branch-and-bound limits for the coarse ILP. The defaults trade
-     *  proven optimality for bounded runtime: the greedy warm start
-     *  guarantees an incumbent and FM refinement polishes it, so a
-     *  limit hit degrades quality marginally, never correctness. */
+    /** Branch-and-bound limits for the coarse ILP. The node budget
+     *  trades proven optimality for bounded runtime: the greedy warm
+     *  start guarantees an incumbent and FM refinement polishes it, so
+     *  a budget hit degrades quality marginally, never correctness.
+     *  Counting nodes rather than seconds keeps the partition a pure
+     *  function of the inputs. */
     ilp::SolverOptions solver = defaultSolverOptions();
 
     static ilp::SolverOptions
@@ -177,13 +179,6 @@ struct InterFpgaOptions
     {
         ilp::SolverOptions s;
         s.maxNodes = 150;
-        s.timeLimitSeconds = 5.0;
-        // Serial by default so the coarse-ILP assignment — and with
-        // it the whole level-1 partition — is bit-identical run to
-        // run; a parallel search reaches the same objective but may
-        // pick a different tied-optimal assignment. Callers wanting
-        // the parallel solver set numThreads explicitly.
-        s.numThreads = 1;
         return s;
     }
 };

@@ -65,12 +65,6 @@ struct IntraFpgaOptions
     {
         ilp::SolverOptions s;
         s.maxNodes = 150;
-        s.timeLimitSeconds = 1.5;
-        // Keep each bisection ILP serial: parallelism comes from the
-        // per-device outer loop, and a serial inner solver keeps the
-        // placement bit-identical run to run (a parallel search may
-        // return a different tied-optimal cut).
-        s.numThreads = 1;
         return s;
     }
 };

@@ -111,7 +111,7 @@ enum class SolveStatus
     Feasible,     ///< integer-feasible but optimality not proven
     Infeasible,   ///< no feasible point exists
     Unbounded,    ///< objective unbounded below
-    LimitReached, ///< hit node/time limit with no incumbent
+    LimitReached, ///< hit the node budget or deadline with no incumbent
 };
 
 /** Human-readable name of a SolveStatus. */

@@ -13,345 +13,628 @@ namespace
 {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/** Smallest tableau entry accepted as a pivot. */
+constexpr double kPivotTol = 1e-9;
+/** Pivot-row entries below this after scaling are rounding noise. */
+constexpr double kDropTol = 1e-13;
+/** Relative size of the dual cost perturbation (see perturbedDual). */
+constexpr double kPerturb = 1e-5;
+/** Consecutive degenerate primal steps before Bland's rule. */
+constexpr int kDegenerateLimit = 64;
 
-/**
- * Dense standard-form tableau: rows are constraints, columns are
- * structural + slack + artificial variables, plus an RHS column and a
- * cost row. All variables are >= 0; all RHS entries are >= 0.
- *
- * The storage lives in an LpWorkspace so a branch-and-bound worker
- * reuses one allocation across all of its node LPs.
- */
-struct Tableau
+/** Deterministic per-column factor in [1, 2) for the perturbation. */
+double
+perturbFactor(int col)
 {
-    explicit Tableau(LpWorkspace &ws)
-        : a(ws.matrix), rhs(ws.rhs), cost(ws.cost), basis(ws.basis),
-          locked(ws.locked)
-    {
-    }
-
-    int rows = 0;
-    int cols = 0; // excludes rhs column
-    std::vector<double> &a; // rows x cols, row-major
-    std::vector<double> &rhs;
-    std::vector<double> &cost;   // current phase objective
-    double costShift = 0.0;      // constant part of objective
-    std::vector<int> &basis;     // basis[r] = basic column of row r
-    std::vector<unsigned char> &locked; // excluded from entering
-
-    double &at(int r, int c) { return a[static_cast<size_t>(r) * cols + c]; }
-    double at(int r, int c) const
-    {
-        return a[static_cast<size_t>(r) * cols + c];
-    }
-
-    void
-    pivot(int pr, int pc)
-    {
-        const double pivval = at(pr, pc);
-        tapacs_assert(std::abs(pivval) > 1e-12);
-        const double inv = 1.0 / pivval;
-        for (int c = 0; c < cols; ++c)
-            at(pr, c) *= inv;
-        rhs[pr] *= inv;
-        at(pr, pc) = 1.0;
-        for (int r = 0; r < rows; ++r) {
-            if (r == pr)
-                continue;
-            const double f = at(r, pc);
-            if (f == 0.0)
-                continue;
-            for (int c = 0; c < cols; ++c)
-                at(r, c) -= f * at(pr, c);
-            rhs[r] -= f * rhs[pr];
-            at(r, pc) = 0.0;
-        }
-        const double f = cost[pc];
-        if (f != 0.0) {
-            for (int c = 0; c < cols; ++c)
-                cost[c] -= f * at(pr, c);
-            costShift -= f * rhs[pr];
-            cost[pc] = 0.0;
-        }
-        basis[pr] = pc;
-    }
-};
-
-/** Run simplex iterations on the current phase objective; the number
- *  of pivots performed is accumulated into @p pivots. */
-SolveStatus
-iterate(Tableau &t, const SimplexOptions &opt, int max_iters, int &pivots)
-{
-    const double tol = opt.tol;
-    bool bland = false;
-    int degenerate_streak = 0;
-    for (int iter = 0; iter < max_iters; ++iter) {
-        // Cooperative deadline/cancel poll. Every 64 pivots keeps the
-        // clock read off the hot path while still bounding how long a
-        // cancelled request can sit inside one LP.
-        if ((iter & 63) == 0 && opt.ctx.done())
-            return SolveStatus::LimitReached;
-        // Pricing: pick entering column with negative reduced cost.
-        int pc = -1;
-        if (!bland) {
-            double best = -tol;
-            for (int c = 0; c < t.cols; ++c) {
-                if (t.locked[c])
-                    continue;
-                if (t.cost[c] < best) {
-                    best = t.cost[c];
-                    pc = c;
-                }
-            }
-        } else {
-            for (int c = 0; c < t.cols; ++c) {
-                if (!t.locked[c] && t.cost[c] < -tol) {
-                    pc = c;
-                    break;
-                }
-            }
-        }
-        if (pc < 0)
-            return SolveStatus::Optimal;
-
-        // Ratio test: pick leaving row.
-        int pr = -1;
-        double best_ratio = kInf;
-        for (int r = 0; r < t.rows; ++r) {
-            const double arc = t.at(r, pc);
-            if (arc > tol) {
-                const double ratio = t.rhs[r] / arc;
-                if (ratio < best_ratio - 1e-12 ||
-                    (bland && ratio < best_ratio + 1e-12 && pr >= 0 &&
-                     t.basis[r] < t.basis[pr])) {
-                    best_ratio = ratio;
-                    pr = r;
-                }
-            }
-        }
-        if (pr < 0)
-            return SolveStatus::Unbounded;
-
-        if (best_ratio < 1e-12) {
-            if (++degenerate_streak > 64)
-                bland = true;
-        } else {
-            degenerate_streak = 0;
-        }
-        t.pivot(pr, pc);
-        ++pivots;
-    }
-    return SolveStatus::LimitReached;
+    std::uint64_t z = static_cast<std::uint64_t>(col) + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    return 1.0 + static_cast<double>(z >> 11) * 0x1.0p-53;
 }
 
 } // namespace
 
-LpResult
-solveLp(const Model &model, const std::vector<double> &boundsLower,
-        const std::vector<double> &boundsUpper,
-        const SimplexOptions &options, LpWorkspace *scratch)
+LpEngine::LpEngine(const Model &model, SimplexOptions options)
+    : model_(model), options_(options), n_(model.numVars()),
+      m_(model.numConstraints()), cols_(n_ + m_)
 {
-    const int n = model.numVars();
+    rows_.resize(m_);
+    rhs_.resize(m_);
+    lower_.assign(cols_, 0.0);
+    upper_.assign(cols_, 0.0);
+    cost_.assign(cols_, 0.0);
+    for (int i = 0; i < m_; ++i) {
+        const Constraint &c = model.constraints()[i];
+        rows_[i] = c.expr.terms();
+        rhs_[i] = c.rhs - c.expr.constant();
+        // a.x + s = b: the slack's bounds carry the sense.
+        double &lo = lower_[n_ + i];
+        double &hi = upper_[n_ + i];
+        switch (c.sense) {
+          case Sense::LessEqual: lo = 0.0; hi = kInf; break;
+          case Sense::GreaterEqual: lo = -kInf; hi = 0.0; break;
+          case Sense::Equal: lo = 0.0; hi = 0.0; break;
+        }
+    }
+    for (const auto &t : model.objective().terms())
+        cost_[t.var] += t.coeff;
+    tab_.assign(static_cast<size_t>(m_) * cols_, 0.0);
+    binvB_.resize(m_);
+    d_.resize(cols_);
+    phase1_.resize(cols_);
+    beta_.resize(m_);
+    basis_.resize(m_);
+    rowOf_.resize(cols_);
+    weight_.resize(m_);
+    atUpper_.assign(cols_, 0);
+    nonzero_.reserve(cols_);
+}
+
+double
+LpEngine::violation(int row) const
+{
+    const int j = basis_[row];
+    const double x = beta_[row];
+    const double tol = options_.tol;
+    if (x < lower_[j] - tol * (1.0 + std::abs(lower_[j])))
+        return x - lower_[j];
+    if (x > upper_[j] + tol * (1.0 + std::abs(upper_[j])))
+        return x - upper_[j];
+    return 0.0;
+}
+
+void
+LpEngine::loadSlackBasis()
+{
+    std::fill(tab_.begin(), tab_.end(), 0.0);
+    for (int i = 0; i < m_; ++i) {
+        double *row = tableauRow(i);
+        for (const auto &t : rows_[i])
+            row[t.var] += t.coeff;
+        row[n_ + i] = 1.0;
+        binvB_[i] = rhs_[i];
+        basis_[i] = n_ + i;
+    }
+    std::fill(weight_.begin(), weight_.end(), 1.0);
+    std::fill(rowOf_.begin(), rowOf_.begin() + n_, -1);
+    for (int i = 0; i < m_; ++i)
+        rowOf_[n_ + i] = i;
+    pivotsSinceRebuild_ = 0;
+    hasBasis_ = true;
+}
+
+bool
+LpEngine::rebuild()
+{
+    const std::vector<int> target = basis_;
+    std::vector<unsigned char> keep(cols_, 0);
+    for (int j : target)
+        keep[j] = 1;
+    loadSlackBasis();
+    // Gauss-Jordan with partial pivoting: bring each basic structural
+    // in on the row with the largest entry among rows whose slack is
+    // not itself basic. d_ is stale here and recomputed by the caller.
+    std::fill(d_.begin(), d_.end(), 0.0);
+    for (int j : target) {
+        if (j >= n_)
+            continue;
+        int r = -1;
+        double best = kPivotTol;
+        for (int i = 0; i < m_; ++i) {
+            if (keep[basis_[i]])
+                continue;
+            const double a = std::abs(tableauRow(i)[j]);
+            if (a > best) {
+                best = a;
+                r = i;
+            }
+        }
+        if (r < 0)
+            return false;
+        pivot(r, j);
+    }
+    // Exact dual steepest-edge weights for the rebuilt inverse.
+    for (int i = 0; i < m_; ++i) {
+        const double *row = tableauRow(i) + n_;
+        double w = 0.0;
+        for (int k = 0; k < m_; ++k)
+            w += row[k] * row[k];
+        weight_[i] = w;
+    }
+    pivotsSinceRebuild_ = 0;
+    return true;
+}
+
+void
+LpEngine::pivot(int r, int q)
+{
+    double *prow = tableauRow(r);
+    const double inv = 1.0 / prow[q];
+    nonzero_.clear();
+    for (int j = 0; j < cols_; ++j) {
+        if (prow[j] == 0.0)
+            continue;
+        prow[j] *= inv;
+        if (std::abs(prow[j]) < kDropTol)
+            prow[j] = 0.0;
+        else
+            nonzero_.push_back(j);
+    }
+    prow[q] = 1.0;
+    binvB_[r] *= inv;
+    // Dual steepest-edge weights track ||row i of B^-1||^2, the slack
+    // block of the tableau; the pivot row's support there starts at
+    // inverse_begin (nonzero_ is sorted).
+    const auto inverse_begin =
+        std::lower_bound(nonzero_.begin(), nonzero_.end(), n_);
+    double prow_norm = 0.0;
+    for (auto it = inverse_begin; it != nonzero_.end(); ++it)
+        prow_norm += prow[*it] * prow[*it];
+    for (int i = 0; i < m_; ++i) {
+        if (i == r)
+            continue;
+        double *row = tableauRow(i);
+        const double f = row[q];
+        if (f == 0.0)
+            continue;
+        double dot = 0.0;
+        for (auto it = inverse_begin; it != nonzero_.end(); ++it)
+            dot += row[*it] * prow[*it];
+        for (int j : nonzero_) {
+            const double v = row[j] - f * prow[j];
+            row[j] = std::abs(v) < kDropTol ? 0.0 : v;
+        }
+        row[q] = 0.0;
+        binvB_[i] -= f * binvB_[r];
+        weight_[i] = std::max(weight_[i] - 2.0 * f * dot + f * f * prow_norm,
+                              1e-12);
+    }
+    weight_[r] = std::max(prow_norm, 1e-12);
+    const double f = d_[q];
+    if (f != 0.0) {
+        for (int j : nonzero_)
+            d_[j] -= f * prow[j];
+        d_[q] = 0.0;
+    }
+    rowOf_[basis_[r]] = -1;
+    basis_[r] = q;
+    rowOf_[q] = r;
+    ++pivotsSinceRebuild_;
+}
+
+void
+LpEngine::computeBasicValues()
+{
+    beta_ = binvB_;
+    for (int j = 0; j < cols_; ++j) {
+        if (rowOf_[j] >= 0)
+            continue;
+        const double x = value(j);
+        if (x == 0.0)
+            continue;
+        for (int i = 0; i < m_; ++i)
+            beta_[i] -= tableauRow(i)[j] * x;
+    }
+}
+
+void
+LpEngine::computeReducedCosts(const std::vector<double> &cost)
+{
+    d_ = cost;
+    for (int i = 0; i < m_; ++i) {
+        const double cb = cost[basis_[i]];
+        if (cb == 0.0)
+            continue;
+        const double *row = tableauRow(i);
+        for (int j = 0; j < cols_; ++j)
+            d_[j] -= cb * row[j];
+    }
+    for (int i = 0; i < m_; ++i)
+        d_[basis_[i]] = 0.0;
+}
+
+SolveStatus
+LpEngine::primal(bool phase1, int cap, int &iterations)
+{
+    const double tol = options_.tol;
+    bool bland = false;
+    int degenerate = 0;
+    for (int k = 0;; ++k) {
+        if ((k & 63) == 0 && options_.ctx.done())
+            return SolveStatus::LimitReached;
+
+        // Phase 1 prices the sum of infeasibilities: basic cost -1
+        // below the lower bound, +1 above the upper bound.
+        if (phase1) {
+            std::fill(phase1_.begin(), phase1_.end(), 0.0);
+            bool infeasible = false;
+            for (int i = 0; i < m_; ++i) {
+                const double v = violation(i);
+                if (v == 0.0)
+                    continue;
+                infeasible = true;
+                const double w = v < 0.0 ? -1.0 : 1.0;
+                const double *row = tableauRow(i);
+                for (int j = 0; j < cols_; ++j)
+                    phase1_[j] -= w * row[j];
+            }
+            if (!infeasible)
+                return SolveStatus::Optimal;
+        }
+        if (k >= cap)
+            return SolveStatus::LimitReached;
+        const std::vector<double> &d = phase1 ? phase1_ : d_;
+
+        // Pricing: Dantzig, or Bland's lowest index when stalling.
+        int q = -1;
+        double best = tol;
+        for (int j = 0; j < cols_; ++j) {
+            if (rowOf_[j] >= 0 || lower_[j] == upper_[j])
+                continue;
+            const double gain = atUpper_[j] ? d[j] : -d[j];
+            if (gain > best) {
+                best = gain;
+                q = j;
+                if (bland)
+                    break;
+            }
+        }
+        if (q < 0)
+            return phase1 ? SolveStatus::Infeasible : SolveStatus::Optimal;
+        const double dir = atUpper_[q] ? -1.0 : 1.0;
+
+        // Ratio test. Basic i moves by -alpha * t; in phase 1 an
+        // infeasible basic only limits the step where it regains
+        // feasibility. Harris: pass one finds the largest step with
+        // bounds relaxed by the tolerance, pass two takes the largest
+        // pivot among rows that block within it.
+        auto limit = [&](int i, double alpha, double *target) {
+            const int j = basis_[i];
+            const double x = beta_[i];
+            const double v = phase1 ? violation(i) : 0.0;
+            if (alpha > 0.0) {
+                if (v > 0.0) {
+                    *target = upper_[j];
+                    return (x - upper_[j]) / alpha;
+                }
+                if (v < 0.0 || lower_[j] == -kInf)
+                    return kInf;
+                *target = lower_[j];
+                return (x - lower_[j]) / alpha;
+            }
+            if (v < 0.0) {
+                *target = lower_[j];
+                return (lower_[j] - x) / -alpha;
+            }
+            if (v > 0.0 || upper_[j] == kInf)
+                return kInf;
+            *target = upper_[j];
+            return (upper_[j] - x) / -alpha;
+        };
+        double relaxed = kInf;
+        for (int i = 0; i < m_; ++i) {
+            const double alpha = dir * tableauRow(i)[q];
+            if (std::abs(alpha) <= kPivotTol)
+                continue;
+            double target;
+            const double t = limit(i, alpha, &target);
+            if (t == kInf)
+                continue;
+            const double slack = tol * (1.0 + std::abs(target));
+            relaxed = std::min(relaxed, t + slack / std::abs(alpha));
+        }
+        // Under Bland's rule the blocking rows are those at the minimum
+        // ratio (within rounding), and the lowest column index leaves.
+        if (bland && relaxed < kInf) {
+            double least = kInf;
+            for (int i = 0; i < m_; ++i) {
+                const double alpha = dir * tableauRow(i)[q];
+                if (std::abs(alpha) <= kPivotTol)
+                    continue;
+                double target;
+                least = std::min(least,
+                                 std::max(limit(i, alpha, &target), 0.0));
+            }
+            relaxed = least + 1e-12 * (1.0 + least);
+        }
+        int r = -1;
+        double step = kInf, r_target = 0.0, r_alpha = 0.0;
+        for (int i = 0; i < m_ && relaxed < kInf; ++i) {
+            const double alpha = dir * tableauRow(i)[q];
+            if (std::abs(alpha) <= kPivotTol)
+                continue;
+            double target;
+            const double t = limit(i, alpha, &target);
+            if (t > relaxed)
+                continue;
+            const bool take =
+                bland ? (r < 0 || basis_[i] < basis_[r])
+                      : (r < 0 || std::abs(alpha) > std::abs(r_alpha));
+            if (take) {
+                r = i;
+                step = t;
+                r_target = target;
+                r_alpha = alpha;
+            }
+        }
+        step = std::max(step, 0.0);
+        const double range = upper_[q] - lower_[q];
+        if (r < 0 && range == kInf)
+            return phase1 ? SolveStatus::LimitReached
+                          : SolveStatus::Unbounded;
+
+        if (r < 0 || range <= step) {
+            // Bound flip: the entering column crosses its whole box.
+            for (int i = 0; i < m_; ++i)
+                beta_[i] -= dir * range * tableauRow(i)[q];
+            atUpper_[q] = !atUpper_[q];
+            degenerate = 0;
+        } else {
+            const double delta = dir * step;
+            for (int i = 0; i < m_; ++i)
+                beta_[i] -= delta * tableauRow(i)[q];
+            const double entering = value(q) + delta;
+            const int leaving = basis_[r];
+            atUpper_[leaving] = r_target == upper_[leaving] &&
+                                lower_[leaving] != upper_[leaving];
+            pivot(r, q);
+            beta_[r] = entering;
+            if (step < 1e-12) {
+                if (++degenerate > kDegenerateLimit)
+                    bland = true;
+            } else {
+                degenerate = 0;
+            }
+        }
+        ++iterations;
+    }
+}
+
+SolveStatus
+LpEngine::dual(int cap, int &iterations)
+{
+    const double tol = options_.tol;
+    for (int k = 0;; ++k) {
+        if ((k & 63) == 0 && options_.ctx.done())
+            return SolveStatus::LimitReached;
+
+        // Leaving row: dual steepest edge, the largest violation
+        // relative to the norm of its row of B^-1.
+        int r = -1;
+        double worst = 0.0;
+        for (int i = 0; i < m_; ++i) {
+            const double v = violation(i);
+            if (v != 0.0 && v * v > worst * weight_[i]) {
+                worst = v * v / weight_[i];
+                r = i;
+            }
+        }
+        if (r < 0)
+            return SolveStatus::Optimal;
+        if (k >= cap)
+            return SolveStatus::LimitReached;
+        const int leaving = basis_[r];
+        const bool below = beta_[r] < lower_[leaving];
+        const double target = below ? lower_[leaving] : upper_[leaving];
+        const double need = below ? 1.0 : -1.0; // direction beta_r moves
+
+        // Dual ratio test (Harris): nonbasic j moving off its bound in
+        // direction dir changes beta_r by -a_rj * dir; it qualifies when
+        // that pushes beta_r toward the violated bound.
+        const double *prow = tableauRow(r);
+        auto qualifies = [&](int j) {
+            return rowOf_[j] < 0 && lower_[j] != upper_[j] &&
+                   -prow[j] * (atUpper_[j] ? -1.0 : 1.0) * need > 0.0;
+        };
+        double relaxed = kInf;
+        for (int j = 0; j < cols_; ++j) {
+            if (std::abs(prow[j]) <= kPivotTol || !qualifies(j))
+                continue;
+            const double dir = atUpper_[j] ? -1.0 : 1.0;
+            relaxed = std::min(relaxed,
+                               (dir * d_[j] + tol) / std::abs(prow[j]));
+        }
+        if (relaxed == kInf) {
+            // No usable pivot: the row proves infeasibility. The proof
+            // is doubtful when qualifying entries exist below the
+            // pivot tolerance — rounding noise or real, only a fresh
+            // tableau can tell.
+            noisyProof_ = false;
+            for (int j = 0; j < cols_ && !noisyProof_; ++j)
+                noisyProof_ = qualifies(j);
+            return SolveStatus::Infeasible;
+        }
+        relaxed = std::max(relaxed, 0.0);
+        int q = -1;
+        double q_abs = 0.0;
+        for (int j = 0; j < cols_; ++j) {
+            const double a = std::abs(prow[j]);
+            if (a <= kPivotTol || !qualifies(j))
+                continue;
+            const double dir = atUpper_[j] ? -1.0 : 1.0;
+            if (std::max(dir * d_[j], 0.0) / a <= relaxed && a > q_abs) {
+                q_abs = a;
+                q = j;
+            }
+        }
+
+        // A Harris pick may carry a slightly wrong-signed reduced cost;
+        // shift it to zero so the dual step never goes backwards.
+        if ((atUpper_[q] ? -d_[q] : d_[q]) < 0.0)
+            d_[q] = 0.0;
+        const double delta = (beta_[r] - target) / prow[q];
+        for (int i = 0; i < m_; ++i)
+            beta_[i] -= delta * tableauRow(i)[q];
+        const double entering = value(q) + delta;
+        atUpper_[leaving] = !below && lower_[leaving] != upper_[leaving];
+        pivot(r, q);
+        beta_[r] = entering;
+        ++iterations;
+    }
+}
+
+bool
+LpEngine::placeNonbasic()
+{
+    const double tol = options_.tol;
+    for (int j = 0; j < cols_; ++j) {
+        if (rowOf_[j] >= 0)
+            continue;
+        if (lower_[j] == upper_[j]) {
+            atUpper_[j] = 0;
+            continue;
+        }
+        bool up = atUpper_[j];
+        if (d_[j] > tol)
+            up = false;
+        else if (d_[j] < -tol)
+            up = true;
+        if ((up ? upper_[j] : lower_[j]) == (up ? kInf : -kInf)) {
+            if (std::abs(d_[j]) > tol)
+                return false;
+            up = !up;
+        }
+        atUpper_[j] = up;
+    }
+    return true;
+}
+
+SolveStatus
+LpEngine::perturbedDual(int cap, int &iterations)
+{
+    // Perturb the nonbasic costs away from their bounds so ties in the
+    // dual ratio test break deterministically instead of stalling.
+    for (int j = 0; j < cols_; ++j) {
+        if (rowOf_[j] >= 0 || lower_[j] == upper_[j])
+            continue;
+        const double eps =
+            kPerturb * (1.0 + std::abs(cost_[j])) * perturbFactor(j);
+        d_[j] += atUpper_[j] ? -eps : eps;
+    }
+    computeBasicValues();
+    noisyProof_ = false;
+    return dual(cap, iterations);
+}
+
+SolveStatus
+LpEngine::dualThenPrimal(int cap, int &iterations)
+{
+    SolveStatus st = perturbedDual(cap, iterations);
+    if (st == SolveStatus::Infeasible && noisyProof_ &&
+        pivotsSinceRebuild_ > 0) {
+        // Re-derive the tableau and look again before trusting it.
+        if (!rebuild())
+            return SolveStatus::LimitReached;
+        computeReducedCosts(cost_);
+        if (!placeNonbasic())
+            return SolveStatus::LimitReached;
+        st = perturbedDual(cap, iterations);
+    }
+    if (st != SolveStatus::Optimal)
+        return st;
+    // Remove the perturbation; primal iterations repair any dual
+    // infeasibility it was hiding before the bound is reported.
+    computeReducedCosts(cost_);
+    return primal(false, cap, iterations);
+}
+
+LpResult
+LpEngine::solveCold()
+{
     LpResult out;
+    loadSlackBasis();
+    std::fill(atUpper_.begin(), atUpper_.begin() + n_, 0);
+    computeReducedCosts(cost_);
+    const int cap = options_.maxIterations > 0
+                        ? options_.maxIterations
+                        : 20 * (m_ + cols_) + 1000;
+    SolveStatus st;
+    if (placeNonbasic()) {
+        st = dualThenPrimal(cap, out.iterations);
+    } else {
+        // Some cost points at an infinite bound: primal phase 1 from
+        // the slack basis with every structural at its lower bound.
+        std::fill(atUpper_.begin(), atUpper_.begin() + n_, 0);
+        computeBasicValues();
+        st = primal(true, cap, out.iterations);
+        if (st == SolveStatus::Optimal)
+            st = primal(false, cap, out.iterations);
+    }
+    out.status = st;
+    if (st == SolveStatus::Optimal)
+        finish(out);
+    return out;
+}
 
-    LpWorkspace local;
-    LpWorkspace &ws = scratch ? *scratch : local;
+bool
+LpEngine::solveWarm(LpResult &out)
+{
+    if (pivotsSinceRebuild_ > 2 * (m_ + n_) + 100 && !rebuild())
+        return false;
+    // The retained basis is dual feasible under any bounds once each
+    // nonbasic column sits on the bound its reduced cost points at.
+    computeReducedCosts(cost_);
+    if (!placeNonbasic())
+        return false;
+    const SolveStatus st = dualThenPrimal((m_ + n_) / 2 + 50,
+                                          out.iterations);
+    if (st == SolveStatus::LimitReached && !options_.ctx.done())
+        return false;
+    out.status = st;
+    if (st == SolveStatus::Optimal)
+        finish(out);
+    return true;
+}
 
-    // Effective bounds, with branch-and-bound overrides applied.
-    ws.lower.resize(n);
-    ws.upper.resize(n);
-    std::vector<double> &lo = ws.lower;
-    std::vector<double> &hi = ws.upper;
-    for (VarId v = 0; v < n; ++v) {
-        lo[v] = boundsLower.empty() ? model.var(v).lower : boundsLower[v];
-        hi[v] = boundsUpper.empty() ? model.var(v).upper : boundsUpper[v];
-        if (!std::isfinite(lo[v])) {
+void
+LpEngine::finish(LpResult &out) const
+{
+    out.values.resize(n_);
+    for (int j = 0; j < n_; ++j)
+        out.values[j] = rowOf_[j] >= 0 ? beta_[rowOf_[j]] : value(j);
+    out.objective = model_.objective().evaluate(out.values);
+}
+
+LpResult
+LpEngine::solve(const std::vector<double> &lower,
+                const std::vector<double> &upper)
+{
+    for (VarId v = 0; v < n_; ++v) {
+        const double lo = lower.empty() ? model_.var(v).lower : lower[v];
+        const double hi = upper.empty() ? model_.var(v).upper : upper[v];
+        if (!std::isfinite(lo)) {
             panic("simplex: variable '%s' has non-finite lower bound; "
                   "all TAPA-CS formulations use bounded-below variables",
-                  model.var(v).name.c_str());
+                  model_.var(v).name.c_str());
         }
-        if (lo[v] > hi[v] + options.tol) {
+        if (lo > hi + options_.tol) {
+            LpResult out;
             out.status = SolveStatus::Infeasible;
             return out;
         }
+        lower_[v] = lo;
+        upper_[v] = std::max(lo, hi);
     }
 
-    // Count rows: one per model constraint plus one per finite upper
-    // bound (variables are shifted so x' = x - lo >= 0).
-    struct Row
-    {
-        std::vector<LinTerm> terms;
-        Sense sense;
-        double rhs;
-    };
-    std::vector<Row> rowdefs;
-    rowdefs.reserve(model.numConstraints() + n);
-    for (const auto &c : model.constraints()) {
-        Row row;
-        row.sense = c.sense;
-        row.rhs = c.rhs - c.expr.constant();
-        for (const auto &t : c.expr.terms()) {
-            row.terms.push_back(t);
-            row.rhs -= t.coeff * lo[t.var];
-        }
-        rowdefs.push_back(std::move(row));
-    }
-    for (VarId v = 0; v < n; ++v) {
-        if (std::isfinite(hi[v]) && hi[v] - lo[v] < kInf) {
-            Row row;
-            row.sense = Sense::LessEqual;
-            row.rhs = hi[v] - lo[v];
-            row.terms.push_back({v, 1.0});
-            rowdefs.push_back(std::move(row));
-        }
-    }
-
-    const int m = static_cast<int>(rowdefs.size());
-
-    // Normalize RHS signs.
-    for (auto &row : rowdefs) {
-        if (row.rhs < 0.0) {
-            row.rhs = -row.rhs;
-            for (auto &t : row.terms)
-                t.coeff = -t.coeff;
-            if (row.sense == Sense::LessEqual)
-                row.sense = Sense::GreaterEqual;
-            else if (row.sense == Sense::GreaterEqual)
-                row.sense = Sense::LessEqual;
-        }
-    }
-
-    // Column layout: [structural n][slack/surplus][artificials].
-    int n_slack = 0, n_art = 0;
-    for (const auto &row : rowdefs) {
-        if (row.sense != Sense::Equal)
-            ++n_slack;
-        if (row.sense != Sense::LessEqual)
-            ++n_art;
-    }
-
-    Tableau t(ws);
-    t.rows = m;
-    t.cols = n + n_slack + n_art;
-    t.a.assign(static_cast<size_t>(t.rows) * t.cols, 0.0);
-    t.rhs.assign(m, 0.0);
-    t.cost.assign(t.cols, 0.0);
-    t.basis.assign(m, -1);
-    t.locked.assign(t.cols, 0);
-
-    int slack_cursor = n;
-    int art_cursor = n + n_slack;
-    std::vector<int> art_cols;
-    for (int r = 0; r < m; ++r) {
-        const Row &row = rowdefs[r];
-        for (const auto &term : row.terms)
-            t.at(r, term.var) += term.coeff;
-        t.rhs[r] = row.rhs;
-        switch (row.sense) {
-          case Sense::LessEqual:
-            t.at(r, slack_cursor) = 1.0;
-            t.basis[r] = slack_cursor++;
-            break;
-          case Sense::GreaterEqual:
-            t.at(r, slack_cursor) = -1.0;
-            ++slack_cursor;
-            t.at(r, art_cursor) = 1.0;
-            t.basis[r] = art_cursor;
-            art_cols.push_back(art_cursor++);
-            break;
-          case Sense::Equal:
-            t.at(r, art_cursor) = 1.0;
-            t.basis[r] = art_cursor;
-            art_cols.push_back(art_cursor++);
-            break;
-        }
-    }
-
-    const int max_iters = options.maxIterations > 0
-                              ? options.maxIterations
-                              : 200 * (t.rows + t.cols) + 2000;
-
-    // Phase 1: minimize sum of artificials.
-    if (!art_cols.empty()) {
-        for (int c : art_cols)
-            t.cost[c] = 1.0;
-        // Reduce cost row against the initial (artificial) basis.
-        for (int r = 0; r < m; ++r) {
-            const int bc = t.basis[r];
-            if (t.cost[bc] != 0.0) {
-                const double f = t.cost[bc];
-                for (int c = 0; c < t.cols; ++c)
-                    t.cost[c] -= f * t.at(r, c);
-                t.costShift -= f * t.rhs[r];
-                t.cost[bc] = 0.0;
-            }
-        }
-        SolveStatus st = iterate(t, options, max_iters, out.iterations);
-        if (st == SolveStatus::LimitReached) {
-            out.status = st;
+    if (hasBasis_) {
+        LpResult out;
+        if (solveWarm(out))
             return out;
-        }
-        const double phase1 = -t.costShift;
-        if (phase1 > 1e-6 * (1.0 + std::abs(phase1))) {
-            out.status = SolveStatus::Infeasible;
-            return out;
-        }
-        // Drive any remaining basic artificials out of the basis.
-        for (int r = 0; r < m; ++r) {
-            const int bc = t.basis[r];
-            if (bc < n + n_slack)
-                continue;
-            int pc = -1;
-            for (int c = 0; c < n + n_slack; ++c) {
-                if (std::abs(t.at(r, c)) > 1e-9) {
-                    pc = c;
-                    break;
-                }
-            }
-            if (pc >= 0)
-                t.pivot(r, pc);
-            // else: redundant row; the basic artificial stays at zero.
-        }
-        for (int c : art_cols)
-            t.locked[c] = true;
+        ++coldFallbacks_;
+        LpResult cold = solveCold();
+        cold.iterations += out.iterations;
+        return cold;
     }
+    return solveCold();
+}
 
-    // Phase 2: original objective over shifted variables.
-    std::fill(t.cost.begin(), t.cost.end(), 0.0);
-    t.costShift = 0.0;
-    double obj_const = model.objective().constant();
-    for (const auto &term : model.objective().terms()) {
-        t.cost[term.var] += term.coeff;
-        obj_const += term.coeff * lo[term.var];
-    }
-    for (int r = 0; r < m; ++r) {
-        const int bc = t.basis[r];
-        if (t.cost[bc] != 0.0) {
-            const double f = t.cost[bc];
-            for (int c = 0; c < t.cols; ++c)
-                t.cost[c] -= f * t.at(r, c);
-            t.costShift -= f * t.rhs[r];
-            t.cost[bc] = 0.0;
-        }
-    }
-    SolveStatus st = iterate(t, options, max_iters, out.iterations);
-    if (st == SolveStatus::Unbounded || st == SolveStatus::LimitReached) {
-        out.status = st;
-        return out;
-    }
-
-    out.status = SolveStatus::Optimal;
-    out.values.assign(n, 0.0);
-    for (int r = 0; r < m; ++r) {
-        const int bc = t.basis[r];
-        if (bc < n)
-            out.values[bc] = t.rhs[r];
-    }
-    for (VarId v = 0; v < n; ++v)
-        out.values[v] += lo[v];
-    out.objective = model.objective().evaluate(out.values);
-    (void)obj_const;
-    return out;
+LpResult
+solveLp(const Model &model, const std::vector<double> &lower,
+        const std::vector<double> &upper, const SimplexOptions &options)
+{
+    LpEngine engine(model, options);
+    return engine.solve(lower, upper);
 }
 
 } // namespace tapacs::ilp

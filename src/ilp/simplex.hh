@@ -1,22 +1,38 @@
 /**
  * @file
- * Two-phase primal simplex solver for the LP relaxation of a Model.
+ * Bounded-variable simplex engine for the LP relaxations solved at
+ * every branch-and-bound node.
  *
- * This is the workhorse under the branch-and-bound ILP solver. It
- * accepts any Model (integrality is ignored here), converts it to
- * standard form (shifted non-negative variables, slack/surplus/
- * artificial columns), and runs dense tableau simplex with Dantzig
- * pricing and a Bland's-rule anti-cycling fallback.
+ * The engine keeps one dense tableau B^-1 [A I] over the structural
+ * columns plus one slack per constraint (a.x + s = b, with the slack's
+ * bounds encoding the sense). Variable bounds — including the [0,1]
+ * box of every binary and the bound changes branch-and-bound makes —
+ * are implicit: a nonbasic column sits at its lower or upper bound, and
+ * no bound ever becomes a row. A pivot touches only the nonzero
+ * columns of the pivot row.
  *
- * The floorplanning LPs in this project are small-to-medium dense
- * systems (hundreds to a few thousand columns after coarsening), for
- * which a dense tableau is simple, predictable and fast enough — see
- * bench_micro_solver for measured pivot throughput.
+ * The first solve is cold, from the slack basis. When every cost
+ * points at a finite bound (true of every floorplanning model: the
+ * costs are nonnegative or sit on binaries) that basis is already dual
+ * feasible and the solve runs the same dual iterations a warm solve
+ * does; otherwise it runs primal phase 1 (sum of infeasibilities) and
+ * phase 2. Every later solve starts from the basis the previous one
+ * left behind — which stays dual feasible under any bound change — and
+ * runs dual simplex iterations on slightly perturbed costs, then
+ * removes the perturbation and finishes with primal iterations before
+ * reporting. A warm solve that exceeds its iteration cap (derived
+ * from the model size) is abandoned and re-run cold; those fallbacks
+ * are counted. Both ratio tests use Harris' two-pass rule, the dual
+ * picks its leaving row by steepest edge, and the tableau is rebuilt
+ * from the model rows periodically — and before an infeasibility proof
+ * resting on noise-level entries is trusted — so rounding error cannot
+ * accumulate across nodes.
  */
 
 #ifndef TAPACS_ILP_SIMPLEX_HH
 #define TAPACS_ILP_SIMPLEX_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "common/context.hh"
@@ -25,15 +41,16 @@
 namespace tapacs::ilp
 {
 
-/** Options controlling a single LP solve. */
+/** Options controlling LP solves. */
 struct SimplexOptions
 {
     /** Numerical tolerance for feasibility / reduced costs. */
     double tol = 1e-7;
-    /** Hard cap on simplex pivots per phase (0 = auto from size). */
+    /** Hard cap on simplex iterations per cold phase (0 = auto from
+     *  size). Warm solves use a smaller size-derived cap. */
     int maxIterations = 0;
     /**
-     * Deadline/cancellation token, polled every few dozen pivots.
+     * Deadline/cancellation token, polled every few dozen iterations.
      * When it fires the solve unwinds with SolveStatus::LimitReached,
      * which branch-and-bound already treats as "not proven" — the
      * search keeps its best incumbent. Default: never fires.
@@ -47,52 +64,121 @@ struct LpResult
     SolveStatus status = SolveStatus::LimitReached;
     double objective = 0.0;
     std::vector<double> values; ///< one value per model variable
-    /** Simplex pivots performed across both phases (the solver's
-     *  per-node effort metric, surfaced in SolverStats). */
+    /** Simplex iterations (pivots and bound flips) this solve spent,
+     *  including a discarded warm attempt (the solver's per-node
+     *  effort metric, surfaced in SolverStats). */
     int iterations = 0;
 };
 
 /**
- * Reusable scratch buffers for solveLp.
+ * LP engine bound to one model. Successive solve() calls differ only
+ * in the variable bounds and reuse the previous basis.
  *
- * Branch-and-bound calls solveLp once per node on a model of fixed
- * shape; without reuse every call allocates a fresh dense tableau
- * (O(rows x cols) doubles), and that allocator traffic is what the
- * parallel solver amplifies first. Each solver worker owns one
- * workspace and threads it through all of its LP solves; the vectors
- * below keep their capacity across calls, so steady state performs no
- * heap allocation per node beyond the returned solution.
- *
- * A workspace must not be shared between concurrent solveLp calls.
+ * Not thread-safe; one engine serves one search.
  */
-struct LpWorkspace
+class LpEngine
 {
-    std::vector<double> matrix; ///< dense tableau, row-major
-    std::vector<double> rhs;
-    std::vector<double> cost;
-    std::vector<int> basis;
-    std::vector<unsigned char> locked;
-    std::vector<double> lower; ///< effective per-variable bounds
-    std::vector<double> upper;
+  public:
+    /** @p model must outlive the engine and stay unchanged. */
+    explicit LpEngine(const Model &model, SimplexOptions options = {});
+
+    /**
+     * Solve the LP relaxation under per-variable bounds.
+     *
+     * @param lower per-variable lower bounds (empty = model bounds).
+     * @param upper per-variable upper bounds (empty = model bounds).
+     */
+    LpResult solve(const std::vector<double> &lower = {},
+                   const std::vector<double> &upper = {});
+
+    /** Warm solves abandoned for a cold re-solve so far. */
+    std::int64_t coldFallbacks() const { return coldFallbacks_; }
+
+  private:
+    LpResult solveCold();
+    /** Dual-then-primal re-solve from the retained basis; false when
+     *  it has to give up (cap, or a dual-infeasible unbounded column),
+     *  leaving @p out.iterations updated for the fallback. */
+    bool solveWarm(LpResult &out);
+
+    void loadSlackBasis();
+    /** Rebuild B^-1 [A I] for the current basis from the model rows;
+     *  false if the basis turned numerically singular. */
+    bool rebuild();
+    void pivot(int row, int col);
+    void computeBasicValues();
+    void computeReducedCosts(const std::vector<double> &cost);
+    double *tableauRow(int row)
+    {
+        return &tab_[static_cast<size_t>(row) * cols_];
+    }
+    const double *tableauRow(int row) const
+    {
+        return &tab_[static_cast<size_t>(row) * cols_];
+    }
+    double value(int col) const
+    {
+        return atUpper_[col] ? upper_[col] : lower_[col];
+    }
+    /** Signed bound violation of the basic variable in @p row (0 when
+     *  within tolerance, negative below lower, positive above upper). */
+    double violation(int row) const;
+
+    /** Put each nonbasic column on the bound its reduced cost points
+     *  at, making the basis dual feasible; false when a cost points at
+     *  an infinite bound. */
+    bool placeNonbasic();
+    SolveStatus primal(bool phase1, int cap, int &iterations);
+    SolveStatus dual(int cap, int &iterations);
+    /** Perturb the nonbasic costs and run dual iterations. */
+    SolveStatus perturbedDual(int cap, int &iterations);
+    /** Dual iterations on perturbed costs (re-run on a rebuilt tableau
+     *  when an infeasibility proof rests on noise-level entries), then
+     *  primal iterations on the true costs. */
+    SolveStatus dualThenPrimal(int cap, int &iterations);
+    void finish(LpResult &out) const;
+
+    const Model &model_;
+    SimplexOptions options_;
+    int n_ = 0;    ///< structural columns
+    int m_ = 0;    ///< rows (= slack columns)
+    int cols_ = 0; ///< n_ + m_
+
+    std::vector<std::vector<LinTerm>> rows_; ///< model rows, structural
+    std::vector<double> rhs_;                ///< b, constants folded in
+    std::vector<double> cost_;               ///< objective per column
+    std::vector<double> lower_, upper_;      ///< current column bounds
+
+    std::vector<double> tab_;    ///< B^-1 [A I], m_ x cols_ row-major
+    std::vector<double> binvB_;  ///< B^-1 b
+    std::vector<double> d_;      ///< reduced costs of the working cost
+    std::vector<double> phase1_; ///< phase-1 reduced costs (scratch)
+    std::vector<double> beta_;   ///< basic variable values per row
+    std::vector<int> basis_;     ///< basic column per row
+    std::vector<int> rowOf_;     ///< row of a basic column, else -1
+    std::vector<double> weight_; ///< dual steepest-edge weight per row
+    std::vector<unsigned char> atUpper_; ///< nonbasic position
+    std::vector<int> nonzero_;   ///< scratch: pivot-row support
+
+    bool hasBasis_ = false;
+    /** Set when dual() proved infeasibility from a row whose
+     *  qualifying entries were all below the pivot tolerance. */
+    bool noisyProof_ = false;
+    int pivotsSinceRebuild_ = 0;
+    std::int64_t coldFallbacks_ = 0;
 };
 
 /**
- * Solve the LP relaxation of @p model.
+ * Solve the LP relaxation of @p model once, cold.
  *
  * @param model the MILP whose relaxation to solve.
- * @param boundsLower optional per-variable lower-bound overrides
- *        (used by branch-and-bound); empty = use model bounds.
- * @param boundsUpper optional per-variable upper-bound overrides.
+ * @param lower optional per-variable lower-bound overrides.
+ * @param upper optional per-variable upper-bound overrides.
  * @param options numerical options.
- * @param scratch optional reusable buffers (see LpWorkspace); pass
- *        nullptr to allocate fresh scratch for this call.
- * @return LP status, objective and a full variable assignment.
  */
-LpResult solveLp(const Model &model,
-                 const std::vector<double> &boundsLower = {},
-                 const std::vector<double> &boundsUpper = {},
-                 const SimplexOptions &options = {},
-                 LpWorkspace *scratch = nullptr);
+LpResult solveLp(const Model &model, const std::vector<double> &lower = {},
+                 const std::vector<double> &upper = {},
+                 const SimplexOptions &options = {});
 
 } // namespace tapacs::ilp
 

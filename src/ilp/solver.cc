@@ -1,14 +1,10 @@
 #include "ilp/solver.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "obs/trace.hh"
 
 namespace tapacs::ilp
@@ -16,19 +12,6 @@ namespace tapacs::ilp
 
 namespace
 {
-
-/**
- * Per-worker effort counters, folded into the shared totals (and the
- * worker's trace span) once when the worker retires — the search hot
- * loop touches no shared cache line beyond the node budget.
- */
-struct WorkerCounters
-{
-    std::int64_t nodes = 0;
-    std::int64_t lpSolves = 0;
-    std::int64_t lpIterations = 0;
-    std::int64_t incumbentUpdates = 0;
-};
 
 /** Pending branch-and-bound node: per-variable bound overrides. */
 struct Node
@@ -38,14 +21,6 @@ struct Node
     double parentBound = -std::numeric_limits<double>::infinity();
     bool isRoot = false;
 };
-
-double
-nowSeconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch())
-        .count();
-}
 
 /** Root node spanning the model's own bounds. */
 Node
@@ -63,279 +38,6 @@ makeRoot(const Model &model)
     return root;
 }
 
-/**
- * State shared by the parallel search workers. The deque + active
- * counter are guarded by mu; the incumbent *objective* is an atomic
- * so pruning reads never take a lock, while the incumbent *solution*
- * is guarded by bestMu (updates are rare: one per improvement).
- */
-struct SharedSearch
-{
-    const Model &model;
-    const SolverOptions &opt;
-    const std::vector<VarId> &intVars;
-    double tStart = 0.0;
-
-    std::mutex mu;
-    std::deque<Node> deque;
-    int active = 0;  ///< workers currently expanding a node
-    std::atomic<bool> stop{false};
-    std::condition_variable cv;
-
-    std::atomic<std::int64_t> nodesExplored{0};
-    std::atomic<std::int64_t> lpSolves{0};
-    std::atomic<std::int64_t> lpIterations{0};
-    std::atomic<std::int64_t> incumbentUpdates{0};
-    std::atomic<bool> cleanly{true};
-    std::atomic<bool> rootUnbounded{false};
-    std::atomic<bool> interrupted{false};
-
-    std::atomic<double> incumbent{
-        std::numeric_limits<double>::infinity()};
-    std::mutex bestMu;
-    Solution best;
-
-    SharedSearch(const Model &m, const SolverOptions &o,
-                 const std::vector<VarId> &iv)
-        : model(m), opt(o), intVars(iv)
-    {
-    }
-
-    /** Request a cooperative drain (limit hit / root unbounded). */
-    void
-    requestStop(bool clean)
-    {
-        if (!clean)
-            cleanly.store(false, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lk(mu);
-        stop.store(true, std::memory_order_relaxed);
-        cv.notify_all();
-    }
-
-    /**
-     * Reserve one node-budget slot (and check the clock). The CAS
-     * loop guarantees nodesExplored never exceeds maxNodes no matter
-     * how many workers race here.
-     */
-    bool
-    reserveNode()
-    {
-        if (opt.ctx.done()) {
-            interrupted.store(true, std::memory_order_relaxed);
-            requestStop(false);
-            return false;
-        }
-        std::int64_t id = nodesExplored.load(std::memory_order_relaxed);
-        for (;;) {
-            if (id >= opt.maxNodes) {
-                requestStop(false);
-                return false;
-            }
-            if (nodesExplored.compare_exchange_weak(
-                    id, id + 1, std::memory_order_relaxed))
-                break;
-        }
-        if (opt.timeLimitSeconds > 0.0 &&
-            nowSeconds() - tStart > opt.timeLimitSeconds) {
-            requestStop(false);
-            return false;
-        }
-        return true;
-    }
-
-    /**
-     * Record an integer-feasible point. The atomic bound is lowered
-     * with compare-exchange so concurrent improvements never move it
-     * upward; the full solution follows under bestMu.
-     *
-     * @retval true the point became the new incumbent.
-     */
-    bool
-    offerIncumbent(std::vector<double> vals, double obj)
-    {
-        std::lock_guard<std::mutex> lk(bestMu);
-        if (best.hasSolution() && obj >= best.objective)
-            return false;
-        best.values = std::move(vals);
-        best.objective = obj;
-        best.status = SolveStatus::Feasible;
-        double cur = incumbent.load(std::memory_order_relaxed);
-        while (obj < cur &&
-               !incumbent.compare_exchange_weak(
-                   cur, obj, std::memory_order_release,
-                   std::memory_order_relaxed)) {
-        }
-        return true;
-    }
-};
-
-/**
- * Expand one node: LP-relax, prune, either record an incumbent or
- * branch. On a branch the nearer-side child is handed back through
- * @p dive for the calling worker to expand next (a depth-first dive,
- * which is what finds incumbents early enough to prune), while the
- * farther child goes to the back of the shared deque for idle
- * workers to steal.
- *
- * @retval true @p dive holds the next node for this worker.
- */
-bool
-expandNode(SharedSearch &sh, Node node, LpWorkspace &ws,
-           WorkerCounters &wc, Node *dive)
-{
-    const SolverOptions &opt = sh.opt;
-    {
-        const double inc = sh.incumbent.load(std::memory_order_acquire);
-        if (node.parentBound >=
-            inc - opt.relativeGap * (1.0 + std::abs(inc)))
-            return false;
-    }
-
-    LpResult lp = solveLp(sh.model, node.lo, node.hi, opt.lp, &ws);
-    ++wc.lpSolves;
-    wc.lpIterations += lp.iterations;
-
-    if (lp.status == SolveStatus::Infeasible)
-        return false;
-    if (lp.status == SolveStatus::Unbounded) {
-        if (node.isRoot) {
-            sh.rootUnbounded.store(true, std::memory_order_relaxed);
-            sh.requestStop(true);
-        } else {
-            // A bounded root cannot spawn an unbounded child; treat
-            // as numeric trouble and skip (mirrors the serial path).
-            warn("branch-and-bound: child LP reported unbounded");
-        }
-        return false;
-    }
-    if (lp.status == SolveStatus::LimitReached) {
-        sh.cleanly.store(false, std::memory_order_relaxed);
-        return false;
-    }
-
-    // Re-check against the incumbent *after* the LP solve: another
-    // worker may have found a better bound while we pivoted, and a
-    // late improvement must still prune this subtree.
-    {
-        const double inc = sh.incumbent.load(std::memory_order_acquire);
-        if (lp.objective >= inc - opt.relativeGap * (1.0 + std::abs(inc)))
-            return false;
-    }
-
-    // Find the most fractional integral variable.
-    VarId branch_var = -1;
-    double worst_frac = opt.intTol;
-    for (VarId v : sh.intVars) {
-        const double x = lp.values[v];
-        const double frac = std::abs(x - std::round(x));
-        if (frac > worst_frac) {
-            worst_frac = frac;
-            branch_var = v;
-        }
-    }
-
-    if (branch_var < 0) {
-        // Integer feasible: round off numeric fuzz and accept.
-        std::vector<double> vals = std::move(lp.values);
-        for (VarId v : sh.intVars)
-            vals[v] = std::round(vals[v]);
-        const double obj = sh.model.objective().evaluate(vals);
-        const double inc = sh.incumbent.load(std::memory_order_acquire);
-        if (obj < inc && sh.model.isFeasible(vals, 1e-5) &&
-            sh.offerIncumbent(std::move(vals), obj))
-            ++wc.incumbentUpdates;
-        return false;
-    }
-
-    const double x = lp.values[branch_var];
-    const double floor_x = std::floor(x);
-
-    Node down = node;
-    down.isRoot = false;
-    down.hi[branch_var] = floor_x;
-    down.parentBound = lp.objective;
-    Node up = std::move(node);
-    up.isRoot = false;
-    up.lo[branch_var] = floor_x + 1.0;
-    up.parentBound = lp.objective;
-
-    // Keep the side nearer the fractional value for this worker's
-    // dive (the serial DFS explores it first); share the other side.
-    Node shared;
-    if (x - floor_x > 0.5) {
-        *dive = std::move(up);
-        shared = std::move(down);
-    } else {
-        *dive = std::move(down);
-        shared = std::move(up);
-    }
-    {
-        std::lock_guard<std::mutex> lk(sh.mu);
-        sh.deque.push_back(std::move(shared));
-    }
-    sh.cv.notify_one();
-    return true;
-}
-
-/**
- * One search worker: steal a node from the front of the shared deque,
- * then dive depth-first down its subtree (expandNode hands back one
- * child per branch, queueing the other), until the tree drains, a
- * limit fires, or stop is requested.
- */
-void
-searchLoop(SharedSearch &sh, WorkerCounters &wc)
-{
-    LpWorkspace ws; // per-worker scratch, reused across node LPs
-    std::unique_lock<std::mutex> lk(sh.mu);
-    for (;;) {
-        if (sh.stop.load(std::memory_order_relaxed))
-            return;
-        if (sh.deque.empty()) {
-            if (sh.active == 0)
-                return; // tree drained
-            sh.cv.wait(lk);
-            continue;
-        }
-
-        Node node = std::move(sh.deque.front());
-        sh.deque.pop_front();
-        ++sh.active;
-        lk.unlock();
-
-        while (!sh.stop.load(std::memory_order_relaxed)) {
-            if (!sh.reserveNode())
-                break;
-            ++wc.nodes;
-            Node next;
-            if (!expandNode(sh, std::move(node), ws, wc, &next))
-                break;
-            node = std::move(next);
-        }
-
-        lk.lock();
-        --sh.active;
-        if (sh.active == 0 && sh.deque.empty())
-            sh.cv.notify_all(); // wake sleepers so they can exit
-    }
-}
-
-void
-searchWorker(SharedSearch &sh)
-{
-    obs::TraceSpan span("ilp", "ilp.worker");
-    WorkerCounters wc;
-    searchLoop(sh, wc);
-    sh.lpSolves.fetch_add(wc.lpSolves, std::memory_order_relaxed);
-    sh.lpIterations.fetch_add(wc.lpIterations, std::memory_order_relaxed);
-    sh.incumbentUpdates.fetch_add(wc.incumbentUpdates,
-                                  std::memory_order_relaxed);
-    span.arg("nodes", wc.nodes)
-        .arg("lp_solves", wc.lpSolves)
-        .arg("lp_iterations", wc.lpIterations)
-        .arg("incumbent_updates", wc.incumbentUpdates);
-}
-
 } // namespace
 
 void
@@ -344,6 +46,7 @@ SolverStats::merge(const SolverStats &other)
     nodesExplored += other.nodesExplored;
     lpSolves += other.lpSolves;
     lpIterations += other.lpIterations;
+    coldFallbacks += other.coldFallbacks;
     incumbentUpdates += other.incumbentUpdates;
     wallSeconds += other.wallSeconds;
     provenOptimal = provenOptimal && other.provenOptimal;
@@ -361,33 +64,8 @@ BranchBoundSolver::solve(const Model &model,
                          const std::vector<double> &warmStart)
 {
     obs::TraceSpan span("ilp", "ilp.solve");
-    // The node LPs poll the same token the node loop does, so a
-    // cancelled request unwinds from inside a pivot loop too.
-    options_.lp.ctx = options_.ctx;
-    int threads = options_.numThreads;
-    if (threads <= 0)
-        threads = ThreadPool::defaultPool().size();
-    threads = std::max(1, threads);
-    Solution solution = threads == 1
-                            ? solveSerial(model, warmStart)
-                            : solveParallel(model, warmStart, threads);
-    span.arg("vars", static_cast<std::int64_t>(model.numVars()))
-        .arg("threads", stats_.threadsUsed)
-        .arg("nodes", stats_.nodesExplored)
-        .arg("lp_solves", stats_.lpSolves)
-        .arg("lp_iterations", stats_.lpIterations)
-        .arg("incumbent_updates", stats_.incumbentUpdates)
-        .arg("proven_optimal",
-             static_cast<std::int64_t>(stats_.provenOptimal));
-    return solution;
-}
-
-Solution
-BranchBoundSolver::solveSerial(const Model &model,
-                               const std::vector<double> &warmStart)
-{
     stats_ = SolverStats{};
-    const double t_start = nowSeconds();
+    const auto t_start = std::chrono::steady_clock::now();
     const std::vector<VarId> int_vars = model.integerVars();
 
     Solution best;
@@ -403,11 +81,17 @@ BranchBoundSolver::solveSerial(const Model &model,
 
     // Depth-first stack; LIFO keeps memory small and finds integer
     // solutions quickly, which matters more than best-bound order for
-    // the well-structured partitioning models we feed it.
+    // the well-structured partitioning models we feed it. It also
+    // keeps consecutive nodes close in the tree, so the warm basis
+    // the engine carries over needs few dual iterations.
     std::vector<Node> stack;
     stack.push_back(makeRoot(model));
 
-    LpWorkspace ws; // reused across every node LP of this solve
+    // The node LPs poll the same token the node loop does, so a
+    // cancelled request unwinds from inside a pivot loop too.
+    SimplexOptions lp_options = options_.lp;
+    lp_options.ctx = options_.ctx;
+    LpEngine engine(model, lp_options);
     bool exhausted_cleanly = true;
     bool root_unbounded = false;
 
@@ -421,11 +105,6 @@ BranchBoundSolver::solveSerial(const Model &model,
             exhausted_cleanly = false;
             break;
         }
-        if (options_.timeLimitSeconds > 0.0 &&
-            nowSeconds() - t_start > options_.timeLimitSeconds) {
-            exhausted_cleanly = false;
-            break;
-        }
 
         Node node = std::move(stack.back());
         stack.pop_back();
@@ -435,9 +114,11 @@ BranchBoundSolver::solveSerial(const Model &model,
                                                 (1.0 + std::abs(incumbent)))
             continue;
 
-        LpResult lp = solveLp(model, node.lo, node.hi, options_.lp, &ws);
+        LpResult lp = engine.solve(node.lo, node.hi);
         ++stats_.lpSolves;
         stats_.lpIterations += lp.iterations;
+        if (options_.nodeObserver)
+            options_.nodeObserver(model, node.lo, node.hi, lp);
 
         if (lp.status == SolveStatus::Infeasible)
             continue;
@@ -461,26 +142,31 @@ BranchBoundSolver::solveSerial(const Model &model,
                                             (1.0 + std::abs(incumbent)))
             continue;
 
-        // Find the most fractional integral variable.
+        // Branch on the fractional variable closest to rounding up.
+        // On the assignment models the floorplanners emit, that is the
+        // placement the LP leans toward most; taking its up branch
+        // first settles one vertex per level, so a depth-first dive
+        // reaches an integral leaf within a node budget of ~150.
         VarId branch_var = -1;
-        double worst_frac = options_.intTol;
+        double best_frac = 0.0;
         for (VarId v : int_vars) {
             const double x = lp.values[v];
-            const double frac = std::abs(x - std::round(x));
-            if (frac > worst_frac) {
-                worst_frac = frac;
+            if (std::abs(x - std::round(x)) <= options_.intTol)
+                continue;
+            const double frac = x - std::floor(x);
+            if (frac > best_frac) {
+                best_frac = frac;
                 branch_var = v;
             }
         }
 
         if (branch_var < 0) {
             // Integer feasible: round off numeric fuzz and accept.
-            std::vector<double> vals = lp.values;
+            std::vector<double> vals = std::move(lp.values);
             for (VarId v : int_vars)
                 vals[v] = std::round(vals[v]);
             const double obj = model.objective().evaluate(vals);
-            if (obj < incumbent &&
-                model.isFeasible(vals, 1e-5)) {
+            if (obj < incumbent && model.isFeasible(vals, 1e-5)) {
                 incumbent = obj;
                 best.values = std::move(vals);
                 best.objective = obj;
@@ -502,85 +188,34 @@ BranchBoundSolver::solveSerial(const Model &model,
         up.lo[branch_var] = floor_x + 1.0;
         up.parentBound = lp.objective;
 
-        // Explore the side nearer the fractional value first.
-        if (x - floor_x > 0.5) {
-            stack.push_back(std::move(down));
-            stack.push_back(std::move(up));
-        } else {
-            stack.push_back(std::move(up));
-            stack.push_back(std::move(down));
-        }
+        // Up branch on top of the stack: explored first.
+        stack.push_back(std::move(down));
+        stack.push_back(std::move(up));
     }
 
-    stats_.wallSeconds = nowSeconds() - t_start;
-    stats_.threadsUsed = 1;
+    stats_.coldFallbacks = engine.coldFallbacks();
+    stats_.wallSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t_start)
+                             .count();
 
     if (root_unbounded) {
         best.status = SolveStatus::Unbounded;
-        return best;
-    }
-    if (best.status == SolveStatus::Feasible && exhausted_cleanly) {
+    } else if (best.status == SolveStatus::Feasible && exhausted_cleanly) {
         best.status = SolveStatus::Optimal;
         stats_.provenOptimal = true;
     } else if (best.status == SolveStatus::LimitReached &&
                exhausted_cleanly) {
         best.status = SolveStatus::Infeasible;
     }
-    return best;
-}
-
-Solution
-BranchBoundSolver::solveParallel(const Model &model,
-                                 const std::vector<double> &warmStart,
-                                 int threads)
-{
-    stats_ = SolverStats{};
-    const double t_start = nowSeconds();
-    const std::vector<VarId> int_vars = model.integerVars();
-
-    SharedSearch sh(model, options_, int_vars);
-    sh.tStart = t_start;
-    sh.best.status = SolveStatus::LimitReached;
-
-    if (!warmStart.empty() && model.isFeasible(warmStart, options_.intTol)) {
-        sh.offerIncumbent(warmStart,
-                          model.objective().evaluate(warmStart));
-    }
-    sh.deque.push_back(makeRoot(model));
-
-    // The caller is worker 0; the rest run as pool tasks. Workers
-    // that find the pool saturated are executed by TaskGroup::wait's
-    // helping loop, so the search completes on any pool size.
-    ThreadPool &pool = ThreadPool::defaultPool();
-    TaskGroup group(pool);
-    for (int w = 1; w < threads; ++w)
-        group.run([&sh] { searchWorker(sh); });
-    searchWorker(sh);
-    group.wait();
-
-    stats_.nodesExplored =
-        sh.nodesExplored.load(std::memory_order_relaxed);
-    stats_.lpSolves = sh.lpSolves.load(std::memory_order_relaxed);
-    stats_.lpIterations =
-        sh.lpIterations.load(std::memory_order_relaxed);
-    stats_.incumbentUpdates =
-        sh.incumbentUpdates.load(std::memory_order_relaxed);
-    stats_.interrupted = sh.interrupted.load(std::memory_order_relaxed);
-    stats_.wallSeconds = nowSeconds() - t_start;
-    stats_.threadsUsed = threads;
-
-    Solution best = std::move(sh.best);
-    if (sh.rootUnbounded.load(std::memory_order_relaxed)) {
-        best.status = SolveStatus::Unbounded;
-        return best;
-    }
-    const bool cleanly = sh.cleanly.load(std::memory_order_relaxed);
-    if (best.status == SolveStatus::Feasible && cleanly) {
-        best.status = SolveStatus::Optimal;
-        stats_.provenOptimal = true;
-    } else if (best.status == SolveStatus::LimitReached && cleanly) {
-        best.status = SolveStatus::Infeasible;
-    }
+    span.arg("vars", static_cast<std::int64_t>(model.numVars()))
+        .arg("rows", static_cast<std::int64_t>(model.numConstraints()))
+        .arg("nodes", stats_.nodesExplored)
+        .arg("lp_solves", stats_.lpSolves)
+        .arg("lp_iterations", stats_.lpIterations)
+        .arg("cold_fallbacks", stats_.coldFallbacks)
+        .arg("incumbent_updates", stats_.incumbentUpdates)
+        .arg("proven_optimal",
+             static_cast<std::int64_t>(stats_.provenOptimal));
     return best;
 }
 
@@ -634,7 +269,6 @@ ExhaustiveSolver::solve(const Model &model, std::uint64_t maxStates)
     best.status = SolveStatus::Infeasible;
     double incumbent = std::numeric_limits<double>::infinity();
 
-    LpWorkspace ws; // reused across the whole enumeration
     std::vector<long> cur(lo);
     bool done = false;
     while (!done) {
@@ -649,7 +283,7 @@ ExhaustiveSolver::solve(const Model &model, std::uint64_t maxStates)
             blo[int_vars[i]] = static_cast<double>(cur[i]);
             bhi[int_vars[i]] = static_cast<double>(cur[i]);
         }
-        LpResult lp = solveLp(model, blo, bhi, SimplexOptions{}, &ws);
+        LpResult lp = solveLp(model, blo, bhi);
         if (lp.status == SolveStatus::Optimal && lp.objective < incumbent &&
             model.isFeasible(lp.values, 1e-5)) {
             incumbent = lp.objective;

@@ -5,15 +5,18 @@
  *
  * The branch-and-bound solver mirrors what the paper gets from Gurobi
  * for its eq. 1-4 floorplanning formulations: exact solutions on the
- * model sizes that arise after coarsening, with node/time limits so a
+ * model sizes that arise after coarsening, with a node budget so a
  * pathological instance degrades into "best incumbent found" rather
- * than a hang.
+ * than a hang. The budget counts nodes, not seconds, so a solve is a
+ * pure function of (model, warm start, options); only the Context
+ * deadline can cut it short by wall clock.
  */
 
 #ifndef TAPACS_ILP_SOLVER_HH
 #define TAPACS_ILP_SOLVER_HH
 
 #include <cstdint>
+#include <functional>
 
 #include "common/context.hh"
 #include "ilp/model.hh"
@@ -27,33 +30,30 @@ struct SolverOptions
 {
     /** Maximum branch-and-bound nodes to explore. */
     std::int64_t maxNodes = 200000;
-    /** Wall-clock limit in seconds (0 = unlimited). */
-    double timeLimitSeconds = 30.0;
     /** Integrality tolerance. */
     double intTol = 1e-6;
     /** Relative optimality gap at which to stop early. */
     double relativeGap = 1e-9;
     /**
-     * Worker threads for the branch-and-bound search. 0 = size of
-     * ThreadPool::defaultPool() (hardware concurrency, overridable
-     * via TAPACS_THREADS); 1 = the serial solver with today's exact
-     * depth-first traversal order, which is what reproducibility
-     * tests pin. With more than one thread the search provably
-     * reaches the same *optimal objective*, but may return a
-     * different tied-optimal assignment depending on timing.
-     */
-    int numThreads = 0;
-    /**
-     * Deadline/cancellation token. Polled once per node expansion (in
-     * every worker) and inside each node's simplex loop; when it fires
-     * the search drains cooperatively and returns the best incumbent
-     * found so far, exactly like hitting maxNodes/timeLimitSeconds.
-     * SolverStats::interrupted records that it fired. Default: never.
+     * Deadline/cancellation token. Polled once per node and inside
+     * each node's simplex loop; when it fires the search stops and
+     * returns the best incumbent found so far, exactly like hitting
+     * maxNodes. SolverStats::interrupted records that it fired.
+     * Default: never.
      */
     Context ctx;
-    /** LP options used at every node (ctx is forwarded into it for
-     *  the duration of each solve). */
+    /** LP options used at every node (ctx is forwarded into it). */
     SimplexOptions lp;
+    /**
+     * Optional observer called after every node LP with the node's
+     * bounds and the LP result — the hook differential tests use to
+     * re-solve each node with a reference LP. Not part of any cache
+     * key; it must not change the search.
+     */
+    std::function<void(const Model &, const std::vector<double> &lower,
+                       const std::vector<double> &upper,
+                       const LpResult &)>
+        nodeObserver;
 };
 
 /** Statistics from one branch-and-bound run. */
@@ -61,8 +61,12 @@ struct SolverStats
 {
     std::int64_t nodesExplored = 0;
     std::int64_t lpSolves = 0;
-    /** Total simplex pivots across every node LP. */
+    /** Total simplex iterations (pivots and bound flips) across every
+     *  node LP. */
     std::int64_t lpIterations = 0;
+    /** Warm node LPs that hit their iteration cap and were re-solved
+     *  cold from the slack basis. */
+    std::int64_t coldFallbacks = 0;
     /** Times the incumbent improved during the search (warm starts
      *  accepted before the search begins are not counted). */
     std::int64_t incumbentUpdates = 0;
@@ -71,7 +75,8 @@ struct SolverStats
     /** True when SolverOptions::ctx fired (deadline or cancellation)
      *  and the search unwound early with its best incumbent. */
     bool interrupted = false;
-    /** Worker threads the search actually used. */
+    /** Threads the solves ran on: 1 for one search; level 2 records
+     *  the width of its per-device pool here. */
     int threadsUsed = 1;
 
     /**
@@ -86,16 +91,11 @@ struct SolverStats
 };
 
 /**
- * Exact MILP solver: LP-relaxation branch-and-bound with
- * most-fractional branching.
- *
- * Serial mode (numThreads == 1) explores depth-first in a fixed
- * order. Parallel mode runs options.numThreads workers off the
- * default thread pool: pending nodes live in one mutex-guarded deque
- * (workers steal from the front, push children to the back), the
- * incumbent objective is an atomic updated by compare-exchange so
- * every worker prunes against the latest bound, and per-worker stats
- * are merged when the search drains.
+ * Exact MILP solver: LP-relaxation branch-and-bound, explored
+ * depth-first in a fixed order. It branches on the fractional variable
+ * closest to rounding up and dives into the up branch first.
+ * One LpEngine serves the whole search, so every node after the root
+ * re-solves warm from the basis the previous node left.
  */
 class BranchBoundSolver
 {
@@ -117,12 +117,6 @@ class BranchBoundSolver
     const SolverStats &stats() const { return stats_; }
 
   private:
-    Solution solveSerial(const Model &model,
-                         const std::vector<double> &warmStart);
-    Solution solveParallel(const Model &model,
-                           const std::vector<double> &warmStart,
-                           int threads);
-
     SolverOptions options_;
     SolverStats stats_;
 };

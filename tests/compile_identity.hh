@@ -22,21 +22,6 @@
 namespace tapacs
 {
 
-/** Disable the ILP tiers' wall-clock cutoffs (0 = unlimited; the
- *  node caps still bound every search). A binding time limit
- *  truncates a fresh solve at a load-dependent node, so two fresh
- *  solves of the same problem can diverge in effort counters — and,
- *  in principle, incumbents — when the machine is busy (e.g. ctest
- *  -j). The differentials compare fresh solves field-by-field, so
- *  they run purely node-bounded and stay bit-deterministic under any
- *  load. */
-inline void
-dropWallClockSolverLimits(CompileOptions *opt)
-{
-    opt->inter.solver.timeLimitSeconds = 0.0;
-    opt->intra.solver.timeLimitSeconds = 0.0;
-}
-
 /** Random layered DAG in the style of the full-flow property suite:
  *  real-valued areas and profiles, memory tasks at the edges. */
 inline TaskGraph

@@ -132,7 +132,7 @@ TEST(CacheKeyProperty, AnySingleMutationChangesTheKey)
             opts.threshold += 0.01;
             break;
           case 8: // solver budget
-            opts.solver.timeLimitSeconds *= 2.0;
+            opts.solver.maxNodes *= 2;
             break;
           case 9: // coarsening seed
             opts.seed += 1;
@@ -391,7 +391,6 @@ TEST(CompileCache, WarmCompileIsByteIdenticalToColdAndUncached)
     CompileOptions opt;
     opt.mode = CompileMode::TapaCs;
     opt.numFpgas = 3;
-    dropWallClockSolverLimits(&opt); // uncached vs cold: fresh solves
 
     const CompileResult uncached = compile(g1, cluster, opt);
     ASSERT_TRUE(uncached.routable) << uncached.failureReason;
@@ -406,6 +405,35 @@ TEST(CompileCache, WarmCompileIsByteIdenticalToColdAndUncached)
     expectResultsIdentical(cold, warm, "warm vs cold");
     // The warm run was served from the cache: both solver phases hit.
     EXPECT_GT(store.bytesInMemory(), 0u);
+}
+
+TEST(CompileCache, ExpiredRequestTakesDegradedPathOverWarmEntries)
+{
+    // Solver keys no longer depend on the deadline, so an expired
+    // request addresses the same entries as an unhurried one; it must
+    // still get the deterministic degraded answer, not a cache hit.
+    TaskGraph g = randomDesign(4343, 4, 4);
+    Cluster cluster = makePaperTestbed(3);
+    CompileOptions opt;
+    opt.mode = CompileMode::TapaCs;
+    opt.numFpgas = 3;
+
+    cache::CacheStore store;
+    cache::CompileCache cc(store);
+    opt.cache = &cc;
+    const CompileResult full = compile(g, cluster, opt);
+    ASSERT_TRUE(full.routable) << full.failureReason;
+    EXPECT_FALSE(full.degraded);
+
+    opt.ctx = Context::withTimeout(0.0);
+    const CompileResult expired = compile(g, cluster, opt);
+    opt.cache = nullptr;
+    const CompileResult expired_uncached = compile(g, cluster, opt);
+    ASSERT_TRUE(expired.routable) << expired.failureReason;
+    EXPECT_TRUE(expired.degraded);
+    EXPECT_EQ(expired.partition.deviceOf,
+              expired_uncached.partition.deviceOf);
+    EXPECT_DOUBLE_EQ(expired.fmax, expired_uncached.fmax);
 }
 
 TEST(CompileCache, HlsPhaseMemoizesPerTask)
@@ -470,7 +498,7 @@ TEST(CompileCache, FamilyEntryWarmStartsNearMissRequests)
     // Same design, different solver budget: the exact key misses, the
     // family entry supplies warm-start hints.
     opt.cacheWarmStart = true;
-    opt.inter.solver.timeLimitSeconds *= 2.0;
+    opt.inter.solver.maxNodes *= 2;
     const CompileResult near = compile(g2, cluster, opt);
     ASSERT_TRUE(near.routable) << near.failureReason;
     EXPECT_TRUE(respectsThreshold(g2, cluster, near.partition,
@@ -493,8 +521,6 @@ TEST(CacheConcurrency, SharedCacheBatchMatchesSerialBitExactly)
     CompileOptions base;
     base.mode = CompileMode::TapaCs;
     base.numFpgas = 2;
-    // Reference vs cold-miss executions are fresh-solve comparisons.
-    dropWallClockSolverLimits(&base);
 
     std::vector<CompileResult> reference(kDesigns);
     for (int d = 0; d < kDesigns; ++d) {

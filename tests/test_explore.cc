@@ -253,7 +253,6 @@ TEST(RunExplore, SweepResultsMatchIndependentColdCompiles)
         copt.slotThreshold = p.slotThreshold;
         copt.hbmBindingSweep = p.bindingSweep;
         copt.pipeline.stagesPerCrossing = p.depth;
-        dropWallClockSolverLimits(&copt);
         TaskGraph local = g;
         const CompileResult cold = compile(local, cluster, copt);
         const std::string what =

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "floorplan/hbm_binding.hh"
@@ -131,6 +134,41 @@ TEST(InterFpga, IlpNoWorseThanHeuristicOnSmallGraph)
     EXPECT_LE(with_ilp.cost, greedy.cost + 1e-9);
 }
 
+TEST(InterFpga, ProvenOptimumMatchesEnumerationOnRing)
+{
+    // The compact eq. 2 rows must price every integral assignment at
+    // its true ring distance: a proven-optimal level-1 solve equals
+    // the best eq. 2 cost over all 4^7 assignments within budget.
+    for (int seed = 0; seed < 3; ++seed) {
+        TaskGraph g = makeRandomGraph(7, 310 + seed);
+        Cluster c = makePaperTestbed(4);
+        InterFpgaOptions opt;
+        opt.solver.maxNodes = 1000000;
+        const InterFpgaResult r = floorplanInterFpga(g, c, opt);
+        ASSERT_TRUE(r.feasible) << "seed " << seed;
+        ASSERT_TRUE(r.ilpOptimal) << "seed " << seed;
+
+        const ResourceVector budget = interFpgaDeviceBudget(g, c, opt);
+        const int n = g.numVertices();
+        DevicePartition p;
+        p.deviceOf.assign(n, 0);
+        double best = std::numeric_limits<double>::infinity();
+        for (int code = 0; code < (1 << (2 * n)); ++code) {
+            std::vector<ResourceVector> used(4);
+            for (int v = 0; v < n; ++v) {
+                p.deviceOf[v] = (code >> (2 * v)) & 3;
+                used[p.deviceOf[v]] += g.vertex(v).area;
+            }
+            if (std::all_of(used.begin(), used.end(),
+                            [&](const ResourceVector &u) {
+                                return u.fitsWithin(budget);
+                            }))
+                best = std::min(best, interFpgaCost(g, c, p));
+        }
+        EXPECT_DOUBLE_EQ(r.cost, best) << "seed " << seed;
+    }
+}
+
 TEST(InterFpga, Deterministic)
 {
     TaskGraph g = makeRandomGraph(20, 7);
@@ -162,7 +200,7 @@ TEST(InterFpga, SolverStatsRecorded)
     // The coarse ILP ran: effort must be visible in the result.
     EXPECT_GE(r.solverStats.lpSolves, 1);
     EXPECT_GE(r.solverStats.nodesExplored, 1);
-    EXPECT_EQ(r.solverStats.threadsUsed, 1); // default pins serial
+    EXPECT_EQ(r.solverStats.threadsUsed, 1); // one serial search
 }
 
 TEST(InterFpga, ReportsElapsedAndCoarseSize)

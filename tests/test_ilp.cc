@@ -432,162 +432,6 @@ TEST(BranchBound, StatsPopulated)
     EXPECT_TRUE(solver.stats().provenOptimal);
 }
 
-// ---- Parallel branch-and-bound --------------------------------------
-
-/** Random binary MILP of the shape the floorplanner emits. */
-Model
-makeRandomMilp(std::uint64_t seed)
-{
-    Rng rng(seed);
-    Model m;
-    const int n = 5 + static_cast<int>(seed % 5);
-    for (int i = 0; i < n; ++i)
-        m.addBinary();
-    const int rows = 2 + static_cast<int>(seed % 3);
-    for (int r = 0; r < rows; ++r) {
-        LinExpr e;
-        for (int i = 0; i < n; ++i)
-            e.add(i, rng.uniformReal(0.0, 3.0));
-        m.addConstraint(std::move(e), Sense::LessEqual,
-                        rng.uniformReal(2.0, 8.0));
-    }
-    LinExpr obj;
-    for (int i = 0; i < n; ++i)
-        obj.add(i, rng.uniformReal(-5.0, 2.0));
-    m.setObjective(std::move(obj));
-    return m;
-}
-
-TEST(BranchBoundParallel, MatchesSerialObjectiveOnRandomMilps)
-{
-    // A parallel search may return a different tied-optimal point but
-    // must prove the same optimal objective and status as the serial
-    // exact search.
-    for (std::uint64_t seed = 0; seed < 15; ++seed) {
-        Model m = makeRandomMilp(seed);
-
-        SolverOptions serial_opt;
-        serial_opt.numThreads = 1;
-        BranchBoundSolver serial(serial_opt);
-        Solution ss = serial.solve(m);
-
-        SolverOptions par_opt;
-        par_opt.numThreads = 4;
-        BranchBoundSolver parallel(par_opt);
-        Solution ps = parallel.solve(m);
-
-        ASSERT_EQ(ss.status, ps.status) << "seed " << seed;
-        EXPECT_EQ(serial.stats().threadsUsed, 1);
-        EXPECT_EQ(parallel.stats().threadsUsed, 4);
-        if (ss.hasSolution()) {
-            EXPECT_NEAR(ps.objective, ss.objective, 1e-6)
-                << "seed " << seed;
-            EXPECT_TRUE(m.isFeasible(ps.values, 1e-5))
-                << "seed " << seed;
-        }
-    }
-}
-
-TEST(BranchBoundParallel, FloorplanShapedAssignment)
-{
-    // 6 tasks onto 3 devices, one device each, capacity 2.5 per
-    // device, costs favoring a unique optimal assignment.
-    constexpr int kTasks = 6, kDevs = 3;
-    Model m;
-    std::vector<VarId> x(kTasks * kDevs);
-    for (int t = 0; t < kTasks; ++t)
-        for (int d = 0; d < kDevs; ++d)
-            x[t * kDevs + d] = m.addBinary();
-    for (int t = 0; t < kTasks; ++t) {
-        LinExpr one;
-        for (int d = 0; d < kDevs; ++d)
-            one.add(x[t * kDevs + d], 1.0);
-        m.addConstraint(std::move(one), Sense::Equal, 1.0);
-    }
-    for (int d = 0; d < kDevs; ++d) {
-        LinExpr cap;
-        for (int t = 0; t < kTasks; ++t)
-            cap.add(x[t * kDevs + d], 1.0);
-        m.addConstraint(std::move(cap), Sense::LessEqual, 2.5);
-    }
-    LinExpr obj;
-    for (int t = 0; t < kTasks; ++t)
-        for (int d = 0; d < kDevs; ++d)
-            obj.add(x[t * kDevs + d], ((t * 7 + d * 3) % 11) - 5.0);
-    m.setObjective(std::move(obj));
-
-    SolverOptions serial_opt;
-    serial_opt.numThreads = 1;
-    BranchBoundSolver serial(serial_opt);
-    Solution ss = serial.solve(m);
-    ASSERT_EQ(ss.status, SolveStatus::Optimal);
-
-    SolverOptions par_opt;
-    par_opt.numThreads = 8;
-    BranchBoundSolver parallel(par_opt);
-    Solution ps = parallel.solve(m);
-    ASSERT_EQ(ps.status, SolveStatus::Optimal);
-    EXPECT_NEAR(ps.objective, ss.objective, 1e-6);
-    EXPECT_TRUE(parallel.stats().provenOptimal);
-    EXPECT_GE(parallel.stats().lpSolves, 1);
-}
-
-TEST(BranchBoundParallel, NodeLimitKeepsWarmIncumbent)
-{
-    // Same contract as the serial NodeLimitKeepsWarmIncumbent: the
-    // node budget is a hard cap even with concurrent workers racing
-    // to reserve slots.
-    Model m;
-    std::vector<VarId> x;
-    for (int i = 0; i < 30; ++i)
-        x.push_back(m.addBinary());
-    LinExpr cap, obj;
-    for (int i = 0; i < 30; ++i) {
-        cap.add(x[i], 1.0 + (i % 4));
-        obj.add(x[i], -(1.0 + (i % 7)));
-    }
-    m.addConstraint(std::move(cap), Sense::LessEqual, 20.0);
-    m.setObjective(std::move(obj));
-
-    std::vector<double> warm(30, 0.0);
-    warm[0] = warm[1] = 1.0;
-    ASSERT_TRUE(m.isFeasible(warm));
-
-    SolverOptions opt;
-    opt.maxNodes = 2;
-    opt.numThreads = 4;
-    BranchBoundSolver solver(opt);
-    Solution s = solver.solve(m, warm);
-    ASSERT_TRUE(s.hasSolution());
-    EXPECT_LE(s.objective, m.objective().evaluate(warm) + 1e-9);
-    EXPECT_LE(solver.stats().nodesExplored, 2);
-}
-
-TEST(BranchBoundParallel, DetectsInfeasibleAndUnbounded)
-{
-    {
-        Model m;
-        const VarId x = m.addBinary();
-        m.addConstraint(LinExpr().add(x, 1.0), Sense::GreaterEqual, 2.0);
-        m.setObjective(LinExpr().add(x, 1.0));
-        SolverOptions opt;
-        opt.numThreads = 4;
-        BranchBoundSolver solver(opt);
-        EXPECT_EQ(solver.solve(m).status, SolveStatus::Infeasible);
-    }
-    {
-        Model m;
-        const VarId x = m.addVar(VarKind::Integer, 0.0,
-                                 std::numeric_limits<double>::infinity());
-        m.addConstraint(LinExpr().add(x, 1.0), Sense::GreaterEqual, 1.0);
-        m.setObjective(LinExpr().add(x, -1.0));
-        SolverOptions opt;
-        opt.numThreads = 4;
-        BranchBoundSolver solver(opt);
-        EXPECT_EQ(solver.solve(m).status, SolveStatus::Unbounded);
-    }
-}
-
 TEST(Exhaustive, PureLpModelGetsClearStatus)
 {
     // No integral variables: the oracle must answer with one LP solve

@@ -45,10 +45,6 @@ baseOptions(int fpgas, L1Backend backend, bool replicate)
     opt.numFpgas = fpgas;
     opt.inter.backend = backend;
     opt.inter.replicate = replicate;
-    // Every test here compares fresh solves field-by-field; see
-    // dropWallClockSolverLimits for why the searches must be purely
-    // node-bounded.
-    dropWallClockSolverLimits(&opt);
     return opt;
 }
 

@@ -344,17 +344,13 @@ TEST(Solver, StatsCountLpIterationsAndIncumbents)
     m.addConstraint(std::move(cap), ilp::Sense::LessEqual, 14.0);
     m.setObjective(std::move(obj));
 
-    for (int threads : {1, 4}) {
-        ilp::SolverOptions opt;
-        opt.numThreads = threads;
-        ilp::BranchBoundSolver solver(opt);
-        ilp::Solution s = solver.solve(m);
-        ASSERT_TRUE(s.hasSolution());
-        const ilp::SolverStats &st = solver.stats();
-        EXPECT_GT(st.lpSolves, 0) << threads;
-        EXPECT_GE(st.lpIterations, st.lpSolves) << threads;
-        EXPECT_GT(st.incumbentUpdates, 0) << threads;
-    }
+    ilp::BranchBoundSolver solver;
+    ilp::Solution s = solver.solve(m);
+    ASSERT_TRUE(s.hasSolution());
+    const ilp::SolverStats &st = solver.stats();
+    EXPECT_GT(st.lpSolves, 0);
+    EXPECT_GT(st.lpIterations, 0);
+    EXPECT_GT(st.incumbentUpdates, 0);
 }
 
 /**
@@ -375,8 +371,6 @@ TEST(Floorplan, IntraFpgaStatsDeterministicAcrossThreads)
     auto run = [&](int threads) {
         IntraFpgaOptions opt;
         opt.numThreads = threads;
-        // Rule out time-limit nondeterminism: node budget binds first.
-        opt.solver.timeLimitSeconds = 1.0e9;
         return floorplanIntraFpga(app.graph, cluster, part, opt);
     };
 
@@ -388,6 +382,8 @@ TEST(Floorplan, IntraFpgaStatsDeterministicAcrossThreads)
         EXPECT_EQ(mt.solverStats.lpSolves, base.solverStats.lpSolves);
         EXPECT_EQ(mt.solverStats.lpIterations,
                   base.solverStats.lpIterations);
+        EXPECT_EQ(mt.solverStats.coldFallbacks,
+                  base.solverStats.coldFallbacks);
         EXPECT_EQ(mt.solverStats.incumbentUpdates,
                   base.solverStats.incumbentUpdates);
         EXPECT_EQ(mt.allIlpOptimal, base.allIlpOptimal);

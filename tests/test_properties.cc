@@ -140,7 +140,6 @@ TEST_P(EditChainProperty, IncrementalChainMatchesOneColdCompile)
     CompileOptions opt;
     opt.mode = CompileMode::TapaCs;
     opt.numFpgas = fpgas;
-    dropWallClockSolverLimits(&opt); // fresh-solve differential
 
     TaskGraph g = randomDesign(71000 + seed, 3, 3);
     CompileResult state = compile(g, cluster, opt);

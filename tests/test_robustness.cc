@@ -422,7 +422,6 @@ TEST(Robustness, CancellationBoundsSolverNodeExpansions)
     m.setObjective(std::move(objective));
 
     ilp::SolverOptions cancelled;
-    cancelled.numThreads = 1;
     cancelled.ctx = Context::cancellable();
     cancelled.ctx.cancel();
     ilp::BranchBoundSolver stopped(cancelled);
@@ -431,9 +430,7 @@ TEST(Robustness, CancellationBoundsSolverNodeExpansions)
     EXPECT_LE(stopped.stats().nodesExplored, 1);
 
     // Control: the same model solved uninterrupted explores real work.
-    ilp::SolverOptions open;
-    open.numThreads = 1;
-    ilp::BranchBoundSolver full(open);
+    ilp::BranchBoundSolver full;
     const ilp::Solution s = full.solve(m);
     EXPECT_EQ(s.status, ilp::SolveStatus::Optimal);
     EXPECT_FALSE(full.stats().interrupted);

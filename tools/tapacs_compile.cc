@@ -15,7 +15,8 @@
  *     --topology T       chain|ring|star|mesh|hypercube|full
  *     --device D         U55C | U250 | U280 (default U55C)
  *     --threshold X      eq. 1 utilization threshold (default 0.70)
- *     --out DIR          write constraints/manifest there (default .)
+ *     --out DIR          write constraints/manifest there, creating
+ *                        DIR if needed (default .)
  *     --simulate         run the dataflow simulator and report latency
  *     --timeline FILE    write the firing timeline CSV (implies
  *                        --simulate)
@@ -38,6 +39,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -257,6 +259,16 @@ main(int argc, char **argv)
                             100.0);
         }
         return 0;
+    }
+
+    // Create the output directory before compiling, so an unusable
+    // --out fails at once instead of after the whole solve.
+    std::error_code ec;
+    std::filesystem::create_directories(opt.outDir, ec);
+    if (ec) {
+        std::fprintf(stderr, "cannot create output directory '%s': %s\n",
+                     opt.outDir.c_str(), ec.message().c_str());
+        return 1;
     }
 
     CompileOptions copt;

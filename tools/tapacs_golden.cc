@@ -22,13 +22,6 @@
  *                                cold one AND to the golden — the
  *                                differential proof that a cache hit
  *                                never changes an answer
- *   tapacs-golden --check-cached-diff DIR
- *                                the warm-vs-cold differential only,
- *                                without the golden comparison — for
- *                                sanitizer builds, where the slowed
- *                                time-limited ILP solves legitimately
- *                                land on different incumbents than
- *                                the release-recorded goldens
  *
  * Regenerate with tools/update_goldens.sh after an intentional model
  * change, and review the diff like any other code change.
@@ -199,8 +192,8 @@ readFile(const std::string &path)
 usage()
 {
     std::fprintf(stderr,
-                 "usage: tapacs-golden --write|--check|--check-cached"
-                 "|--check-cached-diff DIR\n");
+                 "usage: tapacs-golden --write|--check|--check-cached "
+                 "DIR\n");
     std::exit(2);
 }
 
@@ -212,7 +205,7 @@ usage()
  * golden (the cached flow is the same flow).
  */
 int
-checkCached(const std::string &dir, bool compareGolden)
+checkCached(const std::string &dir)
 {
     cache::CacheStore store;
     cache::CompileCache cc(store);
@@ -223,9 +216,7 @@ checkCached(const std::string &dir, bool compareGolden)
         const std::string cold = renderWorkload(cold_runs[i], &cc);
         const std::string warm = renderWorkload(warm_runs[i], &cc);
         const std::string golden =
-            compareGolden
-                ? readFile(dir + "/" + cold_runs[i].name + ".json")
-                : cold;
+            readFile(dir + "/" + cold_runs[i].name + ".json");
         if (warm != cold) {
             ++mismatches;
             std::printf("MISMATCH %s (warm differs from cold)\n"
@@ -239,9 +230,8 @@ checkCached(const std::string &dir, bool compareGolden)
                         cold_runs[i].name.c_str(), golden.c_str(),
                         warm.c_str());
         } else {
-            std::printf("ok      %s (cold == warm%s)\n",
-                        cold_runs[i].name.c_str(),
-                        compareGolden ? " == golden" : "");
+            std::printf("ok      %s (cold == warm == golden)\n",
+                        cold_runs[i].name.c_str());
         }
     }
     if (mismatches > 0) {
@@ -263,11 +253,10 @@ main(int argc, char **argv)
         usage();
     const std::string mode = argv[1];
     const std::string dir = argv[2];
-    if (mode != "--write" && mode != "--check" &&
-        mode != "--check-cached" && mode != "--check-cached-diff")
+    if (mode != "--write" && mode != "--check" && mode != "--check-cached")
         usage();
-    if (mode == "--check-cached" || mode == "--check-cached-diff")
-        return checkCached(dir, mode == "--check-cached");
+    if (mode == "--check-cached")
+        return checkCached(dir);
 
     int mismatches = 0;
     for (Workload &w : paperWorkloads()) {

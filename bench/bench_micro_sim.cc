@@ -1,28 +1,21 @@
 /**
  * @file
- * Gated throughput bench for the dataflow-simulator engines.
+ * Throughput bench for the dataflow simulator.
  *
  * Two measurements, both reported as events/second (and to --json):
  *
- *  1. Serial-engine event throughput on deep single-device pipelines
- *     (the tight-loop cost of one pop/fire/push cycle).
- *  2. Serial vs parallel engine on an 8-FPGA CNN (13x32 systolic
- *     grid, batch 32) placed over a single-node ring of eight U55Cs,
- *     the workload class the parallel engine exists for.
- *
- * The parallel run is checked bit-identical to the serial reference
- * before any timing is trusted, then the speedup gates the bench:
- * with >= 4 hardware threads the parallel engine must be >= 2x the
- * serial engine or the process exits nonzero. The engine's design
- * target is >= 10x on an unloaded 8-core host (8 LPs, one per FPGA);
- * the gate sits at 2x so loaded CI boxes do not flake. Hosts with
- * fewer than 4 hardware threads report the ratio but skip the gate —
- * there is no parallelism to measure.
+ *  1. Event throughput on deep single-device pipelines (the
+ *     tight-loop cost of one pop/fire/push cycle).
+ *  2. Event throughput on an 8-FPGA CNN (13x32 systolic grid, batch
+ *     32) placed over a single-node ring of eight U55Cs: the largest
+ *     cross-device event mix of the paper-style designs. The design is
+ *     compiled once; each timing is the best of three runs, so the
+ *     bench finishes in a few seconds.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "apps/cnn.hh"
 #include "bench/bench_util.hh"
@@ -35,24 +28,34 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-/** Best-of-N wall seconds for one simulate() call. */
-template <typename Fn>
-double
-bestOf(int n, Fn &&fn)
+/** Event count and best-of-3 wall seconds of one simulate() call. */
+struct Timing
 {
-    double best = 1.0e300;
-    for (int i = 0; i < n; ++i) {
+    double events = 0.0;
+    double seconds = 1.0e300;
+};
+
+Timing
+timeSimulate(const TaskGraph &g, const Cluster &cluster,
+             const DevicePartition &part, const HbmBinding &binding,
+             const PipelinePlan &plan, const std::vector<Hertz> &fmax)
+{
+    sim::SimOptions sopt;
+    sopt.exportMetrics = false;
+    Timing out;
+    for (int i = 0; i < 3; ++i) {
         const auto t0 = Clock::now();
-        fn();
+        const sim::SimResult r =
+            sim::simulate(g, cluster, part, binding, plan, fmax, sopt);
         const double s =
             std::chrono::duration<double>(Clock::now() - t0).count();
-        if (s < best)
-            best = s;
+        out.events = r.stats.get("events");
+        out.seconds = std::min(out.seconds, s);
     }
-    return best;
+    return out;
 }
 
-/** Serial event throughput on a depth-deep, blocks-block pipeline. */
+/** Event throughput on a depth-deep, blocks-block pipeline. */
 double
 pipelineEventsPerSecond(int depth, int blocks)
 {
@@ -75,34 +78,9 @@ pipelineEventsPerSecond(int depth, int blocks)
     PipelinePlan plan;
     plan.edges.assign(g.numEdges(), EdgePipelining{});
     plan.addedAreaPerDevice.assign(1, ResourceVector{});
-    const std::vector<Hertz> fmax(1, 300.0e6);
-
-    sim::SimOptions sopt;
-    sopt.exportMetrics = false;
-    double events = 0.0;
-    const double seconds = bestOf(3, [&]() {
-        const sim::SimResult r = sim::simulate(g, cluster, part,
-                                               binding, plan, fmax,
-                                               sopt);
-        events = r.stats.get("events");
-    });
-    return events / seconds;
-}
-
-/** Exact-equality check between two runs; dies naming the field. */
-void
-requireIdentical(const sim::SimResult &a, const sim::SimResult &b)
-{
-    if (a.makespan != b.makespan)
-        fatal("engines disagree on makespan: %.17g vs %.17g",
-              a.makespan, b.makespan);
-    if (a.stats.get("events") != b.stats.get("events"))
-        fatal("engines disagree on event count: %.0f vs %.0f",
-              a.stats.get("events"), b.stats.get("events"));
-    if (a.taskFinish != b.taskFinish)
-        fatal("engines disagree on per-task finish times");
-    if (a.interDeviceBytes != b.interDeviceBytes)
-        fatal("engines disagree on inter-device traffic");
+    const Timing t = timeSimulate(g, cluster, part, binding, plan,
+                                  std::vector<Hertz>(1, 300.0e6));
+    return t.events / t.seconds;
 }
 
 } // namespace
@@ -112,7 +90,7 @@ main(int argc, char **argv)
 {
     JsonReport report(argc, argv);
 
-    std::printf("Simulator engine throughput\n\n");
+    std::printf("Simulator event throughput\n\n");
     {
         TextTable t({"Pipeline", "events/s"});
         const int shapes[][2] = {{8, 64}, {32, 64}, {32, 512},
@@ -128,11 +106,6 @@ main(int argc, char **argv)
         t.print();
     }
 
-    // The engine-comparison workload: a wide CNN spread over eight
-    // devices on ONE node, so every FIFO crossing devices carries the
-    // intra-node link lookahead and all eight LPs can run concurrently
-    // (a 2x4-node testbed would serialize windows on the much tighter
-    // cross-node horizon instead).
     apps::CnnConfig cfg;
     cfg.rows = 13;
     cfg.cols = 32;
@@ -151,58 +124,20 @@ main(int argc, char **argv)
         fatal("8-FPGA CNN did not route: %s",
               compiled.failureReason.c_str());
 
-    auto runEngine = [&](sim::SimEngine engine, sim::SimResult *out) {
-        sim::SimOptions sopt;
-        sopt.exportMetrics = false;
-        sopt.engine = engine;
-        sopt.numThreads = 8; // one LP per FPGA
-        return bestOf(3, [&]() {
-            *out = sim::simulate(app.graph, cluster, compiled.partition,
-                                 compiled.binding, compiled.pipeline,
-                                 compiled.deviceFmax, sopt);
-        });
-    };
-
-    sim::SimResult serial;
-    sim::SimResult parallel;
-    const double serialSeconds =
-        runEngine(sim::SimEngine::Serial, &serial);
-    const double parallelSeconds =
-        runEngine(sim::SimEngine::Parallel, &parallel);
-    requireIdentical(serial, parallel);
-
-    const double events = serial.stats.get("events");
-    const double speedup = serialSeconds / parallelSeconds;
-    const unsigned hw = std::thread::hardware_concurrency();
+    const Timing cnn =
+        timeSimulate(app.graph, cluster, compiled.partition,
+                     compiled.binding, compiled.pipeline,
+                     compiled.deviceFmax);
 
     std::printf("\n8-FPGA CNN (13x32, batch 32): %.0f events\n",
-                events);
-    TextTable t({"Engine", "seconds", "events/s"});
-    t.addRow({"serial", strprintf("%.4f", serialSeconds),
-              strprintf("%.3g", events / serialSeconds)});
-    t.addRow({"parallel (8 threads)", strprintf("%.4f", parallelSeconds),
-              strprintf("%.3g", events / parallelSeconds)});
+                cnn.events);
+    TextTable t({"Design", "seconds", "events/s"});
+    t.addRow({"cnn 13x32 / F8", strprintf("%.4f", cnn.seconds),
+              strprintf("%.3g", cnn.events / cnn.seconds)});
     t.print();
-    std::printf("speedup: %s (host has %u hardware threads)\n",
-                speedupStr(speedup).c_str(), hw);
 
-    report.add("cnn8.events", events);
-    report.add("cnn8.serial_seconds", serialSeconds);
-    report.add("cnn8.parallel_seconds", parallelSeconds);
-    report.add("cnn8.speedup", speedup);
+    report.add("cnn8.events", cnn.events);
+    report.add("cnn8.serial_seconds", cnn.seconds);
     report.write();
-
-    if (hw < 4) {
-        std::printf("SKIP: gate needs >= 4 hardware threads; results "
-                    "recorded ungated\n");
-        return 0;
-    }
-    if (speedup < 2.0) {
-        std::printf("FAIL: parallel engine is %.2fx serial "
-                    "(gate: >= 2x on >= 4 hardware threads)\n",
-                    speedup);
-        return 1;
-    }
-    std::printf("PASS: gate >= 2x\n");
     return 0;
 }

@@ -55,17 +55,6 @@ class ThreadPool
     /** Number of worker threads. */
     int size() const { return static_cast<int>(threads_.size()); }
 
-    /**
-     * Tasks popped from a deque other than the caller's own since the
-     * pool was built — the work-stealing traffic. Monotonic;
-     * consumers (the parallel sim engine's `tapacs.sim.par.steals`
-     * gauge) report deltas across a region of interest.
-     */
-    std::uint64_t stealCount() const
-    {
-        return steals_.load(std::memory_order_relaxed);
-    }
-
     /** Enqueue a task for asynchronous execution. */
     void submit(std::function<void()> task);
 
@@ -124,8 +113,6 @@ class ThreadPool
 
     /** Tasks sitting in deques (not yet started). */
     std::atomic<int> queued_{0};
-    /** Tasks taken from another worker's deque (see stealCount()). */
-    std::atomic<std::uint64_t> steals_{0};
     /** Round-robin cursor for external submissions. */
     std::atomic<unsigned> submitCursor_{0};
 

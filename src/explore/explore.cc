@@ -167,7 +167,6 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
                 if (options.simulate && po.routable &&
                     po.status.ok()) {
                     sim::SimOptions sopt;
-                    sopt.engine = options.simEngine;
                     sopt.exportMetrics = false;
                     sopt.ctx = popt.ctx;
                     const TaskGraph &simGraph =

@@ -82,7 +82,6 @@ struct ExploreOptions
     bool familyWarmStart = false;
     /** Simulate each routable point for the latency objective. */
     bool simulate = true;
-    sim::SimEngine simEngine = sim::SimEngine::Serial;
 };
 
 /** One evaluated grid point. */

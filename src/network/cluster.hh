@@ -85,18 +85,6 @@ class Cluster
     /** Aggregate cluster HBM bandwidth (devices x per-card HBM). */
     BytesPerSecond totalMemoryBandwidth() const;
 
-    /**
-     * Conservative lower bound on the time between a token leaving
-     * device @p a and arriving at device @p b, for any payload size
-     * and any fault condition (faults only slow links down). Same
-     * device = 0; same node = hop count x the intra-node link's
-     * lookahead; cross-node = two host hops plus the inter-node hop.
-     * This is the per-channel lookahead of the parallel simulation
-     * engine — a positive bound is what licenses one logical process
-     * to advance past another's local clock.
-     */
-    Seconds deliveryLookahead(DeviceId a, DeviceId b) const;
-
   private:
     DeviceModel device_;
     Topology nodeTopology_;

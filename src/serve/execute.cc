@@ -201,9 +201,6 @@ executeRequest(const Request &req, const Context &ctx,
             eopt.cache = policy.cache;
             eopt.familyWarmStart = policy.warmStart;
             eopt.ctx = ctx;
-            eopt.simEngine = req.simEngine == "parallel"
-                                 ? sim::SimEngine::Parallel
-                                 : sim::SimEngine::Serial;
             const explore::ExploreResult er =
                 explore::runExplore(graph, tasks, req.grid, eopt);
             out.status = er.status;
@@ -316,9 +313,6 @@ executeRequest(const Request &req, const Context &ctx,
             sim::SimOptions sopt;
             sopt.exportMetrics = false;
             sopt.ctx = ctx;
-            sopt.engine = req.simEngine == "parallel"
-                              ? sim::SimEngine::Parallel
-                              : sim::SimEngine::Serial;
             // A replicated design simulates as the expanded graph —
             // the one placement/binding/pipelining actually describe.
             const TaskGraph &simGraph =

@@ -226,15 +226,6 @@ parseManifest(const std::string &text)
                     req.simulate = n != 0;
                     sawSimulate = true;
                 }
-            } else if (key == "sim_engine") {
-                if (value != "serial" && value != "parallel") {
-                    reject(strprintf("sim_engine must be serial|"
-                                     "parallel, got '%s'",
-                                     value.c_str()));
-                    bad = true;
-                } else {
-                    req.simEngine = value;
-                }
             } else if (key == "solver") {
                 if (value == "exact") {
                     req.solver = L1Backend::Exact;
@@ -438,8 +429,6 @@ renderRequestLine(const Request &req)
     // value means the same thing (inherit), so clamp.
     line += " deadline_ms=" +
             renderDouble(req.deadlineMs < 0.0 ? -1.0 : req.deadlineMs);
-    if (!req.simEngine.empty())
-        line += " sim_engine=" + req.simEngine;
     line += strprintf(" solver=%s", req.solver == L1Backend::Multilevel
                                         ? "multilevel"
                                         : "exact");

@@ -1,29 +1,17 @@
 #include "sim/dataflow_sim.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
+#include <optional>
+#include <queue>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
+#include "network/cluster.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/engine.hh"
+#include "sim/server.hh"
 
 namespace tapacs::sim
 {
-
-const char *
-toString(SimEngine engine)
-{
-    switch (engine) {
-    case SimEngine::Serial:
-        return "serial";
-    case SimEngine::Parallel:
-        return "parallel";
-    }
-    return "?";
-}
 
 double
 SimResult::deviceUtilization(DeviceId d) const
@@ -38,34 +26,639 @@ SimResult::deviceUtilization(DeviceId d) const
 namespace
 {
 
-/** Resolve the engine to run: the TAPACS_SIM_ENGINE environment
- *  variable overrides the option, then the parallel engine falls
- *  back to serial whenever it cannot help (one device = one LP) or
- *  cannot be conservative (a cross-device edge with no positive
- *  latency lower bound leaves nothing to advance windows by). */
-SimEngine
-resolveEngine(const SimOptions &options,
-              const detail::SimSetup &setup)
+/**
+ * Total order on token arrivals: time, then edge id, then the
+ * per-edge emission ordinal. The event order is part of the result:
+ * servers serve requests in the order they are acquired, so equal-
+ * time arrivals must always pop the same way.
+ */
+struct EventKey
 {
-    SimEngine engine = options.engine;
-    if (const char *env = std::getenv("TAPACS_SIM_ENGINE")) {
-        if (std::strcmp(env, "serial") == 0) {
-            engine = SimEngine::Serial;
-        } else if (std::strcmp(env, "parallel") == 0) {
-            engine = SimEngine::Parallel;
-        } else {
-            static std::atomic<bool> warned{false};
-            if (!warned.exchange(true)) {
-                warn("TAPACS_SIM_ENGINE='%s' is not "
-                     "\"serial\" | \"parallel\"; ignoring", env);
-            }
+    Seconds time = 0.0;
+    EdgeId edge = -1;
+    std::uint64_t seq = 0;
+};
+
+inline bool
+operator>(const EventKey &a, const EventKey &b)
+{
+    if (a.time != b.time)
+        return a.time > b.time;
+    if (a.edge != b.edge)
+        return a.edge > b.edge;
+    return a.seq > b.seq;
+}
+
+/** Per-edge constants precomputed once per run. */
+struct EdgeConst
+{
+    enum Kind : std::uint8_t
+    {
+        Local,     ///< same device: fixed FIFO latency
+        IntraNode, ///< same node: netPort + store-and-forward hops
+        CrossNode, ///< different nodes: serialized host-routed pipe
+    };
+
+    Kind kind = Local;
+    VertexId dst = -1;
+    DeviceId sdev = -1, ddev = -1;
+    /** Consumer firings per arriving token (>0), or -(producer blocks
+     *  needed per firing) when the consumer runs coarser. */
+    int credit = 1;
+    /** Payload of one token (edge.totalBytes / producer blocks). */
+    double bytesPerToken = 0.0;
+    /** Local: (stages + balanceDepth) / fmax. */
+    Seconds localLatency = 0.0;
+    /** IntraNode: per-hop wire occupancy. CrossNode: the serialized
+     *  three-leg host path occupancy. */
+    Seconds occ = 0.0;
+    /** IntraNode only: store-and-forward flight latency. */
+    Seconds flight = 0.0;
+    /** Flattened server index: sdev*D+ddev (IntraNode netPort) or
+     *  snode*N+dnode (CrossNode nodeLink). */
+    int port = -1;
+};
+
+/**
+ * One simulate() call: the validated, immutable precomputation
+ * (adjacency in CSR form, per-vertex durations, per-edge constants)
+ * plus the mutable run state, driven by one event loop. Borrowed
+ * references must outlive the object.
+ */
+class Simulation
+{
+  public:
+    Simulation(const TaskGraph &g, const SimOptions &options)
+        : g_(g), options_(options)
+    {
+    }
+
+    /**
+     * Validate inputs and precompute the run. Non-integral rate
+     * ratios, memory access without channels and structural problems
+     * (graph validation, size mismatches, bad channel indices) are
+     * InvalidInput.
+     */
+    Status build(const Cluster &cluster,
+                 const DevicePartition &partition,
+                 const HbmBinding &binding, const PipelinePlan &plan,
+                 const std::vector<Hertz> &deviceFmax);
+
+    /** Run to completion, or until the context or the event cap stops
+     *  the run (recorded in status_). */
+    void run();
+
+    /** Fold the run into @p out: fixed-order reductions,
+     *  rate-consistency check, stats registry. */
+    void finalize(SimResult *out);
+
+    /** Publish per-resource gauges (tapacs.sim.*). */
+    void exportMetrics() const;
+
+    bool faulted() const { return injector_.has_value(); }
+
+  private:
+    void applyArrival(EdgeId e);
+    void fire(VertexId v, Seconds now);
+
+    const TaskGraph &g_;
+    const SimOptions &options_;
+    const HbmBinding *binding_ = nullptr;
+
+    int n_ = 0;
+    int numEdges_ = 0;
+    int numDevices_ = 0;
+    int numNodes_ = 0;
+    int channels_ = 0; ///< HBM channels per device
+
+    std::vector<double> readPerChannel_, writePerChannel_, computeDur_;
+    std::vector<int> blocksOf_;
+    std::vector<DeviceId> deviceOf_;
+    /** CSR adjacency: in/out edge ids of vertex v live at
+     *  [inOff_[v], inOff_[v+1]) of inEdge_ (resp. outOff_/outEdge_). */
+    std::vector<int> inOff_, outOff_;
+    std::vector<EdgeId> inEdge_, outEdge_;
+    std::vector<EdgeConst> edges_;
+
+    std::optional<FaultInjector> injector_;
+    std::vector<DeviceId> deadDevices_;
+    /** Reliable transport for every cross-device message (engaged
+     *  only under fault injection). */
+    std::optional<ReliableTransport> transport_;
+
+    /** Dense D*channels HBM channels, device-major. */
+    std::vector<Server> hbm_;
+    /** Vertex-indexed task datapaths. */
+    std::vector<Server> datapath_;
+    /** Dense D*D device-pair ports. */
+    std::vector<Server> netPort_;
+    /** Dense N*N node-pair pipes. */
+    std::vector<Server> nodeLink_;
+
+    std::vector<int> fired_;
+    std::vector<Seconds> taskFinish_;
+    std::vector<int> tokens_, rawArrivals_;
+    std::vector<std::uint64_t> emitSeq_;
+    std::vector<std::int64_t> delivered_;
+    std::vector<EdgeCommStats> edgeComm_;
+    std::vector<FiringRecord> timeline_;
+
+    std::priority_queue<EventKey, std::vector<EventKey>,
+                        std::greater<EventKey>>
+        heap_;
+    Seconds makespan_ = 0.0;
+    std::uint64_t events_ = 0;
+    Status status_;
+};
+
+Status
+Simulation::build(const Cluster &cluster,
+                  const DevicePartition &partition,
+                  const HbmBinding &binding, const PipelinePlan &plan,
+                  const std::vector<Hertz> &deviceFmax)
+{
+    const TaskGraph &g = g_;
+    Status st = g.validateStatus();
+    if (!st.ok())
+        return st;
+
+    const int n = g.numVertices();
+    const int numEdges = g.numEdges();
+    const int numDevices = cluster.numDevices();
+    if (static_cast<int>(partition.deviceOf.size()) != n) {
+        return Status::invalidInput(
+            "partition assigns %d tasks but the graph has %d",
+            static_cast<int>(partition.deviceOf.size()), n);
+    }
+    if (static_cast<int>(deviceFmax.size()) != numDevices) {
+        return Status::invalidInput(
+            "deviceFmax has %d entries for %d devices",
+            static_cast<int>(deviceFmax.size()), numDevices);
+    }
+    for (Hertz f : deviceFmax) {
+        if (!(f > 0.0))
+            return Status::invalidInput(
+                "deviceFmax entries must be positive, got %g", f);
+    }
+    if (static_cast<int>(binding.channelsOf.size()) != n) {
+        return Status::invalidInput(
+            "HBM binding covers %d tasks but the graph has %d",
+            static_cast<int>(binding.channelsOf.size()), n);
+    }
+    if (static_cast<int>(plan.edges.size()) != numEdges) {
+        return Status::invalidInput(
+            "pipeline plan covers %d edges but the graph has %d",
+            static_cast<int>(plan.edges.size()), numEdges);
+    }
+    for (VertexId v = 0; v < n; ++v) {
+        const DeviceId d = partition.deviceOf[v];
+        if (d < 0 || d >= numDevices)
+            return Status::invalidInput(
+                "task '%s' is assigned to device %d of %d",
+                g.vertex(v).name.c_str(), d, numDevices);
+    }
+    for (const auto &e : g.edges()) {
+        const int sb = g.vertex(e.src).work.numBlocks;
+        const int db = g.vertex(e.dst).work.numBlocks;
+        if (sb % db != 0 && db % sb != 0) {
+            return Status::invalidInput(
+                "edge %s->%s has non-integral rate ratio "
+                "(%d vs %d blocks)", g.vertex(e.src).name.c_str(),
+                g.vertex(e.dst).name.c_str(), sb, db);
         }
     }
-    if (engine == SimEngine::Parallel &&
-        (setup.numDevices < 2 ||
-         (setup.anyCross && !(setup.minLookahead > 0.0))))
-        engine = SimEngine::Serial;
-    return engine;
+    const MemorySystem &mem = cluster.device().memory();
+    for (VertexId v = 0; v < n; ++v) {
+        const WorkProfile &w = g.vertex(v).work;
+        if ((w.memReadBytes > 0.0 || w.memWriteBytes > 0.0) &&
+            w.memChannels == 0) {
+            return Status::invalidInput(
+                "task '%s' accesses external memory but binds no "
+                "channels", g.vertex(v).name.c_str());
+        }
+        for (int c : binding.channelsOf[v]) {
+            if (c < 0 || c >= mem.channels)
+                return Status::invalidInput(
+                    "task '%s' binds HBM channel %d of %d",
+                    g.vertex(v).name.c_str(), c, mem.channels);
+        }
+    }
+
+    binding_ = &binding;
+    n_ = n;
+    numEdges_ = numEdges;
+    numDevices_ = numDevices;
+    numNodes_ = cluster.numNodes();
+    channels_ = mem.channels;
+
+    // Per-task per-block durations.
+    readPerChannel_.assign(n, 0.0);
+    writePerChannel_.assign(n, 0.0);
+    computeDur_.assign(n, 0.0);
+    blocksOf_.assign(n, 1);
+    deviceOf_ = partition.deviceOf;
+    for (VertexId v = 0; v < n; ++v) {
+        const WorkProfile &w = g.vertex(v).work;
+        const double blocks = w.numBlocks;
+        const Hertz fmax = deviceFmax[partition.deviceOf[v]];
+        blocksOf_[v] = w.numBlocks;
+        computeDur_[v] = w.computeOps / blocks / (w.opsPerCycle * fmax);
+        if (w.memChannels > 0) {
+            // A kernel port moves at most width x clock bytes/s; only
+            // ports at the saturating width running at speed reach the
+            // full per-channel bandwidth (the paper's 256-bit ports
+            // saturate ~51 % of an HBM bank).
+            const double port_rate = w.memPortWidthBits / 8.0 * fmax;
+            const double bw =
+                std::min(mem.perChannelBandwidth(), port_rate);
+            readPerChannel_[v] =
+                w.memReadBytes / blocks / w.memChannels / bw;
+            writePerChannel_[v] =
+                w.memWriteBytes / blocks / w.memChannels / bw;
+        }
+    }
+
+    // CSR adjacency (no per-firing inEdges()/outEdges() walks over
+    // std::vector<std::vector<EdgeId>>).
+    inOff_.assign(n + 1, 0);
+    outOff_.assign(n + 1, 0);
+    for (VertexId v = 0; v < n; ++v) {
+        inOff_[v + 1] =
+            inOff_[v] + static_cast<int>(g.inEdges(v).size());
+        outOff_[v + 1] =
+            outOff_[v] + static_cast<int>(g.outEdges(v).size());
+    }
+    inEdge_.reserve(inOff_[n]);
+    outEdge_.reserve(outOff_[n]);
+    for (VertexId v = 0; v < n; ++v) {
+        for (EdgeId e : g.inEdges(v))
+            inEdge_.push_back(e);
+        for (EdgeId e : g.outEdges(v))
+            outEdge_.push_back(e);
+    }
+
+    // Per-edge constants; tokens_ starts at the initial tokens in
+    // consumer-firing units.
+    edges_.assign(numEdges, EdgeConst{});
+    tokens_.assign(numEdges, 0);
+    for (EdgeId e = 0; e < numEdges; ++e) {
+        const Edge &edge = g.edge(e);
+        EdgeConst &ec = edges_[e];
+        ec.dst = edge.dst;
+        ec.sdev = partition.deviceOf[edge.src];
+        ec.ddev = partition.deviceOf[edge.dst];
+        const int sb = g.vertex(edge.src).work.numBlocks;
+        const int db = g.vertex(edge.dst).work.numBlocks;
+        // SDF-style rates in consumer-firing units: an arriving
+        // producer block is worth db/sb firings when db > sb; when
+        // sb > db a firing needs sb/db producer blocks, expressed as
+        // a negative "need" count (applyArrival divides).
+        ec.credit = db >= sb ? db / sb : -(sb / db);
+        tokens_[e] = edge.initialTokens * (ec.credit > 0 ? ec.credit : 1);
+        ec.bytesPerToken = edge.totalBytes / sb;
+        if (ec.sdev == ec.ddev) {
+            ec.kind = EdgeConst::Local;
+            const int cycles =
+                plan.edges[e].stages + plan.edges[e].balanceDepth;
+            ec.localLatency = cycles / deviceFmax[ec.sdev];
+        } else if (cluster.sameNode(ec.sdev, ec.ddev)) {
+            ec.kind = EdgeConst::IntraNode;
+            const LinkModel &link = cluster.intraLink();
+            const int hops = cluster.nodeTopology().dist(
+                cluster.localIndex(ec.sdev),
+                cluster.localIndex(ec.ddev));
+            ec.occ = std::max(0.0, link.transferTime(ec.bytesPerToken) -
+                                       link.baseLatency());
+            ec.flight =
+                hops * link.baseLatency() + (hops - 1) * ec.occ;
+            ec.port = ec.sdev * numDevices + ec.ddev;
+        } else {
+            // dev -> host (PCIe), host -> host (MPI), host -> dev.
+            // The hand-off is staged through host memory buffers, so
+            // the three legs occupy the node-pair path serially and
+            // consecutive blocks do not overlap on it — this is why
+            // section 5.7's cross-node designs lose most of their
+            // scaling.
+            ec.kind = EdgeConst::CrossNode;
+            const LinkModel &host = cluster.hostLink();
+            const LinkModel &inode = cluster.interNodeLink();
+            ec.occ = host.transferTime(ec.bytesPerToken) +
+                     inode.transferTime(ec.bytesPerToken) +
+                     host.transferTime(ec.bytesPerToken);
+            ec.port = cluster.nodeOf(ec.sdev) * numNodes_ +
+                      cluster.nodeOf(ec.ddev);
+        }
+    }
+
+    if (options_.faults != nullptr && !options_.faults->empty()) {
+        injector_.emplace(*options_.faults, numDevices);
+        deadDevices_ = injector_->scheduledDeaths();
+        transport_.emplace(options_.transport, &*injector_);
+    }
+
+    hbm_.assign(numDevices * channels_, Server{});
+    datapath_.assign(n, Server{});
+    netPort_.assign(numDevices * numDevices, Server{});
+    nodeLink_.assign(numNodes_ * numNodes_, Server{});
+    fired_.assign(n, 0);
+    taskFinish_.assign(n, 0.0);
+    rawArrivals_.assign(numEdges, 0);
+    emitSeq_.assign(numEdges, 0);
+    delivered_.assign(numEdges, 0);
+    edgeComm_.assign(numEdges, EdgeCommStats{});
+    return Status();
+}
+
+/** Book one delivered token on edge @p e into the dst's counters. */
+inline void
+Simulation::applyArrival(EdgeId e)
+{
+    const EdgeConst &ec = edges_[e];
+    if (ec.credit > 0) {
+        tokens_[e] += ec.credit;
+    } else if (++rawArrivals_[e] % (-ec.credit) == 0) {
+        // need-|credit| edge: every |credit|-th raw arrival enables
+        // one consumer firing.
+        ++tokens_[e];
+    }
+}
+
+/**
+ * Fire vertex @p v as many times as its input tokens allow, starting
+ * at @p now — the one definition of the simulator's per-firing
+ * semantics (read -> compute -> write -> emit). Every delivered
+ * token becomes a heap event; cross-device tokens first serialize on
+ * their port or node-pair pipe (through the reliable transport when
+ * faults are injected).
+ */
+void
+Simulation::fire(VertexId v, Seconds now)
+{
+    const DeviceId dev = deviceOf_[v];
+
+    // A killed device fires nothing from its death time onward;
+    // blocks already in flight (started earlier) complete.
+    if (injector_ && injector_->deviceDead(dev, now))
+        return;
+
+    const int numBlocks = blocksOf_[v];
+    const std::vector<int> &channels = binding_->channelsOf[v];
+    Server *hbm = &hbm_[dev * channels_];
+    while (fired_[v] < numBlocks) {
+        // All inputs must hold a token.
+        bool ready = true;
+        for (int i = inOff_[v]; i < inOff_[v + 1]; ++i) {
+            if (tokens_[inEdge_[i]] == 0) {
+                ready = false;
+                break;
+            }
+        }
+        if (!ready)
+            break;
+        for (int i = inOff_[v]; i < inOff_[v + 1]; ++i)
+            --tokens_[inEdge_[i]];
+        ++fired_[v];
+
+        // Read from external memory across bound channels.
+        Seconds read_done = now;
+        if (readPerChannel_[v] > 0.0) {
+            for (int c : channels) {
+                read_done = std::max(
+                    read_done, hbm[c].acquire(now, readPerChannel_[v]));
+            }
+        }
+        // Compute on the task datapath.
+        const Seconds compute_done =
+            datapath_[v].acquire(read_done, computeDur_[v]);
+        // Write back.
+        Seconds write_done = compute_done;
+        if (writePerChannel_[v] > 0.0) {
+            for (int c : channels) {
+                write_done = std::max(
+                    write_done,
+                    hbm[c].acquire(compute_done, writePerChannel_[v]));
+            }
+        }
+        taskFinish_[v] = std::max(taskFinish_[v], write_done);
+        makespan_ = std::max(makespan_, write_done);
+        if (options_.recordTimeline) {
+            timeline_.push_back({v, fired_[v] - 1, now, read_done,
+                                 compute_done - computeDur_[v],
+                                 compute_done, write_done});
+        }
+
+        // Emit one token per out edge.
+        for (int oi = outOff_[v]; oi < outOff_[v + 1]; ++oi) {
+            const EdgeId e = outEdge_[oi];
+            const EdgeConst &ec = edges_[e];
+            Seconds arrival;
+            if (ec.kind == EdgeConst::Local) {
+                arrival = write_done + ec.localLatency;
+            } else {
+                Server &path = ec.kind == EdgeConst::IntraNode
+                                   ? netPort_[ec.port]
+                                   : nodeLink_[ec.port];
+                if (transport_) {
+                    EdgeCommStats &st = edgeComm_[e];
+                    const std::uint64_t mid =
+                        static_cast<std::uint64_t>(e) << 32 |
+                        static_cast<std::uint32_t>(st.messages);
+                    ++st.messages;
+                    const TransferOutcome tr = transport_->send(
+                        ec.sdev, ec.ddev, mid, write_done, ec.occ,
+                        ec.flight, [&path](Seconds s, Seconds d) {
+                            return path.acquire(s, d);
+                        });
+                    st.retries += tr.retries;
+                    st.timeouts += tr.timeouts;
+                    st.backoffSeconds += tr.backoffSeconds;
+                    st.linkDownWaitSeconds += tr.linkDownWaitSeconds;
+                    if (!tr.delivered) {
+                        // The token dies with the link; only the
+                        // FIFOs crossing it stall.
+                        ++st.undelivered;
+                        continue;
+                    }
+                    arrival = tr.finishTime;
+                } else {
+                    arrival = path.acquire(write_done, ec.occ) +
+                              ec.flight;
+                }
+            }
+            makespan_ = std::max(makespan_, arrival);
+            ++delivered_[e];
+            heap_.push({arrival, e, emitSeq_[e]++});
+        }
+    }
+}
+
+void
+Simulation::run()
+{
+    // Kick off the sources (and anything with zero inputs or initial
+    // tokens) in vertex order before any arrival: as if each held a
+    // time-0 event keyed (edge -1, seq v).
+    for (VertexId v = 0; v < n_; ++v)
+        fire(v, 0.0);
+
+    const Context &ctx = options_.ctx;
+    while (!heap_.empty()) {
+        if ((events_ & 0xFFF) == 0 && ctx.done()) {
+            status_ = ctx.status();
+            break;
+        }
+        if (events_ >= options_.maxEvents) {
+            status_ = Status::resourceExhausted(
+                "event cap exceeded (%llu) — check block counts",
+                static_cast<unsigned long long>(options_.maxEvents));
+            break;
+        }
+        const EventKey ev = heap_.top();
+        heap_.pop();
+        ++events_;
+        applyArrival(ev.edge);
+        fire(edges_[ev.edge].dst, ev.time);
+    }
+}
+
+void
+Simulation::finalize(SimResult *out)
+{
+    out->status = status_;
+    out->makespan = makespan_;
+    out->taskFinish = std::move(taskFinish_);
+    out->firedBlocks = fired_;
+    out->deadDevices = deadDevices_;
+    out->edgeComm = std::move(edgeComm_);
+
+    // All floating-point sums below run in a fixed index order, never
+    // in event order.
+    out->deviceTaskCount.assign(numDevices_, 0);
+    out->deviceComputeBusy.assign(numDevices_, 0.0);
+    for (VertexId v = 0; v < n_; ++v) {
+        const DeviceId d = deviceOf_[v];
+        ++out->deviceTaskCount[d];
+        out->deviceComputeBusy[d] += computeDur_[v] * fired_[v];
+    }
+
+    double bytes = 0.0;
+    for (EdgeId e = 0; e < numEdges_; ++e) {
+        if (edges_[e].kind != EdgeConst::Local)
+            bytes += edges_[e].bytesPerToken * delivered_[e];
+    }
+    out->interDeviceBytes = bytes;
+
+    // Every task must have completed all its blocks. Under fault
+    // injection (or an aborted run) an incomplete result is the
+    // expected graceful outcome and is reported; a healthy full run
+    // that falls short means the graph is not rate-consistent.
+    out->completed = out->status.ok();
+    for (VertexId v = 0; v < n_; ++v) {
+        if (fired_[v] == blocksOf_[v])
+            continue;
+        out->completed = false;
+        if (!injector_ && out->status.ok()) {
+            out->status = Status::invalidInput(
+                "task '%s' fired %d of %d blocks — insufficient "
+                "upstream tokens (graph is not rate-consistent)",
+                g_.vertex(v).name.c_str(), fired_[v], blocksOf_[v]);
+        }
+    }
+
+    if (options_.recordTimeline) {
+        out->timeline = std::move(timeline_);
+        std::sort(out->timeline.begin(), out->timeline.end(),
+                  [](const FiringRecord &a, const FiringRecord &b) {
+                      if (a.start != b.start)
+                          return a.start < b.start;
+                      if (a.task != b.task)
+                          return a.task < b.task;
+                      return a.block < b.block;
+                  });
+    }
+
+    out->stats.set("events", static_cast<double>(events_));
+    double hbm_busy = 0.0;
+    for (const Server &s : hbm_) // device-major, channel-minor
+        hbm_busy += s.busyTime();
+    out->stats.set("hbm.busy_seconds", hbm_busy);
+
+    std::int64_t intra = 0, inter = 0, undelivered = 0;
+    for (EdgeId e = 0; e < numEdges_; ++e) {
+        if (edges_[e].kind == EdgeConst::IntraNode)
+            intra += delivered_[e];
+        else if (edges_[e].kind == EdgeConst::CrossNode)
+            inter += delivered_[e];
+    }
+    for (const EdgeCommStats &ec : out->edgeComm)
+        undelivered += ec.undelivered;
+    if (intra > 0)
+        out->stats.set("net.intra.transfers",
+                       static_cast<double>(intra));
+    if (inter > 0)
+        out->stats.set("net.inter.transfers",
+                       static_cast<double>(inter));
+    if (undelivered > 0)
+        out->stats.set("net.undelivered",
+                       static_cast<double>(undelivered));
+
+    if (transport_) {
+        out->stats.set("net.retries",
+                       static_cast<double>(transport_->totalRetries()));
+        out->stats.set("net.timeouts",
+                       static_cast<double>(transport_->totalTimeouts()));
+        out->stats.set(
+            "net.link_down_waits",
+            static_cast<double>(transport_->totalLinkDownWaits()));
+    }
+}
+
+/**
+ * Publish one server's utilization to the process metrics registry
+ * under `tapacs.sim.<resource>.{busy_seconds,wait_seconds,requests}`.
+ * Servers that never served a request are skipped so the registry
+ * holds only resources the run actually touched.
+ */
+void
+exportServerMetrics(const std::string &resource, const Server &server)
+{
+    if (server.requests() == 0)
+        return;
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    const std::string base = "tapacs.sim." + resource;
+    reg.gauge(base + ".busy_seconds").set(server.busyTime());
+    reg.gauge(base + ".wait_seconds").set(server.waitTime());
+    reg.gauge(base + ".requests")
+        .set(static_cast<double>(server.requests()));
+}
+
+void
+Simulation::exportMetrics() const
+{
+    // Drop stale per-resource gauges from any earlier run: a server
+    // idle this run would otherwise keep reporting the previous run's
+    // busy/wait/request numbers.
+    obs::MetricsRegistry::global().resetPrefix("tapacs.sim.");
+    for (DeviceId d = 0; d < numDevices_; ++d) {
+        for (int c = 0; c < channels_; ++c) {
+            exportServerMetrics(strprintf("hbm.d%d.ch%d", d, c),
+                                hbm_[d * channels_ + c]);
+        }
+    }
+    for (VertexId v = 0; v < n_; ++v)
+        exportServerMetrics("task." + g_.vertex(v).name, datapath_[v]);
+    for (DeviceId a = 0; a < numDevices_; ++a) {
+        for (DeviceId b = 0; b < numDevices_; ++b) {
+            exportServerMetrics(strprintf("net.d%d.d%d", a, b),
+                                netPort_[a * numDevices_ + b]);
+        }
+    }
+    for (int a = 0; a < numNodes_; ++a) {
+        for (int b = 0; b < numNodes_; ++b) {
+            exportServerMetrics(strprintf("net.node%d.node%d", a, b),
+                                nodeLink_[a * numNodes_ + b]);
+        }
+    }
 }
 
 } // namespace
@@ -79,57 +672,21 @@ trySimulate(const TaskGraph &g, const Cluster &cluster,
 {
     obs::TraceSpan sim_span("sim", "sim.run");
 
-    detail::SimSetup setup;
-    Status st = detail::buildSetup(g, cluster, partition, binding,
-                                   plan, deviceFmax, options, &setup);
+    Simulation sim(g, options);
+    Status st = sim.build(cluster, partition, binding, plan, deviceFmax);
     if (!st.ok())
         return st;
 
-    if (setup.injector && options.exportMetrics)
+    if (sim.faulted() && options.exportMetrics)
         obs::MetricsRegistry::global().resetPrefix("tapacs.net.");
 
-    const SimEngine engine = resolveEngine(options, setup);
-    detail::RunState run;
-    detail::initRunState(setup, &run);
-    detail::ParStats par;
-    if (engine == SimEngine::Parallel) {
-        const int threads = options.numThreads > 0
-                                ? options.numThreads
-                                : ThreadPool::defaultPool().size();
-        par = detail::runParallel(setup, run, threads);
-    } else {
-        detail::runSerial(setup, run);
-    }
-
+    sim.run();
     SimResult out;
-    detail::finalizeResult(setup, run, &out);
-
-    if (options.exportMetrics) {
-        detail::exportSimMetrics(setup, run);
-        if (engine == SimEngine::Parallel) {
-            // After exportSimMetrics' resetPrefix so these survive;
-            // intentionally not in SimResult::stats, which stays
-            // engine-independent (bit-identical across engines).
-            obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-            reg.gauge("tapacs.sim.par.windows")
-                .set(static_cast<double>(par.windows));
-            reg.gauge("tapacs.sim.par.events")
-                .set(static_cast<double>(par.events));
-            reg.gauge("tapacs.sim.par.null_advances")
-                .set(static_cast<double>(par.nullAdvances));
-            reg.gauge("tapacs.sim.par.coalesced_tokens")
-                .set(static_cast<double>(par.coalescedTokens));
-            reg.gauge("tapacs.sim.par.cross_commits")
-                .set(static_cast<double>(par.crossCommits));
-            reg.gauge("tapacs.sim.par.steals")
-                .set(static_cast<double>(par.steals));
-            reg.gauge("tapacs.sim.par.threads")
-                .set(static_cast<double>(par.threads));
-        }
-    }
+    sim.finalize(&out);
+    if (options.exportMetrics)
+        sim.exportMetrics();
 
     sim_span
-        .arg("engine", std::string(toString(engine)))
         .arg("events",
              static_cast<std::int64_t>(out.stats.get("events")))
         .arg("makespan_seconds", out.makespan)

@@ -19,12 +19,13 @@ TaskActivity::stallFraction() const
     return 1.0 - active / s;
 }
 
-std::vector<TaskActivity>
+StatusOr<std::vector<TaskActivity>>
 analyzeActivity(const TaskGraph &g, const SimResult &result)
 {
     if (result.timeline.empty() && g.numVertices() > 0) {
-        fatal("analyzeActivity: run the simulation with "
-              "SimOptions::recordTimeline = true");
+        return Status::invalidInput(
+            "analyzeActivity: no timeline; run the simulation with "
+            "SimOptions::recordTimeline = true");
     }
     std::map<VertexId, TaskActivity> acc;
     for (const FiringRecord &f : result.timeline) {
@@ -47,10 +48,14 @@ analyzeActivity(const TaskGraph &g, const SimResult &result)
     return out;
 }
 
-std::string
+StatusOr<std::string>
 bottleneckReport(const TaskGraph &g, const SimResult &result, int topN)
 {
-    std::vector<TaskActivity> acts = analyzeActivity(g, result);
+    StatusOr<std::vector<TaskActivity>> analyzed =
+        analyzeActivity(g, result);
+    if (!analyzed.ok())
+        return analyzed.status();
+    std::vector<TaskActivity> acts = analyzed.moveValue();
     std::sort(acts.begin(), acts.end(),
               [](const TaskActivity &a, const TaskActivity &b) {
                   return a.computeBusy + a.memoryBusy >

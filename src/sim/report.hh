@@ -44,11 +44,13 @@ struct TaskActivity
  * Derive per-task activity from a timeline-recorded run.
  *
  * @param g the simulated graph.
- * @param result a SimResult produced with recordTimeline = true;
- *        calls fatal() if the timeline is empty but the graph is not.
+ * @param result a SimResult produced with recordTimeline = true.
+ * @return per-task activity ordered by task id, or InvalidInput when
+ *         the timeline is empty but the graph is not (the run did
+ *         not record one).
  */
-std::vector<TaskActivity> analyzeActivity(const TaskGraph &g,
-                                          const SimResult &result);
+StatusOr<std::vector<TaskActivity>>
+analyzeActivity(const TaskGraph &g, const SimResult &result);
 
 /**
  * Render the bottleneck report: tasks ranked by busy time, with span,
@@ -56,9 +58,11 @@ std::vector<TaskActivity> analyzeActivity(const TaskGraph &g,
  * view of paper sections 5.2-5.5.
  *
  * @param topN rows to include (0 = all).
+ * @return the rendered table, or analyzeActivity()'s error.
  */
-std::string bottleneckReport(const TaskGraph &g, const SimResult &result,
-                             int topN = 10);
+StatusOr<std::string> bottleneckReport(const TaskGraph &g,
+                                       const SimResult &result,
+                                       int topN = 10);
 
 /**
  * Render the fault/recovery report: one row per FIFO that crossed a

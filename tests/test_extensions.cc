@@ -182,7 +182,10 @@ TEST(BottleneckReport, ActivityAccountsBusyAndStall)
     opt.recordTimeline = true;
     sim::SimResult r = sim::simulate(g, cluster, part, binding, plan,
                                      {300.0e6}, opt);
-    auto acts = sim::analyzeActivity(g, r);
+    StatusOr<std::vector<sim::TaskActivity>> analyzed =
+        sim::analyzeActivity(g, r);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().toString();
+    const std::vector<sim::TaskActivity> &acts = analyzed.value();
     ASSERT_EQ(acts.size(), 2u);
     for (const auto &a : acts) {
         EXPECT_NEAR(a.computeBusy, 1.0, 1e-6);
@@ -193,13 +196,15 @@ TEST(BottleneckReport, ActivityAccountsBusyAndStall)
     EXPECT_LT(acts[0].stallFraction(), 0.01);
     EXPECT_LT(acts[1].stallFraction(), 0.01);
 
-    const std::string report = sim::bottleneckReport(g, r);
+    const StatusOr<std::string> rendered = sim::bottleneckReport(g, r);
+    ASSERT_TRUE(rendered.ok());
+    const std::string &report = rendered.value();
     EXPECT_NE(report.find("up"), std::string::npos);
     EXPECT_NE(report.find("down"), std::string::npos);
     EXPECT_NE(report.find("Bottleneck report"), std::string::npos);
 }
 
-TEST(BottleneckReportDeath, RequiresTimeline)
+TEST(BottleneckReport, RequiresTimeline)
 {
     TaskGraph g("rep2");
     WorkProfile w;
@@ -215,7 +220,15 @@ TEST(BottleneckReportDeath, RequiresTimeline)
     plan.addedAreaPerDevice.assign(1, ResourceVector{});
     sim::SimResult r =
         sim::simulate(g, cluster, part, binding, plan, {300.0e6});
-    EXPECT_DEATH(sim::analyzeActivity(g, r), "recordTimeline");
+    const StatusOr<std::vector<sim::TaskActivity>> acts =
+        sim::analyzeActivity(g, r);
+    ASSERT_FALSE(acts.ok());
+    EXPECT_EQ(acts.status().code(), StatusCode::InvalidInput);
+    EXPECT_NE(acts.status().message().find("recordTimeline"),
+              std::string::npos);
+    const StatusOr<std::string> report = sim::bottleneckReport(g, r);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::InvalidInput);
 }
 
 } // namespace

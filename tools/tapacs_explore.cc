@@ -27,8 +27,7 @@
  *                  [--grid SPEC] [--fpgas N] [--scale N]
  *                  [--mode vitis|tapa|tapacs] [--threads N]
  *                  [--deadline-ms N] [--warm-start] [--no-cache]
- *                  [--cache-dir DIR] [--sim-engine serial|parallel]
- *                  [--no-sim] [--json] [--csv]
+ *                  [--cache-dir DIR] [--no-sim] [--json] [--csv]
  *
  *   --grid SPEC      the sweep grid, e.g.
  *                    "t=0.6,0.7;lambda=follow;topo=ring,mesh;
@@ -96,7 +95,6 @@ struct CliOptions
     bool warmStart = false;
     bool noCache = false;
     std::string cacheDir;
-    std::string simEngine = "serial";
     bool simulate = true;
     bool json = false;
     bool csv = false;
@@ -114,9 +112,8 @@ usage()
         "[--threads N]\n"
         "                      [--deadline-ms N] [--warm-start] "
         "[--no-cache]\n"
-        "                      [--cache-dir DIR] "
-        "[--sim-engine serial|parallel]\n"
-        "                      [--no-sim] [--json] [--csv]\n");
+        "                      [--cache-dir DIR] [--no-sim] [--json] "
+        "[--csv]\n");
     std::exit(2);
 }
 
@@ -158,15 +155,7 @@ parseArgs(int argc, char **argv)
             opt.noCache = true;
         else if (arg == "--cache-dir")
             opt.cacheDir = next();
-        else if (arg == "--sim-engine") {
-            opt.simEngine = next();
-            if (opt.simEngine != "serial" &&
-                opt.simEngine != "parallel") {
-                std::fprintf(stderr,
-                             "--sim-engine must be serial|parallel\n");
-                std::exit(2);
-            }
-        } else if (arg == "--no-sim")
+        else if (arg == "--no-sim")
             opt.simulate = false;
         else if (arg == "--json")
             opt.json = true;
@@ -283,9 +272,6 @@ main(int argc, char **argv)
         opt.deadlineMs < 0.0 ? -1.0 : opt.deadlineMs / 1000.0;
     eopt.familyWarmStart = opt.warmStart;
     eopt.simulate = opt.simulate;
-    eopt.simEngine = opt.simEngine == "parallel"
-                         ? sim::SimEngine::Parallel
-                         : sim::SimEngine::Serial;
     if (!opt.cacheDir.empty()) {
         cache::CacheStore::Options sopt;
         sopt.directory = opt.cacheDir;

@@ -2,7 +2,9 @@
  * @file
  * trace_summary: read a Chrome trace_event JSON produced by the
  * tapacs tracer (TAPACS_TRACE / CompileOptions::trace) and print a
- * per-phase and per-thread wall-time breakdown.
+ * per-phase and per-thread wall-time breakdown. The per-phase table
+ * covers compile phases, simulator runs (sim.run) and the serve and
+ * fleet request stages.
  *
  * Usage: trace-summary <trace.json>
  *
@@ -297,11 +299,10 @@ main(int argc, char **argv)
     // Keyed by span name / thread id; std::map keeps the output order
     // stable across runs.
     std::map<std::string, Accum> by_phase;
+    // Serve and fleet request stages wrap whole compiles, so they are
+    // listed below the compile + sim total instead of adding to it.
+    std::map<std::string, Accum> by_stage;
     std::map<int, Accum> by_thread;
-    // Parallel-simulator logical processes: one "sim.lp.dN" span per
-    // LP per active window, so busy ms / spans here shows the load
-    // balance across devices.
-    std::map<std::string, Accum> by_lp;
     std::int64_t complete_events = 0;
 
     for (const Event &ev : events) {
@@ -313,10 +314,14 @@ main(int argc, char **argv)
             continue;
         ++complete_events;
         by_thread[ev.tid].add(ev);
-        if (ev.category == "compile" || ev.name.rfind("phase", 0) == 0)
+        if (ev.category == "compile" || ev.category == "sim" ||
+            ev.name.rfind("phase", 0) == 0) {
             by_phase[ev.name].add(ev);
-        if (ev.category == "sim" && ev.name.rfind("sim.lp.", 0) == 0)
-            by_lp[ev.name].add(ev);
+        } else if (ev.category == "serve" || ev.category == "fleet") {
+            // One span per request ("request.<name>",
+            // "dispatch.<name>"): fold each stage into one row.
+            by_stage[ev.name.substr(0, ev.name.find('.')) + ".*"].add(ev);
+        }
     }
 
     if (complete_events == 0) {
@@ -325,7 +330,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (!by_phase.empty()) {
+    if (!by_phase.empty() || !by_stage.empty()) {
         tapacs::TextTable phases({"phase", "wall ms", "spans"});
         phases.setTitle("Per-phase wall time");
         double total = 0.0;
@@ -334,23 +339,18 @@ main(int argc, char **argv)
                            std::to_string(acc.count)});
             total += acc.totalMicros;
         }
-        phases.addSeparator();
-        phases.addRow({"total", formatMs(total), ""});
+        if (!by_phase.empty()) {
+            phases.addSeparator();
+            phases.addRow({"total", formatMs(total), ""});
+        }
+        if (!by_stage.empty()) {
+            if (!by_phase.empty())
+                phases.addSeparator();
+            for (const auto &[name, acc] : by_stage)
+                phases.addRow({name, formatMs(acc.totalMicros),
+                               std::to_string(acc.count)});
+        }
         phases.print();
-        std::printf("\n");
-    }
-
-    if (!by_lp.empty()) {
-        tapacs::TextTable lps(
-            {"logical process", "busy ms", "windows",
-             "first..last ms"});
-        lps.setTitle("Parallel-sim LP breakdown");
-        for (const auto &[name, acc] : by_lp)
-            lps.addRow({name, formatMs(acc.totalMicros),
-                        std::to_string(acc.count),
-                        formatMs(acc.minTs) + ".." +
-                            formatMs(acc.maxEnd)});
-        lps.print();
         std::printf("\n");
     }
 

@@ -68,7 +68,8 @@ LpEngine::LpEngine(const Model &model, SimplexOptions options)
     rowOf_.resize(cols_);
     weight_.resize(m_);
     atUpper_.assign(cols_, 0);
-    nonzero_.reserve(cols_);
+    idx_.reserve(cols_);
+    val_.reserve(cols_);
 }
 
 double
@@ -101,6 +102,7 @@ LpEngine::loadSlackBasis()
     for (int i = 0; i < m_; ++i)
         rowOf_[n_ + i] = i;
     pivotsSinceRebuild_ = 0;
+    ++epoch_;
     hasBasis_ = true;
 }
 
@@ -151,26 +153,33 @@ LpEngine::pivot(int r, int q)
 {
     double *prow = tableauRow(r);
     const double inv = 1.0 / prow[q];
-    nonzero_.clear();
+    // Gather the scaled pivot row once; idx_ is ascending, so the
+    // inverse block (columns >= n_) is its tail from inverse_begin.
+    idx_.clear();
+    val_.clear();
     for (int j = 0; j < cols_; ++j) {
         if (prow[j] == 0.0)
             continue;
-        prow[j] *= inv;
-        if (std::abs(prow[j]) < kDropTol)
-            prow[j] = 0.0;
-        else
-            nonzero_.push_back(j);
+        double v = j == q ? 1.0 : prow[j] * inv;
+        if (std::abs(v) < kDropTol)
+            v = 0.0;
+        prow[j] = v;
+        if (v != 0.0) {
+            idx_.push_back(j);
+            val_.push_back(v);
+        }
     }
-    prow[q] = 1.0;
     binvB_[r] *= inv;
+    const int nnz = static_cast<int>(idx_.size());
+    const int *idx = idx_.data();
+    const double *val = val_.data();
+    const int inverse_begin = static_cast<int>(
+        std::lower_bound(idx_.begin(), idx_.end(), n_) - idx_.begin());
     // Dual steepest-edge weights track ||row i of B^-1||^2, the slack
-    // block of the tableau; the pivot row's support there starts at
-    // inverse_begin (nonzero_ is sorted).
-    const auto inverse_begin =
-        std::lower_bound(nonzero_.begin(), nonzero_.end(), n_);
+    // block of the tableau.
     double prow_norm = 0.0;
-    for (auto it = inverse_begin; it != nonzero_.end(); ++it)
-        prow_norm += prow[*it] * prow[*it];
+    for (int k = inverse_begin; k < nnz; ++k)
+        prow_norm += val[k] * val[k];
     for (int i = 0; i < m_; ++i) {
         if (i == r)
             continue;
@@ -178,12 +187,19 @@ LpEngine::pivot(int r, int q)
         const double f = row[q];
         if (f == 0.0)
             continue;
+        // One pass: the old entries feed the weight update's dot
+        // product (same order as a separate sweep would take) before
+        // being overwritten.
+        for (int k = 0; k < inverse_begin; ++k) {
+            const double v = row[idx[k]] - f * val[k];
+            row[idx[k]] = std::abs(v) < kDropTol ? 0.0 : v;
+        }
         double dot = 0.0;
-        for (auto it = inverse_begin; it != nonzero_.end(); ++it)
-            dot += row[*it] * prow[*it];
-        for (int j : nonzero_) {
-            const double v = row[j] - f * prow[j];
-            row[j] = std::abs(v) < kDropTol ? 0.0 : v;
+        for (int k = inverse_begin; k < nnz; ++k) {
+            const double old = row[idx[k]];
+            dot += old * val[k];
+            const double v = old - f * val[k];
+            row[idx[k]] = std::abs(v) < kDropTol ? 0.0 : v;
         }
         row[q] = 0.0;
         binvB_[i] -= f * binvB_[r];
@@ -193,14 +209,15 @@ LpEngine::pivot(int r, int q)
     weight_[r] = std::max(prow_norm, 1e-12);
     const double f = d_[q];
     if (f != 0.0) {
-        for (int j : nonzero_)
-            d_[j] -= f * prow[j];
+        for (int k = 0; k < nnz; ++k)
+            d_[idx[k]] -= f * val[k];
         d_[q] = 0.0;
     }
     rowOf_[basis_[r]] = -1;
     basis_[r] = q;
     rowOf_[q] = r;
     ++pivotsSinceRebuild_;
+    ++epoch_;
 }
 
 void
@@ -219,11 +236,15 @@ LpEngine::computeBasicValues()
 }
 
 void
-LpEngine::computeReducedCosts(const std::vector<double> &cost)
+LpEngine::computeReducedCosts()
 {
-    d_ = cost;
+    // No pivot since the last computation: d_ already holds exactly
+    // what this loop would produce.
+    if (freshEpoch_ == epoch_)
+        return;
+    d_ = cost_;
     for (int i = 0; i < m_; ++i) {
-        const double cb = cost[basis_[i]];
+        const double cb = cost_[basis_[i]];
         if (cb == 0.0)
             continue;
         const double *row = tableauRow(i);
@@ -232,6 +253,7 @@ LpEngine::computeReducedCosts(const std::vector<double> &cost)
     }
     for (int i = 0; i < m_; ++i)
         d_[basis_[i]] = 0.0;
+    freshEpoch_ = epoch_;
 }
 
 SolveStatus
@@ -505,6 +527,10 @@ LpEngine::perturbedDual(int cap, int &iterations)
 {
     // Perturb the nonbasic costs away from their bounds so ties in the
     // dual ratio test break deterministically instead of stalling.
+    // Every caller enters with exact reduced costs; keep them, so a
+    // dual pass that never pivots can hand them back unchanged.
+    unperturbed_ = d_;
+    const std::uint64_t epoch = epoch_;
     for (int j = 0; j < cols_; ++j) {
         if (rowOf_[j] >= 0 || lower_[j] == upper_[j])
             continue;
@@ -514,7 +540,10 @@ LpEngine::perturbedDual(int cap, int &iterations)
     }
     computeBasicValues();
     noisyProof_ = false;
-    return dual(cap, iterations);
+    const SolveStatus st = dual(cap, iterations);
+    if (epoch_ == epoch)
+        d_.swap(unperturbed_);
+    return st;
 }
 
 SolveStatus
@@ -526,7 +555,7 @@ LpEngine::dualThenPrimal(int cap, int &iterations)
         // Re-derive the tableau and look again before trusting it.
         if (!rebuild())
             return SolveStatus::LimitReached;
-        computeReducedCosts(cost_);
+        computeReducedCosts();
         if (!placeNonbasic())
             return SolveStatus::LimitReached;
         st = perturbedDual(cap, iterations);
@@ -535,7 +564,7 @@ LpEngine::dualThenPrimal(int cap, int &iterations)
         return st;
     // Remove the perturbation; primal iterations repair any dual
     // infeasibility it was hiding before the bound is reported.
-    computeReducedCosts(cost_);
+    computeReducedCosts();
     return primal(false, cap, iterations);
 }
 
@@ -545,7 +574,7 @@ LpEngine::solveCold()
     LpResult out;
     loadSlackBasis();
     std::fill(atUpper_.begin(), atUpper_.begin() + n_, 0);
-    computeReducedCosts(cost_);
+    computeReducedCosts();
     const int cap = options_.maxIterations > 0
                         ? options_.maxIterations
                         : 20 * (m_ + cols_) + 1000;
@@ -574,7 +603,7 @@ LpEngine::solveWarm(LpResult &out)
         return false;
     // The retained basis is dual feasible under any bounds once each
     // nonbasic column sits on the bound its reduced cost points at.
-    computeReducedCosts(cost_);
+    computeReducedCosts();
     if (!placeNonbasic())
         return false;
     const SolveStatus st = dualThenPrimal((m_ + n_) / 2 + 50,

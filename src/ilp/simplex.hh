@@ -107,7 +107,9 @@ class LpEngine
     bool rebuild();
     void pivot(int row, int col);
     void computeBasicValues();
-    void computeReducedCosts(const std::vector<double> &cost);
+    /** Reduced costs of cost_ into d_; a no-op while d_ is still
+     *  exact (no pivot or reload since it was last computed). */
+    void computeReducedCosts();
     double *tableauRow(int row)
     {
         return &tab_[static_cast<size_t>(row) * cols_];
@@ -152,19 +154,27 @@ class LpEngine
     std::vector<double> tab_;    ///< B^-1 [A I], m_ x cols_ row-major
     std::vector<double> binvB_;  ///< B^-1 b
     std::vector<double> d_;      ///< reduced costs of the working cost
+    std::vector<double> unperturbed_; ///< d_ before perturbedDual
     std::vector<double> phase1_; ///< phase-1 reduced costs (scratch)
     std::vector<double> beta_;   ///< basic variable values per row
     std::vector<int> basis_;     ///< basic column per row
     std::vector<int> rowOf_;     ///< row of a basic column, else -1
     std::vector<double> weight_; ///< dual steepest-edge weight per row
     std::vector<unsigned char> atUpper_; ///< nonbasic position
-    std::vector<int> nonzero_;   ///< scratch: pivot-row support
+    std::vector<int> idx_;       ///< scratch: pivot-row support
+    std::vector<double> val_;    ///< scratch: scaled pivot-row values
 
     bool hasBasis_ = false;
     /** Set when dual() proved infeasibility from a row whose
      *  qualifying entries were all below the pivot tolerance. */
     bool noisyProof_ = false;
     int pivotsSinceRebuild_ = 0;
+    /** Bumped by every pivot and basis reload. */
+    std::uint64_t epoch_ = 0;
+    /** epoch_ at which d_ last held the exact reduced costs of cost_
+     *  (perturbedDual restores them before returning when its dual
+     *  pass made no pivot, so the equality implies exactness). */
+    std::uint64_t freshEpoch_ = ~std::uint64_t{0};
     std::int64_t coldFallbacks_ = 0;
 };
 

@@ -155,8 +155,7 @@ intraDeviceKey(const TaskGraph &g, const DevicePartition &partition,
     b.f64(options.threshold)
         .vec(options.reserved)
         .i64(options.useIlp ? 1 : 0)
-        .f64(options.memAttractionWidth)
-        .i64(static_cast<std::int64_t>(options.seed));
+        .f64(options.memAttractionWidth);
     mixSolver(b, options.solver);
     // IntraFpgaOptions::numThreads and HbmBindingOptions::numThreads
     // are deliberately absent: both passes document thread-count

@@ -63,7 +63,7 @@ namespace tapacs::cache
 /** Bumped whenever an entry format, key derivation or solver result
  *  changes, so stale on-disk tiers miss instead of misparsing or
  *  serving partitions the current code would not produce. */
-constexpr int kSchemaVersion = 4;
+constexpr int kSchemaVersion = 5;
 
 /** Content key of one pre-synthesis task (includes the task name:
  *  synthesis results are joined back onto vertices by name). */

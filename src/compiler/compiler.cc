@@ -451,7 +451,6 @@ compile(const TaskGraph &g, const Cluster &cluster,
                                   ? options.slotThreshold
                                   : options.threshold;
             intra.reserved = out.reservedPerDevice;
-            intra.seed = options.seed;
             if (intra.numThreads == 0)
                 intra.numThreads = options.numThreads;
             // Phase budget: level 2 gets most of whatever remains —

@@ -98,6 +98,7 @@ struct CompileOptions
      * the irregular designs do not.
      */
     bool vitisPrePipelined = false;
+    /** RNG seed for level-1 partitioning; level 2 is seed-free. */
     std::uint64_t seed = 1;
     /**
      * Deadline + cancellation token for this compilation. The flow

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "obs/trace.hh"
 
@@ -178,7 +177,7 @@ ilpCut(const TaskGraph &g, const std::vector<VertexId> &active,
        const std::vector<double> &pull, const ResourceVector &budgetA,
        const ResourceVector &budgetB, double step,
        const IntraFpgaOptions &opt, const std::vector<int> &warm,
-       bool *optimal, ilp::SolverStats *statsOut)
+       bool *optimal, ilp::SolverStats *statsOut, int *rowsOut)
 {
     const int n = static_cast<int>(active.size());
     ilp::Model model;
@@ -210,11 +209,15 @@ ilpCut(const TaskGraph &g, const std::vector<VertexId> &active,
                             total - budgetA[kind]);
     }
 
-    // Cut edges among the active set.
+    // Cut edges among the active set, one row each:
+    // |y_u - y_v| = (y_u - y_v) + 2 q_e with q_e >= y_v - y_u, q_e >= 0.
+    // The linear half folds into the y costs next to the pull; the LP
+    // relaxation is the same as with a two-row |.| split.
+    std::vector<double> ycost = pull;
     ilp::LinExpr objective;
     struct CutVar
     {
-        ilp::VarId d;
+        ilp::VarId q;
         int u, v;
     };
     std::vector<CutVar> cuts;
@@ -224,26 +227,27 @@ ilpCut(const TaskGraph &g, const std::vector<VertexId> &active,
         const int vi = activeIndex[edge.dst];
         if (ui < 0 || vi < 0 || ui == vi)
             continue;
-        const ilp::VarId d = model.addContinuous(0.0);
-        ilp::LinExpr c1;
-        c1.add(y[ui], 1.0).add(y[vi], -1.0).add(d, -1.0);
-        model.addConstraint(std::move(c1), ilp::Sense::LessEqual, 0.0);
-        ilp::LinExpr c2;
-        c2.add(y[vi], 1.0).add(y[ui], -1.0).add(d, -1.0);
-        model.addConstraint(std::move(c2), ilp::Sense::LessEqual, 0.0);
-        objective.add(d, step * edge.widthBits);
-        cuts.push_back({d, ui, vi});
+        const double w = step * edge.widthBits;
+        const ilp::VarId q = model.addContinuous(0.0);
+        ilp::LinExpr row;
+        row.add(y[vi], 1.0).add(y[ui], -1.0).add(q, -1.0);
+        model.addConstraint(std::move(row), ilp::Sense::LessEqual, 0.0);
+        objective.add(q, 2.0 * w);
+        ycost[ui] += w;
+        ycost[vi] -= w;
+        cuts.push_back({q, ui, vi});
     }
     for (int i = 0; i < n; ++i)
-        objective.add(y[i], pull[i]);
+        objective.add(y[i], ycost[i]);
     model.setObjective(std::move(objective));
 
     std::vector<double> warm_values(model.numVars(), 0.0);
     for (int i = 0; i < n; ++i)
         warm_values[y[i]] = warm[i];
     for (const auto &cv : cuts)
-        warm_values[cv.d] = std::abs(warm[cv.u] - warm[cv.v]);
+        warm_values[cv.q] = std::max(0, warm[cv.v] - warm[cv.u]);
 
+    *rowsOut = std::max(*rowsOut, model.numConstraints());
     ilp::BranchBoundSolver solver(opt.solver);
     ilp::Solution sol = solver.solve(model, warm_values);
     if (optimal)
@@ -278,6 +282,7 @@ floorplanIntraDevice(const TaskGraph &g, const DeviceModel &dev,
 
     IntraDeviceResult outcome;
     outcome.stats.provenOptimal = true; // identity for merge()
+    int max_rows = 0; // rows of the largest bisection ILP
     DeviceState state;
     state.verts = verts;
     // localOf[v]: index of v within this device's vertex list.
@@ -363,7 +368,7 @@ floorplanIntraDevice(const TaskGraph &g, const DeviceModel &dev,
                     bool optimal = false;
                     side = ilpCut(g, active, activeIndex, pull, budgetA,
                                   budgetB, step, opts, side, &optimal,
-                                  &outcome.stats);
+                                  &outcome.stats, &max_rows);
                     if (!optimal)
                         outcome.allIlpOptimal = false;
                 } else {
@@ -388,7 +393,9 @@ floorplanIntraDevice(const TaskGraph &g, const DeviceModel &dev,
     }
     span.arg("vertices", static_cast<std::int64_t>(state.verts.size()))
         .arg("solver_nodes", outcome.stats.nodesExplored)
-        .arg("lp_solves", outcome.stats.lpSolves);
+        .arg("lp_solves", outcome.stats.lpSolves)
+        .arg("lp_iterations", outcome.stats.lpIterations)
+        .arg("rows", static_cast<std::int64_t>(max_rows));
     return outcome;
 }
 

@@ -45,8 +45,6 @@ struct IntraFpgaOptions
     /** Pseudo-FIFO width per memory channel pulling memory-bound
      *  tasks toward the HBM row. */
     double memAttractionWidth = 64.0;
-    /** RNG seed for refinement ordering. */
-    std::uint64_t seed = 1;
     /** Branch-and-bound limits per bisection ILP (each device takes
      *  numSlots-1 bisections; the greedy warm start bounds the damage
      *  of a limit hit). */

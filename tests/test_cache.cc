@@ -407,6 +407,48 @@ TEST(CompileCache, WarmCompileIsByteIdenticalToColdAndUncached)
     EXPECT_GT(store.bytesInMemory(), 0u);
 }
 
+TEST(CompileCache, SeedOnlyChangesShareLevelTwoDeviceEntries)
+{
+    // CompileOptions::seed reaches level 1 only. Two compiles that
+    // differ in seed alone and land on the same partition must address
+    // the same per-device level-2 entries, and the second is served
+    // from them.
+    Cluster cluster = makePaperTestbed(2);
+    cache::CacheStore store;
+    cache::CompileCache cc(store);
+    CompileOptions opt;
+    opt.mode = CompileMode::TapaCs;
+    opt.numFpgas = 2;
+    opt.cache = &cc;
+    TaskGraph g1 = randomDesign(9191, 4, 4);
+    TaskGraph g2 = randomDesign(9191, 4, 4);
+    const CompileResult first = compile(g1, cluster, opt);
+    ASSERT_TRUE(first.routable) << first.failureReason;
+
+    obs::MetricsRegistry::global().resetPrefix("tapacs.cache.");
+    opt.seed = 7;
+    const CompileResult second = compile(g2, cluster, opt);
+    ASSERT_TRUE(second.routable) << second.failureReason;
+    ASSERT_EQ(first.partition.deviceOf, second.partition.deviceOf);
+
+    auto l2Keys = [](const CompileResult &r) {
+        std::vector<cache::CacheKey> keys;
+        for (const cache::Artifact &art : r.signature.artifacts) {
+            if (art.tier == cache::kTierL2Device)
+                keys.push_back(art.key);
+        }
+        return keys;
+    };
+    const std::vector<cache::CacheKey> keys = l2Keys(first);
+    EXPECT_EQ(keys.size(), 2u);
+    EXPECT_TRUE(keys == l2Keys(second));
+    // Only the level-1 entry, which is keyed on the seed, misses.
+    EXPECT_EQ(obs::MetricsRegistry::global().snapshot().counterValue(
+                  "tapacs.cache.misses"),
+              1);
+    EXPECT_TRUE(first.placement.slotOf == second.placement.slotOf);
+}
+
 TEST(CompileCache, ExpiredRequestTakesDegradedPathOverWarmEntries)
 {
     // Solver keys no longer depend on the deadline, so an expired

@@ -268,6 +268,106 @@ TEST(IntraFpga, ConnectedTasksPlacedTogether)
     EXPECT_EQ(r.placement.slotOf[0].manhattan(r.placement.slotOf[1]), 0);
 }
 
+TEST(IntraFpga, BisectionMatchesEnumeration)
+{
+    // The one-row |y_u - y_v| split must price every side assignment
+    // at its true cut: on a two-slot device (one bisection, memory row
+    // below) a proven-optimal cut equals the best eq. 4 + HBM-pull
+    // objective over all 2^n assignments within the side budgets.
+    MemorySystem hbm;
+    hbm.channels = 8;
+    const ResourceVector total(200000, 400000, 200, 400, 100);
+    const DeviceModel dev("two", /*cols=*/1, /*rows=*/2, /*rowsPerDie=*/1,
+                          total, hbm, /*memoryRow=*/0, 300_MHz);
+    IntraFpgaOptions opt;
+    opt.solver.maxNodes = 1000000;
+    int feasible = 0, bound = 0;
+    for (int seed = 0; seed < 100; ++seed) {
+        Rng rng(900 + seed);
+        const int n = static_cast<int>(rng.uniformInt(2, 12));
+        // Small areas mostly leave the balance budgets slack; areas
+        // summing past one slot make them bind.
+        const double scale = seed % 2 == 0 ? 4000.0 : 120000.0 / n;
+        TaskGraph g("bisect");
+        for (int i = 0; i < n; ++i) {
+            Vertex v;
+            v.name = strprintf("t%d", i);
+            v.area = ResourceVector(rng.uniformReal(100, scale),
+                                    rng.uniformReal(100, 2 * scale),
+                                    rng.uniformReal(0, scale / 1000),
+                                    0, 0);
+            v.work.memChannels =
+                rng.uniformInt(0, 3) == 0
+                    ? static_cast<int>(rng.uniformInt(1, 4))
+                    : 0;
+            g.addVertex(v);
+        }
+        for (int extra = 0; extra < 2 * n; ++extra) {
+            const int a = static_cast<int>(rng.uniformInt(0, n - 1));
+            const int b = static_cast<int>(rng.uniformInt(0, n - 1));
+            if (a != b)
+                g.addEdge(a, b, 32 << rng.uniformInt(0, 4), 1.0e5);
+        }
+
+        // Side budgets: the slot capacity under the threshold, capped
+        // at the side's half of the total plus 10% slack and one unit.
+        ResourceVector cap = dev.slot(0, 0).capacity;
+        cap *= opt.threshold;
+        ResourceVector sum;
+        for (VertexId v = 0; v < n; ++v)
+            sum += g.vertex(v).area;
+        ResourceVector budget;
+        for (int r = 0; r < kNumResourceKinds; ++r) {
+            const auto kind = static_cast<ResourceKind>(r);
+            budget[kind] = std::min(cap[kind], sum[kind] * cap[kind] /
+                                                       (cap[kind] +
+                                                        cap[kind]) +
+                                                   0.10 * cap[kind] + 1.0);
+        }
+        // y_v = 1 puts v in row 1, one step away from the memory row.
+        auto objective = [&](const std::vector<int> &y) {
+            double cost = 0.0;
+            for (const Edge &e : g.edges())
+                cost += e.widthBits * std::abs(y[e.src] - y[e.dst]);
+            for (VertexId v = 0; v < n; ++v)
+                cost += opt.memAttractionWidth *
+                        g.vertex(v).work.memChannels * y[v];
+            return cost;
+        };
+        double best = std::numeric_limits<double>::infinity();
+        double unconstrained = best;
+        std::vector<int> y(n);
+        for (int code = 0; code < (1 << n); ++code) {
+            ResourceVector used[2];
+            for (int v = 0; v < n; ++v) {
+                y[v] = (code >> v) & 1;
+                used[y[v]] += g.vertex(v).area;
+            }
+            const double c = objective(y);
+            unconstrained = std::min(unconstrained, c);
+            if (used[0].fitsWithin(budget) && used[1].fitsWithin(budget))
+                best = std::min(best, c);
+        }
+        if (best == std::numeric_limits<double>::infinity())
+            continue;
+        ++feasible;
+        if (best > unconstrained)
+            ++bound;
+
+        std::vector<VertexId> verts(n);
+        for (int v = 0; v < n; ++v)
+            verts[v] = v;
+        const IntraDeviceResult r = floorplanIntraDevice(g, dev, verts, opt);
+        ASSERT_TRUE(r.allIlpOptimal) << "seed " << seed;
+        for (int v = 0; v < n; ++v)
+            y[v] = r.slotOf[v].row;
+        EXPECT_DOUBLE_EQ(objective(y), best) << "seed " << seed;
+    }
+    EXPECT_GE(feasible, 90);
+    EXPECT_GE(bound, 10);
+    EXPECT_LT(bound, feasible);
+}
+
 TEST(IntraFpga, BalanceSpreadsLargeDesigns)
 {
     // 12 fat unconnected tasks cannot all sit in one slot.

@@ -328,6 +328,14 @@ TEST(Trace, FullFlowCompileEmitsSevenPhasesAndWorkerTracks)
     // Solver spans carry the per-worker search counters.
     EXPECT_NE(json.find("ilp.solve"), std::string::npos);
     EXPECT_NE(json.find("lp_iterations"), std::string::npos);
+    // Each device's bisection span reports its LP effort and the row
+    // count of its largest bisection ILP.
+    const size_t dev = json.find("\"intra.device\"");
+    ASSERT_NE(dev, std::string::npos);
+    const std::string args =
+        json.substr(dev, json.find('}', json.find("\"args\"", dev)) - dev);
+    EXPECT_NE(args.find("\"lp_iterations\":"), std::string::npos) << args;
+    EXPECT_NE(args.find("\"rows\":"), std::string::npos) << args;
     std::remove(path.c_str());
 }
 

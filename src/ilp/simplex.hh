@@ -25,10 +25,11 @@
  * perturbed dual pass that makes no pivot restores the exact costs it
  * saved; both shortcuts yield bit-identical values. A warm solve that
  * exceeds its iteration cap (derived from the model size) is
- * abandoned and re-run cold; those fallbacks are counted. Both ratio tests use Harris' two-pass rule, the dual
- * picks its leaving row by steepest edge, and the tableau is rebuilt
- * from the model rows periodically — and before an infeasibility proof
- * resting on noise-level entries is trusted — so rounding error cannot
+ * abandoned and re-run cold; those fallbacks are counted. Both ratio
+ * tests use Harris' two-pass rule, the dual picks its leaving row by
+ * steepest edge, and the tableau is rebuilt from the model rows
+ * periodically — and before an infeasibility proof resting on
+ * noise-level entries is trusted — so rounding error cannot
  * accumulate across nodes.
  */
 

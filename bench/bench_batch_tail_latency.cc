@@ -1,9 +1,9 @@
 /**
  * @file
- * Tail latency of the admission-controlled batch compile service
- * under an adversarial mix: tight deadlines (0 ms and 50 ms),
- * generous deadlines, no deadlines, and oversized graphs, all drained
- * through one CompileService.
+ * Tail latency of the serving supervisor under an adversarial mix:
+ * tight deadlines (0 ms and 50 ms), generous deadlines, no deadlines,
+ * and oversized graphs, all drained through one serve::Supervisor
+ * whose slot threads execute the requests in-process.
  *
  * Reports p50/p99 request latency per class and overall, plus the
  * degraded/deadline counts. The acceptance bar is the serving
@@ -13,14 +13,13 @@
  * expired request must unwind quickly instead of wedging a worker).
  * Exit is nonzero when any request overstays.
  *
- * With --fleet the same mix runs through the multi-process
- * supervisor (serve/supervisor) instead of the in-process service:
- * one worker process per thread, the same typed-outcome and
+ * With --fleet the same supervisor dispatches to worker processes
+ * instead: one worker process per slot, the same typed-outcome and
  * deadline contract enforced across a process boundary. The worker
  * binary comes from $TAPACS_WORKER_EXE (ctest/CI point it at the
  * built tapacs-serve); without it the bench falls back to the
- * in-process path with a note, so the acceptance gate never depends
- * on environment wiring.
+ * in-process executor with a note, so the acceptance gate never
+ * depends on environment wiring.
  *
  * Usage: bench_batch_tail_latency [--threads N] [--fleet]
  *                                 [--json PATH]
@@ -36,7 +35,6 @@
 #include "bench/bench_util.hh"
 #include "common/table.hh"
 #include "serve/manifest.hh"
-#include "serve/service.hh"
 #include "serve/supervisor.hh"
 
 using namespace tapacs;
@@ -96,7 +94,7 @@ main(int argc, char **argv)
         if (exe == nullptr || *exe == '\0') {
             std::printf("note: --fleet requested but "
                         "TAPACS_WORKER_EXE is unset; running the "
-                        "in-process service instead\n");
+                        "in-process executor instead\n");
             fleet = false;
         }
     }
@@ -117,30 +115,20 @@ main(int argc, char **argv)
                               -1.0));
     }
 
+    serve::FleetOptions fopt;
+    fopt.workers = threads;
+    fopt.inProcess = !fleet;
+    serve::Supervisor supervisor(fopt);
+    const Status started = supervisor.start();
+    if (!started.ok())
+        fatal("supervisor start failed: %s", started.message().c_str());
+    for (const serve::Request &req : mix)
+        if (!supervisor.submit(req).ok())
+            fatal("submission unexpectedly shed");
+    supervisor.drain();
     std::vector<serve::ServeOutcome> outcomes;
-    if (fleet) {
-        serve::FleetOptions fopt;
-        fopt.workers = threads;
-        serve::Supervisor supervisor(fopt);
-        const Status started = supervisor.start();
-        if (!started.ok())
-            fatal("fleet start failed: %s",
-                  started.message().c_str());
-        for (const serve::Request &req : mix)
-            if (!supervisor.submit(req).ok())
-                fatal("submission unexpectedly shed");
-        supervisor.drain();
-        for (serve::FleetOutcome &f : supervisor.finish())
-            outcomes.push_back(std::move(f.outcome));
-    } else {
-        serve::ServeOptions sopt;
-        sopt.threads = threads;
-        serve::CompileService service(sopt);
-        for (const serve::Request &req : mix)
-            if (!service.submit(req).ok())
-                fatal("submission unexpectedly shed");
-        outcomes = service.finish();
-    }
+    for (serve::FleetOutcome &f : supervisor.finish())
+        outcomes.push_back(std::move(f.outcome));
 
     // Bucket latencies by request class (the name prefix).
     const char *classes[] = {"expired", "tight", "big", "open"};
@@ -188,7 +176,7 @@ main(int argc, char **argv)
 
     std::printf("batch tail latency: %zu requests, %d %s\n\n",
                 outcomes.size(), threads,
-                fleet ? "worker process(es)" : "thread(s)");
+                fleet ? "worker process(es)" : "in-process slot(s)");
     std::printf("%s\n", table.render().c_str());
     std::printf("overall p50 %.2f ms  p99 %.2f ms  degraded %d/%zu  "
                 "overstayed %d\n",

@@ -8,7 +8,7 @@
  * for the inter-FPGA solve, one "l2dev" artifact per device. The
  * bundle — a CompileSignature — is attached to the CompileResult and
  * can be saved to a file (`tapacs-compile --state`) or retained
- * in-process (`CompileService`).
+ * in-process by the serving supervisor (`tapacs-serve --in-process`).
  *
  * recompile() seeds those artifacts back into a cache store and runs
  * the ordinary compile flow, so reuse is purely content-addressed:

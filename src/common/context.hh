@@ -4,7 +4,7 @@
  * threaded through every phase of the compile flow.
  *
  * A Context is a cheap value type (one double + one shared_ptr); every
- * copy observes the same cancellation flag, so a watchdog holding one
+ * copy observes the same cancellation flag, so a caller holding one
  * copy can cancel a solve running deep inside the ILP tier holding
  * another. Cancellation is *cooperative*: long-running loops (the
  * branch-and-bound node loop, the simplex pivot loop, the FM
@@ -104,10 +104,9 @@ class Context
     bool done() const { return cancelled() || expired(); }
 
     /** Ok, or the typed reason this context is done. Expiry wins over
-     *  cancellation: the serving watchdog *cancels* expired requests
-     *  (cooperatively — nothing is killed), and those must still read
-     *  as DeadlineExceeded; only a cancel ahead of the deadline is a
-     *  true Cancelled. */
+     *  cancellation: a context that is both expired and cancelled
+     *  reads as DeadlineExceeded; only a cancel ahead of the deadline
+     *  is a true Cancelled. */
     Status status() const;
 
   private:

@@ -17,7 +17,7 @@
  *                     (the design does not fit the cluster).
  *   DeadlineExceeded  the request's deadline expired before a full-
  *                     quality answer was produced.
- *   Cancelled         the caller (or a watchdog) revoked the request.
+ *   Cancelled         the caller revoked the request.
  *   ResourceExhausted the service shed the request (queue full,
  *                     circuit breaker open, retry budget spent).
  *   Internal          an invariant failed; the one code that is the

@@ -88,7 +88,7 @@ struct ReliableTransportConfig
  * The transport's backoff schedule as a pure function: interval to
  * sit out after attempt @p attempt (0-based) fails, i.e.
  * min(backoffBase * 2^attempt, backoffCap), before jitter. Shared
- * with the compile-service retry policy so serving retries follow
+ * with the serving supervisor's backoff so serving retries follow
  * the same bounded-exponential curve as the wire protocol.
  */
 Seconds boundedBackoff(const ReliableTransportConfig &config, int attempt);

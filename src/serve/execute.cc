@@ -130,6 +130,14 @@ resultDigest(const CompileResult &result)
     return crc64(w.take());
 }
 
+Context
+requestContext(const Request &req)
+{
+    return req.deadlineMs < 0.0
+               ? Context()
+               : Context::withTimeout(req.deadlineMs / 1000.0);
+}
+
 ServeOutcome
 executeRequest(const Request &req, const Context &ctx,
                const ExecutePolicy &policy)

@@ -5,16 +5,16 @@
  * executeRequest() is the one function that turns a manifest Request
  * into a typed ServeOutcome: build/parse the task graph, compile (or
  * recompile against a retained base), optionally simulate or sweep
- * the design space, all under the caller's Context. CompileService
- * calls it from its in-process worker threads; the fleet worker
- * (serve/worker) calls the same function from a child process, which
- * is what makes a re-dispatched request bit-identical to an
- * uninterrupted one — both tiers execute literally the same code
- * against the same content-addressed cache.
+ * the design space, all under the caller's Context. The supervisor's
+ * in-process slots (FleetOptions::inProcess) call it from their own
+ * threads; the fleet worker (serve/worker) calls the same function
+ * from a child process, which is what makes a re-dispatched request
+ * bit-identical to an uninterrupted one — both executors run
+ * literally the same code against the same content-addressed cache.
  *
- * ExecutePolicy carries the service-level hooks the core needs
+ * ExecutePolicy carries the serving-level hooks the core needs
  * (cache, warm-start flag, retained-result lookup/store) without
- * coupling it to CompileService; a process with no retention just
+ * coupling it to the supervisor; a process with no retention just
  * leaves the callbacks empty.
  *
  * resultDigest() folds the deterministic fields of a CompileResult —
@@ -33,11 +33,65 @@
 #include <string>
 
 #include "common/context.hh"
+#include "common/status.hh"
+#include "common/units.hh"
 #include "compiler/compiler.hh"
-#include "serve/service.hh"
+#include "serve/manifest.hh"
+
+namespace tapacs::cache
+{
+class CompileCache;
+} // namespace tapacs::cache
 
 namespace tapacs::serve
 {
+
+/** Typed result of one request. */
+struct ServeOutcome
+{
+    std::string name;
+    /** Ok whenever a result was produced — including degraded ones;
+     *  otherwise the typed reason (InvalidInput, Infeasible,
+     *  DeadlineExceeded, Cancelled, ResourceExhausted, Internal). */
+    Status status;
+    bool routable = false;
+    /** A deadline/cancel forced a fallback somewhere in the flow. */
+    bool degraded = false;
+    std::string degradedReason;
+    std::string failureReason;
+    int tasks = 0;
+    /** Executions spent (1 = no retries; 0 = shed without running). */
+    int attempts = 0;
+    /** Wall seconds across all executions, excluding queue wait. */
+    double seconds = 0.0;
+    Hertz fmax = 0.0;
+    double cutTrafficBytes = 0.0;
+    /** simulate=1 and the sim ran to a result (possibly a partial one
+     *  under a deadline/cancel — then status carries the reason). */
+    bool simulated = false;
+    /** Simulated makespan in seconds (partial when !status.ok()). */
+    double simMakespan = 0.0;
+    /** For incremental= requests: the one-line CompileDelta report
+     *  (what carried over from the base). Empty otherwise. */
+    std::string deltaSummary;
+    /** explore=1 and the sweep ran (its spec was valid). */
+    bool explored = false;
+    /** Grid points evaluated (trace length). */
+    int explorePoints = 0;
+    /** Pareto-frontier size; for explore outcomes, routable/fmax
+     *  describe the best-fmax frontier point. */
+    int exploreFrontier = 0;
+    /** Compile-cache hit rate measured across the sweep. */
+    double exploreHitRate = 0.0;
+    /**
+     * CRC64 over the deterministic fields of the produced design
+     * (resultDigest below); 0 until a compile or sweep ran. Two
+     * executions of the same request — in-process, in a fleet
+     * worker, or re-dispatched after a crash — agree on this value
+     * iff they produced bit-identical designs.
+     */
+    std::uint64_t resultDigest = 0;
+};
 
 /** Service-level hooks executeRequest() needs; all optional. */
 struct ExecutePolicy
@@ -54,6 +108,13 @@ struct ExecutePolicy
     std::function<void(const std::string &, const CompileResult &)>
         retain;
 };
+
+/**
+ * The Context one execution of @p req runs under: the request's own
+ * deadline (deadline_ms=; 0 = already expired), or none when it
+ * carries no deadline. Each execution gets a fresh slice.
+ */
+Context requestContext(const Request &req);
 
 /**
  * Execute one attempt of @p req under @p ctx. Total: every failure

@@ -12,8 +12,15 @@ namespace tapacs::serve
 namespace
 {
 
-/** Strict integer parse: the whole token must be a number inside
- *  [lo, hi]; anything else (empty, trailing junk, overflow) fails. */
+bool
+knownWorkload(const std::string &name)
+{
+    return name == "stencil" || name == "pagerank" || name == "knn" ||
+           name == "cnn";
+}
+
+} // namespace
+
 bool
 parseInt(const std::string &text, std::int64_t lo, std::int64_t hi,
          std::int64_t *out)
@@ -31,7 +38,6 @@ parseInt(const std::string &text, std::int64_t lo, std::int64_t hi,
     return true;
 }
 
-/** Strict finite-double parse inside [lo, hi]. */
 bool
 parseDouble(const std::string &text, double lo, double hi, double *out)
 {
@@ -47,15 +53,6 @@ parseDouble(const std::string &text, double lo, double hi, double *out)
     *out = v;
     return true;
 }
-
-bool
-knownWorkload(const std::string &name)
-{
-    return name == "stencil" || name == "pagerank" || name == "knn" ||
-           name == "cnn";
-}
-
-} // namespace
 
 Status
 parseTopologyName(const std::string &name, TopologyKind *out)

@@ -145,6 +145,14 @@ struct ParsedManifest
  */
 ParsedManifest parseManifest(const std::string &text);
 
+/** Strict numeric parses shared with the CLI: the whole of @p text
+ *  must be a number inside [lo, hi]; anything else (empty, trailing
+ *  junk, overflow, NaN) fails and leaves *out untouched. */
+bool parseInt(const std::string &text, std::int64_t lo, std::int64_t hi,
+              std::int64_t *out);
+bool parseDouble(const std::string &text, double lo, double hi,
+                 double *out);
+
 /** Lookup helpers shared with the CLI; Ok + *out on success,
  *  InvalidInput naming the bad value otherwise. */
 Status parseTopologyName(const std::string &name, TopologyKind *out);

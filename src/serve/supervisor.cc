@@ -15,6 +15,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "cache/compile_cache.hh"
+#include "cache/store.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -27,6 +29,10 @@ namespace tapacs::serve
 
 namespace
 {
+
+/** Why a drained request resolved without running. */
+constexpr const char *kDrained =
+    "draining; request deferred to the journal";
 
 obs::MetricsRegistry &
 reg()
@@ -120,15 +126,54 @@ Supervisor::start()
         if (started_)
             return Status::internal("start() called twice");
     }
-    // A worker that dies mid-frame must surface as a typed write
-    // error, not kill the supervisor.
-    std::signal(SIGPIPE, SIG_IGN);
+    if (options_.inProcess) {
+        policy_.cache = &cache::CompileCache::global();
+        if (!options_.cacheDir.empty()) {
+            cache::CacheStore::Options sopt;
+            sopt.directory = options_.cacheDir;
+            store_ = std::make_unique<cache::CacheStore>(std::move(sopt));
+            ownedCache_ = std::make_unique<cache::CompileCache>(*store_);
+            policy_.cache = ownedCache_.get();
+        }
+        policy_.warmStart = options_.warmStart;
+        // Session-scoped base retention: newest last, the oldest
+        // evicted past the cap; a re-run name refreshes in place,
+        // keeping its age. Callers hold retainedMutex_.
+        auto held = [this](const std::string &name) {
+            return std::find_if(
+                retained_.begin(), retained_.end(),
+                [&](const auto &entry) { return entry.first == name; });
+        };
+        policy_.findRetained = [this, held](const std::string &name,
+                                            CompileResult *out) {
+            std::lock_guard<std::mutex> lock(retainedMutex_);
+            const auto it = held(name);
+            if (it != retained_.end())
+                *out = it->second;
+            return it != retained_.end();
+        };
+        policy_.retain = [this, held](const std::string &name,
+                                      const CompileResult &result) {
+            std::lock_guard<std::mutex> lock(retainedMutex_);
+            if (const auto it = held(name); it != retained_.end())
+                it->second = result;
+            else if (options_.retainResults > 0)
+                retained_.emplace_back(name, result);
+            if (retained_.size() >
+                static_cast<std::size_t>(options_.retainResults))
+                retained_.pop_front();
+        };
+    } else {
+        // A worker that dies mid-frame must surface as a typed write
+        // error, not kill the supervisor.
+        std::signal(SIGPIPE, SIG_IGN);
 
-    workerExe_ = resolveWorkerExe(options_.workerExe);
-    if (workerExe_.empty())
-        return Status::invalidInput(
-            "no worker executable: set FleetOptions::workerExe or "
-            "TAPACS_WORKER_EXE");
+        workerExe_ = resolveWorkerExe(options_.workerExe);
+        if (workerExe_.empty())
+            return Status::invalidInput(
+                "no worker executable: set FleetOptions::workerExe or "
+                "TAPACS_WORKER_EXE");
+    }
 
     if (!options_.journalPath.empty()) {
         const Status st = replayJournal();
@@ -172,17 +217,12 @@ Supervisor::replayJournal()
     std::uint64_t maxId = 0;
     for (const RequestJournal::Record &record : scanned.records) {
         maxId = std::max(maxId, record.id);
-        if (record.end) {
-            if (begins.count(record.id) == 0 &&
-                ends.count(record.id) == 0)
-                order.push_back(record.id);
+        if (begins.count(record.id) == 0 && ends.count(record.id) == 0)
+            order.push_back(record.id);
+        if (record.end)
             ends[record.id] = record.payload;
-        } else {
-            if (begins.count(record.id) == 0 &&
-                ends.count(record.id) == 0)
-                order.push_back(record.id);
+        else
             begins.emplace(record.id, record.payload);
-        }
     }
 
     std::vector<RequestJournal::Record> compacted;
@@ -278,6 +318,26 @@ Supervisor::submit(const Request &req)
             return Status::internal("submit() before start()");
         if (closed_)
             return Status::internal("submit() after finish()");
+        if (options_.maxQueue > 0 &&
+            queue_.size() >= static_cast<std::size_t>(options_.maxQueue)) {
+            if (!options_.blockOnFull) {
+                reg().counter("tapacs.serve.rejected").add();
+                return Status::resourceExhausted(
+                    "queue full (%d waiting): request '%s' shed",
+                    options_.maxQueue, one.name.c_str());
+            }
+            // Draining or a dead fleet empties the queue, so the wait
+            // always ends.
+            spaceCv_.wait(lock, [&]() {
+                return closed_ ||
+                       queue_.size() <
+                           static_cast<std::size_t>(options_.maxQueue);
+            });
+            if (closed_)
+                return Status::internal(
+                    "supervisor closed while blocked on a full queue");
+        }
+        reg().counter("tapacs.serve.admitted").add();
         pending.id = nextId_++;
         const std::size_t idx = pending_.size();
         if (journal_.isOpen()) {
@@ -295,36 +355,20 @@ Supervisor::submit(const Request &req)
         fleet.id = pending.id;
         pending_.push_back(std::move(pending));
         outcomes_.push_back(std::move(fleet));
+        queue_.push_back(idx);
         if (draining_) {
-            // Admission is closed: journal the begin (done above) so
-            // the request is deferred to the next run, and resolve it
-            // for this one with the same typed outcome a drained
-            // queue entry gets.
-            ServeOutcome out;
-            out.name = pending_[idx].req.name;
-            out.status = Status::resourceExhausted(
-                "fleet: draining; request deferred to the journal");
-            out.failureReason = out.status.message();
+            // Admission is closed: the begin record above defers the
+            // request to the next run; resolve it for this one like
+            // every drained queue entry.
             reg().counter("tapacs.fleet.drained").add();
-            lock.unlock();
-            recordOutcome(idx, std::move(out), 0, false, false);
-            continue;
-        }
-        if (activeSlots_ == 0) {
+            failQueuedLocked(kDrained);
+        } else if (activeSlots_ == 0) {
             // Every slot is quarantined: nothing will ever drain the
             // queue, so resolve with a typed failure immediately.
-            ServeOutcome out;
-            out.name = pending_[idx].req.name;
-            out.status = Status::resourceExhausted(
-                "fleet: all %d worker slot(s) quarantined",
-                options_.workers);
-            out.failureReason = out.status.message();
-            lock.unlock();
-            recordOutcome(idx, std::move(out), 0, false, true);
-            continue;
+            failQueuedLocked("all worker slots quarantined");
+        } else {
+            queueCv_.notify_one();
         }
-        queue_.push_back(idx);
-        queueCv_.notify_one();
     }
     return Status();
 }
@@ -354,29 +398,11 @@ Supervisor::drain()
 void
 Supervisor::requestDrain()
 {
-    std::vector<std::size_t> toFail;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        draining_ = true;
-        toFail.assign(queue_.begin(), queue_.end());
-        queue_.clear();
-    }
-    queueCv_.notify_all();
-    for (const std::size_t idx : toFail) {
-        ServeOutcome out;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            out.name = pending_[idx].req.name;
-        }
-        out.status = Status::resourceExhausted(
-            "fleet: draining; request deferred to the journal");
-        out.failureReason = out.status.message();
-        reg().counter("tapacs.fleet.drained").add();
-        // journalEnd = false: the begin record survives, so a
-        // restarted supervisor replays this request — deferred, not
-        // dropped.
-        recordOutcome(idx, std::move(out), 0, false, false);
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    draining_ = true;
+    reg().counter("tapacs.fleet.drained")
+        .add(static_cast<std::int64_t>(queue_.size()));
+    failQueuedLocked(kDrained);
 }
 
 int
@@ -387,42 +413,10 @@ Supervisor::quarantinedWorkers() const
 }
 
 void
-Supervisor::recordOutcome(std::size_t idx, ServeOutcome out,
-                          int dispatchAttempts, bool replayed,
-                          bool journalEnd)
-{
-    std::uint64_t id = 0;
-    {
-        // Snapshot the id under the lock: pending_ can be growing
-        // concurrently in submit().
-        std::lock_guard<std::mutex> lock(mutex_);
-        id = pending_[idx].id;
-    }
-    if (journalEnd && journal_.isOpen()) {
-        // End record first: a crash after the append but before the
-        // in-memory completion replays the stored outcome, which is
-        // the same one — still exactly-once.
-        const Status st =
-            journal_.appendEnd(id, encodeOutcome(out));
-        if (!st.ok())
-            warn("fleet: journal end for id %llu failed: %s",
-                 (unsigned long long)id, st.message().c_str());
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (journalEnd)
-        pending_[idx].journaledEnd = true;
-    FleetOutcome &fleet = outcomes_[idx];
-    fleet.id = id;
-    fleet.outcome = std::move(out);
-    fleet.dispatchAttempts = dispatchAttempts;
-    fleet.replayed = replayed;
-    ++completed_;
-    drainCv_.notify_all();
-}
-
-void
 Supervisor::failQueuedLocked(const char *why)
 {
+    // No end record: the begin survives, so a restarted supervisor
+    // replays these requests — deferred, not dropped.
     while (!queue_.empty()) {
         const std::size_t idx = queue_.front();
         queue_.pop_front();
@@ -435,6 +429,7 @@ Supervisor::failQueuedLocked(const char *why)
         ++completed_;
     }
     drainCv_.notify_all();
+    spaceCv_.notify_all();
 }
 
 void
@@ -453,6 +448,7 @@ Supervisor::slotLoop(int slotIndex)
             idx = queue_.front();
             queue_.pop_front();
         }
+        spaceCv_.notify_one();
         processOne(slot, idx);
         if (slot.quarantined) {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -468,15 +464,63 @@ void
 Supervisor::processOne(Slot &slot, std::size_t idx)
 {
     Pending pending;
+    bool shed = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         pending = pending_[idx];
+        if (breakerOpen_) {
+            ++shedSinceOpen_;
+            const int probe = options_.breakerProbeEvery;
+            shed = probe <= 0 || shedSinceOpen_ % probe != 0;
+        }
     }
     obs::TraceSpan span("fleet", "dispatch." + pending.req.name);
     span.arg("slot", static_cast<std::int64_t>(slot.index))
         .arg("attempt",
              static_cast<std::int64_t>(pending.attempts + 1));
 
+    ServeOutcome out;
+    if (shed) {
+        out.name = pending.req.name;
+        out.status = Status::resourceExhausted(
+            "circuit breaker open: request '%s' shed", out.name.c_str());
+        out.failureReason = out.status.message();
+        reg().counter("tapacs.serve.breaker_shed").add();
+    } else {
+        // Retries stay on this slot. A worker failure mid-retry hands
+        // the request back to the queue, which starts it afresh.
+        double seconds = 0.0;
+        for (int attempt = 0;; ++attempt) {
+            if (attempt > 0) {
+                reg().counter("tapacs.serve.retries").add();
+                sleepSeconds(
+                    boundedBackoff(options_.backoff, attempt - 1));
+            }
+            if (options_.inProcess) {
+                out = executeRequest(pending.req,
+                                     requestContext(pending.req), policy_);
+            } else if (!dispatchToWorker(slot, idx, pending, &out)) {
+                span.arg("status", "DISPATCH_FAILED");
+                return;
+            }
+            seconds += out.seconds;
+            out.attempts = attempt + 1;
+            const StatusCode code = out.status.code();
+            if (out.status.ok() || attempt >= options_.maxRetries ||
+                (code != StatusCode::DeadlineExceeded &&
+                 code != StatusCode::Internal))
+                break;
+        }
+        out.seconds = seconds;
+    }
+    span.arg("status", toString(out.status.code()));
+    resolve(idx, std::move(out), pending.attempts + out.attempts);
+}
+
+bool
+Supervisor::dispatchToWorker(Slot &slot, std::size_t idx,
+                             const Pending &pending, ServeOutcome *out)
+{
     const Status spawned = ensureWorker(slot);
     if (!spawned.ok()) {
         // This slot just went dark; give the request back so a
@@ -485,23 +529,16 @@ Supervisor::processOne(Slot &slot, std::size_t idx)
         std::lock_guard<std::mutex> lock(mutex_);
         queue_.push_front(idx);
         queueCv_.notify_one();
-        return;
+        return false;
     }
 
     if (options_.chaos.wireDelaySeconds > 0.0)
         sleepSeconds(options_.chaos.wireDelaySeconds);
 
     reg().counter("tapacs.fleet.dispatches").add();
-    ServeOutcome out;
     Status failure;
-    const bool responded = dispatchOnce(slot, pending, &out, &failure);
-    if (responded) {
-        span.arg("status", toString(out.status.code()));
-        recordOutcome(idx, std::move(out), pending.attempts + 1, false,
-                      true);
-        return;
-    }
-    span.arg("status", "DISPATCH_FAILED");
+    if (dispatchOnce(slot, pending, out, &failure))
+        return true;
 
     bool exhausted = false;
     int attempts = 0;
@@ -519,11 +556,60 @@ Supervisor::processOne(Slot &slot, std::size_t idx)
         ServeOutcome failed;
         failed.name = pending.req.name;
         failed.status = Status::internal(
-            "fleet: %d dispatch attempt(s) failed; last: %s",
-            attempts, failure.message().c_str());
+            "fleet: %d dispatch attempt(s) failed; last: %s", attempts,
+            failure.message().c_str());
         failed.failureReason = failed.status.message();
-        recordOutcome(idx, std::move(failed), attempts, false, true);
+        resolve(idx, std::move(failed), attempts);
     }
+    return false;
+}
+
+void
+Supervisor::resolve(std::size_t idx, ServeOutcome out,
+                    int dispatchAttempts)
+{
+    // A degraded result or a DeadlineExceeded outcome is how an
+    // execution that ran out of deadline reports back.
+    if (out.degraded ||
+        out.status.code() == StatusCode::DeadlineExceeded)
+        reg().counter("tapacs.serve.deadline_exceeded").add();
+    if (out.degraded)
+        reg().counter("tapacs.serve.degraded").add();
+    std::uint64_t id = 0;
+    {
+        // Snapshot the id under the lock: pending_ can be growing
+        // concurrently in submit().
+        std::lock_guard<std::mutex> lock(mutex_);
+        id = pending_[idx].id;
+        if (!out.status.ok()) {
+            ++consecutiveFailures_;
+            if (options_.breakerThreshold > 0 && !breakerOpen_ &&
+                consecutiveFailures_ >= options_.breakerThreshold) {
+                breakerOpen_ = true;
+                shedSinceOpen_ = 0;
+                reg().counter("tapacs.serve.breaker_open").add();
+            }
+        } else {
+            consecutiveFailures_ = 0;
+            breakerOpen_ = false; // success (or probe) closes it
+        }
+    }
+    if (journal_.isOpen()) {
+        // End record first: a crash after the append but before the
+        // in-memory completion replays the stored outcome, which is
+        // the same one — still exactly-once.
+        const Status st = journal_.appendEnd(id, encodeOutcome(out));
+        if (!st.ok())
+            warn("fleet: journal end for id %llu failed: %s",
+                 (unsigned long long)id, st.message().c_str());
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    pending_[idx].journaledEnd = true;
+    FleetOutcome &fleet = outcomes_[idx];
+    fleet.outcome = std::move(out);
+    fleet.dispatchAttempts = dispatchAttempts;
+    ++completed_;
+    drainCv_.notify_all();
 }
 
 Status
@@ -633,7 +719,7 @@ Supervisor::ensureWorker(Slot &slot)
         }
         if (slot.spawns > 0) {
             reg().counter("tapacs.fleet.worker_restarts").add();
-            sleepSeconds(boundedBackoff(options_.restartBackoff,
+            sleepSeconds(boundedBackoff(options_.backoff,
                                         slot.spawns - 1));
         }
         ++slot.spawns;
@@ -792,6 +878,7 @@ Supervisor::finish()
         closed_ = true;
     }
     queueCv_.notify_all();
+    spaceCv_.notify_all(); // wake submitters blocked on a full queue
     for (std::thread &t : threads_)
         t.join();
     threads_.clear();

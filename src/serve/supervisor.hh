@@ -1,12 +1,25 @@
 /**
  * @file
- * The fleet supervisor: crash-tolerant multi-process serving.
+ * The supervisor: the one serving core, with two executors.
  *
- * The supervisor shards admitted requests across N out-of-process
- * workers (serve/worker, spawned from the tapacs-serve binary) over
- * the CRC-checked frame protocol (serve/wire). One slot thread owns
- * each worker; a request is dispatched to a free slot and watched
- * with two independent kill paths:
+ * The supervisor owns the request queue, admission control, retries,
+ * the circuit breaker, the durable journal and the drain; a fixed set
+ * of slot threads takes requests off the queue. Where a slot runs the
+ * request is the one executor choice (FleetOptions::inProcess):
+ *
+ *   in-process        the slot thread calls executeRequest() itself
+ *                     (serve/execute), against one shared compile
+ *                     cache and the session's retained base= results.
+ *   worker process    the slot owns an out-of-process worker
+ *                     (serve/worker, spawned from the tapacs-serve
+ *                     binary) and ships the request over the
+ *                     CRC-checked frame protocol (serve/wire).
+ *
+ * Both executors get the same queue-level contract (bounded queue,
+ * circuit breaker, per-execution deadline slices, bounded retries;
+ * see FleetOptions), the same journal and the same drain.
+ *
+ * A worker process is additionally watched with two kill paths:
  *
  *   heartbeat timeout   the worker went silent (crash, hang, kill
  *                       -9): SIGKILL + restart, re-dispatch.
@@ -17,12 +30,12 @@
  *                       typed degraded outcome; the kill is the
  *                       backstop for a wedged solve.
  *
- * Worker restarts sleep the transport's bounded-backoff curve; a
- * slot that keeps dying past the restart limit is quarantined. A
- * re-dispatched request is safe because compiles are deterministic
- * and idempotent through the content-addressed disk cache: the retry
- * produces a bit-identical result (ServeOutcome::resultDigest), so
- * at-least-once execution still yields exactly-once typed outcomes.
+ * Worker restarts sleep the same backoff curve; a slot that keeps
+ * dying past the restart limit is quarantined. A re-dispatched
+ * request is safe because compiles are deterministic and idempotent
+ * through the content-addressed disk cache: the retry produces a
+ * bit-identical result (ServeOutcome::resultDigest), so at-least-once
+ * execution still yields exactly-once typed outcomes.
  *
  * With a journal path configured, every admission writes a durable
  * begin record and every resolution an end record (serve/journal).
@@ -32,11 +45,14 @@
  * reports none. Corrupt journal records are skipped with a typed
  * diagnostic and counted.
  *
- * Counters: tapacs.fleet.{dispatches,redispatches,worker_spawns,
- * worker_restarts,worker_deaths,heartbeat_timeouts,deadline_kills,
- * wire_crc_errors,quarantined,drained,journal_replayed,
- * journal_resubmitted,journal_corrupt_skipped}; each dispatch runs
- * under a "fleet" trace span.
+ * Counters: tapacs.serve.{admitted,rejected,retries,
+ * deadline_exceeded,degraded,breaker_open,breaker_shed} for the
+ * queue-level contract; tapacs.fleet.{dispatches,redispatches,
+ * worker_spawns,worker_restarts,worker_deaths,heartbeat_timeouts,
+ * deadline_kills,wire_crc_errors,quarantined,drained,
+ * journal_replayed,journal_resubmitted,journal_corrupt_skipped} for
+ * the fleet. Each request a slot takes runs under a "fleet" trace
+ * span.
  */
 
 #ifndef TAPACS_SERVE_SUPERVISOR_HH
@@ -50,36 +66,73 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/types.h>
 
 #include "common/status.hh"
+#include "network/protocols.hh"
 #include "serve/chaos.hh"
+#include "serve/execute.hh"
 #include "serve/journal.hh"
-#include "serve/service.hh"
+#include "serve/manifest.hh"
+
+namespace tapacs::cache
+{
+class CacheStore;
+} // namespace tapacs::cache
 
 namespace tapacs::serve
 {
 
-/** Fleet-wide policy. */
+/** Serving policy, for both executors unless noted. */
 struct FleetOptions
 {
-    /** Worker processes (slots). */
+    /** Slots: concurrent requests in flight (worker processes, or
+     *  threads when inProcess). */
     int workers = 2;
+    /** Run requests on the slot threads themselves (executeRequest)
+     *  instead of in worker processes. */
+    bool inProcess = false;
     /** Worker executable; empty = TAPACS_WORKER_EXE, then
-     *  /proc/self/exe (see resolveWorkerExe). */
+     *  /proc/self/exe (see resolveWorkerExe). Unused in-process. */
     std::string workerExe;
-    /** Shared disk cache directory passed to every worker; empty =
-     *  uncached (re-dispatch then recomputes from scratch — still
-     *  bit-identical, just slower). */
+    /** Shared disk cache directory; empty = uncached workers (a
+     *  re-dispatch then recomputes from scratch — still
+     *  bit-identical, just slower), or the process-wide
+     *  CompileCache::global() in-process. */
     std::string cacheDir;
     /** Durable request journal path; empty = no journal. */
     std::string journalPath;
-    /** Family warm-start hints, forwarded to workers. */
+    /** Family warm-start hints (CompileOptions::cacheWarmStart). */
     bool warmStart = false;
-    /** Deadline for requests that carry none (seconds; < 0 = none). */
+    /** Deadline for requests that carry none (seconds; < 0 = none,
+     *  0 = already expired: the deterministic degraded path). */
     double defaultDeadlineSeconds = -1.0;
+    /** Waiting-queue bound; 0 = unbounded. */
+    int maxQueue = 0;
+    /** With a full queue: true = submit() blocks until space
+     *  (backpressure), false = shed with ResourceExhausted. */
+    bool blockOnFull = false;
+    /** Extra executions after a retryable outcome (DeadlineExceeded /
+     *  Internal). Each gets a fresh deadline slice. */
+    int maxRetries = 0;
+    /** Consecutive failed requests that open the circuit breaker;
+     *  0 disables the breaker. */
+    int breakerThreshold = 0;
+    /** While open, every Nth shed candidate runs anyway as a probe;
+     *  a successful probe closes the breaker. */
+    int breakerProbeEvery = 8;
+    /**
+     * In-process only: keep up to this many completed routable
+     * results, by request name, as `base=` candidates for
+     * incremental= requests (insertion-order eviction past the cap;
+     * 0 disables retention). A pure serving knob — it never reaches a
+     * compile-cache key, so incremental and cold compiles address
+     * the same entries.
+     */
+    int retainResults = 64;
     /** Worker heartbeat emission period. */
     double heartbeatPeriodSeconds = 0.05;
     /** Silence longer than this kills the worker. */
@@ -93,10 +146,17 @@ struct FleetOptions
     int maxDispatchAttempts = 3;
     /** Worker restarts per slot before quarantine. */
     int restartLimit = 4;
-    /** Backoff curve slept before each restart — the transport's
-     *  policy type, jitter zeroed (deterministic recovery). */
-    ReliableTransportConfig restartBackoff =
-        ServeOptions::defaultRetryPolicy();
+    /**
+     * Backoff curve slept before each retry and each worker restart —
+     * the transport's own policy type, so serving retries and wire
+     * retransmissions follow the same bounded-exponential shape
+     * (boundedBackoff). Jitter is zeroed: recovery must be
+     * deterministic.
+     */
+    ReliableTransportConfig backoff{.ackTimeout = 0.0,
+                                    .backoffBase = 5.0e-3,
+                                    .backoffCap = 0.25,
+                                    .backoffJitterFrac = 0.0};
     /** Fault injection (empty plan in production). */
     ChaosPlan chaos;
 };
@@ -107,17 +167,17 @@ struct FleetOutcome
     /** Journal id (stable across supervisor restarts). */
     std::uint64_t id = 0;
     ServeOutcome outcome;
-    /** Dispatches spent (1 = no worker failed under it); 0 for
-     *  outcomes resolved without dispatching (journal replay,
-     *  drain). */
+    /** Executions and dispatches spent (1 = no worker failed under
+     *  it and no retry); 0 for outcomes resolved without running
+     *  (journal replay, drain, shed). */
     int dispatchAttempts = 0;
     /** Resolved from a journal end record, not executed here. */
     bool replayed = false;
 };
 
 /**
- * The fleet. Construct, start() (spawns nothing yet — workers spawn
- * lazily on first dispatch; replays the journal), submit() requests,
+ * The serving core. Construct, start() (spawns nothing yet — workers
+ * spawn lazily on first dispatch; replays the journal), submit() requests,
  * then finish() to collect every outcome in admission order —
  * replayed ids first, then this run's admissions. finish() is
  * terminal; the destructor calls it if the caller did not.
@@ -137,7 +197,9 @@ class Supervisor
     /**
      * Admit a request (expanding Request::repeat into independent
      * copies). Journals a begin record per copy before queueing, so
-     * an admitted request survives a supervisor crash.
+     * an admitted request survives a supervisor crash. A copy that
+     * meets a full queue blocks (blockOnFull) or is shed: no outcome,
+     * no further copies, ResourceExhausted.
      */
     Status submit(const Request &req);
 
@@ -197,9 +259,13 @@ class Supervisor
     };
 
     void slotLoop(int slotIndex);
-    /** Dispatch pending_[idx] once on @p slot; records the outcome
-     *  or requeues. */
+    /** Run pending_[idx] on @p slot (retries included); records the
+     *  outcome or requeues. */
     void processOne(Slot &slot, std::size_t idx);
+    /** One dispatch of pending_[idx] to the slot's worker process.
+     *  False => the request was requeued or failed for good. */
+    bool dispatchToWorker(Slot &slot, std::size_t idx,
+                          const Pending &pending, ServeOutcome *out);
     /** Make sure the slot has a live, Hello'd worker. Not Ok =>
      *  the slot just became quarantined. */
     Status ensureWorker(Slot &slot);
@@ -212,22 +278,29 @@ class Supervisor
      *  has been killed. */
     bool dispatchOnce(Slot &slot, const Pending &pending,
                       ServeOutcome *out, Status *failure);
-    /** The single completion point: journal end (when asked), store
-     *  the outcome, bump completed_. Caller must NOT hold mutex_. */
-    void recordOutcome(std::size_t idx, ServeOutcome out,
-                       int dispatchAttempts, bool replayed,
-                       bool journalEnd);
-    /** Fail everything still queued (all slots quarantined / late
-     *  finish). Caller holds mutex_. */
+    /** The completion point for a request a slot took: count the
+     *  outcome, vote the circuit breaker, journal the end, store the
+     *  outcome, bump completed_. Caller must NOT hold mutex_. */
+    void resolve(std::size_t idx, ServeOutcome out,
+                 int dispatchAttempts);
+    /** Resolve everything still queued with a typed ResourceExhausted
+     *  outcome, deferred to the journal (drain, all slots quarantined,
+     *  late finish). Caller holds mutex_. */
     void failQueuedLocked(const char *why);
     Status replayJournal();
 
     FleetOptions options_;
     std::string workerExe_;
     RequestJournal journal_;
+    /** In-process executor: the cache it compiles against (an owned
+     *  disk tier, or the global one) and the hooks it runs with. */
+    std::unique_ptr<cache::CacheStore> store_;
+    std::unique_ptr<cache::CompileCache> ownedCache_;
+    ExecutePolicy policy_;
 
     mutable std::mutex mutex_;
     std::condition_variable queueCv_;
+    std::condition_variable spaceCv_; ///< submitters: queue has space
     std::condition_variable drainCv_;
     std::deque<std::size_t> queue_; ///< indices into pending_
     std::deque<Pending> pending_;   ///< admission order
@@ -240,6 +313,17 @@ class Supervisor
     bool finished_ = false;
     int activeSlots_ = 0;
     int quarantined_ = 0;
+
+    // Circuit breaker (guarded by mutex_).
+    int consecutiveFailures_ = 0;
+    bool breakerOpen_ = false;
+    std::size_t shedSinceOpen_ = 0;
+
+    // In-process base= retention, oldest first (own mutex: retained
+    // results are read and written mid-execution, while mutex_
+    // guards the queue).
+    std::mutex retainedMutex_;
+    std::deque<std::pair<std::string, CompileResult>> retained_;
 
     std::vector<std::unique_ptr<Slot>> slots_;
     std::vector<std::thread> threads_;

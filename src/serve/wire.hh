@@ -39,7 +39,7 @@
 #include <string>
 
 #include "common/status.hh"
-#include "serve/service.hh"
+#include "serve/execute.hh"
 
 namespace tapacs::serve
 {

@@ -15,7 +15,6 @@
 
 #include "cache/compile_cache.hh"
 #include "cache/store.hh"
-#include "common/context.hh"
 #include "common/logging.hh"
 #include "serve/execute.hh"
 #include "serve/manifest.hh"
@@ -175,15 +174,10 @@ runWorker(const WorkerConfig &config)
                 out.failureReason = out.status.message();
             } else {
                 const Request &req = manifest.requests[0];
-                const Context ctx =
-                    req.deadlineMs < 0.0
-                        ? Context()
-                        : Context::withTimeout(req.deadlineMs /
-                                               1000.0);
                 ExecutePolicy policy;
                 policy.cache = cache.get();
                 policy.warmStart = config.warmStart;
-                out = executeRequest(req, ctx, policy);
+                out = executeRequest(req, requestContext(req), policy);
                 out.attempts = 1;
             }
         }

@@ -5,7 +5,7 @@
  * runWorker() is the whole child process after `tapacs-serve
  * --worker` parses its flags: announce Hello, then loop — read a
  * Request frame, execute it with the same executeRequest() core the
- * in-process service uses, write the Response frame. A background
+ * supervisor's in-process executor calls, write the Response frame. A background
  * thread emits Heartbeat frames on a timer so the supervisor can
  * tell "long compile" from "wedged process" without guessing.
  *

@@ -7,7 +7,9 @@
  * to a typed miss), stale-temp sweeping, and end-to-end supervisor
  * scenarios — worker kill mid-compile, hang detection via heartbeat
  * timeout, quarantine, supervisor restart with journal replay,
- * graceful drain, and serial-vs-4-worker bit-identity.
+ * graceful drain, the circuit breaker across the process boundary,
+ * serial-vs-4-worker bit-identity, and in-process-vs-worker
+ * bit-identity plus journal replay on the in-process executor.
  *
  * The multi-process scenarios spawn $TAPACS_WORKER_EXE (ctest wires
  * it to the built tapacs-serve binary); without it they skip rather
@@ -643,8 +645,8 @@ TEST(Fleet, MissingWorkerBinaryEndsInQuarantineWithTypedOutcomes)
     opt.workers = 2;
     opt.workerExe = dir + "/does-not-exist";
     opt.restartLimit = 1;
-    opt.restartBackoff.backoffBase = 1.0e-4;
-    opt.restartBackoff.backoffCap = 1.0e-3;
+    opt.backoff.backoffBase = 1.0e-4;
+    opt.backoff.backoffCap = 1.0e-3;
     const FleetRun run = runFleet(opt, {kStencil, kPagerank});
     ASSERT_EQ(run.outcomes.size(), 2u);
     for (const serve::FleetOutcome &f : run.outcomes)
@@ -912,6 +914,155 @@ TEST(Fleet, GracefulDrainDefersQueuedRequestsToTheJournal)
             << f.outcome.failureReason;
         EXPECT_NE(f.outcome.resultDigest, 0u);
     }
+}
+
+TEST(Fleet, InProcessAndWorkerDigestsMatch)
+{
+    // execute.hh's contract: both executors run the same code, so the
+    // same request yields the same design wherever it ran.
+    const std::string exe = workerExe();
+    if (exe.empty())
+        GTEST_SKIP() << "TAPACS_WORKER_EXE not set";
+    const std::vector<std::string> lines = {kStencil, kPagerank, kKnn,
+                                            kExplore};
+
+    const std::string inDir = freshDir("fleet_digest_in_process");
+    serve::FleetOptions local;
+    local.workers = 2;
+    local.inProcess = true;
+    local.cacheDir = inDir + "/cache";
+    const FleetRun threads = runFleet(local, lines);
+
+    const std::string outDir = freshDir("fleet_digest_workers");
+    serve::FleetOptions remote;
+    remote.workers = 2;
+    remote.workerExe = exe;
+    remote.cacheDir = outDir + "/cache";
+    const FleetRun processes = runFleet(remote, lines);
+
+    ASSERT_EQ(threads.outcomes.size(), lines.size());
+    ASSERT_EQ(processes.outcomes.size(), lines.size());
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const serve::ServeOutcome &a = threads.outcomes[i].outcome;
+        const serve::ServeOutcome &b = processes.outcomes[i].outcome;
+        EXPECT_TRUE(a.status.ok()) << a.failureReason;
+        EXPECT_TRUE(b.status.ok()) << b.failureReason;
+        EXPECT_NE(a.resultDigest, 0u) << lines[i];
+        EXPECT_EQ(a.resultDigest, b.resultDigest) << lines[i];
+    }
+}
+
+TEST(Fleet, InProcessJournalReplaysExactlyOnce)
+{
+    // The in-process executor inherits the journal unchanged: a
+    // restart resolves completed ids from their end records without
+    // running them, and re-runs ids that only ever began.
+    const std::string dir = freshDir("fleet_in_process_replay");
+    const std::string journalPath = dir + "/journal.bin";
+    serve::FleetOptions opt;
+    opt.workers = 1;
+    opt.inProcess = true;
+    opt.cacheDir = dir + "/cache";
+    opt.journalPath = journalPath;
+
+    const FleetRun first = runFleet(opt, {kStencil});
+    ASSERT_EQ(first.outcomes.size(), 1u);
+    ASSERT_TRUE(first.outcomes[0].outcome.status.ok());
+    const std::uint64_t doneId = first.outcomes[0].id;
+    const std::uint64_t doneDigest =
+        first.outcomes[0].outcome.resultDigest;
+    EXPECT_EQ(serve::RequestJournal::scan(journalPath).records.size(),
+              0u);
+
+    // Recreate the crash state: one resolved id, one begun only.
+    {
+        serve::RequestJournal journal(journalPath);
+        ASSERT_TRUE(journal.open().ok());
+        serve::ServeOutcome done;
+        done.name = "tiny-stencil";
+        done.resultDigest = doneDigest;
+        ASSERT_TRUE(journal
+                        .appendBegin(doneId, serve::renderRequestLine(
+                                                 parseOneRequest(
+                                                     kStencil)))
+                        .ok());
+        ASSERT_TRUE(
+            journal.appendEnd(doneId, serve::encodeOutcome(done)).ok());
+        ASSERT_TRUE(journal
+                        .appendBegin(doneId + 1,
+                                     serve::renderRequestLine(
+                                         parseOneRequest(kPagerank)))
+                        .ok());
+        journal.close();
+    }
+
+    serve::Supervisor supervisor(opt);
+    ASSERT_TRUE(supervisor.start().ok());
+    supervisor.drain();
+    // Before finish() compacts it, the journal holds the re-run's end
+    // record: a crash from here on would replay it, not run it again.
+    std::size_t ends = 0;
+    for (const auto &record :
+         serve::RequestJournal::scan(journalPath).records)
+        ends += record.end && record.id == doneId + 1 ? 1 : 0;
+    EXPECT_EQ(ends, 1u);
+    FleetRun second;
+    second.outcomes = supervisor.finish();
+    ASSERT_EQ(second.outcomes.size(), 2u);
+    const serve::FleetOutcome &replayed = second.outcomes[0];
+    EXPECT_EQ(replayed.id, doneId);
+    EXPECT_TRUE(replayed.replayed);
+    EXPECT_EQ(replayed.dispatchAttempts, 0); // never ran again
+    EXPECT_EQ(replayed.outcome.resultDigest, doneDigest);
+    const serve::FleetOutcome &rerun = second.outcomes[1];
+    EXPECT_EQ(rerun.id, doneId + 1);
+    EXPECT_FALSE(rerun.replayed);
+    EXPECT_EQ(rerun.dispatchAttempts, 1);
+    EXPECT_TRUE(rerun.outcome.status.ok()) << rerun.outcome.failureReason;
+    EXPECT_EQ(rerun.outcome.name, "tiny-pagerank");
+    EXPECT_NE(rerun.outcome.resultDigest, 0u);
+    EXPECT_EQ(serve::RequestJournal::scan(journalPath).records.size(),
+              0u);
+}
+
+TEST(Fleet, BreakerShedsWorkerProcessRequests)
+{
+    // The circuit breaker lives in the core, so it sheds in front of
+    // worker processes too: after two failed requests nothing else is
+    // dispatched.
+    const std::string exe = workerExe();
+    if (exe.empty())
+        GTEST_SKIP() << "TAPACS_WORKER_EXE not set";
+    const std::string dir = freshDir("fleet_breaker");
+    serve::FleetOptions opt;
+    opt.workers = 1; // ordered breaker votes
+    opt.workerExe = exe;
+    opt.cacheDir = dir + "/cache";
+    opt.breakerThreshold = 2;
+    opt.breakerProbeEvery = 100; // no probe within this test
+    std::vector<std::string> lines;
+    for (int i = 0; i < 5; ++i)
+        lines.push_back(strprintf("request bad%d graph=%s/missing.graph "
+                                  "fpgas=2",
+                                  i, dir.c_str()));
+    const std::int64_t dispatchesBefore =
+        counterValue("tapacs.fleet.dispatches");
+    const FleetRun run = runFleet(opt, lines);
+    ASSERT_EQ(run.outcomes.size(), lines.size());
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(run.outcomes[i].outcome.status.code(),
+                  StatusCode::InvalidInput)
+            << run.outcomes[i].outcome.failureReason;
+        EXPECT_EQ(run.outcomes[i].outcome.attempts, 1);
+    }
+    for (std::size_t i = 2; i < lines.size(); ++i) {
+        EXPECT_EQ(run.outcomes[i].outcome.status.code(),
+                  StatusCode::ResourceExhausted)
+            << run.outcomes[i].outcome.failureReason;
+        EXPECT_EQ(run.outcomes[i].outcome.attempts, 0);
+    }
+    EXPECT_EQ(counterValue("tapacs.fleet.dispatches"),
+              dispatchesBefore + 2);
 }
 
 } // namespace

@@ -30,7 +30,7 @@
 #include "compile_identity.hh"
 #include "compiler/compiler.hh"
 #include "network/cluster.hh"
-#include "serve/service.hh"
+#include "serve/supervisor.hh"
 
 namespace tapacs
 {
@@ -329,21 +329,39 @@ TEST(IncrementalFallback, AllDirtyEditDegradesToTypedColdCompile)
     EXPECT_EQ(inc.delta.devicesReused, 0);
 }
 
+/** An in-process serving core with @p workers slot threads. */
+serve::FleetOptions
+inProcess(int workers)
+{
+    serve::FleetOptions opt;
+    opt.inProcess = true;
+    opt.workers = workers;
+    return opt;
+}
+
+std::vector<serve::ServeOutcome>
+finishOutcomes(serve::Supervisor &supervisor)
+{
+    std::vector<serve::ServeOutcome> outcomes;
+    for (serve::FleetOutcome &f : supervisor.finish())
+        outcomes.push_back(std::move(f.outcome));
+    return outcomes;
+}
+
 TEST(IncrementalServe, RetainedBaseFeedsIncrementalRequest)
 {
     // The serving shape of the edit loop: a named request's routable
     // result is retained in-session; a later incremental= request
     // recompiles against it and reports its delta.
-    serve::ServeOptions sopt;
-    sopt.threads = 2;
-    serve::CompileService service(sopt);
+    serve::Supervisor supervisor(inProcess(2));
+    ASSERT_TRUE(supervisor.start().ok());
 
     serve::Request base;
     base.name = "base";
     base.workload = "stencil";
     base.fpgas = 2;
-    ASSERT_TRUE(service.submit(base).ok());
-    service.drain(); // strictly sequential, like --replay
+    ASSERT_TRUE(supervisor.submit(base).ok());
+    supervisor.drain(); // strictly sequential, like --replay
 
     serve::Request edit;
     edit.name = "edit";
@@ -351,9 +369,10 @@ TEST(IncrementalServe, RetainedBaseFeedsIncrementalRequest)
     edit.fpgas = 2;
     edit.incremental = true;
     edit.base = "base";
-    ASSERT_TRUE(service.submit(edit).ok());
+    ASSERT_TRUE(supervisor.submit(edit).ok());
 
-    const std::vector<serve::ServeOutcome> outcomes = service.finish();
+    const std::vector<serve::ServeOutcome> outcomes =
+        finishOutcomes(supervisor);
     ASSERT_EQ(outcomes.size(), 2u);
     const serve::ServeOutcome &b = outcomes[0];
     const serve::ServeOutcome &e = outcomes[1];
@@ -377,15 +396,14 @@ TEST(IncrementalServe, StaleBaseDegradesToTypedColdCompile)
     // base= naming a request that never ran (or was evicted) is the
     // serve-session analogue of a missing state file: typed note,
     // cold compile, same answer.
-    serve::ServeOptions sopt;
-    sopt.threads = 1;
-    serve::CompileService service(sopt);
+    serve::Supervisor supervisor(inProcess(1));
+    ASSERT_TRUE(supervisor.start().ok());
 
     serve::Request cold;
     cold.name = "cold";
     cold.workload = "stencil";
     cold.fpgas = 2;
-    ASSERT_TRUE(service.submit(cold).ok());
+    ASSERT_TRUE(supervisor.submit(cold).ok());
 
     serve::Request orphan;
     orphan.name = "orphan";
@@ -393,9 +411,10 @@ TEST(IncrementalServe, StaleBaseDegradesToTypedColdCompile)
     orphan.fpgas = 2;
     orphan.incremental = true;
     orphan.base = "never-ran";
-    ASSERT_TRUE(service.submit(orphan).ok());
+    ASSERT_TRUE(supervisor.submit(orphan).ok());
 
-    const std::vector<serve::ServeOutcome> outcomes = service.finish();
+    const std::vector<serve::ServeOutcome> outcomes =
+        finishOutcomes(supervisor);
     ASSERT_EQ(outcomes.size(), 2u);
     const serve::ServeOutcome &c = outcomes[0];
     const serve::ServeOutcome &o = outcomes[1];
@@ -414,17 +433,17 @@ TEST(IncrementalServe, RetentionDisabledDegradesEveryIncremental)
     // retainResults=0 turns retention off entirely: even a base that
     // ran successfully is not held, so incremental requests always
     // take the typed cold path — and still produce the same result.
-    serve::ServeOptions sopt;
-    sopt.threads = 1;
-    sopt.retainResults = 0;
-    serve::CompileService service(sopt);
+    serve::FleetOptions opt = inProcess(1);
+    opt.retainResults = 0;
+    serve::Supervisor supervisor(opt);
+    ASSERT_TRUE(supervisor.start().ok());
 
     serve::Request base;
     base.name = "base";
     base.workload = "stencil";
     base.fpgas = 2;
-    ASSERT_TRUE(service.submit(base).ok());
-    service.drain();
+    ASSERT_TRUE(supervisor.submit(base).ok());
+    supervisor.drain();
 
     serve::Request edit;
     edit.name = "edit";
@@ -432,9 +451,10 @@ TEST(IncrementalServe, RetentionDisabledDegradesEveryIncremental)
     edit.fpgas = 2;
     edit.incremental = true;
     edit.base = "base";
-    ASSERT_TRUE(service.submit(edit).ok());
+    ASSERT_TRUE(supervisor.submit(edit).ok());
 
-    const std::vector<serve::ServeOutcome> outcomes = service.finish();
+    const std::vector<serve::ServeOutcome> outcomes =
+        finishOutcomes(supervisor);
     ASSERT_EQ(outcomes.size(), 2u);
     const serve::ServeOutcome &e = outcomes[1];
     ASSERT_TRUE(e.status.ok()) << e.status.message();

@@ -2,14 +2,15 @@
  * @file
  * Robustness suite: the error taxonomy (Status/StatusOr), deadline and
  * cancellation plumbing (Context), degraded-mode compile fallbacks,
- * hardened manifest parsing (including a seeded mutation fuzz), and
- * the admission-controlled CompileService (backpressure, shedding,
- * circuit breaker).
+ * hardened manifest parsing (including a seeded mutation fuzz), the
+ * serving core's queue-level contract on its in-process executor
+ * (backpressure, shedding, circuit breaker, retries), and request
+ * execution itself.
  *
  * Everything here must stay deterministic: deadline-0 contexts are
  * pre-expired so the degraded path is taken on the first poll, the
- * fuzz draws from the repo's seeded Rng, and the service tests run
- * single-worker where ordering matters.
+ * fuzz draws from the repo's seeded Rng, and the serving tests run
+ * a single slot where ordering matters.
  */
 
 #include <gtest/gtest.h>
@@ -29,8 +30,10 @@
 #include "ilp/solver.hh"
 #include "network/cluster.hh"
 #include "network/protocols.hh"
+#include "obs/metrics.hh"
+#include "serve/execute.hh"
 #include "serve/manifest.hh"
-#include "serve/service.hh"
+#include "serve/supervisor.hh"
 
 namespace tapacs
 {
@@ -113,8 +116,8 @@ TEST(Context, CancellableObservesCancelAcrossCopies)
 
 TEST(Context, ExpiryOutranksCancellation)
 {
-    // The serving watchdog *cancels* expired requests; they must still
-    // read as DeadlineExceeded, not Cancelled.
+    // A cancel that lands after the deadline must still read as
+    // DeadlineExceeded, not Cancelled.
     const Context ctx = Context::withTimeout(0.0);
     ctx.cancel();
     EXPECT_TRUE(ctx.cancelled());
@@ -472,7 +475,7 @@ TEST(Robustness, DegradedFallbackIsDeterministicAcrossThreadCounts)
                      results[1].cutTrafficBytes);
 }
 
-// ---- CompileService --------------------------------------------------
+// ---- in-process serving core ----------------------------------------
 
 serve::Request
 quickRequest(const std::string &name)
@@ -485,18 +488,46 @@ quickRequest(const std::string &name)
     return req;
 }
 
-TEST(CompileService, BackpressureAdmitsEverythingEventually)
+serve::FleetOptions
+inProcess(int workers)
 {
-    serve::ServeOptions sopt;
-    sopt.threads = 1;
-    sopt.maxQueue = 1;
-    sopt.blockOnFull = true; // submit() waits instead of shedding
-    serve::CompileService service(sopt);
+    serve::FleetOptions opt;
+    opt.inProcess = true;
+    opt.workers = workers;
+    return opt;
+}
+
+/** finish() the supervisor and keep just the typed outcomes. */
+std::vector<serve::ServeOutcome>
+finishOutcomes(serve::Supervisor &supervisor)
+{
+    std::vector<serve::ServeOutcome> outcomes;
+    for (serve::FleetOutcome &f : supervisor.finish())
+        outcomes.push_back(std::move(f.outcome));
+    return outcomes;
+}
+
+std::int64_t
+counterValue(const std::string &name)
+{
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::global().snapshot();
+    return snap.hasCounter(name) ? snap.counterValue(name) : 0;
+}
+
+TEST(InProcessServe, BackpressureAdmitsEverythingEventually)
+{
+    serve::FleetOptions opt = inProcess(1);
+    opt.maxQueue = 1;
+    opt.blockOnFull = true; // submit() waits instead of shedding
+    serve::Supervisor supervisor(opt);
+    ASSERT_TRUE(supervisor.start().ok());
     constexpr int kRequests = 5;
     for (int i = 0; i < kRequests; ++i)
         EXPECT_TRUE(
-            service.submit(quickRequest("r" + std::to_string(i))).ok());
-    const std::vector<serve::ServeOutcome> outcomes = service.finish();
+            supervisor.submit(quickRequest("r" + std::to_string(i))).ok());
+    const std::vector<serve::ServeOutcome> outcomes =
+        finishOutcomes(supervisor);
     ASSERT_EQ(outcomes.size(), static_cast<std::size_t>(kRequests));
     for (const serve::ServeOutcome &o : outcomes) {
         EXPECT_TRUE(o.status.ok()) << o.failureReason;
@@ -505,19 +536,19 @@ TEST(CompileService, BackpressureAdmitsEverythingEventually)
     }
 }
 
-TEST(CompileService, FullQueueShedsWithResourceExhausted)
+TEST(InProcessServe, FullQueueShedsWithResourceExhausted)
 {
-    serve::ServeOptions sopt;
-    sopt.threads = 1;
-    sopt.maxQueue = 1;
-    sopt.blockOnFull = false;
-    serve::CompileService service(sopt);
+    serve::FleetOptions opt = inProcess(1);
+    opt.maxQueue = 1;
+    opt.blockOnFull = false;
+    serve::Supervisor supervisor(opt);
+    ASSERT_TRUE(supervisor.start().ok());
     int admitted = 0;
     int shed = 0;
     constexpr int kRequests = 16;
     for (int i = 0; i < kRequests; ++i) {
         const Status st =
-            service.submit(quickRequest("r" + std::to_string(i)));
+            supervisor.submit(quickRequest("r" + std::to_string(i)));
         if (st.ok()) {
             ++admitted;
         } else {
@@ -526,33 +557,35 @@ TEST(CompileService, FullQueueShedsWithResourceExhausted)
         }
     }
     EXPECT_EQ(admitted + shed, kRequests);
-    // The single worker compiles in milliseconds while submissions
+    // The single slot compiles in milliseconds while submissions
     // arrive in microseconds; with a queue bound of one, most of the
     // burst must shed.
     EXPECT_GE(shed, 1);
     EXPECT_GE(admitted, 1);
-    const std::vector<serve::ServeOutcome> outcomes = service.finish();
+    const std::vector<serve::ServeOutcome> outcomes =
+        finishOutcomes(supervisor);
     // Every admitted request — and only those — produced an outcome.
     EXPECT_EQ(outcomes.size(), static_cast<std::size_t>(admitted));
     for (const serve::ServeOutcome &o : outcomes)
         EXPECT_TRUE(o.status.ok()) << o.failureReason;
 }
 
-TEST(CompileService, CircuitBreakerShedsAfterConsecutiveFailures)
+TEST(InProcessServe, CircuitBreakerShedsAfterConsecutiveFailures)
 {
-    serve::ServeOptions sopt;
-    sopt.threads = 1; // serial drain: breaker transitions are ordered
-    sopt.breakerThreshold = 2;
-    sopt.breakerProbeEvery = 100; // no probe within this test
-    serve::CompileService service(sopt);
+    serve::FleetOptions opt = inProcess(1); // ordered breaker votes
+    opt.breakerThreshold = 2;
+    opt.breakerProbeEvery = 100; // no probe within this test
+    serve::Supervisor supervisor(opt);
+    ASSERT_TRUE(supervisor.start().ok());
     constexpr int kRequests = 6;
     for (int i = 0; i < kRequests; ++i) {
         serve::Request req;
         req.name = "bad" + std::to_string(i);
         req.graphFile = "/nonexistent/robustness-breaker.graph";
-        ASSERT_TRUE(service.submit(req).ok());
+        ASSERT_TRUE(supervisor.submit(req).ok());
     }
-    const std::vector<serve::ServeOutcome> outcomes = service.finish();
+    const std::vector<serve::ServeOutcome> outcomes =
+        finishOutcomes(supervisor);
     ASSERT_EQ(outcomes.size(), static_cast<std::size_t>(kRequests));
     // First two fail on their own merits and open the breaker; the
     // rest are shed without being attempted.
@@ -568,19 +601,19 @@ TEST(CompileService, CircuitBreakerShedsAfterConsecutiveFailures)
     }
 }
 
-TEST(CompileService, ExpiredDeadlineStillReturnsDegradedResult)
+TEST(InProcessServe, ExpiredDeadlineStillReturnsDegradedResult)
 {
-    serve::ServeOptions sopt;
-    sopt.threads = 2;
-    serve::CompileService service(sopt);
+    serve::Supervisor supervisor(inProcess(2));
+    ASSERT_TRUE(supervisor.start().ok());
     serve::Request tight = quickRequest("tight");
     tight.workload = "stencil";
     tight.fpgas = 4;
     tight.mode = CompileMode::TapaCs;
     tight.deadlineMs = 0.0; // pre-expired: deterministic degraded path
-    ASSERT_TRUE(service.submit(tight).ok());
-    ASSERT_TRUE(service.submit(quickRequest("easy")).ok());
-    const std::vector<serve::ServeOutcome> outcomes = service.finish();
+    ASSERT_TRUE(supervisor.submit(tight).ok());
+    ASSERT_TRUE(supervisor.submit(quickRequest("easy")).ok());
+    const std::vector<serve::ServeOutcome> outcomes =
+        finishOutcomes(supervisor);
     ASSERT_EQ(outcomes.size(), 2u);
     const serve::ServeOutcome &t = outcomes[0];
     EXPECT_TRUE(t.status.ok()) << t.failureReason;
@@ -591,20 +624,20 @@ TEST(CompileService, ExpiredDeadlineStillReturnsDegradedResult)
     EXPECT_FALSE(outcomes[1].degraded);
 }
 
-TEST(CompileService, FinishUnblocksSubmitterBlockedOnFullQueue)
+TEST(InProcessServe, FinishUnblocksSubmitterBlockedOnFullQueue)
 {
-    serve::ServeOptions sopt;
-    sopt.threads = 1;
-    sopt.maxQueue = 1;
-    sopt.blockOnFull = true;
-    serve::CompileService service(sopt);
-    ASSERT_TRUE(service.submit(quickRequest("seed")).ok());
+    serve::FleetOptions opt = inProcess(1);
+    opt.maxQueue = 1;
+    opt.blockOnFull = true;
+    serve::Supervisor supervisor(opt);
+    ASSERT_TRUE(supervisor.start().ok());
+    ASSERT_TRUE(supervisor.submit(quickRequest("seed")).ok());
     std::atomic<int> admitted{1};
     std::atomic<int> closed{0};
     std::thread submitter([&]() {
         for (int i = 0; i < 64; ++i) {
             const Status st =
-                service.submit(quickRequest("r" + std::to_string(i)));
+                supervisor.submit(quickRequest("r" + std::to_string(i)));
             if (st.ok()) {
                 ++admitted;
             } else {
@@ -617,7 +650,8 @@ TEST(CompileService, FinishUnblocksSubmitterBlockedOnFullQueue)
     // finish() must wake it (the test completing at all is the
     // deadlock regression check), and every submit that returned Ok
     // must have a drained outcome — never a default-constructed slot.
-    const std::vector<serve::ServeOutcome> outcomes = service.finish();
+    const std::vector<serve::ServeOutcome> outcomes =
+        finishOutcomes(supervisor);
     submitter.join();
     EXPECT_EQ(admitted.load() + closed.load(), 65);
     ASSERT_EQ(outcomes.size(),
@@ -629,11 +663,52 @@ TEST(CompileService, FinishUnblocksSubmitterBlockedOnFullQueue)
     }
 }
 
-TEST(CompileService, PagerankScaleChangesTheWorkload)
+TEST(InProcessServe, RetriesAreBoundedAndCounted)
 {
-    serve::ServeOptions sopt;
-    sopt.threads = 1;
-    serve::CompileService service(sopt);
+    serve::FleetOptions opt = inProcess(1);
+    opt.maxRetries = 2;
+    opt.backoff.backoffBase = 1.0e-4;
+    opt.backoff.backoffCap = 1.0e-3;
+    serve::Supervisor supervisor(opt);
+    ASSERT_TRUE(supervisor.start().ok());
+    const std::int64_t retriesBefore =
+        counterValue("tapacs.serve.retries");
+    // InvalidInput is not retryable: exactly one attempt.
+    serve::Request bad;
+    bad.name = "invalid";
+    bad.graphFile = "/nonexistent/never.graph";
+    ASSERT_TRUE(supervisor.submit(bad).ok());
+    // A pre-expired simulation ends DeadlineExceeded every time: it
+    // spends the whole retry budget and keeps its typed reason.
+    serve::Request expired = quickRequest("sim-expired");
+    expired.fpgas = 4;
+    expired.mode = CompileMode::TapaCs;
+    expired.simulate = true;
+    expired.deadlineMs = 0.0;
+    ASSERT_TRUE(supervisor.submit(expired).ok());
+    const std::vector<serve::ServeOutcome> outcomes =
+        finishOutcomes(supervisor);
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_EQ(outcomes[0].status.code(), StatusCode::InvalidInput);
+    EXPECT_EQ(outcomes[0].attempts, 1);
+    EXPECT_EQ(outcomes[1].status.code(), StatusCode::DeadlineExceeded)
+        << outcomes[1].failureReason;
+    EXPECT_EQ(outcomes[1].attempts, 3);
+    EXPECT_EQ(counterValue("tapacs.serve.retries"), retriesBefore + 2);
+}
+
+// ---- request execution ----------------------------------------------
+
+/** One uncached execution under the request's own deadline. */
+serve::ServeOutcome
+execute(const serve::Request &req)
+{
+    return serve::executeRequest(req, serve::requestContext(req),
+                                 serve::ExecutePolicy());
+}
+
+TEST(ExecuteRequest, PagerankScaleChangesTheWorkload)
+{
     serve::Request base;
     base.name = "pr-default";
     base.workload = "pagerank";
@@ -643,33 +718,25 @@ TEST(CompileService, PagerankScaleChangesTheWorkload)
     serve::Request scaled = base;
     scaled.name = "pr-scaled";
     scaled.scale = 100'000; // synthetic 100k-node dataset
-    ASSERT_TRUE(service.submit(base).ok());
-    ASSERT_TRUE(service.submit(scaled).ok());
-    const std::vector<serve::ServeOutcome> outcomes = service.finish();
-    ASSERT_EQ(outcomes.size(), 2u);
-    for (const serve::ServeOutcome &o : outcomes) {
-        EXPECT_TRUE(o.status.ok()) << o.failureReason;
-        EXPECT_TRUE(o.routable);
+    const serve::ServeOutcome a = execute(base);
+    const serve::ServeOutcome b = execute(scaled);
+    for (const serve::ServeOutcome *o : {&a, &b}) {
+        EXPECT_TRUE(o->status.ok()) << o->failureReason;
+        EXPECT_TRUE(o->routable);
     }
     // The synthetic dataset is far smaller than the Table 5 default,
     // so the edge-stream traffic over the cut must differ.
-    EXPECT_NE(outcomes[0].cutTrafficBytes, outcomes[1].cutTrafficBytes);
+    EXPECT_NE(a.cutTrafficBytes, b.cutTrafficBytes);
 }
 
-TEST(CompileService, ExploreRequestSweepsAndReportsTheFrontier)
+TEST(ExecuteRequest, ExploreRequestSweepsAndReportsTheFrontier)
 {
-    serve::ServeOptions sopt;
-    sopt.threads = 1;
-    serve::CompileService service(sopt);
     const serve::ParsedManifest m = serve::parseManifest(
         "request sweep workload=stencil fpgas=4 explore=1 "
         "t=0.6,0.7 depth=1,2\n");
     ASSERT_TRUE(m.clean());
     ASSERT_EQ(m.requests.size(), 1u);
-    ASSERT_TRUE(service.submit(m.requests[0]).ok());
-    const std::vector<serve::ServeOutcome> outcomes = service.finish();
-    ASSERT_EQ(outcomes.size(), 1u);
-    const serve::ServeOutcome &o = outcomes[0];
+    const serve::ServeOutcome o = execute(m.requests[0]);
     EXPECT_TRUE(o.status.ok()) << o.failureReason;
     EXPECT_TRUE(o.explored);
     EXPECT_EQ(o.explorePoints, 4);
@@ -681,39 +748,27 @@ TEST(CompileService, ExploreRequestSweepsAndReportsTheFrontier)
     EXPECT_GT(o.tasks, 0);
 }
 
-TEST(CompileService, SimulatedRequestReportsMakespan)
+TEST(ExecuteRequest, SimulatedRequestReportsMakespan)
 {
-    serve::ServeOptions sopt;
-    sopt.threads = 1;
-    serve::CompileService service(sopt);
     serve::Request req = quickRequest("sim");
     req.fpgas = 4;
     req.mode = CompileMode::TapaCs;
     req.simulate = true;
-    ASSERT_TRUE(service.submit(req).ok());
-    const std::vector<serve::ServeOutcome> outcomes = service.finish();
-    ASSERT_EQ(outcomes.size(), 1u);
-    const serve::ServeOutcome &o = outcomes[0];
+    const serve::ServeOutcome o = execute(req);
     EXPECT_TRUE(o.status.ok()) << o.failureReason;
     EXPECT_TRUE(o.routable);
     EXPECT_TRUE(o.simulated);
     EXPECT_GT(o.simMakespan, 0.0);
 }
 
-TEST(CompileService, ExpiredDeadlineOnSimulatedRequestIsTyped)
+TEST(ExecuteRequest, ExpiredDeadlineOnSimulatedRequestIsTyped)
 {
-    serve::ServeOptions sopt;
-    sopt.threads = 1;
-    serve::CompileService service(sopt);
     serve::Request req = quickRequest("sim-expired");
     req.fpgas = 4;
     req.mode = CompileMode::TapaCs;
     req.simulate = true;
     req.deadlineMs = 0.0; // pre-expired: deterministic abort path
-    ASSERT_TRUE(service.submit(req).ok());
-    const std::vector<serve::ServeOutcome> outcomes = service.finish();
-    ASSERT_EQ(outcomes.size(), 1u);
-    const serve::ServeOutcome &o = outcomes[0];
+    const serve::ServeOutcome o = execute(req);
     // The compile tier degrades and still routes; the simulation then
     // observes the expired context on its first poll and reports the
     // typed reason with whatever partial stats it gathered.
@@ -721,25 +776,6 @@ TEST(CompileService, ExpiredDeadlineOnSimulatedRequestIsTyped)
     EXPECT_TRUE(o.simulated);
     EXPECT_EQ(o.status.code(), StatusCode::DeadlineExceeded)
         << o.failureReason;
-}
-
-TEST(CompileService, RetriesAreBoundedAndCounted)
-{
-    serve::ServeOptions sopt;
-    sopt.threads = 1;
-    sopt.maxRetries = 2;
-    sopt.retryPolicy.backoffBase = 1.0e-4;
-    sopt.retryPolicy.backoffCap = 1.0e-3;
-    serve::CompileService service(sopt);
-    // InvalidInput is not retryable: exactly one attempt.
-    serve::Request bad;
-    bad.name = "invalid";
-    bad.graphFile = "/nonexistent/never.graph";
-    ASSERT_TRUE(service.submit(bad).ok());
-    const std::vector<serve::ServeOutcome> outcomes = service.finish();
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_EQ(outcomes[0].status.code(), StatusCode::InvalidInput);
-    EXPECT_EQ(outcomes[0].attempts, 1);
 }
 
 } // namespace

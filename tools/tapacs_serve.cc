@@ -1,33 +1,46 @@
 /**
  * @file
- * tapacs-serve — the crash-tolerant multi-process serving fleet.
+ * tapacs-serve — the serving front end: a manifest of compile requests
+ * through the supervisor (serve/supervisor), one typed outcome each.
  *
- * Supervisor mode (the default) reads a manifest of compile requests
- * and shards them across N out-of-process workers (serve/supervisor):
- * a worker crash, hang, or deadline overrun is detected, the worker
- * is restarted (bounded backoff, quarantine past the restart limit)
- * and the request re-dispatched — deterministic compiles plus the
+ * By default every request runs in an out-of-process worker: a worker
+ * crash, hang, or deadline overrun is detected, the worker is
+ * restarted (bounded backoff, quarantine past the restart limit) and
+ * the request re-dispatched — deterministic compiles plus the
  * content-addressed disk cache make the retry bit-identical, so
  * at-least-once execution still yields exactly-once typed outcomes.
+ * With --in-process the supervisor's slot threads run the requests
+ * themselves, against one shared compile cache (the --cache-dir disk
+ * tier, else the process-wide one), and hold the session's completed
+ * results as base= candidates for incremental= requests.
  *
- * With --journal, every admission is durable before it can execute: a
- * killed supervisor restarted on the same journal replays completed
- * requests from their stored outcomes and re-runs incomplete ones.
- * Run with a journal and no manifest to drain a previous run's
- * leftovers.
+ * Both executors share the queue-level contract: a bounded queue that
+ * sheds or blocks, bounded retries of DEADLINE_EXCEEDED/INTERNAL
+ * outcomes, a circuit breaker, per-request deadlines that degrade
+ * instead of failing, and the journal. With --journal, every
+ * admission is durable before it can execute: a killed supervisor
+ * restarted on the same journal replays completed requests from their
+ * stored outcomes and re-runs incomplete ones. Run with a journal and
+ * no manifest to drain a previous run's leftovers.
  *
- * SIGTERM/SIGINT drain gracefully: admission stops, in-flight
- * requests finish, queued ones resolve with a typed "deferred"
- * outcome but keep their journal begin records for the next run.
+ * SIGTERM/SIGINT drain gracefully: in-flight requests finish, queued
+ * and not-yet-admitted ones resolve with a typed RESOURCE_EXHAUSTED
+ * "deferred" outcome but keep their journal begin records for the
+ * next run.
  *
  * Usage:
- *   tapacs-serve [MANIFEST] [--workers N] [--cache-dir DIR]
- *                [--journal PATH] [--worker-exe PATH] [--repeat N]
- *                [--deadline-ms N] [--warm-start]
+ *   tapacs-serve [MANIFEST] [--in-process] [--workers N]
+ *                [--cache-dir DIR] [--journal PATH] [--worker-exe PATH]
+ *                [--repeat N] [--deadline-ms N] [--warm-start]
+ *                [--max-queue N] [--block-on-full] [--retries N]
+ *                [--breaker-threshold N] [--replay] [--retain N]
  *                [--heartbeat-timeout-ms N] [--restart-limit N]
  *                [--dispatch-attempts N] [--chaos-seed N] [--strict]
  *
- *   --workers N             worker processes (default 2)
+ *   --in-process            run requests on the supervisor's own
+ *                           threads instead of worker processes
+ *   --workers N             slots: worker processes, or threads with
+ *                           --in-process (default 2)
  *   --cache-dir D           shared disk cache (retries reuse every
  *                           artifact a dead worker published)
  *   --journal P             durable request journal (crash recovery)
@@ -35,8 +48,28 @@
  *                           TAPACS_WORKER_EXE / /proc/self/exe)
  *   --repeat N              global multiplier on every request
  *   --deadline-ms N         default deadline for requests without
- *                           their own deadline_ms= (negative = none)
- *   --warm-start            family warm-start hints in the workers
+ *                           their own deadline_ms=; 0 = already
+ *                           expired (deterministic degraded path),
+ *                           negative = none (the default)
+ *   --warm-start            family warm-start hints (see
+ *                           CompileOptions::cacheWarmStart; changes
+ *                           results on near-miss requests)
+ *   --max-queue N           waiting-queue bound; submissions beyond it
+ *                           are shed with RESOURCE_EXHAUSTED (0 =
+ *                           unbounded, the default)
+ *   --block-on-full         block submission instead of shedding
+ *                           (backpressure)
+ *   --retries N             extra executions after DEADLINE_EXCEEDED /
+ *                           INTERNAL, with bounded exponential backoff
+ *   --breaker-threshold N   consecutive failures that open the circuit
+ *                           breaker (0 = disabled)
+ *   --replay                edit-trace replay: wait for every outcome
+ *                           before the next submission, so each
+ *                           incremental=1 base=NAME request finds its
+ *                           base already retained (--in-process)
+ *   --retain N              keep up to N completed routable results as
+ *                           base= candidates (default 64; 0 = none,
+ *                           every incremental request compiles cold)
  *   --heartbeat-timeout-ms  silence budget before a worker is
  *                           declared dead (default 1000)
  *   --restart-limit N       worker restarts per slot before
@@ -44,10 +77,14 @@
  *   --dispatch-attempts N   dispatches per request before a typed
  *                           failure (default 3)
  *   --chaos-seed N          seeded fault-injection plan over the
- *                           whole fleet (tests/CI only)
- *   --strict                exit 1 if any request's typed outcome is
- *                           a failure (default: exit 0 whenever every
+ *                           worker processes (tests/CI only)
+ *   --strict                exit 1 if any manifest line was malformed
+ *                           or any request's typed outcome is a
+ *                           failure (default: exit 0 whenever every
  *                           request resolved exactly once)
+ *
+ * A numeric flag whose value does not parse completely or falls
+ * outside its range exits 2.
  *
  * Worker mode (internal; spawned by the supervisor):
  *   tapacs-serve --worker [--heartbeat-ms=N] [--cache-dir=D]
@@ -62,6 +99,7 @@
 #include <cstring>
 #include <chrono>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -88,22 +126,16 @@ onSignal(int)
     gDrainRequested = 1;
 }
 
+/** The flags: most land straight in the supervisor's options, so
+ *  their defaults are FleetOptions' own. */
 struct CliOptions
 {
     std::string manifest;
-    int workers = 2;
-    std::string cacheDir;
-    std::string journalPath;
-    std::string workerExe;
     int repeat = 1;
-    double deadlineMs = -1.0;
-    bool warmStart = false;
-    double heartbeatTimeoutMs = 1000.0;
-    int restartLimit = 4;
-    int dispatchAttempts = 3;
-    bool haveChaosSeed = false;
-    std::uint64_t chaosSeed = 0;
+    bool replay = false;
+    std::optional<std::uint64_t> chaosSeed;
     bool strict = false;
+    serve::FleetOptions fleet;
 };
 
 [[noreturn]] void
@@ -111,14 +143,50 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: tapacs-serve [MANIFEST] [--workers N] "
+        "usage: tapacs-serve [MANIFEST] [--in-process] [--workers N] "
         "[--cache-dir DIR] [--journal PATH] [--worker-exe PATH] "
         "[--repeat N] [--deadline-ms N] [--warm-start] "
+        "[--max-queue N] [--block-on-full] [--retries N] "
+        "[--breaker-threshold N] [--replay] [--retain N] "
         "[--heartbeat-timeout-ms N] [--restart-limit N] "
         "[--dispatch-attempts N] [--chaos-seed N] [--strict]\n"
         "       tapacs-serve --worker [--heartbeat-ms=N] "
         "[--cache-dir=D] [--warm-start=0|1] [--fault=SPEC]\n");
     std::exit(2);
+}
+
+/** Parse all of @p text as a number in [lo, hi] (serve::parseDouble:
+ *  no trailing junk, no overflow), or exit 2 naming the flag. */
+double
+realFlag(const std::string &flag, const std::string &text, double lo,
+         double hi)
+{
+    double v = 0.0;
+    if (!serve::parseDouble(text, lo, hi, &v)) {
+        std::fprintf(stderr,
+                     "tapacs-serve: %s '%s' is not a number in "
+                     "[%g, %g]\n",
+                     flag.c_str(), text.c_str(), lo, hi);
+        std::exit(2);
+    }
+    return v;
+}
+
+/** The integer counterpart of realFlag (serve::parseInt). */
+std::int64_t
+intFlag(const std::string &flag, const std::string &text,
+        std::int64_t lo, std::int64_t hi)
+{
+    std::int64_t v = 0;
+    if (!serve::parseInt(text, lo, hi, &v)) {
+        std::fprintf(stderr,
+                     "tapacs-serve: %s '%s' is not an integer in "
+                     "[%lld, %lld]\n",
+                     flag.c_str(), text.c_str(), (long long)lo,
+                     (long long)hi);
+        std::exit(2);
+    }
+    return v;
 }
 
 /** Internal --worker mode: flags are `--key=value` (the supervisor
@@ -140,9 +208,8 @@ workerMain(int argc, char **argv)
         const std::string key = arg.substr(0, eq);
         const std::string value = arg.substr(eq + 1);
         if (key == "--heartbeat-ms") {
-            const double ms = std::atof(value.c_str());
-            if (ms > 0.0)
-                config.heartbeatPeriodSeconds = ms / 1000.0;
+            config.heartbeatPeriodSeconds =
+                realFlag(key, value, 1.0e-3, 3.6e6) / 1000.0;
         } else if (key == "--cache-dir") {
             config.cacheDir = value;
         } else if (key == "--warm-start") {
@@ -166,6 +233,7 @@ CliOptions
 parseArgs(int argc, char **argv)
 {
     CliOptions opt;
+    serve::FleetOptions &fleet = opt.fleet;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
@@ -173,30 +241,50 @@ parseArgs(int argc, char **argv)
                 usage();
             return argv[i];
         };
-        if (arg == "--workers")
-            opt.workers = std::atoi(next().c_str());
+        auto count = [&](std::int64_t lo, std::int64_t hi) {
+            return static_cast<int>(intFlag(arg, next(), lo, hi));
+        };
+        if (arg == "--in-process")
+            fleet.inProcess = true;
+        else if (arg == "--workers")
+            fleet.workers = count(1, 64);
         else if (arg == "--cache-dir")
-            opt.cacheDir = next();
+            fleet.cacheDir = next();
         else if (arg == "--journal")
-            opt.journalPath = next();
+            fleet.journalPath = next();
         else if (arg == "--worker-exe")
-            opt.workerExe = next();
+            fleet.workerExe = next();
         else if (arg == "--repeat")
-            opt.repeat = std::atoi(next().c_str());
-        else if (arg == "--deadline-ms")
-            opt.deadlineMs = std::atof(next().c_str());
-        else if (arg == "--warm-start")
-            opt.warmStart = true;
+            // Mirrors the manifest's per-request repeat cap, so the
+            // combined repeat (64-bit below) can never overflow.
+            opt.repeat = count(1, 10'000);
+        else if (arg == "--deadline-ms") {
+            const double ms = realFlag(arg, next(), -1.0e9, 1.0e9);
+            fleet.defaultDeadlineSeconds = ms < 0.0 ? -1.0 : ms / 1000.0;
+        } else if (arg == "--warm-start")
+            fleet.warmStart = true;
+        else if (arg == "--max-queue")
+            fleet.maxQueue = count(0, 1'000'000);
+        else if (arg == "--block-on-full")
+            fleet.blockOnFull = true;
+        else if (arg == "--retries")
+            fleet.maxRetries = count(0, 100);
+        else if (arg == "--breaker-threshold")
+            fleet.breakerThreshold = count(0, 1'000'000);
+        else if (arg == "--replay")
+            opt.replay = true;
+        else if (arg == "--retain")
+            fleet.retainResults = count(0, 1'000'000);
         else if (arg == "--heartbeat-timeout-ms")
-            opt.heartbeatTimeoutMs = std::atof(next().c_str());
+            fleet.heartbeatTimeoutSeconds =
+                realFlag(arg, next(), 1.0, 3.6e6) / 1000.0;
         else if (arg == "--restart-limit")
-            opt.restartLimit = std::atoi(next().c_str());
+            fleet.restartLimit = count(0, 1000);
         else if (arg == "--dispatch-attempts")
-            opt.dispatchAttempts = std::atoi(next().c_str());
-        else if (arg == "--chaos-seed") {
-            opt.haveChaosSeed = true;
-            opt.chaosSeed = std::strtoull(next().c_str(), nullptr, 10);
-        } else if (arg == "--strict")
+            fleet.maxDispatchAttempts = count(1, 1000);
+        else if (arg == "--chaos-seed")
+            opt.chaosSeed = intFlag(arg, next(), 0, INT64_MAX);
+        else if (arg == "--strict")
             opt.strict = true;
         else if (arg == "--help" || arg == "-h")
             usage();
@@ -208,28 +296,56 @@ parseArgs(int argc, char **argv)
         else
             usage();
     }
-    if (opt.manifest.empty() && opt.journalPath.empty()) {
+    if (opt.manifest.empty() && fleet.journalPath.empty()) {
         std::fprintf(stderr, "need a MANIFEST, a --journal with "
                              "leftovers to replay, or both\n");
         usage();
     }
-    if (opt.workers < 1 || opt.workers > 64) {
-        std::fprintf(stderr, "--workers must be in [1, 64]\n");
-        std::exit(2);
-    }
-    if (opt.repeat < 1 || opt.repeat > 10'000) {
-        std::fprintf(stderr, "--repeat must be in [1, 10000]\n");
+    if (fleet.inProcess && opt.chaosSeed) {
+        std::fprintf(stderr, "--chaos-seed faults worker processes; "
+                             "--in-process has none\n");
         std::exit(2);
     }
     return opt;
 }
 
-const char *
-outcomeLabel(const serve::ServeOutcome &o)
+/** One table row plus its reason/delta/explore/note lines; id 0 is a
+ *  shed submission, never admitted and so never journaled. */
+void
+printRow(const serve::FleetOutcome &f)
 {
-    if (o.status.ok())
-        return o.degraded ? "degraded" : "ok";
-    return toString(o.status.code());
+    const serve::ServeOutcome &o = f.outcome;
+    const char *label = !o.status.ok() ? toString(o.status.code())
+                        : o.degraded   ? "degraded"
+                                       : "ok";
+    std::printf(
+        "%-6s %-20s %-18s %4d %2s %6d %9.3f %12s %14s %12s %016llx\n",
+        f.id == 0 ? "-" : std::to_string(f.id).c_str(),
+        o.name.empty() ? "-" : o.name.c_str(), label,
+        f.dispatchAttempts, f.replayed ? "R" : "-", o.tasks,
+        o.seconds, o.routable ? formatFrequency(o.fmax).c_str() : "-",
+        o.routable ? formatBytes(o.cutTrafficBytes).c_str() : "-",
+        o.simulated ? formatSeconds(o.simMakespan).c_str() : "-",
+        (unsigned long long)o.resultDigest);
+    if (!o.failureReason.empty())
+        std::printf("  reason: %s\n", o.failureReason.c_str());
+    if (!o.deltaSummary.empty())
+        std::printf("  delta: %s\n", o.deltaSummary.c_str());
+    if (o.explored)
+        std::printf("  explore: %d point(s), %d on the frontier, "
+                    "cache hit rate %.1f%%\n",
+                    o.explorePoints, o.exploreFrontier,
+                    100.0 * o.exploreHitRate);
+    if (o.degradedReason.find("incremental:") != std::string::npos)
+        std::printf("  note:  %s\n", o.degradedReason.c_str());
+}
+
+void
+printMetrics(const obs::MetricsSnapshot &snap, const char *prefix)
+{
+    const obs::MetricsSnapshot part = snap.filterPrefix(prefix);
+    if (!part.counters.empty() || !part.gauges.empty())
+        std::printf("\n%s", part.renderTable().c_str());
 }
 
 } // namespace
@@ -241,7 +357,8 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--worker") == 0)
             return workerMain(argc, argv);
 
-    const CliOptions opt = parseArgs(argc, argv);
+    CliOptions opt = parseArgs(argc, argv);
+    serve::FleetOptions &fleet = opt.fleet;
 
     serve::ParsedManifest manifest;
     if (!opt.manifest.empty()) {
@@ -257,7 +374,7 @@ main(int argc, char **argv)
         for (const serve::ManifestDiagnostic &d : manifest.diagnostics)
             std::fprintf(stderr, "%s:%d: %s\n", opt.manifest.c_str(),
                          d.line, d.message.c_str());
-        if (manifest.requests.empty() && opt.journalPath.empty()) {
+        if (manifest.requests.empty() && fleet.journalPath.empty()) {
             std::fprintf(stderr,
                          "manifest '%s' contains no usable requests\n",
                          opt.manifest.c_str());
@@ -265,31 +382,19 @@ main(int argc, char **argv)
         }
     }
 
-    serve::FleetOptions fleet;
-    fleet.workers = opt.workers;
-    fleet.workerExe = opt.workerExe;
-    fleet.cacheDir = opt.cacheDir;
-    fleet.journalPath = opt.journalPath;
-    fleet.warmStart = opt.warmStart;
-    fleet.defaultDeadlineSeconds =
-        opt.deadlineMs < 0.0 ? -1.0 : opt.deadlineMs / 1000.0;
-    fleet.heartbeatTimeoutSeconds = opt.heartbeatTimeoutMs / 1000.0;
-    fleet.restartLimit = opt.restartLimit;
-    fleet.maxDispatchAttempts = opt.dispatchAttempts;
-
     std::int64_t executions = 0;
     for (const serve::Request &req : manifest.requests)
         executions += static_cast<std::int64_t>(req.repeat) * opt.repeat;
-    if (opt.haveChaosSeed) {
+    if (opt.chaosSeed) {
         fleet.chaos = serve::randomPlan(
-            opt.chaosSeed, opt.workers,
+            *opt.chaosSeed, fleet.workers,
             static_cast<int>(std::max<std::int64_t>(executions, 1)));
         inform("tapacs-serve: chaos seed %llu armed",
-               (unsigned long long)opt.chaosSeed);
+               (unsigned long long)*opt.chaosSeed);
     }
 
     // Graceful drain on SIGTERM/SIGINT: the handler only sets a flag;
-    // the wait loop below turns it into requestDrain().
+    // the submit and wait loops below turn it into requestDrain().
     struct sigaction action;
     std::memset(&action, 0, sizeof(action));
     action.sa_handler = onSignal;
@@ -307,72 +412,97 @@ main(int argc, char **argv)
     }
 
     inform("tapacs-serve: %zu replayed/resubmitted from journal, "
-           "%lld manifest execution(s), %d worker(s)",
-           supervisor.admitted(), (long long)executions, opt.workers);
+           "%lld manifest execution(s), %d %s",
+           supervisor.admitted(), (long long)executions, fleet.workers,
+           fleet.inProcess ? "in-process slot(s)" : "worker(s)");
 
-    for (const serve::Request &req : manifest.requests) {
-        if (gDrainRequested)
-            break; // stop admitting; already-journaled work continues
-        serve::Request expanded = req;
-        expanded.repeat = req.repeat * opt.repeat;
-        st = supervisor.submit(expanded);
-        if (!st.ok()) {
-            std::fprintf(stderr, "tapacs-serve: submit '%s': %s\n",
-                         req.name.c_str(), st.message().c_str());
-            return 2;
-        }
-    }
-
-    // Interruptible drain: block in small slices so a signal turns
-    // into a drain request promptly.
     bool drained = false;
-    while (supervisor.completedCount() < supervisor.admitted()) {
+    auto drainOnSignal = [&]() {
         if (gDrainRequested && !drained) {
             inform("tapacs-serve: draining (signal); queued requests "
                    "defer to the journal");
             supervisor.requestDrain();
             drained = true;
         }
+    };
+    // Copies are submitted one by one so a shed copy gets its own
+    // typed row. After a drain request every submission resolves at
+    // once as deferred, journaled for the next run.
+    std::vector<serve::FleetOutcome> shed;
+    for (const serve::Request &req : manifest.requests) {
+        serve::Request one = req;
+        one.repeat = 1;
+        const std::int64_t copies =
+            static_cast<std::int64_t>(req.repeat) * opt.repeat;
+        for (std::int64_t c = 0; c < copies; ++c) {
+            drainOnSignal();
+            st = supervisor.submit(one);
+            if (st.code() == StatusCode::ResourceExhausted) {
+                shed.emplace_back();
+                shed.back().outcome.name = one.name;
+                shed.back().outcome.status = st;
+                shed.back().outcome.failureReason = st.message();
+                continue;
+            }
+            if (!st.ok()) {
+                std::fprintf(stderr, "tapacs-serve: submit '%s': %s\n",
+                             one.name.c_str(), st.message().c_str());
+                return 2;
+            }
+            // Replay serializes the trace: every request finishes
+            // before the next is submitted, so a later incremental=
+            // request always finds its base= result already retained.
+            // A signal lands once the request in flight is done.
+            if (opt.replay)
+                supervisor.drain();
+        }
+    }
+    // Interruptible wait: block in small slices so a signal turns
+    // into a drain request promptly.
+    while (supervisor.completedCount() < supervisor.admitted()) {
+        drainOnSignal();
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
-    const std::vector<serve::FleetOutcome> outcomes =
-        supervisor.finish();
+    std::vector<serve::FleetOutcome> outcomes = supervisor.finish();
+    outcomes.insert(outcomes.end(), shed.begin(), shed.end());
     const double wall =
         std::chrono::duration<double>(clock::now() - t0).count();
 
-    std::printf("%-6s %-20s %-18s %4s %2s %9s %12s %16s\n", "id",
-                "request", "status", "disp", "rp", "seconds", "fmax",
-                "digest");
+    std::printf(
+        "%-6s %-20s %-18s %4s %2s %6s %9s %12s %14s %12s %16s\n", "id",
+        "request", "status", "disp", "rp", "tasks", "seconds", "fmax",
+        "cut", "sim", "digest");
     int failures = 0;
     for (const serve::FleetOutcome &f : outcomes) {
-        const serve::ServeOutcome &o = f.outcome;
-        if (!o.status.ok())
+        if (!f.outcome.status.ok())
             ++failures;
-        std::printf(
-            "%-6llu %-20s %-18s %4d %2s %9.3f %12s %016llx\n",
-            (unsigned long long)f.id,
-            o.name.empty() ? "-" : o.name.c_str(), outcomeLabel(o),
-            f.dispatchAttempts, f.replayed ? "R" : "-", o.seconds,
-            o.routable ? formatFrequency(o.fmax).c_str() : "-",
-            (unsigned long long)o.resultDigest);
-        if (!o.failureReason.empty())
-            std::printf("  reason: %s\n", o.failureReason.c_str());
+        printRow(f);
     }
-    std::printf("\n%zu outcome(s) in %.3fs wall; %d failure(s), "
-                "%d worker(s) quarantined%s\n",
+    std::printf("\n%zu outcome(s) in %.3fs wall; %d failure(s), %zu "
+                "shed, %d worker(s) quarantined%s\n",
                 outcomes.size(), wall, failures,
-                supervisor.quarantinedWorkers(),
+                shed.size(), supervisor.quarantinedWorkers(),
                 drained ? "; drained early (journal holds deferred "
                           "requests)"
                         : "");
 
-    const obs::MetricsSnapshot fleetMetrics =
-        obs::MetricsRegistry::global().snapshot().filterPrefix(
-            "tapacs.fleet.");
-    if (!fleetMetrics.counters.empty())
-        std::printf("\n%s", fleetMetrics.renderTable().c_str());
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::global().snapshot();
+    printMetrics(snap, "tapacs.serve.");
+    printMetrics(snap, "tapacs.fleet.");
+    printMetrics(snap, "tapacs.cache.");
+    auto counter = [&](const char *name) -> std::int64_t {
+        return snap.hasCounter(name) ? snap.counterValue(name) : 0;
+    };
+    const std::int64_t hits = counter("tapacs.cache.hits");
+    const std::int64_t misses = counter("tapacs.cache.misses");
+    if (hits + misses > 0)
+        std::printf("cache hit rate: %.1f%% (%lld/%lld)\n",
+                    100.0 * static_cast<double>(hits) /
+                        static_cast<double>(hits + misses),
+                    (long long)hits, (long long)(hits + misses));
 
-    if (opt.strict && failures > 0)
+    if (opt.strict && (failures > 0 || !manifest.clean()))
         return 1;
     return 0;
 }

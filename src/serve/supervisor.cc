@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -11,7 +12,9 @@
 #include <utility>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <spawn.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -34,6 +37,10 @@ namespace
 constexpr const char *kDrained =
     "draining; request deferred to the journal";
 
+/** How long finish() waits for Shutdown'd workers to exit before
+ *  SIGKILLing them. */
+constexpr double kShutdownGraceSeconds = 2.0;
+
 obs::MetricsRegistry &
 reg()
 {
@@ -54,6 +61,24 @@ sleepSeconds(double seconds)
     if (seconds > 0.0)
         std::this_thread::sleep_for(
             std::chrono::duration<double>(seconds));
+}
+
+/** A pidfd for @p pid (readable once the process exits), or -1. */
+int
+openPidfd(pid_t pid)
+{
+    return static_cast<int>(syscall(SYS_pidfd_open, pid, 0));
+}
+
+/** A reaped worker's wait status, for the shutdown span. */
+std::string
+describeExit(int status)
+{
+    if (WIFEXITED(status))
+        return strprintf("exit %d", WEXITSTATUS(status));
+    if (WIFSIGNALED(status))
+        return strprintf("signal %d", WTERMSIG(status));
+    return "exited";
 }
 
 /** Move @p fd off the child's protocol fds (0 and 3) so the spawn
@@ -393,6 +418,15 @@ Supervisor::drain()
     std::unique_lock<std::mutex> lock(mutex_);
     drainCv_.wait(lock,
                   [&]() { return completed_ == pending_.size(); });
+}
+
+bool
+Supervisor::waitForCompletion(double seconds)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    return drainCv_.wait_for(
+        lock, std::chrono::duration<double>(seconds),
+        [&]() { return completed_ == pending_.size(); });
 }
 
 void
@@ -749,27 +783,79 @@ Supervisor::killWorker(Slot &slot)
 }
 
 void
-Supervisor::reapWorkerGracefully(Slot &slot)
+Supervisor::reapWorkers()
 {
-    if (slot.pid <= 0) {
-        killWorker(slot); // just closes any stray fds
-        return;
-    }
-    if (slot.toChild >= 0) {
-        writeFrame(slot.toChild, FrameType::Shutdown, "");
-        close(slot.toChild); // EOF backstops the Shutdown frame
-        slot.toChild = -1;
-    }
-    const double deadline = monotonicSeconds() + 2.0;
-    while (monotonicSeconds() < deadline) {
-        const pid_t reaped = waitpid(slot.pid, nullptr, WNOHANG);
-        if (reaped == slot.pid || (reaped < 0 && errno == ECHILD)) {
-            slot.pid = 0;
-            break;
+    obs::TraceSpan span("fleet", "fleet.shutdown");
+    obs::Counter &kills = reg().counter("tapacs.fleet.shutdown_kills");
+    // Tell every worker first, so they all exit in parallel.
+    for (auto &slot : slots_) {
+        if (slot->pid > 0 && slot->toChild >= 0) {
+            writeFrame(slot->toChild, FrameType::Shutdown, "");
+            close(slot->toChild); // EOF backstops the Shutdown frame
+            slot->toChild = -1;
         }
-        sleepSeconds(0.01);
     }
-    killWorker(slot);
+
+    const double start = monotonicSeconds();
+    const double deadline = start + kShutdownGraceSeconds;
+    std::vector<std::string> fates(slots_.size(), "no worker");
+    auto settle = [&](Slot &slot, const std::string &fate) {
+        fates[slot.index] = strprintf(
+            "%s, %lld us", fate.c_str(),
+            (long long)((monotonicSeconds() - start) * 1.0e6));
+    };
+    auto forceKill = [&](Slot &slot) {
+        kills.add();
+        killWorker(slot);
+        settle(slot, "killed");
+    };
+
+    // One pidfd per live worker; each turns readable when it exits.
+    std::vector<pollfd> exiting;
+    std::vector<Slot *> owners;
+    for (auto &slot : slots_) {
+        if (slot->pid <= 0)
+            continue;
+        const int pidfd = openPidfd(slot->pid);
+        if (pidfd < 0) {
+            forceKill(*slot);
+            continue;
+        }
+        exiting.push_back({pidfd, POLLIN, 0});
+        owners.push_back(slot.get());
+    }
+    while (!exiting.empty()) {
+        const double left = deadline - monotonicSeconds();
+        if (left <= 0.0)
+            break;
+        const int ready =
+            poll(exiting.data(), exiting.size(),
+                 static_cast<int>(std::ceil(left * 1000.0)));
+        if (ready < 0 && errno != EINTR)
+            break;
+        for (std::size_t i = exiting.size(); ready > 0 && i-- > 0;) {
+            if (exiting[i].revents == 0)
+                continue;
+            Slot &slot = *owners[i];
+            int status = 0;
+            const bool reaped = waitpid(slot.pid, &status, 0) == slot.pid;
+            slot.pid = 0;
+            settle(slot, reaped ? describeExit(status) : "exited");
+            close(exiting[i].fd);
+            exiting.erase(exiting.begin() + i);
+            owners.erase(owners.begin() + i);
+        }
+    }
+    for (std::size_t i = 0; i < exiting.size(); ++i) {
+        close(exiting[i].fd);
+        forceKill(*owners[i]);
+    }
+
+    for (auto &slot : slots_) {
+        killWorker(*slot); // no worker left; closes the response pipe
+        span.arg(strprintf("slot%d", slot->index).c_str(),
+                 fates[slot->index]);
+    }
 }
 
 bool
@@ -888,8 +974,8 @@ Supervisor::finish()
         std::lock_guard<std::mutex> lock(mutex_);
         failQueuedLocked("service shut down before dispatch");
     }
-    for (auto &slot : slots_)
-        reapWorkerGracefully(*slot);
+    if (!options_.inProcess)
+        reapWorkers();
 
     if (journal_.isOpen()) {
         journal_.close();

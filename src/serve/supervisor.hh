@@ -50,9 +50,10 @@
  * queue-level contract; tapacs.fleet.{dispatches,redispatches,
  * worker_spawns,worker_restarts,worker_deaths,heartbeat_timeouts,
  * deadline_kills,wire_crc_errors,quarantined,drained,
- * journal_replayed,journal_resubmitted,journal_corrupt_skipped} for
- * the fleet. Each request a slot takes runs under a "fleet" trace
- * span.
+ * journal_replayed,journal_resubmitted,journal_corrupt_skipped,
+ * shutdown_kills} for the fleet. Each request a slot takes runs under
+ * a "fleet" trace span; finish() reaps the workers under a
+ * "fleet.shutdown" span.
  */
 
 #ifndef TAPACS_SERVE_SUPERVISOR_HH
@@ -212,6 +213,10 @@ class Supervisor
     /** Block until every admitted request has an outcome. */
     void drain();
 
+    /** drain(), bounded: true once every admitted request has an
+     *  outcome, false if @p seconds pass first. */
+    bool waitForCompletion(double seconds);
+
     /**
      * Graceful drain: stop dispatching. Queued requests resolve with
      * a typed ResourceExhausted outcome for this run but keep their
@@ -223,8 +228,8 @@ class Supervisor
     /** Slots quarantined so far. */
     int quarantinedWorkers() const;
 
-    /** Stop dispatching, reap workers, compact the journal, return
-     *  all outcomes in admission order. */
+    /** Stop dispatching, reap workers (reapWorkers), compact the
+     *  journal, return all outcomes in admission order. */
     std::vector<FleetOutcome> finish();
 
     /**
@@ -272,8 +277,10 @@ class Supervisor
     Status spawnWorker(Slot &slot);
     /** SIGKILL + reap + close fds. */
     void killWorker(Slot &slot);
-    /** Shutdown frame, EOF, bounded wait, then SIGKILL. */
-    void reapWorkerGracefully(Slot &slot);
+    /** Shutdown frame and EOF to every live worker, then wait on
+     *  their pidfds against one shared grace deadline; SIGKILL what
+     *  is still alive after it. */
+    void reapWorkers();
     /** One wire round-trip. False => @p failure explains; the worker
      *  has been killed. */
     bool dispatchOnce(Slot &slot, const Pending &pending,

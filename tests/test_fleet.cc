@@ -6,8 +6,9 @@
  * compaction), checksummed disk-cache entries (corruption degrades
  * to a typed miss), stale-temp sweeping, and end-to-end supervisor
  * scenarios — worker kill mid-compile, hang detection via heartbeat
- * timeout, quarantine, supervisor restart with journal replay,
- * graceful drain, the circuit breaker across the process boundary,
+ * timeout, every worker reaped without a kill at finish(),
+ * quarantine, supervisor restart with journal replay, graceful
+ * drain, the circuit breaker across the process boundary,
  * serial-vs-4-worker bit-identity, and in-process-vs-worker
  * bit-identity plus journal replay on the in-process executor.
  *
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "cache/store.hh"
@@ -593,6 +596,45 @@ TEST(Fleet, KilledWorkerIsRestartedAndRequestRedispatched)
         EXPECT_NE(f.outcome.resultDigest, 0u);
     }
     EXPECT_EQ(run.quarantined, 0);
+}
+
+TEST(Fleet, FinishReapsEveryWorkerGracefully)
+{
+    const std::string exe = workerExe();
+    if (exe.empty())
+        GTEST_SKIP() << "TAPACS_WORKER_EXE not set";
+    const std::string dir = freshDir("fleet_reap");
+    serve::FleetOptions opt;
+    opt.workers = 2;
+    opt.workerExe = exe;
+    opt.cacheDir = dir + "/cache";
+    // Second pass: each slot's first worker dies at its first request,
+    // so whichever slot runs a request restarts its worker, and
+    // finish() must reap the restarted one too.
+    for (const bool chaos : {false, true}) {
+        SCOPED_TRACE(chaos ? "after a Kill fault" : "healthy");
+        if (chaos)
+            opt.chaos.kill(0, 0).kill(1, 0);
+        const std::int64_t killsBefore =
+            counterValue("tapacs.fleet.shutdown_kills");
+        const std::int64_t restartsBefore =
+            counterValue("tapacs.fleet.worker_restarts");
+        const FleetRun run =
+            runFleet(opt, {kStencil, kPagerank, kKnn, kExplore});
+        ASSERT_EQ(run.outcomes.size(), 4u);
+        for (const serve::FleetOutcome &f : run.outcomes)
+            EXPECT_TRUE(f.outcome.status.ok()) << f.outcome.failureReason;
+        if (chaos)
+            EXPECT_GE(counterValue("tapacs.fleet.worker_restarts"),
+                      restartsBefore + 1);
+        // Every worker exited on its own within the grace window, and
+        // none is left unreaped.
+        EXPECT_EQ(counterValue("tapacs.fleet.shutdown_kills"),
+                  killsBefore);
+        errno = 0;
+        EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1);
+        EXPECT_EQ(errno, ECHILD);
+    }
 }
 
 TEST(Fleet, HangingWorkerTripsTheHeartbeatTimeout)

@@ -102,7 +102,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -457,12 +456,11 @@ main(int argc, char **argv)
                 supervisor.drain();
         }
     }
-    // Interruptible wait: block in small slices so a signal turns
-    // into a drain request promptly.
-    while (supervisor.completedCount() < supervisor.admitted()) {
+    // Interruptible wait: returns the moment the last outcome lands,
+    // and checks for a signal at least every 20 ms so it turns into a
+    // drain request promptly.
+    while (!supervisor.waitForCompletion(0.02))
         drainOnSignal();
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
     std::vector<serve::FleetOutcome> outcomes = supervisor.finish();
     outcomes.insert(outcomes.end(), shed.begin(), shed.end());
     const double wall =

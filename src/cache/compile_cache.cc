@@ -93,9 +93,9 @@ interKey(const GraphFingerprint &fp, const Cluster &cluster, int numFpgas,
     b.i64(static_cast<std::int64_t>(options.deviceAllowed.size()));
     for (char a : options.deviceAllowed)
         b.i64(a ? 1 : 0);
-    // Hints are runtime state, not content; a hinted solve is keyed
-    // apart (it can land on a different tied-optimal point) and the
-    // compiler never stores hinted results under exact keys anyway.
+    // A caller-hinted solve (replan()) can land on a different
+    // tied-optimal point than a cold one, so the hints are content:
+    // its result is stored under its own hint-bearing key.
     b.i64(static_cast<std::int64_t>(options.hint.size()));
     if (!options.hint.empty()) {
         for (DeviceId d : options.hint)
@@ -103,16 +103,6 @@ interKey(const GraphFingerprint &fp, const Cluster &cluster, int numFpgas,
         b.f64(options.hintWeight);
     }
     mixSolver(b, options.solver);
-    return b.build();
-}
-
-CacheKey
-interFamilyKey(const GraphFingerprint &fp, const Cluster &cluster,
-               int numFpgas)
-{
-    KeyBuilder b;
-    b.i64(kSchemaVersion).str("family");
-    b.key(fp.structural).key(clusterKey(cluster)).i64(numFpgas);
     return b.build();
 }
 
@@ -293,44 +283,6 @@ CompileCache::putInter(const CacheKey &key, const GraphFingerprint &fp,
         for (DeviceId d : devs)
             w.i64(d);
     }
-    store_.put(key, w.take());
-}
-
-bool
-CompileCache::getFamilyPartition(const CacheKey &key,
-                                 const GraphFingerprint &fp,
-                                 std::vector<DeviceId> *deviceOf)
-{
-    auto blob = store_.get(key);
-    if (!blob)
-        return false;
-    EntryReader r(*blob);
-    std::int64_t nv = 0;
-    if (!r.tag("fam1") || !r.i64(&nv) || nv != fp.numVertices())
-        return false;
-    std::vector<DeviceId> ranked(nv);
-    for (std::int64_t i = 0; i < nv; ++i) {
-        std::int64_t d;
-        if (!r.i64(&d))
-            return false;
-        ranked[i] = static_cast<DeviceId>(d);
-    }
-    *deviceOf = fromRank(fp, ranked);
-    return true;
-}
-
-void
-CompileCache::putFamilyPartition(const CacheKey &key,
-                                 const GraphFingerprint &fp,
-                                 const DevicePartition &partition)
-{
-    if (static_cast<int>(partition.deviceOf.size()) != fp.numVertices())
-        return;
-    EntryWriter w;
-    w.tag("fam1");
-    w.i64(static_cast<std::int64_t>(partition.deviceOf.size()));
-    for (DeviceId d : byRank(fp, partition.deviceOf))
-        w.i64(d);
     store_.put(key, w.take());
 }
 

@@ -36,15 +36,6 @@
  * GraphFingerprint::rankOf on both store and load, which makes the
  * entries label-free: an isomorphic relabeling of the same design
  * addresses — and can reuse — the same entry.
- *
- * A fourth, deliberately approximate tier supports *near* matches:
- * the family entry, keyed by graph + cluster alone, remembers the
- * last known partition for a design regardless of options. On an
- * exact level-1 miss the compiler can feed it back as warm-start
- * hints through the InterFpgaOptions::hint / hintWeight path (the
- * replan machinery), accelerating the solve for near-duplicate
- * requests. Hinted solves are never stored under exact keys, so the
- * exact tier stays history-independent.
  */
 
 #ifndef TAPACS_CACHE_COMPILE_CACHE_HH
@@ -73,10 +64,6 @@ CacheKey hlsTaskKey(const hls::TaskIr &task);
  *  solver-irrelevant knobs (thread counts, the deadline). */
 CacheKey interKey(const GraphFingerprint &fp, const Cluster &cluster,
                   int numFpgas, const InterFpgaOptions &options);
-
-/** Approximate family key: graph + cluster + device count only. */
-CacheKey interFamilyKey(const GraphFingerprint &fp, const Cluster &cluster,
-                        int numFpgas);
 
 /**
  * Exact key of one device's level-2 solve (+ HBM binding): the
@@ -129,14 +116,6 @@ class CompileCache
                   InterFpgaResult *out);
     void putInter(const CacheKey &key, const GraphFingerprint &fp,
                   const InterFpgaResult &result);
-
-    /** Family tier: last known device assignment for this graph +
-     *  cluster, options-agnostic. deviceOf is indexed by vertex id of
-     *  the querying graph (mapped through fp). */
-    bool getFamilyPartition(const CacheKey &key, const GraphFingerprint &fp,
-                            std::vector<DeviceId> *deviceOf);
-    void putFamilyPartition(const CacheKey &key, const GraphFingerprint &fp,
-                            const DevicePartition &partition);
 
     bool getIntraDevice(const CacheKey &key, IntraDeviceEntry *out);
     void putIntraDevice(const CacheKey &key,

@@ -290,43 +290,20 @@ compile(const TaskGraph &g, const Cluster &cluster,
             inter.ctx = options.ctx.withBudget(0.5 * remain);
         }
         cache::CacheKey l1_key;
-        cache::CacheKey fam_key;
         bool l1_cached = false;
         InterFpgaResult l1;
         if (cc != nullptr && !inter.ctx.done()) {
-            // The exact key is derived before any warm-start hint is
-            // injected, so it always names the *request*, never the
-            // history that happened to be in the cache.
+            // Caller-passed hints (replan()) are part of the key, so a
+            // hinted result is as exact as a cold one.
             l1_key = cache::interKey(fp, cluster, fpgas, inter);
-            fam_key = cache::interFamilyKey(fp, cluster, fpgas);
             l1_cached = cc->getInter(l1_key, fp, &l1);
             l1_used_key = l1_key;
             l1_key_recorded = true;
         }
         if (!l1_cached) {
-            bool hinted = !inter.hint.empty();
-            if (cc != nullptr && options.cacheWarmStart && !hinted) {
-                std::vector<DeviceId> family;
-                if (cc->getFamilyPartition(fam_key, fp, &family)) {
-                    inter.hint = std::move(family);
-                    hinted = true;
-                    obs::MetricsRegistry::global()
-                        .counter("tapacs.cache.warm_starts")
-                        .add();
-                }
-            }
             l1 = partition::solveL1(g, cluster, inter);
-            if (cc != nullptr && !volatile_ctx) {
-                // A warm-started solve may sit on a different
-                // tied-optimal point than a cold one; keep it out of
-                // the exact tier so cached answers never depend on
-                // cache history. (Hints passed in by the caller are
-                // part of the key, so those results are exact.)
-                if (!hinted || !options.inter.hint.empty())
-                    cc->putInter(l1_key, fp, l1);
-                if (l1.feasible)
-                    cc->putFamilyPartition(fam_key, fp, l1.partition);
-            }
+            if (cc != nullptr && !volatile_ctx)
+                cc->putInter(l1_key, fp, l1);
         }
         if (!l1.status.ok() &&
             l1.status.code() == StatusCode::InvalidInput) {
@@ -903,16 +880,14 @@ computeDelta(const cache::CompileSignature &prior,
 /**
  * Everything the two incremental entry points share around the plain
  * flow: validate the prior, seed its artifacts into a cache (owning
- * the ephemeral store when the caller attached none), optionally
- * derive warm-start hints, and afterwards stamp the delta plus the
- * typed fallback notes onto the result.
+ * the ephemeral store when the caller attached none), and afterwards
+ * stamp the delta plus the typed fallback notes onto the result.
  */
 class IncrementalSeed
 {
   public:
-    IncrementalSeed(const CompileResult &prior, const TaskGraph &g,
-                    const CompileOptions &options,
-                    const RecompileOptions &ropts)
+    IncrementalSeed(const CompileResult &prior,
+                    const CompileOptions &options)
         : opts(options)
     {
         obs::MetricsRegistry::global()
@@ -942,24 +917,6 @@ class IncrementalSeed
                 for (const cache::Artifact &a : prior.signature.artifacts)
                     opts.cache->store().put(a.key, a.blob);
                 seeded_ = true;
-            }
-        }
-        if (ropts.warmStart && opts.mode == CompileMode::TapaCs &&
-            opts.numFpgas > 1 && opts.inter.hint.empty() &&
-            !prior.partition.deviceOf.empty()) {
-            // replan()-style migration hints: tasks prefer their prior
-            // device wherever feasible. The hint penalty changes the
-            // L1 objective, so this is the documented opt-out from the
-            // bit-identity guarantee (and hint-bearing keys never
-            // collide with cold ones).
-            const std::size_t n = std::min<std::size_t>(
-                prior.partition.deviceOf.size(),
-                static_cast<std::size_t>(g.numVertices()));
-            opts.inter.hint.assign(g.numVertices(), -1);
-            for (std::size_t v = 0; v < n; ++v) {
-                const DeviceId d = prior.partition.deviceOf[v];
-                if (d >= 0 && d < opts.numFpgas)
-                    opts.inter.hint[v] = d;
             }
         }
     }
@@ -1001,12 +958,10 @@ class IncrementalSeed
 
 CompileResult
 recompile(const CompileResult &prior, const TaskGraph &g,
-          const Cluster &cluster, const CompileOptions &options,
-          const RecompileOptions &ropts,
-          const std::vector<Hertz> &fmaxCeiling)
+          const Cluster &cluster, const CompileOptions &options)
 {
-    IncrementalSeed seed(prior, g, options, ropts);
-    CompileResult out = compile(g, cluster, seed.opts, fmaxCeiling);
+    IncrementalSeed seed(prior, options);
+    CompileResult out = compile(g, cluster, seed.opts);
     seed.finish(prior, &out);
     return out;
 }
@@ -1014,10 +969,9 @@ recompile(const CompileResult &prior, const TaskGraph &g,
 CompileResult
 recompileProgram(const CompileResult &prior, TaskGraph &g,
                  const std::vector<hls::TaskIr> &tasks,
-                 const Cluster &cluster, const CompileOptions &options,
-                 const RecompileOptions &ropts)
+                 const Cluster &cluster, const CompileOptions &options)
 {
-    IncrementalSeed seed(prior, g, options, ropts);
+    IncrementalSeed seed(prior, options);
     CompileResult out = compileProgram(g, tasks, cluster, seed.opts);
     seed.finish(prior, &out);
     return out;

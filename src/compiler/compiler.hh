@@ -140,16 +140,6 @@ struct CompileOptions
      * one.
      */
     cache::CompileCache *cache = nullptr;
-    /**
-     * On an exact inter-FPGA miss, feed the family entry (same graph
-     * + cluster, any options) to the level-1 solver as warm-start
-     * hints via InterFpgaOptions::hint. Faster on near-duplicate
-     * requests, but the hint penalty can steer the solver to a
-     * different tied-optimal partition than a cold solve — so results
-     * of hinted solves are never stored under exact keys, and this
-     * stays opt-in.
-     */
-    bool cacheWarmStart = false;
 
     InterFpgaOptions inter;
     IntraFpgaOptions intra;
@@ -282,7 +272,7 @@ CompileResult compile(const TaskGraph &g, const Cluster &cluster,
  * the inter-FPGA ILP (their topology ids — and hence eq. 3/4 cable
  * distances between survivors — are preserved). When @p previous is
  * given, surviving placements are fed to the level-1 solver as
- * warm-start hints so tasks stay put wherever that remains feasible
+ * placement hints so tasks stay put wherever that remains feasible
  * under the eq. 1 threshold; tasks stranded on a dead device get no
  * hint and are re-placed freely.
  *
@@ -309,20 +299,6 @@ CompileResult compileProgram(TaskGraph &g,
                              const Cluster &cluster,
                              const CompileOptions &options);
 
-/** Options for an incremental recompilation. */
-struct RecompileOptions
-{
-    /**
-     * Additionally feed the prior partition to the level-1 solver as
-     * warm-start hints (the replan() migration-penalty machinery).
-     * Faster still on large edits, but the hint penalty can steer the
-     * solver to a different tied-optimal partition than a cold solve —
-     * this trades the bit-identity guarantee for speed, so it stays
-     * opt-in and hinted solves are never stored under exact keys.
-     */
-    bool warmStart = false;
-};
-
 /**
  * Incremental recompilation: compile @p g reusing every solver
  * artifact of @p prior whose content key still matches.
@@ -334,7 +310,7 @@ struct RecompileOptions
  * Weisfeiler-Leman fingerprints — rebind from the seeded entries,
  * dirty ones re-solve. Because reuse is purely content-keyed, the
  * result is bit-identical to a cold compile of @p g with the same
- * options (RecompileOptions::warmStart opts out of that guarantee).
+ * options.
  *
  * A prior that cannot be reused — no signature, cache-schema or L1
  * backend mismatch — degrades to a plain cold compile with a typed
@@ -344,9 +320,7 @@ struct RecompileOptions
  */
 CompileResult recompile(const CompileResult &prior, const TaskGraph &g,
                         const Cluster &cluster,
-                        const CompileOptions &options,
-                        const RecompileOptions &ropts = {},
-                        const std::vector<Hertz> &fmaxCeiling = {});
+                        const CompileOptions &options);
 
 /**
  * Incremental counterpart of compileProgram(): seeds the prior's
@@ -357,8 +331,7 @@ CompileResult recompile(const CompileResult &prior, const TaskGraph &g,
 CompileResult recompileProgram(const CompileResult &prior, TaskGraph &g,
                                const std::vector<hls::TaskIr> &tasks,
                                const Cluster &cluster,
-                               const CompileOptions &options,
-                               const RecompileOptions &ropts = {});
+                               const CompileOptions &options);
 
 /** AlveoLink IP resources per board given the port count (paper
  *  section 5.6 overhead percentages applied to the device totals). */

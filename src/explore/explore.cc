@@ -113,7 +113,6 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
 
     CompileOptions base = options.base;
     base.cache = cc;
-    base.cacheWarmStart = options.familyWarmStart;
 
     const std::size_t n = spec.numPoints();
     out.trace.resize(n);

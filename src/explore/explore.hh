@@ -17,18 +17,14 @@
  * solves by points agreeing on (T, topology), and per-device level-2
  * solves by points agreeing on (partition, λ, binding policy) — so
  * every point's result is bit-identical to a cold compile with the
- * same knobs (the differential suite pins this). The family-key
- * warm start (ExploreOptions::familyWarmStart) is the same opt-in
- * trade as CompileOptions::cacheWarmStart: faster on adjacent
- * points, but a hinted level-1 solve may land on a different
- * tied-optimal partition than a cold one.
+ * same knobs (the differential suite pins this).
  *
- * Determinism: by default the sweep zeroes the ILP tiers' wall-clock
- * cutoffs (the node caps still bound every search), keeps the serial
- * inner solvers, and excludes thread counts from every cache key —
- * so each point's result is independent of machine load, evaluation
- * order, and thread count, and the frontier over the canonical point
- * order is bit-identical at any --threads value.
+ * Determinism: every ILP search is bounded by its node cap, never by
+ * wall-clock time, and thread counts stay out of every cache key and
+ * every solver result — so each point's result is independent of
+ * machine load, evaluation order and thread count, and the frontier
+ * over the canonical point order is bit-identical at any --threads
+ * value.
  *
  * Deadlines: ExploreOptions::ctx bounds the whole sweep and
  * pointDeadlineSeconds slices it per point. Results computed under a
@@ -78,8 +74,6 @@ struct ExploreOptions
     Context ctx;
     /** Shared compile cache; nullptr = one sweep-private store. */
     cache::CompileCache *cache = nullptr;
-    /** Opt-in family-key warm starts (see file comment). */
-    bool familyWarmStart = false;
     /** Simulate each routable point for the latency objective. */
     bool simulate = true;
 };

@@ -612,7 +612,7 @@ checkInterFpgaInputs(const TaskGraph &g, const Cluster &cluster,
         static_cast<int>(options.hint.size()) != g.numVertices()) {
         out->feasible = false;
         out->status = Status::invalidInput(
-            "warm-start hint covers %d vertices but the graph has %d",
+            "placement hint covers %d vertices but the graph has %d",
             static_cast<int>(options.hint.size()), g.numVertices());
         return false;
     }
@@ -724,7 +724,7 @@ floorplanInterFpga(const TaskGraph &g, const Cluster &cluster,
                     options.channelsPerDevice / 2, rng);
         out.coarseVertices = coarse.graph.numVertices();
 
-        // Project warm-start hints onto the coarse graph: each coarse
+        // Project placement hints onto the coarse graph: each coarse
         // vertex takes the most common hint among its members (ties
         // broken toward the lowest device id, for determinism).
         InterFpgaOptions copt = options;

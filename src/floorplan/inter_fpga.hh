@@ -9,7 +9,7 @@
  * tractable on large designs (the AutoSA CNN has 493 modules), the
  * solve is multilevel: heavy-edge-matching coarsening down to a
  * bounded coarse graph, branch-and-bound ILP on the coarse graph
- * (warm-started by a greedy seed), then projection and
+ * (seeded with a greedy incumbent), then projection and
  * Fiduccia-Mattheyses-style single-move refinement on the full graph.
  * The greedy+refinement path doubles as the heuristic baseline for
  * the solver ablation bench.
@@ -102,7 +102,7 @@ struct InterFpgaOptions
     /**
      * Warm-start hint: the previous device of each vertex (-1 = no
      * hint; empty = no hints at all). The greedy seed biases toward
-     * hinted devices, and that seed warm-starts the coarse ILP — so a
+     * hinted devices, and that seed is the coarse ILP's incumbent — so a
      * replan keeps surviving placements wherever they remain feasible
      * instead of reshuffling the whole cluster.
      */

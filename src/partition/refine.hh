@@ -15,8 +15,8 @@
  *
  * The hint penalty matches the exact engine's refine(): a hinted
  * vertex pays InterFpgaOptions::hintWeight for sitting off its hint,
- * so warm-started multilevel solves keep survivors put exactly like
- * warm-started exact solves do.
+ * so hinted multilevel solves keep survivors put exactly like hinted
+ * exact solves do.
  */
 
 #ifndef TAPACS_PARTITION_REFINE_HH
@@ -41,7 +41,7 @@ struct RefineStats
  * @param hg       the level's hypergraph.
  * @param budget   per-device budget (interFpgaDeviceBudget; the same
  *                 at every level since areas sum under coarsening).
- * @param hint     per-vertex warm-start device for *this level* (-1 =
+ * @param hint     per-vertex hinted device for *this level* (-1 =
  *                 none; empty = no hints), projected down from the
  *                 caller's finest-level hints.
  * @param options  allowed() mask, channelsPerDevice, hintWeight and

@@ -155,7 +155,6 @@ executeRequest(const Request &req, const Context &ctx,
     opt.topology = req.topology;
     opt.threshold = req.threshold;
     opt.cache = policy.cache;
-    opt.cacheWarmStart = policy.warmStart;
     opt.ctx = ctx;
     opt.inter.backend = req.solver;
     opt.inter.replicate = req.replicate;
@@ -207,7 +206,6 @@ executeRequest(const Request &req, const Context &ctx,
             if (req.coarseLimit > 0)
                 eopt.base.inter.coarseLimit = req.coarseLimit;
             eopt.cache = policy.cache;
-            eopt.familyWarmStart = policy.warmStart;
             eopt.ctx = ctx;
             const explore::ExploreResult er =
                 explore::runExplore(graph, tasks, req.grid, eopt);

@@ -13,9 +13,9 @@
  * literally the same code against the same content-addressed cache.
  *
  * ExecutePolicy carries the serving-level hooks the core needs
- * (cache, warm-start flag, retained-result lookup/store) without
- * coupling it to the supervisor; a process with no retention just
- * leaves the callbacks empty.
+ * (cache, retained-result lookup/store) without coupling it to the
+ * supervisor; a process with no retention just leaves the callbacks
+ * empty.
  *
  * resultDigest() folds the deterministic fields of a CompileResult —
  * mapping, placement, binding, pipeline totals, clocks — into a
@@ -98,8 +98,6 @@ struct ExecutePolicy
 {
     /** Shared compile cache; nullptr = uncached. */
     cache::CompileCache *cache = nullptr;
-    /** Family warm-start hints (CompileOptions::cacheWarmStart). */
-    bool warmStart = false;
     /** Look up a retained result for incremental `base=` resolution;
      *  empty = nothing is ever retained (cold compiles only). */
     std::function<bool(const std::string &, CompileResult *)>

@@ -160,7 +160,6 @@ Supervisor::start()
             ownedCache_ = std::make_unique<cache::CompileCache>(*store_);
             policy_.cache = ownedCache_.get();
         }
-        policy_.warmStart = options_.warmStart;
         // Session-scoped base retention: newest last, the oldest
         // evicted past the cap; a re-run name refreshes in place,
         // keeping its age. Callers hold retainedMutex_.
@@ -684,8 +683,6 @@ Supervisor::spawnWorker(Slot &slot)
         "--heartbeat-ms=%.6g",
         options_.heartbeatPeriodSeconds * 1000.0);
     const std::string cacheArg = "--cache-dir=" + options_.cacheDir;
-    const std::string warmArg =
-        strprintf("--warm-start=%d", options_.warmStart ? 1 : 0);
     const std::string faultArg =
         "--fault=" + encodeWorkerFault(fault);
     std::vector<char *> argv;
@@ -693,7 +690,6 @@ Supervisor::spawnWorker(Slot &slot)
     argv.push_back(const_cast<char *>("--worker"));
     argv.push_back(const_cast<char *>(heartbeatArg.c_str()));
     argv.push_back(const_cast<char *>(cacheArg.c_str()));
-    argv.push_back(const_cast<char *>(warmArg.c_str()));
     argv.push_back(const_cast<char *>(faultArg.c_str()));
     argv.push_back(nullptr);
 

@@ -106,8 +106,6 @@ struct FleetOptions
     std::string cacheDir;
     /** Durable request journal path; empty = no journal. */
     std::string journalPath;
-    /** Family warm-start hints (CompileOptions::cacheWarmStart). */
-    bool warmStart = false;
     /** Deadline for requests that carry none (seconds; < 0 = none,
      *  0 = already expired: the deterministic degraded path). */
     double defaultDeadlineSeconds = -1.0;

@@ -176,7 +176,6 @@ runWorker(const WorkerConfig &config)
                 const Request &req = manifest.requests[0];
                 ExecutePolicy policy;
                 policy.cache = cache.get();
-                policy.warmStart = config.warmStart;
                 out = executeRequest(req, requestContext(req), policy);
                 out.attempts = 1;
             }

@@ -46,8 +46,6 @@ struct WorkerConfig
     /** Disk cache directory shared with the fleet; empty =
      *  uncached. */
     std::string cacheDir;
-    /** Family warm-start hints for the compile flow. */
-    bool warmStart = false;
     /** Heartbeat emission period. */
     double heartbeatPeriodSeconds = 0.05;
     /** Self-injected chaos fault (None in production). */

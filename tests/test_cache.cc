@@ -3,7 +3,8 @@
  * Compile-cache tests: canonical-key properties (relabeling
  * invariance, mutation sensitivity), store mechanics (LRU, metrics,
  * disk tier), the cold/warm differential (a cache hit never changes a
- * compile result), family warm-starts, and shared-cache concurrency.
+ * compile result), the entries a compile writes, and shared-cache
+ * concurrency.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "cache/compile_cache.hh"
 #include "common/logging.hh"
@@ -276,15 +278,10 @@ TEST(CacheKeyProperty, ThreadAndServingKnobsNeverReachSolverKeys)
     EXPECT_TRUE(a == b);
 }
 
-TEST(CacheKeyProperty, DeviceCountAndWiringSeparateFamilies)
+TEST(CacheKeyProperty, DeviceCountSeparatesClusterKeys)
 {
-    TaskGraph g = randomDesign(1234, 4, 4);
-    const cache::GraphFingerprint fp = cache::fingerprintGraph(g);
-    Cluster two = makePaperTestbed(2);
-    Cluster four = makePaperTestbed(4);
-    EXPECT_NE(cache::interFamilyKey(fp, two, 2),
-              cache::interFamilyKey(fp, four, 4));
-    EXPECT_NE(cache::clusterKey(two), cache::clusterKey(four));
+    EXPECT_NE(cache::clusterKey(makePaperTestbed(2)),
+              cache::clusterKey(makePaperTestbed(4)));
 }
 
 TEST(CacheStore, LruEvictsWithinBudgetAndCountsMetrics)
@@ -521,34 +518,40 @@ TEST(CompileCache, HlsPhaseMemoizesPerTask)
               static_cast<std::int64_t>(tasks.size()));
 }
 
-TEST(CompileCache, FamilyEntryWarmStartsNearMissRequests)
+TEST(CompileCache, CachedCompileWritesOnlySignatureEntries)
 {
-    obs::MetricsRegistry::global().resetPrefix("tapacs.cache.");
-    TaskGraph g1 = randomDesign(7777, 4, 4);
-    TaskGraph g2 = randomDesign(7777, 4, 4);
-    Cluster cluster = makePaperTestbed(2);
-    cache::CacheStore store;
+    // One exact tier per artifact: every entry a cold compile writes
+    // is one its reuse signature binds, and nothing else.
+    const std::string dir =
+        testing::TempDir() + "/tapacs_cache_signature_test";
+    std::filesystem::remove_all(dir);
+    cache::CacheStore::Options so;
+    so.directory = dir;
+    cache::CacheStore store(std::move(so));
     cache::CompileCache cc(store);
 
+    TaskGraph g = randomDesign(7777, 4, 4);
+    Cluster cluster = makePaperTestbed(2);
     CompileOptions opt;
     opt.mode = CompileMode::TapaCs;
     opt.numFpgas = 2;
     opt.cache = &cc;
-    const CompileResult cold = compile(g1, cluster, opt);
-    ASSERT_TRUE(cold.routable) << cold.failureReason;
+    const CompileResult r = compile(g, cluster, opt);
+    ASSERT_TRUE(r.routable) << r.failureReason;
 
-    // Same design, different solver budget: the exact key misses, the
-    // family entry supplies warm-start hints.
-    opt.cacheWarmStart = true;
-    opt.inter.solver.maxNodes *= 2;
-    const CompileResult near = compile(g2, cluster, opt);
-    ASSERT_TRUE(near.routable) << near.failureReason;
-    EXPECT_TRUE(respectsThreshold(g2, cluster, near.partition,
-                                  near.reservedPerDevice, opt.threshold));
-    EXPECT_EQ(obs::MetricsRegistry::global()
-                  .snapshot()
-                  .counterValue("tapacs.cache.warm_starts"),
-              1);
+    std::set<std::string> signed_names;
+    for (const cache::Artifact &a : r.signature.artifacts)
+        signed_names.insert(a.key.hex() + ".tce");
+    int written = 0;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        if (e.path().extension() != ".tce")
+            continue;
+        ++written;
+        EXPECT_EQ(signed_names.count(e.path().filename().string()), 1u)
+            << e.path() << " is not named by the reuse signature";
+    }
+    EXPECT_GT(written, 0);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CacheConcurrency, SharedCacheBatchMatchesSerialBitExactly)

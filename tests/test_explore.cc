@@ -240,7 +240,7 @@ TEST(RunExplore, SweepResultsMatchIndependentColdCompiles)
     const ExploreResult sweep = runExplore(g, {}, spec, opt);
     ASSERT_TRUE(sweep.status.ok()) << sweep.status.message();
 
-    // Warm-started exploration must not change any individual
+    // Cache reuse across the sweep must not change any individual
     // answer: every trace entry must be field-exact to a cold
     // compile of the same knobs with no cache at all.
     for (std::size_t i = 0; i < spec.numPoints(); ++i) {

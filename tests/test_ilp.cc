@@ -374,7 +374,7 @@ TEST(BranchBound, GeneralIntegerBounds)
 TEST(BranchBound, NodeLimitKeepsWarmIncumbent)
 {
     // A deliberately tiny node budget: the solver must still return
-    // the warm-start incumbent as Feasible rather than nothing.
+    // the seeded incumbent as Feasible rather than nothing.
     Model m;
     std::vector<VarId> x;
     for (int i = 0; i < 30; ++i)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Differential and determinism tests for the warm-started LP engine
+ * Differential and determinism tests for the basis-reusing LP engine
  * under branch-and-bound:
  *  - every node LP of the four paper F4 compiles (the level-1 coarse
  *    ILP and every level-2 bisection) re-solved by the reference

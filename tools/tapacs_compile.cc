@@ -10,11 +10,12 @@
  *
  * Usage:
  *   tapacs-compile GRAPH_FILE [options]
- *     --fpgas N          devices to target (default 1)
+ *     --fpgas N          devices to target, 1-256 (default 1)
  *     --mode M           vitis | tapa | tapacs (default tapacs)
  *     --topology T       chain|ring|star|mesh|hypercube|full
  *     --device D         U55C | U250 | U280 (default U55C)
- *     --threshold X      eq. 1 utilization threshold (default 0.70)
+ *     --threshold X      eq. 1 utilization threshold in (0, 1]
+ *                        (default 0.70)
  *     --out DIR          write constraints/manifest there, creating
  *                        DIR if needed (default .)
  *     --simulate         run the dataflow simulator and report latency
@@ -22,7 +23,8 @@
  *                        --simulate)
  *     --solver S         level-1 engine: exact | multilevel
  *     --replicate        plan logic replication in the level-1 solve
- *     --coarse-limit N   level-1 coarsening target (default 36)
+ *     --coarse-limit N   level-1 coarsening target, 2-100000
+ *                        (default 36)
  *     --partition-only   stop after level-1 floorplanning and report
  *                        the partition (cost, cut, per-device load);
  *                        the scale path — cluster-scale graphs
@@ -35,6 +37,9 @@
  *                        corrupt, or mismatched state file degrades
  *                        to a typed cold compile, and the result is
  *                        bit-identical to a cold compile either way
+ *
+ * A numeric flag whose value does not parse completely or falls
+ * outside its range exits 2.
  */
 
 #include <cstdio>
@@ -45,6 +50,7 @@
 #include <string>
 
 #include "cache/delta.hh"
+#include "cli_flags.hh"
 #include "common/logging.hh"
 #include "compiler/compiler.hh"
 #include "compiler/constraints.hh"
@@ -56,6 +62,8 @@ using namespace tapacs;
 
 namespace
 {
+
+constexpr char kTool[] = "tapacs-compile";
 
 struct CliOptions
 {
@@ -132,7 +140,8 @@ parseArgs(int argc, char **argv)
             return argv[i];
         };
         if (arg == "--fpgas")
-            opt.fpgas = std::atoi(next().c_str());
+            opt.fpgas = static_cast<int>(
+                cli::intFlag(kTool, arg, next(), 1, 256));
         else if (arg == "--mode")
             opt.mode = parseMode(next());
         else if (arg == "--topology")
@@ -140,7 +149,8 @@ parseArgs(int argc, char **argv)
         else if (arg == "--device")
             opt.device = next();
         else if (arg == "--threshold")
-            opt.threshold = std::atof(next().c_str());
+            opt.threshold =
+                cli::realFlag(kTool, arg, next(), 1.0e-6, 1.0);
         else if (arg == "--out")
             opt.outDir = next();
         else if (arg == "--simulate")
@@ -165,9 +175,8 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--incremental") {
             opt.incremental = true;
         } else if (arg == "--coarse-limit") {
-            opt.coarseLimit = std::atoi(next().c_str());
-            if (opt.coarseLimit < 2)
-                fatal("--coarse-limit must be >= 2");
+            opt.coarseLimit = static_cast<int>(
+                cli::intFlag(kTool, arg, next(), 2, 100'000));
         } else if (arg == "--help" || arg == "-h") {
             usage();
         } else if (!arg.empty() && arg[0] == '-') {
@@ -181,8 +190,6 @@ parseArgs(int argc, char **argv)
     }
     if (opt.graphFile.empty())
         usage();
-    if (opt.fpgas < 1)
-        fatal("--fpgas must be >= 1");
     if (opt.incremental && opt.stateFile.empty())
         fatal("--incremental needs --state FILE");
     return opt;

@@ -14,37 +14,33 @@
  * statuses, so a sweep doubles as an audit of which knob regions
  * break routing.
  *
- * Reuse is exact-key by default: the per-task HLS estimates are
- * shared by every point, level-1 solves by points agreeing on
- * (T, topology), level-2 solves by points agreeing on (partition, λ,
- * binding) — so every point is bit-identical to a cold compile with
- * the same knobs, and the frontier is bit-identical at any --threads
- * value. --warm-start opts into family-key hints (faster on adjacent
- * points, may land on different tied-optimal partitions).
+ * Reuse is exact-key: the per-task HLS estimates are shared by every
+ * point, level-1 solves by points agreeing on (T, topology), level-2
+ * solves by points agreeing on (partition, λ, binding) — so every
+ * point is bit-identical to a cold compile with the same knobs, and
+ * the frontier is bit-identical at any --threads value.
  *
  * Usage:
  *   tapacs-explore (--workload stencil|pagerank|knn|cnn | --graph F)
  *                  [--grid SPEC] [--fpgas N] [--scale N]
  *                  [--mode vitis|tapa|tapacs] [--threads N]
- *                  [--deadline-ms N] [--warm-start] [--no-cache]
- *                  [--cache-dir DIR] [--no-sim] [--json] [--csv]
+ *                  [--deadline-ms N] [--no-cache] [--cache-dir DIR]
+ *                  [--no-sim] [--json] [--csv]
  *
  *   --grid SPEC      the sweep grid, e.g.
  *                    "t=0.6,0.7;lambda=follow;topo=ring,mesh;
  *                     binding=nearest,sweep;depth=1,2"
  *                    (axes not named keep the compiler defaults;
  *                    empty = the 1-point default grid)
- *   --fpgas N        devices to target (default 4)
+ *   --fpgas N        devices to target, 1-256 (default 4)
  *   --scale N        workload size knob (0 = harness default)
  *   --threads N      concurrent point evaluations (0 = pool size,
  *                    1 = serial; the frontier is identical at any
  *                    value)
- *   --deadline-ms N  per-point deadline slice; sliced points are
- *                    never written to the cache (volatile-context
- *                    rule), so slicing trades reuse for bounded
- *                    latency
- *   --warm-start     family-key warm-start hints (off by default;
- *                    see the header comment)
+ *   --deadline-ms N  per-point deadline slice (negative = none, the
+ *                    default); sliced points are never written to
+ *                    the cache (volatile-context rule), so slicing
+ *                    trades reuse for bounded latency
  *   --no-cache       sweep-private in-memory cache only (the default
  *                    shares the process-global cache)
  *   --cache-dir D    add a disk tier at D
@@ -53,6 +49,9 @@
  *   --csv            print the frontier as CSV instead of the table
  *   --json           print the full result (trace + frontier + cache
  *                    stats) as JSON instead of the table
+ *
+ * A numeric flag whose value does not parse completely or falls
+ * outside its range exits 2.
  */
 
 #include <cstdint>
@@ -71,6 +70,7 @@
 #include "apps/pagerank.hh"
 #include "apps/stencil.hh"
 #include "cache/compile_cache.hh"
+#include "cli_flags.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "explore/explore.hh"
@@ -82,6 +82,8 @@ using namespace tapacs;
 namespace
 {
 
+constexpr char kTool[] = "tapacs-explore";
+
 struct CliOptions
 {
     std::string workload;
@@ -92,7 +94,6 @@ struct CliOptions
     CompileMode mode = CompileMode::TapaCs;
     int threads = 0;
     double deadlineMs = -1.0;
-    bool warmStart = false;
     bool noCache = false;
     std::string cacheDir;
     bool simulate = true;
@@ -110,10 +111,9 @@ usage()
         "                      [--grid SPEC] [--fpgas N] [--scale N]\n"
         "                      [--mode vitis|tapa|tapacs] "
         "[--threads N]\n"
-        "                      [--deadline-ms N] [--warm-start] "
-        "[--no-cache]\n"
-        "                      [--cache-dir DIR] [--no-sim] [--json] "
-        "[--csv]\n");
+        "                      [--deadline-ms N] [--no-cache] "
+        "[--cache-dir DIR]\n"
+        "                      [--no-sim] [--json] [--csv]\n");
     std::exit(2);
 }
 
@@ -135,9 +135,11 @@ parseArgs(int argc, char **argv)
         else if (arg == "--grid")
             opt.grid = next();
         else if (arg == "--fpgas")
-            opt.fpgas = std::atoi(next().c_str());
+            opt.fpgas = static_cast<int>(
+                cli::intFlag(kTool, arg, next(), 1, 256));
         else if (arg == "--scale")
-            opt.scale = std::atoll(next().c_str());
+            opt.scale = cli::intFlag(kTool, arg, next(), 0,
+                                     1'000'000'000'000LL);
         else if (arg == "--mode") {
             const Status st =
                 serve::parseModeName(next(), &opt.mode);
@@ -146,11 +148,11 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
         } else if (arg == "--threads")
-            opt.threads = std::atoi(next().c_str());
+            opt.threads = static_cast<int>(
+                cli::intFlag(kTool, arg, next(), 0, 1024));
         else if (arg == "--deadline-ms")
-            opt.deadlineMs = std::atof(next().c_str());
-        else if (arg == "--warm-start")
-            opt.warmStart = true;
+            opt.deadlineMs =
+                cli::realFlag(kTool, arg, next(), -1.0e9, 1.0e9);
         else if (arg == "--no-cache")
             opt.noCache = true;
         else if (arg == "--cache-dir")
@@ -172,10 +174,6 @@ parseArgs(int argc, char **argv)
         std::fprintf(stderr,
                      "need exactly one of --workload or --graph\n");
         usage();
-    }
-    if (opt.fpgas < 1 || opt.fpgas > 256) {
-        std::fprintf(stderr, "--fpgas must be in [1, 256]\n");
-        std::exit(2);
     }
     return opt;
 }
@@ -270,7 +268,6 @@ main(int argc, char **argv)
     eopt.threads = opt.threads;
     eopt.pointDeadlineSeconds =
         opt.deadlineMs < 0.0 ? -1.0 : opt.deadlineMs / 1000.0;
-    eopt.familyWarmStart = opt.warmStart;
     eopt.simulate = opt.simulate;
     if (!opt.cacheDir.empty()) {
         cache::CacheStore::Options sopt;

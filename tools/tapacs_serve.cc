@@ -31,8 +31,8 @@
  * Usage:
  *   tapacs-serve [MANIFEST] [--in-process] [--workers N]
  *                [--cache-dir DIR] [--journal PATH] [--worker-exe PATH]
- *                [--repeat N] [--deadline-ms N] [--warm-start]
- *                [--max-queue N] [--block-on-full] [--retries N]
+ *                [--repeat N] [--deadline-ms N] [--max-queue N]
+ *                [--block-on-full] [--retries N]
  *                [--breaker-threshold N] [--replay] [--retain N]
  *                [--heartbeat-timeout-ms N] [--restart-limit N]
  *                [--dispatch-attempts N] [--chaos-seed N] [--strict]
@@ -51,9 +51,6 @@
  *                           their own deadline_ms=; 0 = already
  *                           expired (deterministic degraded path),
  *                           negative = none (the default)
- *   --warm-start            family warm-start hints (see
- *                           CompileOptions::cacheWarmStart; changes
- *                           results on near-miss requests)
  *   --max-queue N           waiting-queue bound; submissions beyond it
  *                           are shed with RESOURCE_EXHAUSTED (0 =
  *                           unbounded, the default)
@@ -88,7 +85,7 @@
  *
  * Worker mode (internal; spawned by the supervisor):
  *   tapacs-serve --worker [--heartbeat-ms=N] [--cache-dir=D]
- *                [--warm-start=0|1] [--fault=SPEC]
+ *                [--fault=SPEC]
  * speaks the serve/wire frame protocol on fds 0 (in) and 3 (out).
  */
 
@@ -104,6 +101,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "obs/metrics.hh"
@@ -116,6 +114,8 @@ using namespace tapacs;
 
 namespace
 {
+
+constexpr char kTool[] = "tapacs-serve";
 
 volatile std::sig_atomic_t gDrainRequested = 0;
 
@@ -144,48 +144,14 @@ usage()
         stderr,
         "usage: tapacs-serve [MANIFEST] [--in-process] [--workers N] "
         "[--cache-dir DIR] [--journal PATH] [--worker-exe PATH] "
-        "[--repeat N] [--deadline-ms N] [--warm-start] "
-        "[--max-queue N] [--block-on-full] [--retries N] "
+        "[--repeat N] [--deadline-ms N] [--max-queue N] "
+        "[--block-on-full] [--retries N] "
         "[--breaker-threshold N] [--replay] [--retain N] "
         "[--heartbeat-timeout-ms N] [--restart-limit N] "
         "[--dispatch-attempts N] [--chaos-seed N] [--strict]\n"
         "       tapacs-serve --worker [--heartbeat-ms=N] "
-        "[--cache-dir=D] [--warm-start=0|1] [--fault=SPEC]\n");
+        "[--cache-dir=D] [--fault=SPEC]\n");
     std::exit(2);
-}
-
-/** Parse all of @p text as a number in [lo, hi] (serve::parseDouble:
- *  no trailing junk, no overflow), or exit 2 naming the flag. */
-double
-realFlag(const std::string &flag, const std::string &text, double lo,
-         double hi)
-{
-    double v = 0.0;
-    if (!serve::parseDouble(text, lo, hi, &v)) {
-        std::fprintf(stderr,
-                     "tapacs-serve: %s '%s' is not a number in "
-                     "[%g, %g]\n",
-                     flag.c_str(), text.c_str(), lo, hi);
-        std::exit(2);
-    }
-    return v;
-}
-
-/** The integer counterpart of realFlag (serve::parseInt). */
-std::int64_t
-intFlag(const std::string &flag, const std::string &text,
-        std::int64_t lo, std::int64_t hi)
-{
-    std::int64_t v = 0;
-    if (!serve::parseInt(text, lo, hi, &v)) {
-        std::fprintf(stderr,
-                     "tapacs-serve: %s '%s' is not an integer in "
-                     "[%lld, %lld]\n",
-                     flag.c_str(), text.c_str(), (long long)lo,
-                     (long long)hi);
-        std::exit(2);
-    }
-    return v;
 }
 
 /** Internal --worker mode: flags are `--key=value` (the supervisor
@@ -208,11 +174,10 @@ workerMain(int argc, char **argv)
         const std::string value = arg.substr(eq + 1);
         if (key == "--heartbeat-ms") {
             config.heartbeatPeriodSeconds =
-                realFlag(key, value, 1.0e-3, 3.6e6) / 1000.0;
+                cli::realFlag(kTool, key, value, 1.0e-3, 3.6e6) /
+                1000.0;
         } else if (key == "--cache-dir") {
             config.cacheDir = value;
-        } else if (key == "--warm-start") {
-            config.warmStart = value == "1";
         } else if (key == "--fault") {
             if (!serve::decodeWorkerFault(value, &config.fault)) {
                 std::fprintf(stderr, "worker: bad fault '%s'\n",
@@ -241,7 +206,8 @@ parseArgs(int argc, char **argv)
             return argv[i];
         };
         auto count = [&](std::int64_t lo, std::int64_t hi) {
-            return static_cast<int>(intFlag(arg, next(), lo, hi));
+            return static_cast<int>(
+                cli::intFlag(kTool, arg, next(), lo, hi));
         };
         if (arg == "--in-process")
             fleet.inProcess = true;
@@ -258,11 +224,10 @@ parseArgs(int argc, char **argv)
             // combined repeat (64-bit below) can never overflow.
             opt.repeat = count(1, 10'000);
         else if (arg == "--deadline-ms") {
-            const double ms = realFlag(arg, next(), -1.0e9, 1.0e9);
+            const double ms =
+                cli::realFlag(kTool, arg, next(), -1.0e9, 1.0e9);
             fleet.defaultDeadlineSeconds = ms < 0.0 ? -1.0 : ms / 1000.0;
-        } else if (arg == "--warm-start")
-            fleet.warmStart = true;
-        else if (arg == "--max-queue")
+        } else if (arg == "--max-queue")
             fleet.maxQueue = count(0, 1'000'000);
         else if (arg == "--block-on-full")
             fleet.blockOnFull = true;
@@ -276,13 +241,14 @@ parseArgs(int argc, char **argv)
             fleet.retainResults = count(0, 1'000'000);
         else if (arg == "--heartbeat-timeout-ms")
             fleet.heartbeatTimeoutSeconds =
-                realFlag(arg, next(), 1.0, 3.6e6) / 1000.0;
+                cli::realFlag(kTool, arg, next(), 1.0, 3.6e6) / 1000.0;
         else if (arg == "--restart-limit")
             fleet.restartLimit = count(0, 1000);
         else if (arg == "--dispatch-attempts")
             fleet.maxDispatchAttempts = count(1, 1000);
         else if (arg == "--chaos-seed")
-            opt.chaosSeed = intFlag(arg, next(), 0, INT64_MAX);
+            opt.chaosSeed =
+                cli::intFlag(kTool, arg, next(), 0, INT64_MAX);
         else if (arg == "--strict")
             opt.strict = true;
         else if (arg == "--help" || arg == "-h")

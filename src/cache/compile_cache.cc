@@ -109,8 +109,7 @@ interKey(const GraphFingerprint &fp, const Cluster &cluster, int numFpgas,
 CacheKey
 intraDeviceKey(const TaskGraph &g, const DevicePartition &partition,
                DeviceId device, const DeviceModel &dev,
-               const IntraFpgaOptions &options,
-               const HbmBindingOptions &bindOptions)
+               const IntraFpgaOptions &options, bool sweep)
 {
     KeyBuilder b;
     b.i64(kSchemaVersion).str("intradev");
@@ -147,11 +146,10 @@ intraDeviceKey(const TaskGraph &g, const DevicePartition &partition,
         .i64(options.useIlp ? 1 : 0)
         .f64(options.memAttractionWidth);
     mixSolver(b, options.solver);
-    // IntraFpgaOptions::numThreads and HbmBindingOptions::numThreads
-    // are deliberately absent: both passes document thread-count
-    // invariance, which is what lets a parallel batch compile share
-    // entries with a serial one.
-    b.i64(bindOptions.sweep ? 1 : 0);
+    // The thread count is deliberately absent: floorplanLevel2 is
+    // thread-count invariant, which is what lets a parallel batch
+    // compile share entries with a serial one.
+    b.i64(sweep ? 1 : 0);
     return b.build();
 }
 

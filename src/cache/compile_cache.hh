@@ -14,8 +14,8 @@
  * fingerprint, cluster content, thresholds, seeds, solver limits —
  * and a schema version, but deliberately EXCLUDE the thread-count
  * knobs: results are thread-count-invariant by construction (see
- * IntraFpgaOptions::numThreads), so a 4-thread batch compile and a
- * serial one address the same entries. Session-scoped serving knobs
+ * floorplanLevel2), so a 4-thread batch compile and a serial one
+ * address the same entries. Session-scoped serving knobs
  * (result retention, `--incremental`) are likewise not content and
  * never reach a key, so incremental and cold compiles share entries.
  * An exact-key hit returns the stored artifact bit-for-bit; doubles
@@ -43,7 +43,6 @@
 
 #include "cache/key.hh"
 #include "cache/store.hh"
-#include "floorplan/hbm_binding.hh"
 #include "floorplan/inter_fpga.hh"
 #include "floorplan/intra_fpga.hh"
 #include "hls/estimator.hh"
@@ -70,31 +69,15 @@ CacheKey interKey(const GraphFingerprint &fp, const Cluster &cluster,
  * ordered induced subgraph of @p device under @p partition (vertex
  * areas + memory-channel demands in ascending graph id, plus the
  * intra-device edges' widths in edge-id order), the device model
- * alone (topology and cluster size are level-1 concerns), and the
- * solver-visible options. Thread-count knobs excluded (results
- * invariant).
+ * alone (topology and cluster size are level-1 concerns), the
+ * solver-visible options and the HBM binding @p sweep flag. The
+ * thread count is excluded (results invariant). The entry stored
+ * under it is floorplanLevel2's IntraDeviceEntry.
  */
 CacheKey intraDeviceKey(const TaskGraph &g,
                         const DevicePartition &partition, DeviceId device,
                         const DeviceModel &dev,
-                        const IntraFpgaOptions &options,
-                        const HbmBindingOptions &bindOptions);
-
-/**
- * One device's phase-5 artifacts. `slots` is parallel to the device's
- * vertex list in ascending graph id; `grants` is parallel to the
- * device's memory users (work.memChannels > 0) in ascending graph id;
- * `usersPerChannel` has one load per channel of the device model.
- */
-struct IntraDeviceEntry
-{
-    std::vector<SlotCoord> slots;
-    std::vector<std::vector<int>> grants;
-    std::vector<int> usersPerChannel;
-    double displacement = 0.0;
-    bool allIlpOptimal = true;
-    ilp::SolverStats stats;
-};
+                        const IntraFpgaOptions &options, bool sweep);
 
 /**
  * Typed get/put over a CacheStore. Thread-safe (the store is); a

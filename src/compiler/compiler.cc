@@ -7,7 +7,6 @@
 
 #include "cache/compile_cache.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "network/link.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -278,6 +277,7 @@ compile(const TaskGraph &g, const Cluster &cluster,
         inter.threshold = options.threshold;
         inter.reserved = out.reservedPerDevice;
         inter.seed = options.seed;
+        inter.numThreads = options.numThreads;
         inter.channelsPerDevice = dev.memory().channels;
         // Phase budget: the level-1 solve may spend at most half the
         // remaining time, leaving the rest for level 2 and the cheap
@@ -428,8 +428,6 @@ compile(const TaskGraph &g, const Cluster &cluster,
                                   ? options.slotThreshold
                                   : options.threshold;
             intra.reserved = out.reservedPerDevice;
-            if (intra.numThreads == 0)
-                intra.numThreads = options.numThreads;
             // Phase budget: level 2 gets most of whatever remains —
             // only the cheap pipelining/timing phases follow it.
             intra.ctx = options.ctx;
@@ -446,124 +444,37 @@ compile(const TaskGraph &g, const Cluster &cluster,
             // cost), so an edit that dirties one device's subgraph
             // re-solves that device alone while every clean device
             // rebinds from its cached entry.
-            HbmBindingOptions bind_opt;
-            bind_opt.sweep = options.hbmBindingSweep;
-            bind_opt.numThreads = options.numThreads;
-
             const auto l2_t0 = std::chrono::steady_clock::now();
             const int num_devices = cluster.numDevices();
-            const int channels = dev.memory().channels;
-
-            // Per-device vertex and memory-user lists, both in
-            // ascending graph id — the order the per-device key and
-            // entry layouts are defined over.
-            std::vector<std::vector<VertexId>> verts_of(num_devices);
-            std::vector<std::vector<VertexId>> users_of(num_devices);
-            for (VertexId v = 0; v < dg.numVertices(); ++v) {
-                const DeviceId d = out.partition.deviceOf[v];
-                verts_of[d].push_back(v);
-                if (dg.vertex(v).work.memChannels > 0)
-                    users_of[d].push_back(v);
-            }
-
-            std::vector<cache::IntraDeviceEntry> entries(num_devices);
-            std::vector<char> cached(num_devices, 0);
-            std::vector<char> interrupted_of(num_devices, 0);
+            std::vector<std::optional<IntraDeviceEntry>> known(
+                num_devices);
             std::vector<cache::CacheKey> dev_keys(num_devices);
             if (cc != nullptr && !intra.ctx.done()) {
                 for (DeviceId d = 0; d < num_devices; ++d) {
                     dev_keys[d] = cache::intraDeviceKey(
-                        dg, out.partition, d, dev, intra, bind_opt);
-                    cache::IntraDeviceEntry e;
-                    if (cc->getIntraDevice(dev_keys[d], &e) &&
-                        e.slots.size() == verts_of[d].size() &&
-                        e.grants.size() == users_of[d].size() &&
-                        e.usersPerChannel.size() ==
-                            static_cast<std::size_t>(channels)) {
-                        entries[d] = std::move(e);
-                        cached[d] = 1;
-                    }
+                        dg, out.partition, d, dev, intra,
+                        options.hbmBindingSweep);
+                    IntraDeviceEntry e;
+                    if (cc->getIntraDevice(dev_keys[d], &e))
+                        known[d] = std::move(e);
                 }
                 l2_used_keys = dev_keys;
             }
-
-            // Scatter the cached placements first, then solve the
-            // missing devices; slots land directly in the shared
-            // vector — devices touch disjoint vertices, so the
-            // parallel writes never alias.
-            out.placement.slotOf.assign(dg.numVertices(),
-                                        SlotCoord{0, 0});
-            for (DeviceId d = 0; d < num_devices; ++d) {
-                if (!cached[d])
-                    continue;
-                for (std::size_t i = 0; i < verts_of[d].size(); ++i)
-                    out.placement.slotOf[verts_of[d][i]] =
-                        entries[d].slots[i];
-            }
-            auto solveDevice = [&](std::int64_t d) {
-                if (cached[d])
-                    return;
-                IntraDeviceResult fr = floorplanIntraDevice(
-                    dg, dev, verts_of[d], intra);
-                cache::IntraDeviceEntry &e = entries[d];
-                e.slots = std::move(fr.slotOf);
-                for (std::size_t i = 0; i < verts_of[d].size(); ++i)
-                    out.placement.slotOf[verts_of[d][i]] = e.slots[i];
-                HbmDeviceBinding hb =
-                    bindHbmDevice(dg, dev, out.placement, users_of[d],
-                                  bind_opt.sweep);
-                e.grants = std::move(hb.grants);
-                e.usersPerChannel = std::move(hb.usersPerChannel);
-                e.displacement = hb.displacement;
-                e.allIlpOptimal = fr.allIlpOptimal;
-                e.stats = fr.stats;
-                interrupted_of[d] =
-                    (fr.interrupted || fr.stats.interrupted) ? 1 : 0;
-            };
-            int threads = intra.numThreads;
-            if (threads <= 0)
-                threads = ThreadPool::defaultPool().size();
-            if (threads > 1 && num_devices > 1) {
-                ThreadPool::defaultPool().parallelFor(0, num_devices,
-                                                      solveDevice);
-            } else {
-                threads = 1;
-                for (std::int64_t d = 0; d < num_devices; ++d)
-                    solveDevice(d);
-            }
-            if (cc != nullptr && !volatile_ctx) {
+            Level2Result l2 = floorplanLevel2(
+                dg, cluster, out.partition, intra,
+                options.hbmBindingSweep, options.numThreads,
+                std::move(known));
+            if (cc != nullptr && !volatile_ctx && !l2.interrupted) {
                 for (DeviceId d = 0; d < num_devices; ++d) {
-                    if (!cached[d] && !interrupted_of[d])
-                        cc->putIntraDevice(dev_keys[d], entries[d]);
+                    if (l2.solved[d])
+                        cc->putIntraDevice(dev_keys[d], l2.devices[d]);
                 }
             }
+            out.placement = std::move(l2.placement);
+            out.binding = std::move(l2.binding);
+            out.l2SolverStats = l2.solverStats;
 
-            // Fold in fixed device order so the stats sums and the
-            // binding aggregate are identical at any thread count —
-            // and identical whether an entry was solved or rebound.
-            out.binding.channelsOf.assign(dg.numVertices(), {});
-            out.binding.usersPerChannel.assign(
-                num_devices, std::vector<int>(channels, 0));
-            out.binding.displacementCost = 0.0;
-            out.l2SolverStats = ilp::SolverStats{};
-            out.l2SolverStats.provenOptimal = true; // merge() identity
-            bool l2_interrupted = false;
-            for (DeviceId d = 0; d < num_devices; ++d) {
-                const cache::IntraDeviceEntry &e = entries[d];
-                l2_interrupted = l2_interrupted || interrupted_of[d];
-                out.l2SolverStats.merge(e.stats);
-                if (users_of[d].empty())
-                    continue;
-                out.binding.usersPerChannel[d] = e.usersPerChannel;
-                for (std::size_t i = 0; i < users_of[d].size(); ++i)
-                    out.binding.channelsOf[users_of[d][i]] =
-                        e.grants[i];
-                out.binding.displacementCost += e.displacement;
-            }
-            out.l2SolverStats.threadsUsed =
-                std::max(out.l2SolverStats.threadsUsed, threads);
-
-            if (l2_interrupted) {
+            if (l2.interrupted) {
                 out.degraded = true;
                 if (!out.degradedReason.empty())
                     out.degradedReason += "; ";
@@ -578,11 +489,10 @@ compile(const TaskGraph &g, const Cluster &cluster,
             out.l2Seconds = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - l2_t0)
                                 .count();
-            span.arg("cost", intraFpgaCost(dg, out.partition,
-                                           out.placement))
+            span.arg("cost", l2.cost)
                 .arg("devices_cached",
                      static_cast<std::int64_t>(std::count(
-                         cached.begin(), cached.end(), 1)))
+                         l2.solved.begin(), l2.solved.end(), 0)))
                 .arg("solver_nodes", out.l2SolverStats.nodesExplored)
                 .arg("lp_iterations", out.l2SolverStats.lpIterations)
                 .arg("seconds", out.l2Seconds);

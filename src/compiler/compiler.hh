@@ -6,7 +6,7 @@
  *  2. parallel synthesis          (hls::synthesizeAll)
  *  3. inter-FPGA floorplanning    (floorplanInterFpga, eq. 1-3)
  *  4. communication logic insert  (AlveoLink IP overhead reservation)
- *  5. intra-FPGA floorplanning    (floorplanIntraFpga, eq. 4 + HBM)
+ *  5. intra-FPGA floorplanning    (floorplanLevel2, eq. 4 + HBM)
  *  6. interconnect pipelining     (planPipelining + balancing)
  *  7. bitstream generation        (modeled by the timing estimate)
  *
@@ -75,7 +75,7 @@ struct CompileOptions
     double slotThreshold = -1.0;
     /**
      * Evaluate several candidate HBM bindings per device and keep the
-     * best (HbmBindingOptions::sweep); false runs only the classic
+     * best (bindHbmDevice's sweep); false runs only the classic
      * nearest-free walk. Both are deterministic; the flag is part of
      * the level-2 cache key, so either policy's entries address
      * correctly.
@@ -113,10 +113,12 @@ struct CompileOptions
      */
     Context ctx;
     /**
-     * Worker threads for the parallel floorplanning stages (per-device
-     * intra-FPGA placement, HBM binding sweep). 0 = default pool size
-     * (TAPACS_THREADS / hardware concurrency); 1 = serial. Forwarded
-     * into intra.numThreads when that is left at 0.
+     * Worker threads for the parallel floorplanning stages: the
+     * multilevel V-cycle's refinement gain map (set as
+     * inter.numThreads) and the per-device level-2 place-and-bind
+     * loop (floorplanLevel2). 0 = default pool size (TAPACS_THREADS /
+     * hardware concurrency); 1 = serial in every phase. Results are
+     * identical at any value.
      */
     int numThreads = 0;
     /**

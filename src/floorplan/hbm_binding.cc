@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "obs/trace.hh"
 
 namespace tapacs
@@ -199,61 +198,6 @@ bindHbmDevice(const TaskGraph &g, const DeviceModel &dev,
     out.usersPerChannel = std::move(win.load);
     out.grants = std::move(win.grants);
     out.displacement = win.displacement;
-    return out;
-}
-
-HbmBinding
-bindHbmChannels(const TaskGraph &g, const Cluster &cluster,
-                const DevicePartition &partition,
-                const SlotPlacement &placement,
-                const HbmBindingOptions &options)
-{
-    const DeviceModel &dev = cluster.device();
-    const int channels = dev.memory().channels;
-    const int num_devices = cluster.numDevices();
-
-    HbmBinding out;
-    out.channelsOf.assign(g.numVertices(), {});
-    out.usersPerChannel.assign(num_devices,
-                               std::vector<int>(channels, 0));
-
-    // Memory-using tasks per device (vertex order; the walk order is
-    // a per-candidate decision).
-    std::vector<std::vector<VertexId>> users_of(num_devices);
-    for (VertexId v = 0; v < g.numVertices(); ++v) {
-        if (g.vertex(v).work.memChannels > 0)
-            users_of[partition.deviceOf[v]].push_back(v);
-    }
-
-    // Devices are independent: each one reads shared inputs and
-    // writes only its own slot, so the outer loop maps directly onto
-    // parallelFor; the fold below runs serially in device order,
-    // which keeps the result identical at any thread count.
-    std::vector<HbmDeviceBinding> bindings(num_devices);
-    auto evalDevice = [&](std::int64_t d) {
-        if (!users_of[d].empty())
-            bindings[d] = bindHbmDevice(g, dev, placement, users_of[d],
-                                        options.sweep);
-    };
-
-    int threads = options.numThreads;
-    if (threads <= 0)
-        threads = ThreadPool::defaultPool().size();
-    if (threads > 1 && num_devices > 1)
-        ThreadPool::defaultPool().parallelFor(0, num_devices, evalDevice);
-    else
-        for (std::int64_t d = 0; d < num_devices; ++d)
-            evalDevice(d);
-
-    for (int d = 0; d < num_devices; ++d) {
-        if (users_of[d].empty())
-            continue;
-        const HbmDeviceBinding &win = bindings[d];
-        out.usersPerChannel[d] = win.usersPerChannel;
-        for (size_t i = 0; i < users_of[d].size(); ++i)
-            out.channelsOf[users_of[d][i]] = win.grants[i];
-        out.displacementCost += win.displacement;
-    }
     return out;
 }
 

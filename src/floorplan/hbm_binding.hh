@@ -46,26 +46,6 @@ struct HbmBinding
     bool operator!=(const HbmBinding &o) const { return !(*this == o); }
 };
 
-/** Options for HBM channel binding. */
-struct HbmBindingOptions
-{
-    /**
-     * Evaluate several candidate bindings per device (task orderings
-     * crossed with channel-pick policies) and keep the one with the
-     * lowest (maxContention, displacement); candidate 0 is the classic
-     * single-pass heuristic, so the sweep never does worse than it.
-     * false = run only candidate 0.
-     */
-    bool sweep = true;
-    /**
-     * Worker threads for the device x candidate evaluation grid.
-     * 0 = default pool size (TAPACS_THREADS / hardware concurrency);
-     * 1 = serial. The result is identical at any thread count:
-     * candidates are scored independently and reduced in fixed order.
-     */
-    int numThreads = 0;
-};
-
 /**
  * Binding of one device's memory users. `grants` is parallel to the
  * `users` list handed to bindHbmDevice; `usersPerChannel` has one
@@ -79,31 +59,21 @@ struct HbmDeviceBinding
 };
 
 /**
- * Bind one device's memory users to its channels: the classic
- * nearest-free walk, or (with @p sweep) the full candidate grid of
- * walk orders x pick policies reduced in fixed order. Deterministic
- * in (users, placement, device model) — the candidate sweep runs
- * serially here, so per-device results can be cached positionally.
+ * Bind one device's memory users to its channels. Each task requests
+ * work.memChannels channels. The classic walk visits tasks in
+ * slot-column order and grants the nearest free channels; once every
+ * channel is granted, further requests share the least-loaded ones
+ * (contention > 1). With @p sweep the binder also tries the other
+ * walk orders x pick policies and keeps the lowest (maxContention,
+ * displacement); ties keep the classic walk, so the sweep never does
+ * worse than it. Deterministic in (users, placement, device model) —
+ * the candidates run serially, so per-device results can be cached
+ * positionally.
  */
 HbmDeviceBinding bindHbmDevice(const TaskGraph &g, const DeviceModel &dev,
                                const SlotPlacement &placement,
                                const std::vector<VertexId> &users,
                                bool sweep);
-
-/**
- * Bind memory channels for every device of the cluster.
- *
- * Tasks request work.memChannels channels each. Within a device the
- * binder walks tasks in slot-column order, granting the nearest free
- * channels; once all channels are granted further requests share the
- * least-loaded channels (contention > 1). With options.sweep the
- * binder additionally tries alternative walk orders and pick policies
- * per device and keeps the best-scoring binding.
- */
-HbmBinding bindHbmChannels(const TaskGraph &g, const Cluster &cluster,
-                           const DevicePartition &partition,
-                           const SlotPlacement &placement,
-                           const HbmBindingOptions &options = {});
 
 /**
  * Column of a memory channel on the device (channels are spread

@@ -131,7 +131,8 @@ struct InterFpgaOptions
      * concurrency); 1 = serial. Results are bit-identical at any
      * thread count — gains are computed into index-ordered slots and
      * applied serially in a deterministic order — so this knob is
-     * excluded from cache keys.
+     * excluded from cache keys. compile() sets it from
+     * CompileOptions::numThreads.
      */
     int numThreads = 0;
     /**

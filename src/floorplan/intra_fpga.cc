@@ -1,7 +1,6 @@
 #include "floorplan/intra_fpga.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <numeric>
 
@@ -14,8 +13,6 @@ namespace tapacs
 
 namespace
 {
-
-using clock_type = std::chrono::steady_clock;
 
 /** Rectangular region of slots: [c0, c1] x [r0, r1], inclusive. */
 struct Region
@@ -399,63 +396,107 @@ floorplanIntraDevice(const TaskGraph &g, const DeviceModel &dev,
     return outcome;
 }
 
-IntraFpgaResult
-floorplanIntraFpga(const TaskGraph &g, const Cluster &cluster,
-                   const DevicePartition &partition,
-                   const IntraFpgaOptions &options)
+Level2Result
+floorplanLevel2(const TaskGraph &g, const Cluster &cluster,
+                const DevicePartition &partition,
+                const IntraFpgaOptions &options, bool hbmSweep,
+                int numThreads,
+                std::vector<std::optional<IntraDeviceEntry>> known)
 {
-    const auto t0 = clock_type::now();
     tapacs_assert(static_cast<int>(partition.deviceOf.size()) ==
                   g.numVertices());
     const DeviceModel &dev = cluster.device();
-
-    IntraFpgaResult out;
-    out.placement.slotOf.assign(g.numVertices(), SlotCoord{0, 0});
-
-    // Devices are independent bisection problems: each one reads only
-    // the level-1 partition and writes only its own vertices' slots,
-    // so the outer loop parallelizes without any synchronization. The
-    // per-device outcomes are folded back in device order to keep the
-    // aggregates deterministic.
     const int num_devices = cluster.numDevices();
+    const int channels = dev.memory().channels;
+
+    // Per-device vertex and memory-user lists, both in ascending graph
+    // id — the order the per-device solve walks and IntraDeviceEntry
+    // is laid out in.
     std::vector<std::vector<VertexId>> verts_of(num_devices);
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-        verts_of[partition.deviceOf[v]].push_back(v);
-    std::vector<IntraDeviceResult> outcomes(num_devices);
+    std::vector<std::vector<VertexId>> users_of(num_devices);
+    for (VertexId v = 0; v < g.numVertices(); ++v) {
+        const DeviceId d = partition.deviceOf[v];
+        verts_of[d].push_back(v);
+        if (g.vertex(v).work.memChannels > 0)
+            users_of[d].push_back(v);
+    }
 
-    auto placeDevice = [&](DeviceId d) {
-        outcomes[d] = floorplanIntraDevice(g, dev, verts_of[d], options);
+    Level2Result out;
+    out.devices.resize(num_devices);
+    out.solved.assign(num_devices, 1);
+    known.resize(num_devices);
+    for (DeviceId d = 0; d < num_devices; ++d) {
+        std::optional<IntraDeviceEntry> &k = known[d];
+        if (k && k->slots.size() == verts_of[d].size() &&
+            k->grants.size() == users_of[d].size() &&
+            k->usersPerChannel.size() ==
+                static_cast<std::size_t>(channels)) {
+            out.devices[d] = std::move(*k);
+            out.solved[d] = 0;
+        }
+    }
+
+    // Each device reads shared inputs and writes only its own record
+    // and its own vertices' slots, so the loop needs no
+    // synchronization; the binder reads the slots its own device just
+    // wrote.
+    out.placement.slotOf.assign(g.numVertices(), SlotCoord{0, 0});
+    std::vector<char> interrupted_of(num_devices, 0);
+    auto solveDevice = [&](std::int64_t d) {
+        if (!out.solved[d])
+            return;
+        IntraDeviceResult fr =
+            floorplanIntraDevice(g, dev, verts_of[d], options);
+        IntraDeviceEntry &e = out.devices[d];
+        e.slots = std::move(fr.slotOf);
+        for (std::size_t i = 0; i < verts_of[d].size(); ++i)
+            out.placement.slotOf[verts_of[d][i]] = e.slots[i];
+        HbmDeviceBinding hb =
+            bindHbmDevice(g, dev, out.placement, users_of[d], hbmSweep);
+        e.grants = std::move(hb.grants);
+        e.usersPerChannel = std::move(hb.usersPerChannel);
+        e.displacement = hb.displacement;
+        e.allIlpOptimal = fr.allIlpOptimal;
+        e.stats = fr.stats;
+        interrupted_of[d] = (fr.interrupted || fr.stats.interrupted) ? 1 : 0;
     };
-
-    int threads = options.numThreads;
+    int threads = numThreads;
     if (threads <= 0)
         threads = ThreadPool::defaultPool().size();
     if (threads > 1 && num_devices > 1) {
-        ThreadPool::defaultPool().parallelFor(
-            0, num_devices,
-            [&](std::int64_t d) { placeDevice(static_cast<DeviceId>(d)); });
+        ThreadPool::defaultPool().parallelFor(0, num_devices, solveDevice);
     } else {
         threads = 1;
-        for (DeviceId d = 0; d < num_devices; ++d)
-            placeDevice(d);
+        for (std::int64_t d = 0; d < num_devices; ++d)
+            solveDevice(d);
     }
 
+    // Fold in fixed device order so the stats sums and the binding
+    // aggregate are identical at any thread count — and identical
+    // whether a record was solved or known.
+    out.binding.channelsOf.assign(g.numVertices(), {});
+    out.binding.usersPerChannel.assign(num_devices,
+                                       std::vector<int>(channels, 0));
     out.solverStats.provenOptimal = true; // identity for merge()
     for (DeviceId d = 0; d < num_devices; ++d) {
-        const IntraDeviceResult &outcome = outcomes[d];
-        for (size_t i = 0; i < verts_of[d].size(); ++i)
-            out.placement.slotOf[verts_of[d][i]] = outcome.slotOf[i];
-        out.allIlpOptimal = out.allIlpOptimal && outcome.allIlpOptimal;
-        out.interrupted = out.interrupted || outcome.interrupted;
-        out.solverStats.merge(outcome.stats);
+        const IntraDeviceEntry &e = out.devices[d];
+        if (!out.solved[d]) {
+            for (std::size_t i = 0; i < verts_of[d].size(); ++i)
+                out.placement.slotOf[verts_of[d][i]] = e.slots[i];
+        }
+        out.allIlpOptimal = out.allIlpOptimal && e.allIlpOptimal;
+        out.interrupted = out.interrupted || interrupted_of[d];
+        out.solverStats.merge(e.stats);
+        if (users_of[d].empty())
+            continue;
+        out.binding.usersPerChannel[d] = e.usersPerChannel;
+        for (std::size_t i = 0; i < users_of[d].size(); ++i)
+            out.binding.channelsOf[users_of[d][i]] = e.grants[i];
+        out.binding.displacementCost += e.displacement;
     }
-    out.interrupted = out.interrupted || out.solverStats.interrupted;
     out.solverStats.threadsUsed =
         std::max(out.solverStats.threadsUsed, threads);
-
     out.cost = intraFpgaCost(g, partition, out.placement);
-    out.elapsedSeconds =
-        std::chrono::duration<double>(clock_type::now() - t0).count();
     return out;
 }
 

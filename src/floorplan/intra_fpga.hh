@@ -12,12 +12,18 @@
  * vertices with external-memory ports are attracted to the
  * memory-exposing bottom row (all HBM channels surface there), and
  * edges to vertices fixed elsewhere pull toward the matching side.
+ * floorplanLevel2 runs the whole step in one place: it places each
+ * device and binds its HBM channels from that placement.
  */
 
 #ifndef TAPACS_FLOORPLAN_INTRA_FPGA_HH
 #define TAPACS_FLOORPLAN_INTRA_FPGA_HH
 
+#include <optional>
+#include <vector>
+
 #include "common/context.hh"
+#include "floorplan/hbm_binding.hh"
 #include "floorplan/partition.hh"
 #include "ilp/solver.hh"
 
@@ -49,14 +55,6 @@ struct IntraFpgaOptions
      *  numSlots-1 bisections; the greedy warm start bounds the damage
      *  of a limit hit). */
     ilp::SolverOptions solver = defaultSolverOptions();
-    /**
-     * Worker threads for the per-device outer loop: devices are
-     * independent, so each can be floorplanned concurrently. 0 = use
-     * the default pool size (TAPACS_THREADS / hardware concurrency);
-     * 1 = serial. Results are identical at any thread count because
-     * devices neither share state nor observe each other's order.
-     */
-    int numThreads = 0;
 
     static ilp::SolverOptions
     defaultSolverOptions()
@@ -65,25 +63,6 @@ struct IntraFpgaOptions
         s.maxNodes = 150;
         return s;
     }
-};
-
-/** Result of a level-2 solve across all devices. */
-struct IntraFpgaResult
-{
-    SlotPlacement placement;
-    /** eq. 4 objective across all devices. */
-    double cost = 0.0;
-    /** Wall-clock seconds (the paper's "L2" overhead). */
-    double elapsedSeconds = 0.0;
-    /** True if every bisection ILP was solved to proven optimality. */
-    bool allIlpOptimal = true;
-    /** True when the options' deadline/cancel token fired during the
-     *  solve and at least one cut degraded to the greedy assignment. */
-    bool interrupted = false;
-    /** Aggregate solver effort over every bisection ILP of every
-     *  device (wallSeconds sums solver time across devices, so it can
-     *  exceed elapsedSeconds when devices run concurrently). */
-    ilp::SolverStats solverStats;
 };
 
 /** Result of one device's recursive bisection. */
@@ -115,17 +94,68 @@ IntraDeviceResult floorplanIntraDevice(const TaskGraph &g,
                                        const IntraFpgaOptions &options);
 
 /**
- * Place every task into a slot of its assigned device.
- *
- * @param g the task graph (validated).
- * @param cluster the cluster (provides the device slot grid).
- * @param partition level-1 result assigning tasks to devices.
- * @param options knobs above.
+ * One device's level-2 artifacts: the per-device record of
+ * floorplanLevel2 and the compile cache's level-2 entry. `slots` is
+ * parallel to the device's vertices in ascending graph id; `grants` is
+ * parallel to the device's memory users (work.memChannels > 0) in
+ * ascending graph id; `usersPerChannel` has one load per channel of
+ * the device model.
  */
-IntraFpgaResult floorplanIntraFpga(const TaskGraph &g,
-                                   const Cluster &cluster,
-                                   const DevicePartition &partition,
-                                   const IntraFpgaOptions &options = {});
+struct IntraDeviceEntry
+{
+    std::vector<SlotCoord> slots;
+    std::vector<std::vector<int>> grants;
+    std::vector<int> usersPerChannel;
+    double displacement = 0.0;
+    bool allIlpOptimal = true;
+    ilp::SolverStats stats;
+};
+
+/** Result of level 2 across all devices. */
+struct Level2Result
+{
+    SlotPlacement placement;
+    HbmBinding binding;
+    /** Per-device records, in device order. */
+    std::vector<IntraDeviceEntry> devices;
+    /** solved[d]: device d was solved by this call rather than taken
+     *  from `known` — the records a cache has not seen yet. */
+    std::vector<char> solved;
+    /** eq. 4 objective across all devices. */
+    double cost = 0.0;
+    /** True if every bisection ILP was solved to proven optimality. */
+    bool allIlpOptimal = true;
+    /** True when the options' deadline/cancel token fired during a
+     *  solve and at least one cut degraded to the greedy assignment. */
+    bool interrupted = false;
+    /** Aggregate solver effort over every bisection ILP of every
+     *  device, folded in device order. */
+    ilp::SolverStats solverStats;
+};
+
+/**
+ * Level 2 of the flow (paper section 4.5): per device, the recursive
+ * bisection of floorplanIntraDevice, then bindHbmDevice from that
+ * placement. Devices are independent (cross-device edges are a
+ * level-1 cost), so they run concurrently on the shared pool and are
+ * folded in fixed device order: the result is identical at any thread
+ * count.
+ *
+ * @param partition level-1 result assigning tasks to devices.
+ * @param hbmSweep run the full binding candidate sweep per device
+ *        (false: only the classic nearest-free walk).
+ * @param numThreads 0 = default pool size (TAPACS_THREADS / hardware
+ *        concurrency); 1 = serial.
+ * @param known per-device records solved earlier (cache hits), used
+ *        as they are; a missing record, or one whose sizes do not
+ *        match its device, is solved.
+ */
+Level2Result
+floorplanLevel2(const TaskGraph &g, const Cluster &cluster,
+                const DevicePartition &partition,
+                const IntraFpgaOptions &options, bool hbmSweep,
+                int numThreads = 0,
+                std::vector<std::optional<IntraDeviceEntry>> known = {});
 
 } // namespace tapacs
 

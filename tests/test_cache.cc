@@ -278,6 +278,48 @@ TEST(CacheKeyProperty, ThreadAndServingKnobsNeverReachSolverKeys)
     EXPECT_TRUE(a == b);
 }
 
+TEST(CacheKeyProperty, IntraDeviceKeyIsPinned)
+{
+    // On-disk level-2 entries stay addressable only while this key
+    // derivation is unchanged. A change that moves these values must
+    // bump kSchemaVersion (so stale entries miss cleanly) and re-pin.
+    // Two devices, memory users on both, intra-device edges on both
+    // and one cross-device edge the key must ignore.
+    TaskGraph g("pinned");
+    auto add = [&](const char *name, double lut, int channels) {
+        Vertex v;
+        v.name = name;
+        v.area = ResourceVector(lut, 2 * lut, 8, 16, 0);
+        v.work.memChannels = channels;
+        g.addVertex(v);
+    };
+    add("rd0", 30000, 2);
+    add("pe0", 60000, 0);
+    add("wr0", 20000, 1);
+    add("rd1", 35000, 4);
+    add("pe1", 55000, 0);
+    add("wr1", 25000, 1);
+    g.addEdge(0, 1, 512, 1.0e6);
+    g.addEdge(1, 2, 256, 1.0e6);
+    g.addEdge(2, 3, 128, 1.0e6); // cross-device
+    g.addEdge(3, 4, 512, 1.0e6);
+    g.addEdge(4, 5, 64, 1.0e6);
+    g.addEdge(5, 3, 32, 1.0e6);
+    DevicePartition part;
+    part.deviceOf = {0, 0, 0, 1, 1, 1};
+    const DeviceModel dev = makeU55C();
+    IntraFpgaOptions opt;
+    opt.reserved = ResourceVector(1000, 2000, 4, 8, 0);
+
+    EXPECT_EQ(cache::kSchemaVersion, 5);
+    EXPECT_EQ(cache::intraDeviceKey(g, part, 0, dev, opt, true).hex(),
+              "f8237be1d2a7cb20da642ca4bff11093");
+    EXPECT_EQ(cache::intraDeviceKey(g, part, 1, dev, opt, true).hex(),
+              "bb6e72505166164327ca56de9d1d1052");
+    EXPECT_EQ(cache::intraDeviceKey(g, part, 1, dev, opt, false).hex(),
+              "9db700ae501f5999717c936ca02cfbe6");
+}
+
 TEST(CacheKeyProperty, DeviceCountSeparatesClusterKeys)
 {
     EXPECT_NE(cache::clusterKey(makePaperTestbed(2)),

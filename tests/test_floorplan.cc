@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <set>
 
+#include "apps/stencil.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "floorplan/hbm_binding.hh"
@@ -58,6 +61,14 @@ makeRandomGraph(int n, std::uint64_t seed)
             g.addEdge(a, b, 64, 1.0e5);
     }
     return g;
+}
+
+/** Worst channel sharing of one device's binding. */
+int
+maxLoad(const HbmDeviceBinding &b)
+{
+    return *std::max_element(b.usersPerChannel.begin(),
+                             b.usersPerChannel.end());
 }
 
 TEST(InterFpga, SingleDeviceTrivial)
@@ -224,7 +235,7 @@ TEST(IntraFpga, AllSlotsInsideGrid)
     Cluster c = makePaperTestbed(1);
     DevicePartition part;
     part.deviceOf.assign(g.numVertices(), 0);
-    IntraFpgaResult r = floorplanIntraFpga(g, c, part);
+    Level2Result r = floorplanLevel2(g, c, part, {}, true);
     const DeviceModel &dev = c.device();
     for (const SlotCoord &sc : r.placement.slotOf) {
         EXPECT_GE(sc.col, 0);
@@ -250,8 +261,11 @@ TEST(IntraFpga, MemoryTasksAttractedToHbmRow)
     Cluster c = makePaperTestbed(1);
     DevicePartition part;
     part.deviceOf = {0, 0};
-    IntraFpgaResult r = floorplanIntraFpga(g, c, part);
+    Level2Result r = floorplanLevel2(g, c, part, {}, true);
     EXPECT_EQ(r.placement.slotOf[0].row, c.device().memoryRow());
+    // Binding runs from that placement: 16 channels, no sharing.
+    EXPECT_EQ(r.binding.channelsOf[0].size(), 16u);
+    EXPECT_EQ(r.binding.maxContention(0), 1);
 }
 
 TEST(IntraFpga, ConnectedTasksPlacedTogether)
@@ -264,7 +278,7 @@ TEST(IntraFpga, ConnectedTasksPlacedTogether)
     Cluster c = makePaperTestbed(1);
     DevicePartition part;
     part.deviceOf = {0, 0};
-    IntraFpgaResult r = floorplanIntraFpga(g, c, part);
+    Level2Result r = floorplanLevel2(g, c, part, {}, true);
     EXPECT_EQ(r.placement.slotOf[0].manhattan(r.placement.slotOf[1]), 0);
 }
 
@@ -378,7 +392,7 @@ TEST(IntraFpga, BalanceSpreadsLargeDesigns)
     Cluster c = makePaperTestbed(1);
     DevicePartition part;
     part.deviceOf.assign(12, 0);
-    IntraFpgaResult r = floorplanIntraFpga(g, c, part);
+    Level2Result r = floorplanLevel2(g, c, part, {}, true);
     std::set<std::pair<int, int>> used;
     for (const SlotCoord &sc : r.placement.slotOf)
         used.insert({sc.col, sc.row});
@@ -391,78 +405,110 @@ TEST(IntraFpga, HandlesMultiDevicePartitions)
     Cluster c = makePaperTestbed(2);
     InterFpgaResult l1 = floorplanInterFpga(g, c);
     ASSERT_TRUE(l1.feasible);
-    IntraFpgaResult l2 = floorplanIntraFpga(g, c, l1.partition);
+    Level2Result l2 = floorplanLevel2(g, c, l1.partition, {}, true);
     EXPECT_EQ(l2.placement.slotOf.size(),
               static_cast<size_t>(g.numVertices()));
-    EXPECT_GT(l2.elapsedSeconds, 0.0);
+    EXPECT_EQ(l2.devices.size(), 2u);
+    EXPECT_DOUBLE_EQ(l2.cost, intraFpgaCost(g, l1.partition, l2.placement));
 }
 
-TEST(IntraFpga, ParallelMatchesSerial)
+/** Random graph whose every third task reads 1-4 HBM channels. */
+TaskGraph
+makeMemoryGraph(int n, std::uint64_t seed)
 {
-    // Devices are placed independently, so the concurrent per-device
-    // loop must return the exact same slots and cost as the serial
-    // one (the inner bisection solver stays serial either way).
-    TaskGraph g = makeRandomGraph(28, 91);
+    TaskGraph g = makeRandomGraph(n, seed);
+    for (VertexId v = 0; v < n; v += 3)
+        g.vertex(v).work.memChannels = 1 + v % 4;
+    return g;
+}
+
+void
+expectLevel2Identical(const Level2Result &a, const Level2Result &b)
+{
+    EXPECT_TRUE(a.placement.slotOf == b.placement.slotOf);
+    EXPECT_TRUE(a.binding == b.binding);
+    EXPECT_DOUBLE_EQ(a.cost, b.cost);
+    EXPECT_EQ(a.allIlpOptimal, b.allIlpOptimal);
+    EXPECT_EQ(a.interrupted, b.interrupted);
+    EXPECT_EQ(a.solverStats.nodesExplored, b.solverStats.nodesExplored);
+    EXPECT_EQ(a.solverStats.lpSolves, b.solverStats.lpSolves);
+    EXPECT_EQ(a.solverStats.lpIterations, b.solverStats.lpIterations);
+    EXPECT_EQ(a.solverStats.coldFallbacks, b.solverStats.coldFallbacks);
+    EXPECT_EQ(a.solverStats.incumbentUpdates,
+              b.solverStats.incumbentUpdates);
+    EXPECT_EQ(a.solverStats.provenOptimal, b.solverStats.provenOptimal);
+    ASSERT_EQ(a.devices.size(), b.devices.size());
+    for (size_t d = 0; d < a.devices.size(); ++d) {
+        EXPECT_TRUE(a.devices[d].slots == b.devices[d].slots) << d;
+        EXPECT_EQ(a.devices[d].grants, b.devices[d].grants) << d;
+        EXPECT_EQ(a.devices[d].usersPerChannel,
+                  b.devices[d].usersPerChannel) << d;
+    }
+}
+
+TEST(Level2, ParallelMatchesSerial)
+{
+    // Devices are placed and bound independently and folded in device
+    // order, so the concurrent per-device loop must return the exact
+    // same slots, channels, cost and solver counters as the serial one
+    // (each bisection ILP and each binding sweep stays serial either
+    // way), run after run.
+    TaskGraph mem = makeMemoryGraph(28, 91);
+    Cluster c4 = makePaperTestbed(4);
+    InterFpgaResult l1 = floorplanInterFpga(mem, c4);
+    ASSERT_TRUE(l1.feasible);
+
+    apps::AppDesign stencil =
+        apps::buildStencil(apps::StencilConfig::scaled(64, 2));
+    Cluster c2 = makePaperTestbed(2);
+    DevicePartition alternate;
+    for (VertexId v = 0; v < stencil.graph.numVertices(); ++v)
+        alternate.deviceOf.push_back(v % 2);
+
+    auto check = [](const TaskGraph &g, const Cluster &c,
+                    const DevicePartition &part) {
+        const Level2Result serial = floorplanLevel2(g, c, part, {}, true, 1);
+        EXPECT_EQ(serial.solverStats.threadsUsed, 1);
+        EXPECT_GT(serial.solverStats.lpSolves, 0);
+        for (int rep = 0; rep < 2; ++rep) {
+            const Level2Result parallel =
+                floorplanLevel2(g, c, part, {}, true, 4);
+            expectLevel2Identical(serial, parallel);
+        }
+        return serial;
+    };
+    const Level2Result r = check(mem, c4, l1.partition);
+    int bound = 0;
+    for (const auto &channels : r.binding.channelsOf)
+        bound += static_cast<int>(channels.size());
+    EXPECT_GT(bound, 0);
+    check(stencil.graph, c2, alternate);
+}
+
+TEST(Level2, KnownDevicesMatchColdRun)
+{
+    // Records handed in as `known` (the compile cache's hits) are used
+    // as they are; the rest are solved. Half the devices known must
+    // fold to exactly the cold result, at any thread count. A record
+    // whose sizes do not fit its device is solved instead.
+    TaskGraph g = makeMemoryGraph(28, 91);
     Cluster c = makePaperTestbed(4);
     InterFpgaResult l1 = floorplanInterFpga(g, c);
     ASSERT_TRUE(l1.feasible);
+    const Level2Result cold = floorplanLevel2(g, c, l1.partition, {}, true);
+    EXPECT_EQ(cold.solved, std::vector<char>(4, 1));
 
-    IntraFpgaOptions serial_opt;
-    serial_opt.numThreads = 1;
-    IntraFpgaResult serial = floorplanIntraFpga(g, c, l1.partition,
-                                                serial_opt);
-
-    IntraFpgaOptions par_opt;
-    par_opt.numThreads = 4;
-    IntraFpgaResult parallel = floorplanIntraFpga(g, c, l1.partition,
-                                                  par_opt);
-
-    ASSERT_EQ(serial.placement.slotOf.size(),
-              parallel.placement.slotOf.size());
-    for (size_t v = 0; v < serial.placement.slotOf.size(); ++v) {
-        EXPECT_EQ(serial.placement.slotOf[v].col,
-                  parallel.placement.slotOf[v].col) << "vertex " << v;
-        EXPECT_EQ(serial.placement.slotOf[v].row,
-                  parallel.placement.slotOf[v].row) << "vertex " << v;
+    for (int threads : {1, 4}) {
+        std::vector<std::optional<IntraDeviceEntry>> known(4);
+        known[0] = cold.devices[0];
+        known[2] = cold.devices[2];
+        known[3] = cold.devices[3];
+        known[3]->slots.push_back(SlotCoord{0, 0}); // wrong size
+        const Level2Result warm = floorplanLevel2(
+            g, c, l1.partition, {}, true, threads, std::move(known));
+        EXPECT_EQ(warm.solved, (std::vector<char>{0, 1, 0, 1}));
+        expectLevel2Identical(cold, warm);
     }
-    EXPECT_DOUBLE_EQ(serial.cost, parallel.cost);
-    EXPECT_EQ(serial.allIlpOptimal, parallel.allIlpOptimal);
-    EXPECT_EQ(serial.solverStats.nodesExplored,
-              parallel.solverStats.nodesExplored);
-    EXPECT_EQ(serial.solverStats.lpSolves, parallel.solverStats.lpSolves);
-    EXPECT_GE(parallel.solverStats.threadsUsed, 1);
-}
-
-TEST(HbmBinding, SweepParallelMatchesSerial)
-{
-    TaskGraph g("sweep");
-    for (int i = 0; i < 12; ++i) {
-        Vertex t;
-        t.name = strprintf("t%d", i);
-        t.work.memChannels = 1 + (i % 4);
-        g.addVertex(t);
-    }
-    Cluster c = makePaperTestbed(2);
-    DevicePartition part;
-    part.deviceOf.assign(12, 0);
-    for (int i = 6; i < 12; ++i)
-        part.deviceOf[i] = 1;
-    SlotPlacement place;
-    place.slotOf.assign(12, SlotCoord{0, 0});
-    for (int i = 0; i < 12; ++i)
-        place.slotOf[i].col = i % 2;
-
-    HbmBindingOptions serial_opt;
-    serial_opt.numThreads = 1;
-    HbmBinding a = bindHbmChannels(g, c, part, place, serial_opt);
-
-    HbmBindingOptions par_opt;
-    par_opt.numThreads = 4;
-    HbmBinding b = bindHbmChannels(g, c, part, place, par_opt);
-
-    EXPECT_EQ(a.channelsOf, b.channelsOf);
-    EXPECT_EQ(a.usersPerChannel, b.usersPerChannel);
-    EXPECT_DOUBLE_EQ(a.displacementCost, b.displacementCost);
 }
 
 TEST(HbmBinding, SweepNeverWorseThanClassicHeuristic)
@@ -474,22 +520,24 @@ TEST(HbmBinding, SweepNeverWorseThanClassicHeuristic)
         t.work.memChannels = 2 + (i % 3);
         g.addVertex(t);
     }
-    Cluster c = makePaperTestbed(1);
-    DevicePartition part;
-    part.deviceOf.assign(9, 0);
+    const DeviceModel dev = makeU55C();
     SlotPlacement place;
     place.slotOf.assign(9, SlotCoord{0, 0});
-    for (int i = 0; i < 9; ++i)
+    std::vector<VertexId> users(9);
+    for (int i = 0; i < 9; ++i) {
         place.slotOf[i].col = (i * 5) % 2;
+        users[i] = i;
+    }
 
-    HbmBindingOptions no_sweep;
-    no_sweep.sweep = false;
-    HbmBinding classic = bindHbmChannels(g, c, part, place, no_sweep);
-    HbmBinding swept = bindHbmChannels(g, c, part, place);
+    HbmDeviceBinding classic = bindHbmDevice(g, dev, place, users, false);
+    HbmDeviceBinding swept = bindHbmDevice(g, dev, place, users, true);
 
-    EXPECT_LE(swept.maxContention(0), classic.maxContention(0));
-    if (swept.maxContention(0) == classic.maxContention(0))
-        EXPECT_LE(swept.displacementCost, classic.displacementCost + 1e-9);
+    const int classic_max = maxLoad(classic);
+    const int swept_max = maxLoad(swept);
+    EXPECT_LE(swept_max, classic_max);
+    if (swept_max == classic_max) {
+        EXPECT_LE(swept.displacement, classic.displacement + 1e-9);
+    }
 }
 
 // ---- HBM binding --------------------------------------------------------
@@ -501,14 +549,12 @@ TEST(HbmBinding, GrantsRequestedChannels)
     t.name = "reader";
     t.work.memChannels = 4;
     g.addVertex(t);
-    Cluster c = makePaperTestbed(1);
-    DevicePartition part;
-    part.deviceOf = {0};
     SlotPlacement place;
     place.slotOf = {SlotCoord{0, 0}};
-    HbmBinding b = bindHbmChannels(g, c, part, place);
-    EXPECT_EQ(b.channelsOf[0].size(), 4u);
-    EXPECT_EQ(b.maxContention(0), 1);
+    HbmDeviceBinding b = bindHbmDevice(g, makeU55C(), place, {0}, true);
+    ASSERT_EQ(b.grants.size(), 1u);
+    EXPECT_EQ(b.grants[0].size(), 4u);
+    EXPECT_EQ(maxLoad(b), 1);
 }
 
 TEST(HbmBinding, NoContentionUnderSubscription)
@@ -521,15 +567,13 @@ TEST(HbmBinding, NoContentionUnderSubscription)
         t.work.memChannels = 4;
         g.addVertex(t);
     }
-    Cluster c = makePaperTestbed(1);
-    DevicePartition part;
-    part.deviceOf.assign(8, 0);
     SlotPlacement place;
     place.slotOf.assign(8, SlotCoord{0, 0});
-    HbmBinding b = bindHbmChannels(g, c, part, place);
-    EXPECT_EQ(b.maxContention(0), 1);
+    HbmDeviceBinding b =
+        bindHbmDevice(g, makeU55C(), place, {0, 1, 2, 3, 4, 5, 6, 7}, true);
+    EXPECT_EQ(maxLoad(b), 1);
     int granted = 0;
-    for (int users : b.usersPerChannel[0])
+    for (int users : b.usersPerChannel)
         granted += users;
     EXPECT_EQ(granted, 32);
 }
@@ -544,13 +588,13 @@ TEST(HbmBinding, OversubscriptionSharesEvenly)
         t.work.memChannels = 4;
         g.addVertex(t);
     }
-    Cluster c = makePaperTestbed(1);
-    DevicePartition part;
-    part.deviceOf.assign(10, 0);
     SlotPlacement place;
     place.slotOf.assign(10, SlotCoord{0, 0});
-    HbmBinding b = bindHbmChannels(g, c, part, place);
-    EXPECT_EQ(b.maxContention(0), 2);
+    std::vector<VertexId> users(10);
+    for (int i = 0; i < 10; ++i)
+        users[i] = i;
+    HbmDeviceBinding b = bindHbmDevice(g, makeU55C(), place, users, true);
+    EXPECT_EQ(maxLoad(b), 2);
 }
 
 TEST(HbmBinding, PrefersNearbyColumns)
@@ -561,15 +605,13 @@ TEST(HbmBinding, PrefersNearbyColumns)
     t.name = "x";
     t.work.memChannels = 1;
     g.addVertex(t);
-    Cluster c = makePaperTestbed(1);
-    DevicePartition part;
-    part.deviceOf = {0};
+    const DeviceModel dev = makeU55C();
     SlotPlacement place;
     place.slotOf = {SlotCoord{1, 0}};
-    HbmBinding b = bindHbmChannels(g, c, part, place);
-    ASSERT_EQ(b.channelsOf[0].size(), 1u);
-    EXPECT_EQ(channelColumn(c.device(), b.channelsOf[0][0]), 1);
-    EXPECT_DOUBLE_EQ(b.displacementCost, 0.0);
+    HbmDeviceBinding b = bindHbmDevice(g, dev, place, {0}, true);
+    ASSERT_EQ(b.grants[0].size(), 1u);
+    EXPECT_EQ(channelColumn(dev, b.grants[0][0]), 1);
+    EXPECT_DOUBLE_EQ(b.displacement, 0.0);
 }
 
 TEST(HbmBinding, ChannelColumnSplit)

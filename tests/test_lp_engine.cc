@@ -114,7 +114,6 @@ TEST_P(PaperNodeLps, WarmEngineMatchesReferenceOnEveryNode)
     NodeAudit l1, l2;
     CompileOptions opt = plain;
     opt.numThreads = 1;
-    opt.intra.numThreads = 1;
     opt.inter.solver = audited(opt.inter.solver, &l1);
     opt.intra.solver = audited(opt.intra.solver, &l2);
     const CompileResult r = compileProgram(app.graph, app.tasks, cluster, opt);

@@ -18,7 +18,6 @@
 #include "apps/stencil.hh"
 #include "common/thread_pool.hh"
 #include "compiler/compiler.hh"
-#include "floorplan/intra_fpga.hh"
 #include "ilp/solver.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -359,51 +358,6 @@ TEST(Solver, StatsCountLpIterationsAndIncumbents)
     EXPECT_GT(st.lpSolves, 0);
     EXPECT_GT(st.lpIterations, 0);
     EXPECT_GT(st.incumbentUpdates, 0);
-}
-
-/**
- * Regression (deterministic aggregation): the level-2 pass folds
- * per-device outcomes in device order and keeps each bisection ILP
- * serial, so the aggregate SolverStats must be bit-identical run to
- * run and across outer thread counts.
- */
-TEST(Floorplan, IntraFpgaStatsDeterministicAcrossThreads)
-{
-    apps::AppDesign app =
-        apps::buildStencil(apps::StencilConfig::scaled(64, 2));
-    Cluster cluster = makePaperTestbed(2);
-    DevicePartition part;
-    for (VertexId v = 0; v < app.graph.numVertices(); ++v)
-        part.deviceOf.push_back(v % 2);
-
-    auto run = [&](int threads) {
-        IntraFpgaOptions opt;
-        opt.numThreads = threads;
-        return floorplanIntraFpga(app.graph, cluster, part, opt);
-    };
-
-    const IntraFpgaResult base = run(1);
-    for (int i = 0; i < 2; ++i) {
-        const IntraFpgaResult mt = run(4);
-        EXPECT_EQ(mt.solverStats.nodesExplored,
-                  base.solverStats.nodesExplored);
-        EXPECT_EQ(mt.solverStats.lpSolves, base.solverStats.lpSolves);
-        EXPECT_EQ(mt.solverStats.lpIterations,
-                  base.solverStats.lpIterations);
-        EXPECT_EQ(mt.solverStats.coldFallbacks,
-                  base.solverStats.coldFallbacks);
-        EXPECT_EQ(mt.solverStats.incumbentUpdates,
-                  base.solverStats.incumbentUpdates);
-        EXPECT_EQ(mt.allIlpOptimal, base.allIlpOptimal);
-        EXPECT_EQ(mt.placement.slotOf.size(),
-                  base.placement.slotOf.size());
-        for (size_t v = 0; v < base.placement.slotOf.size(); ++v) {
-            EXPECT_EQ(mt.placement.slotOf[v].col,
-                      base.placement.slotOf[v].col);
-            EXPECT_EQ(mt.placement.slotOf[v].row,
-                      base.placement.slotOf[v].row);
-        }
-    }
 }
 
 } // namespace

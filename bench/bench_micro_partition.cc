@@ -14,6 +14,10 @@
  * at 5k modules, and a 20k-module partition in < 10 s — the
  * cluster-scale regime the V-cycle exists for.
  *
+ * Part C (input): parse and serialize throughput of the task-graph
+ * text format on the same 5k and 20k graphs, the cost every caller
+ * that reads a graph file pays before partitioning. Reported only.
+ *
  * Exits nonzero when any bar is missed. `--json <path>` writes the
  * measured rows for CI trend tracking.
  */
@@ -28,6 +32,7 @@
 #include "apps/synth.hh"
 #include "bench/bench_util.hh"
 #include "common/table.hh"
+#include "graph/serialize.hh"
 #include "hls/synthesis.hh"
 #include "partition/multilevel.hh"
 
@@ -84,6 +89,22 @@ timedSolve(const TaskGraph &g, const Cluster &cluster, L1Backend backend,
                       std::chrono::steady_clock::now() - t0)
                       .count();
     return r;
+}
+
+/** Fastest of a few runs of @p fn, in seconds. */
+template <typename Fn>
+double
+bestSeconds(Fn &&fn)
+{
+    double best = 1e30;
+    for (int rep = 0; rep < 5; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        best = std::min(best, std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count());
+    }
+    return best;
 }
 
 } // namespace
@@ -186,6 +207,30 @@ main(int argc, char **argv)
                     ml20kS);
         pass = false;
     }
+
+    std::printf("\n-- Part C: task-graph text codec (best of 5) --\n");
+    TextTable codec({"Graph", "Text (MB)", "Serialize (MB/s)",
+                     "Parse (MB/s)"});
+    const auto addCodecRow = [&](const std::string &name,
+                                 const TaskGraph &g) {
+        std::string text;
+        const double serializeS =
+            bestSeconds([&] { text = serializeTaskGraph(g); });
+        TaskGraph back;
+        const double parseS = bestSeconds([&] {
+            if (!tryParseTaskGraph(text, &back).ok())
+                fatal("%s: serialized text does not parse", name.c_str());
+        });
+        const double mb = text.size() / 1e6;
+        codec.addRow({name, strprintf("%.2f", mb),
+                      strprintf("%.0f", mb / serializeS),
+                      strprintf("%.0f", mb / parseS)});
+        report.add(name + ".serialize_mb_per_s", mb / serializeS);
+        report.add(name + ".parse_mb_per_s", mb / parseS);
+    };
+    addCodecRow("synth5k", mid.graph);
+    addCodecRow("synth20k", large.graph);
+    codec.print();
 
     std::printf("\n%s\n", pass ? "PASS" : "FAIL");
     return pass ? 0 : 1;

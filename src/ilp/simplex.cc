@@ -339,7 +339,7 @@ LpEngine::primal(bool phase1, int cap, int &iterations)
             const double alpha = dir * tableauRow(i)[q];
             if (std::abs(alpha) <= kPivotTol)
                 continue;
-            double target;
+            double target = 0.0;
             const double t = limit(i, alpha, &target);
             if (t == kInf)
                 continue;
@@ -354,7 +354,7 @@ LpEngine::primal(bool phase1, int cap, int &iterations)
                 const double alpha = dir * tableauRow(i)[q];
                 if (std::abs(alpha) <= kPivotTol)
                     continue;
-                double target;
+                double target = 0.0;
                 least = std::min(least,
                                  std::max(limit(i, alpha, &target), 0.0));
             }
@@ -366,7 +366,7 @@ LpEngine::primal(bool phase1, int cap, int &iterations)
             const double alpha = dir * tableauRow(i)[q];
             if (std::abs(alpha) <= kPivotTol)
                 continue;
-            double target;
+            double target = 0.0;
             const double t = limit(i, alpha, &target);
             if (t > relaxed)
                 continue;

@@ -117,7 +117,8 @@ TEST(U55C, HbmSurfacesInBottomRowOnly)
 
 TEST(U55C, MemorySystemConstants)
 {
-    const MemorySystem &mem = makeU55C().memory();
+    const DeviceModel dev = makeU55C();
+    const MemorySystem &mem = dev.memory();
     EXPECT_EQ(mem.channels, 32);
     EXPECT_DOUBLE_EQ(mem.aggregateBandwidth, 460.0e9);
     EXPECT_EQ(mem.capacity, 16_GiB);

@@ -624,9 +624,10 @@ TEST(Fleet, FinishReapsEveryWorkerGracefully)
         ASSERT_EQ(run.outcomes.size(), 4u);
         for (const serve::FleetOutcome &f : run.outcomes)
             EXPECT_TRUE(f.outcome.status.ok()) << f.outcome.failureReason;
-        if (chaos)
+        if (chaos) {
             EXPECT_GE(counterValue("tapacs.fleet.worker_restarts"),
                       restartsBefore + 1);
+        }
         // Every worker exited on its own within the grace window, and
         // none is left unreaped.
         EXPECT_EQ(counterValue("tapacs.fleet.shutdown_kills"),

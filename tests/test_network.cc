@@ -101,8 +101,9 @@ TEST_P(TopologyMetric, DistIsAMetric)
         EXPECT_EQ(t.dist(i, i), 0);
         for (int j = 0; j < n; ++j) {
             EXPECT_EQ(t.dist(i, j), t.dist(j, i)); // symmetry
-            if (i != j)
+            if (i != j) {
                 EXPECT_GE(t.dist(i, j), 1);
+            }
             for (int k = 0; k < n; ++k) { // triangle inequality
                 EXPECT_LE(t.dist(i, j),
                           t.dist(i, k) + t.dist(k, j));

@@ -1,8 +1,10 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <memory>
 
 #include "common/logging.hh"
 
@@ -21,14 +23,73 @@ struct WorkerIdentity
 
 thread_local WorkerIdentity tls_worker;
 
+using Body = std::function<void(std::int64_t)>;
+
+/**
+ * State of one parallelFor, co-owned by its caller and the helpers it
+ * queued: a helper may start after the loop returned.
+ */
+struct Loop
+{
+    Loop(std::int64_t begin, std::int64_t end, std::int64_t grain)
+        : next(begin), end(end), count(end - begin), grain(grain)
+    {
+    }
+
+    std::atomic<std::int64_t> next;
+    const std::int64_t end;
+    const std::int64_t count;
+    const std::int64_t grain;
+
+    std::mutex mu;
+    std::condition_variable cv;
+    /** Indices run to completion or abandoned after an exception. */
+    std::int64_t finished = 0; ///< guarded by mu
+    std::exception_ptr error;  ///< guarded by mu
+
+    /**
+     * Claim chunks until the cursor runs out. `body` is dereferenced
+     * only after a successful claim, and the caller cannot return
+     * while a claimed index is unfinished, so a late helper never
+     * touches the caller's (possibly destroyed) body.
+     */
+    void run(const Body *body)
+    {
+        for (;;) {
+            const std::int64_t lo =
+                next.fetch_add(grain, std::memory_order_relaxed);
+            if (lo >= end)
+                return;
+            const std::int64_t hi = std::min(end, lo + grain);
+            std::int64_t done = hi - lo;
+            std::exception_ptr thrown;
+            try {
+                for (std::int64_t i = lo; i < hi; ++i)
+                    (*body)(i);
+            } catch (...) {
+                thrown = std::current_exception();
+                // Park the cursor: whatever nobody claimed yet is
+                // abandoned and counts as finished.
+                const std::int64_t rest =
+                    next.exchange(end, std::memory_order_relaxed);
+                if (rest < end)
+                    done += end - rest;
+            }
+            std::lock_guard<std::mutex> lk(mu);
+            finished += done;
+            if (thrown && !error)
+                error = thrown;
+            if (finished == count)
+                cv.notify_all();
+        }
+    }
+};
+
 } // namespace
 
 ThreadPool::ThreadPool(int numThreads)
 {
     const int n = std::max(1, numThreads);
-    shards_.reserve(n);
-    for (int i = 0; i < n; ++i)
-        shards_.push_back(std::make_unique<Shard>());
     threads_.reserve(n);
     for (int i = 0; i < n; ++i)
         threads_.emplace_back([this, i] { workerLoop(i); });
@@ -37,80 +98,12 @@ ThreadPool::ThreadPool(int numThreads)
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lk(sleepMu_);
+        std::lock_guard<std::mutex> lk(mu_);
         stop_ = true;
     }
-    sleepCv_.notify_all();
+    cv_.notify_all();
     for (std::thread &t : threads_)
         t.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    tapacs_assert(task != nullptr);
-    // A worker queues onto its own deque (depth-first locality);
-    // external threads spread round-robin.
-    int target;
-    if (tls_worker.pool == this) {
-        target = tls_worker.index;
-    } else {
-        target = static_cast<int>(submitCursor_.fetch_add(
-                     1, std::memory_order_relaxed) %
-                 shards_.size());
-    }
-    {
-        std::lock_guard<std::mutex> lk(shards_[target]->mu);
-        shards_[target]->tasks.push_back(std::move(task));
-    }
-    queued_.fetch_add(1, std::memory_order_release);
-    // Pairing the notify with a (possibly empty) critical section on
-    // sleepMu_ closes the race against a worker that checked queued_
-    // and is about to wait.
-    { std::lock_guard<std::mutex> lk(sleepMu_); }
-    sleepCv_.notify_one();
-}
-
-bool
-ThreadPool::popTask(int self, std::function<void()> &out)
-{
-    const int n = static_cast<int>(shards_.size());
-    // Own deque first, from the back: newest task, warmest cache.
-    if (self >= 0) {
-        Shard &s = *shards_[self];
-        std::lock_guard<std::mutex> lk(s.mu);
-        if (!s.tasks.empty()) {
-            out = std::move(s.tasks.back());
-            s.tasks.pop_back();
-            queued_.fetch_sub(1, std::memory_order_relaxed);
-            return true;
-        }
-    }
-    // Steal from the front of the other deques (oldest task: the
-    // victim is least likely to want it back soon).
-    const int start = self >= 0 ? self : 0;
-    for (int i = 1; i <= n; ++i) {
-        const int victim = (start + i) % n;
-        Shard &s = *shards_[victim];
-        std::lock_guard<std::mutex> lk(s.mu);
-        if (!s.tasks.empty()) {
-            out = std::move(s.tasks.front());
-            s.tasks.pop_front();
-            queued_.fetch_sub(1, std::memory_order_relaxed);
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-ThreadPool::tryRunOneTask()
-{
-    std::function<void()> task;
-    if (!popTask(tls_worker.pool == this ? tls_worker.index : -1, task))
-        return false;
-    task();
-    return true;
 }
 
 void
@@ -119,71 +112,55 @@ ThreadPool::workerLoop(int index)
     tls_worker.pool = this;
     tls_worker.index = index;
     for (;;) {
-        std::function<void()> task;
-        if (popTask(index, task)) {
-            task();
-            continue;
+        std::function<void()> helper;
+        {
+            std::unique_lock<std::mutex> lk(mu_);
+            cv_.wait(lk, [this] { return stop_ || !helpers_.empty(); });
+            // Helpers still queued at shutdown belong to loops that
+            // already returned; they would claim nothing.
+            if (stop_)
+                return;
+            helper = std::move(helpers_.front());
+            helpers_.pop_front();
         }
-        std::unique_lock<std::mutex> lk(sleepMu_);
-        if (stop_)
-            return;
-        if (queued_.load(std::memory_order_acquire) > 0)
-            continue; // a task arrived between popTask and the lock
-        sleepCv_.wait(lk);
-        if (stop_)
-            return;
+        helper();
     }
 }
 
 void
 ThreadPool::parallelFor(std::int64_t begin, std::int64_t end,
-                        const std::function<void(std::int64_t)> &body)
+                        const Body &body, int maxWorkers)
 {
     const std::int64_t count = end - begin;
     if (count <= 0)
         return;
-    const int workers =
-        static_cast<int>(std::min<std::int64_t>(size(), count));
+    const int workers = static_cast<int>(std::min<std::int64_t>(
+        maxWorkers > 0 ? maxWorkers : size(), count));
+    if (workers <= 1) {
+        for (std::int64_t i = begin; i < end; ++i)
+            body(i);
+        return;
+    }
 
     // Dynamic chunking: small chunks for load balance, but at least
     // one index; the shared cursor is the only coordination point.
     const std::int64_t grain =
         std::max<std::int64_t>(1, count / (8 * workers));
-    auto next = std::make_shared<std::atomic<std::int64_t>>(begin);
-    auto runChunks = [next, end, grain, &body] {
-        for (;;) {
-            const std::int64_t lo =
-                next->fetch_add(grain, std::memory_order_relaxed);
-            if (lo >= end)
-                return;
-            const std::int64_t hi = std::min(end, lo + grain);
-            for (std::int64_t i = lo; i < hi; ++i)
-                body(i);
-        }
-    };
-
-    TaskGroup group(*this);
-    for (int w = 1; w < workers; ++w)
-        group.run(runChunks);
-
-    // The caller is a worker too; on exception, park the cursor at
-    // the end so other chunks stop early, then surface the error
-    // after the group drained.
-    std::exception_ptr caller_error;
-    try {
-        runChunks();
-    } catch (...) {
-        caller_error = std::current_exception();
-        next->store(end, std::memory_order_relaxed);
+    auto loop = std::make_shared<Loop>(begin, end, grain);
+    const int helpers = std::min(workers - 1, size());
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        for (int h = 0; h < helpers; ++h)
+            helpers_.emplace_back([loop, b = &body] { loop->run(b); });
     }
-    try {
-        group.wait();
-    } catch (...) {
-        if (!caller_error)
-            caller_error = std::current_exception();
-    }
-    if (caller_error)
-        std::rethrow_exception(caller_error);
+    for (int h = 0; h < helpers; ++h)
+        cv_.notify_one();
+
+    loop->run(&body);
+    std::unique_lock<std::mutex> lk(loop->mu);
+    loop->cv.wait(lk, [&] { return loop->finished == loop->count; });
+    if (loop->error)
+        std::rethrow_exception(loop->error);
 }
 
 ThreadPool &
@@ -215,80 +192,6 @@ ThreadPool::defaultThreadCount()
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-TaskGroup::TaskGroup(ThreadPool &pool)
-    : pool_(pool), state_(std::make_shared<State>())
-{
-}
-
-TaskGroup::~TaskGroup()
-{
-    try {
-        wait();
-    } catch (...) {
-        // Destructor swallows; call wait() for exceptions.
-    }
-}
-
-void
-TaskGroup::run(std::function<void()> task)
-{
-    state_->pending.fetch_add(1, std::memory_order_relaxed);
-    pool_.submit([st = state_, task = std::move(task)] {
-        try {
-            task();
-        } catch (...) {
-            std::lock_guard<std::mutex> lk(st->mu);
-            if (!st->error)
-                st->error = std::current_exception();
-        }
-        if (st->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            std::lock_guard<std::mutex> lk(st->mu);
-            st->cv.notify_all();
-        }
-    });
-}
-
-void
-TaskGroup::wait()
-{
-    State &st = *state_;
-    while (st.pending.load(std::memory_order_acquire) > 0) {
-        // Help: our own tasks may still sit in a deque, and on a busy
-        // pool draining *any* task frees a worker sooner.
-        if (pool_.tryRunOneTask())
-            continue;
-        std::unique_lock<std::mutex> lk(st.mu);
-        if (st.pending.load(std::memory_order_acquire) == 0)
-            break;
-        // Timed wait: a task enqueued by a sibling mid-wait would
-        // otherwise never be helped by this (sleeping) thread.
-        st.cv.wait_for(lk, std::chrono::milliseconds(1));
-    }
-    std::lock_guard<std::mutex> lk(st.mu);
-    if (st.error) {
-        std::exception_ptr e = st.error;
-        st.error = nullptr;
-        std::rethrow_exception(e);
-    }
-}
-
-void
-Latch::countDown(int n)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    count_ -= n;
-    tapacs_assert(count_ >= 0);
-    if (count_ == 0)
-        cv_.notify_all();
-}
-
-void
-Latch::wait()
-{
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [this] { return count_ == 0; });
 }
 
 } // namespace tapacs

@@ -2,31 +2,30 @@
  * @file
  * Shared concurrency substrate for the compile flow.
  *
- * The floorplanning ILPs and the per-device intra-FPGA passes are the
- * hot paths of the compiler (paper section 5.6 reports 1.9-37.8 s of
- * solver time with Gurobi); every parallel consumer in this repo
- * draws workers from the one fixed-size pool below rather than
- * spawning ad-hoc threads, so nested parallelism (a parallelFor issued
- * from inside a pool task) composes without oversubscription.
+ * The paper's parallel steps are flat loops over independent items:
+ * step 2 synthesizes tasks in parallel and level 2 floorplans each
+ * FPGA on its own. So the pool offers exactly one primitive, a
+ * bounded fork-join parallelFor; every parallel consumer in this
+ * repo draws workers from the one fixed-size pool below rather than
+ * spawning ad-hoc threads.
  *
- * Design: one deque of tasks per worker, each guarded by its own
- * mutex. A worker pops from the back of its own deque (LIFO, cache
- * warm) and steals from the front of other deques when idle; external
- * submitters round-robin across deques. Blocking waits (TaskGroup::
- * wait, parallelFor) *help*: the waiting thread drains pool tasks
- * instead of sleeping, which is what makes nested submission safe
- * even on a single-worker pool.
+ * Design: one FIFO of helper closures under one mutex and one
+ * condition variable. A parallelFor queues up to maxWorkers - 1
+ * helpers and claims chunks of the index range itself; every claimer
+ * pulls chunks from the loop's atomic cursor. The caller then blocks
+ * until each claimed index has finished. It never waits on a queued
+ * helper: a helper that starts after the cursor ran out claims
+ * nothing, so nested loops complete even on a one-worker pool. There
+ * is no work stealing and no timed or helping wait.
  */
 
 #ifndef TAPACS_COMMON_THREAD_POOL_HH
 #define TAPACS_COMMON_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -34,12 +33,7 @@
 namespace tapacs
 {
 
-/**
- * Fixed-size work-stealing thread pool.
- *
- * Tasks must not block indefinitely on resources owned by other pool
- * tasks except through TaskGroup::wait / parallelFor (which help).
- */
+/** Fixed-size thread pool that runs bounded fork-join loops. */
 class ThreadPool
 {
   public:
@@ -55,26 +49,17 @@ class ThreadPool
     /** Number of worker threads. */
     int size() const { return static_cast<int>(threads_.size()); }
 
-    /** Enqueue a task for asynchronous execution. */
-    void submit(std::function<void()> task);
-
     /**
-     * Run body(i) for every i in [begin, end), distributing chunks
-     * over the pool. The calling thread participates, so this is safe
-     * to call from inside a pool task and completes even when every
-     * worker is busy. Blocks until all iterations finish; the first
-     * exception thrown by any iteration is rethrown here (remaining
-     * iterations are abandoned at chunk granularity).
+     * Run body(i) for every i in [begin, end) on at most maxWorkers
+     * threads, the calling thread included. 0 means the pool size;
+     * 1 is a plain loop on the caller. Safe to call from inside a
+     * body. Blocks until every claimed index finished; the first
+     * exception any index threw is rethrown here, and the indices no
+     * thread had claimed by then never run.
      */
     void parallelFor(std::int64_t begin, std::int64_t end,
-                     const std::function<void(std::int64_t)> &body);
-
-    /**
-     * Pop and run one pending task from any deque, if there is one.
-     *
-     * @retval true a task was executed.
-     */
-    bool tryRunOneTask();
+                     const std::function<void(std::int64_t)> &body,
+                     int maxWorkers = 0);
 
     /**
      * The process-wide pool, created on first use and sized by
@@ -98,90 +83,13 @@ class ThreadPool
     static int currentWorkerIndex();
 
   private:
-    /** One per-worker task deque with its guard. */
-    struct Shard
-    {
-        std::mutex mu;
-        std::deque<std::function<void()>> tasks;
-    };
-
     void workerLoop(int index);
-    bool popTask(int self, std::function<void()> &out);
 
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<std::thread> threads_;
-
-    /** Tasks sitting in deques (not yet started). */
-    std::atomic<int> queued_{0};
-    /** Round-robin cursor for external submissions. */
-    std::atomic<unsigned> submitCursor_{0};
-
-    std::mutex sleepMu_;
-    std::condition_variable sleepCv_;
-    bool stop_ = false; ///< guarded by sleepMu_
-};
-
-/**
- * A set of tasks submitted to a pool that can be awaited together.
- * wait() helps execute pool tasks while the group drains and rethrows
- * the first exception any task raised.
- */
-class TaskGroup
-{
-  public:
-    explicit TaskGroup(ThreadPool &pool = ThreadPool::defaultPool());
-    /** Waits for stragglers; exceptions are swallowed here, so call
-     *  wait() explicitly if you care about them. */
-    ~TaskGroup();
-
-    TaskGroup(const TaskGroup &) = delete;
-    TaskGroup &operator=(const TaskGroup &) = delete;
-
-    /** Submit one task as part of this group. */
-    void run(std::function<void()> task);
-
-    /**
-     * Block until every task of the group finished, helping the pool
-     * while waiting. Rethrows the first captured exception.
-     */
-    void wait();
-
-  private:
-    /**
-     * Completion state shared with the task closures: a finishing
-     * task may signal after wait() already returned and the TaskGroup
-     * object is gone, so the closures co-own the state.
-     */
-    struct State
-    {
-        std::atomic<int> pending{0};
-        std::mutex mu;
-        std::condition_variable cv;
-        std::exception_ptr error; ///< guarded by mu
-    };
-
-    ThreadPool &pool_;
-    std::shared_ptr<State> state_;
-};
-
-/** Single-use countdown latch (C++20 std::latch is avoided to keep
- *  the TSAN-instrumented build portable across the toolchains the
- *  container images carry). */
-class Latch
-{
-  public:
-    explicit Latch(int count) : count_(count) {}
-
-    /** Decrement by n; wakes waiters when the count reaches zero. */
-    void countDown(int n = 1);
-
-    /** Block until the count reaches zero. */
-    void wait();
-
-  private:
     std::mutex mu_;
     std::condition_variable cv_;
-    int count_;
+    std::deque<std::function<void()>> helpers_; ///< guarded by mu_
+    bool stop_ = false;                         ///< guarded by mu_
+    std::vector<std::thread> threads_;
 };
 
 } // namespace tapacs

@@ -113,6 +113,52 @@ naiveBinding(const TaskGraph &g, const Cluster &cluster,
     return out;
 }
 
+/**
+ * A context that can fire mid-solve makes the result depend on
+ * wall-clock timing; such runs may read the compile cache but never
+ * write it, so exact keys only ever hold full-quality, reproducible
+ * artifacts.
+ */
+bool
+volatileContext(const Context &ctx)
+{
+    return ctx.hasDeadline() || ctx.cancellable_token();
+}
+
+/**
+ * The compile-local ephemeral cache. With no caller-provided cache, a
+ * bounded memory-only store (dropped with this object) costs little
+ * and is what lets every compile record the reuse signature that
+ * recompile() seeds back. A volatile context gets none: truncated
+ * solves must never be recorded anywhere, not even in a compile-local
+ * scratch store.
+ */
+class LocalCache
+{
+  public:
+    LocalCache() = default;
+    LocalCache(const LocalCache &) = delete;
+    LocalCache &operator=(const LocalCache &) = delete;
+
+    /** The cache to compile against: `shared` when set, else a local
+     *  store, or null under a volatile context. */
+    cache::CompileCache *
+    attach(cache::CompileCache *shared, const Context &ctx)
+    {
+        if (shared != nullptr || volatileContext(ctx))
+            return shared;
+        cache::CacheStore::Options so;
+        so.capacityBytes = 64ull << 20; // bounded scratch, no disk tier
+        store_.emplace(so);
+        cache_.emplace(*store_);
+        return &*cache_;
+    }
+
+  private:
+    std::optional<cache::CacheStore> store_;
+    std::optional<cache::CompileCache> cache_;
+};
+
 } // namespace
 
 const char *
@@ -163,14 +209,11 @@ compile(const TaskGraph &g, const Cluster &cluster,
 
     const DeviceModel &dev = cluster.device();
 
-    // A context that can fire mid-solve makes the result depend on
-    // wall-clock timing; such runs may read the compile cache but
-    // never write it, so exact keys only ever hold full-quality,
-    // reproducible artifacts. A phase whose budget is already spent
-    // does not read it either: it takes the deterministic degraded
-    // path, whatever full-quality answer the cache may hold.
-    const bool volatile_ctx =
-        options.ctx.hasDeadline() || options.ctx.cancellable_token();
+    // A volatile run never writes the cache. A phase whose budget is
+    // already spent does not read it either: it takes the
+    // deterministic degraded path, whatever full-quality answer the
+    // cache may hold.
+    const bool volatile_ctx = volatileContext(options.ctx);
 
     // ---- Step 1: task-graph validation + fit gates ------------------
     // (Graph *construction* happens in the app builders; this is the
@@ -236,22 +279,8 @@ compile(const TaskGraph &g, const Cluster &cluster,
                  out.reservedPerDevice[ResourceKind::Lut]);
     }
 
-    // With no caller-provided cache, attach a compile-local ephemeral
-    // one (memory only, dropped on return): it costs little and is
-    // what lets every compile record the reuse signature that
-    // recompile() seeds back. A volatile context keeps cc null —
-    // truncated solves must never be recorded anywhere, not even in a
-    // compile-local scratch store.
-    cache::CompileCache *cc = options.cache;
-    std::optional<cache::CacheStore> eph_store;
-    std::optional<cache::CompileCache> eph_cache;
-    if (cc == nullptr && !volatile_ctx) {
-        cache::CacheStore::Options so;
-        so.capacityBytes = 64ull << 20; // bounded scratch, no disk tier
-        eph_store.emplace(so);
-        eph_cache.emplace(*eph_store);
-        cc = &*eph_cache;
-    }
+    LocalCache local_cache;
+    cache::CompileCache *cc = local_cache.attach(options.cache, options.ctx);
 
     // Fingerprint the request once when a cache is attached; both
     // solver phases key off the same canonical graph + cluster view.
@@ -652,22 +681,12 @@ compileProgram(TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
     // The outer guard covers phase 2, which runs before compile()'s
     // own guard exists; the final write here includes every phase.
     CompileTraceGuard trace_guard(options.trace);
-    const bool volatile_ctx =
-        options.ctx.hasDeadline() || options.ctx.cancellable_token();
 
-    // Same ephemeral-cache rule as compile(): with no caller cache and
-    // a non-volatile context, a compile-local store lets the per-task
-    // HLS estimates participate in the reuse signature.
+    // Attached here rather than in compile() so the per-task HLS
+    // estimates participate in the reuse signature too.
+    LocalCache local_cache;
     CompileOptions opts = options;
-    std::optional<cache::CacheStore> eph_store;
-    std::optional<cache::CompileCache> eph_cache;
-    if (opts.cache == nullptr && !volatile_ctx) {
-        cache::CacheStore::Options so;
-        so.capacityBytes = 64ull << 20;
-        eph_store.emplace(so);
-        eph_cache.emplace(*eph_store);
-        opts.cache = &*eph_cache;
-    }
+    opts.cache = local_cache.attach(options.cache, options.ctx);
 
     std::vector<Hertz> ceilings(g.numVertices(), 340.0e6);
     std::vector<cache::CacheKey> hls_keys;
@@ -676,7 +695,7 @@ compileProgram(TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
         hls::ProgramSynthesis synth;
         cache::CompileCache *cc = opts.cache;
         if (cc == nullptr) {
-            synth = hls::synthesizeAll(tasks);
+            synth = hls::synthesizeAll(tasks, opts.numThreads);
         } else {
             // Per-task memoization: only the tasks whose content keys
             // miss go through the (parallel) estimator; the assembled
@@ -694,7 +713,7 @@ compileProgram(TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
             }
             hls::ProgramSynthesis fresh;
             if (!missing.empty())
-                fresh = hls::synthesizeAll(missing);
+                fresh = hls::synthesizeAll(missing, opts.numThreads);
             synth.elapsedSeconds = fresh.elapsedSeconds;
             synth.threadsUsed = fresh.threadsUsed;
             synth.tasks.reserve(tasks.size());
@@ -803,17 +822,9 @@ class IncrementalSeed
         obs::MetricsRegistry::global()
             .counter("tapacs.compile.incremental")
             .add();
-        const bool volatile_ctx = options.ctx.hasDeadline() ||
-                                  options.ctx.cancellable_token();
         reject_ = priorRejectReason(prior, options);
         if (reject_.empty()) {
-            if (opts.cache == nullptr && !volatile_ctx) {
-                cache::CacheStore::Options so;
-                so.capacityBytes = 64ull << 20;
-                ephStore_.emplace(so);
-                ephCache_.emplace(*ephStore_);
-                opts.cache = &*ephCache_;
-            }
+            opts.cache = localCache_.attach(options.cache, options.ctx);
             if (opts.cache == nullptr) {
                 // Volatile context and no shared cache: compile() will
                 // run uncached (truncated solves must not be recorded),
@@ -858,8 +869,7 @@ class IncrementalSeed
     CompileOptions opts;
 
   private:
-    std::optional<cache::CacheStore> ephStore_;
-    std::optional<cache::CompileCache> ephCache_;
+    LocalCache localCache_;
     std::string reject_;
     bool seeded_ = false;
 };

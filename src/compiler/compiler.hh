@@ -113,12 +113,12 @@ struct CompileOptions
      */
     Context ctx;
     /**
-     * Worker threads for the parallel floorplanning stages: the
-     * multilevel V-cycle's refinement gain map (set as
-     * inter.numThreads) and the per-device level-2 place-and-bind
-     * loop (floorplanLevel2). 0 = default pool size (TAPACS_THREADS /
-     * hardware concurrency); 1 = serial in every phase. Results are
-     * identical at any value.
+     * Cap on the threads, the caller included, of every parallel
+     * stage: phase 2's per-task synthesis, the multilevel V-cycle's
+     * refinement gain map (set as inter.numThreads) and the
+     * per-device level-2 place-and-bind loop (floorplanLevel2).
+     * 0 = default pool size (TAPACS_THREADS / hardware concurrency);
+     * 1 = serial in every phase. Results are identical at any value.
      */
     int numThreads = 0;
     /**

@@ -1,7 +1,6 @@
 #include "explore/explore.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <sstream>
@@ -203,33 +202,11 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
                  static_cast<std::int64_t>(po.simulated));
     };
 
-    int threads = options.threads;
-    if (threads <= 0)
-        threads = ThreadPool::defaultPool().size();
-    threads = std::min<int>(threads, static_cast<int>(n));
-    if (threads <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            evalPoint(i);
-    } else {
-        // Strided claim over an atomic cursor: claim order is
-        // load-dependent, but every point writes only its own trace
-        // slot and results are order-independent, so the reduction
-        // below sees identical inputs at any thread count.
-        std::atomic<std::size_t> next{0};
-        TaskGroup group;
-        for (int t = 0; t < threads; ++t) {
-            group.run([&]() {
-                while (true) {
-                    const std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= n)
-                        return;
-                    evalPoint(i);
-                }
-            });
-        }
-        group.wait();
-    }
+    // Claim order is load-dependent, but every point writes only its
+    // own trace slot and results are order-independent, so the
+    // reduction below sees identical inputs at any thread count.
+    ThreadPool::defaultPool().parallelFor(
+        0, static_cast<std::int64_t>(n), evalPoint, options.threads);
 
     // Reduce over the canonical order.
     std::vector<Objectives> objs(n);

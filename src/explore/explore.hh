@@ -63,8 +63,9 @@ struct ExploreOptions
      * plus topology/cache/ctx are overwritten per point.
      */
     CompileOptions base;
-    /** Concurrent point evaluations: <= 0 = the shared pool's size,
-     *  1 = serial. Results are identical at any value. */
+    /** Cap on concurrent point evaluations, the caller included:
+     *  <= 0 = the shared pool's size, 1 = serial. Results are
+     *  identical at any value. */
     int threads = 0;
     /** Per-point deadline slice in seconds (< 0 = none). Volatile
      *  contexts skip all cache writes, so slicing disables reuse. */

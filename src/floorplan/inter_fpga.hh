@@ -126,13 +126,13 @@ struct InterFpgaOptions
      */
     bool replicate = false;
     /**
-     * Worker threads for the multilevel backend's per-level gain
-     * computation. 0 = default pool size (TAPACS_THREADS / hardware
-     * concurrency); 1 = serial. Results are bit-identical at any
-     * thread count — gains are computed into index-ordered slots and
-     * applied serially in a deterministic order — so this knob is
-     * excluded from cache keys. compile() sets it from
-     * CompileOptions::numThreads.
+     * Cap on the threads, the caller included, of the multilevel
+     * backend's per-level gain computation. 0 = default pool size
+     * (TAPACS_THREADS / hardware concurrency); 1 = serial. Results
+     * are bit-identical at any thread count — gains are computed
+     * into index-ordered slots and applied serially in a
+     * deterministic order — so this knob is excluded from cache
+     * keys. compile() sets it from CompileOptions::numThreads.
      */
     int numThreads = 0;
     /**

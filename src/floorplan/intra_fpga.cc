@@ -460,16 +460,12 @@ floorplanLevel2(const TaskGraph &g, const Cluster &cluster,
         e.stats = fr.stats;
         interrupted_of[d] = (fr.interrupted || fr.stats.interrupted) ? 1 : 0;
     };
-    int threads = numThreads;
-    if (threads <= 0)
-        threads = ThreadPool::defaultPool().size();
-    if (threads > 1 && num_devices > 1) {
-        ThreadPool::defaultPool().parallelFor(0, num_devices, solveDevice);
-    } else {
+    int threads = numThreads > 0 ? numThreads
+                                 : ThreadPool::defaultPool().size();
+    if (num_devices <= 1)
         threads = 1;
-        for (std::int64_t d = 0; d < num_devices; ++d)
-            solveDevice(d);
-    }
+    ThreadPool::defaultPool().parallelFor(0, num_devices, solveDevice,
+                                          threads);
 
     // Fold in fixed device order so the stats sums and the binding
     // aggregate are identical at any thread count — and identical

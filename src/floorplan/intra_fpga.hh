@@ -144,7 +144,8 @@ struct Level2Result
  * @param partition level-1 result assigning tasks to devices.
  * @param hbmSweep run the full binding candidate sweep per device
  *        (false: only the classic nearest-free walk).
- * @param numThreads 0 = default pool size (TAPACS_THREADS / hardware
+ * @param numThreads cap on the threads solving devices, the caller
+ *        included: 0 = default pool size (TAPACS_THREADS / hardware
  *        concurrency); 1 = serial.
  * @param known per-device records solved earlier (cache hits), used
  *        as they are; a missing record, or one whose sizes do not

@@ -1,6 +1,6 @@
 #include "hls/synthesis.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 
 #include "common/logging.hh"
@@ -28,34 +28,16 @@ synthesizeAll(const std::vector<TaskIr> &tasks, int maxThreads)
     ProgramSynthesis out;
     out.tasks.resize(tasks.size());
 
-    int threads = maxThreads > 0 ? maxThreads
-                                 : ThreadPool::defaultThreadCount();
-    threads = std::max(1, std::min<int>(threads,
-                                        static_cast<int>(tasks.size())));
-    out.threadsUsed = threads;
-
-    if (threads == 1) {
-        for (size_t i = 0; i < tasks.size(); ++i)
-            out.tasks[i] = estimateTask(tasks[i]);
-    } else {
-        // `threads` drainer tasks on the shared pool instead of raw
-        // std::thread spawns: synthesis runs inside batch compiles
-        // whose requests are already pool tasks, and the helping wait
-        // keeps nested use deadlock-free while honoring maxThreads.
-        std::atomic<size_t> next{0};
-        auto worker = [&]() {
-            while (true) {
-                const size_t i = next.fetch_add(1);
-                if (i >= tasks.size())
-                    return;
-                out.tasks[i] = estimateTask(tasks[i]);
-            }
-        };
-        TaskGroup group;
-        for (int t = 0; t < threads; ++t)
-            group.run(worker);
-        group.wait();
-    }
+    // Synthesis runs inside batch compiles whose requests may already
+    // be pool work; a nested parallelFor never waits on a queued task.
+    ThreadPool &pool = ThreadPool::defaultPool();
+    const auto n = static_cast<std::int64_t>(tasks.size());
+    out.threadsUsed = static_cast<int>(std::max<std::int64_t>(
+        1, std::min<std::int64_t>(
+               maxThreads > 0 ? maxThreads : pool.size(), n)));
+    pool.parallelFor(
+        0, n, [&](std::int64_t i) { out.tasks[i] = estimateTask(tasks[i]); },
+        maxThreads);
 
     out.elapsedSeconds =
         std::chrono::duration<double>(clock::now() - t0).count();

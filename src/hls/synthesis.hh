@@ -34,10 +34,13 @@ struct ProgramSynthesis
 };
 
 /**
- * Synthesize every task, in parallel across hardware threads.
+ * Synthesize every task, in parallel on the shared pool. Each task
+ * writes only its own result slot, so the result is identical at any
+ * thread count.
  *
  * @param tasks one IR per task.
- * @param maxThreads cap on worker threads (0 = hardware default).
+ * @param maxThreads cap on worker threads, the caller included
+ *        (0 = the pool size; 1 = serial).
  */
 ProgramSynthesis synthesizeAll(const std::vector<TaskIr> &tasks,
                                int maxThreads = 0);

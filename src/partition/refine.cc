@@ -64,7 +64,6 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
         return c;
     };
 
-    const bool serial = options.numThreads == 1;
     std::vector<Move> moves(n);
     std::vector<int> candidates;
 
@@ -111,12 +110,8 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
                 }
             }
         };
-        if (serial || n < 256) {
-            for (int v = 0; v < n; ++v)
-                mapOne(v);
-        } else {
-            ThreadPool::defaultPool().parallelFor(0, n, mapOne);
-        }
+        ThreadPool::defaultPool().parallelFor(
+            0, n, mapOne, n < 256 ? 1 : options.numThreads);
 
         candidates.clear();
         for (int v = 0; v < n; ++v) {

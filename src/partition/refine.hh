@@ -45,8 +45,9 @@ struct RefineStats
  *                 none; empty = no hints), projected down from the
  *                 caller's finest-level hints.
  * @param options  allowed() mask, channelsPerDevice, hintWeight and
- *                 the ctx polled between passes; numThreads selects
- *                 serial (1) or the shared pool (otherwise).
+ *                 the ctx polled between passes; numThreads caps
+ *                 the shared pool's threads for the gain map (1 =
+ *                 serial; levels under 256 vertices always are).
  *
  * Only feasibility-preserving, strictly improving moves are applied:
  * a feasible input partition stays feasible.

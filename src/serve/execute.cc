@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <climits>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
-#include "apps/cnn.hh"
-#include "apps/knn.hh"
-#include "apps/pagerank.hh"
-#include "apps/stencil.hh"
+#include "apps/workloads.hh"
 #include "cache/compile_cache.hh"
 #include "cache/entry_io.hh"
 #include "common/crc64.hh"
@@ -51,48 +47,6 @@ readFileBounded(const std::string &path, std::string *out)
     std::ostringstream body;
     body << in.rdbuf();
     *out = body.str();
-    return Status();
-}
-
-/** Build a builtin workload at the request's scale (0 = the same
- *  small configurations the golden harness pins). */
-Status
-buildWorkload(const Request &req, apps::AppDesign *out)
-{
-    const std::int64_t scale =
-        std::min<std::int64_t>(req.scale, INT_MAX);
-    if (req.workload == "stencil") {
-        const int iters = scale > 0 ? static_cast<int>(scale) : 64;
-        *out = apps::buildStencil(
-            apps::StencilConfig::scaled(iters, req.fpgas));
-    } else if (req.workload == "pagerank") {
-        apps::GraphDataset dataset = apps::pagerankDatasets()[0];
-        if (scale > 0) {
-            // scale= is the synthetic node count; edges follow the
-            // ~11 edges/node average of the paper's Table 5 networks.
-            dataset.name = "synthetic-" + std::to_string(scale);
-            dataset.nodes = scale;
-            dataset.edges = scale * 11;
-        }
-        *out = apps::buildPageRank(
-            apps::PageRankConfig::scaled(dataset, req.fpgas));
-    } else if (req.workload == "knn") {
-        const std::int64_t n = req.scale > 0 ? req.scale : 1'000'000;
-        *out = apps::buildKnn(apps::KnnConfig::scaled(n, 2, req.fpgas));
-    } else if (req.workload == "cnn") {
-        apps::CnnConfig cnn;
-        cnn.rows = 4;
-        cnn.cols = 4;
-        cnn.numFpgas = req.fpgas;
-        // scale= is the batch size for cnn.
-        cnn.batch = scale > 0 ? static_cast<int>(scale) : 4;
-        cnn.numBlocks = 8;
-        *out = apps::buildCnn(cnn);
-    } else {
-        return Status::invalidInput(
-            "unknown workload '%s' (want stencil|pagerank|knn|cnn)",
-            req.workload.c_str());
-    }
     return Status();
 }
 
@@ -191,7 +145,8 @@ executeRequest(const Request &req, const Context &ctx,
                 st = tryParseTaskGraph(text, &graph);
         } else {
             apps::AppDesign design;
-            st = buildWorkload(req, &design);
+            st = apps::buildWorkload(req.workload, req.fpgas,
+                                     req.scale, &design);
             if (st.ok()) {
                 graph = std::move(design.graph);
                 tasks = std::move(design.tasks);
@@ -280,7 +235,8 @@ executeRequest(const Request &req, const Context &ctx,
             }
         } else {
             apps::AppDesign design;
-            st = buildWorkload(req, &design);
+            st = apps::buildWorkload(req.workload, req.fpgas,
+                                     req.scale, &design);
             if (st.ok()) {
                 graph = std::move(design.graph);
                 out.tasks = graph.numVertices();

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -620,24 +619,14 @@ TEST(CacheConcurrency, SharedCacheBatchMatchesSerialBitExactly)
     cache::CacheStore store;
     cache::CompileCache cc(store);
     std::vector<CompileResult> parallel(kDesigns * kRepeats);
-    std::atomic<std::size_t> next{0};
     ThreadPool pool(4);
-    TaskGroup group(pool);
-    for (int t = 0; t < 4; ++t) {
-        group.run([&]() {
-            while (true) {
-                const std::size_t i = next.fetch_add(1);
-                if (i >= parallel.size())
-                    return;
-                TaskGraph g = randomDesign(
-                    6000 + static_cast<int>(i) % kDesigns, 4, 4);
-                CompileOptions opt = base;
-                opt.cache = &cc;
-                parallel[i] = compile(g, cluster, opt);
-            }
-        });
-    }
-    group.wait();
+    pool.parallelFor(0, kDesigns * kRepeats, [&](std::int64_t i) {
+        TaskGraph g =
+            randomDesign(6000 + static_cast<int>(i) % kDesigns, 4, 4);
+        CompileOptions opt = base;
+        opt.cache = &cc;
+        parallel[i] = compile(g, cluster, opt);
+    });
 
     for (std::size_t i = 0; i < parallel.size(); ++i) {
         expectResultsIdentical(reference[i % kDesigns], parallel[i],

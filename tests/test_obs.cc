@@ -7,8 +7,10 @@
  * (deterministic SolverStats aggregation).
  */
 
+#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -143,21 +145,25 @@ TEST(Trace, PoolWorkersGetDistinctTracks)
     TracerSandbox sandbox;
     obs::Tracer &t = obs::Tracer::instance();
     t.enable();
-    // Rendezvous: all three tasks must be in flight at once, so at
-    // least two land on distinct pool workers (the caller's helping
-    // hand in TaskGroup::wait can absorb at most one).
+    // Rendezvous: the caller plus one helper per pool worker, each
+    // holding one index until all are in flight, so every helper
+    // records on its own pool worker (>= 2 of them).
     ThreadPool &pool = ThreadPool::defaultPool();
-    Latch latch(3);
-    TaskGroup group(pool);
-    for (int i = 0; i < 3; ++i) {
-        group.run([&latch, i] {
+    const int n = pool.size() + 1;
+    std::mutex mu;
+    std::condition_variable cv;
+    int arrived = 0;
+    pool.parallelFor(
+        0, n,
+        [&](std::int64_t i) {
             obs::TraceSpan span("test",
                                 "rendezvous" + std::to_string(i));
-            latch.countDown();
-            latch.wait();
-        });
-    }
-    group.wait();
+            std::unique_lock<std::mutex> lk(mu);
+            if (++arrived == n)
+                cv.notify_all();
+            cv.wait(lk, [&] { return arrived == n; });
+        },
+        n);
     t.disable();
     const std::string json = t.toJson();
     EXPECT_GE(countOccurrences(json, "pool-worker-"), 2);

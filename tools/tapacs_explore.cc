@@ -56,7 +56,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -65,10 +64,7 @@
 #include <string>
 #include <vector>
 
-#include "apps/cnn.hh"
-#include "apps/knn.hh"
-#include "apps/pagerank.hh"
-#include "apps/stencil.hh"
+#include "apps/workloads.hh"
 #include "cache/compile_cache.hh"
 #include "cli_flags.hh"
 #include "common/logging.hh"
@@ -178,46 +174,6 @@ parseArgs(int argc, char **argv)
     return opt;
 }
 
-/** Mirror of the serve layer's builtin-workload builder (scale=0 is
- *  the same small configuration the golden harness pins). */
-Status
-buildWorkload(const CliOptions &opt, apps::AppDesign *out)
-{
-    const std::int64_t scale =
-        std::min<std::int64_t>(opt.scale, INT_MAX);
-    if (opt.workload == "stencil") {
-        const int iters = scale > 0 ? static_cast<int>(scale) : 64;
-        *out = apps::buildStencil(
-            apps::StencilConfig::scaled(iters, opt.fpgas));
-    } else if (opt.workload == "pagerank") {
-        apps::GraphDataset dataset = apps::pagerankDatasets()[0];
-        if (scale > 0) {
-            dataset.name = "synthetic-" + std::to_string(scale);
-            dataset.nodes = scale;
-            dataset.edges = scale * 11;
-        }
-        *out = apps::buildPageRank(
-            apps::PageRankConfig::scaled(dataset, opt.fpgas));
-    } else if (opt.workload == "knn") {
-        const std::int64_t n = opt.scale > 0 ? opt.scale : 1'000'000;
-        *out =
-            apps::buildKnn(apps::KnnConfig::scaled(n, 2, opt.fpgas));
-    } else if (opt.workload == "cnn") {
-        apps::CnnConfig cnn;
-        cnn.rows = 4;
-        cnn.cols = 4;
-        cnn.numFpgas = opt.fpgas;
-        cnn.batch = scale > 0 ? static_cast<int>(scale) : 4;
-        cnn.numBlocks = 8;
-        *out = apps::buildCnn(cnn);
-    } else {
-        return Status::invalidInput(
-            "unknown workload '%s' (want stencil|pagerank|knn|cnn)",
-            opt.workload.c_str());
-    }
-    return Status();
-}
-
 } // namespace
 
 int
@@ -251,7 +207,8 @@ main(int argc, char **argv)
         }
     } else {
         apps::AppDesign design;
-        st = buildWorkload(opt, &design);
+        st = apps::buildWorkload(opt.workload, opt.fpgas, opt.scale,
+                                 &design);
         if (!st.ok()) {
             std::fprintf(stderr, "%s\n", st.message().c_str());
             return 2;

@@ -34,10 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "apps/cnn.hh"
-#include "apps/knn.hh"
-#include "apps/pagerank.hh"
-#include "apps/stencil.hh"
+#include "apps/workloads.hh"
 #include "cache/compile_cache.hh"
 #include "common/logging.hh"
 #include "compiler/compiler.hh"
@@ -60,21 +57,13 @@ std::vector<Workload>
 paperWorkloads()
 {
     std::vector<Workload> out;
-    out.push_back({"stencil",
-                   apps::buildStencil(apps::StencilConfig::scaled(64, 2))});
-    out.push_back(
-        {"pagerank",
-         apps::buildPageRank(apps::PageRankConfig::scaled(
-             apps::pagerankDatasets()[0], 2))});
-    out.push_back(
-        {"knn", apps::buildKnn(apps::KnnConfig::scaled(1'000'000, 2, 2))});
-    apps::CnnConfig cnn;
-    cnn.rows = 4;
-    cnn.cols = 4;
-    cnn.numFpgas = 2;
-    cnn.batch = 4;
-    cnn.numBlocks = 8;
-    out.push_back({"cnn", apps::buildCnn(cnn)});
+    for (const char *name : {"stencil", "pagerank", "knn", "cnn"}) {
+        Workload w{name, {}};
+        const Status st = apps::buildWorkload(name, 2, 0, &w.design);
+        if (!st.ok())
+            fatal("%s", st.message().c_str());
+        out.push_back(std::move(w));
+    }
     return out;
 }
 

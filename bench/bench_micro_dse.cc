@@ -64,7 +64,6 @@ coldPoint(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
     Cluster cluster(makeU55C(), Topology(point.topology, numFpgas), 1);
     CompileOptions opt;
     opt.numFpgas = numFpgas;
-    opt.topology = point.topology;
     opt.threshold = point.threshold;
     opt.slotThreshold = point.slotThreshold;
     opt.hbmBindingSweep = point.bindingSweep;

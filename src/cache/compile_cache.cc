@@ -23,28 +23,6 @@ mixSolver(KeyBuilder &b, const ilp::SolverOptions &s)
         .i64(s.lp.maxIterations);
 }
 
-/** Per-vertex values reordered into canonical rank order. */
-template <typename T>
-std::vector<T>
-byRank(const GraphFingerprint &fp, const std::vector<T> &byVertex)
-{
-    std::vector<T> out(byVertex.size());
-    for (std::size_t v = 0; v < byVertex.size(); ++v)
-        out[fp.rankOf[v]] = byVertex[v];
-    return out;
-}
-
-/** Inverse mapping: canonical-rank values back onto vertex ids. */
-template <typename T>
-std::vector<T>
-fromRank(const GraphFingerprint &fp, const std::vector<T> &ranked)
-{
-    std::vector<T> out(ranked.size());
-    for (std::size_t v = 0; v < ranked.size(); ++v)
-        out[v] = ranked[fp.rankOf[v]];
-    return out;
-}
-
 } // namespace
 
 CacheKey
@@ -71,12 +49,26 @@ hlsTaskKey(const hls::TaskIr &task)
 }
 
 CacheKey
-interKey(const GraphFingerprint &fp, const Cluster &cluster, int numFpgas,
+interKey(const TaskGraph &g, const Cluster &cluster, int numFpgas,
          const InterFpgaOptions &options)
 {
     KeyBuilder b;
     b.i64(kSchemaVersion).str("inter");
-    b.key(fp.structural).key(clusterKey(cluster)).i64(numFpgas);
+    // The graph in id order, with only the attributes the level-1
+    // solve reads. Positional on purpose: the solver is index-order-
+    // sensitive, so equal keys must mean an identical solver walk.
+    // totalBytes stays in because the entry carries cutTrafficBytes.
+    b.i64(g.numVertices());
+    for (const Vertex &vx : g.vertices()) {
+        b.vec(vx.area)
+            .i64(vx.work.memChannels)
+            .f64(vx.work.memReadBytes)
+            .f64(vx.work.memWriteBytes);
+    }
+    b.i64(g.numEdges());
+    for (const Edge &ed : g.edges())
+        b.i64(ed.src).i64(ed.dst).i64(ed.widthBits).f64(ed.totalBytes);
+    b.key(clusterKey(cluster)).i64(numFpgas);
     b.f64(options.threshold)
         .vec(options.reserved)
         .i64(options.coarseLimit)
@@ -193,7 +185,7 @@ CompileCache::putHls(const CacheKey &key, const hls::SynthesisResult &result)
 }
 
 bool
-CompileCache::getInter(const CacheKey &key, const GraphFingerprint &fp,
+CompileCache::getInter(const CacheKey &key, int numVertices,
                        InterFpgaResult *out)
 {
     auto blob = store_.get(key);
@@ -202,7 +194,7 @@ CompileCache::getInter(const CacheKey &key, const GraphFingerprint &fp,
     EntryReader r(*blob);
     InterFpgaResult parsed;
     std::int64_t nv = 0, coarse = 0, levels = 0;
-    if (!r.tag("inter2") || !r.i64(&nv) || !r.boolean(&parsed.feasible) ||
+    if (!r.tag("inter3") || !r.count(&nv) || !r.boolean(&parsed.feasible) ||
         !r.f64(&parsed.cost) || !r.f64(&parsed.cutTrafficBytes) ||
         !r.f64(&parsed.elapsedSeconds) || !r.boolean(&parsed.ilpOptimal) ||
         !r.i64(&coarse) || !r.i64(&levels) ||
@@ -211,50 +203,39 @@ CompileCache::getInter(const CacheKey &key, const GraphFingerprint &fp,
     parsed.coarseVertices = static_cast<int>(coarse);
     parsed.levels = static_cast<int>(levels);
     // nv == 0 encodes an infeasible solve's empty partition.
-    if (nv != 0 && nv != fp.numVertices())
+    if (nv != 0 && nv != numVertices)
         return false;
-    std::vector<DeviceId> ranked(nv);
-    for (std::int64_t i = 0; i < nv; ++i) {
+    parsed.partition.deviceOf.resize(nv);
+    for (DeviceId &dev : parsed.partition.deviceOf) {
         std::int64_t d;
         if (!r.i64(&d))
             return false;
-        ranked[i] = static_cast<DeviceId>(d);
+        dev = static_cast<DeviceId>(d);
     }
-    parsed.partition.deviceOf = fromRank(fp, ranked);
-    // Replication map: 0 or nv per-vertex device lists in rank order.
+    // Replication map: 0 or nv per-vertex device lists in id order.
     std::int64_t nr = 0;
-    if (!r.i64(&nr) || (nr != 0 && nr != nv))
+    if (!r.count(&nr) || (nr != 0 && nr != nv))
         return false;
-    if (nr != 0) {
-        std::vector<std::vector<DeviceId>> ranked_rep(nr);
-        for (std::int64_t i = 0; i < nr; ++i) {
-            std::int64_t count = 0;
-            if (!r.i64(&count) || count < 0)
+    parsed.replication.extraDevicesOf.resize(nr);
+    for (std::vector<DeviceId> &devs : parsed.replication.extraDevicesOf) {
+        std::int64_t count = 0;
+        if (!r.count(&count))
+            return false;
+        devs.resize(count);
+        for (DeviceId &dev : devs) {
+            std::int64_t d;
+            if (!r.i64(&d))
                 return false;
-            ranked_rep[i].resize(count);
-            for (std::int64_t j = 0; j < count; ++j) {
-                std::int64_t d;
-                if (!r.i64(&d))
-                    return false;
-                ranked_rep[i][j] = static_cast<DeviceId>(d);
-            }
+            dev = static_cast<DeviceId>(d);
         }
-        parsed.replication.extraDevicesOf = fromRank(fp, ranked_rep);
     }
     *out = std::move(parsed);
     return true;
 }
 
 void
-CompileCache::putInter(const CacheKey &key, const GraphFingerprint &fp,
-                       const InterFpgaResult &result)
+CompileCache::putInter(const CacheKey &key, const InterFpgaResult &result)
 {
-    if (!result.partition.deviceOf.empty() &&
-        static_cast<int>(result.partition.deviceOf.size()) !=
-            fp.numVertices()) {
-        warn("cache: inter-FPGA result size mismatch; not storing");
-        return;
-    }
     if (!result.replication.extraDevicesOf.empty() &&
         result.replication.extraDevicesOf.size() !=
             result.partition.deviceOf.size()) {
@@ -262,7 +243,7 @@ CompileCache::putInter(const CacheKey &key, const GraphFingerprint &fp,
         return;
     }
     EntryWriter w;
-    w.tag("inter2");
+    w.tag("inter3");
     w.i64(static_cast<std::int64_t>(result.partition.deviceOf.size()));
     w.i64(result.feasible ? 1 : 0);
     w.f64(result.cost);
@@ -272,11 +253,11 @@ CompileCache::putInter(const CacheKey &key, const GraphFingerprint &fp,
     w.i64(result.coarseVertices);
     w.i64(result.levels);
     writeStats(w, result.solverStats);
-    for (DeviceId d : byRank(fp, result.partition.deviceOf))
+    for (DeviceId d : result.partition.deviceOf)
         w.i64(d);
     w.i64(static_cast<std::int64_t>(
         result.replication.extraDevicesOf.size()));
-    for (const auto &devs : byRank(fp, result.replication.extraDevicesOf)) {
+    for (const auto &devs : result.replication.extraDevicesOf) {
         w.i64(static_cast<std::int64_t>(devs.size()));
         for (DeviceId d : devs)
             w.i64(d);
@@ -293,8 +274,8 @@ CompileCache::getIntraDevice(const CacheKey &key, IntraDeviceEntry *out)
     EntryReader r(*blob);
     IntraDeviceEntry parsed;
     std::int64_t nv = 0, nu = 0, nc = 0;
-    if (!r.tag("intradev1") || !r.i64(&nv) || nv < 0 || !r.i64(&nu) ||
-        nu < 0 || nu > nv || !r.i64(&nc) || nc < 0 ||
+    if (!r.tag("intradev1") || !r.count(&nv) || !r.count(&nu) ||
+        nu > nv || !r.count(&nc) ||
         !r.f64(&parsed.displacement) ||
         !r.boolean(&parsed.allIlpOptimal) || !readStats(r, &parsed.stats))
         return false;
@@ -309,7 +290,7 @@ CompileCache::getIntraDevice(const CacheKey &key, IntraDeviceEntry *out)
     parsed.grants.resize(nu);
     for (std::int64_t i = 0; i < nu; ++i) {
         std::int64_t count = 0;
-        if (!r.i64(&count) || count < 0)
+        if (!r.count(&count))
             return false;
         parsed.grants[i].resize(count);
         for (std::int64_t c = 0; c < count; ++c) {

@@ -10,8 +10,8 @@
  *   phase 5  per-DEVICE intra-FPGA place-  intraDeviceKey(graph, part,
  *            ments + HBM bindings                   device, model, opts)
  *
- * Keys fold in every cost-relevant input — canonical graph
- * fingerprint, cluster content, thresholds, seeds, solver limits —
+ * Keys fold in every cost-relevant input — the graph content the
+ * solver reads, cluster content, thresholds, seeds, solver limits —
  * and a schema version, but deliberately EXCLUDE the thread-count
  * knobs: results are thread-count-invariant by construction (see
  * floorplanLevel2), so a 4-thread batch compile and a serial one
@@ -21,21 +21,23 @@
  * An exact-key hit returns the stored artifact bit-for-bit; doubles
  * are serialized as hex floats (%a), so the round trip is lossless.
  *
- * The level-2 tier is per device: each device's bisection + HBM
- * binding reads only that device's vertices (cross-device edges are
- * the level-1 objective), so the entry keys the *ordered induced
- * subgraph* of one device plus the device model. When an edit dirties
- * one task, every other device's level-2 solution still hits. The key
- * is positional (vertices in ascending graph id), not WL-canonical,
- * because the per-device solver is index-order-sensitive — equal keys
- * therefore mean the solver would walk the exact same path, which is
- * what the bit-identity contract of incremental recompiles needs.
+ * Both floorplan tiers key the graph positionally: vertices in
+ * ascending id, edges in id order. Each solver is index-order-
+ * sensitive — coarsening tie-breaks, the greedy seed, the FM walk
+ * and the per-device bisections all visit vertices by id — so equal
+ * keys must mean the solver would walk the exact same path, which is
+ * the bit-identity contract of cached and incremental compiles. A
+ * relabeled copy of a design is therefore a different key (and a
+ * cold solve), never a transported answer. Per-vertex artifacts
+ * (device assignments, replication lists, slot placements) are
+ * stored in the same id order.
  *
- * Per-vertex artifacts (device assignments, slot placements, channel
- * lists) are stored in canonical vertex order and mapped through
- * GraphFingerprint::rankOf on both store and load, which makes the
- * entries label-free: an isomorphic relabeling of the same design
- * addresses — and can reuse — the same entry.
+ * The level-1 tier keys the whole graph. The level-2 tier is per
+ * device: each device's bisection + HBM binding reads only that
+ * device's vertices (cross-device edges are the level-1 objective),
+ * so the entry keys the ordered induced subgraph of one device plus
+ * the device model. When an edit dirties one task, every other
+ * device's level-2 solution still hits.
  */
 
 #ifndef TAPACS_CACHE_COMPILE_CACHE_HH
@@ -59,9 +61,17 @@ constexpr int kSchemaVersion = 5;
  *  synthesis results are joined back onto vertices by name). */
 CacheKey hlsTaskKey(const hls::TaskIr &task);
 
-/** Exact key of a level-1 inter-FPGA solve. Excludes only
- *  solver-irrelevant knobs (thread counts, the deadline). */
-CacheKey interKey(const GraphFingerprint &fp, const Cluster &cluster,
+/**
+ * Exact key of a level-1 inter-FPGA solve: @p g in id order with the
+ * attributes the level-1 solve, replication and the stored cut read
+ * (per vertex area, memory channels, memory read and write bytes; per
+ * edge endpoints, width and total bytes), the cluster content and the
+ * solver-visible options. Attributes only pipelining, timing and
+ * simulation read (compute ops, FIFO depths, initial tokens, ...)
+ * stay out, so a timing-only edit reuses the whole floorplan. Thread
+ * counts and the deadline are excluded too.
+ */
+CacheKey interKey(const TaskGraph &g, const Cluster &cluster,
                   int numFpgas, const InterFpgaOptions &options);
 
 /**
@@ -95,10 +105,11 @@ class CompileCache
     bool getHls(const CacheKey &key, hls::SynthesisResult *out);
     void putHls(const CacheKey &key, const hls::SynthesisResult &result);
 
-    bool getInter(const CacheKey &key, const GraphFingerprint &fp,
+    /** Level-1 entry of a @p numVertices-vertex graph; false on a
+     *  miss or an entry of any other size. */
+    bool getInter(const CacheKey &key, int numVertices,
                   InterFpgaResult *out);
-    void putInter(const CacheKey &key, const GraphFingerprint &fp,
-                  const InterFpgaResult &result);
+    void putInter(const CacheKey &key, const InterFpgaResult &result);
 
     bool getIntraDevice(const CacheKey &key, IntraDeviceEntry *out);
     void putIntraDevice(const CacheKey &key,

@@ -43,11 +43,8 @@ struct Artifact
 };
 
 /**
- * Reuse signature of one compile. `solverFp` is the solver-scoped
- * structural fingerprint of the compiled graph — a cheap equality
- * probe ("nothing the floorplanner sees changed") used by the delta
- * report, not a validity condition: seeding is content-addressed, so
- * a partially-stale signature still yields partial reuse.
+ * Reuse signature of one compile. Seeding is content-addressed, so a
+ * partially-stale signature still yields partial reuse.
  */
 struct CompileSignature
 {
@@ -58,7 +55,6 @@ struct CompileSignature
     /** L1Backend the prior ran (0 = exact, 1 = multilevel), for the
      *  typed backend-mismatch fallback. */
     int l1Backend = 0;
-    CacheKey solverFp;
     std::vector<Artifact> artifacts;
 
     bool empty() const { return artifacts.empty(); }

@@ -110,6 +110,16 @@ class EntryReader
         return true;
     }
 
+    /** An element count: non-negative and at most the bytes left
+     *  (every element takes at least one), so a corrupt count fails
+     *  here instead of sizing a huge allocation. */
+    bool
+    count(std::int64_t *out)
+    {
+        return i64(out) && *out >= 0 &&
+               static_cast<std::uint64_t>(*out) <= s_.size() - pos_;
+    }
+
     bool
     str(std::string *out)
     {

@@ -13,13 +13,6 @@ namespace tapacs::cache
 namespace
 {
 
-/** Order-free combination of one neighborhood contribution. */
-std::uint64_t
-combine3(std::uint64_t a, std::uint64_t b, std::uint64_t salt)
-{
-    return mix64(a + 0x9e3779b97f4a7c15ull * b + salt);
-}
-
 std::uint64_t
 doubleBits(double v)
 {
@@ -29,13 +22,6 @@ doubleBits(double v)
     static_assert(sizeof(bits) == sizeof(v));
     std::memcpy(&bits, &v, sizeof(bits));
     return bits;
-}
-
-/** Fold a 128-bit key into one 64-bit signature lane. */
-std::uint64_t
-fold(const CacheKey &k)
-{
-    return mix64(k.hi) ^ k.lo;
 }
 
 } // namespace
@@ -105,169 +91,6 @@ KeyBuilder::build() const
     out.hi = mix64(a_ + 0x452821e638d01377ull * (count_ + 1));
     out.lo = mix64(b_ ^ out.hi);
     return out;
-}
-
-namespace
-{
-
-/**
- * WL refinement over caller-chosen vertex/edge attribute signatures.
- * `fingerprintGraph` and `solverFingerprint` differ only in which
- * attributes seed the per-vertex and per-edge signatures; the
- * refinement, the order-independent folds and the canonical-order
- * tie-breaking are shared here.
- */
-GraphFingerprint
-fingerprintWith(const TaskGraph &g,
-                std::uint64_t (*vertexSig)(const Vertex &),
-                std::uint64_t (*edgeSig)(const Edge &))
-{
-    const int nv = g.numVertices();
-    const int ne = g.numEdges();
-
-    std::vector<std::uint64_t> sig(nv);
-    for (VertexId v = 0; v < nv; ++v)
-        sig[v] = vertexSig(g.vertex(v));
-    const std::vector<std::uint64_t> sig0 = sig;
-
-    std::vector<std::uint64_t> esig(ne);
-    for (EdgeId e = 0; e < ne; ++e)
-        esig[e] = edgeSig(g.edge(e));
-
-    // Weisfeiler-Leman refinement: each round folds the commutative
-    // image of a vertex's in- and out-neighborhood (edge attributes +
-    // neighbor signatures) into its own signature. Three rounds give
-    // every signature a radius-3 view — ample to separate the layered
-    // dataflow graphs this compiler sees.
-    constexpr int kRounds = 3;
-    constexpr std::uint64_t kInSalt = 0x71ee2a3145b9cd03ull;
-    constexpr std::uint64_t kOutSalt = 0xc4ceb9fe1a85ec53ull;
-    std::vector<std::uint64_t> next(nv);
-    for (int round = 0; round < kRounds; ++round) {
-        for (VertexId v = 0; v < nv; ++v) {
-            std::uint64_t in_sum = 0, in_xor = 0;
-            for (EdgeId e : g.inEdges(v)) {
-                const std::uint64_t h =
-                    combine3(esig[e], sig[g.edge(e).src], kInSalt);
-                in_sum += h;
-                in_xor ^= h;
-            }
-            std::uint64_t out_sum = 0, out_xor = 0;
-            for (EdgeId e : g.outEdges(v)) {
-                const std::uint64_t h =
-                    combine3(esig[e], sig[g.edge(e).dst], kOutSalt);
-                out_sum += h;
-                out_xor ^= h;
-            }
-            KeyBuilder b;
-            b.raw(sig[v])
-                .raw(in_sum)
-                .raw(in_xor)
-                .i64(static_cast<int>(g.inEdges(v).size()))
-                .raw(out_sum)
-                .raw(out_xor)
-                .i64(static_cast<int>(g.outEdges(v).size()));
-            next[v] = fold(b.build());
-        }
-        sig.swap(next);
-    }
-
-    // Order-independent folds: multisets of vertex signatures and of
-    // endpoint-contextualized edge signatures.
-    std::uint64_t vsum = 0, vxor = 0, vsq = 0;
-    for (VertexId v = 0; v < nv; ++v) {
-        vsum += sig[v];
-        vxor ^= sig[v];
-        vsq += sig[v] * sig[v];
-    }
-    std::uint64_t esum = 0, exor = 0, esq = 0;
-    for (EdgeId e = 0; e < ne; ++e) {
-        const Edge &ed = g.edge(e);
-        const std::uint64_t h =
-            combine3(esig[e] + sig[ed.src], sig[ed.dst], 0x243f6a8885a308d3ull);
-        esum += h;
-        exor ^= h;
-        esq += h * h;
-    }
-
-    GraphFingerprint out;
-    KeyBuilder b;
-    b.i64(nv).i64(ne).raw(vsum).raw(vxor).raw(vsq).raw(esum).raw(exor).raw(
-        esq);
-    out.structural = b.build();
-
-    // Canonical order: sort by refined signature, then initial
-    // signature, then degrees; original id only breaks WL-symmetric
-    // ties (interchangeable vertices).
-    std::vector<VertexId> order(nv);
-    for (VertexId v = 0; v < nv; ++v)
-        order[v] = v;
-    std::sort(order.begin(), order.end(), [&](VertexId x, VertexId y) {
-        if (sig[x] != sig[y])
-            return sig[x] < sig[y];
-        if (sig0[x] != sig0[y])
-            return sig0[x] < sig0[y];
-        const auto dx = g.inEdges(x).size() + g.outEdges(x).size();
-        const auto dy = g.inEdges(y).size() + g.outEdges(y).size();
-        if (dx != dy)
-            return dx < dy;
-        return x < y;
-    });
-    out.rankOf.assign(nv, 0);
-    for (int r = 0; r < nv; ++r)
-        out.rankOf[order[r]] = r;
-    return out;
-}
-
-} // namespace
-
-GraphFingerprint
-fingerprintGraph(const TaskGraph &g)
-{
-    // Per-vertex content signature: resource profile + work profile.
-    // Names are labels, not content, and stay out on purpose.
-    return fingerprintWith(
-        g,
-        [](const Vertex &vx) {
-            KeyBuilder b;
-            b.vec(vx.area)
-                .f64(vx.work.computeOps)
-                .f64(vx.work.opsPerCycle)
-                .f64(vx.work.memReadBytes)
-                .f64(vx.work.memWriteBytes)
-                .i64(vx.work.memPortWidthBits)
-                .i64(vx.work.memChannels)
-                .i64(vx.work.numBlocks);
-            return fold(b.build());
-        },
-        [](const Edge &ed) {
-            KeyBuilder b;
-            b.i64(ed.widthBits)
-                .i64(ed.depth)
-                .f64(ed.totalBytes)
-                .i64(ed.initialTokens);
-            return fold(b.build());
-        });
-}
-
-GraphFingerprint
-solverFingerprint(const TaskGraph &g)
-{
-    return fingerprintWith(
-        g,
-        [](const Vertex &vx) {
-            KeyBuilder b;
-            b.vec(vx.area)
-                .i64(vx.work.memChannels)
-                .f64(vx.work.memReadBytes)
-                .f64(vx.work.memWriteBytes);
-            return fold(b.build());
-        },
-        [](const Edge &ed) {
-            KeyBuilder b;
-            b.i64(ed.widthBits).f64(ed.totalBytes);
-            return fold(b.build());
-        });
 }
 
 namespace

@@ -1,7 +1,6 @@
 /**
  * @file
- * Content-addressed cache keys and the canonical task-graph
- * fingerprint.
+ * Content-addressed cache keys.
  *
  * Every memoizable artifact of the compile flow (per-task HLS
  * estimates, level-1 inter-FPGA solutions, level-2 placements + HBM
@@ -12,15 +11,12 @@
  * ~2^-128) to produce byte-identical artifacts, which is what lets
  * the cache return stored results without re-running a solver.
  *
- * The graph fingerprint is *order-independent*: it is computed by
- * Weisfeiler-Leman-style signature refinement, so relabeling vertices
- * or edges (permuting insertion order) does not change the key, while
- * any change to a FIFO width, a resource vector, a work profile or
- * the wiring does. Vertex names are deliberately excluded — they are
- * labels, not content. Alongside the key the fingerprint yields a
- * canonical vertex order, which is how per-vertex artifacts (device
- * assignments, slot placements) are stored label-free and mapped back
- * onto any isomorphic relabeling of the same graph.
+ * Graph content is hashed positionally: vertices and edges in id
+ * order, each with the attributes its solver reads. Both floorplan
+ * tiers visit vertices by id (coarsening tie-breaks, greedy seeds,
+ * FM walks, bisections), so a relabeled copy of a design is a
+ * different solver input and gets a different key. Vertex names are
+ * excluded — they are labels, not content.
  */
 
 #ifndef TAPACS_CACHE_KEY_HH
@@ -29,9 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "graph/task_graph.hh"
 #include "network/cluster.hh"
 
 namespace tapacs::cache
@@ -106,44 +100,6 @@ class KeyBuilder
     std::uint64_t b_;
     std::uint64_t count_;
 };
-
-/**
- * Canonical fingerprint of one task graph.
- *
- * `structural` is invariant under vertex/edge relabeling and
- * sensitive to everything else (areas, work profiles, FIFO widths/
- * depths/volumes/initial tokens, wiring). `rankOf[v]` is the vertex's
- * position in the canonical order; per-vertex cached artifacts are
- * stored indexed by rank. Vertices that are WL-symmetric (identical
- * signatures) tie-break by original id, so the rank map is exact for
- * the graph that produced an entry and a valid isomorphism map for
- * relabelings whose signatures are all distinct (the generic case for
- * real profiles).
- */
-struct GraphFingerprint
-{
-    CacheKey structural;
-    std::vector<int> rankOf;
-
-    int numVertices() const { return static_cast<int>(rankOf.size()); }
-};
-
-/** Compute the canonical fingerprint (O(rounds * (V + E))). */
-GraphFingerprint fingerprintGraph(const TaskGraph &g);
-
-/**
- * Solver-scoped fingerprint: the same WL refinement, restricted to
- * the vertex/edge attributes the L1/L2 floorplanners and the HBM
- * binder actually read — per-vertex {area, memChannels, memReadBytes,
- * memWriteBytes} and per-edge {widthBits, totalBytes}. Attributes
- * that only pipelining/timing/simulation consume (computeOps,
- * opsPerCycle, memPortWidthBits, numBlocks, edge depth, initial
- * tokens) are excluded, so an edit touching only those leaves every
- * floorplan key unchanged and an incremental recompile reuses the
- * whole L1/L2 solution. totalBytes stays in because the stored L1
- * entry carries cutTrafficBytes, which is derived from it.
- */
-GraphFingerprint solverFingerprint(const TaskGraph &g);
 
 /**
  * Content key of the target cluster: device model (slot grid,

@@ -282,22 +282,10 @@ compile(const TaskGraph &g, const Cluster &cluster,
     LocalCache local_cache;
     cache::CompileCache *cc = local_cache.attach(options.cache, options.ctx);
 
-    // Fingerprint the request once when a cache is attached; both
-    // solver phases key off the same canonical graph + cluster view.
-    // The fingerprint is solver-scoped: attributes no floorplanner
-    // reads (computeOps, edge depths, ...) stay out of it, so an edit
-    // touching only those leaves every solver key — and hence every
-    // cached artifact — addressable unchanged.
-    cache::GraphFingerprint fp;
-    if (cc != nullptr) {
-        obs::TraceSpan span("compile", "cache.fingerprint");
-        fp = cache::solverFingerprint(g);
-    }
     // Keys of the artifacts this run binds, for the reuse signature.
     cache::CacheKey l1_used_key;
     bool l1_key_recorded = false;
     std::vector<cache::CacheKey> l2_used_keys;
-    const cache::CacheKey input_fp = fp.structural;
 
     // ---- Step 3: inter-FPGA floorplanning (eq. 1-3) -----------------
     if (multi) {
@@ -324,15 +312,15 @@ compile(const TaskGraph &g, const Cluster &cluster,
         if (cc != nullptr && !inter.ctx.done()) {
             // Caller-passed hints (replan()) are part of the key, so a
             // hinted result is as exact as a cold one.
-            l1_key = cache::interKey(fp, cluster, fpgas, inter);
-            l1_cached = cc->getInter(l1_key, fp, &l1);
+            l1_key = cache::interKey(g, cluster, fpgas, inter);
+            l1_cached = cc->getInter(l1_key, g.numVertices(), &l1);
             l1_used_key = l1_key;
             l1_key_recorded = true;
         }
         if (!l1_cached) {
             l1 = partition::solveL1(g, cluster, inter);
             if (cc != nullptr && !volatile_ctx)
-                cc->putInter(l1_key, fp, l1);
+                cc->putInter(l1_key, l1);
         }
         if (!l1.status.ok() &&
             l1.status.code() == StatusCode::InvalidInput) {
@@ -413,12 +401,6 @@ compile(const TaskGraph &g, const Cluster &cluster,
             rep_span
                 .arg("replicas", out.replication.totalReplicas())
                 .arg("cut_traffic_bytes", out.cutTrafficBytes);
-            if (cc != nullptr) {
-                // Phase-5 keys canonicalize per-vertex data through
-                // the fingerprint's rank order; with replicas in the
-                // partition the fingerprint must cover them too.
-                fp = cache::solverFingerprint(out.expandedGraph);
-            }
         }
     } else {
         // Single device: the fit gate for the TAPA modes is the same
@@ -588,7 +570,6 @@ compile(const TaskGraph &g, const Cluster &cluster,
         out.signature.schemaVersion = cache::kSchemaVersion;
         out.signature.l1Backend =
             options.inter.backend == L1Backend::Multilevel ? 1 : 0;
-        out.signature.solverFp = input_fp;
         auto capture = [&](const char *tier,
                            const cache::CacheKey &key) {
             if (auto blob = cc->store().get(key))
@@ -714,8 +695,6 @@ compileProgram(TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
             hls::ProgramSynthesis fresh;
             if (!missing.empty())
                 fresh = hls::synthesizeAll(missing, opts.numThreads);
-            synth.elapsedSeconds = fresh.elapsedSeconds;
-            synth.threadsUsed = fresh.threadsUsed;
             synth.tasks.reserve(tasks.size());
             std::size_t m = 0;
             for (std::size_t i = 0; i < tasks.size(); ++i) {

@@ -60,8 +60,6 @@ struct CompileOptions
     CompileMode mode = CompileMode::TapaCs;
     /** Devices to target (forced to 1 for the baseline modes). */
     int numFpgas = 1;
-    /** Intra-node wiring (the paper's testbed uses rings of 4). */
-    TopologyKind topology = TopologyKind::Ring;
     /** Utilization threshold T of eq. 1 (TAPA-CS / TAPA modes). */
     double threshold = 0.70;
     /**
@@ -307,10 +305,13 @@ CompileResult compileProgram(TaskGraph &g,
  *
  * The prior's signature blobs are seeded into the compile cache (the
  * caller's CompileOptions::cache when set, a compile-local ephemeral
- * one otherwise) and the normal flow runs: clean subgraphs — tasks and
- * devices the edit did not touch, as judged by the solver-scoped
- * Weisfeiler-Leman fingerprints — rebind from the seeded entries,
- * dirty ones re-solve. Because reuse is purely content-keyed, the
+ * one otherwise) and the normal flow runs: an artifact is reused iff
+ * @p g re-derives its key. The keys are positional (vertices and
+ * edges in id order, with only the attributes each solver reads), so
+ * the level-1 solution is reused when nothing it reads changed — a
+ * timing-only edit — and each device's level-2 solution is reused
+ * when its induced subgraph is unchanged; dirty tiers re-solve.
+ * Because equal positional keys mean an identical solver walk, the
  * result is bit-identical to a cold compile of @p g with the same
  * options.
  *

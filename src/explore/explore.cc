@@ -18,40 +18,6 @@ namespace tapacs::explore
 namespace
 {
 
-/**
- * Paper-testbed cluster rewired for one grid point's topology:
- * single node up to 4 devices, nodes of 4 beyond (the
- * tryMakePaperTestbed shape). Total: a knob/count mismatch (a
- * hypercube over a non-power-of-two node) is a typed InvalidInput,
- * never a fatal().
- */
-Status
-makeExploreCluster(int numFpgas, TopologyKind kind, Cluster *out)
-{
-    if (numFpgas < 1)
-        return Status::invalidInput(
-            "explore requires at least one FPGA, got %d", numFpgas);
-    int perNode = numFpgas;
-    int numNodes = 1;
-    if (numFpgas > 4) {
-        if (numFpgas % 4 != 0)
-            return Status::invalidInput(
-                "multi-node explore requires a multiple of 4 FPGAs, "
-                "got %d",
-                numFpgas);
-        perNode = 4;
-        numNodes = numFpgas / 4;
-    }
-    if (kind == TopologyKind::Hypercube &&
-        (perNode & (perNode - 1)) != 0)
-        return Status::invalidInput(
-            "hypercube topology requires a power-of-two node size, "
-            "got %d",
-            perNode);
-    *out = Cluster(makeU55C(), Topology(kind, perNode), numNodes);
-    return Status();
-}
-
 /** Worst per-device utilization of a routable result, networking
  *  reservation included — the sweep's resource objective. */
 double
@@ -131,13 +97,12 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
         } else {
             Cluster cluster(makeU55C(),
                             Topology(TopologyKind::Ring, 1), 1);
-            Status st = makeExploreCluster(
-                base.numFpgas, po.point.topology, &cluster);
+            Status st = tryMakePaperTestbed(base.numFpgas, &cluster,
+                                            po.point.topology);
             if (!st.ok()) {
                 po.status = st;
             } else {
                 CompileOptions popt = base;
-                popt.topology = po.point.topology;
                 popt.threshold = po.point.threshold;
                 popt.slotThreshold = po.point.slotThreshold;
                 popt.hbmBindingSweep = po.point.bindingSweep;

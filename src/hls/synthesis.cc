@@ -1,8 +1,5 @@
 #include "hls/synthesis.hh"
 
-#include <algorithm>
-#include <chrono>
-
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 
@@ -22,9 +19,6 @@ ProgramSynthesis::find(const std::string &name) const
 ProgramSynthesis
 synthesizeAll(const std::vector<TaskIr> &tasks, int maxThreads)
 {
-    using clock = std::chrono::steady_clock;
-    const auto t0 = clock::now();
-
     ProgramSynthesis out;
     out.tasks.resize(tasks.size());
 
@@ -32,15 +26,9 @@ synthesizeAll(const std::vector<TaskIr> &tasks, int maxThreads)
     // be pool work; a nested parallelFor never waits on a queued task.
     ThreadPool &pool = ThreadPool::defaultPool();
     const auto n = static_cast<std::int64_t>(tasks.size());
-    out.threadsUsed = static_cast<int>(std::max<std::int64_t>(
-        1, std::min<std::int64_t>(
-               maxThreads > 0 ? maxThreads : pool.size(), n)));
     pool.parallelFor(
         0, n, [&](std::int64_t i) { out.tasks[i] = estimateTask(tasks[i]); },
         maxThreads);
-
-    out.elapsedSeconds =
-        std::chrono::duration<double>(clock::now() - t0).count();
     return out;
 }
 

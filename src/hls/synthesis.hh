@@ -24,10 +24,6 @@ namespace tapacs::hls
 struct ProgramSynthesis
 {
     std::vector<SynthesisResult> tasks;
-    /** Wall-clock seconds spent in synthesis. */
-    double elapsedSeconds = 0.0;
-    /** Number of worker threads used. */
-    int threadsUsed = 1;
 
     /** Find a result by task name; nullptr if absent. */
     const SynthesisResult *find(const std::string &name) const;

@@ -1,5 +1,7 @@
 #include "network/cluster.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace tapacs
@@ -84,22 +86,23 @@ makePaperTestbed(int numFpgas)
 }
 
 Status
-tryMakePaperTestbed(int numFpgas, Cluster *out)
+tryMakePaperTestbed(int numFpgas, Cluster *out, TopologyKind kind)
 {
     if (numFpgas < 1)
         return Status::invalidInput(
             "testbed requires at least one FPGA, got %d", numFpgas);
-    if (numFpgas <= 4) {
-        *out = Cluster(makeU55C(), Topology(TopologyKind::Ring, numFpgas),
-                       /*numNodes=*/1);
-        return Status();
-    }
-    if (numFpgas % 4 != 0)
+    if (numFpgas > 4 && numFpgas % 4 != 0)
         return Status::invalidInput(
             "multi-node testbed requires a multiple of 4 FPGAs, got %d",
             numFpgas);
-    *out = Cluster(makeU55C(), Topology(TopologyKind::Ring, 4),
-                   /*numNodes=*/numFpgas / 4);
+    const int perNode = std::min(numFpgas, 4);
+    if (kind == TopologyKind::Hypercube && (perNode & (perNode - 1)) != 0)
+        return Status::invalidInput(
+            "hypercube topology requires a power-of-two node size, "
+            "got %d",
+            perNode);
+    *out = Cluster(makeU55C(), Topology(kind, perNode),
+                   /*numNodes=*/numFpgas / perNode);
     return Status();
 }
 

@@ -103,11 +103,15 @@ class Cluster
 Cluster makePaperTestbed(int numFpgas);
 
 /**
- * Validating form of makePaperTestbed for the compile service: an
- * unsatisfiable card count returns InvalidInput instead of killing
- * the process; on Ok, @p out holds the cluster.
+ * Validating form of makePaperTestbed for the compile service and
+ * the explorer, with the intra-node wiring @p kind in place of the
+ * ring. An unsatisfiable request (a card count that is not a whole
+ * number of nodes, a hypercube over a non-power-of-two node) returns
+ * InvalidInput instead of killing the process; on Ok, @p out holds
+ * the cluster.
  */
-Status tryMakePaperTestbed(int numFpgas, Cluster *out);
+Status tryMakePaperTestbed(int numFpgas, Cluster *out,
+                           TopologyKind kind = TopologyKind::Ring);
 
 } // namespace tapacs
 

@@ -106,7 +106,6 @@ executeRequest(const Request &req, const Context &ctx,
     CompileOptions opt;
     opt.mode = req.mode;
     opt.numFpgas = req.fpgas;
-    opt.topology = req.topology;
     opt.threshold = req.threshold;
     opt.cache = policy.cache;
     opt.ctx = ctx;
@@ -215,7 +214,7 @@ executeRequest(const Request &req, const Context &ctx,
     }
 
     Cluster cluster(makeU55C(), Topology(TopologyKind::Ring, 1), 1);
-    Status st = tryMakePaperTestbed(req.fpgas, &cluster);
+    Status st = tryMakePaperTestbed(req.fpgas, &cluster, req.topology);
     if (st.ok()) {
         CompileResult result;
         // The graph outlives the compile branch: simulate=1 feeds the

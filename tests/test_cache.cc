@@ -1,9 +1,10 @@
 /**
  * @file
- * Compile-cache tests: canonical-key properties (relabeling
- * invariance, mutation sensitivity), store mechanics (LRU, metrics,
- * disk tier), the cold/warm differential (a cache hit never changes a
- * compile result), the entries a compile writes, and shared-cache
+ * Compile-cache tests: key properties (mutation sensitivity,
+ * timing-only blindness), store mechanics (LRU, metrics, disk tier),
+ * the cold/warm differentials (a cache hit never changes a compile
+ * result, not even for a relabeled twin or a graph no neighborhood
+ * hash tells apart), the entries a compile writes, and shared-cache
  * concurrency.
  */
 
@@ -15,6 +16,7 @@
 #include <set>
 
 #include "cache/compile_cache.hh"
+#include "cache/entry_io.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
@@ -32,50 +34,83 @@ namespace
 
 constexpr int kPropertyCases = 200;
 
-TEST(CacheKeyProperty, RelabelingHashesIdenticallyAndHitsTheCache)
+/** Compile @p g through @p cc (warm) and through a fresh cache
+ *  (cold), and assert the two results are identical. */
+void
+expectCachedEqualsCold(const TaskGraph &g, const Cluster &cluster,
+                       CompileOptions opt, cache::CompileCache &cc,
+                       const std::string &what)
 {
-    for (int seed = 0; seed < kPropertyCases; ++seed) {
-        TaskGraph g = randomDesign(9000 + seed, 3 + seed % 3, 4);
+    opt.cache = &cc;
+    const CompileResult warm = compile(g, cluster, opt);
+    opt.cache = nullptr;
+    const CompileResult cold = compile(g, cluster, opt);
+    ASSERT_TRUE(cold.routable) << what << ": " << cold.failureReason;
+    expectResultsIdentical(warm, cold, what.c_str());
+}
+
+TEST(CacheDifferential, RelabeledTwinCompilesAsItsOwnColdCompile)
+{
+    // The floorplanners visit vertices by id, so a relabeled twin is
+    // a different solver input: a cache holding the original's
+    // entries must not hand the twin the original's answer.
+    for (int seed = 0; seed < 40; ++seed) {
+        const TaskGraph g = randomDesign(9000 + seed, 3 + seed % 3, 4);
         std::vector<VertexId> new_id;
-        TaskGraph h = relabel(g, 77 + seed, &new_id);
-
-        const cache::GraphFingerprint fg = cache::fingerprintGraph(g);
-        const cache::GraphFingerprint fh = cache::fingerprintGraph(h);
-        ASSERT_EQ(fg.structural, fh.structural) << "seed " << seed;
-
+        const TaskGraph h = relabel(g, 77 + seed, &new_id);
         const int fpgas = 2 + seed % 3;
-        Cluster cluster = makePaperTestbed(fpgas);
-        const InterFpgaOptions opts;
-        ASSERT_EQ(cache::interKey(fg, cluster, fpgas, opts),
-                  cache::interKey(fh, cluster, fpgas, opts))
-            << "seed " << seed;
+        const Cluster cluster = makePaperTestbed(fpgas);
+        CompileOptions opt;
+        opt.mode = CompileMode::TapaCs;
+        opt.numFpgas = fpgas;
 
-        // The relabeled twin must not just hash alike, it must *hit*:
-        // a partition stored under g's key comes back under h's key
-        // with every assignment transported through the isomorphism.
         cache::CacheStore store;
         cache::CompileCache cc(store);
-        InterFpgaResult stored;
-        stored.feasible = true;
-        stored.cost = 123.5;
-        stored.partition.deviceOf.resize(g.numVertices());
-        for (VertexId v = 0; v < g.numVertices(); ++v)
-            stored.partition.deviceOf[v] = v % fpgas;
-        const cache::CacheKey key =
-            cache::interKey(fg, cluster, fpgas, opts);
-        cc.putInter(key, fg, stored);
-
-        InterFpgaResult loaded;
-        ASSERT_TRUE(cc.getInter(cache::interKey(fh, cluster, fpgas, opts),
-                                fh, &loaded))
-            << "seed " << seed;
-        EXPECT_EQ(loaded.cost, stored.cost);
-        for (VertexId v = 0; v < g.numVertices(); ++v) {
-            EXPECT_EQ(loaded.partition.deviceOf[new_id[v]],
-                      stored.partition.deviceOf[v])
-                << "seed " << seed << " vertex " << v;
-        }
+        opt.cache = &cc;
+        ASSERT_TRUE(compile(g, cluster, opt).routable) << "seed " << seed;
+        expectCachedEqualsCold(h, cluster, opt, cc,
+                               "relabeled twin, seed " +
+                                   std::to_string(seed));
     }
+}
+
+/** Eight identical tasks wired by eight identical FIFOs as either one
+ *  8-cycle or two disjoint K2,2 (each vertex: one FIFO in, one out).
+ *  Every vertex has the same neighborhood at every radius, so no
+ *  neighborhood-refinement hash tells the two graphs apart. */
+TaskGraph
+eightTaskRing(bool twoSquares)
+{
+    TaskGraph g(twoSquares ? "k22x2" : "cycle8");
+    for (int i = 0; i < 8; ++i) {
+        Vertex v;
+        v.name = strprintf("t%d", i);
+        v.area = ResourceVector(150000, 200000, 100, 100, 0);
+        v.work.computeOps = 1e8;
+        v.work.opsPerCycle = 4;
+        g.addVertex(v);
+    }
+    for (int i = 0; i < 8; ++i) {
+        const int next = twoSquares ? (i / 4) * 4 + (i + 1) % 4
+                                    : (i + 1) % 8;
+        g.addEdge(i, next, 256, 1.0e6);
+    }
+    return g;
+}
+
+TEST(CacheDifferential, NeighborhoodEquivalentGraphsDoNotShareEntries)
+{
+    const Cluster cluster = makePaperTestbed(2);
+    CompileOptions opt;
+    opt.mode = CompileMode::TapaCs;
+    opt.numFpgas = 2;
+    cache::CacheStore store;
+    cache::CompileCache cc(store);
+    opt.cache = &cc;
+    const CompileResult ring = compile(eightTaskRing(false), cluster, opt);
+    ASSERT_TRUE(ring.routable) << ring.failureReason;
+    expectCachedEqualsCold(eightTaskRing(true), cluster, opt, cc,
+                           "two K2,2 after the 8-cycle");
 }
 
 TEST(CacheKeyProperty, AnySingleMutationChangesTheKey)
@@ -86,8 +121,8 @@ TEST(CacheKeyProperty, AnySingleMutationChangesTheKey)
         const int fpgas = 2 + seed % 3;
         Cluster cluster = makePaperTestbed(fpgas);
         InterFpgaOptions opts;
-        const cache::CacheKey base = cache::interKey(
-            cache::fingerprintGraph(g), cluster, fpgas, opts);
+        const cache::CacheKey base =
+            cache::interKey(g, cluster, fpgas, opts);
 
         // One random mutation per case, spread over every input class
         // the key must be sensitive to.
@@ -104,19 +139,17 @@ TEST(CacheKeyProperty, AnySingleMutationChangesTheKey)
             g.edge(e).totalBytes += 1.0;
             break;
           }
-          case 2: { // FIFO depth
-            EdgeId e = rng.uniformInt(0, g.numEdges() - 1);
-            g.edge(e).depth += 1;
+          case 2: // wiring: one more FIFO
+            g.addEdge(0, g.numVertices() - 1, 32, 1.0e4);
             break;
-          }
           case 3: { // one resource-vector component
             VertexId v = rng.uniformInt(0, g.numVertices() - 1);
             g.vertex(v).area[ResourceKind::Lut] += 1.0;
             break;
           }
-          case 4: { // work profile
+          case 4: { // memory traffic
             VertexId v = rng.uniformInt(0, g.numVertices() - 1);
-            g.vertex(v).work.computeOps += 1.0;
+            g.vertex(v).work.memReadBytes += 1.0;
             break;
           }
           case 5: { // memory channel demand
@@ -139,26 +172,26 @@ TEST(CacheKeyProperty, AnySingleMutationChangesTheKey)
             opts.seed += 1;
             break;
         }
-        const cache::CacheKey mutated = cache::interKey(
-            cache::fingerprintGraph(g), mutated_cluster, fpgas, opts);
+        const cache::CacheKey mutated =
+            cache::interKey(g, mutated_cluster, fpgas, opts);
         EXPECT_NE(base, mutated) << "seed " << seed << " kind " << kind;
     }
 }
 
-TEST(CacheKeyProperty, SolverFingerprintIgnoresTimingOnlyAttributes)
+TEST(CacheKeyProperty, InterKeyIgnoresTimingOnlyAttributes)
 {
-    // The incremental dirty-set computation keys the floorplan tiers
-    // on solverFingerprint, which must be blind to attributes only
-    // pipelining/timing/simulation read — an edit touching those
-    // reuses the whole L1/L2 solution — while staying sensitive to
-    // everything the solvers actually consume.
+    // The level-1 key must be blind to attributes only pipelining/
+    // timing/simulation read — an edit touching those reuses the
+    // whole floorplan — while staying sensitive to everything the
+    // solvers actually consume.
+    const Cluster cluster = makePaperTestbed(2);
+    const InterFpgaOptions opts;
     for (int seed = 0; seed < kPropertyCases; ++seed) {
         Rng rng(47000 + seed);
         TaskGraph g = randomDesign(9000 + seed, 3 + seed % 3, 4);
-        const cache::CacheKey base =
-            cache::solverFingerprint(g).structural;
+        const cache::CacheKey base = cache::interKey(g, cluster, 2, opts);
 
-        // Timing-only edits: the solver fingerprint must not move.
+        // Timing-only edits: the key must not move.
         const int quiet = static_cast<int>(rng.uniformInt(0, 5));
         TaskGraph q = g;
         switch (quiet) {
@@ -186,10 +219,10 @@ TEST(CacheKeyProperty, SolverFingerprintIgnoresTimingOnlyAttributes)
                 .initialTokens += 1;
             break;
         }
-        EXPECT_EQ(base, cache::solverFingerprint(q).structural)
+        EXPECT_EQ(base, cache::interKey(q, cluster, 2, opts))
             << "seed " << seed << " quiet kind " << quiet;
 
-        // Solver-visible edits: the fingerprint must move.
+        // Solver-visible edits: the key must move.
         const int loud = static_cast<int>(rng.uniformInt(0, 5));
         TaskGraph m = g;
         switch (loud) {
@@ -217,14 +250,8 @@ TEST(CacheKeyProperty, SolverFingerprintIgnoresTimingOnlyAttributes)
                 1.0;
             break;
         }
-        EXPECT_NE(base, cache::solverFingerprint(m).structural)
+        EXPECT_NE(base, cache::interKey(m, cluster, 2, opts))
             << "seed " << seed << " loud kind " << loud;
-
-        // Same relabeling invariance as the full fingerprint.
-        std::vector<VertexId> new_id;
-        TaskGraph h = relabel(g, 311 + seed, &new_id);
-        EXPECT_EQ(base, cache::solverFingerprint(h).structural)
-            << "seed " << seed;
     }
 }
 
@@ -237,13 +264,12 @@ TEST(CacheKeyProperty, ThreadAndServingKnobsNeverReachSolverKeys)
     // flow address identical artifact keys. Guard both halves.
     TaskGraph g = randomDesign(8181, 4, 4);
     Cluster cluster = makePaperTestbed(2);
-    const cache::GraphFingerprint fp = cache::solverFingerprint(g);
 
     InterFpgaOptions serial;
     InterFpgaOptions wide = serial;
     wide.numThreads = 4;
-    EXPECT_EQ(cache::interKey(fp, cluster, 2, serial),
-              cache::interKey(fp, cluster, 2, wide));
+    EXPECT_EQ(cache::interKey(g, cluster, 2, serial),
+              cache::interKey(g, cluster, 2, wide));
 
     // Cold compile vs incremental recompile of the unchanged graph:
     // the signatures must list exactly the same keys — same count,
@@ -396,6 +422,27 @@ TEST(CacheStore, MalformedEntryDegradesToMiss)
     EXPECT_FALSE(cc.getHls(key, &out));
     store.put(key, "");
     EXPECT_FALSE(cc.getHls(key, &out));
+    // Corrupt element counts miss instead of sizing huge allocations.
+    IntraDeviceEntry intra;
+    store.put(key, "intradev1 100000000000000 0 0");
+    EXPECT_FALSE(cc.getIntraDevice(key, &intra));
+    InterFpgaResult inter;
+    cache::EntryWriter w;
+    w.tag("inter3");
+    w.i64(1); // one vertex
+    w.i64(1); // feasible
+    w.f64(0.0);
+    w.f64(0.0);
+    w.f64(0.0);
+    w.i64(1);
+    w.i64(1);
+    w.i64(1);
+    cache::writeStats(w, ilp::SolverStats());
+    w.i64(0);               // its device
+    w.i64(1);               // one replication list
+    w.i64(100000000000000); // with a corrupt length
+    store.put(key, w.take());
+    EXPECT_FALSE(cc.getInter(key, 1, &inter));
 }
 
 TEST(CompileCache, HlsEntryRoundTripsExactly)

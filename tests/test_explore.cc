@@ -248,7 +248,6 @@ TEST(RunExplore, SweepResultsMatchIndependentColdCompiles)
         Cluster cluster(makeU55C(), Topology(p.topology, 2), 1);
         CompileOptions copt;
         copt.numFpgas = 2;
-        copt.topology = p.topology;
         copt.threshold = p.threshold;
         copt.slotThreshold = p.slotThreshold;
         copt.hbmBindingSweep = p.bindingSweep;

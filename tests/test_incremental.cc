@@ -494,6 +494,10 @@ TEST(IncrementalState, SignatureRoundTripsAndRejectsGarbage)
     EXPECT_FALSE(cache::parseSignature("garbage", &sig));
     EXPECT_FALSE(
         cache::parseSignature(bytes.substr(0, bytes.size() / 2), &sig));
+    // A corrupt artifact count fails the parse instead of sizing a
+    // huge allocation.
+    EXPECT_FALSE(cache::parseSignature("tapacs-sig2 5 0 100000000000000",
+                                       &sig));
 }
 
 } // namespace

@@ -478,27 +478,26 @@ TEST(PartitionCache, InterKeyTracksBackendKnobsButNotThreads)
 {
     TaskGraph g = makeRandomDesign(40, 5);
     Cluster c = makePaperTestbed(2);
-    const cache::GraphFingerprint fp = cache::fingerprintGraph(g);
     const InterFpgaOptions base;
-    const cache::CacheKey k0 = cache::interKey(fp, c, 2, base);
+    const cache::CacheKey k0 = cache::interKey(g, c, 2, base);
 
     InterFpgaOptions ml = base;
     ml.backend = L1Backend::Multilevel;
-    EXPECT_FALSE(cache::interKey(fp, c, 2, ml) == k0);
+    EXPECT_FALSE(cache::interKey(g, c, 2, ml) == k0);
 
     InterFpgaOptions rep = base;
     rep.replicate = true;
-    EXPECT_FALSE(cache::interKey(fp, c, 2, rep) == k0);
+    EXPECT_FALSE(cache::interKey(g, c, 2, rep) == k0);
 
     InterFpgaOptions lim = base;
     lim.mlIlpVertexLimit = 1234;
-    EXPECT_FALSE(cache::interKey(fp, c, 2, lim) == k0);
+    EXPECT_FALSE(cache::interKey(g, c, 2, lim) == k0);
 
     // The refinement pool size is excluded: results are bit-identical
     // at any thread count, so warm entries survive a -j change.
     InterFpgaOptions threads = base;
     threads.numThreads = 7;
-    EXPECT_TRUE(cache::interKey(fp, c, 2, threads) == k0);
+    EXPECT_TRUE(cache::interKey(g, c, 2, threads) == k0);
 }
 
 TEST(PartitionCache, RoundTripsLevelsAndReplicationMap)
@@ -512,15 +511,15 @@ TEST(PartitionCache, RoundTripsLevelsAndReplicationMap)
 
     cache::CacheStore store;
     cache::CompileCache cc(store);
-    const cache::GraphFingerprint fp = cache::fingerprintGraph(g);
-    const cache::CacheKey key = cache::interKey(fp, c, 4, opt);
+    const cache::CacheKey key = cache::interKey(g, c, 4, opt);
 
     InterFpgaResult miss;
-    EXPECT_FALSE(cc.getInter(key, fp, &miss));
-    cc.putInter(key, fp, solved);
+    EXPECT_FALSE(cc.getInter(key, g.numVertices(), &miss));
+    cc.putInter(key, solved);
 
     InterFpgaResult hit;
-    ASSERT_TRUE(cc.getInter(key, fp, &hit));
+    EXPECT_FALSE(cc.getInter(key, g.numVertices() + 1, &hit));
+    ASSERT_TRUE(cc.getInter(key, g.numVertices(), &hit));
     EXPECT_EQ(hit.partition.deviceOf, solved.partition.deviceOf);
     EXPECT_EQ(hit.levels, solved.levels);
     EXPECT_EQ(hit.replication, solved.replication);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "apps/stencil.hh"
+#include "apps/workloads.hh"
 #include "common/context.hh"
 #include "common/rng.hh"
 #include "common/status.hh"
@@ -195,6 +196,11 @@ TEST(Cluster, TryMakePaperTestbedRejectsBadCounts)
     EXPECT_TRUE(tryMakePaperTestbed(2, &c).ok());
     EXPECT_EQ(c.numDevices(), 2);
     EXPECT_TRUE(tryMakePaperTestbed(8, &c).ok());
+    EXPECT_EQ(c.numDevices(), 8);
+    EXPECT_EQ(tryMakePaperTestbed(3, &c, TopologyKind::Hypercube).code(),
+              StatusCode::InvalidInput);
+    EXPECT_TRUE(tryMakePaperTestbed(8, &c, TopologyKind::Mesh2D).ok());
+    EXPECT_EQ(c.nodeTopology().kind(), TopologyKind::Mesh2D);
     EXPECT_EQ(c.numDevices(), 8);
 }
 
@@ -746,6 +752,49 @@ TEST(ExecuteRequest, ExploreRequestSweepsAndReportsTheFrontier)
     EXPECT_TRUE(o.routable);
     EXPECT_GT(o.fmax, 0.0);
     EXPECT_GT(o.tasks, 0);
+}
+
+TEST(ExecuteRequest, HypercubeOverThreeFpgasIsInvalidInput)
+{
+    const serve::ParsedManifest m = serve::parseManifest(
+        "request cube workload=stencil fpgas=3 topology=hypercube\n");
+    ASSERT_TRUE(m.clean());
+    const serve::ServeOutcome o = execute(m.requests[0]);
+    EXPECT_EQ(o.status.code(), StatusCode::InvalidInput)
+        << o.failureReason;
+    EXPECT_FALSE(o.routable);
+}
+
+TEST(ExecuteRequest, TopologyKeySelectsTheClusterWiring)
+{
+    const serve::ParsedManifest m = serve::parseManifest(
+        "request mesh workload=stencil fpgas=4 topology=mesh\n"
+        "request ring workload=stencil fpgas=4\n");
+    ASSERT_TRUE(m.clean());
+    const serve::Request &req = m.requests[0];
+    const serve::ServeOutcome mesh = execute(req);
+    const serve::ServeOutcome ring = execute(m.requests[1]);
+    ASSERT_TRUE(mesh.status.ok()) << mesh.failureReason;
+    ASSERT_TRUE(ring.status.ok()) << ring.failureReason;
+
+    // The same request compiled directly on the 2x2 mesh testbed.
+    apps::AppDesign design;
+    ASSERT_TRUE(
+        apps::buildWorkload(req.workload, req.fpgas, req.scale, &design)
+            .ok());
+    const Cluster cluster(makeU55C(), Topology(TopologyKind::Mesh2D, 4),
+                          1);
+    CompileOptions opt;
+    opt.mode = req.mode;
+    opt.numFpgas = req.fpgas;
+    opt.threshold = req.threshold;
+    opt.inter.backend = req.solver;
+    opt.inter.replicate = req.replicate;
+    const CompileResult direct =
+        compileProgram(design.graph, design.tasks, cluster, opt);
+    ASSERT_TRUE(direct.routable) << direct.failureReason;
+    EXPECT_EQ(mesh.resultDigest, serve::resultDigest(direct));
+    EXPECT_NE(mesh.resultDigest, ring.resultDigest);
 }
 
 TEST(ExecuteRequest, SimulatedRequestReportsMakespan)

@@ -281,7 +281,6 @@ main(int argc, char **argv)
     CompileOptions copt;
     copt.mode = opt.mode;
     copt.numFpgas = opt.fpgas;
-    copt.topology = opt.topology;
     copt.threshold = opt.threshold;
     copt.inter.backend = opt.solver;
     copt.inter.replicate = opt.replicate;

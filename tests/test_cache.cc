@@ -345,6 +345,57 @@ TEST(CacheKeyProperty, IntraDeviceKeyIsPinned)
               "9db700ae501f5999717c936ca02cfbe6");
 }
 
+TEST(CacheKeyProperty, InterKeyIsPinned)
+{
+    // On-disk level-1 entries stay addressable only while this key
+    // derivation is unchanged. A change that moves these values must
+    // bump kSchemaVersion (so stale entries miss cleanly) and re-pin.
+    // The solver constants (balance slack, hint weight, tolerances)
+    // are key content too, so editing one moves these values.
+    TaskGraph g("pinned");
+    auto add = [&](const char *name, double lut, int channels,
+                   double readBytes) {
+        Vertex v;
+        v.name = name;
+        v.area = ResourceVector(lut, 2 * lut, 8, 16, 0);
+        v.work.memChannels = channels;
+        v.work.memReadBytes = readBytes;
+        v.work.memWriteBytes = 0.5 * readBytes;
+        g.addVertex(v);
+    };
+    add("rd0", 30000, 2, 4.0e6);
+    add("pe0", 60000, 0, 0.0);
+    add("wr0", 20000, 1, 1.0e6);
+    add("rd1", 35000, 4, 8.0e6);
+    add("pe1", 55000, 0, 0.0);
+    add("wr1", 25000, 1, 2.0e6);
+    g.addEdge(0, 1, 512, 1.0e6);
+    g.addEdge(1, 2, 256, 1.0e6);
+    g.addEdge(2, 3, 128, 1.0e6);
+    g.addEdge(3, 4, 512, 1.0e6);
+    g.addEdge(4, 5, 64, 1.0e6);
+    g.addEdge(5, 3, 32, 1.0e6);
+    const Cluster cluster = makePaperTestbed(2);
+    InterFpgaOptions opt;
+    opt.reserved = ResourceVector(1000, 2000, 4, 8, 0);
+    opt.channelsPerDevice = 32;
+
+    InterFpgaOptions hinted = opt;
+    hinted.hint = {0, 0, -1, 1, 1, 1};
+
+    InterFpgaOptions ml = opt;
+    ml.backend = L1Backend::Multilevel;
+    ml.replicate = true;
+
+    EXPECT_EQ(cache::kSchemaVersion, 5);
+    EXPECT_EQ(cache::interKey(g, cluster, 2, opt).hex(),
+              "5a063b2c19ba07e078f803a56d27d256");
+    EXPECT_EQ(cache::interKey(g, cluster, 2, hinted).hex(),
+              "69e0c7a83396597fccc59988b24576a2");
+    EXPECT_EQ(cache::interKey(g, cluster, 2, ml).hex(),
+              "b6b9544f3b0eb4b0b9fc503fa8616874");
+}
+
 TEST(CacheKeyProperty, DeviceCountSeparatesClusterKeys)
 {
     EXPECT_NE(cache::clusterKey(makePaperTestbed(2)),

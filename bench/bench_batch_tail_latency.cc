@@ -8,9 +8,9 @@
  * Reports p50/p99 request latency per class and overall, plus the
  * degraded/deadline counts. The acceptance bar is the serving
  * contract itself: *no* deadline-carrying request may run past its
- * deadline plus the cooperative-cancellation grace (the compile flow
- * polls its Context at phase boundaries and solver loop heads, so an
- * expired request must unwind quickly instead of wedging a worker).
+ * deadline plus a fixed grace (the compile flow polls its deadline at
+ * phase boundaries and solver loop heads, so an expired request must
+ * unwind quickly instead of wedging a worker).
  * Exit is nonzero when any request overstays.
  *
  * With --fleet the same supervisor dispatches to worker processes
@@ -44,8 +44,8 @@ namespace
 {
 
 /** Grace allowed past an expired deadline: the distance between two
- *  cooperative poll points on this machine, with slack for sanitizer
- *  and loaded-CI builds. */
+ *  deadline poll points, with slack for sanitizer and loaded-CI
+ *  builds. */
 constexpr double kGraceSeconds = 2.0;
 
 serve::Request

@@ -12,15 +12,21 @@ namespace tapacs::cache
 namespace
 {
 
-/** Fold the solver knobs that can change which solution comes back. */
+/**
+ * Fold what can change which solution comes back: the node budget and
+ * the solver's numerical constants, which are solver content too, so
+ * editing one invalidates old disk entries. The trailing 0 keeps the
+ * key bytes of entries written when the LP iteration cap was an option
+ * (0 = derived from the model size, the engine's only cap).
+ */
 void
 mixSolver(KeyBuilder &b, const ilp::SolverOptions &s)
 {
     b.i64(s.maxNodes)
-        .f64(s.intTol)
-        .f64(s.relativeGap)
-        .f64(s.lp.tol)
-        .i64(s.lp.maxIterations);
+        .f64(ilp::kIntTol)
+        .f64(ilp::kRelativeGap)
+        .f64(ilp::kLpTol)
+        .i64(0);
 }
 
 } // namespace
@@ -72,7 +78,7 @@ interKey(const TaskGraph &g, const Cluster &cluster, int numFpgas,
     b.f64(options.threshold)
         .vec(options.reserved)
         .i64(options.coarseLimit)
-        .f64(options.balanceSlack)
+        .f64(kBalanceSlack)
         .i64(options.channelsPerDevice)
         .i64(options.useIlp ? 1 : 0)
         .i64(static_cast<std::int64_t>(options.seed));
@@ -92,7 +98,7 @@ interKey(const TaskGraph &g, const Cluster &cluster, int numFpgas,
     if (!options.hint.empty()) {
         for (DeviceId d : options.hint)
             b.i64(d);
-        b.f64(options.hintWeight);
+        b.f64(kHintWeight);
     }
     mixSolver(b, options.solver);
     return b.build();
@@ -136,7 +142,7 @@ intraDeviceKey(const TaskGraph &g, const DevicePartition &partition,
     b.f64(options.threshold)
         .vec(options.reserved)
         .i64(options.useIlp ? 1 : 0)
-        .f64(options.memAttractionWidth);
+        .f64(kMemAttractionWidth);
     mixSolver(b, options.solver);
     // The thread count is deliberately absent: floorplanLevel2 is
     // thread-count invariant, which is what lets a parallel batch

@@ -21,9 +21,8 @@ std::string
 serializeSignature(const CompileSignature &sig)
 {
     EntryWriter w;
-    w.tag("tapacs-sig2");
+    w.tag("tapacs-sig3");
     w.i64(sig.schemaVersion);
-    w.i64(sig.l1Backend);
     w.i64(static_cast<std::int64_t>(sig.artifacts.size()));
     for (const Artifact &a : sig.artifacts) {
         w.str(a.tier);
@@ -39,12 +38,10 @@ parseSignature(const std::string &text, CompileSignature *out)
 {
     EntryReader r(text);
     CompileSignature parsed;
-    std::int64_t schema = 0, backend = 0, hi = 0, lo = 0, count = 0;
-    if (!r.tag("tapacs-sig2") || !r.i64(&schema) || !r.i64(&backend) ||
-        !r.count(&count))
+    std::int64_t schema = 0, hi = 0, lo = 0, count = 0;
+    if (!r.tag("tapacs-sig3") || !r.i64(&schema) || !r.count(&count))
         return false;
     parsed.schemaVersion = static_cast<int>(schema);
-    parsed.l1Backend = static_cast<int>(backend);
     parsed.artifacts.resize(count);
     for (std::int64_t i = 0; i < count; ++i) {
         Artifact &a = parsed.artifacts[i];

@@ -52,9 +52,6 @@ struct CompileSignature
      *  rejected with a typed degradedReason instead of being seeded
      *  (its keys could not hit anyway). */
     int schemaVersion = 0;
-    /** L1Backend the prior ran (0 = exact, 1 = multilevel), for the
-     *  typed backend-mismatch fallback. */
-    int l1Backend = 0;
     std::vector<Artifact> artifacts;
 
     bool empty() const { return artifacts.empty(); }

@@ -20,24 +20,15 @@ Context::withTimeout(double seconds)
     // seconds <= 0 pins the deadline at -inf so expired() is true on
     // every poll, independent of clock resolution — the property the
     // deterministic degraded-path tests rely on.
-    const double deadline =
-        seconds <= 0.0 ? -std::numeric_limits<double>::infinity()
-                       : monotonicSeconds() + seconds;
-    return Context(deadline, std::make_shared<std::atomic<bool>>(false));
-}
-
-Context
-Context::cancellable()
-{
-    return Context(std::numeric_limits<double>::infinity(),
-                   std::make_shared<std::atomic<bool>>(false));
+    return Context(seconds <= 0.0
+                       ? -std::numeric_limits<double>::infinity()
+                       : monotonicSeconds() + seconds);
 }
 
 Context
 Context::withBudget(double seconds) const
 {
-    const double budgeted = monotonicSeconds() + seconds;
-    return Context(std::min(deadline_, budgeted), cancel_);
+    return Context(std::min(deadline_, monotonicSeconds() + seconds));
 }
 
 Status
@@ -45,8 +36,6 @@ Context::status() const
 {
     if (expired())
         return Status::deadlineExceeded("deadline expired");
-    if (cancelled())
-        return Status::cancelled("request cancelled");
     return Status();
 }
 

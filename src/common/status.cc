@@ -54,7 +54,6 @@ makeStatus(StatusCode code, const char *fmt, va_list args)
 TAPACS_STATUS_FACTORY(invalidInput, InvalidInput)
 TAPACS_STATUS_FACTORY(infeasible, Infeasible)
 TAPACS_STATUS_FACTORY(deadlineExceeded, DeadlineExceeded)
-TAPACS_STATUS_FACTORY(cancelled, Cancelled)
 TAPACS_STATUS_FACTORY(resourceExhausted, ResourceExhausted)
 TAPACS_STATUS_FACTORY(internal, Internal)
 

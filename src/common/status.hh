@@ -17,7 +17,9 @@
  *                     (the design does not fit the cluster).
  *   DeadlineExceeded  the request's deadline expired before a full-
  *                     quality answer was produced.
- *   Cancelled         the caller revoked the request.
+ *   Cancelled         reserved: nothing produces it any more, but
+ *                     outcomes in journals and on the fleet wire
+ *                     carry codes by number, so it keeps its slot.
  *   ResourceExhausted the service shed the request (queue full,
  *                     circuit breaker open, retry budget spent).
  *   Internal          an invariant failed; the one code that is the
@@ -77,8 +79,6 @@ class Status
     static Status infeasible(const char *fmt, ...)
         __attribute__((format(printf, 1, 2)));
     static Status deadlineExceeded(const char *fmt, ...)
-        __attribute__((format(printf, 1, 2)));
-    static Status cancelled(const char *fmt, ...)
         __attribute__((format(printf, 1, 2)));
     static Status resourceExhausted(const char *fmt, ...)
         __attribute__((format(printf, 1, 2)));

@@ -20,41 +20,6 @@ namespace
 {
 
 /**
- * Scoped tracing for one compilation: enables the tracer when
- * CompileOptions::trace is set and writes the JSON on every exit path
- * (including the early mode-gate failures). If tracing was already on
- * (TAPACS_TRACE), the guard only adds the write — it never disables a
- * tracer it did not enable.
- */
-class CompileTraceGuard
-{
-  public:
-    explicit CompileTraceGuard(const std::string &path) : path_(path)
-    {
-        if (path_.empty())
-            return;
-        obs::Tracer &tracer = obs::Tracer::instance();
-        wasEnabled_ = tracer.enabled();
-        tracer.enable();
-    }
-
-    ~CompileTraceGuard()
-    {
-        if (path_.empty())
-            return;
-        obs::Tracer &tracer = obs::Tracer::instance();
-        if (!tracer.write(path_))
-            warn("could not write trace to '%s'", path_.c_str());
-        if (!wasEnabled_)
-            tracer.disable();
-    }
-
-  private:
-    std::string path_;
-    bool wasEnabled_ = false;
-};
-
-/**
  * The Vitis stand-in placement: no chip-level view, tasks packed
  * into slots in program order, moving on only when a slot is full.
  * This concentrates logic (and every HBM-adjacent module) in the
@@ -114,22 +79,11 @@ naiveBinding(const TaskGraph &g, const Cluster &cluster,
 }
 
 /**
- * A context that can fire mid-solve makes the result depend on
- * wall-clock timing; such runs may read the compile cache but never
- * write it, so exact keys only ever hold full-quality, reproducible
- * artifacts.
- */
-bool
-volatileContext(const Context &ctx)
-{
-    return ctx.hasDeadline() || ctx.cancellable_token();
-}
-
-/**
  * The compile-local ephemeral cache. With no caller-provided cache, a
  * bounded memory-only store (dropped with this object) costs little
  * and is what lets every compile record the reuse signature that
- * recompile() seeds back. A volatile context gets none: truncated
+ * recompile() seeds back. A context with a deadline gets none: a run
+ * that can be cut short depends on wall-clock timing, and truncated
  * solves must never be recorded anywhere, not even in a compile-local
  * scratch store.
  */
@@ -141,11 +95,11 @@ class LocalCache
     LocalCache &operator=(const LocalCache &) = delete;
 
     /** The cache to compile against: `shared` when set, else a local
-     *  store, or null under a volatile context. */
+     *  store, or null under a deadline. */
     cache::CompileCache *
     attach(cache::CompileCache *shared, const Context &ctx)
     {
-        if (shared != nullptr || volatileContext(ctx))
+        if (shared != nullptr || ctx.hasDeadline())
             return shared;
         cache::CacheStore::Options so;
         so.capacityBytes = 64ull << 20; // bounded scratch, no disk tier
@@ -192,7 +146,6 @@ compile(const TaskGraph &g, const Cluster &cluster,
         const CompileOptions &options,
         const std::vector<Hertz> &fmaxCeiling)
 {
-    CompileTraceGuard trace_guard(options.trace);
     CompileResult out;
     out.mode = options.mode;
 
@@ -209,11 +162,11 @@ compile(const TaskGraph &g, const Cluster &cluster,
 
     const DeviceModel &dev = cluster.device();
 
-    // A volatile run never writes the cache. A phase whose budget is
-    // already spent does not read it either: it takes the
+    // A run with a deadline never writes the cache. A phase whose
+    // budget is already spent does not read it either: it takes the
     // deterministic degraded path, whatever full-quality answer the
     // cache may hold.
-    const bool volatile_ctx = volatileContext(options.ctx);
+    const bool may_store = !options.ctx.hasDeadline();
 
     // ---- Step 1: task-graph validation + fit gates ------------------
     // (Graph *construction* happens in the app builders; this is the
@@ -233,11 +186,11 @@ compile(const TaskGraph &g, const Cluster &cluster,
         if (options.mode == CompileMode::VitisBaseline) {
             const double util =
                 total_area.maxUtilization(dev.totalResources());
-            if (util > options.vitisRoutableUtil) {
+            if (util > kVitisRoutableUtil) {
                 out.failureReason = strprintf(
                     "Vitis routing failure: device utilization %.1f%% "
                     "exceeds the un-floorplanned routable limit %.1f%%",
-                    util * 100.0, options.vitisRoutableUtil * 100.0);
+                    util * 100.0, kVitisRoutableUtil * 100.0);
                 out.status =
                     Status::infeasible("%s", out.failureReason.c_str());
                 return out;
@@ -269,12 +222,9 @@ compile(const TaskGraph &g, const Cluster &cluster,
     {
         obs::TraceSpan span("compile", "phase4.comm_logic");
         out.reservedPerDevice =
-            (multi && options.addNetworkOverhead)
-                ? networkIpArea(dev, options.networkPorts)
-                : ResourceVector{};
-        span.arg("ports",
-                 static_cast<std::int64_t>(multi ? options.networkPorts
-                                                 : 0))
+            multi ? networkIpArea(dev, kNetworkPorts) : ResourceVector{};
+        span.arg("ports", static_cast<std::int64_t>(multi ? kNetworkPorts
+                                                          : 0))
             .arg("reserved_luts",
                  out.reservedPerDevice[ResourceKind::Lut]);
     }
@@ -309,7 +259,7 @@ compile(const TaskGraph &g, const Cluster &cluster,
         cache::CacheKey l1_key;
         bool l1_cached = false;
         InterFpgaResult l1;
-        if (cc != nullptr && !inter.ctx.done()) {
+        if (cc != nullptr && !inter.ctx.expired()) {
             // Caller-passed hints (replan()) are part of the key, so a
             // hinted result is as exact as a cold one.
             l1_key = cache::interKey(g, cluster, fpgas, inter);
@@ -319,7 +269,7 @@ compile(const TaskGraph &g, const Cluster &cluster,
         }
         if (!l1_cached) {
             l1 = partition::solveL1(g, cluster, inter);
-            if (cc != nullptr && !volatile_ctx)
+            if (cc != nullptr && may_store)
                 cc->putInter(l1_key, l1);
         }
         if (!l1.status.ok() &&
@@ -361,9 +311,9 @@ compile(const TaskGraph &g, const Cluster &cluster,
         if (!l1.feasible) {
             out.failureReason = strprintf(
                 "no threshold-feasible partition on %d FPGA(s)", fpgas);
-            // When the context fired, a fuller search might have
+            // When the deadline expired, a fuller search might have
             // found one — report the truncation, not infeasibility.
-            out.status = (l1.interrupted || inter.ctx.done())
+            out.status = (l1.interrupted || inter.ctx.expired())
                              ? inter.ctx.status()
                              : Status::infeasible(
                                    "%s", out.failureReason.c_str());
@@ -460,7 +410,7 @@ compile(const TaskGraph &g, const Cluster &cluster,
             std::vector<std::optional<IntraDeviceEntry>> known(
                 num_devices);
             std::vector<cache::CacheKey> dev_keys(num_devices);
-            if (cc != nullptr && !intra.ctx.done()) {
+            if (cc != nullptr && !intra.ctx.expired()) {
                 for (DeviceId d = 0; d < num_devices; ++d) {
                     dev_keys[d] = cache::intraDeviceKey(
                         dg, out.partition, d, dev, intra,
@@ -475,7 +425,7 @@ compile(const TaskGraph &g, const Cluster &cluster,
                 dg, cluster, out.partition, intra,
                 options.hbmBindingSweep, options.numThreads,
                 std::move(known));
-            if (cc != nullptr && !volatile_ctx && !l2.interrupted) {
+            if (cc != nullptr && may_store && !l2.interrupted) {
                 for (DeviceId d = 0; d < num_devices; ++d) {
                     if (l2.solved[d])
                         cc->putIntraDevice(dev_keys[d], l2.devices[d]);
@@ -537,8 +487,7 @@ compile(const TaskGraph &g, const Cluster &cluster,
     }
     out.timing = estimateTiming(dg, cluster, out.partition, out.placement,
                                 out.pipeline, ceilings,
-                                out.reservedPerDevice, options.timing,
-                                &out.binding);
+                                out.reservedPerDevice, &out.binding);
     timing_span
         .arg("fmax_mhz", out.timing.designFmax / 1e6)
         .arg("routable",
@@ -566,10 +515,8 @@ compile(const TaskGraph &g, const Cluster &cluster,
     // keys whose blob actually sits in the store are captured — a
     // hinted L1 solve, for example, is never stored under its exact
     // key and so is deliberately absent here.
-    if (cc != nullptr && !volatile_ctx) {
+    if (cc != nullptr && may_store) {
         out.signature.schemaVersion = cache::kSchemaVersion;
-        out.signature.l1Backend =
-            options.inter.backend == L1Backend::Multilevel ? 1 : 0;
         auto capture = [&](const char *tier,
                            const cache::CacheKey &key) {
             if (auto blob = cc->store().get(key))
@@ -659,10 +606,6 @@ CompileResult
 compileProgram(TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
                const Cluster &cluster, const CompileOptions &options)
 {
-    // The outer guard covers phase 2, which runs before compile()'s
-    // own guard exists; the final write here includes every phase.
-    CompileTraceGuard trace_guard(options.trace);
-
     // Attached here rather than in compile() so the per-task HLS
     // estimates participate in the reuse signature too.
     LocalCache local_cache;
@@ -718,7 +661,7 @@ compileProgram(TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
     }
     CompileResult out = compile(g, cluster, opts, ceilings);
     // Append the phase-2 artifacts to the signature compile() started
-    // (a routable, non-volatile run with caching; otherwise the
+    // (a routable run with caching and no deadline; otherwise the
     // signature is deliberately absent and HLS reuse with it).
     if (!hls_keys.empty() && out.signature.schemaVersion != 0) {
         cache::CacheStore &store = opts.cache->store();
@@ -736,7 +679,7 @@ namespace
 
 /** Why @p prior cannot seed this request; empty when it can. */
 std::string
-priorRejectReason(const CompileResult &prior, const CompileOptions &options)
+priorRejectReason(const CompileResult &prior)
 {
     if (prior.signature.empty())
         return "incremental: prior result carries no reuse signature; "
@@ -746,14 +689,6 @@ priorRejectReason(const CompileResult &prior, const CompileOptions &options)
             "incremental: prior reuse signature has cache schema %d "
             "(this build writes %d); cold compile",
             prior.signature.schemaVersion, cache::kSchemaVersion);
-    const int backend =
-        options.inter.backend == L1Backend::Multilevel ? 1 : 0;
-    if (prior.signature.l1Backend != backend)
-        return strprintf(
-            "incremental: prior L1 backend %s does not match the "
-            "requested %s; cold compile",
-            prior.signature.l1Backend == 1 ? "multilevel" : "exact",
-            backend == 1 ? "multilevel" : "exact");
     return "";
 }
 
@@ -801,15 +736,15 @@ class IncrementalSeed
         obs::MetricsRegistry::global()
             .counter("tapacs.compile.incremental")
             .add();
-        reject_ = priorRejectReason(prior, options);
+        reject_ = priorRejectReason(prior);
         if (reject_.empty()) {
             opts.cache = localCache_.attach(options.cache, options.ctx);
             if (opts.cache == nullptr) {
-                // Volatile context and no shared cache: compile() will
-                // run uncached (truncated solves must not be recorded),
-                // so there is nowhere to seed the prior into.
-                reject_ = "incremental: deadline/cancellation context "
-                          "with no shared cache; cold compile";
+                // A deadline and no shared cache: compile() will run
+                // uncached (truncated solves must not be recorded), so
+                // there is nowhere to seed the prior into.
+                reject_ = "incremental: deadline context with no "
+                          "shared cache; cold compile";
             } else {
                 // Content-addressed seeding: a put is a no-op unless
                 // the edited graph re-derives the same key, in which

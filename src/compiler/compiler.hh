@@ -79,15 +79,6 @@ struct CompileOptions
      * correctly.
      */
     bool hbmBindingSweep = true;
-    /** Device-level utilization above which the un-floorplanned
-     *  Vitis flow fails routing (see Table 8: 13x8 at 49 % DSP does
-     *  not route). */
-    double vitisRoutableUtil = 0.45;
-    /** Reserve the AlveoLink IP resources on every device when more
-     *  than one FPGA is used. */
-    bool addNetworkOverhead = true;
-    /** QSFP28 ports driven per board (ring cabling uses both). */
-    int networkPorts = 2;
     /**
      * Set for designs whose RTL already arrives fully registered
      * (e.g. AutoSA systolic arrays): the Vitis baseline then keeps
@@ -99,15 +90,14 @@ struct CompileOptions
     /** RNG seed for level-1 partitioning; level 2 is seed-free. */
     std::uint64_t seed = 1;
     /**
-     * Deadline + cancellation token for this compilation. The flow
-     * derives per-phase budgets from the remaining time (the
-     * solver-heavy phases 3 and 5 each get a bounded slice) and every
-     * inner loop polls the token, so a fired context drains
-     * cooperatively: the ILP tiers fall back coarse-ILP -> greedy and
-     * the result comes back with degraded = true rather than no
-     * answer. Results computed under a deadline or live cancel token
-     * are never written to the compile cache — a truncated solve must
-     * not poison exact keys.
+     * Deadline for this compilation. The flow derives per-phase
+     * budgets from the remaining time (the solver-heavy phases 3 and
+     * 5 each get a bounded slice) and every inner loop polls it, so an
+     * expired context drains cooperatively: the ILP tiers fall back
+     * coarse-ILP -> greedy and the result comes back with
+     * degraded = true rather than no answer. Results computed under a
+     * deadline are never written to the compile cache — a truncated
+     * solve must not poison exact keys.
      */
     Context ctx;
     /**
@@ -119,15 +109,6 @@ struct CompileOptions
      * 1 = serial in every phase. Results are identical at any value.
      */
     int numThreads = 0;
-    /**
-     * When non-empty, enable the process tracer for this compilation
-     * and write a Chrome trace_event JSON (chrome://tracing /
-     * Perfetto) to this path when the flow returns. Equivalent to
-     * setting TAPACS_TRACE, but scoped to one compile. The trace
-     * contains one span per flow phase (phase1.* .. phase7.*) plus
-     * the ILP-solver and floorplanner worker spans.
-     */
-    std::string trace;
     /**
      * Content-addressed memoization of the solver-heavy phases: the
      * per-task HLS estimates (step 2), the inter-FPGA ILP solution
@@ -144,7 +125,6 @@ struct CompileOptions
     InterFpgaOptions inter;
     IntraFpgaOptions intra;
     PipelineOptions pipeline;
-    TimingOptions timing;
 };
 
 /** Everything the flow produced. */
@@ -158,12 +138,12 @@ struct CompileResult
     /**
      * Typed outcome. Ok for any produced result — including degraded
      * ones; InvalidInput for malformed requests, Infeasible when no
-     * partition/routing exists, DeadlineExceeded/Cancelled when the
-     * context fired and not even a degraded answer could be formed.
+     * partition/routing exists, DeadlineExceeded when the deadline
+     * expired and not even a degraded answer could be formed.
      */
     Status status;
     /**
-     * True when a deadline or cancellation forced a fallback (greedy
+     * True when the deadline forced a fallback (greedy
      * instead of ILP, best incumbent instead of optimum) anywhere in
      * the flow. The result is still valid and feasible — just not of
      * full quality.
@@ -233,9 +213,9 @@ struct CompileResult
      * of every solver artifact (HLS estimates, L1 partition, per-device
      * L2 placements) the flow produced. recompile() seeds these into
      * the next compile's cache, so unchanged subgraphs rebind instead
-     * of re-solving. Empty when the run had a volatile context (a
-     * truncated solve must never be replayed) or failed before the
-     * solver phases completed.
+     * of re-solving. Empty when the run had a deadline (a truncated
+     * solve must never be replayed) or failed before the solver
+     * phases completed.
      */
     cache::CompileSignature signature;
     /**
@@ -315,8 +295,8 @@ CompileResult compileProgram(TaskGraph &g,
  * result is bit-identical to a cold compile of @p g with the same
  * options.
  *
- * A prior that cannot be reused — no signature, cache-schema or L1
- * backend mismatch — degrades to a plain cold compile with a typed
+ * A prior that cannot be reused — no signature, or a cache-schema
+ * mismatch — degrades to a plain cold compile with a typed
  * "incremental: ..." note in degradedReason (degraded stays false: the
  * cold result is full quality). The reuse actually achieved is
  * reported in CompileResult::delta.
@@ -335,6 +315,16 @@ CompileResult recompileProgram(const CompileResult &prior, TaskGraph &g,
                                const std::vector<hls::TaskIr> &tasks,
                                const Cluster &cluster,
                                const CompileOptions &options);
+
+/** Device-level utilization above which the un-floorplanned Vitis
+ *  flow fails routing (see Table 8: 13x8 at 49 % DSP does not
+ *  route). */
+inline constexpr double kVitisRoutableUtil = 0.45;
+
+/** QSFP28 ports driven per board (ring cabling uses both). A
+ *  multi-FPGA compile reserves networkIpArea(device, kNetworkPorts)
+ *  on every device. */
+inline constexpr int kNetworkPorts = 2;
 
 /** AlveoLink IP resources per board given the port count (paper
  *  section 5.6 overhead percentages applied to the device totals). */

@@ -110,7 +110,7 @@ makeU280()
     return dev;
 }
 
-DeviceModel
+StatusOr<DeviceModel>
 makeDeviceByName(const std::string &name)
 {
     if (name == "U55C" || name == "u55c")
@@ -119,8 +119,8 @@ makeDeviceByName(const std::string &name)
         return makeU250();
     if (name == "U280" || name == "u280")
         return makeU280();
-    fatal("unknown device '%s' (catalog: U55C, U250, U280)",
-          name.c_str());
+    return Status::invalidInput(
+        "unknown device '%s' (catalog: U55C, U250, U280)", name.c_str());
 }
 
 } // namespace tapacs

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.hh"
 #include "common/units.hh"
 #include "device/resources.hh"
 
@@ -150,9 +151,9 @@ DeviceModel makeU250();
  *  (the U55C's predecessor, slightly more fabric). */
 DeviceModel makeU280();
 
-/** Find a catalog device by name ("U55C", "U250", "U280");
- *  calls fatal() on unknown names (user-facing lookup). */
-DeviceModel makeDeviceByName(const std::string &name);
+/** Find a catalog device by name ("U55C", "U250", "U280", or the
+ *  same in lower case); InvalidInput naming the catalog otherwise. */
+StatusOr<DeviceModel> makeDeviceByName(const std::string &name);
 
 /** @} */
 

@@ -92,7 +92,7 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
         po.point = spec.point(idx);
         obs::TraceSpan span("explore", "point." + po.point.label());
 
-        if (options.ctx.done()) {
+        if (options.ctx.expired()) {
             po.status = options.ctx.status();
         } else {
             Cluster cluster(makeU55C(),
@@ -190,7 +190,7 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
     out.cacheHitRate =
         lookups > 0 ? static_cast<double>(out.cacheHits) / lookups
                     : 0.0;
-    if (options.ctx.done() && out.status.ok())
+    if (options.ctx.expired() && out.status.ok())
         out.status = options.ctx.status();
     out.seconds =
         std::chrono::duration<double>(clock::now() - t0).count();

@@ -29,8 +29,7 @@
  * Deadlines: ExploreOptions::ctx bounds the whole sweep and
  * pointDeadlineSeconds slices it per point. Results computed under a
  * deadline are never written to the compile cache (the flow-wide
- * volatile-context rule), so deadline-sliced sweeps trade reuse for
- * bounded latency.
+ * rule), so deadline-sliced sweeps trade reuse for bounded latency.
  *
  * Telemetry: tapacs.explore.{points,unroutable,sim_failures}
  * counters, {frontier_size,cache_hit_rate} gauges and a
@@ -67,11 +66,12 @@ struct ExploreOptions
      *  <= 0 = the shared pool's size, 1 = serial. Results are
      *  identical at any value. */
     int threads = 0;
-    /** Per-point deadline slice in seconds (< 0 = none). Volatile
-     *  contexts skip all cache writes, so slicing disables reuse. */
+    /** Per-point deadline slice in seconds (< 0 = none). A compile
+     *  under a deadline skips all cache writes, so slicing disables
+     *  reuse. */
     double pointDeadlineSeconds = -1.0;
-    /** Sweep-wide deadline/cancellation; points starting after it
-     *  fires come back with its typed status unevaluated. */
+    /** Sweep-wide deadline; points starting after it expires come
+     *  back with its typed status unevaluated. */
     Context ctx;
     /** Shared compile cache; nullptr = one sweep-private store. */
     cache::CompileCache *cache = nullptr;

@@ -183,23 +183,9 @@ parseTopologyAxis(const std::string &csv, std::vector<TopologyKind> *out)
     std::vector<TopologyKind> values;
     for (const std::string &tok : split(csv, ',')) {
         TopologyKind kind;
-        if (tok == "chain")
-            kind = TopologyKind::Chain;
-        else if (tok == "ring")
-            kind = TopologyKind::Ring;
-        else if (tok == "star")
-            kind = TopologyKind::Star;
-        else if (tok == "mesh")
-            kind = TopologyKind::Mesh2D;
-        else if (tok == "hypercube")
-            kind = TopologyKind::Hypercube;
-        else if (tok == "full")
-            kind = TopologyKind::FullyConnected;
-        else
-            return Status::invalidInput(
-                "topo values must be chain|ring|star|mesh|hypercube|"
-                "full, got '%s'",
-                tok.c_str());
+        const Status st = parseTopologyName(tok, &kind);
+        if (!st.ok())
+            return st;
         if (contains(values, kind))
             return Status::invalidInput("duplicate topo value '%s'",
                                         tok.c_str());
@@ -322,6 +308,23 @@ gridTopologyName(TopologyKind kind)
       case TopologyKind::FullyConnected: return "full";
     }
     return "?";
+}
+
+Status
+parseTopologyName(const std::string &name, TopologyKind *out)
+{
+    for (TopologyKind kind :
+         {TopologyKind::Chain, TopologyKind::Ring, TopologyKind::Star,
+          TopologyKind::Mesh2D, TopologyKind::Hypercube,
+          TopologyKind::FullyConnected}) {
+        if (name == gridTopologyName(kind)) {
+            *out = kind;
+            return Status();
+        }
+    }
+    return Status::invalidInput(
+        "unknown topology '%s' (chain|ring|star|mesh|hypercube|full)",
+        name.c_str());
 }
 
 } // namespace tapacs::explore

@@ -112,6 +112,11 @@ Status parseGridSpec(const std::string &text, ExploreSpec *out);
  *  "mesh", ...). */
 const char *gridTopologyName(TopologyKind kind);
 
+/** Inverse of gridTopologyName, shared by the grid grammar, the serve
+ *  manifest's topology= key and the tools' --topology flags. Ok +
+ *  *out on success, InvalidInput naming the bad value otherwise. */
+Status parseTopologyName(const std::string &name, TopologyKind *out);
+
 } // namespace tapacs::explore
 
 #endif // TAPACS_EXPLORE_SPEC_HH

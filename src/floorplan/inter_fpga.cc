@@ -362,7 +362,7 @@ refine(const TaskGraph &g, const Cluster &cluster,
     for (int pass = 0; pass < max_passes; ++pass) {
         // Refinement is pure polish: when the request's budget is
         // spent, keep the current (already feasible) partition.
-        if (opt.ctx.done())
+        if (opt.ctx.expired())
             return;
         for (int i = n - 1; i > 0; --i)
             std::swap(order[i], order[rng.uniformInt(0, i)]);
@@ -388,7 +388,7 @@ refine(const TaskGraph &g, const Cluster &cluster,
                 if (!opt.hint.empty() && opt.hint[v] >= 0 &&
                     opt.hint[v] < f && opt.allowed(opt.hint[v]) &&
                     d != opt.hint[v]) {
-                    c += opt.hintWeight;
+                    c += kHintWeight;
                 }
                 return c;
             };
@@ -522,17 +522,17 @@ solveAssignmentIlp(const TaskGraph &g, const Cluster &cluster,
         }
         objective.add(de, static_cast<double>(edge.widthBits));
     }
-    // Migration penalty: a hinted vertex pays hintWeight for leaving
+    // Migration penalty: a hinted vertex pays kHintWeight for leaving
     // its previous device, so a replan moves survivors only when the
     // communication saving covers the re-routing cost.
-    if (!opt.hint.empty() && opt.hintWeight > 0.0) {
+    if (!opt.hint.empty()) {
         for (int v = 0; v < n; ++v) {
             const DeviceId h = opt.hint[v];
             if (h < 0 || h >= f || !opt.allowed(h))
                 continue;
             for (int d = 0; d < f; ++d) {
                 if (d != h)
-                    objective.add(x[v * f + d], opt.hintWeight);
+                    objective.add(x[v * f + d], kHintWeight);
             }
         }
     }
@@ -581,11 +581,11 @@ interFpgaDeviceBudget(const TaskGraph &g, const Cluster &cluster,
     cap -= opt.reserved;
     // Balance the design over the devices that may actually host it.
     const int f = opt.numAllowed(cluster.numDevices());
-    if (f > 1 && opt.balanceSlack > 0.0) {
+    if (f > 1) {
         const ResourceVector total = g.totalArea();
         for (int r = 0; r < kNumResourceKinds; ++r) {
             const auto kind = static_cast<ResourceKind>(r);
-            const double share = total[kind] * opt.balanceSlack / f +
+            const double share = total[kind] * kBalanceSlack / f +
                                  0.02 * full[kind];
             cap[kind] = std::min(cap[kind], share);
         }
@@ -704,12 +704,12 @@ floorplanInterFpga(const TaskGraph &g, const Cluster &cluster,
         out.partition.deviceOf.assign(g.numVertices(), only);
         out.coarseVertices = g.numVertices();
         out.ilpOptimal = true;
-    } else if (!options.useIlp || options.ctx.done()) {
+    } else if (!options.useIlp || options.ctx.expired()) {
         // Heuristic mode, either requested or forced by an already-
         // spent deadline: greedy + repair, refinement only while the
         // budget lasts. Deterministic for a context that is done on
         // entry (refine exits at pass 0 every run).
-        out.interrupted = options.ctx.done();
+        out.interrupted = options.ctx.expired();
         out.partition = greedyAssign(g, cluster, options);
         repairChannels(g, cluster, options, out.partition);
         refine(g, cluster, options, out.partition, rng);
@@ -728,8 +728,8 @@ floorplanInterFpga(const TaskGraph &g, const Cluster &cluster,
         // vertex takes the most common hint among its members (ties
         // broken toward the lowest device id, for determinism).
         InterFpgaOptions copt = options;
-        // The coarse ILP inherits the request token: when it fires
-        // mid-search the solver hands back its best incumbent (the
+        // The coarse ILP inherits the request deadline: when it
+        // expires mid-search the solver hands back its best incumbent (the
         // greedy warm start at worst) instead of running out the
         // configured node budget.
         copt.solver.ctx = options.ctx;

@@ -51,6 +51,24 @@ enum class L1Backend
 
 const char *toString(L1Backend backend);
 
+/**
+ * Compute-load balance: no device may take more than
+ * kBalanceSlack / numDevices of the design's total area in any
+ * resource (plus a small absolute allowance). The paper lists
+ * balanced compute load as a level-1 goal alongside the communication
+ * objective (section 4.1).
+ */
+inline constexpr double kBalanceSlack = 1.30;
+
+/**
+ * Migration penalty added to the eq. 2 objective (in the same
+ * width-bits x distance units) for every hinted vertex placed off its
+ * hint (InterFpgaOptions::hint). Models the real cost of re-routing a
+ * live task after a failure: the solver moves a survivor only when
+ * the communication saving exceeds this.
+ */
+inline constexpr double kHintWeight = 64.0;
+
 /** Options for the level-1 floorplanner. */
 struct InterFpgaOptions
 {
@@ -60,25 +78,17 @@ struct InterFpgaOptions
     /** Utilization threshold T of eq. 1. */
     double threshold = 0.70;
     /**
-     * Deadline/cancellation token. Forwarded into the coarse ILP's
-     * branch-and-bound (which returns its best incumbent when it
-     * fires) and polled between FM refinement passes. A context that
-     * is already done degrades the solve to the deterministic
-     * greedy + channel-repair path with no refinement.
+     * Deadline. Forwarded into the coarse ILP's branch-and-bound
+     * (which returns its best incumbent when it expires) and polled
+     * between FM refinement passes. A context that has already
+     * expired degrades the solve to the deterministic greedy +
+     * channel-repair path with no refinement.
      */
     Context ctx;
     /** Resources reserved per device (e.g. networking IPs). */
     ResourceVector reserved;
     /** Coarsen until at most this many vertices before the ILP. */
     int coarseLimit = 36;
-    /**
-     * Compute-load balance: no device may take more than
-     * balanceSlack / numDevices of the design's total area in any
-     * resource (plus a small absolute allowance). The paper lists
-     * balanced compute load as a level-1 goal alongside the
-     * communication objective (section 4.1).
-     */
-    double balanceSlack = 1.30;
     /**
      * Physical memory channels per device (0 = unlimited). Tasks
      * request work.memChannels each; a device cannot host tasks whose
@@ -104,17 +114,10 @@ struct InterFpgaOptions
      * hint; empty = no hints at all). The greedy seed biases toward
      * hinted devices, and that seed is the coarse ILP's incumbent — so a
      * replan keeps surviving placements wherever they remain feasible
-     * instead of reshuffling the whole cluster.
+     * instead of reshuffling the whole cluster. Every hinted vertex
+     * placed off its hint pays kHintWeight.
      */
     std::vector<DeviceId> hint;
-    /**
-     * Migration penalty added to the eq. 2 objective (in the same
-     * width-bits x distance units) for every hinted vertex placed off
-     * its hint. Models the real cost of re-routing a live task after
-     * a failure: the solver moves a survivor only when the
-     * communication saving exceeds this. Ignored when hint is empty.
-     */
-    double hintWeight = 64.0;
     /**
      * Also plan RePart-style logic replication after the base
      * partition (honoured by partition::solveL1 for either backend;
@@ -195,8 +198,8 @@ struct InterFpgaResult
      *  produced under a fired deadline keeps status Ok and sets
      *  interrupted instead. */
     Status status;
-    /** True when the options' deadline/cancel token fired during the
-     *  solve (the partition is the best found under the budget). */
+    /** True when the options' deadline expired during the solve (the
+     *  partition is the best found under the budget). */
     bool interrupted = false;
     DevicePartition partition;
     /** eq. 2 objective of the final partition. */
@@ -242,7 +245,7 @@ InterFpgaResult floorplanInterFpga(const TaskGraph &g,
 /**
  * Per-resource capacity budget of one device: the eq. 1 threshold
  * minus reservations, further capped by the compute-balance share
- * (each device takes at most balanceSlack/F of the total design plus
+ * (each device takes at most kBalanceSlack/F of the total design plus
  * a small absolute allowance for indivisible modules). Shared by both
  * level-1 backends so feasibility means the same thing everywhere.
  */

@@ -74,7 +74,7 @@ sidePull(const TaskGraph &g, const DeviceModel &dev,
          const std::vector<VertexId> &active,
          const std::vector<int> &activeIndex, const DeviceState &state,
          const std::vector<int> &localOf, const Region &sideA,
-         const Region &sideB, const IntraFpgaOptions &opt)
+         const Region &sideB)
 {
     std::vector<double> delta(active.size(), 0.0);
     for (size_t i = 0; i < active.size(); ++i) {
@@ -99,7 +99,7 @@ sidePull(const TaskGraph &g, const DeviceModel &dev,
         if (ch > 0 && dev.memoryRow() >= 0) {
             Region mem{0, dev.cols() - 1, dev.memoryRow(),
                        dev.memoryRow()};
-            delta[i] += opt.memAttractionWidth * ch *
+            delta[i] += kMemAttractionWidth * ch *
                         (regionDist(sideB, mem) - regionDist(sideA, mem));
         }
     }
@@ -270,8 +270,8 @@ floorplanIntraDevice(const TaskGraph &g, const DeviceModel &dev,
     // a per-worker track in the trace.
     obs::TraceSpan span("floorplan", "intra.device");
 
-    // Forward the request token into every bisection ILP; a fired
-    // token downgrades remaining cuts to the greedy side assignment
+    // Forward the request deadline into every bisection ILP; once it
+    // expires, remaining cuts downgrade to the greedy side assignment
     // (still threshold-aware), so a late deadline costs quality, not
     // liveness.
     IntraFpgaOptions opts = options;
@@ -356,12 +356,12 @@ floorplanIntraDevice(const TaskGraph &g, const DeviceModel &dev,
                 }
                 const std::vector<double> pull =
                     sidePull(g, dev, active, activeIndex, state, localOf,
-                             sideA, sideB, options);
+                             sideA, sideB);
 
                 std::vector<int> side =
                     greedyCut(g, active, activeIndex, pull, budgetA,
                               budgetB, step);
-                if (options.useIlp && !opts.ctx.done()) {
+                if (options.useIlp && !opts.ctx.expired()) {
                     bool optimal = false;
                     side = ilpCut(g, active, activeIndex, pull, budgetA,
                                   budgetB, step, opts, side, &optimal,

@@ -30,14 +30,18 @@
 namespace tapacs
 {
 
+/** Pseudo-FIFO width per memory channel pulling memory-bound tasks
+ *  toward the HBM row. */
+inline constexpr double kMemAttractionWidth = 64.0;
+
 /** Options for the level-2 floorplanner. */
 struct IntraFpgaOptions
 {
     /** Per-slot utilization threshold. */
     double threshold = 0.70;
     /**
-     * Deadline/cancellation token, forwarded into every bisection
-     * ILP. When it fires, remaining cuts fall back to the greedy side
+     * Deadline, forwarded into every bisection ILP. When it
+     * expires, remaining cuts fall back to the greedy side
      * assignment (fast and deterministic) instead of branching — the
      * placement is always completed.
      */
@@ -48,9 +52,6 @@ struct IntraFpgaOptions
     /** If false, use the greedy cut instead of the ILP at every
      *  bisection (heuristic mode for the ablation bench). */
     bool useIlp = true;
-    /** Pseudo-FIFO width per memory channel pulling memory-bound
-     *  tasks toward the HBM row. */
-    double memAttractionWidth = 64.0;
     /** Branch-and-bound limits per bisection ILP (each device takes
      *  numSlots-1 bisections; the greedy warm start bounds the damage
      *  of a limit hit). */
@@ -71,8 +72,8 @@ struct IntraDeviceResult
     /** Slot per device vertex, parallel to the `verts` argument. */
     std::vector<SlotCoord> slotOf;
     bool allIlpOptimal = true;
-    /** The options' deadline/cancel token fired and at least one cut
-     *  degraded to the greedy assignment. */
+    /** The options' deadline expired and at least one cut degraded
+     *  to the greedy assignment. */
     bool interrupted = false;
     /** Aggregate over this device's bisection ILPs (provenOptimal
      *  initialized true — the merge() identity). */
@@ -125,8 +126,8 @@ struct Level2Result
     double cost = 0.0;
     /** True if every bisection ILP was solved to proven optimality. */
     bool allIlpOptimal = true;
-    /** True when the options' deadline/cancel token fired during a
-     *  solve and at least one cut degraded to the greedy assignment. */
+    /** True when the options' deadline expired during a solve and
+     *  at least one cut degraded to the greedy assignment. */
     bool interrupted = false;
     /** Aggregate solver effort over every bisection ILP of every
      *  device, folded in device order. */

@@ -35,8 +35,8 @@ perturbFactor(int col)
 
 } // namespace
 
-LpEngine::LpEngine(const Model &model, SimplexOptions options)
-    : model_(model), options_(options), n_(model.numVars()),
+LpEngine::LpEngine(const Model &model, Context ctx)
+    : model_(model), ctx_(ctx), n_(model.numVars()),
       m_(model.numConstraints()), cols_(n_ + m_)
 {
     rows_.resize(m_);
@@ -77,7 +77,7 @@ LpEngine::violation(int row) const
 {
     const int j = basis_[row];
     const double x = beta_[row];
-    const double tol = options_.tol;
+    const double tol = kLpTol;
     if (x < lower_[j] - tol * (1.0 + std::abs(lower_[j])))
         return x - lower_[j];
     if (x > upper_[j] + tol * (1.0 + std::abs(upper_[j])))
@@ -259,11 +259,11 @@ LpEngine::computeReducedCosts()
 SolveStatus
 LpEngine::primal(bool phase1, int cap, int &iterations)
 {
-    const double tol = options_.tol;
+    const double tol = kLpTol;
     bool bland = false;
     int degenerate = 0;
     for (int k = 0;; ++k) {
-        if ((k & 63) == 0 && options_.ctx.done())
+        if ((k & 63) == 0 && ctx_.expired())
             return SolveStatus::LimitReached;
 
         // Phase 1 prices the sum of infeasibilities: basic cost -1
@@ -416,9 +416,9 @@ LpEngine::primal(bool phase1, int cap, int &iterations)
 SolveStatus
 LpEngine::dual(int cap, int &iterations)
 {
-    const double tol = options_.tol;
+    const double tol = kLpTol;
     for (int k = 0;; ++k) {
-        if ((k & 63) == 0 && options_.ctx.done())
+        if ((k & 63) == 0 && ctx_.expired())
             return SolveStatus::LimitReached;
 
         // Leaving row: dual steepest edge, the largest violation
@@ -499,7 +499,7 @@ LpEngine::dual(int cap, int &iterations)
 bool
 LpEngine::placeNonbasic()
 {
-    const double tol = options_.tol;
+    const double tol = kLpTol;
     for (int j = 0; j < cols_; ++j) {
         if (rowOf_[j] >= 0)
             continue;
@@ -575,9 +575,7 @@ LpEngine::solveCold()
     loadSlackBasis();
     std::fill(atUpper_.begin(), atUpper_.begin() + n_, 0);
     computeReducedCosts();
-    const int cap = options_.maxIterations > 0
-                        ? options_.maxIterations
-                        : 20 * (m_ + cols_) + 1000;
+    const int cap = 20 * (m_ + cols_) + 1000;
     SolveStatus st;
     if (placeNonbasic()) {
         st = dualThenPrimal(cap, out.iterations);
@@ -608,7 +606,7 @@ LpEngine::solveWarm(LpResult &out)
         return false;
     const SolveStatus st = dualThenPrimal((m_ + n_) / 2 + 50,
                                           out.iterations);
-    if (st == SolveStatus::LimitReached && !options_.ctx.done())
+    if (st == SolveStatus::LimitReached && !ctx_.expired())
         return false;
     out.status = st;
     if (st == SolveStatus::Optimal)
@@ -637,7 +635,7 @@ LpEngine::solve(const std::vector<double> &lower,
                   "all TAPA-CS formulations use bounded-below variables",
                   model_.var(v).name.c_str());
         }
-        if (lo > hi + options_.tol) {
+        if (lo > hi + kLpTol) {
             LpResult out;
             out.status = SolveStatus::Infeasible;
             return out;
@@ -660,9 +658,9 @@ LpEngine::solve(const std::vector<double> &lower,
 
 LpResult
 solveLp(const Model &model, const std::vector<double> &lower,
-        const std::vector<double> &upper, const SimplexOptions &options)
+        const std::vector<double> &upper)
 {
-    LpEngine engine(model, options);
+    LpEngine engine(model);
     return engine.solve(lower, upper);
 }
 

@@ -45,22 +45,8 @@
 namespace tapacs::ilp
 {
 
-/** Options controlling LP solves. */
-struct SimplexOptions
-{
-    /** Numerical tolerance for feasibility / reduced costs. */
-    double tol = 1e-7;
-    /** Hard cap on simplex iterations per cold phase (0 = auto from
-     *  size). Warm solves use a smaller size-derived cap. */
-    int maxIterations = 0;
-    /**
-     * Deadline/cancellation token, polled every few dozen iterations.
-     * When it fires the solve unwinds with SolveStatus::LimitReached,
-     * which branch-and-bound already treats as "not proven" — the
-     * search keeps its best incumbent. Default: never fires.
-     */
-    Context ctx;
-};
+/** Numerical tolerance for feasibility and reduced costs. */
+inline constexpr double kLpTol = 1e-7;
 
 /** Result of an LP relaxation solve. */
 struct LpResult
@@ -83,8 +69,14 @@ struct LpResult
 class LpEngine
 {
   public:
-    /** @p model must outlive the engine and stay unchanged. */
-    explicit LpEngine(const Model &model, SimplexOptions options = {});
+    /**
+     * @p model must outlive the engine and stay unchanged. @p ctx is
+     * polled every few dozen iterations; when it expires the solve
+     * unwinds with SolveStatus::LimitReached, which branch-and-bound
+     * already treats as "not proven" — the search keeps its best
+     * incumbent.
+     */
+    explicit LpEngine(const Model &model, Context ctx = {});
 
     /**
      * Solve the LP relaxation under per-variable bounds.
@@ -145,7 +137,7 @@ class LpEngine
     void finish(LpResult &out) const;
 
     const Model &model_;
-    SimplexOptions options_;
+    Context ctx_;
     int n_ = 0;    ///< structural columns
     int m_ = 0;    ///< rows (= slack columns)
     int cols_ = 0; ///< n_ + m_
@@ -188,11 +180,9 @@ class LpEngine
  * @param model the MILP whose relaxation to solve.
  * @param lower optional per-variable lower-bound overrides.
  * @param upper optional per-variable upper-bound overrides.
- * @param options numerical options.
  */
 LpResult solveLp(const Model &model, const std::vector<double> &lower = {},
-                 const std::vector<double> &upper = {},
-                 const SimplexOptions &options = {});
+                 const std::vector<double> &upper = {});
 
 } // namespace tapacs::ilp
 

@@ -72,7 +72,7 @@ BranchBoundSolver::solve(const Model &model,
     best.status = SolveStatus::LimitReached;
     double incumbent = std::numeric_limits<double>::infinity();
 
-    if (!warmStart.empty() && model.isFeasible(warmStart, options_.intTol)) {
+    if (!warmStart.empty() && model.isFeasible(warmStart, kIntTol)) {
         best.status = SolveStatus::Feasible;
         best.values = warmStart;
         best.objective = model.objective().evaluate(warmStart);
@@ -87,16 +87,14 @@ BranchBoundSolver::solve(const Model &model,
     std::vector<Node> stack;
     stack.push_back(makeRoot(model));
 
-    // The node LPs poll the same token the node loop does, so a
-    // cancelled request unwinds from inside a pivot loop too.
-    SimplexOptions lp_options = options_.lp;
-    lp_options.ctx = options_.ctx;
-    LpEngine engine(model, lp_options);
+    // The node LPs poll the same deadline the node loop does, so an
+    // expired request unwinds from inside a pivot loop too.
+    LpEngine engine(model, options_.ctx);
     bool exhausted_cleanly = true;
     bool root_unbounded = false;
 
     while (!stack.empty()) {
-        if (options_.ctx.done()) {
+        if (options_.ctx.expired()) {
             stats_.interrupted = true;
             exhausted_cleanly = false;
             break;
@@ -110,8 +108,8 @@ BranchBoundSolver::solve(const Model &model,
         stack.pop_back();
         ++stats_.nodesExplored;
 
-        if (node.parentBound >= incumbent - options_.relativeGap *
-                                                (1.0 + std::abs(incumbent)))
+        if (node.parentBound >=
+            incumbent - kRelativeGap * (1.0 + std::abs(incumbent)))
             continue;
 
         LpResult lp = engine.solve(node.lo, node.hi);
@@ -138,8 +136,8 @@ BranchBoundSolver::solve(const Model &model,
             continue;
         }
 
-        if (lp.objective >= incumbent - options_.relativeGap *
-                                            (1.0 + std::abs(incumbent)))
+        if (lp.objective >=
+            incumbent - kRelativeGap * (1.0 + std::abs(incumbent)))
             continue;
 
         // Branch on the fractional variable closest to rounding up.
@@ -151,7 +149,7 @@ BranchBoundSolver::solve(const Model &model,
         double best_frac = 0.0;
         for (VarId v : int_vars) {
             const double x = lp.values[v];
-            if (std::abs(x - std::round(x)) <= options_.intTol)
+            if (std::abs(x - std::round(x)) <= kIntTol)
                 continue;
             const double frac = x - std::floor(x);
             if (frac > best_frac) {

@@ -25,25 +25,23 @@
 namespace tapacs::ilp
 {
 
+/** Integrality tolerance of branch-and-bound. */
+inline constexpr double kIntTol = 1e-6;
+/** Relative optimality gap at which a node is pruned. */
+inline constexpr double kRelativeGap = 1e-9;
+
 /** Options controlling a branch-and-bound solve. */
 struct SolverOptions
 {
     /** Maximum branch-and-bound nodes to explore. */
     std::int64_t maxNodes = 200000;
-    /** Integrality tolerance. */
-    double intTol = 1e-6;
-    /** Relative optimality gap at which to stop early. */
-    double relativeGap = 1e-9;
     /**
-     * Deadline/cancellation token. Polled once per node and inside
-     * each node's simplex loop; when it fires the search stops and
-     * returns the best incumbent found so far, exactly like hitting
-     * maxNodes. SolverStats::interrupted records that it fired.
-     * Default: never.
+     * Deadline, polled once per node and inside each node's simplex
+     * loop; when it expires the search stops and returns the best
+     * incumbent found so far, exactly like hitting maxNodes.
+     * SolverStats::interrupted records that it fired. Default: never.
      */
     Context ctx;
-    /** LP options used at every node (ctx is forwarded into it). */
-    SimplexOptions lp;
     /**
      * Optional observer called after every node LP with the node's
      * bounds and the LP result — the hook differential tests use to
@@ -72,8 +70,8 @@ struct SolverStats
     std::int64_t incumbentUpdates = 0;
     double wallSeconds = 0.0;
     bool provenOptimal = false;
-    /** True when SolverOptions::ctx fired (deadline or cancellation)
-     *  and the search unwound early with its best incumbent. */
+    /** True when SolverOptions::ctx expired and the search unwound
+     *  early with its best incumbent. */
     bool interrupted = false;
     /** Threads the solves ran on: 1 for one search; level 2 records
      *  the width of its per-device pool here. */

@@ -96,11 +96,9 @@ tryMakePaperTestbed(int numFpgas, Cluster *out, TopologyKind kind)
             "multi-node testbed requires a multiple of 4 FPGAs, got %d",
             numFpgas);
     const int perNode = std::min(numFpgas, 4);
-    if (kind == TopologyKind::Hypercube && (perNode & (perNode - 1)) != 0)
-        return Status::invalidInput(
-            "hypercube topology requires a power-of-two node size, "
-            "got %d",
-            perNode);
+    const Status st = checkTopology(kind, perNode);
+    if (!st.ok())
+        return st;
     *out = Cluster(makeU55C(), Topology(kind, perNode),
                    /*numNodes=*/numFpgas / perNode);
     return Status();

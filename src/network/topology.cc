@@ -23,18 +23,27 @@ toString(TopologyKind kind)
     return "?";
 }
 
+Status
+checkTopology(TopologyKind kind, int numDevices)
+{
+    if (numDevices < 1)
+        return Status::invalidInput(
+            "topology requires at least one device, got %d", numDevices);
+    if (kind == TopologyKind::Hypercube &&
+        (numDevices & (numDevices - 1)) != 0)
+        return Status::invalidInput(
+            "hypercube topology requires a power-of-two device count, "
+            "got %d",
+            numDevices);
+    return Status();
+}
+
 Topology::Topology(TopologyKind kind, int numDevices)
     : kind_(kind), numDevices_(numDevices)
 {
-    if (numDevices_ < 1)
-        fatal("topology requires at least one device, got %d",
-              numDevices_);
-    if (kind_ == TopologyKind::Hypercube) {
-        const int n = numDevices_;
-        if ((n & (n - 1)) != 0)
-            fatal("hypercube topology requires a power-of-two device "
-                  "count, got %d", n);
-    }
+    const Status st = checkTopology(kind_, numDevices_);
+    if (!st.ok())
+        fatal("%s", st.message().c_str());
     if (kind_ == TopologyKind::Mesh2D) {
         meshCols_ = static_cast<int>(
             std::ceil(std::sqrt(static_cast<double>(numDevices_))));

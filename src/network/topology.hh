@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "common/status.hh"
+
 namespace tapacs
 {
 
@@ -38,6 +40,15 @@ enum class TopologyKind
 const char *toString(TopologyKind kind);
 
 /**
+ * Ok when @p numDevices devices can be wired as @p kind; otherwise
+ * InvalidInput naming the rule: every topology needs at least one
+ * device, and a hypercube needs a power of two. The Topology
+ * constructor enforces the same rules fatally, so request-reachable
+ * callers check here first.
+ */
+Status checkTopology(TopologyKind kind, int numDevices);
+
+/**
  * A cluster topology: device count, adjacency, hop distances.
  */
 class Topology
@@ -47,8 +58,9 @@ class Topology
      * Build a topology over @p numDevices devices.
      *
      * @param kind wiring pattern.
-     * @param numDevices device count; Hypercube requires a power of
-     *        two, Mesh2D lays devices out in the squarest grid.
+     * @param numDevices device count; must pass checkTopology()
+     *        (fatal otherwise). Mesh2D lays devices out in the
+     *        squarest grid.
      */
     Topology(TopologyKind kind, int numDevices);
 

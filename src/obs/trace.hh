@@ -21,11 +21,9 @@
  *     branch-and-bound dives and per-device floorplanning passes show
  *     up as separate tracks in the viewer.
  *
- * Two knobs turn it on:
- *  - `TAPACS_TRACE=<path>` traces the whole process and writes the
- *    JSON at exit;
- *  - `CompileOptions::trace` traces one compilation and writes when
- *    the flow returns.
+ * `TAPACS_TRACE=<path>` turns it on: the whole process is traced
+ * and the JSON is written at exit. Tests and benchmarks that want
+ * one region drive Tracer::enable() and Tracer::write() directly.
  */
 
 #ifndef TAPACS_OBS_TRACE_HH

@@ -182,7 +182,7 @@ runVCycle(const TaskGraph &g, const Cluster &cluster,
             .arg("moves", st.moves);
         totalMoves += st.moves;
     }
-    if (options.ctx.done())
+    if (options.ctx.expired())
         out.interrupted = true;
     out.partition.deviceOf = std::move(part);
     obs::MetricsRegistry::global()

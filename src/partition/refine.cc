@@ -59,7 +59,7 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
         }
         if (!hint.empty() && hint[v] >= 0 && hint[v] < f &&
             options.allowed(hint[v]) && d != hint[v]) {
-            c += options.hintWeight;
+            c += kHintWeight;
         }
         return c;
     };
@@ -70,7 +70,7 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
     for (int pass = 0; pass < kMaxPasses; ++pass) {
         // Refinement is pure polish: a fired deadline keeps the
         // current (already feasible) partition.
-        if (options.ctx.done())
+        if (options.ctx.expired())
             break;
         ++stats.passes;
 

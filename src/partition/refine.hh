@@ -14,9 +14,9 @@
  * parallelism only shortens the gain map.
  *
  * The hint penalty matches the exact engine's refine(): a hinted
- * vertex pays InterFpgaOptions::hintWeight for sitting off its hint,
- * so hinted multilevel solves keep survivors put exactly like hinted
- * exact solves do.
+ * vertex pays kHintWeight for sitting off its hint, so hinted
+ * multilevel solves keep survivors put exactly like hinted exact
+ * solves do.
  */
 
 #ifndef TAPACS_PARTITION_REFINE_HH
@@ -44,10 +44,10 @@ struct RefineStats
  * @param hint     per-vertex hinted device for *this level* (-1 =
  *                 none; empty = no hints), projected down from the
  *                 caller's finest-level hints.
- * @param options  allowed() mask, channelsPerDevice, hintWeight and
- *                 the ctx polled between passes; numThreads caps
- *                 the shared pool's threads for the gain map (1 =
- *                 serial; levels under 256 vertices always are).
+ * @param options  allowed() mask, channelsPerDevice and the ctx
+ *                 polled between passes; numThreads caps the shared
+ *                 pool's threads for the gain map (1 = serial; levels
+ *                 under 256 vertices always are).
  *
  * Only feasibility-preserving, strictly improving moves are applied:
  * a feasible input partition stays feasible.

@@ -286,7 +286,7 @@ executeRequest(const Request &req, const Context &ctx,
                 out.status = simmed.status();
                 out.failureReason = out.status.message();
             } else {
-                // Partial results (deadline, cancel, event cap) still
+                // Partial results (deadline, event cap) still
                 // carry their stats; the typed reason propagates so
                 // the retry/deadline accounting upstream sees it.
                 out.simulated = true;

@@ -52,10 +52,10 @@ struct ServeOutcome
     std::string name;
     /** Ok whenever a result was produced — including degraded ones;
      *  otherwise the typed reason (InvalidInput, Infeasible,
-     *  DeadlineExceeded, Cancelled, ResourceExhausted, Internal). */
+     *  DeadlineExceeded, ResourceExhausted, Internal). */
     Status status;
     bool routable = false;
-    /** A deadline/cancel forced a fallback somewhere in the flow. */
+    /** The deadline forced a fallback somewhere in the flow. */
     bool degraded = false;
     std::string degradedReason;
     std::string failureReason;
@@ -67,7 +67,7 @@ struct ServeOutcome
     Hertz fmax = 0.0;
     double cutTrafficBytes = 0.0;
     /** simulate=1 and the sim ran to a result (possibly a partial one
-     *  under a deadline/cancel — then status carries the reason). */
+     *  under a deadline — then status carries the reason). */
     bool simulated = false;
     /** Simulated makespan in seconds (partial when !status.ok()). */
     double simMakespan = 0.0;

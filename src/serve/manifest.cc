@@ -55,27 +55,6 @@ parseDouble(const std::string &text, double lo, double hi, double *out)
 }
 
 Status
-parseTopologyName(const std::string &name, TopologyKind *out)
-{
-    if (name == "chain")
-        *out = TopologyKind::Chain;
-    else if (name == "ring")
-        *out = TopologyKind::Ring;
-    else if (name == "star")
-        *out = TopologyKind::Star;
-    else if (name == "mesh")
-        *out = TopologyKind::Mesh2D;
-    else if (name == "hypercube")
-        *out = TopologyKind::Hypercube;
-    else if (name == "full")
-        *out = TopologyKind::FullyConnected;
-    else
-        return Status::invalidInput("unknown topology '%s'",
-                                    name.c_str());
-    return Status();
-}
-
-Status
 parseModeName(const std::string &name, CompileMode *out)
 {
     if (name == "vitis")
@@ -86,6 +65,19 @@ parseModeName(const std::string &name, CompileMode *out)
         *out = CompileMode::TapaCs;
     else
         return Status::invalidInput("unknown mode '%s'", name.c_str());
+    return Status();
+}
+
+Status
+parseSolverName(const std::string &name, L1Backend *out)
+{
+    if (name == toString(L1Backend::Exact))
+        *out = L1Backend::Exact;
+    else if (name == toString(L1Backend::Multilevel))
+        *out = L1Backend::Multilevel;
+    else
+        return Status::invalidInput(
+            "unknown solver '%s' (exact|multilevel)", name.c_str());
     return Status();
 }
 
@@ -173,7 +165,7 @@ parseManifest(const std::string &text)
                 }
             } else if (key == "topology") {
                 const Status st =
-                    parseTopologyName(value, &req.topology);
+                    explore::parseTopologyName(value, &req.topology);
                 if (!st.ok()) {
                     reject(st.message());
                     bad = true;
@@ -224,14 +216,9 @@ parseManifest(const std::string &text)
                     sawSimulate = true;
                 }
             } else if (key == "solver") {
-                if (value == "exact") {
-                    req.solver = L1Backend::Exact;
-                } else if (value == "multilevel") {
-                    req.solver = L1Backend::Multilevel;
-                } else {
-                    reject(strprintf("solver must be exact|multilevel, "
-                                     "got '%s'",
-                                     value.c_str()));
+                const Status st = parseSolverName(value, &req.solver);
+                if (!st.ok()) {
+                    reject(st.message());
                     bad = true;
                 }
             } else if (key == "replicate") {
@@ -426,9 +413,7 @@ renderRequestLine(const Request &req)
     // value means the same thing (inherit), so clamp.
     line += " deadline_ms=" +
             renderDouble(req.deadlineMs < 0.0 ? -1.0 : req.deadlineMs);
-    line += strprintf(" solver=%s", req.solver == L1Backend::Multilevel
-                                        ? "multilevel"
-                                        : "exact");
+    line += strprintf(" solver=%s", toString(req.solver));
     line += strprintf(" replicate=%d", req.replicate ? 1 : 0);
     if (req.coarseLimit > 0)
         line += strprintf(" coarse_limit=%d", req.coarseLimit);

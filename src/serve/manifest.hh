@@ -154,9 +154,10 @@ bool parseDouble(const std::string &text, double lo, double hi,
                  double *out);
 
 /** Lookup helpers shared with the CLI; Ok + *out on success,
- *  InvalidInput naming the bad value otherwise. */
-Status parseTopologyName(const std::string &name, TopologyKind *out);
+ *  InvalidInput naming the bad value otherwise. Topology names parse
+ *  with explore::parseTopologyName. */
 Status parseModeName(const std::string &name, CompileMode *out);
+Status parseSolverName(const std::string &name, L1Backend *out);
 
 /**
  * Render @p req back to one canonical manifest line (no trailing

@@ -41,6 +41,13 @@ constexpr const char *kDrained =
  *  SIGKILLing them. */
 constexpr double kShutdownGraceSeconds = 2.0;
 
+/** Slack past a request's deadline before the supervisor stops
+ *  trusting the worker to enforce it and kills instead. */
+constexpr double kDeadlineGraceSeconds = 2.0;
+
+/** Budget for a fresh worker's Hello frame. */
+constexpr double kHelloTimeoutSeconds = 30.0;
+
 obs::MetricsRegistry &
 reg()
 {
@@ -721,8 +728,8 @@ Supervisor::spawnWorker(Slot &slot)
     // worker (or dies on startup) fails here and counts toward
     // quarantine.
     Frame hello;
-    const Status st = readFrame(slot.fromChild,
-                                options_.helloTimeoutSeconds, &hello);
+    const Status st =
+        readFrame(slot.fromChild, kHelloTimeoutSeconds, &hello);
     if (!st.ok() || hello.type != FrameType::Hello) {
         killWorker(slot);
         return Status::internal(
@@ -877,7 +884,7 @@ Supervisor::dispatchOnce(Slot &slot, const Pending &pending,
     const double now = monotonicSeconds();
     const double attemptDeadline =
         deadlineSeconds >= 0.0
-            ? now + deadlineSeconds + options_.deadlineGraceSeconds
+            ? now + deadlineSeconds + kDeadlineGraceSeconds
             : -1.0;
     double heartbeatDeadline =
         now + options_.heartbeatTimeoutSeconds;
@@ -922,7 +929,7 @@ Supervisor::dispatchOnce(Slot &slot, const Pending &pending,
                 *failure = Status::deadlineExceeded(
                     "fleet: slot %d overran the request deadline "
                     "(+%.1fs grace)", slot.index,
-                    options_.deadlineGraceSeconds);
+                    kDeadlineGraceSeconds);
                 return false;
             }
             if (late >= heartbeatDeadline) {

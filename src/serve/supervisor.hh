@@ -136,11 +136,6 @@ struct FleetOptions
     double heartbeatPeriodSeconds = 0.05;
     /** Silence longer than this kills the worker. */
     double heartbeatTimeoutSeconds = 1.0;
-    /** Slack past the request deadline before the supervisor stops
-     *  trusting the worker to enforce it and kills instead. */
-    double deadlineGraceSeconds = 2.0;
-    /** Budget for a fresh worker's Hello frame. */
-    double helloTimeoutSeconds = 30.0;
     /** Dispatch attempts per request before a typed failure. */
     int maxDispatchAttempts = 3;
     /** Worker restarts per slot before quarantine. */

@@ -503,7 +503,7 @@ Simulation::run()
 
     const Context &ctx = options_.ctx;
     while (!heap_.empty()) {
-        if ((events_ & 0xFFF) == 0 && ctx.done()) {
+        if ((events_ & 0xFFF) == 0 && ctx.expired()) {
             status_ = ctx.status();
             break;
         }

@@ -47,10 +47,10 @@ struct SimOptions
     /** Cap on processed events (guards against model bugs). */
     std::uint64_t maxEvents = 50'000'000;
     /**
-     * Deadline/cancellation context, polled inside the event loop
-     * every few thousand events. An expired or cancelled
-     * context stops the run and surfaces DeadlineExceeded/Cancelled
-     * in SimResult::status together with the partial stats.
+     * Deadline, polled inside the event loop every few thousand
+     * events. An expired context stops the run and surfaces
+     * DeadlineExceeded in SimResult::status together with the
+     * partial stats.
      */
     Context ctx;
     /** Record one FiringRecord per block (for timeline export). */
@@ -143,7 +143,7 @@ struct SimResult
     std::vector<EdgeCommStats> edgeComm;
     /**
      * Why the run stopped: Ok for a drained event queue (the normal
-     * case), DeadlineExceeded/Cancelled when SimOptions::ctx fired
+     * case), DeadlineExceeded when SimOptions::ctx expired
      * mid-run, ResourceExhausted when the maxEvents cap tripped,
      * InvalidInput when a healthy graph turned out rate-inconsistent.
      * Non-Ok runs still carry their partial stats (makespan so far,
@@ -180,8 +180,8 @@ SimResult simulate(const TaskGraph &g, const Cluster &cluster,
  * compile service): invalid inputs — a malformed graph, non-integral
  * rate ratios, memory access without bound channels, inconsistent
  * partition/binding/fmax shapes — come back as an error Status
- * instead of fatal(). Mid-run conditions (deadline, cancellation,
- * the maxEvents cap, a rate-inconsistent healthy graph) return an
+ * instead of fatal(). Mid-run conditions (deadline, the maxEvents
+ * cap, a rate-inconsistent healthy graph) return an
  * *Ok* StatusOr whose SimResult carries the typed reason in
  * SimResult::status along with the partial stats. simulate() is the
  * asserting wrapper over this.

@@ -13,8 +13,7 @@ estimateTiming(const TaskGraph &g, const Cluster &cluster,
                const DevicePartition &partition,
                const SlotPlacement &placement, const PipelinePlan &plan,
                const std::vector<Hertz> &fmaxCeiling,
-               const ResourceVector &reserved,
-               const TimingOptions &options, const HbmBinding *binding)
+               const ResourceVector &reserved, const HbmBinding *binding)
 {
     const DeviceModel &dev = cluster.device();
     TimingResult out;
@@ -66,7 +65,7 @@ estimateTiming(const TaskGraph &g, const Cluster &cluster,
                 static_cast<double>(requests) / dev.memory().channels);
             for (int s = 0; s < dev.numSlots(); ++s) {
                 if (dev.slots()[s].exposesMemory)
-                    cong_util[s] += options.hbmPressure * frac;
+                    cong_util[s] += kHbmPressure * frac;
             }
         }
         if (!device_used) {
@@ -74,7 +73,7 @@ estimateTiming(const TaskGraph &g, const Cluster &cluster,
             dt.critical = "unused";
             continue;
         }
-        if (dt.maxSlotUtil > options.routableUtil) {
+        if (dt.maxSlotUtil > kRoutableUtil) {
             dt.routable = false;
             dt.fmax = 0.0;
             dt.critical = strprintf("routing failure: slot util %.1f%%",
@@ -85,8 +84,8 @@ estimateTiming(const TaskGraph &g, const Cluster &cluster,
 
         auto congestion = [&](int slotIdx) {
             const double u = cong_util[slotIdx];
-            return 1.0 + options.congestionGamma *
-                             std::max(0.0, u - options.congestionKnee);
+            return 1.0 + kCongestionGamma *
+                             std::max(0.0, u - kCongestionKnee);
         };
         auto slotIndex = [&](const SlotCoord &c) {
             return c.row * dev.cols() + c.col;
@@ -123,13 +122,13 @@ estimateTiming(const TaskGraph &g, const Cluster &cluster,
             const int col_cross = std::abs(a.col - b.col);
             const int row_cross = std::abs(a.row - b.row);
             // Rows are SLR boundaries on the modeled boards.
-            const double wire = col_cross * options.tCrossNs +
-                                row_cross * options.tDieCrossNs;
+            const double wire = col_cross * kSlotCrossNs +
+                                row_cross * kDieCrossNs;
             const double m = 0.5 * (congestion(slotIndex(a)) +
                                     congestion(slotIndex(b)));
             const int segments = plan.edges[e].stages + 1;
             const double delay =
-                (options.tLocalNs + wire / segments) * m;
+                (kLocalDelayNs + wire / segments) * m;
             if (delay > worst_delay_ns) {
                 worst_delay_ns = delay;
                 critical = strprintf(

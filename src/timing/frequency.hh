@@ -30,31 +30,30 @@
 namespace tapacs
 {
 
-/** Calibration constants of the delay model. */
-struct TimingOptions
-{
-    /** Local logic + short-route delay of a pipelined segment (ns). */
-    double tLocalNs = 1.5;
-    /** Wire delay per same-die slot crossing (ns). */
-    double tCrossNs = 1.2;
-    /** Wire delay per die-boundary (SLR) crossing (ns). */
-    double tDieCrossNs = 2.1;
-    /** Slot utilization where congestion starts dilating delays. */
-    double congestionKnee = 0.60;
-    /** Delay dilation slope past the knee. */
-    double congestionGamma = 1.6;
-    /** Slot utilization beyond which routing fails. */
-    double routableUtil = 0.92;
-    /**
-     * HBM crossbar pressure: the fraction of the device's memory
-     * channels in use is added (scaled by this factor) to the
-     * *effective* utilization of the memory-row slots when computing
-     * congestion. This models the paper's section-4.5 observation
-     * that heavy HBM channel usage congests the bottom die and drags
-     * frequency even when logic utilization is low.
-     */
-    double hbmPressure = 0.32;
-};
+/** @name Calibration constants of the delay model */
+///@{
+/** Local logic + short-route delay of a pipelined segment (ns). */
+inline constexpr double kLocalDelayNs = 1.5;
+/** Wire delay per same-die slot crossing (ns). */
+inline constexpr double kSlotCrossNs = 1.2;
+/** Wire delay per die-boundary (SLR) crossing (ns). */
+inline constexpr double kDieCrossNs = 2.1;
+/** Slot utilization where congestion starts dilating delays. */
+inline constexpr double kCongestionKnee = 0.60;
+/** Delay dilation slope past the knee. */
+inline constexpr double kCongestionGamma = 1.6;
+/** Slot utilization beyond which routing fails. */
+inline constexpr double kRoutableUtil = 0.92;
+/**
+ * HBM crossbar pressure: the fraction of the device's memory channels
+ * in use is added (scaled by this factor) to the *effective*
+ * utilization of the memory-row slots when computing congestion. This
+ * models the paper's section-4.5 observation that heavy HBM channel
+ * usage congests the bottom die and drags frequency even when logic
+ * utilization is low.
+ */
+inline constexpr double kHbmPressure = 0.32;
+///@}
 
 /** Timing outcome for one device. */
 struct DeviceTiming
@@ -88,7 +87,6 @@ struct TimingResult
  *        (empty = 340 MHz for all).
  * @param reserved per-device resources consumed outside the graph
  *        (e.g. networking IPs), spread across slots for congestion.
- * @param options calibration constants.
  * @param binding optional HBM channel binding; enables the memory-row
  *        pressure term (nullptr disables it).
  */
@@ -98,7 +96,6 @@ TimingResult estimateTiming(const TaskGraph &g, const Cluster &cluster,
                             const PipelinePlan &plan,
                             const std::vector<Hertz> &fmaxCeiling = {},
                             const ResourceVector &reserved = {},
-                            const TimingOptions &options = {},
                             const HbmBinding *binding = nullptr);
 
 } // namespace tapacs

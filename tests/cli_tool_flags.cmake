@@ -4,6 +4,9 @@
 # used to misparse silently: a junk --deadline-ms ran an expired,
 # uncached sweep, "2x" ran as 2, a junk --threads ran as 0, and a junk
 # --threshold became T = 0 and failed with a misleading budget error.
+# Unknown --mode/--topology/--solver/--device names, a hypercube over a
+# non-power-of-two --fpgas and --incremental without --state exit 2
+# the same way (tapacs-compile used to die in fatal() with exit 1).
 # Valid values of the same flags still run.
 #
 #   cmake -DGRAPHGEN=<tapacs-graphgen> -DCOMPILE=<tapacs-compile>
@@ -26,8 +29,11 @@ set(compile_base "${COMPILE}" "${WORK}/s.graph" --out "${WORK}/out")
 # tool;flag;value
 foreach(case "explore;--deadline-ms;abc" "explore;--fpgas;2x"
              "explore;--threads;abc" "explore;--scale;-5"
+             "explore;--mode;bogus"
              "compile;--threshold;abc" "compile;--fpgas;2x"
-             "compile;--coarse-limit;1")
+             "compile;--coarse-limit;1" "compile;--mode;bogus"
+             "compile;--topology;torus" "compile;--solver;fast"
+             "compile;--device;Stratix")
     list(GET case 0 tool)
     list(GET case 1 flag)
     list(GET case 2 value)
@@ -45,6 +51,21 @@ foreach(case "explore;--deadline-ms;abc" "explore;--fpgas;2x"
     endif()
 endforeach()
 
+# flag named in the message;arguments
+foreach(case "--topology 'hypercube'.*power-of-two;--fpgas;3;--topology;hypercube"
+             "--incremental needs --state;--incremental")
+    list(POP_FRONT case want)
+    execute_process(COMMAND ${compile_base} ${case}
+                    WORKING_DIRECTORY "${WORK}"
+                    OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr
+                    RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 2 OR NOT stderr MATCHES "${want}"
+       OR NOT stdout STREQUAL "")
+        message(FATAL_ERROR "tapacs-compile ${case}: exit ${rc}, want 2 "
+                            "and '${want}':\n${stdout}${stderr}")
+    endif()
+endforeach()
+
 execute_process(COMMAND ${explore_base} --fpgas 2 --threads 1
                         --deadline-ms -1 --scale 0
                 WORKING_DIRECTORY "${WORK}"
@@ -56,7 +77,8 @@ if(NOT rc EQUAL 0 OR NOT stdout MATCHES "point\\(s\\)")
 endif()
 
 execute_process(COMMAND ${compile_base} --fpgas 2 --threshold 0.7
-                        --coarse-limit 36
+                        --coarse-limit 36 --mode tapacs --topology ring
+                        --solver exact
                 WORKING_DIRECTORY "${WORK}"
                 OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr
                 RESULT_VARIABLE rc)

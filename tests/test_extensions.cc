@@ -99,14 +99,18 @@ TEST(DeviceCatalog, U280Shape)
 
 TEST(DeviceCatalog, LookupByName)
 {
-    EXPECT_EQ(makeDeviceByName("U55C").name(), "U55C");
-    EXPECT_EQ(makeDeviceByName("u250").name(), "U250");
-    EXPECT_EQ(makeDeviceByName("U280").name(), "U280");
+    EXPECT_EQ(makeDeviceByName("U55C").value().name(), "U55C");
+    EXPECT_EQ(makeDeviceByName("u250").value().name(), "U250");
+    EXPECT_EQ(makeDeviceByName("U280").value().name(), "U280");
 }
 
-TEST(DeviceCatalogDeath, UnknownName)
+TEST(DeviceCatalog, UnknownNameIsInvalidInput)
 {
-    EXPECT_DEATH(makeDeviceByName("Stratix"), "unknown device");
+    const StatusOr<DeviceModel> dev = makeDeviceByName("Stratix");
+    ASSERT_FALSE(dev.ok());
+    EXPECT_EQ(dev.status().code(), StatusCode::InvalidInput);
+    EXPECT_NE(dev.status().message().find("unknown device"),
+              std::string::npos);
 }
 
 TEST(DeviceCatalog, CompileOnU280Cluster)

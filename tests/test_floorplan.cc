@@ -344,7 +344,7 @@ TEST(IntraFpga, BisectionMatchesEnumeration)
             for (const Edge &e : g.edges())
                 cost += e.widthBits * std::abs(y[e.src] - y[e.dst]);
             for (VertexId v = 0; v < n; ++v)
-                cost += opt.memAttractionWidth *
+                cost += kMemAttractionWidth *
                         g.vertex(v).work.memChannels * y[v];
             return cost;
         };

@@ -9,7 +9,7 @@
  * replication on and off, and any thread count — incremental reuse is
  * purely content-addressed, so it can accelerate but never change the
  * answer. The negative paths are typed, not silent: a prior with no
- * signature, a schema or backend mismatch, an edit that dirties every
+ * signature, a schema mismatch, an edit that dirties every
  * subgraph, and a serve-session `base=` that was never retained all
  * degrade to a cold compile with a "incremental: ..." reason in
  * CompileResult::degradedReason (degraded itself stays false — the
@@ -281,11 +281,12 @@ TEST(IncrementalFallback, SchemaMismatchDegradesToTypedColdCompile)
     EXPECT_FALSE(inc.delta.l1Reused);
 }
 
-TEST(IncrementalFallback, BackendMismatchDegradesToTypedColdCompile)
+TEST(IncrementalFallback, BackendSwitchStillReusesLevelTwo)
 {
-    // A prior solved with the exact engine cannot seed a multilevel
-    // request: the L1 keys differ by construction, and the typed
-    // reason says so instead of silently re-solving.
+    // A prior solved with the exact engine seeds a multilevel request.
+    // The L1 key folds the backend, so level 1 re-solves; this small
+    // graph is delegated to the exact engine wholesale, so the same
+    // partition comes back and every device's level-2 entry is reused.
     Cluster cluster = makePaperTestbed(2);
     TaskGraph g = randomDesign(64200, 3, 4);
     const CompileResult prior =
@@ -295,12 +296,11 @@ TEST(IncrementalFallback, BackendMismatchDegradesToTypedColdCompile)
     CompileOptions ml = baseOptions(2, L1Backend::Multilevel, false);
     const CompileResult cold = compile(g, cluster, ml);
     const CompileResult inc = recompile(prior, g, cluster, ml);
-    expectResultsIdentical(cold, inc, "backend mismatch");
+    expectResultsIdentical(cold, inc, "backend switch");
     EXPECT_FALSE(inc.degraded);
-    EXPECT_NE(inc.degradedReason.find(
-                  "prior L1 backend exact does not match"),
-              std::string::npos)
-        << inc.degradedReason;
+    EXPECT_TRUE(inc.degradedReason.empty()) << inc.degradedReason;
+    EXPECT_FALSE(inc.delta.l1Reused);
+    EXPECT_GT(inc.delta.devicesReused, 0);
 }
 
 TEST(IncrementalFallback, AllDirtyEditDegradesToTypedColdCompile)
@@ -496,8 +496,14 @@ TEST(IncrementalState, SignatureRoundTripsAndRejectsGarbage)
         cache::parseSignature(bytes.substr(0, bytes.size() / 2), &sig));
     // A corrupt artifact count fails the parse instead of sizing a
     // huge allocation.
-    EXPECT_FALSE(cache::parseSignature("tapacs-sig2 5 0 100000000000000",
+    EXPECT_FALSE(cache::parseSignature("tapacs-sig3 5 100000000000000",
                                        &sig));
+    // A state file from before the backend field was dropped is
+    // rejected whole, so it takes the typed cold-compile fallback.
+    const std::string head = "tapacs-sig3 5";
+    ASSERT_EQ(bytes.compare(0, head.size(), head), 0);
+    EXPECT_FALSE(cache::parseSignature(
+        "tapacs-sig2 5 0" + bytes.substr(head.size()), &sig));
 }
 
 } // namespace

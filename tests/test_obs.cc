@@ -311,13 +311,12 @@ TEST(Trace, FullFlowCompileEmitsSevenPhasesAndWorkerTracks)
     options.numFpgas = 2;
     options.numThreads = 4;
     const std::string path = ::testing::TempDir() + "obs_compile.json";
-    options.trace = path;
 
+    obs::Tracer::instance().enable();
     CompileResult result =
         compileProgram(app.graph, app.tasks, cluster, options);
     ASSERT_TRUE(result.routable) << result.failureReason;
-    // The guard disables tracing once the compile finishes.
-    EXPECT_FALSE(obs::Tracer::instance().enabled());
+    ASSERT_TRUE(obs::Tracer::instance().write(path));
 
     const std::string json = slurp(path);
     for (const char *phase :

@@ -1,7 +1,7 @@
 /**
  * @file
- * Robustness suite: the error taxonomy (Status/StatusOr), deadline and
- * cancellation plumbing (Context), degraded-mode compile fallbacks,
+ * Robustness suite: the error taxonomy (Status/StatusOr), deadline
+ * plumbing (Context), degraded-mode compile fallbacks,
  * hardened manifest parsing (including a seeded mutation fuzz), the
  * serving core's queue-level contract on its in-process executor
  * (backpressure, shedding, circuit breaker, retries), and request
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,7 +56,10 @@ TEST(Status, OkByDefaultAndFactoriesCarryCodeAndMessage)
 
     EXPECT_EQ(Status::deadlineExceeded("x").code(),
               StatusCode::DeadlineExceeded);
-    EXPECT_EQ(Status::cancelled("x").code(), StatusCode::Cancelled);
+    // Nothing produces Cancelled any more, but the code keeps its
+    // number: journals and wire frames carry codes by number.
+    EXPECT_EQ(static_cast<int>(StatusCode::Cancelled), 4);
+    EXPECT_STREQ(toString(StatusCode::Cancelled), "CANCELLED");
     EXPECT_EQ(Status::resourceExhausted("x").code(),
               StatusCode::ResourceExhausted);
     EXPECT_EQ(Status::infeasible("x").code(), StatusCode::Infeasible);
@@ -79,14 +83,19 @@ TEST(StatusOr, HoldsValueOrError)
 
 // ---- Context --------------------------------------------------------
 
-TEST(Context, DefaultIsNeverDoneAndCancelIsANoOp)
+TEST(Context, DefaultHasNoDeadlineAndNeverExpires)
 {
-    Context ctx;
+    const Context ctx;
     EXPECT_FALSE(ctx.hasDeadline());
-    EXPECT_FALSE(ctx.cancellable_token());
-    ctx.cancel(); // must be harmless
-    EXPECT_FALSE(ctx.done());
+    EXPECT_FALSE(ctx.expired());
     EXPECT_TRUE(ctx.status().ok());
+    EXPECT_EQ(ctx.remainingSeconds(),
+              std::numeric_limits<double>::infinity());
+    // A budget slice of a deadline-free context has only its own.
+    const Context slice = ctx.withBudget(3600.0);
+    EXPECT_TRUE(slice.hasDeadline());
+    EXPECT_FALSE(slice.expired());
+    EXPECT_TRUE(slice.status().ok());
 }
 
 TEST(Context, ZeroTimeoutIsDeterministicallyExpired)
@@ -96,7 +105,6 @@ TEST(Context, ZeroTimeoutIsDeterministicallyExpired)
     const Context zero = Context::withTimeout(0.0);
     EXPECT_TRUE(zero.hasDeadline());
     EXPECT_TRUE(zero.expired());
-    EXPECT_TRUE(zero.done());
     EXPECT_EQ(zero.status().code(), StatusCode::DeadlineExceeded);
     EXPECT_LT(zero.remainingSeconds(), 0.0);
 
@@ -104,39 +112,22 @@ TEST(Context, ZeroTimeoutIsDeterministicallyExpired)
     EXPECT_TRUE(negative.expired());
 }
 
-TEST(Context, CancellableObservesCancelAcrossCopies)
-{
-    const Context ctx = Context::cancellable();
-    const Context copy = ctx;
-    EXPECT_FALSE(ctx.done());
-    copy.cancel();
-    EXPECT_TRUE(ctx.cancelled());
-    EXPECT_TRUE(ctx.done());
-    EXPECT_EQ(ctx.status().code(), StatusCode::Cancelled);
-}
-
-TEST(Context, ExpiryOutranksCancellation)
-{
-    // A cancel that lands after the deadline must still read as
-    // DeadlineExceeded, not Cancelled.
-    const Context ctx = Context::withTimeout(0.0);
-    ctx.cancel();
-    EXPECT_TRUE(ctx.cancelled());
-    EXPECT_TRUE(ctx.expired());
-    EXPECT_EQ(ctx.status().code(), StatusCode::DeadlineExceeded);
-}
-
-TEST(Context, BudgetSlicesShareTheParentToken)
+TEST(Context, BudgetSlicesTakeTheSoonerDeadline)
 {
     const Context parent = Context::withTimeout(3600.0);
     const Context slice = parent.withBudget(-1.0);
-    EXPECT_TRUE(slice.expired());  // sooner of the two deadlines
+    EXPECT_TRUE(slice.expired()); // the slice's own deadline is sooner
+    EXPECT_EQ(slice.status().code(), StatusCode::DeadlineExceeded);
     EXPECT_FALSE(parent.expired());
 
     const Context child = parent.withBudget(1800.0);
-    EXPECT_LE(child.deadline(), parent.deadline());
-    parent.cancel();
-    EXPECT_TRUE(child.cancelled()); // shared token
+    EXPECT_LT(child.deadline(), parent.deadline());
+    // A slice longer than what the parent has left ends with the
+    // parent: a phase never outlives its request.
+    const Context longer = parent.withBudget(7200.0);
+    EXPECT_EQ(longer.deadline(), parent.deadline());
+    const Context expired = Context::withTimeout(0.0);
+    EXPECT_TRUE(expired.withBudget(3600.0).expired());
 }
 
 // ---- ReliableTransport config validation (regression) ----------------
@@ -401,7 +392,7 @@ TEST(Manifest, SeededMutationFuzzNeverCrashesAndIsDeterministic)
     }
 }
 
-// ---- Deadline / cancellation through the compile flow ----------------
+// ---- Deadlines through the compile flow ------------------------------
 
 TEST(Robustness, TightDeadlineStillYieldsFeasibleDegradedResult)
 {
@@ -421,9 +412,9 @@ TEST(Robustness, TightDeadlineStillYieldsFeasibleDegradedResult)
     EXPECT_GT(r.fmax, 0.0);
 }
 
-TEST(Robustness, CancellationBoundsSolverNodeExpansions)
+TEST(Robustness, ExpiredDeadlineBoundsSolverNodeExpansions)
 {
-    // A pre-cancelled context must stop branch-and-bound within a
+    // A pre-expired context must stop branch-and-bound within a
     // bounded number of node expansions (the poll sits at the loop
     // head, so effectively zero).
     ilp::Model m;
@@ -437,10 +428,9 @@ TEST(Robustness, CancellationBoundsSolverNodeExpansions)
     m.addConstraint(std::move(weight), ilp::Sense::LessEqual, 13.0);
     m.setObjective(std::move(objective));
 
-    ilp::SolverOptions cancelled;
-    cancelled.ctx = Context::cancellable();
-    cancelled.ctx.cancel();
-    ilp::BranchBoundSolver stopped(cancelled);
+    ilp::SolverOptions expired;
+    expired.ctx = Context::withTimeout(0.0);
+    ilp::BranchBoundSolver stopped(expired);
     stopped.solve(m);
     EXPECT_TRUE(stopped.stats().interrupted);
     EXPECT_LE(stopped.stats().nodesExplored, 1);

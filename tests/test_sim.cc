@@ -509,20 +509,6 @@ TEST(Sim, ExpiredDeadlineIsTyped)
     EXPECT_FALSE(res.value().completed);
 }
 
-TEST(Sim, CancellationIsTyped)
-{
-    Rig r;
-    buildCrossNodeChain(r);
-    SimOptions opt;
-    opt.exportMetrics = false;
-    opt.ctx = Context::cancellable();
-    opt.ctx.cancel();
-    const StatusOr<SimResult> res = r.tryRun(opt);
-    ASSERT_TRUE(res.ok());
-    EXPECT_EQ(res.value().status.code(), StatusCode::Cancelled);
-    EXPECT_FALSE(res.value().completed);
-}
-
 TEST(Sim, EventCapIsTyped)
 {
     Rig r;

@@ -33,11 +33,10 @@ struct Rig
     TimingResult
     timing(const PipelinePlan &plan,
            const std::vector<Hertz> &ceilings = {},
-           const TimingOptions &opt = {},
            const HbmBinding *binding = nullptr)
     {
         return estimateTiming(g, cluster, part, place, plan, ceilings,
-                              ResourceVector{}, opt, binding);
+                              ResourceVector{}, binding);
     }
 
     PipelinePlan
@@ -86,7 +85,11 @@ TEST(Timing, CongestionDegradesFrequency)
     TimingResult ht = heavy.timing(heavy.plan(2), ceil);
     ASSERT_TRUE(lt.allRoutable && ht.allRoutable);
     EXPECT_GT(lt.designFmax, ht.designFmax);
-    EXPECT_GT(ht.perDevice[0].maxSlotUtil, 0.8);
+    // Light sits below the congestion knee, heavy between the knee
+    // and the routing cliff.
+    EXPECT_LT(lt.perDevice[0].maxSlotUtil, kCongestionKnee);
+    EXPECT_GT(ht.perDevice[0].maxSlotUtil, kCongestionKnee);
+    EXPECT_LT(ht.perDevice[0].maxSlotUtil, kRoutableUtil);
 }
 
 TEST(Timing, RoutingFailsBeyondCliff)
@@ -95,6 +98,7 @@ TEST(Timing, RoutingFailsBeyondCliff)
     Rig r;
     r.add("t", slot_cap * 0.99, 0, 0);
     TimingResult t = r.timing(r.plan(2));
+    EXPECT_GT(t.perDevice[0].maxSlotUtil, kRoutableUtil);
     EXPECT_FALSE(t.allRoutable);
     EXPECT_FALSE(t.perDevice[0].routable);
     EXPECT_DOUBLE_EQ(t.designFmax, 0.0);
@@ -144,6 +148,7 @@ TEST(Timing, HbmPressureLowersMemoryRowClock)
     // Enough logic that the added HBM pressure crosses the
     // congestion knee.
     v.area = makeU55C().slots()[0].capacity * 0.45;
+    ASSERT_GT(0.45 + kHbmPressure, kCongestionKnee);
     v.work.memChannels = 32;
     r.g.addVertex(v);
     r.part.deviceOf.push_back(0);
@@ -155,7 +160,7 @@ TEST(Timing, HbmPressureLowersMemoryRowClock)
 
     TimingResult without = r.timing(r.plan(2), {340.0e6});
     TimingResult with_pressure =
-        r.timing(r.plan(2), {340.0e6}, TimingOptions{}, &binding);
+        r.timing(r.plan(2), {340.0e6}, &binding);
     ASSERT_TRUE(without.allRoutable && with_pressure.allRoutable);
     EXPECT_GT(without.designFmax, with_pressure.designFmax);
 }
@@ -176,7 +181,7 @@ TEST(Timing, HbmPressureDoesNotAffectUpperRows)
 
     TimingResult without = r.timing(r.plan(2), {340.0e6});
     TimingResult with_pressure =
-        r.timing(r.plan(2), {340.0e6}, TimingOptions{}, &binding);
+        r.timing(r.plan(2), {340.0e6}, &binding);
     EXPECT_DOUBLE_EQ(without.designFmax, with_pressure.designFmax);
 }
 

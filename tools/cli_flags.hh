@@ -1,9 +1,10 @@
 /**
  * @file
- * Strict numeric command-line flags shared by the tools. The whole
- * value must parse (serve::parseInt / serve::parseDouble: no trailing
- * junk, no overflow, no NaN) and lie in [lo, hi]; anything else exits
- * 2 naming the tool and the flag, before any work starts.
+ * Strict command-line flags shared by the tools. A numeric value must
+ * parse whole (serve::parseInt / serve::parseDouble: no trailing junk,
+ * no overflow, no NaN) and lie in [lo, hi]; a name must be one the
+ * shared lookup (the one the serve manifest uses) knows. Anything
+ * else exits 2 naming the tool and the flag, before any work starts.
  */
 
 #ifndef TAPACS_TOOLS_CLI_FLAGS_HH
@@ -46,6 +47,30 @@ intFlag(const char *tool, const std::string &flag, const std::string &text,
                      (long long)hi);
         std::exit(2);
     }
+    return v;
+}
+
+/** Exit 2 naming the tool, @p flag and @p text unless @p st is Ok. */
+inline void
+checkFlag(const char *tool, const std::string &flag, const std::string &text,
+          const Status &st)
+{
+    if (!st.ok()) {
+        std::fprintf(stderr, "%s: %s '%s': %s\n", tool, flag.c_str(),
+                     text.c_str(), st.message().c_str());
+        std::exit(2);
+    }
+}
+
+/** @p text looked up by @p parse (a shared name parser such as
+ *  serve::parseModeName), or exit 2. */
+template <typename T>
+T
+nameFlag(const char *tool, const std::string &flag, const std::string &text,
+         Status (*parse)(const std::string &, T *))
+{
+    T v{};
+    checkFlag(tool, flag, text, parse(text, &v));
     return v;
 }
 

@@ -39,7 +39,9 @@
  *                        bit-identical to a cold compile either way
  *
  * A numeric flag whose value does not parse completely or falls
- * outside its range exits 2.
+ * outside its range, an unknown --mode/--topology/--solver/--device
+ * name, a hypercube over a non-power-of-two --fpgas, and --incremental
+ * without --state all exit 2 naming the flag.
  */
 
 #include <cstdio>
@@ -54,6 +56,7 @@
 #include "common/logging.hh"
 #include "compiler/compiler.hh"
 #include "compiler/constraints.hh"
+#include "explore/spec.hh"
 #include "graph/serialize.hh"
 #include "partition/multilevel.hh"
 #include "sim/dataflow_sim.hh"
@@ -98,36 +101,6 @@ usage()
     std::exit(2);
 }
 
-TopologyKind
-parseTopology(const std::string &name)
-{
-    if (name == "chain")
-        return TopologyKind::Chain;
-    if (name == "ring")
-        return TopologyKind::Ring;
-    if (name == "star")
-        return TopologyKind::Star;
-    if (name == "mesh")
-        return TopologyKind::Mesh2D;
-    if (name == "hypercube")
-        return TopologyKind::Hypercube;
-    if (name == "full")
-        return TopologyKind::FullyConnected;
-    fatal("unknown topology '%s'", name.c_str());
-}
-
-CompileMode
-parseMode(const std::string &name)
-{
-    if (name == "vitis")
-        return CompileMode::VitisBaseline;
-    if (name == "tapa")
-        return CompileMode::TapaSingle;
-    if (name == "tapacs")
-        return CompileMode::TapaCs;
-    fatal("unknown mode '%s'", name.c_str());
-}
-
 CliOptions
 parseArgs(int argc, char **argv)
 {
@@ -143,9 +116,11 @@ parseArgs(int argc, char **argv)
             opt.fpgas = static_cast<int>(
                 cli::intFlag(kTool, arg, next(), 1, 256));
         else if (arg == "--mode")
-            opt.mode = parseMode(next());
+            opt.mode =
+                cli::nameFlag(kTool, arg, next(), serve::parseModeName);
         else if (arg == "--topology")
-            opt.topology = parseTopology(next());
+            opt.topology = cli::nameFlag(kTool, arg, next(),
+                                         explore::parseTopologyName);
         else if (arg == "--device")
             opt.device = next();
         else if (arg == "--threshold")
@@ -159,13 +134,8 @@ parseArgs(int argc, char **argv)
             opt.timelineFile = next();
             opt.simulate = true;
         } else if (arg == "--solver") {
-            const std::string name = next();
-            if (name == "exact")
-                opt.solver = L1Backend::Exact;
-            else if (name == "multilevel")
-                opt.solver = L1Backend::Multilevel;
-            else
-                fatal("unknown solver '%s'", name.c_str());
+            opt.solver = cli::nameFlag(kTool, arg, next(),
+                                       serve::parseSolverName);
         } else if (arg == "--replicate") {
             opt.replicate = true;
         } else if (arg == "--partition-only") {
@@ -190,8 +160,16 @@ parseArgs(int argc, char **argv)
     }
     if (opt.graphFile.empty())
         usage();
-    if (opt.incremental && opt.stateFile.empty())
-        fatal("--incremental needs --state FILE");
+    if (opt.incremental && opt.stateFile.empty()) {
+        std::fprintf(stderr, "%s: --incremental needs --state FILE\n",
+                     kTool);
+        std::exit(2);
+    }
+    cli::checkFlag(kTool, "--topology",
+                   explore::gridTopologyName(opt.topology),
+                   checkTopology(opt.topology, opt.fpgas));
+    cli::checkFlag(kTool, "--device", opt.device,
+                   makeDeviceByName(opt.device).status());
     return opt;
 }
 
@@ -227,7 +205,11 @@ main(int argc, char **argv)
     inform("loaded '%s': %d tasks, %d FIFOs", g.name().c_str(),
            g.numVertices(), g.numEdges());
 
-    Cluster cluster(makeDeviceByName(opt.device),
+    // One node of --fpgas cards of --device, wired as --topology. The
+    // serve/explore testbed (tryMakePaperTestbed) is U55C-only and
+    // splits more than 4 cards into host-linked nodes; this shape
+    // keeps --device and single-node partitions of any card count.
+    Cluster cluster(makeDeviceByName(opt.device).value(),
                     Topology(opt.topology, opt.fpgas));
 
     if (opt.partitionOnly) {

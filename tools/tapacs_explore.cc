@@ -39,8 +39,8 @@
  *                    value)
  *   --deadline-ms N  per-point deadline slice (negative = none, the
  *                    default); sliced points are never written to
- *                    the cache (volatile-context rule), so slicing
- *                    trades reuse for bounded latency
+ *                    the cache (no compile under a deadline is),
+ *                    so slicing trades reuse for bounded latency
  *   --no-cache       sweep-private in-memory cache only (the default
  *                    shares the process-global cache)
  *   --cache-dir D    add a disk tier at D
@@ -136,14 +136,10 @@ parseArgs(int argc, char **argv)
         else if (arg == "--scale")
             opt.scale = cli::intFlag(kTool, arg, next(), 0,
                                      1'000'000'000'000LL);
-        else if (arg == "--mode") {
-            const Status st =
-                serve::parseModeName(next(), &opt.mode);
-            if (!st.ok()) {
-                std::fprintf(stderr, "%s\n", st.message().c_str());
-                std::exit(2);
-            }
-        } else if (arg == "--threads")
+        else if (arg == "--mode")
+            opt.mode =
+                cli::nameFlag(kTool, arg, next(), serve::parseModeName);
+        else if (arg == "--threads")
             opt.threads = static_cast<int>(
                 cli::intFlag(kTool, arg, next(), 0, 1024));
         else if (arg == "--deadline-ms")

@@ -1,7 +1,7 @@
 /**
  * @file
  * trace_summary: read a Chrome trace_event JSON produced by the
- * tapacs tracer (TAPACS_TRACE / CompileOptions::trace) and print a
+ * tapacs tracer (TAPACS_TRACE) and print a
  * per-phase and per-thread wall-time breakdown. The per-phase table
  * covers compile phases, simulator runs (sim.run) and the serve and
  * fleet request stages.
@@ -261,7 +261,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "usage: %s <trace.json>\n"
                      "  Summarizes a Chrome trace produced via "
-                     "TAPACS_TRACE or CompileOptions::trace.\n",
+                     "TAPACS_TRACE.\n",
                      argv[0]);
         return 2;
     }

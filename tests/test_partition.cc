@@ -12,17 +12,20 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/pagerank.hh"
 #include "apps/synth.hh"
 #include "cache/compile_cache.hh"
+#include "common/crc64.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "floorplan/inter_fpga.hh"
 #include "graph/algorithms.hh"
 #include "graph/serialize.hh"
 #include "hls/synthesis.hh"
+#include "obs/metrics.hh"
 #include "partition/hypergraph.hh"
 #include "partition/multilevel.hh"
 #include "partition/replicate.hh"
@@ -292,6 +295,105 @@ TEST(MultilevelProperties, BitIdenticalAcrossThreadCounts)
             << "seed " << seed;
         EXPECT_EQ(a.replication, b.replication) << "seed " << seed;
         EXPECT_DOUBLE_EQ(a.cost, b.cost) << "seed " << seed;
+    }
+}
+
+/** CRC-64 over the raw bytes of a sequence of values; doubles enter
+ *  by bit pattern, so any change in a sum's order shows. */
+class PinDigest
+{
+  public:
+    template <typename T>
+    void
+    add(const T &x)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        crc_ = crc64(&x, sizeof x, crc_);
+    }
+
+    template <typename T>
+    void
+    add(const std::vector<T> &xs)
+    {
+        add(static_cast<std::int64_t>(xs.size()));
+        if (!xs.empty())
+            crc_ = crc64(xs.data(), xs.size() * sizeof(T), crc_);
+    }
+
+    std::string
+    hex() const
+    {
+        return strprintf("%016llx",
+                         static_cast<unsigned long long>(crc_));
+    }
+
+  private:
+    std::uint64_t crc_ = 0;
+};
+
+TEST(MultilevelProperties, HierarchyAndPartitionArePinned)
+{
+    // The V-cycle's coarsening and refinement are pure functions of
+    // (graph, cluster, options). These digests pin every level of the
+    // hierarchy and the replicated solveL1 result on the benchmark's
+    // 5k synth graph, so a rewrite of either half must reproduce
+    // them bit for bit, at any thread count.
+    const apps::AppDesign app =
+        apps::buildSynthetic(apps::SynthConfig::scaled(5000, 3));
+    const TaskGraph &g = app.graph;
+    struct Case
+    {
+        const char *name;
+        Cluster cluster;
+        const char *hierarchy;
+        const char *result;
+    };
+    const Case cases[] = {
+        {"mesh8", Cluster(makeU55C(), Topology(TopologyKind::Mesh2D, 8)),
+         "be831d1e34666ee6", "6a0d72bc97d9406c"},
+        {"testbed8", makePaperTestbed(8), "be831d1e34666ee6",
+         "1ca7d8dbf940e6cb"},
+    };
+    for (const Case &c : cases) {
+        InterFpgaOptions opt;
+        opt.backend = L1Backend::Multilevel;
+        opt.replicate = true;
+        opt.channelsPerDevice = c.cluster.device().memory().channels;
+
+        // The hierarchy exactly as runVCycle builds it.
+        CoarsenOptions copt;
+        copt.targetVertices =
+            std::max(opt.coarseLimit, 2 * c.cluster.numDevices());
+        copt.mergeCap = interFpgaDeviceBudget(g, c.cluster, opt);
+        copt.mergeCap *= 0.5;
+        copt.channelMergeCap = opt.channelsPerDevice / 2;
+        copt.seed = opt.seed;
+        PinDigest h;
+        for (const Level &level : buildHierarchy(g, copt)) {
+            h.add(level.hg.pins);
+            h.add(level.hg.netWeight);
+            h.add(level.coarseOf);
+        }
+        EXPECT_EQ(h.hex(), c.hierarchy) << c.name;
+
+        const obs::Counter &fm = obs::MetricsRegistry::global().counter(
+            "tapacs.partition.fm_moves");
+        for (const int threads : {1, 4}) {
+            opt.numThreads = threads;
+            const std::int64_t fm0 = fm.value();
+            const InterFpgaResult r = solveL1(g, c.cluster, opt);
+            const std::int64_t fmMoves = fm.value() - fm0;
+            ASSERT_TRUE(r.feasible) << c.name;
+            PinDigest d;
+            d.add(r.partition.deviceOf);
+            d.add(r.cost);
+            d.add(r.cutTrafficBytes);
+            d.add(r.levels);
+            d.add(r.replication.totalReplicas());
+            d.add(fmMoves);
+            EXPECT_EQ(d.hex(), c.result)
+                << c.name << " threads=" << threads;
+        }
     }
 }
 

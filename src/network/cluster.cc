@@ -19,6 +19,23 @@ Cluster::Cluster(DeviceModel device, Topology nodeTopology, int numNodes,
 {
     if (numNodes_ < 1)
         fatal("cluster requires at least one node, got %d", numNodes_);
+    const int f = numDevices();
+    costTable_.assign(static_cast<std::size_t>(f) * f, 0.0);
+    for (DeviceId a = 0; a < f; ++a) {
+        for (DeviceId b = 0; b < f; ++b) {
+            double &cost = costTable_[static_cast<std::size_t>(a) * f + b];
+            if (a == b)
+                continue;
+            if (sameNode(a, b)) {
+                const int hops =
+                    nodeTopology_.dist(localIndex(a), localIndex(b));
+                cost = hops * intraLink_.lambda();
+            } else {
+                // dev -> host (PCIe), host -> host (10G), host -> dev.
+                cost = 2.0 * hostLink_.lambda() + interNodeLink_.lambda();
+            }
+        }
+    }
 }
 
 int
@@ -39,19 +56,6 @@ bool
 Cluster::sameNode(DeviceId a, DeviceId b) const
 {
     return nodeOf(a) == nodeOf(b);
-}
-
-double
-Cluster::costDistance(DeviceId a, DeviceId b) const
-{
-    if (a == b)
-        return 0.0;
-    if (sameNode(a, b)) {
-        const int hops = nodeTopology_.dist(localIndex(a), localIndex(b));
-        return hops * intraLink_.lambda();
-    }
-    // dev -> host (PCIe), host -> host (10G), host -> dev (PCIe).
-    return 2.0 * hostLink_.lambda() + interNodeLink_.lambda();
 }
 
 Seconds

@@ -17,8 +17,10 @@
 #ifndef TAPACS_NETWORK_CLUSTER_HH
 #define TAPACS_NETWORK_CLUSTER_HH
 
+#include <cstddef>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/status.hh"
 #include "device/device.hh"
 #include "network/link.hh"
@@ -70,9 +72,17 @@ class Cluster
      * pairs cost hop-count x lambda of the FPGA link; inter-node
      * pairs additionally pay two host hops (PCIe lambda) plus the
      * inter-node lambda (paper eq. 2-4 with the lambda adjustment of
-     * section 4.3).
+     * section 4.3). Every refinement gain evaluates this, so it is a
+     * range-checked lookup into a devices x devices table the
+     * constructor fills.
      */
-    double costDistance(DeviceId a, DeviceId b) const;
+    double
+    costDistance(DeviceId a, DeviceId b) const
+    {
+        const int f = numDevices();
+        tapacs_assert(a >= 0 && a < f && b >= 0 && b < f);
+        return costTable_[static_cast<std::size_t>(a) * f + b];
+    }
 
     /**
      * Wall-clock time to move @p bytes from device a to device b.
@@ -92,6 +102,7 @@ class Cluster
     LinkModel intraLink_;
     LinkModel hostLink_;
     LinkModel interNodeLink_;
+    std::vector<double> costTable_; // row-major, numDevices^2
 };
 
 /**

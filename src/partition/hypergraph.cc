@@ -11,6 +11,14 @@ namespace tapacs::partition
 namespace
 {
 
+/** A two-pin net before parallel nets are merged (lo < hi). */
+struct RawNet
+{
+    VertexId lo;
+    VertexId hi;
+    double weight;
+};
+
 /** Finish a Hypergraph under construction: build the vertex->net CSR
  *  from the (already final) net pin lists. */
 void
@@ -30,6 +38,63 @@ buildIncidence(Hypergraph &hg)
         for (int i = hg.netOffset[net]; i < hg.netOffset[net + 1]; ++i)
             hg.vtxNets[cursor[hg.pins[i]]++] = net;
     }
+}
+
+/**
+ * Give @p hg (vertices already set) the nets of @p raw with parallel
+ * nets merged, then its incidence. The first raw net of each pin pair
+ * stands for the pair and takes the next net id; the others add their
+ * weight to it in raw order. Raw nets are bucketed by low pin, and a
+ * marker array stamped with the bucket's pin finds a high pin's first
+ * net in O(1), so the merge is O(nets + vertices).
+ */
+void
+setNets(Hypergraph &hg, const std::vector<RawNet> &raw)
+{
+    const int n = hg.numVertices();
+    const int m = static_cast<int>(raw.size());
+    std::vector<int> start(n + 1, 0);
+    for (const RawNet &r : raw)
+        ++start[r.lo + 1];
+    for (int v = 0; v < n; ++v)
+        start[v + 1] += start[v];
+    std::vector<int> bucket(m);
+    {
+        std::vector<int> cursor(start.begin(), start.end() - 1);
+        for (int i = 0; i < m; ++i)
+            bucket[cursor[raw[i].lo]++] = i;
+    }
+
+    // rep[i]: the first raw net with raw[i]'s pins (buckets keep raw
+    // order, so the first one seen in a bucket is the first overall).
+    std::vector<int> rep(m);
+    std::vector<VertexId> mark(n, -1);
+    std::vector<int> first(n);
+    for (VertexId lo = 0; lo < n; ++lo) {
+        for (int k = start[lo]; k < start[lo + 1]; ++k) {
+            const int i = bucket[k];
+            const VertexId hi = raw[i].hi;
+            if (mark[hi] != lo) {
+                mark[hi] = lo;
+                first[hi] = i;
+            }
+            rep[i] = first[hi];
+        }
+    }
+
+    std::vector<int> id(m);
+    for (int i = 0; i < m; ++i) {
+        if (rep[i] != i) {
+            hg.netWeight[id[rep[i]]] += raw[i].weight;
+            continue;
+        }
+        id[i] = hg.numNets();
+        hg.pins.push_back(raw[i].lo);
+        hg.pins.push_back(raw[i].hi);
+        hg.netOffset.push_back(static_cast<int>(hg.pins.size()));
+        hg.netWeight.push_back(raw[i].weight);
+    }
+    buildIncidence(hg);
 }
 
 /**
@@ -123,35 +188,17 @@ coarsenOnce(const Hypergraph &hg, const CoarsenOptions &opt, Rng &rng,
         out.channels.push_back(ch);
     }
 
-    // Re-net: drop internal nets, merge parallel coarse nets via
-    // per-vertex seen lists (deterministic, no hashing).
-    std::vector<std::vector<std::pair<int, int>>> seen(
-        out.numVertices());
+    // Re-net: drop internal nets, merge parallel coarse nets.
+    std::vector<RawNet> raw;
+    raw.reserve(hg.numNets());
     for (int net = 0; net < hg.numNets(); ++net) {
         const int ca = coarseOf[hg.pins[hg.netOffset[net]]];
         const int cb = coarseOf[hg.pins[hg.netOffset[net] + 1]];
-        if (ca == cb)
-            continue;
-        const int lo = std::min(ca, cb), hi = std::max(ca, cb);
-        int found = -1;
-        for (auto &[other, id] : seen[lo]) {
-            if (other == hi) {
-                found = id;
-                break;
-            }
-        }
-        if (found < 0) {
-            seen[lo].push_back({hi, out.numNets()});
-            out.pins.push_back(lo);
-            out.pins.push_back(hi);
-            out.netOffset.push_back(
-                static_cast<int>(out.pins.size()));
-            out.netWeight.push_back(hg.netWeight[net]);
-        } else {
-            out.netWeight[found] += hg.netWeight[net];
-        }
+        if (ca != cb)
+            raw.push_back({std::min(ca, cb), std::max(ca, cb),
+                           hg.netWeight[net]});
     }
-    buildIncidence(out);
+    setNets(out, raw);
     return out;
 }
 
@@ -168,30 +215,14 @@ buildHypergraph(const TaskGraph &g)
         hg.area[v] = g.vertex(v).area;
         hg.channels[v] = g.vertex(v).work.memChannels;
     }
-    std::vector<std::vector<std::pair<int, int>>> seen(n);
+    std::vector<RawNet> raw;
+    raw.reserve(g.numEdges());
     for (const auto &e : g.edges()) {
-        if (e.src == e.dst)
-            continue; // a self-loop never crosses a cut
-        const int lo = std::min(e.src, e.dst);
-        const int hi = std::max(e.src, e.dst);
-        int found = -1;
-        for (auto &[other, id] : seen[lo]) {
-            if (other == hi) {
-                found = id;
-                break;
-            }
-        }
-        if (found < 0) {
-            seen[lo].push_back({hi, hg.numNets()});
-            hg.pins.push_back(lo);
-            hg.pins.push_back(hi);
-            hg.netOffset.push_back(static_cast<int>(hg.pins.size()));
-            hg.netWeight.push_back(static_cast<double>(e.widthBits));
-        } else {
-            hg.netWeight[found] += static_cast<double>(e.widthBits);
-        }
+        if (e.src != e.dst) // a self-loop never crosses a cut
+            raw.push_back({std::min(e.src, e.dst), std::max(e.src, e.dst),
+                           static_cast<double>(e.widthBits)});
     }
-    buildIncidence(hg);
+    setNets(hg, raw);
     return hg;
 }
 

@@ -8,9 +8,12 @@
  * paper's eq. 2 objective is symmetric in costDistance, so merging
  * parallel and anti-parallel edges preserves the total cut cost
  * exactly). Pins and vertex->net incidence are stored CSR so the
- * per-level refinement walks contiguous memory; the build is
- * adjacency-scan based (no hashing), so it is deterministic and
- * O(E * avg-degree) — fine up to the 50k-module target.
+ * per-level refinement walks contiguous memory. Parallel nets are
+ * merged without hashing: nets are bucketed by their low pin and a
+ * marker array finds each pin pair's first net, so the build is
+ * deterministic and O(E + V). The first net of a pair (in edge or
+ * net order) takes the next net id and the rest add their weight to
+ * it in that order.
  *
  * Coarsening produces a hierarchy of these hypergraphs via seeded
  * heavy-edge matching with high-degree-node (HDN) exclusion: hub

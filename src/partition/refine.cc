@@ -48,20 +48,39 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
         ch[part[v]] += hg.channels[v];
     }
 
-    // Connectivity cost of v sitting on device d, plus the hint
-    // migration penalty (mirrors the exact engine's refine()).
-    auto vertexCost = [&](VertexId v, DeviceId d) {
-        double c = 0.0;
+    // Connectivity cost of v sitting on each device, plus the hint
+    // migration penalty (mirrors the exact engine's refine()), written
+    // to row[0..f). One walk of v's nets; every device accumulates its
+    // terms in net order and takes the hint term last.
+    auto costRow = [&](VertexId v, double *row) {
+        std::fill(row, row + f, 0.0);
         for (int i = hg.vtxOffset[v]; i < hg.vtxOffset[v + 1]; ++i) {
             const int net = hg.vtxNets[i];
-            c += hg.netWeight[net] *
-                 cluster.costDistance(d, part[hg.otherPin(net, v)]);
+            const double w = hg.netWeight[net];
+            const DeviceId od = part[hg.otherPin(net, v)];
+            for (DeviceId d = 0; d < f; ++d)
+                row[d] += w * cluster.costDistance(d, od);
         }
         if (!hint.empty() && hint[v] >= 0 && hint[v] < f &&
-            options.allowed(hint[v]) && d != hint[v]) {
-            c += kHintWeight;
+            options.allowed(hint[v])) {
+            for (DeviceId d = 0; d < f; ++d) {
+                if (d != hint[v])
+                    row[d] += kHintWeight;
+            }
         }
-        return c;
+    };
+
+    // Gain cache: boundary[v] and cost[v * f ..] hold v's state for the
+    // current partition unless dirty[v]. They depend only on where v
+    // and its net neighbours sit, so a move dirties the mover and its
+    // neighbours and nothing else. The cost row is only kept for
+    // vertices that can move (boundary, or any vertex under hints).
+    std::vector<char> dirty(n, 1);
+    std::vector<char> boundary(n, 0);
+    std::vector<double> cost(static_cast<std::size_t>(n) * f);
+    std::vector<double> scratch(f);
+    auto row = [&](VertexId v) {
+        return cost.data() + static_cast<std::size_t>(v) * f;
     };
 
     std::vector<Move> moves(n);
@@ -74,9 +93,11 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
             break;
         ++stats.passes;
 
-        // Parallel pure gain map over boundary vertices. Reads the
-        // pass-start snapshot of part/used/ch; results land in
-        // index-ordered slots, so the map is thread-count-invariant.
+        // Parallel pure gain map: refresh the dirty cache entries,
+        // then pick each movable vertex's best feasible target
+        // against the pass-start snapshot of part/used/ch. Results
+        // land in index-ordered slots, so the map is
+        // thread-count-invariant.
         auto mapOne = [&](std::int64_t vi) {
             const auto v = static_cast<VertexId>(vi);
             Move &m = moves[v];
@@ -84,15 +105,19 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
             m.target = -1;
             m.gain = 0.0;
             const DeviceId cur = part[v];
-            bool boundary = false;
-            for (int i = hg.vtxOffset[v];
-                 i < hg.vtxOffset[v + 1] && !boundary; ++i) {
-                const int net = hg.vtxNets[i];
-                boundary = part[hg.otherPin(net, v)] != cur;
+            if (dirty[v]) {
+                dirty[v] = 0;
+                bool b = false;
+                for (int i = hg.vtxOffset[v]; i < hg.vtxOffset[v + 1] && !b;
+                     ++i)
+                    b = part[hg.otherPin(hg.vtxNets[i], v)] != cur;
+                boundary[v] = b;
+                if (b || !hint.empty())
+                    costRow(v, row(v));
             }
-            if (!boundary && hint.empty())
+            if (!boundary[v] && hint.empty())
                 return;
-            const double curCost = vertexCost(v, cur);
+            const double *c = row(v);
             for (DeviceId d = 0; d < f; ++d) {
                 if (d == cur || !options.allowed(d))
                     continue;
@@ -103,7 +128,7 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
                 if (options.channelsPerDevice > 0 &&
                     ch[d] + hg.channels[v] > options.channelsPerDevice)
                     continue;
-                const double gain = curCost - vertexCost(v, d);
+                const double gain = c[cur] - c[d];
                 if (gain > m.gain + kGainEps) {
                     m.gain = gain;
                     m.target = d;
@@ -129,13 +154,12 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
 
         // Serial application in the sorted order; every move is
         // re-validated against the *current* state (earlier moves in
-        // this pass may have changed neighbours or budgets).
+        // this pass may have changed neighbours or budgets). A clean
+        // cache row is current; a dirtied one is recomputed aside.
         int applied = 0;
         for (int v : candidates) {
             const DeviceId cur = part[v];
             const DeviceId d = moves[v].target;
-            if (d == cur)
-                continue;
             ResourceVector after = used[d];
             after += hg.area[v];
             if (!after.fitsWithin(budget))
@@ -143,14 +167,21 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
             if (options.channelsPerDevice > 0 &&
                 ch[d] + hg.channels[v] > options.channelsPerDevice)
                 continue;
-            const double gain = vertexCost(v, cur) - vertexCost(v, d);
-            if (gain <= kGainEps)
+            const double *c = row(v);
+            if (dirty[v]) {
+                costRow(v, scratch.data());
+                c = scratch.data();
+            }
+            if (c[cur] - c[d] <= kGainEps)
                 continue;
             used[cur] -= hg.area[v];
             used[d] = after;
             ch[cur] -= hg.channels[v];
             ch[d] += hg.channels[v];
             part[v] = d;
+            dirty[v] = 1;
+            for (int i = hg.vtxOffset[v]; i < hg.vtxOffset[v + 1]; ++i)
+                dirty[hg.otherPin(hg.vtxNets[i], v)] = 1;
             ++applied;
         }
         stats.moves += applied;

@@ -13,6 +13,16 @@
  * the refined partition is bit-identical at any thread count —
  * parallelism only shortens the gain map.
  *
+ * The gain map reads a per-level cache: each vertex's boundary flag
+ * and its cost on every device (n x devices doubles, freed on
+ * return). An entry depends only on where the vertex and its net
+ * neighbours sit, so an applied move marks the mover and its
+ * neighbours dirty and the next pass recomputes just those; the
+ * feasibility checks and the target choice still run on every
+ * movable vertex each pass. A cost row sums its terms in the vertex's
+ * net order with the hint term last, whether it is cached or
+ * recomputed, so the cache changes no bit of any gain.
+ *
  * The hint penalty matches the exact engine's refine(): a hinted
  * vertex pays kHintWeight for sitting off its hint, so hinted
  * multilevel solves keep survivors put exactly like hinted exact

@@ -243,6 +243,45 @@ TEST(Cluster, CostDistanceIntraVsInter)
     EXPECT_GT(c.costDistance(0, 4), c.costDistance(0, 2));
 }
 
+TEST(Cluster, CostDistanceTableMatchesFormula)
+{
+    // costDistance reads a table filled once per cluster; every entry
+    // must equal the eq. 2-4 distance recomputed here, bit for bit.
+    const Cluster clusters[] = {
+        Cluster(makeU55C(), Topology(TopologyKind::Ring, 8)),
+        Cluster(makeU55C(), Topology(TopologyKind::Mesh2D, 8)),
+        Cluster(makeU55C(), Topology(TopologyKind::Hypercube, 8)),
+        makePaperTestbed(8), // two ring nodes, host-routed between
+    };
+    for (const Cluster &c : clusters) {
+        const int f = c.numDevices();
+        for (DeviceId a = 0; a < f; ++a) {
+            for (DeviceId b = 0; b < f; ++b) {
+                double want = 0.0;
+                if (c.nodeOf(a) != c.nodeOf(b)) {
+                    want = 2.0 * c.hostLink().lambda() +
+                           c.interNodeLink().lambda();
+                } else if (a != b) {
+                    want = c.nodeTopology().dist(c.localIndex(a),
+                                                 c.localIndex(b)) *
+                           c.intraLink().lambda();
+                }
+                EXPECT_EQ(c.costDistance(a, b), want)
+                    << toString(c.nodeTopology().kind()) << " x"
+                    << c.numNodes() << " " << a << "->" << b;
+            }
+        }
+    }
+    const Cluster &twoNodes = clusters[3];
+    EXPECT_EQ(twoNodes.costDistance(1, 6), 2.0 * 12.5 + 10.0);
+
+    // The lookup keeps the range check on both devices.
+    const Cluster &ring = clusters[0];
+    EXPECT_DEATH(ring.costDistance(0, 8), "assertion");
+    EXPECT_DEATH(ring.costDistance(8, 0), "assertion");
+    EXPECT_DEATH(ring.costDistance(-1, -1), "assertion");
+}
+
 TEST(Cluster, TransferTimeHierarchy)
 {
     // Paper Table 9: on-chip > HBM > inter-FPGA > inter-node.

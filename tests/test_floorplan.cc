@@ -11,12 +11,18 @@
 #include <optional>
 #include <set>
 
+#include "apps/cnn.hh"
+#include "apps/knn.hh"
+#include "apps/pagerank.hh"
 #include "apps/stencil.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "compiler/compiler.hh"
 #include "floorplan/hbm_binding.hh"
 #include "floorplan/inter_fpga.hh"
 #include "floorplan/intra_fpga.hh"
+#include "hls/synthesis.hh"
+#include "pin_digest.hh"
 
 namespace tapacs
 {
@@ -225,6 +231,77 @@ TEST(InterFpga, ReportsElapsedAndCoarseSize)
     EXPECT_GT(r.elapsedSeconds, 0.0);
     EXPECT_LE(r.coarseVertices, 60);
     EXPECT_GE(r.coarseVertices, 1);
+}
+
+/** A paper design at @p fpgas FPGAs (perfbench paper-f4's configs)
+ *  with its HLS areas stamped, as compileProgram hands it to L1. */
+TaskGraph
+paperDesign(const std::string &name, int fpgas)
+{
+    apps::AppDesign app;
+    if (name == "stencil")
+        app = apps::buildStencil(apps::StencilConfig::scaled(64, fpgas));
+    else if (name == "pagerank")
+        app = apps::buildPageRank(apps::PageRankConfig::scaled(
+            apps::pagerankDataset("cit-Patents"), fpgas));
+    else if (name == "knn")
+        app = apps::buildKnn(apps::KnnConfig::scaled(4'000'000, 2, fpgas));
+    else
+        app = apps::buildCnn(apps::CnnConfig::scaled(fpgas));
+    hls::applySynthesis(app.graph, hls::synthesizeAll(app.tasks));
+    return app.graph;
+}
+
+TEST(InterFpga, PaperDesignsArePinned)
+{
+    // The exact engine is a pure function of (graph, cluster,
+    // options). These digests pin its result on the four paper
+    // designs at F2-F4 on the paper's ring, with the coarse ILP and
+    // without, so a rewrite must reproduce every partition, cost and
+    // unit of search effort bit for bit.
+    struct Case
+    {
+        const char *design;
+        int fpgas;
+        const char *ilp;
+        const char *greedy;
+    };
+    const Case cases[] = {
+        {"stencil", 2, "4ea1d87aab875869", "fa36a3c128569040"},
+        {"stencil", 3, "bf720ed8a73fccce", "a44c8682a8132acb"},
+        {"stencil", 4, "e90cc890ed525183", "f2e2cb535420e888"},
+        {"pagerank", 2, "bf2f470aae01c794", "a19f4ef9061be027"},
+        {"pagerank", 3, "bfe0624f50c82726", "6c387107a39a6137"},
+        {"pagerank", 4, "6a1fa5f45dfb673f", "31664b62b50321e9"},
+        {"knn", 2, "d23ed55e4efa8369", "df194ad7a8329ab1"},
+        {"knn", 3, "841df63fc0a6a541", "89a8da4fc74eec41"},
+        {"knn", 4, "a42d06f75b5685d5", "fab53697fa888a4e"},
+        {"cnn", 2, "dd99cc661341e737", "75fbc42ad18a08c3"},
+        {"cnn", 3, "88314f0000da3907", "d565ad8c4f0015af"},
+        {"cnn", 4, "a3f530c9890f75de", "785f139fa82b5b4e"},
+    };
+    for (const Case &c : cases) {
+        const TaskGraph g = paperDesign(c.design, c.fpgas);
+        const Cluster cluster = makePaperTestbed(c.fpgas);
+        for (const bool useIlp : {true, false}) {
+            InterFpgaOptions opt;
+            opt.reserved = networkIpArea(cluster.device(), kNetworkPorts);
+            opt.channelsPerDevice = cluster.device().memory().channels;
+            opt.useIlp = useIlp;
+            const InterFpgaResult r = floorplanInterFpga(g, cluster, opt);
+            PinDigest d;
+            d.add(r.feasible);
+            d.add(r.partition.deviceOf);
+            d.add(r.cost);
+            d.add(r.cutTrafficBytes);
+            d.add(r.coarseVertices);
+            d.add(r.solverStats.nodesExplored);
+            d.add(r.solverStats.lpIterations);
+            EXPECT_EQ(d.hex(), useIlp ? c.ilp : c.greedy)
+                << c.design << " F" << c.fpgas
+                << (useIlp ? " ilp" : " greedy");
+        }
+    }
 }
 
 // ---- Intra-FPGA ---------------------------------------------------------

@@ -12,13 +12,11 @@
 
 #include <algorithm>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "apps/pagerank.hh"
 #include "apps/synth.hh"
 #include "cache/compile_cache.hh"
-#include "common/crc64.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "floorplan/inter_fpga.hh"
@@ -29,6 +27,7 @@
 #include "partition/hypergraph.hh"
 #include "partition/multilevel.hh"
 #include "partition/replicate.hh"
+#include "pin_digest.hh"
 #include "serve/manifest.hh"
 
 namespace tapacs
@@ -297,39 +296,6 @@ TEST(MultilevelProperties, BitIdenticalAcrossThreadCounts)
         EXPECT_DOUBLE_EQ(a.cost, b.cost) << "seed " << seed;
     }
 }
-
-/** CRC-64 over the raw bytes of a sequence of values; doubles enter
- *  by bit pattern, so any change in a sum's order shows. */
-class PinDigest
-{
-  public:
-    template <typename T>
-    void
-    add(const T &x)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        crc_ = crc64(&x, sizeof x, crc_);
-    }
-
-    template <typename T>
-    void
-    add(const std::vector<T> &xs)
-    {
-        add(static_cast<std::int64_t>(xs.size()));
-        if (!xs.empty())
-            crc_ = crc64(xs.data(), xs.size() * sizeof(T), crc_);
-    }
-
-    std::string
-    hex() const
-    {
-        return strprintf("%016llx",
-                         static_cast<unsigned long long>(crc_));
-    }
-
-  private:
-    std::uint64_t crc_ = 0;
-};
 
 TEST(MultilevelProperties, HierarchyAndPartitionArePinned)
 {

@@ -88,18 +88,10 @@ interKey(const TaskGraph &g, const Cluster &cluster, int numFpgas,
     b.i64(options.backend == L1Backend::Multilevel ? 1 : 0)
         .i64(options.replicate ? 1 : 0)
         .i64(options.mlIlpVertexLimit);
-    b.i64(static_cast<std::int64_t>(options.deviceAllowed.size()));
-    for (char a : options.deviceAllowed)
-        b.i64(a ? 1 : 0);
-    // A caller-hinted solve (replan()) can land on a different
-    // tied-optimal point than a cold one, so the hints are content:
-    // its result is stored under its own hint-bearing key.
-    b.i64(static_cast<std::int64_t>(options.hint.size()));
-    if (!options.hint.empty()) {
-        for (DeviceId d : options.hint)
-            b.i64(d);
-        b.f64(kHintWeight);
-    }
+    // Two zeros where the key once folded the lengths of a device
+    // mask and a per-vertex placement hint (both always empty), so
+    // existing entries stay addressable under schema 5.
+    b.i64(0).i64(0);
     mixSolver(b, options.solver);
     return b.build();
 }

@@ -260,8 +260,6 @@ compile(const TaskGraph &g, const Cluster &cluster,
         bool l1_cached = false;
         InterFpgaResult l1;
         if (cc != nullptr && !inter.ctx.expired()) {
-            // Caller-passed hints (replan()) are part of the key, so a
-            // hinted result is as exact as a cold one.
             l1_key = cache::interKey(g, cluster, fpgas, inter);
             l1_cached = cc->getInter(l1_key, g.numVertices(), &l1);
             l1_used_key = l1_key;
@@ -512,9 +510,7 @@ compile(const TaskGraph &g, const Cluster &cluster,
 
     // Reuse signature: the content keys + blobs of every solver
     // artifact this run bound, for recompile() to seed forward. Only
-    // keys whose blob actually sits in the store are captured — a
-    // hinted L1 solve, for example, is never stored under its exact
-    // key and so is deliberately absent here.
+    // keys whose blob actually sits in the store are captured.
     if (cc != nullptr && may_store) {
         out.signature.schemaVersion = cache::kSchemaVersion;
         auto capture = [&](const char *tier,
@@ -529,77 +525,6 @@ compile(const TaskGraph &g, const Cluster &cluster,
             capture(cache::kTierL2Device, key);
     }
     return out;
-}
-
-CompileResult
-replan(const TaskGraph &g, const Cluster &cluster,
-       const CompileOptions &options,
-       const std::vector<DeviceId> &failedDevices,
-       const DevicePartition *previous,
-       const std::vector<Hertz> &fmaxCeiling)
-{
-    if (options.mode != CompileMode::TapaCs || options.numFpgas <= 1) {
-        CompileResult out;
-        out.mode = options.mode;
-        out.status = Status::invalidInput(
-            "replan: only the multi-FPGA TAPA-CS flow can exclude "
-            "failed devices (mode %s, %d FPGA(s))",
-            toString(options.mode), options.numFpgas);
-        out.failureReason = out.status.message();
-        return out;
-    }
-
-    std::vector<char> allowed(options.numFpgas, 1);
-    for (DeviceId d : failedDevices) {
-        if (d < 0 || d >= options.numFpgas) {
-            CompileResult out;
-            out.mode = options.mode;
-            out.status = Status::invalidInput(
-                "replan: failed device %d out of range [0, %d)", d,
-                options.numFpgas);
-            out.failureReason = out.status.message();
-            return out;
-        }
-        allowed[d] = 0;
-    }
-    int survivors = 0;
-    for (char a : allowed)
-        survivors += a ? 1 : 0;
-    if (survivors == 0) {
-        CompileResult out;
-        out.mode = options.mode;
-        out.failureReason = "replan: every device has failed";
-        out.status = Status::infeasible("%s", out.failureReason.c_str());
-        return out;
-    }
-
-    CompileOptions opts = options;
-    opts.inter.deviceAllowed = allowed;
-    opts.inter.hint.clear();
-    if (previous != nullptr) {
-        if (static_cast<int>(previous->deviceOf.size()) !=
-            g.numVertices()) {
-            CompileResult out;
-            out.mode = options.mode;
-            out.status = Status::invalidInput(
-                "replan: previous partition covers %zu vertices but "
-                "the graph has %d",
-                previous->deviceOf.size(), g.numVertices());
-            out.failureReason = out.status.message();
-            return out;
-        }
-        opts.inter.hint.assign(g.numVertices(), -1);
-        for (VertexId v = 0; v < g.numVertices(); ++v) {
-            const DeviceId d = previous->deviceOf[v];
-            if (d >= 0 && d < options.numFpgas && allowed[d])
-                opts.inter.hint[v] = d;
-        }
-    }
-
-    inform("replan: %zu device(s) failed, re-floorplanning onto %d "
-           "survivor(s)",
-           failedDevices.size(), survivors);
-    return compile(g, cluster, opts, fmaxCeiling);
 }
 
 CompileResult

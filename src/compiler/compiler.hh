@@ -246,30 +246,6 @@ CompileResult compile(const TaskGraph &g, const Cluster &cluster,
                       const std::vector<Hertz> &fmaxCeiling = {});
 
 /**
- * Failure-aware re-floorplan: recompile after losing FPGAs.
- *
- * Re-runs the full TapaCs flow with @p failedDevices excluded from
- * the inter-FPGA ILP (their topology ids — and hence eq. 3/4 cable
- * distances between survivors — are preserved). When @p previous is
- * given, surviving placements are fed to the level-1 solver as
- * placement hints so tasks stay put wherever that remains feasible
- * under the eq. 1 threshold; tasks stranded on a dead device get no
- * hint and are re-placed freely.
- *
- * Returns routable = false with a failure reason when every device
- * failed or the survivors cannot hold the design under the threshold.
- * Only meaningful for CompileMode::TapaCs with numFpgas > 1; other
- * modes return InvalidInput (a single-FPGA flow has nothing to fail
- * over to), as do out-of-range device ids and a mis-sized previous
- * partition.
- */
-CompileResult replan(const TaskGraph &g, const Cluster &cluster,
-                     const CompileOptions &options,
-                     const std::vector<DeviceId> &failedDevices,
-                     const DevicePartition *previous = nullptr,
-                     const std::vector<Hertz> &fmaxCeiling = {});
-
-/**
  * Convenience: synthesize the task IRs (step 2), stamp the areas onto
  * the graph, then compile. The per-task fmax ceilings from synthesis
  * feed the timing model.

@@ -202,8 +202,6 @@ greedyAssign(const TaskGraph &g, const Cluster &cluster,
         double best_cost = std::numeric_limits<double>::infinity();
         bool best_feasible = false;
         for (int d = 0; d < f; ++d) {
-            if (!opt.allowed(d))
-                continue;
             ResourceVector after = used[d];
             after += g.vertex(v).area;
             bool feasible = after.fitsWithin(budget);
@@ -228,10 +226,6 @@ greedyAssign(const TaskGraph &g, const Cluster &cluster,
                 addEdgeCost(e, g.edge(e).src);
             cost += balance_scale *
                     std::max(after.maxUtilization(cap), ch_frac);
-            // Warm-start bias: keep a vertex where it used to live
-            // unless the communication objective clearly disagrees.
-            if (!opt.hint.empty() && opt.hint[v] == d)
-                cost -= 0.5 * balance_scale;
             if (!feasible) {
                 cost += 1.0e12 * std::max(after.maxUtilization(budget),
                                           ch_frac);
@@ -314,7 +308,7 @@ repairChannels(const TaskGraph &g, const Cluster &cluster,
             return; // nothing movable; the caller's check will fail
         int target = -1;
         for (int d = 0; d < f; ++d) {
-            if (d == over || !opt.allowed(d))
+            if (d == over)
                 continue;
             if (ch[d] + g.vertex(mover).work.memChannels >
                 opt.channelsPerDevice) {
@@ -369,7 +363,6 @@ refine(const TaskGraph &g, const Cluster &cluster,
         bool improved = false;
         for (int v : order) {
             const int cur = p.deviceOf[v];
-            double cur_cost = 0.0;
             auto edgeCost = [&](int d) {
                 double c = 0.0;
                 for (EdgeId e : g.outEdges(v)) {
@@ -384,17 +377,11 @@ refine(const TaskGraph &g, const Cluster &cluster,
                         c += g.edge(e).widthBits *
                              cluster.costDistance(p.deviceOf[o], d);
                 }
-                // Same migration penalty the ILP pays (replan only).
-                if (!opt.hint.empty() && opt.hint[v] >= 0 &&
-                    opt.hint[v] < f && opt.allowed(opt.hint[v]) &&
-                    d != opt.hint[v]) {
-                    c += kHintWeight;
-                }
                 return c;
             };
-            cur_cost = edgeCost(cur);
+            const double cur_cost = edgeCost(cur);
             for (int d = 0; d < f; ++d) {
-                if (d == cur || !opt.allowed(d))
+                if (d == cur)
                     continue;
                 ResourceVector after = used[d];
                 after += g.vertex(v).area;
@@ -446,15 +433,6 @@ solveAssignmentIlp(const TaskGraph &g, const Cluster &cluster,
         for (int d = 0; d < f; ++d)
             sum.add(x[v * f + d], 1.0);
         model.addConstraint(std::move(sum), ilp::Sense::Equal, 1.0);
-    }
-    // Failed devices host nothing (replan exclusion).
-    for (int d = 0; d < f; ++d) {
-        if (opt.allowed(d))
-            continue;
-        ilp::LinExpr none;
-        for (int v = 0; v < n; ++v)
-            none.add(x[v * f + d], 1.0);
-        model.addConstraint(std::move(none), ilp::Sense::Equal, 0.0);
     }
     // Resource threshold per device (eq. 1).
     for (int d = 0; d < f; ++d) {
@@ -522,20 +500,6 @@ solveAssignmentIlp(const TaskGraph &g, const Cluster &cluster,
         }
         objective.add(de, static_cast<double>(edge.widthBits));
     }
-    // Migration penalty: a hinted vertex pays kHintWeight for leaving
-    // its previous device, so a replan moves survivors only when the
-    // communication saving covers the re-routing cost.
-    if (!opt.hint.empty()) {
-        for (int v = 0; v < n; ++v) {
-            const DeviceId h = opt.hint[v];
-            if (h < 0 || h >= f || !opt.allowed(h))
-                continue;
-            for (int d = 0; d < f; ++d) {
-                if (d != h)
-                    objective.add(x[v * f + d], kHintWeight);
-            }
-        }
-    }
     model.setObjective(std::move(objective));
 
     // Warm start from the greedy seed.
@@ -579,8 +543,8 @@ interFpgaDeviceBudget(const TaskGraph &g, const Cluster &cluster,
     ResourceVector cap = full;
     cap *= opt.threshold;
     cap -= opt.reserved;
-    // Balance the design over the devices that may actually host it.
-    const int f = opt.numAllowed(cluster.numDevices());
+    // Balance the design over every device of the cluster.
+    const int f = cluster.numDevices();
     if (f > 1) {
         const ResourceVector total = g.totalArea();
         for (int r = 0; r < kNumResourceKinds; ++r) {
@@ -595,36 +559,9 @@ interFpgaDeviceBudget(const TaskGraph &g, const Cluster &cluster,
 
 bool
 checkInterFpgaInputs(const TaskGraph &g, const Cluster &cluster,
-                     const InterFpgaOptions &options, int *availOut,
-                     InterFpgaResult *out)
+                     const InterFpgaOptions &options, InterFpgaResult *out)
 {
     const int f = cluster.numDevices();
-    if (!options.deviceAllowed.empty() &&
-        static_cast<int>(options.deviceAllowed.size()) != f) {
-        out->feasible = false;
-        out->status = Status::invalidInput(
-            "deviceAllowed mask covers %d devices but the cluster "
-            "has %d",
-            static_cast<int>(options.deviceAllowed.size()), f);
-        return false;
-    }
-    if (!options.hint.empty() &&
-        static_cast<int>(options.hint.size()) != g.numVertices()) {
-        out->feasible = false;
-        out->status = Status::invalidInput(
-            "placement hint covers %d vertices but the graph has %d",
-            static_cast<int>(options.hint.size()), g.numVertices());
-        return false;
-    }
-    const int avail = options.numAllowed(f);
-    if (avail == 0) {
-        warn("no usable device left for '%s' — every FPGA excluded",
-             g.name().c_str());
-        out->feasible = false;
-        out->status = Status::infeasible(
-            "no usable device left for '%s'", g.name().c_str());
-        return false;
-    }
     const ResourceVector budget =
         interFpgaDeviceBudget(g, cluster, options);
     for (int r = 0; r < kNumResourceKinds; ++r) {
@@ -638,17 +575,17 @@ checkInterFpgaInputs(const TaskGraph &g, const Cluster &cluster,
             return false;
         }
         const double need = g.totalArea()[kind];
-        if (need > budget[kind] * avail + 1e-9) {
+        if (need > budget[kind] * f + 1e-9) {
             warn("design '%s' needs %.0f %s but %d device(s) offer only "
                  "%.0f under threshold %.2f — add FPGAs",
-                 g.name().c_str(), need, toString(kind), avail,
-                 budget[kind] * avail, options.threshold);
+                 g.name().c_str(), need, toString(kind), f,
+                 budget[kind] * f, options.threshold);
             out->feasible = false;
             out->status = Status::infeasible(
                 "design '%s' needs %.0f %s but %d device(s) offer "
                 "only %.0f under threshold %.2f",
-                g.name().c_str(), need, toString(kind), avail,
-                budget[kind] * avail, options.threshold);
+                g.name().c_str(), need, toString(kind), f,
+                budget[kind] * f, options.threshold);
             return false;
         }
     }
@@ -656,20 +593,19 @@ checkInterFpgaInputs(const TaskGraph &g, const Cluster &cluster,
         int total_ch = 0;
         for (const auto &v : g.vertices())
             total_ch += v.work.memChannels;
-        if (total_ch > options.channelsPerDevice * avail) {
+        if (total_ch > options.channelsPerDevice * f) {
             warn("design '%s' binds %d memory channels but %d device(s) "
-                 "expose only %d", g.name().c_str(), total_ch, avail,
-                 options.channelsPerDevice * avail);
+                 "expose only %d", g.name().c_str(), total_ch, f,
+                 options.channelsPerDevice * f);
             out->feasible = false;
             out->status = Status::infeasible(
                 "design '%s' binds %d memory channels but %d "
                 "device(s) expose only %d",
-                g.name().c_str(), total_ch, avail,
-                options.channelsPerDevice * avail);
+                g.name().c_str(), total_ch, f,
+                options.channelsPerDevice * f);
             return false;
         }
     }
-    *availOut = avail;
     return true;
 }
 
@@ -681,10 +617,9 @@ floorplanInterFpga(const TaskGraph &g, const Cluster &cluster,
     g.validate();
 
     const int f = cluster.numDevices();
-    int avail = 0;
     {
         InterFpgaResult bad;
-        if (!checkInterFpgaInputs(g, cluster, options, &avail, &bad))
+        if (!checkInterFpgaInputs(g, cluster, options, &bad))
             return bad;
     }
 
@@ -692,16 +627,9 @@ floorplanInterFpga(const TaskGraph &g, const Cluster &cluster,
     const ResourceVector budget = deviceBudget(g, cluster, options);
     Rng rng(options.seed);
 
-    if (avail == 1) {
-        // Exactly one usable device: everything lives there.
-        DeviceId only = 0;
-        for (int d = 0; d < f; ++d) {
-            if (options.allowed(d)) {
-                only = d;
-                break;
-            }
-        }
-        out.partition.deviceOf.assign(g.numVertices(), only);
+    if (f == 1) {
+        // One device: everything lives there.
+        out.partition.deviceOf.assign(g.numVertices(), 0);
         out.coarseVertices = g.numVertices();
         out.ilpOptimal = true;
     } else if (!options.useIlp || options.ctx.expired()) {
@@ -724,34 +652,12 @@ floorplanInterFpga(const TaskGraph &g, const Cluster &cluster,
                     options.channelsPerDevice / 2, rng);
         out.coarseVertices = coarse.graph.numVertices();
 
-        // Project placement hints onto the coarse graph: each coarse
-        // vertex takes the most common hint among its members (ties
-        // broken toward the lowest device id, for determinism).
         InterFpgaOptions copt = options;
         // The coarse ILP inherits the request deadline: when it
         // expires mid-search the solver hands back its best incumbent (the
         // greedy warm start at worst) instead of running out the
         // configured node budget.
         copt.solver.ctx = options.ctx;
-        if (!options.hint.empty()) {
-            copt.hint.assign(coarse.graph.numVertices(), -1);
-            for (int cv = 0; cv < coarse.graph.numVertices(); ++cv) {
-                std::vector<int> votes(f, 0);
-                for (VertexId v : coarse.members[cv]) {
-                    const DeviceId h = options.hint[v];
-                    if (h >= 0 && h < f && options.allowed(h))
-                        ++votes[h];
-                }
-                int best = -1;
-                for (int d = 0; d < f; ++d) {
-                    if (votes[d] > 0 &&
-                        (best < 0 || votes[d] > votes[best])) {
-                        best = d;
-                    }
-                }
-                copt.hint[cv] = best;
-            }
-        }
 
         DevicePartition warm = greedyAssign(coarse.graph, cluster,
                                             copt);

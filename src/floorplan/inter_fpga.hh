@@ -14,6 +14,10 @@
  * The greedy+refinement path doubles as the heuristic baseline for
  * the solver ablation bench.
  *
+ * The solve is a function of (graph, cluster, options) alone: every
+ * device may host any task, and devices differ only in where the
+ * topology puts them.
+ *
  * The partitioner intentionally does not always return the min-cut:
  * moving a module off-chip costs communication but may relieve
  * congestion; the threshold constraint encodes exactly that trade
@@ -60,15 +64,6 @@ const char *toString(L1Backend backend);
  */
 inline constexpr double kBalanceSlack = 1.30;
 
-/**
- * Migration penalty added to the eq. 2 objective (in the same
- * width-bits x distance units) for every hinted vertex placed off its
- * hint (InterFpgaOptions::hint). Models the real cost of re-routing a
- * live task after a failure: the solver moves a survivor only when
- * the communication saving exceeds this.
- */
-inline constexpr double kHintWeight = 64.0;
-
 /** Options for the level-1 floorplanner. */
 struct InterFpgaOptions
 {
@@ -103,22 +98,6 @@ struct InterFpgaOptions
     /** RNG seed for coarsening tie-breaks. */
     std::uint64_t seed = 1;
     /**
-     * Per-device availability mask (empty = every device usable).
-     * A failed device keeps its id — eq. 3/4 distances are still
-     * evaluated over the cabled topology — but may host no task.
-     * This is how replan() excludes dead FPGAs after a fault.
-     */
-    std::vector<char> deviceAllowed;
-    /**
-     * Warm-start hint: the previous device of each vertex (-1 = no
-     * hint; empty = no hints at all). The greedy seed biases toward
-     * hinted devices, and that seed is the coarse ILP's incumbent — so a
-     * replan keeps surviving placements wherever they remain feasible
-     * instead of reshuffling the whole cluster. Every hinted vertex
-     * placed off its hint pays kHintWeight.
-     */
-    std::vector<DeviceId> hint;
-    /**
      * Also plan RePart-style logic replication after the base
      * partition (honoured by partition::solveL1 for either backend;
      * floorplanInterFpga itself ignores it) — replicate small high-fanout,
@@ -149,27 +128,6 @@ struct InterFpgaOptions
      * order-of-magnitude speedup over the exact backend comes from.
      */
     int mlIlpVertexLimit = 600;
-
-    /** True if device @p d may host tasks under deviceAllowed. */
-    bool
-    allowed(DeviceId d) const
-    {
-        return deviceAllowed.empty() ||
-               (d < static_cast<int>(deviceAllowed.size()) &&
-                deviceAllowed[d]);
-    }
-
-    /** Usable devices among @p numDevices. */
-    int
-    numAllowed(int numDevices) const
-    {
-        if (deviceAllowed.empty())
-            return numDevices;
-        int count = 0;
-        for (int d = 0; d < numDevices; ++d)
-            count += allowed(d) ? 1 : 0;
-        return count;
-    }
     /** Branch-and-bound limits for the coarse ILP. The node budget
      *  trades proven optimality for bounded runtime: the greedy warm
      *  start guarantees an incumbent and FM refinement polishes it, so
@@ -233,10 +191,10 @@ struct InterFpgaResult
  * Returns feasible = false when the design cannot fit the cluster
  * under the threshold (the paper's "requires more resources than
  * available on a single device" outcome). Configuration errors
- * (mismatched masks/hints, negative budgets) return feasible = false
- * with an InvalidInput status instead of killing the process — this
- * runs inside the compile service, where a bad request must never
- * take down its neighbours.
+ * (negative budgets) return feasible = false with an InvalidInput
+ * status instead of killing the process — this runs inside the
+ * compile service, where a bad request must never take down its
+ * neighbours.
  */
 InterFpgaResult floorplanInterFpga(const TaskGraph &g,
                                    const Cluster &cluster,
@@ -254,14 +212,13 @@ ResourceVector interFpgaDeviceBudget(const TaskGraph &g,
                                      const InterFpgaOptions &options);
 
 /**
- * Input validation shared by both level-1 backends: mask/hint sizes,
- * non-negative budgets, aggregate area and channel fit. Returns true
- * and sets *availOut (usable device count) when the inputs are sane;
- * returns false with *out filled (feasible = false + typed status)
- * otherwise.
+ * Input validation shared by both level-1 backends: non-negative
+ * budgets, aggregate area and channel fit over every device of the
+ * cluster. Returns true when the inputs are sane; returns false with
+ * *out filled (feasible = false + typed status) otherwise.
  */
 bool checkInterFpgaInputs(const TaskGraph &g, const Cluster &cluster,
-                          const InterFpgaOptions &options, int *availOut,
+                          const InterFpgaOptions &options,
                           InterFpgaResult *out);
 
 } // namespace tapacs

@@ -20,8 +20,6 @@ namespace
 
 using clock_type = std::chrono::steady_clock;
 
-const std::vector<DeviceId> kNoHint;
-
 /**
  * Lower the coarsest hypergraph back to a TaskGraph so the exact
  * engine (greedy + channel repair + optional ILP + FM) can produce
@@ -50,52 +48,12 @@ lowerToTaskGraph(const Hypergraph &hg, const std::string &name)
     return g;
 }
 
-/**
- * Warm-start hints for every level: hints[k][cv] is the majority hint
- * among the finest-level members of coarse vertex cv (ties toward the
- * lowest device id, matching the exact engine's projection). Empty
- * when the caller passed no hints.
- */
-std::vector<std::vector<DeviceId>>
-projectHints(const std::vector<Level> &levels,
-             const InterFpgaOptions &options, int f)
-{
-    std::vector<std::vector<DeviceId>> hints;
-    if (options.hint.empty())
-        return hints;
-    hints.reserve(levels.size());
-    hints.push_back(options.hint);
-    for (std::size_t k = 1; k < levels.size(); ++k) {
-        const std::vector<int> &coarseOf = levels[k].coarseOf;
-        const int cn = levels[k].hg.numVertices();
-        std::vector<int> votes(static_cast<std::size_t>(cn) * f, 0);
-        const std::vector<DeviceId> &prev = hints.back();
-        for (std::size_t v = 0; v < prev.size(); ++v) {
-            const DeviceId h = prev[v];
-            if (h >= 0 && h < f && options.allowed(h))
-                ++votes[static_cast<std::size_t>(coarseOf[v]) * f + h];
-        }
-        std::vector<DeviceId> cur(cn, -1);
-        for (int cv = 0; cv < cn; ++cv) {
-            const int *row = votes.data() +
-                             static_cast<std::size_t>(cv) * f;
-            int best = -1;
-            for (int d = 0; d < f; ++d) {
-                if (row[d] > 0 && (best < 0 || row[d] > row[best]))
-                    best = d;
-            }
-            cur[cv] = best;
-        }
-        hints.push_back(std::move(cur));
-    }
-    return hints;
-}
-
-/** The V-cycle proper (avail >= 2, graph larger than coarseLimit).
- *  Returns a result without replication; cost/traffic filled. */
+/** The V-cycle proper (>= 2 devices, graph larger than
+ *  coarseLimit). Returns a result without replication; cost/traffic
+ *  filled. */
 InterFpgaResult
 runVCycle(const TaskGraph &g, const Cluster &cluster,
-          const InterFpgaOptions &options, int avail)
+          const InterFpgaOptions &options)
 {
     const int f = cluster.numDevices();
     const int n = g.numVertices();
@@ -105,7 +63,7 @@ runVCycle(const TaskGraph &g, const Cluster &cluster,
     span.arg("vertices", n).arg("devices", f);
 
     CoarsenOptions copt;
-    copt.targetVertices = std::max(options.coarseLimit, 2 * avail);
+    copt.targetVertices = std::max(options.coarseLimit, 2 * f);
     copt.mergeCap = interFpgaDeviceBudget(g, cluster, options);
     copt.mergeCap *= 0.5; // keep coarse vertices placeable
     copt.channelMergeCap = options.channelsPerDevice / 2;
@@ -120,9 +78,6 @@ runVCycle(const TaskGraph &g, const Cluster &cluster,
     out.levels = static_cast<int>(levels.size()) - 1;
     out.coarseVertices = levels.back().hg.numVertices();
 
-    const std::vector<std::vector<DeviceId>> hints =
-        projectHints(levels, options, f);
-
     // Initial partition at the coarsest level via the exact engine's
     // greedy + channel repair + FM. No ILP here: the V-cycle only
     // runs for designs above mlIlpVertexLimit (smaller ones delegate
@@ -134,7 +89,6 @@ runVCycle(const TaskGraph &g, const Cluster &cluster,
     iopt.backend = L1Backend::Exact;
     iopt.replicate = false;
     iopt.useIlp = false;
-    iopt.hint = hints.empty() ? kNoHint : hints.back();
     InterFpgaResult init;
     {
         obs::TraceSpan is("partition", "initial");
@@ -175,8 +129,7 @@ runVCycle(const TaskGraph &g, const Cluster &cluster,
         part = std::move(fine);
         obs::TraceSpan rs("partition", strprintf("refine.L%d", k));
         const RefineStats st =
-            refineLevel(levels[k].hg, cluster, options, budget,
-                        hints.empty() ? kNoHint : hints[k], part);
+            refineLevel(levels[k].hg, cluster, options, budget, part);
         rs.arg("vertices", levels[k].hg.numVertices())
             .arg("passes", st.passes)
             .arg("moves", st.moves);
@@ -232,13 +185,12 @@ runVCycle(const TaskGraph &g, const Cluster &cluster,
 }
 
 /** Replication tail shared by both backends (no-op unless requested
- *  and the base partition is feasible on >= 2 usable devices). */
+ *  and the base partition is feasible on >= 2 devices). */
 void
 maybeReplicate(const TaskGraph &g, const Cluster &cluster,
                const InterFpgaOptions &options, InterFpgaResult &out)
 {
-    if (!options.replicate || !out.feasible ||
-        options.numAllowed(cluster.numDevices()) < 2)
+    if (!options.replicate || !out.feasible || cluster.numDevices() < 2)
         return;
     obs::TraceSpan span("partition", "replicate");
     out.replication = planReplication(g, cluster, options,
@@ -260,10 +212,9 @@ floorplanMultilevel(const TaskGraph &g, const Cluster &cluster,
 {
     const auto t0 = clock_type::now();
     g.validate();
-    int avail = 0;
     {
         InterFpgaResult bad;
-        if (!checkInterFpgaInputs(g, cluster, options, &avail, &bad))
+        if (!checkInterFpgaInputs(g, cluster, options, &bad))
             return bad;
     }
     obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
@@ -272,7 +223,7 @@ floorplanMultilevel(const TaskGraph &g, const Cluster &cluster,
     InterFpgaResult out;
     const int ilpLimit =
         std::max(options.coarseLimit, options.mlIlpVertexLimit);
-    if (avail == 1 || g.numVertices() <= ilpLimit) {
+    if (cluster.numDevices() == 1 || g.numVertices() <= ilpLimit) {
         // Trivial (one device) or inside the exact engine's
         // tractability window: below mlIlpVertexLimit the
         // branch-and-bound ILP is affordable and strictly higher
@@ -285,7 +236,7 @@ floorplanMultilevel(const TaskGraph &g, const Cluster &cluster,
         ex.replicate = false;
         out = floorplanInterFpga(g, cluster, ex);
     } else {
-        out = runVCycle(g, cluster, options, avail);
+        out = runVCycle(g, cluster, options);
     }
     maybeReplicate(g, cluster, options, out);
 

@@ -13,8 +13,7 @@
  *   2. Initial partition: the coarsest hypergraph is lowered back to
  *      a TaskGraph and handed to the exact engine — greedy + channel
  *      repair + FM, plus the branch-and-bound ILP when the *original*
- *      design is small enough (mlIlpVertexLimit). Warm-start hints
- *      are projected onto every level by majority vote.
+ *      design is small enough (mlIlpVertexLimit).
  *   3. Uncoarsen: project the assignment one level down at a time and
  *      run boundary-FM refinement (refine.hh) at every level, on the
  *      shared thread pool, polling the request context between

@@ -29,17 +29,14 @@ struct Move
 RefineStats
 refineLevel(const Hypergraph &hg, const Cluster &cluster,
             const InterFpgaOptions &options,
-            const ResourceVector &budget,
-            const std::vector<DeviceId> &hint,
-            std::vector<DeviceId> &part)
+            const ResourceVector &budget, std::vector<DeviceId> &part)
 {
     RefineStats stats;
     const int n = hg.numVertices();
     const int f = cluster.numDevices();
-    if (n == 0 || options.numAllowed(f) < 2)
+    if (n == 0 || f < 2)
         return stats;
     tapacs_assert(static_cast<int>(part.size()) == n);
-    tapacs_assert(hint.empty() || static_cast<int>(hint.size()) == n);
 
     std::vector<ResourceVector> used(f);
     std::vector<int> ch(f, 0);
@@ -48,10 +45,9 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
         ch[part[v]] += hg.channels[v];
     }
 
-    // Connectivity cost of v sitting on each device, plus the hint
-    // migration penalty (mirrors the exact engine's refine()), written
-    // to row[0..f). One walk of v's nets; every device accumulates its
-    // terms in net order and takes the hint term last.
+    // Connectivity cost of v sitting on each device, written to
+    // row[0..f). One walk of v's nets; every device accumulates its
+    // terms in net order.
     auto costRow = [&](VertexId v, double *row) {
         std::fill(row, row + f, 0.0);
         for (int i = hg.vtxOffset[v]; i < hg.vtxOffset[v + 1]; ++i) {
@@ -61,20 +57,13 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
             for (DeviceId d = 0; d < f; ++d)
                 row[d] += w * cluster.costDistance(d, od);
         }
-        if (!hint.empty() && hint[v] >= 0 && hint[v] < f &&
-            options.allowed(hint[v])) {
-            for (DeviceId d = 0; d < f; ++d) {
-                if (d != hint[v])
-                    row[d] += kHintWeight;
-            }
-        }
     };
 
     // Gain cache: boundary[v] and cost[v * f ..] hold v's state for the
     // current partition unless dirty[v]. They depend only on where v
     // and its net neighbours sit, so a move dirties the mover and its
     // neighbours and nothing else. The cost row is only kept for
-    // vertices that can move (boundary, or any vertex under hints).
+    // boundary vertices, the only ones that can move.
     std::vector<char> dirty(n, 1);
     std::vector<char> boundary(n, 0);
     std::vector<double> cost(static_cast<std::size_t>(n) * f);
@@ -112,14 +101,14 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
                      ++i)
                     b = part[hg.otherPin(hg.vtxNets[i], v)] != cur;
                 boundary[v] = b;
-                if (b || !hint.empty())
+                if (b)
                     costRow(v, row(v));
             }
-            if (!boundary[v] && hint.empty())
+            if (!boundary[v])
                 return;
             const double *c = row(v);
             for (DeviceId d = 0; d < f; ++d) {
-                if (d == cur || !options.allowed(d))
+                if (d == cur)
                     continue;
                 ResourceVector after = used[d];
                 after += hg.area[v];

@@ -20,13 +20,8 @@
  * neighbours dirty and the next pass recomputes just those; the
  * feasibility checks and the target choice still run on every
  * movable vertex each pass. A cost row sums its terms in the vertex's
- * net order with the hint term last, whether it is cached or
- * recomputed, so the cache changes no bit of any gain.
- *
- * The hint penalty matches the exact engine's refine(): a hinted
- * vertex pays kHintWeight for sitting off its hint, so hinted
- * multilevel solves keep survivors put exactly like hinted exact
- * solves do.
+ * net order whether it is cached or recomputed, so the cache changes
+ * no bit of any gain.
  */
 
 #ifndef TAPACS_PARTITION_REFINE_HH
@@ -51,13 +46,10 @@ struct RefineStats
  * @param hg       the level's hypergraph.
  * @param budget   per-device budget (interFpgaDeviceBudget; the same
  *                 at every level since areas sum under coarsening).
- * @param hint     per-vertex hinted device for *this level* (-1 =
- *                 none; empty = no hints), projected down from the
- *                 caller's finest-level hints.
- * @param options  allowed() mask, channelsPerDevice and the ctx
- *                 polled between passes; numThreads caps the shared
- *                 pool's threads for the gain map (1 = serial; levels
- *                 under 256 vertices always are).
+ * @param options  channelsPerDevice and the ctx polled between
+ *                 passes; numThreads caps the shared pool's threads
+ *                 for the gain map (1 = serial; levels under 256
+ *                 vertices always are).
  *
  * Only feasibility-preserving, strictly improving moves are applied:
  * a feasible input partition stays feasible.
@@ -65,7 +57,6 @@ struct RefineStats
 RefineStats refineLevel(const Hypergraph &hg, const Cluster &cluster,
                         const InterFpgaOptions &options,
                         const ResourceVector &budget,
-                        const std::vector<DeviceId> &hint,
                         std::vector<DeviceId> &part);
 
 } // namespace tapacs::partition

@@ -66,7 +66,7 @@ planReplication(const TaskGraph &g, const Cluster &cluster,
         if (!anyForeign)
             continue;
         for (DeviceId r = 0; r < f; ++r) {
-            if (r == p || outWidthTo[r] <= 0.0 || !options.allowed(r))
+            if (r == p || outWidthTo[r] <= 0.0)
                 continue;
             double save =
                 outWidthTo[r] * cluster.costDistance(p, r);

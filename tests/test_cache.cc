@@ -350,8 +350,8 @@ TEST(CacheKeyProperty, InterKeyIsPinned)
     // On-disk level-1 entries stay addressable only while this key
     // derivation is unchanged. A change that moves these values must
     // bump kSchemaVersion (so stale entries miss cleanly) and re-pin.
-    // The solver constants (balance slack, hint weight, tolerances)
-    // are key content too, so editing one moves these values.
+    // The solver constants (balance slack, tolerances) are key
+    // content too, so editing one moves these values.
     TaskGraph g("pinned");
     auto add = [&](const char *name, double lut, int channels,
                    double readBytes) {
@@ -380,9 +380,6 @@ TEST(CacheKeyProperty, InterKeyIsPinned)
     opt.reserved = ResourceVector(1000, 2000, 4, 8, 0);
     opt.channelsPerDevice = 32;
 
-    InterFpgaOptions hinted = opt;
-    hinted.hint = {0, 0, -1, 1, 1, 1};
-
     InterFpgaOptions ml = opt;
     ml.backend = L1Backend::Multilevel;
     ml.replicate = true;
@@ -390,8 +387,6 @@ TEST(CacheKeyProperty, InterKeyIsPinned)
     EXPECT_EQ(cache::kSchemaVersion, 5);
     EXPECT_EQ(cache::interKey(g, cluster, 2, opt).hex(),
               "5a063b2c19ba07e078f803a56d27d256");
-    EXPECT_EQ(cache::interKey(g, cluster, 2, hinted).hex(),
-              "69e0c7a83396597fccc59988b24576a2");
     EXPECT_EQ(cache::interKey(g, cluster, 2, ml).hex(),
               "b6b9544f3b0eb4b0b9fc503fa8616874");
 }

@@ -1,10 +1,10 @@
 /**
  * @file
- * Fault-injection and recovery tests: the FaultPlan/FaultInjector
- * model, the reliable transport's retry policy, graceful degradation
- * of the simulator under scripted fault scenarios (link degrade, flap
- * storm, mid-run FPGA death), byte-exact replay of seeded scenarios,
- * and the failure-aware replan() flow.
+ * Fault-injection tests: the FaultPlan/FaultInjector model, the
+ * reliable transport's retry policy, graceful degradation of the
+ * simulator under scripted fault scenarios (link degrade, flap storm,
+ * mid-run FPGA death), and byte-exact replay of seeded scenarios,
+ * including across compile worker thread counts.
  */
 
 #include <string>
@@ -448,16 +448,15 @@ TEST(FaultSim, StaleSimGaugesClearedBetweenRuns)
 }
 
 // ---------------------------------------------------------------
-// Failure-aware replan
+// Faulted simulation of a compiled design
 // ---------------------------------------------------------------
 
-/** Random layered DAG sized to fit 4 paper-testbed FPGAs with slack
- *  to spare on 3 (so a single death is survivable). */
+/** Random layered DAG sized to fit 4 paper-testbed FPGAs. */
 TaskGraph
-replanDesign(std::uint64_t seed)
+faultDesign(std::uint64_t seed)
 {
     Rng rng(seed);
-    TaskGraph g("replan");
+    TaskGraph g("faults");
     std::vector<VertexId> prev;
     for (int l = 0; l < 4; ++l) {
         std::vector<VertexId> cur;
@@ -483,93 +482,12 @@ replanDesign(std::uint64_t seed)
     return g;
 }
 
-TEST(Replan, ExcludesDeadDevicesAndStaysFeasible)
-{
-    TaskGraph g = replanDesign(31);
-    Cluster cluster = makePaperTestbed(4);
-    CompileOptions opt;
-    opt.mode = CompileMode::TapaCs;
-    opt.numFpgas = 4;
-    const CompileResult before = compile(g, cluster, opt);
-    ASSERT_TRUE(before.routable) << before.failureReason;
-
-    // Kill the device hosting the most tasks — the worst case.
-    std::vector<int> load(4, 0);
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-        ++load[before.partition.deviceOf[v]];
-    DeviceId victim = 0;
-    for (DeviceId d = 1; d < 4; ++d) {
-        if (load[d] > load[victim])
-            victim = d;
-    }
-    ASSERT_GT(load[victim], 0);
-
-    const CompileResult after =
-        replan(g, cluster, opt, {victim}, &before.partition);
-    ASSERT_TRUE(after.routable) << after.failureReason;
-
-    // No task may land on the dead device, and the eq. 1 threshold
-    // must hold on the survivors.
-    int stayed = 0, movable = 0;
-    for (VertexId v = 0; v < g.numVertices(); ++v) {
-        EXPECT_NE(after.partition.deviceOf[v], victim);
-        if (before.partition.deviceOf[v] != victim) {
-            ++movable;
-            stayed +=
-                after.partition.deviceOf[v] ==
-                        before.partition.deviceOf[v]
-                    ? 1
-                    : 0;
-        }
-    }
-    EXPECT_TRUE(respectsThreshold(g, cluster, after.partition,
-                                  after.reservedPerDevice,
-                                  opt.threshold));
-    // Warm-start hints keep most surviving placements in place.
-    EXPECT_GE(2 * stayed, movable)
-        << stayed << " of " << movable << " survivors kept";
-
-    // The replanned design must actually run on the survivors.
-    sim::SimResult run =
-        sim::simulate(g, cluster, after.partition, after.binding,
-                      after.pipeline, after.deviceFmax);
-    EXPECT_GT(run.makespan, 0.0);
-}
-
-TEST(Replan, AllDevicesDeadFailsGracefully)
-{
-    TaskGraph g = replanDesign(31);
-    Cluster cluster = makePaperTestbed(2);
-    CompileOptions opt;
-    opt.mode = CompileMode::TapaCs;
-    opt.numFpgas = 2;
-    const CompileResult r = replan(g, cluster, opt, {0, 1});
-    EXPECT_FALSE(r.routable);
-    EXPECT_NE(r.failureReason.find("every device"), std::string::npos);
-}
-
-TEST(Replan, SingleFpgaModeRejectedAsInvalidInput)
-{
-    // A single-FPGA flow has nothing to fail over to; since the
-    // compile service may issue replans, the rejection is a typed
-    // InvalidInput, not a process kill.
-    TaskGraph g = replanDesign(31);
-    Cluster cluster = makePaperTestbed(1);
-    CompileOptions opt;
-    opt.mode = CompileMode::TapaSingle;
-    opt.numFpgas = 1;
-    const CompileResult r = replan(g, cluster, opt, {0});
-    EXPECT_FALSE(r.routable);
-    EXPECT_EQ(r.status.code(), StatusCode::InvalidInput);
-    EXPECT_NE(r.status.message().find("multi-FPGA"), std::string::npos);
-}
-
-TEST(Replan, DeterministicAcrossWorkerThreadCounts)
+TEST(FaultSim, ReportDeterministicAcrossWorkerThreadCounts)
 {
     // Acceptance: the same seed gives bit-identical fault reports
     // whether the compile flow runs serial or with 4 workers.
-    TaskGraph g1 = replanDesign(57);
-    TaskGraph g2 = replanDesign(57);
+    TaskGraph g1 = faultDesign(57);
+    TaskGraph g2 = faultDesign(57);
     Cluster cluster = makePaperTestbed(4);
     FaultPlan plan(2026);
     plan.killDevice(2, 0.01).dropLink(0, 1, 0.0, 0.05);

@@ -19,10 +19,22 @@ cmake --build "${build_dir}" -j "$(nproc)"
 ctest --test-dir "${build_dir}" -L faults --output-on-failure
 
 # Cross-thread-count determinism smoke: the same scenario must render
-# the same report bytes whatever TAPACS_THREADS says.
-scenario="Replan.DeterministicAcrossWorkerThreadCounts"
-TAPACS_THREADS=1 "${build_dir}/tests/test_faults" \
-    --gtest_filter="${scenario}" --gtest_brief=1
-TAPACS_THREADS=4 "${build_dir}/tests/test_faults" \
-    --gtest_filter="${scenario}" --gtest_brief=1
+# the same report bytes whatever TAPACS_THREADS says. A filter that
+# matches no test exits 0, so require the scenario to have run.
+scenario="FaultSim.ReportDeterministicAcrossWorkerThreadCounts"
+run_scenario() {
+    local out
+    if ! out="$(TAPACS_THREADS="$1" "${build_dir}/tests/test_faults" \
+                    --gtest_filter="${scenario}" --gtest_brief=1)"; then
+        printf '%s\n' "${out}"
+        exit 1
+    fi
+    printf '%s\n' "${out}"
+    if ! grep -q '^\[  PASSED  \] 1 test\.' <<<"${out}"; then
+        echo "error: ${scenario} did not run (TAPACS_THREADS=$1)" >&2
+        exit 1
+    fi
+}
+run_scenario 1
+run_scenario 4
 echo "fault suites passed (serial and 4-thread runs)"

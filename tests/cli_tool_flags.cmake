@@ -7,7 +7,8 @@
 # Unknown --mode/--topology/--solver/--device names, a hypercube over a
 # non-power-of-two --fpgas and --incremental without --state exit 2
 # the same way (tapacs-compile used to die in fatal() with exit 1).
-# Valid values of the same flags still run.
+# Valid values of the same flags still run, and --partition-only
+# reports the devices it leaves empty.
 #
 #   cmake -DGRAPHGEN=<tapacs-graphgen> -DCOMPILE=<tapacs-compile>
 #         -DEXPLORE=<tapacs-explore> -DWORK=<scratch dir>
@@ -85,4 +86,24 @@ execute_process(COMMAND ${compile_base} --fpgas 2 --threshold 0.7
 if(NOT rc EQUAL 0 OR NOT EXISTS "${WORK}/out/cluster.manifest")
     message(FATAL_ERROR "tapacs-compile with valid flags: exit ${rc}:\n"
                         "${stdout}${stderr}")
+endif()
+
+# --partition-only reports how many devices the base partition leaves
+# without a task: on this 800-module synth graph the multilevel
+# V-cycle packs the design onto 4 of the 8 mesh boards.
+execute_process(COMMAND "${GRAPHGEN}" synth --modules 800 --seed 3
+                OUTPUT_FILE "${WORK}/synth.graph"
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "tapacs-graphgen synth failed (${rc})")
+endif()
+execute_process(COMMAND "${COMPILE}" "${WORK}/synth.graph" --fpgas 8
+                        --topology mesh --solver multilevel
+                        --partition-only
+                WORKING_DIRECTORY "${WORK}"
+                OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT stdout MATCHES "\nempty:     4 device\\(s\\)\n")
+    message(FATAL_ERROR "tapacs-compile --partition-only: exit ${rc}, "
+                        "want 'empty:     4 device(s)':\n${stdout}${stderr}")
 endif()

@@ -26,7 +26,8 @@
  *     --coarse-limit N   level-1 coarsening target, 2-100000
  *                        (default 36)
  *     --partition-only   stop after level-1 floorplanning and report
- *                        the partition (cost, cut, per-device load);
+ *                        the partition (cost, cut, empty devices,
+ *                        per-device load);
  *                        the scale path — cluster-scale graphs
  *                        partition in seconds while the full
  *                        placement flow is hours
@@ -44,6 +45,7 @@
  * without --state all exit 2 naming the flag.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -238,6 +240,12 @@ main(int argc, char **argv)
             std::printf("replicas:  %d\n",
                         r.replication.totalReplicas());
         }
+        std::vector<char> hosts(cluster.numDevices(), 0);
+        for (DeviceId d : r.partition.deviceOf)
+            hosts[d] = 1;
+        std::printf("empty:     %d device(s)\n",
+                    static_cast<int>(std::count(hosts.begin(),
+                                                hosts.end(), 0)));
         const std::vector<ResourceVector> areas =
             perDeviceArea(g, cluster, r.partition);
         for (DeviceId d = 0; d < cluster.numDevices(); ++d) {

@@ -1,11 +1,5 @@
 #include "network/protocols.hh"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/logging.hh"
-#include "obs/metrics.hh"
-
 namespace tapacs
 {
 
@@ -47,131 +41,6 @@ findCommProtocol(const std::string &name)
             return &p;
     }
     return nullptr;
-}
-
-Status
-ReliableTransportConfig::validate() const
-{
-    if (maxRetries < 0)
-        return Status::invalidInput(
-            "ReliableTransport: maxRetries must be >= 0, got %d",
-            maxRetries);
-    if (ackTimeout < 0.0 || backoffBase < 0.0 ||
-        backoffCap < backoffBase) {
-        return Status::invalidInput(
-            "ReliableTransport: bad timing config (timeout %g, "
-            "backoff %g..%g)", ackTimeout, backoffBase, backoffCap);
-    }
-    if (backoffJitterFrac < 0.0)
-        return Status::invalidInput(
-            "ReliableTransport: backoffJitterFrac must be >= 0, got %g",
-            backoffJitterFrac);
-    return Status();
-}
-
-Seconds
-boundedBackoff(const ReliableTransportConfig &config, int attempt)
-{
-    const Seconds backoff = config.backoffBase *
-                            std::pow(2.0, std::min(attempt, 30));
-    return std::min(backoff, config.backoffCap);
-}
-
-StatusOr<ReliableTransport>
-ReliableTransport::create(ReliableTransportConfig config,
-                          const FaultInjector *injector)
-{
-    Status st = config.validate();
-    if (!st.ok())
-        return st;
-    return ReliableTransport(std::move(config), injector);
-}
-
-ReliableTransport::ReliableTransport(ReliableTransportConfig config,
-                                     const FaultInjector *injector)
-    : config_(std::move(config)), injector_(injector),
-      status_(config_.validate())
-{
-    if (!status_.ok()) {
-        warn("%s (sanitizing)", status_.message().c_str());
-        config_.maxRetries = std::max(config_.maxRetries, 0);
-        config_.ackTimeout = std::max(config_.ackTimeout, 0.0);
-        config_.backoffBase = std::max(config_.backoffBase, 0.0);
-        config_.backoffCap =
-            std::max(config_.backoffCap, config_.backoffBase);
-        config_.backoffJitterFrac =
-            std::max(config_.backoffJitterFrac, 0.0);
-    }
-}
-
-TransferOutcome
-ReliableTransport::send(DeviceId a, DeviceId b, std::uint64_t messageId,
-                        Seconds earliest, Seconds occupancy,
-                        Seconds flightLatency, const AcquireFn &acquire)
-{
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-    TransferOutcome out;
-    Seconds t = earliest;
-
-    for (int attempt = 0; attempt <= config_.maxRetries; ++attempt) {
-        LinkCondition cond;
-        if (injector_) {
-            cond = injector_->linkAt(a, b, t);
-            if (!cond.up) {
-                ++totalLinkDownWaits_;
-                reg.counter("tapacs.net.link_flaps").add(1);
-                if (!std::isfinite(cond.upAt))
-                    break; // endpoint dead: undeliverable
-                out.linkDownWaitSeconds += cond.upAt - t;
-                t = cond.upAt;
-                cond = injector_->linkAt(a, b, t);
-                if (!cond.up)
-                    break; // recovered straight into a dead window
-            }
-        }
-
-        Seconds duration = occupancy / cond.bandwidthFactor;
-        if (injector_ && cond.maxJitter > 0.0) {
-            duration += cond.maxJitter *
-                        injector_->uniformDraw(a, b, messageId, attempt,
-                                               /*stream=*/2);
-        }
-        const Seconds done = acquire(t, duration);
-        out.attempts = attempt + 1;
-
-        const bool dropped =
-            injector_ && cond.dropProbability > 0.0 &&
-            injector_->dropsMessage(a, b, messageId, attempt,
-                                    cond.dropProbability);
-        if (!dropped) {
-            out.delivered = true;
-            out.finishTime = done + flightLatency;
-            break;
-        }
-
-        // Loss detected by ack timeout; back off before retrying.
-        ++out.timeouts;
-        Seconds backoff = boundedBackoff(config_, attempt);
-        if (config_.backoffJitterFrac > 0.0 && injector_) {
-            backoff *= 1.0 + config_.backoffJitterFrac *
-                                 injector_->uniformDraw(a, b, messageId,
-                                                        attempt,
-                                                        /*stream=*/3);
-        }
-        out.backoffSeconds += backoff;
-        t = done + config_.ackTimeout + backoff;
-        ++out.retries;
-    }
-
-    totalRetries_ += out.retries;
-    totalTimeouts_ += out.timeouts;
-    if (out.retries > 0)
-        reg.counter("tapacs.net.retries").add(out.retries);
-    if (out.timeouts > 0)
-        reg.counter("tapacs.net.timeouts").add(out.timeouts);
-    if (!out.delivered)
-        ++totalUndelivered_;
-    return out;
 }
 
 } // namespace tapacs

@@ -1,7 +1,7 @@
 /**
  * @file
- * Seeded, bit-replayable chaos plans for the serving fleet — the
- * process-tier sibling of network/faults.
+ * Seeded, bit-replayable chaos plans for the serving fleet: worker
+ * processes that die, hang or stall, and a delayed wire.
  *
  * A ChaosPlan is built explicitly (kill/hang/stall/delayWire) or
  * drawn from a seed (randomPlan); either way it is plain data, so

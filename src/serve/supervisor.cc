@@ -118,6 +118,13 @@ parseResponsePayload(const std::string &payload, std::uint64_t *id,
 
 } // namespace
 
+double
+boundedBackoff(const BackoffCurve &curve, int attempt)
+{
+    const double backoff = curve.base * std::pow(2.0, std::min(attempt, 30));
+    return std::min(backoff, curve.cap);
+}
+
 Supervisor::Supervisor(FleetOptions options)
     : options_(std::move(options)), journal_(options_.journalPath)
 {

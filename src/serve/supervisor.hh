@@ -73,7 +73,6 @@
 #include <sys/types.h>
 
 #include "common/status.hh"
-#include "network/protocols.hh"
 #include "serve/chaos.hh"
 #include "serve/execute.hh"
 #include "serve/journal.hh"
@@ -86,6 +85,22 @@ class CacheStore;
 
 namespace tapacs::serve
 {
+
+/** Bounded exponential backoff, in seconds. */
+struct BackoffCurve
+{
+    /** Interval after the first failure; doubles per failure. */
+    double base = 5.0e-3;
+    /** Ceiling on any single interval. */
+    double cap = 0.25;
+};
+
+/**
+ * Interval to sit out after failure @p attempt (0-based):
+ * min(base * 2^min(attempt, 30), cap). No jitter: recovery must be
+ * deterministic.
+ */
+double boundedBackoff(const BackoffCurve &curve, int attempt);
 
 /** Serving policy, for both executors unless noted. */
 struct FleetOptions
@@ -140,17 +155,8 @@ struct FleetOptions
     int maxDispatchAttempts = 3;
     /** Worker restarts per slot before quarantine. */
     int restartLimit = 4;
-    /**
-     * Backoff curve slept before each retry and each worker restart —
-     * the transport's own policy type, so serving retries and wire
-     * retransmissions follow the same bounded-exponential shape
-     * (boundedBackoff). Jitter is zeroed: recovery must be
-     * deterministic.
-     */
-    ReliableTransportConfig backoff{.ackTimeout = 0.0,
-                                    .backoffBase = 5.0e-3,
-                                    .backoffCap = 0.25,
-                                    .backoffJitterFrac = 0.0};
+    /** Backoff slept before each retry and each worker restart. */
+    BackoffCurve backoff;
     /** Fault injection (empty plan in production). */
     ChaosPlan chaos;
 };

@@ -1,7 +1,6 @@
 #include "sim/dataflow_sim.hh"
 
 #include <algorithm>
-#include <optional>
 #include <queue>
 
 #include "common/logging.hh"
@@ -61,7 +60,6 @@ struct EdgeConst
 
     Kind kind = Local;
     VertexId dst = -1;
-    DeviceId sdev = -1, ddev = -1;
     /** Consumer firings per arriving token (>0), or -(producer blocks
      *  needed per firing) when the consumer runs coarser. */
     int credit = 1;
@@ -115,8 +113,6 @@ class Simulation
     /** Publish per-resource gauges (tapacs.sim.*). */
     void exportMetrics() const;
 
-    bool faulted() const { return injector_.has_value(); }
-
   private:
     void applyArrival(EdgeId e);
     void fire(VertexId v, Seconds now);
@@ -140,12 +136,6 @@ class Simulation
     std::vector<EdgeId> inEdge_, outEdge_;
     std::vector<EdgeConst> edges_;
 
-    std::optional<FaultInjector> injector_;
-    std::vector<DeviceId> deadDevices_;
-    /** Reliable transport for every cross-device message (engaged
-     *  only under fault injection). */
-    std::optional<ReliableTransport> transport_;
-
     /** Dense D*channels HBM channels, device-major. */
     std::vector<Server> hbm_;
     /** Vertex-indexed task datapaths. */
@@ -158,9 +148,9 @@ class Simulation
     std::vector<int> fired_;
     std::vector<Seconds> taskFinish_;
     std::vector<int> tokens_, rawArrivals_;
+    /** Tokens emitted per edge so far: the next token's heap
+     *  sequence number, and every emitted token is delivered. */
     std::vector<std::uint64_t> emitSeq_;
-    std::vector<std::int64_t> delivered_;
-    std::vector<EdgeCommStats> edgeComm_;
     std::vector<FiringRecord> timeline_;
 
     std::priority_queue<EventKey, std::vector<EventKey>,
@@ -305,8 +295,8 @@ Simulation::build(const Cluster &cluster,
         const Edge &edge = g.edge(e);
         EdgeConst &ec = edges_[e];
         ec.dst = edge.dst;
-        ec.sdev = partition.deviceOf[edge.src];
-        ec.ddev = partition.deviceOf[edge.dst];
+        const DeviceId sdev = partition.deviceOf[edge.src];
+        const DeviceId ddev = partition.deviceOf[edge.dst];
         const int sb = g.vertex(edge.src).work.numBlocks;
         const int db = g.vertex(edge.dst).work.numBlocks;
         // SDF-style rates in consumer-firing units: an arriving
@@ -316,22 +306,21 @@ Simulation::build(const Cluster &cluster,
         ec.credit = db >= sb ? db / sb : -(sb / db);
         tokens_[e] = edge.initialTokens * (ec.credit > 0 ? ec.credit : 1);
         ec.bytesPerToken = edge.totalBytes / sb;
-        if (ec.sdev == ec.ddev) {
+        if (sdev == ddev) {
             ec.kind = EdgeConst::Local;
             const int cycles =
                 plan.edges[e].stages + plan.edges[e].balanceDepth;
-            ec.localLatency = cycles / deviceFmax[ec.sdev];
-        } else if (cluster.sameNode(ec.sdev, ec.ddev)) {
+            ec.localLatency = cycles / deviceFmax[sdev];
+        } else if (cluster.sameNode(sdev, ddev)) {
             ec.kind = EdgeConst::IntraNode;
             const LinkModel &link = cluster.intraLink();
             const int hops = cluster.nodeTopology().dist(
-                cluster.localIndex(ec.sdev),
-                cluster.localIndex(ec.ddev));
+                cluster.localIndex(sdev), cluster.localIndex(ddev));
             ec.occ = std::max(0.0, link.transferTime(ec.bytesPerToken) -
                                        link.baseLatency());
             ec.flight =
                 hops * link.baseLatency() + (hops - 1) * ec.occ;
-            ec.port = ec.sdev * numDevices + ec.ddev;
+            ec.port = sdev * numDevices + ddev;
         } else {
             // dev -> host (PCIe), host -> host (MPI), host -> dev.
             // The hand-off is staged through host memory buffers, so
@@ -345,15 +334,9 @@ Simulation::build(const Cluster &cluster,
             ec.occ = host.transferTime(ec.bytesPerToken) +
                      inode.transferTime(ec.bytesPerToken) +
                      host.transferTime(ec.bytesPerToken);
-            ec.port = cluster.nodeOf(ec.sdev) * numNodes_ +
-                      cluster.nodeOf(ec.ddev);
+            ec.port = cluster.nodeOf(sdev) * numNodes_ +
+                      cluster.nodeOf(ddev);
         }
-    }
-
-    if (options_.faults != nullptr && !options_.faults->empty()) {
-        injector_.emplace(*options_.faults, numDevices);
-        deadDevices_ = injector_->scheduledDeaths();
-        transport_.emplace(options_.transport, &*injector_);
     }
 
     hbm_.assign(numDevices * channels_, Server{});
@@ -364,8 +347,6 @@ Simulation::build(const Cluster &cluster,
     taskFinish_.assign(n, 0.0);
     rawArrivals_.assign(numEdges, 0);
     emitSeq_.assign(numEdges, 0);
-    delivered_.assign(numEdges, 0);
-    edgeComm_.assign(numEdges, EdgeCommStats{});
     return Status();
 }
 
@@ -386,21 +367,14 @@ Simulation::applyArrival(EdgeId e)
 /**
  * Fire vertex @p v as many times as its input tokens allow, starting
  * at @p now — the one definition of the simulator's per-firing
- * semantics (read -> compute -> write -> emit). Every delivered
- * token becomes a heap event; cross-device tokens first serialize on
- * their port or node-pair pipe (through the reliable transport when
- * faults are injected).
+ * semantics (read -> compute -> write -> emit). Every emitted token
+ * becomes a heap event; cross-device tokens first serialize on
+ * their port or node-pair pipe.
  */
 void
 Simulation::fire(VertexId v, Seconds now)
 {
     const DeviceId dev = deviceOf_[v];
-
-    // A killed device fires nothing from its death time onward;
-    // blocks already in flight (started earlier) complete.
-    if (injector_ && injector_->deviceDead(dev, now))
-        return;
-
     const int numBlocks = blocksOf_[v];
     const std::vector<int> &channels = binding_->channelsOf[v];
     Server *hbm = &hbm_[dev * channels_];
@@ -458,35 +432,9 @@ Simulation::fire(VertexId v, Seconds now)
                 Server &path = ec.kind == EdgeConst::IntraNode
                                    ? netPort_[ec.port]
                                    : nodeLink_[ec.port];
-                if (transport_) {
-                    EdgeCommStats &st = edgeComm_[e];
-                    const std::uint64_t mid =
-                        static_cast<std::uint64_t>(e) << 32 |
-                        static_cast<std::uint32_t>(st.messages);
-                    ++st.messages;
-                    const TransferOutcome tr = transport_->send(
-                        ec.sdev, ec.ddev, mid, write_done, ec.occ,
-                        ec.flight, [&path](Seconds s, Seconds d) {
-                            return path.acquire(s, d);
-                        });
-                    st.retries += tr.retries;
-                    st.timeouts += tr.timeouts;
-                    st.backoffSeconds += tr.backoffSeconds;
-                    st.linkDownWaitSeconds += tr.linkDownWaitSeconds;
-                    if (!tr.delivered) {
-                        // The token dies with the link; only the
-                        // FIFOs crossing it stall.
-                        ++st.undelivered;
-                        continue;
-                    }
-                    arrival = tr.finishTime;
-                } else {
-                    arrival = path.acquire(write_done, ec.occ) +
-                              ec.flight;
-                }
+                arrival = path.acquire(write_done, ec.occ) + ec.flight;
             }
             makespan_ = std::max(makespan_, arrival);
-            ++delivered_[e];
             heap_.push({arrival, e, emitSeq_[e]++});
         }
     }
@@ -528,8 +476,6 @@ Simulation::finalize(SimResult *out)
     out->makespan = makespan_;
     out->taskFinish = std::move(taskFinish_);
     out->firedBlocks = fired_;
-    out->deadDevices = deadDevices_;
-    out->edgeComm = std::move(edgeComm_);
 
     // All floating-point sums below run in a fixed index order, never
     // in event order.
@@ -544,20 +490,19 @@ Simulation::finalize(SimResult *out)
     double bytes = 0.0;
     for (EdgeId e = 0; e < numEdges_; ++e) {
         if (edges_[e].kind != EdgeConst::Local)
-            bytes += edges_[e].bytesPerToken * delivered_[e];
+            bytes += edges_[e].bytesPerToken * emitSeq_[e];
     }
     out->interDeviceBytes = bytes;
 
-    // Every task must have completed all its blocks. Under fault
-    // injection (or an aborted run) an incomplete result is the
-    // expected graceful outcome and is reported; a healthy full run
-    // that falls short means the graph is not rate-consistent.
+    // Every task must have completed all its blocks. An aborted run
+    // reports its partial result; a full run that falls short means
+    // the graph is not rate-consistent.
     out->completed = out->status.ok();
     for (VertexId v = 0; v < n_; ++v) {
         if (fired_[v] == blocksOf_[v])
             continue;
         out->completed = false;
-        if (!injector_ && out->status.ok()) {
+        if (out->status.ok()) {
             out->status = Status::invalidInput(
                 "task '%s' fired %d of %d blocks — insufficient "
                 "upstream tokens (graph is not rate-consistent)",
@@ -583,34 +528,19 @@ Simulation::finalize(SimResult *out)
         hbm_busy += s.busyTime();
     out->stats.set("hbm.busy_seconds", hbm_busy);
 
-    std::int64_t intra = 0, inter = 0, undelivered = 0;
+    std::uint64_t intra = 0, inter = 0;
     for (EdgeId e = 0; e < numEdges_; ++e) {
         if (edges_[e].kind == EdgeConst::IntraNode)
-            intra += delivered_[e];
+            intra += emitSeq_[e];
         else if (edges_[e].kind == EdgeConst::CrossNode)
-            inter += delivered_[e];
+            inter += emitSeq_[e];
     }
-    for (const EdgeCommStats &ec : out->edgeComm)
-        undelivered += ec.undelivered;
     if (intra > 0)
         out->stats.set("net.intra.transfers",
                        static_cast<double>(intra));
     if (inter > 0)
         out->stats.set("net.inter.transfers",
                        static_cast<double>(inter));
-    if (undelivered > 0)
-        out->stats.set("net.undelivered",
-                       static_cast<double>(undelivered));
-
-    if (transport_) {
-        out->stats.set("net.retries",
-                       static_cast<double>(transport_->totalRetries()));
-        out->stats.set("net.timeouts",
-                       static_cast<double>(transport_->totalTimeouts()));
-        out->stats.set(
-            "net.link_down_waits",
-            static_cast<double>(transport_->totalLinkDownWaits()));
-    }
 }
 
 /**
@@ -676,9 +606,6 @@ trySimulate(const TaskGraph &g, const Cluster &cluster,
     Status st = sim.build(cluster, partition, binding, plan, deviceFmax);
     if (!st.ok())
         return st;
-
-    if (sim.faulted() && options.exportMetrics)
-        obs::MetricsRegistry::global().resetPrefix("tapacs.net.");
 
     sim.run();
     SimResult out;

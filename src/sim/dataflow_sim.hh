@@ -34,8 +34,6 @@
 #include "common/status.hh"
 #include "floorplan/hbm_binding.hh"
 #include "floorplan/partition.hh"
-#include "network/faults.hh"
-#include "network/protocols.hh"
 #include "pipeline/pipelining.hh"
 
 namespace tapacs::sim
@@ -64,35 +62,6 @@ struct SimOptions
      * registry always describes the latest run only.
      */
     bool exportMetrics = true;
-    /**
-     * Scripted fault schedule to inject (borrowed; must outlive the
-     * call). Null or empty = healthy network, byte-identical to the
-     * pre-fault model. With faults present, cross-device transfers
-     * run over the reliable transport, tasks on killed devices stop
-     * firing, and undeliverable tokens stall only the FIFOs crossing
-     * the failed link — the sim always terminates and reports the
-     * damage in SimResult::edgeComm instead of hanging.
-     */
-    const FaultPlan *faults = nullptr;
-    /** Retry policy used when faults are injected. */
-    ReliableTransportConfig transport;
-};
-
-/** Per-edge reliability accounting (cross-device edges only). */
-struct EdgeCommStats
-{
-    /** Tokens handed to the transport on this edge. */
-    int messages = 0;
-    /** Retransmissions across all messages. */
-    int retries = 0;
-    /** Losses detected by ack timeout. */
-    int timeouts = 0;
-    /** Tokens that never arrived (dead device / retries exhausted). */
-    int undelivered = 0;
-    /** Total sender backoff time. */
-    Seconds backoffSeconds = 0.0;
-    /** Total time parked waiting for a downed link. */
-    Seconds linkDownWaitSeconds = 0.0;
 };
 
 /** One block's journey through a task (timeline entry). */
@@ -127,27 +96,24 @@ struct SimResult
     std::vector<FiringRecord> timeline;
 
     /**
-     * True when every task fired all its blocks. Only ever false
-     * under fault injection (a healthy rate-inconsistent graph is a
-     * fatal error instead): killed devices and dead links leave
-     * downstream blocks unfired, recorded in firedBlocks.
+     * True when every task fired all its blocks. False exactly when
+     * status is not Ok: the deadline expired, the event cap tripped,
+     * or the event queue drained with blocks still unfired (a
+     * rate-inconsistent graph). firedBlocks then records how far each
+     * task got.
      */
     bool completed = true;
     /** Blocks each task actually fired (== work.numBlocks when
      *  completed). */
     std::vector<int> firedBlocks;
-    /** Devices the fault plan killed (death scheduled at any time). */
-    std::vector<DeviceId> deadDevices;
-    /** Per-edge retry/backoff accounting, indexed by EdgeId; all-zero
-     *  for same-device edges and for runs without faults. */
-    std::vector<EdgeCommStats> edgeComm;
     /**
-     * Why the run stopped: Ok for a drained event queue (the normal
-     * case), DeadlineExceeded when SimOptions::ctx expired
-     * mid-run, ResourceExhausted when the maxEvents cap tripped,
-     * InvalidInput when a healthy graph turned out rate-inconsistent.
-     * Non-Ok runs still carry their partial stats (makespan so far,
-     * firedBlocks, edgeComm, ...), with completed == false.
+     * Why the run stopped: Ok when every task fired all its blocks;
+     * DeadlineExceeded when SimOptions::ctx expired mid-run;
+     * ResourceExhausted when the maxEvents cap tripped; InvalidInput
+     * when the event queue drained with blocks unfired because the
+     * graph is not rate-consistent (e.g. a cycle without initial
+     * tokens). Non-Ok runs still carry their partial stats (makespan
+     * so far, firedBlocks, ...).
      */
     Status status;
 
@@ -181,7 +147,7 @@ SimResult simulate(const TaskGraph &g, const Cluster &cluster,
  * rate ratios, memory access without bound channels, inconsistent
  * partition/binding/fmax shapes — come back as an error Status
  * instead of fatal(). Mid-run conditions (deadline, the maxEvents
- * cap, a rate-inconsistent healthy graph) return an
+ * cap, a rate-inconsistent graph) return an
  * *Ok* StatusOr whose SimResult carries the typed reason in
  * SimResult::status along with the partial stats. simulate() is the
  * asserting wrapper over this.

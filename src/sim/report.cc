@@ -84,49 +84,4 @@ bottleneckReport(const TaskGraph &g, const SimResult &result, int topN)
     return t.render();
 }
 
-std::string
-faultReport(const TaskGraph &g, const SimResult &result)
-{
-    TextTable t({"FIFO", "Msgs", "Retries", "Timeouts", "Lost",
-                 "Backoff", "Link-down wait"});
-    t.setTitle(strprintf("Fault/recovery report — makespan %s, run %s",
-                         formatSeconds(result.makespan).c_str(),
-                         result.completed ? "completed" : "INCOMPLETE"));
-    for (EdgeId e = 0;
-         e < static_cast<EdgeId>(result.edgeComm.size()); ++e) {
-        const EdgeCommStats &ec = result.edgeComm[e];
-        if (ec.messages == 0)
-            continue;
-        const Edge &edge = g.edge(e);
-        t.addRow({g.vertex(edge.src).name + "->" +
-                      g.vertex(edge.dst).name,
-                  strprintf("%d", ec.messages),
-                  strprintf("%d", ec.retries),
-                  strprintf("%d", ec.timeouts),
-                  strprintf("%d", ec.undelivered),
-                  formatSeconds(ec.backoffSeconds),
-                  formatSeconds(ec.linkDownWaitSeconds)});
-    }
-    std::string out = t.render();
-    if (!result.deadDevices.empty()) {
-        out += "dead devices:";
-        for (DeviceId d : result.deadDevices)
-            out += strprintf(" %d", d);
-        out += "\n";
-    }
-    if (!result.completed) {
-        out += "unfinished tasks:";
-        for (VertexId v = 0;
-             v < static_cast<VertexId>(result.firedBlocks.size()); ++v) {
-            const int want = g.vertex(v).work.numBlocks;
-            if (result.firedBlocks[v] != want) {
-                out += strprintf(" %s(%d/%d)", g.vertex(v).name.c_str(),
-                                 result.firedBlocks[v], want);
-            }
-        }
-        out += "\n";
-    }
-    return out;
-}
-
 } // namespace tapacs::sim

@@ -64,17 +64,6 @@ StatusOr<std::string> bottleneckReport(const TaskGraph &g,
                                        const SimResult &result,
                                        int topN = 10);
 
-/**
- * Render the fault/recovery report: one row per FIFO that crossed a
- * device boundary, with message, retry, timeout and undelivered
- * counts plus the backoff and link-down time its sender absorbed;
- * footer lines list killed devices, tasks with unfired blocks and
- * the run's completion status. Deterministic formatting — for a
- * seeded FaultPlan the rendered string is a byte-exact regression
- * artifact.
- */
-std::string faultReport(const TaskGraph &g, const SimResult &result);
-
 } // namespace tapacs::sim
 
 #endif // TAPACS_SIM_REPORT_HH

@@ -688,8 +688,8 @@ TEST(Fleet, MissingWorkerBinaryEndsInQuarantineWithTypedOutcomes)
     opt.workers = 2;
     opt.workerExe = dir + "/does-not-exist";
     opt.restartLimit = 1;
-    opt.backoff.backoffBase = 1.0e-4;
-    opt.backoff.backoffCap = 1.0e-3;
+    opt.backoff.base = 1.0e-4;
+    opt.backoff.cap = 1.0e-3;
     const FleetRun run = runFleet(opt, {kStencil, kPagerank});
     ASSERT_EQ(run.outcomes.size(), 2u);
     for (const serve::FleetOutcome &f : run.outcomes)

@@ -31,7 +31,6 @@
 #include "ilp/model.hh"
 #include "ilp/solver.hh"
 #include "network/cluster.hh"
-#include "network/protocols.hh"
 #include "obs/metrics.hh"
 #include "serve/execute.hh"
 #include "serve/manifest.hh"
@@ -130,47 +129,28 @@ TEST(Context, BudgetSlicesTakeTheSoonerDeadline)
     EXPECT_TRUE(expired.withBudget(3600.0).expired());
 }
 
-// ---- ReliableTransport config validation (regression) ----------------
+// ---- Serve backoff curve --------------------------------------------
 
-TEST(ReliableTransportConfig, InvalidPolicyIsTypedNotFatal)
+TEST(FleetBackoff, BoundedBackoffIsMonotoneAndCapped)
 {
-    // Regression: a negative retry budget used to fatal() out of the
-    // constructor; it must now be a typed InvalidInput everywhere.
-    ReliableTransportConfig cfg;
-    cfg.maxRetries = -1;
-    EXPECT_EQ(cfg.validate().code(), StatusCode::InvalidInput);
-
-    const StatusOr<ReliableTransport> made =
-        ReliableTransport::create(cfg, nullptr);
-    ASSERT_FALSE(made.ok());
-    EXPECT_EQ(made.status().code(), StatusCode::InvalidInput);
-
-    // Direct construction survives, sanitizes, and records the defect.
-    const ReliableTransport tr(cfg, nullptr);
-    EXPECT_EQ(tr.status().code(), StatusCode::InvalidInput);
-
-    ReliableTransportConfig inverted;
-    inverted.backoffBase = 1.0;
-    inverted.backoffCap = 0.5; // cap below base
-    EXPECT_EQ(inverted.validate().code(), StatusCode::InvalidInput);
-
-    EXPECT_TRUE(ReliableTransportConfig{}.validate().ok());
-}
-
-TEST(ReliableTransportConfig, BoundedBackoffIsMonotoneAndCapped)
-{
-    ReliableTransportConfig cfg;
-    cfg.backoffBase = 1.0e-3;
-    cfg.backoffCap = 1.0e-2;
-    EXPECT_DOUBLE_EQ(boundedBackoff(cfg, 0), cfg.backoffBase);
+    serve::BackoffCurve curve;
+    curve.base = 1.0e-3;
+    curve.cap = 1.0e-2;
+    EXPECT_DOUBLE_EQ(serve::boundedBackoff(curve, 0), curve.base);
     double prev = 0.0;
     for (int attempt = 0; attempt < 64; ++attempt) {
-        const double b = boundedBackoff(cfg, attempt);
+        const double b = serve::boundedBackoff(curve, attempt);
         EXPECT_GE(b, prev);
-        EXPECT_LE(b, cfg.backoffCap);
+        EXPECT_LE(b, curve.cap);
         prev = b;
     }
-    EXPECT_DOUBLE_EQ(boundedBackoff(cfg, 63), cfg.backoffCap);
+    EXPECT_DOUBLE_EQ(serve::boundedBackoff(curve, 63), curve.cap);
+
+    // The default curve: 5 ms, doubling, capped at 0.25 s.
+    const serve::BackoffCurve fleet = serve::FleetOptions{}.backoff;
+    EXPECT_DOUBLE_EQ(serve::boundedBackoff(fleet, 0), 5.0e-3);
+    EXPECT_DOUBLE_EQ(serve::boundedBackoff(fleet, 5), 0.16);
+    EXPECT_DOUBLE_EQ(serve::boundedBackoff(fleet, 6), 0.25);
 }
 
 // ---- Typed entry-point validation -----------------------------------
@@ -663,8 +643,8 @@ TEST(InProcessServe, RetriesAreBoundedAndCounted)
 {
     serve::FleetOptions opt = inProcess(1);
     opt.maxRetries = 2;
-    opt.backoff.backoffBase = 1.0e-4;
-    opt.backoff.backoffCap = 1.0e-3;
+    opt.backoff.base = 1.0e-4;
+    opt.backoff.cap = 1.0e-3;
     serve::Supervisor supervisor(opt);
     ASSERT_TRUE(supervisor.start().ok());
     const std::int64_t retriesBefore =

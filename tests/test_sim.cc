@@ -217,6 +217,51 @@ TEST(Sim, MetricsExportCanBeDisabled)
     }
 }
 
+TEST(Sim, StaleSimGaugesClearedBetweenRuns)
+{
+    // Regression for the between-runs accounting bug: a resource
+    // exported by run A but absent in run B must not keep reporting
+    // A's numbers after B exports.
+    obs::MetricsRegistry::global().clear();
+    {
+        // Producer on device 0 streams 8 blocks to a consumer on 1.
+        Rig r;
+        r.cluster = makePaperTestbed(2);
+        WorkProfile w;
+        w.computeOps = 3.0e7 * 8; // 0.1 s per block at 300 MHz
+        w.opsPerCycle = 1.0;
+        w.numBlocks = 8;
+        r.g.addEdge(r.add("src", w, 0), r.add("dst", w, 1), 64, 112.5e6);
+        r.run();
+    }
+    const auto snap1 = obs::MetricsRegistry::global().snapshot();
+    ASSERT_TRUE(snap1.hasGauge("tapacs.sim.task.dst.busy_seconds"));
+    ASSERT_GT(snap1.gaugeValue("tapacs.sim.task.dst.busy_seconds"), 0.0);
+
+    // Second run with a different graph: no task named "dst".
+    TaskGraph g("solo");
+    WorkProfile w;
+    w.computeOps = 1000.0;
+    g.addVertex("alone", ResourceVector{}, w);
+    Cluster cluster = makePaperTestbed(1);
+    DevicePartition part;
+    part.deviceOf = {0};
+    HbmBinding binding;
+    binding.channelsOf.assign(1, {});
+    binding.usersPerChannel.assign(
+        1, std::vector<int>(cluster.device().memory().channels, 0));
+    PipelinePlan plan;
+    plan.edges.assign(0, EdgePipelining{});
+    plan.addedAreaPerDevice.assign(1, ResourceVector{});
+    simulate(g, cluster, part, binding, plan, {300.0e6});
+
+    const auto snap2 = obs::MetricsRegistry::global().snapshot();
+    EXPECT_DOUBLE_EQ(snap2.gaugeValue("tapacs.sim.task.dst.busy_seconds"),
+                     0.0);
+    EXPECT_GT(snap2.gaugeValue("tapacs.sim.task.alone.busy_seconds"),
+              0.0);
+}
+
 TEST(Sim, SingleTaskComputeTime)
 {
     Rig r;

@@ -3,12 +3,11 @@
  * tapacs-golden — golden-file regression harness.
  *
  * Compiles and simulates the four paper workloads (stencil, PageRank,
- * KNN, CNN) in small 2-FPGA configurations, each twice: once healthy
- * and once under a fixed seeded fault scenario (degraded + lossy +
- * flapping link). The result is serialized as canonical JSON — fixed
- * key order, %.12g doubles, no wall-clock fields — so the bytes are a
- * stable function of the model alone and any behavioural drift in the
- * compiler, simulator or fault machinery shows up as a diff.
+ * KNN, CNN) in small 2-FPGA configurations. The result is serialized
+ * as canonical JSON — fixed key order, %.12g doubles, no wall-clock
+ * fields — so the bytes are a stable function of the model alone and
+ * any behavioural drift in the compiler or simulator shows up as a
+ * diff.
  *
  * Usage:
  *   tapacs-golden --write DIR    regenerate DIR/<workload>.json
@@ -38,9 +37,7 @@
 #include "cache/compile_cache.hh"
 #include "common/logging.hh"
 #include "compiler/compiler.hh"
-#include "network/faults.hh"
 #include "sim/dataflow_sim.hh"
-#include "sim/report.hh"
 
 using namespace tapacs;
 
@@ -67,17 +64,6 @@ paperWorkloads()
     return out;
 }
 
-/** The scripted scenario every workload is replayed under. */
-FaultPlan
-goldenFaultPlan()
-{
-    FaultPlan plan(20260807);
-    plan.degradeLink(0, 1, 0.0, 0.5)
-        .dropLink(0, 1, 0.0, 0.02)
-        .flapLink(0, 1, 1e-3, 2e-3);
-    return plan;
-}
-
 std::string
 num(double v)
 {
@@ -85,38 +71,18 @@ num(double v)
 }
 
 void
-appendSimJson(std::ostringstream &js, const TaskGraph &g,
-              const sim::SimResult &run)
+appendSimJson(std::ostringstream &js, const sim::SimResult &run)
 {
     js << "{\"makespan\":" << num(run.makespan)
        << ",\"completed\":" << (run.completed ? "true" : "false")
        << ",\"inter_device_bytes\":" << num(run.interDeviceBytes);
-    int messages = 0, retries = 0, timeouts = 0, undelivered = 0;
-    double backoff = 0.0, down_wait = 0.0;
-    for (const sim::EdgeCommStats &ec : run.edgeComm) {
-        messages += ec.messages;
-        retries += ec.retries;
-        timeouts += ec.timeouts;
-        undelivered += ec.undelivered;
-        backoff += ec.backoffSeconds;
-        down_wait += ec.linkDownWaitSeconds;
-    }
-    js << ",\"net_messages\":" << messages << ",\"net_retries\":" << retries
-       << ",\"net_timeouts\":" << timeouts
-       << ",\"net_undelivered\":" << undelivered
-       << ",\"net_backoff_seconds\":" << num(backoff)
-       << ",\"net_link_down_seconds\":" << num(down_wait);
     js << ",\"fired_blocks\":[";
-    for (VertexId v = 0; v < g.numVertices(); ++v) {
-        if (v > 0)
-            js << ",";
-        js << (run.firedBlocks.empty() ? g.vertex(v).work.numBlocks
-                                       : run.firedBlocks[v]);
-    }
+    for (size_t v = 0; v < run.firedBlocks.size(); ++v)
+        js << (v ? "," : "") << run.firedBlocks[v];
     js << "]}";
 }
 
-/** Compile + healthy run + faulted run, rendered as canonical JSON. */
+/** Compile + simulation, rendered as canonical JSON. */
 std::string
 renderWorkload(Workload &w, cache::CompileCache *cc = nullptr)
 {
@@ -152,15 +118,7 @@ renderWorkload(Workload &w, cache::CompileCache *cc = nullptr)
     const sim::SimResult healthy =
         sim::simulate(g, cluster, r.partition, r.binding, r.pipeline,
                       r.deviceFmax, sopt);
-    appendSimJson(js, g, healthy);
-
-    const FaultPlan plan = goldenFaultPlan();
-    sopt.faults = &plan;
-    js << ",\"faulted\":";
-    const sim::SimResult faulted =
-        sim::simulate(g, cluster, r.partition, r.binding, r.pipeline,
-                      r.deviceFmax, sopt);
-    appendSimJson(js, g, faulted);
+    appendSimJson(js, healthy);
     js << "}\n";
     return js.str();
 }

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Regenerate the golden-file regression artifacts in tests/golden/
-# (byte-exact compile+sim results for the four paper workloads,
-# healthy and under the seeded fault scenario).
+# (byte-exact compile+sim results for the four paper workloads).
 #
 # Run this only after an *intentional* model change, then review the
 # resulting diff like any other code change:

@@ -227,12 +227,6 @@ struct RandomChainCase
         }
     }
 
-    bool
-    crosses(EdgeId e) const
-    {
-        return part.deviceOf[g.edge(e).src] != part.deviceOf[g.edge(e).dst];
-    }
-
     sim::SimResult
     run()
     {
@@ -277,8 +271,9 @@ TEST_P(ChainTransferProperty, CrossingTokensArriveOnceAndReplay)
     double crossing_bytes = 0.0;
     int crossing = 0;
     for (EdgeId e : c.edges) {
-        if (c.crosses(e)) {
-            crossing_bytes += c.g.edge(e).totalBytes;
+        const Edge &edge = c.g.edge(e);
+        if (c.part.deviceOf[edge.src] != c.part.deviceOf[edge.dst]) {
+            crossing_bytes += edge.totalBytes;
             ++crossing;
         }
     }

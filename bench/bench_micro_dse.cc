@@ -73,13 +73,11 @@ coldPoint(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
     const CompileResult result =
         compileProgram(local, tasks, cluster, opt);
     if (result.routable) {
-        sim::SimOptions sopt;
-        sopt.exportMetrics = false;
         const TaskGraph &simGraph =
             result.replicated() ? result.expandedGraph : local;
         (void)sim::trySimulate(simGraph, cluster, result.partition,
                                result.binding, result.pipeline,
-                               result.deviceFmax, sopt);
+                               result.deviceFmax);
     }
     return std::chrono::duration<double>(clock::now() - t0).count();
 }

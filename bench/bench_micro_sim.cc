@@ -40,13 +40,11 @@ timeSimulate(const TaskGraph &g, const Cluster &cluster,
              const DevicePartition &part, const HbmBinding &binding,
              const PipelinePlan &plan, const std::vector<Hertz> &fmax)
 {
-    sim::SimOptions sopt;
-    sopt.exportMetrics = false;
     Timing out;
     for (int i = 0; i < 3; ++i) {
         const auto t0 = Clock::now();
         const sim::SimResult r =
-            sim::simulate(g, cluster, part, binding, plan, fmax, sopt);
+            sim::simulate(g, cluster, part, binding, plan, fmax);
         const double s =
             std::chrono::duration<double>(Clock::now() - t0).count();
         out.events = r.stats.get("events");

@@ -1,49 +1,7 @@
 #include "common/stats.hh"
 
-#include <algorithm>
-
-#include "common/logging.hh"
-
 namespace tapacs
 {
-
-void
-Accumulator::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = v;
-        max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++count_;
-    sum_ += v;
-}
-
-double
-Accumulator::min() const
-{
-    return count_ ? min_ : 0.0;
-}
-
-double
-Accumulator::max() const
-{
-    return count_ ? max_ : 0.0;
-}
-
-double
-Accumulator::mean() const
-{
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-void
-StatRegistry::incr(const std::string &name, double delta)
-{
-    scalars_[name] += delta;
-}
 
 void
 StatRegistry::set(const std::string &name, double value)
@@ -56,46 +14,6 @@ StatRegistry::get(const std::string &name) const
 {
     auto it = scalars_.find(name);
     return it == scalars_.end() ? 0.0 : it->second;
-}
-
-bool
-StatRegistry::has(const std::string &name) const
-{
-    return scalars_.count(name) > 0 || accumulators_.count(name) > 0;
-}
-
-void
-StatRegistry::sample(const std::string &name, double v)
-{
-    accumulators_[name].sample(v);
-}
-
-const Accumulator &
-StatRegistry::accumulator(const std::string &name)
-{
-    return accumulators_[name];
-}
-
-std::string
-StatRegistry::dump() const
-{
-    std::string out;
-    for (const auto &[name, value] : scalars_)
-        out += strprintf("%s %.6g\n", name.c_str(), value);
-    for (const auto &[name, acc] : accumulators_) {
-        out += strprintf("%s count=%llu mean=%.6g min=%.6g max=%.6g\n",
-                         name.c_str(),
-                         static_cast<unsigned long long>(acc.count()),
-                         acc.mean(), acc.min(), acc.max());
-    }
-    return out;
-}
-
-void
-StatRegistry::clear()
-{
-    scalars_.clear();
-    accumulators_.clear();
 }
 
 } // namespace tapacs

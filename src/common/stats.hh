@@ -1,11 +1,9 @@
 /**
  * @file
- * Lightweight named-statistics registry.
+ * Lightweight named-statistics record.
  *
- * Simulator components register scalar counters and distributions by
- * name; the registry renders them after a run. Modeled loosely on
- * gem5's Stats package but deliberately tiny: everything here is a
- * double-backed scalar or a streaming min/max/mean accumulator.
+ * The simulator records its per-run scalars (events, HBM busy time,
+ * transfer counts) by name and hands them back inside SimResult.
  */
 
 #ifndef TAPACS_COMMON_STATS_HH
@@ -17,28 +15,8 @@
 namespace tapacs
 {
 
-/** Streaming accumulator tracking count/sum/min/max of samples. */
-class Accumulator
-{
-  public:
-    /** Record one sample. */
-    void sample(double v);
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const;
-    double max() const;
-    double mean() const;
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /**
- * Registry mapping stat names to scalars and accumulators.
+ * Map from stat names to scalars.
  *
  * Instances are independent; the simulator owns one per run so that
  * parallel experiments never share mutable globals.
@@ -46,33 +24,14 @@ class Accumulator
 class StatRegistry
 {
   public:
-    /** Add delta to the named scalar, creating it at zero if new. */
-    void incr(const std::string &name, double delta = 1.0);
-
     /** Overwrite the named scalar. */
     void set(const std::string &name, double value);
 
     /** Read a scalar; returns 0 for unknown names. */
     double get(const std::string &name) const;
 
-    /** True if the scalar has been touched. */
-    bool has(const std::string &name) const;
-
-    /** Record a sample into the named accumulator. */
-    void sample(const std::string &name, double v);
-
-    /** Access an accumulator; creates an empty one if missing. */
-    const Accumulator &accumulator(const std::string &name);
-
-    /** Render all stats as "name value" lines sorted by name. */
-    std::string dump() const;
-
-    /** Drop all recorded stats. */
-    void clear();
-
   private:
     std::map<std::string, double> scalars_;
-    std::map<std::string, Accumulator> accumulators_;
 };
 
 } // namespace tapacs

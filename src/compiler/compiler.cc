@@ -8,7 +8,6 @@
 #include "cache/compile_cache.hh"
 #include "common/logging.hh"
 #include "network/link.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "partition/multilevel.hh"
 #include "partition/replicate.hh"
@@ -295,9 +294,6 @@ compile(const TaskGraph &g, const Cluster &cluster,
                     "inter-FPGA ILP tier produced no feasible "
                     "partition under its budget; greedy fallback "
                     "succeeded";
-                obs::MetricsRegistry::global()
-                    .counter("tapacs.compile.l1_fallbacks")
-                    .add();
             }
         }
         span.arg("devices", static_cast<std::int64_t>(fpgas))
@@ -441,9 +437,6 @@ compile(const TaskGraph &g, const Cluster &cluster,
                     "intra-FPGA floorplan degraded (%s): greedy cuts "
                     "instead of per-bisection ILPs",
                     toString(intra.ctx.status().code()));
-                obs::MetricsRegistry::global()
-                    .counter("tapacs.compile.l2_fallbacks")
-                    .add();
             }
             out.l2Seconds = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - l2_t0)
@@ -658,9 +651,6 @@ class IncrementalSeed
                     const CompileOptions &options)
         : opts(options)
     {
-        obs::MetricsRegistry::global()
-            .counter("tapacs.compile.incremental")
-            .add();
         reject_ = priorRejectReason(prior);
         if (reject_.empty()) {
             opts.cache = localCache_.attach(options.cache, options.ctx);

@@ -55,9 +55,6 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
         return out;
 
     obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-    // Drop stale values from earlier sweeps so the registry always
-    // describes the latest one (the tapacs.sim.* rule).
-    reg.resetPrefix("tapacs.explore.");
     obs::TraceSpan sweepSpan("explore", "sweep");
 
     // One shared cache for every point of the sweep: the caller's, or
@@ -81,10 +78,6 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
 
     const std::size_t n = spec.numPoints();
     out.trace.resize(n);
-
-    obs::Histogram &pointSeconds = reg.histogram(
-        "tapacs.explore.point_seconds",
-        {0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0});
 
     auto evalPoint = [&](std::size_t idx) {
         const auto p0 = clock::now();
@@ -130,7 +123,6 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
                 if (options.simulate && po.routable &&
                     po.status.ok()) {
                     sim::SimOptions sopt;
-                    sopt.exportMetrics = false;
                     sopt.ctx = popt.ctx;
                     const TaskGraph &simGraph =
                         po.result.replicated()
@@ -159,7 +151,6 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
 
         po.seconds =
             std::chrono::duration<double>(clock::now() - p0).count();
-        pointSeconds.observe(po.seconds);
         span.arg("seconds", po.seconds)
             .arg("status", toString(po.status.code()))
             .arg("routable", static_cast<std::int64_t>(po.routable))
@@ -195,21 +186,6 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
     out.seconds =
         std::chrono::duration<double>(clock::now() - t0).count();
 
-    std::int64_t unroutable = 0;
-    std::int64_t simFailures = 0;
-    for (const PointOutcome &po : out.trace) {
-        if (!po.routable)
-            ++unroutable;
-        if (po.routable && options.simulate && !po.simulated)
-            ++simFailures;
-    }
-    reg.counter("tapacs.explore.points")
-        .add(static_cast<std::int64_t>(n));
-    reg.counter("tapacs.explore.unroutable").add(unroutable);
-    reg.counter("tapacs.explore.sim_failures").add(simFailures);
-    reg.gauge("tapacs.explore.frontier_size")
-        .set(static_cast<double>(out.frontier.size()));
-    reg.gauge("tapacs.explore.cache_hit_rate").set(out.cacheHitRate);
     sweepSpan.arg("points", static_cast<std::int64_t>(n))
         .arg("frontier",
              static_cast<std::int64_t>(out.frontier.size()))

@@ -31,11 +31,10 @@
  * deadline are never written to the compile cache (the flow-wide
  * rule), so deadline-sliced sweeps trade reuse for bounded latency.
  *
- * Telemetry: tapacs.explore.{points,unroutable,sim_failures}
- * counters, {frontier_size,cache_hit_rate} gauges and a
- * point_seconds histogram on the global registry (stale values from
- * earlier sweeps are reset first, like tapacs.sim.*), plus one
- * "explore" trace span per point and one for the sweep.
+ * Telemetry: the sweep reports through its ExploreResult (trace with
+ * per-point status and seconds, frontier, cache hits/misses/hit
+ * rate), plus one "explore" trace span per point and one for the
+ * sweep. It writes no process metric of its own.
  */
 
 #ifndef TAPACS_EXPLORE_EXPLORE_HH

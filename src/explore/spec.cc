@@ -29,28 +29,21 @@ split(const std::string &text, char sep)
     }
 }
 
-/** Strict finite-double parse inside [lo, hi] (whole-token). */
+template <typename T>
 bool
-parseDoubleToken(const std::string &text, double lo, double hi,
-                 double *out)
+contains(const std::vector<T> &values, const T &v)
 {
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (errno == ERANGE || end != text.c_str() + text.size())
-        return false;
-    if (!(v >= lo && v <= hi)) // NaN fails too
-        return false;
-    *out = v;
-    return true;
+    for (const T &x : values)
+        if (x == v)
+            return true;
+    return false;
 }
 
-/** Strict integer parse inside [lo, hi] (whole-token). */
+} // namespace
+
 bool
-parseIntToken(const std::string &text, long long lo, long long hi,
-              long long *out)
+parseInt(const std::string &text, std::int64_t lo, std::int64_t hi,
+         std::int64_t *out)
 {
     if (text.empty())
         return false;
@@ -65,17 +58,21 @@ parseIntToken(const std::string &text, long long lo, long long hi,
     return true;
 }
 
-template <typename T>
 bool
-contains(const std::vector<T> &values, const T &v)
+parseDouble(const std::string &text, double lo, double hi, double *out)
 {
-    for (const T &x : values)
-        if (x == v)
-            return true;
-    return false;
+    if (text.empty())
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (errno == ERANGE || end != text.c_str() + text.size())
+        return false;
+    if (!(v >= lo && v <= hi)) // NaN fails too
+        return false;
+    *out = v;
+    return true;
 }
-
-} // namespace
 
 std::string
 ExplorePoint::label() const
@@ -144,7 +141,7 @@ parseThresholdAxis(const std::string &csv, std::vector<double> *out)
     std::vector<double> values;
     for (const std::string &tok : split(csv, ',')) {
         double v = 0.0;
-        if (!parseDoubleToken(tok, 1.0e-6, 1.0, &v))
+        if (!parseDouble(tok, 1.0e-6, 1.0, &v))
             return Status::invalidInput(
                 "t values must be in (0, 1], got '%s'", tok.c_str());
         if (contains(values, v))
@@ -163,7 +160,7 @@ parseSlotThresholdAxis(const std::string &csv, std::vector<double> *out)
     for (const std::string &tok : split(csv, ',')) {
         double v = -1.0;
         if (tok != "follow" &&
-            !parseDoubleToken(tok, 1.0e-6, 1.0, &v))
+            !parseDouble(tok, 1.0e-6, 1.0, &v))
             return Status::invalidInput(
                 "lambda values must be in (0, 1] or 'follow', got "
                 "'%s'",
@@ -223,8 +220,8 @@ parseDepthAxis(const std::string &csv, std::vector<int> *out)
 {
     std::vector<int> values;
     for (const std::string &tok : split(csv, ',')) {
-        long long v = 0;
-        if (!parseIntToken(tok, 0, 16, &v))
+        std::int64_t v = 0;
+        if (!parseInt(tok, 0, 16, &v))
             return Status::invalidInput(
                 "depth values must be integers in [0, 16], got '%s'",
                 tok.c_str());

@@ -30,6 +30,7 @@
 #define TAPACS_EXPLORE_SPEC_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,15 @@ struct ExploreSpec
 /** Hard cap on grid size: a typo must not enqueue a million
  *  compiles. */
 constexpr std::size_t kMaxExplorePoints = 4096;
+
+/** Strict numeric parses shared by the grid grammar, the serve
+ *  manifest and the tools' flags: the whole of @p text must be a
+ *  number inside [lo, hi]; anything else (empty, trailing junk,
+ *  overflow, NaN) fails and leaves *out untouched. */
+bool parseInt(const std::string &text, std::int64_t lo, std::int64_t hi,
+              std::int64_t *out);
+bool parseDouble(const std::string &text, double lo, double hi,
+                 double *out);
 
 /** Per-axis value-list parsers ("0.6,0.7" etc.), shared by the grid
  *  grammar and the serve manifest keys. Ok + *out on success,

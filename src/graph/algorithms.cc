@@ -1,9 +1,6 @@
 #include "graph/algorithms.hh"
 
 #include <algorithm>
-#include <map>
-
-#include "common/logging.hh"
 
 namespace tapacs
 {
@@ -131,108 +128,6 @@ stronglyConnectedComponents(const TaskGraph &g, int *numComponents)
     if (numComponents)
         *numComponents = state.nextComp;
     return state.comp;
-}
-
-TaskGraph
-condensation(const TaskGraph &g, const std::vector<int> &scc,
-             int numComponents)
-{
-    TaskGraph out(g.name() + ".condensed");
-    std::vector<Vertex> members(numComponents);
-    std::vector<int> memberCount(numComponents, 0);
-    for (VertexId v = 0; v < g.numVertices(); ++v) {
-        const int c = scc[v];
-        Vertex &m = members[c];
-        if (memberCount[c] == 0)
-            m.name = g.vertex(v).name;
-        m.area += g.vertex(v).area;
-        m.work.computeOps += g.vertex(v).work.computeOps;
-        m.work.opsPerCycle += g.vertex(v).work.opsPerCycle;
-        m.work.memReadBytes += g.vertex(v).work.memReadBytes;
-        m.work.memWriteBytes += g.vertex(v).work.memWriteBytes;
-        m.work.memChannels += g.vertex(v).work.memChannels;
-        m.work.numBlocks =
-            std::max(m.work.numBlocks, g.vertex(v).work.numBlocks);
-        ++memberCount[c];
-    }
-    for (int c = 0; c < numComponents; ++c) {
-        if (memberCount[c] > 1)
-            members[c].name += strprintf(".scc%d", c);
-        out.addVertex(std::move(members[c]));
-    }
-
-    std::map<std::pair<int, int>, EdgeId> merged;
-    for (const auto &e : g.edges()) {
-        const int cs = scc[e.src], cd = scc[e.dst];
-        if (cs == cd)
-            continue;
-        auto key = std::make_pair(cs, cd);
-        auto it = merged.find(key);
-        if (it == merged.end()) {
-            EdgeId id = out.addEdge(cs, cd, e.widthBits, e.totalBytes,
-                                    e.depth);
-            merged[key] = id;
-        } else {
-            Edge &m = out.edge(it->second);
-            m.widthBits += e.widthBits;
-            m.totalBytes += e.totalBytes;
-        }
-    }
-    return out;
-}
-
-std::vector<int>
-weaklyConnectedComponents(const TaskGraph &g, int *numComponents)
-{
-    const int n = g.numVertices();
-    std::vector<int> comp(n, -1);
-    int next = 0;
-    std::vector<VertexId> queue;
-    for (VertexId s = 0; s < n; ++s) {
-        if (comp[s] >= 0)
-            continue;
-        comp[s] = next;
-        queue.push_back(s);
-        while (!queue.empty()) {
-            const VertexId v = queue.back();
-            queue.pop_back();
-            for (EdgeId e : g.outEdges(v)) {
-                const VertexId w = g.edge(e).dst;
-                if (comp[w] < 0) {
-                    comp[w] = next;
-                    queue.push_back(w);
-                }
-            }
-            for (EdgeId e : g.inEdges(v)) {
-                const VertexId w = g.edge(e).src;
-                if (comp[w] < 0) {
-                    comp[w] = next;
-                    queue.push_back(w);
-                }
-            }
-        }
-        ++next;
-    }
-    if (numComponents)
-        *numComponents = next;
-    return comp;
-}
-
-std::vector<int>
-longestPathFromSources(const TaskGraph &g)
-{
-    auto order = topologicalOrder(g);
-    if (!order)
-        panic("longestPathFromSources called on a cyclic graph '%s'",
-              g.name().c_str());
-    std::vector<int> depth(g.numVertices(), 0);
-    for (VertexId v : *order) {
-        for (EdgeId e : g.outEdges(v)) {
-            const VertexId w = g.edge(e).dst;
-            depth[w] = std::max(depth[w], depth[v] + 1);
-        }
-    }
-    return depth;
 }
 
 } // namespace tapacs

@@ -2,10 +2,9 @@
  * @file
  * Graph algorithms over TaskGraph.
  *
- * The floorplanners and the pipelining pass need structural queries:
- * topological order (for latency balancing on DAG regions), strongly
- * connected components (PageRank's controller loop makes the graph
- * cyclic), undirected connectivity, and reconvergent-path analysis.
+ * The pipelining pass balances latency per strongly connected
+ * component (PageRank's controller loop makes the graph cyclic);
+ * topological order and cycle detection answer acyclicity queries.
  */
 
 #ifndef TAPACS_GRAPH_ALGORITHMS_HH
@@ -34,30 +33,11 @@ bool hasCycle(const TaskGraph &g);
  * Strongly connected components via Tarjan's algorithm.
  *
  * @return component id per vertex; ids are assigned in reverse
- *         topological order of the condensation (a component's id is
- *         greater than those of the components it can reach).
+ *         topological order of the component DAG (a component's id
+ *         is greater than those of the components it can reach).
  */
 std::vector<int> stronglyConnectedComponents(const TaskGraph &g,
                                              int *numComponents = nullptr);
-
-/**
- * Condensation of the graph: one vertex per SCC, edges between
- * distinct components (duplicates merged, widths/volumes summed).
- * Component vertices aggregate the member areas and work profiles.
- */
-TaskGraph condensation(const TaskGraph &g, const std::vector<int> &scc,
-                       int numComponents);
-
-/** Connected components of the underlying undirected graph. */
-std::vector<int> weaklyConnectedComponents(const TaskGraph &g,
-                                           int *numComponents = nullptr);
-
-/**
- * Longest path length (in edges) from sources, per vertex, on a DAG.
- * Calls panic() on cyclic input; run on a condensation when cycles
- * are possible.
- */
-std::vector<int> longestPathFromSources(const TaskGraph &g);
 
 } // namespace tapacs
 

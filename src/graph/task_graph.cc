@@ -107,15 +107,6 @@ TaskGraph::totalArea() const
     return total;
 }
 
-double
-TaskGraph::totalTrafficBytes() const
-{
-    double total = 0.0;
-    for (const auto &e : edges_)
-        total += e.totalBytes;
-    return total;
-}
-
 Status
 TaskGraph::validateStatus() const
 {
@@ -168,22 +159,6 @@ TaskGraph::validate() const
     const Status st = validateStatus();
     if (!st.ok())
         fatal("%s", st.message().c_str());
-}
-
-std::string
-TaskGraph::toDot() const
-{
-    std::string out = "digraph \"" + name_ + "\" {\n";
-    for (VertexId v = 0; v < numVertices(); ++v) {
-        out += strprintf("  n%d [label=\"%s\"];\n", v,
-                         vertices_[v].name.c_str());
-    }
-    for (const auto &e : edges_) {
-        out += strprintf("  n%d -> n%d [label=\"%db\"];\n", e.src, e.dst,
-                         e.widthBits);
-    }
-    out += "}\n";
-    return out;
 }
 
 } // namespace tapacs

@@ -130,9 +130,6 @@ class TaskGraph
     /** Sum of all vertex areas. */
     ResourceVector totalArea() const;
 
-    /** Sum of edge traffic volumes in bytes. */
-    double totalTrafficBytes() const;
-
     /**
      * Structural validation: ids in range, names unique and
      * non-empty, widths positive. Returns Ok or InvalidInput with a
@@ -146,9 +143,6 @@ class TaskGraph
      * validateStatus() description on violation.
      */
     void validate() const;
-
-    /** Render the graph in Graphviz DOT syntax. */
-    std::string toDot() const;
 
   private:
     std::string name_;

@@ -1,29 +1,12 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "obs/trace.hh"
 
 namespace tapacs::obs
 {
-
-namespace
-{
-
-std::string
-formatDouble(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1)
@@ -158,50 +141,6 @@ MetricsSnapshot::renderTable() const
                       static_cast<long long>(h.count), h.sum);
         out += buf;
     }
-    return out;
-}
-
-std::string
-MetricsSnapshot::renderJson() const
-{
-    std::string out = "{\"counters\":{";
-    bool first = true;
-    for (const auto &[name, value] : counters) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"' + jsonEscape(name) + "\":" + std::to_string(value);
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, value] : gauges) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"' + jsonEscape(name) + "\":" + formatDouble(value);
-    }
-    out += "},\"histograms\":{";
-    first = true;
-    for (const auto &[name, h] : histograms) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"' + jsonEscape(name) + "\":{\"bounds\":[";
-        for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-            if (i)
-                out += ',';
-            out += formatDouble(h.bounds[i]);
-        }
-        out += "],\"buckets\":[";
-        for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-            if (i)
-                out += ',';
-            out += std::to_string(h.buckets[i]);
-        }
-        out += "],\"count\":" + std::to_string(h.count) +
-               ",\"sum\":" + formatDouble(h.sum) + "}";
-    }
-    out += "}}";
     return out;
 }
 

@@ -6,10 +6,12 @@
  *
  * This complements common/stats.hh, which is a *per-run* scalar
  * record handed back inside SimResult; the registry here is
- * *process-wide* telemetry meant for dashboards and tests. Metric
- * names follow the `tapacs.<module>.<name>` convention (e.g.
- * `tapacs.sim.hbm.d0.ch3.busy_seconds`,
- * `tapacs.ilp.incumbent_updates`).
+ * *process-wide* telemetry. Library layers report through their
+ * return values; a process metric exists only where a tool prints it
+ * (tapacs-serve's `tapacs.{serve,fleet,cache}.*` tables) or the
+ * benchmark reads it (e.g. `tapacs.cache.hits`,
+ * `tapacs.partition.fm_moves`). Names follow the
+ * `tapacs.<module>.<name>` convention.
  *
  * Update paths are single atomic RMW operations on pre-resolved
  * handles: call `registry.counter("...")` once, keep the reference,
@@ -139,8 +141,6 @@ struct MetricsSnapshot
 
     /** Human-readable aligned text table. */
     std::string renderTable() const;
-    /** JSON object {"counters":{...},"gauges":{...},"histograms":{...}}. */
-    std::string renderJson() const;
 };
 
 /**
@@ -167,10 +167,8 @@ class MetricsRegistry
 
     /**
      * Reset to zero every metric whose name starts with @p prefix.
-     * Handles stay valid. Used by the simulator to drop stale
-     * `tapacs.sim.*` values before a new run's export: without it a
-     * resource touched by run A but idle in run B would keep
-     * reporting A's numbers.
+     * Handles stay valid. Used by bench_micro_cache to start its
+     * `tapacs.cache.*` counts from zero.
      */
     void resetPrefix(const std::string &prefix);
 

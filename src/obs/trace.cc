@@ -145,41 +145,6 @@ Tracer::record(TraceEvent event)
     buf.events.push_back(std::move(event));
 }
 
-void
-Tracer::instant(const char *category, std::string name)
-{
-    if (!enabled())
-        return;
-    TraceEvent ev;
-    ev.phase = 'i';
-    ev.category = category;
-    ev.name = std::move(name);
-    ev.tsMicros = nowMicros();
-    record(std::move(ev));
-}
-
-void
-Tracer::counter(const char *category, std::string name, double value)
-{
-    if (!enabled())
-        return;
-    TraceEvent ev;
-    ev.phase = 'C';
-    ev.category = category;
-    ev.name = std::move(name);
-    ev.tsMicros = nowMicros();
-    ev.args = "\"value\":" + jsonNumber(value);
-    record(std::move(ev));
-}
-
-void
-Tracer::setCurrentThreadName(std::string name)
-{
-    ThreadBuffer &buf = localBuffer();
-    std::lock_guard<std::mutex> lk(buf.mu);
-    buf.name = std::move(name);
-}
-
 std::string
 Tracer::toJson() const
 {
@@ -209,9 +174,7 @@ Tracer::toJson() const
                std::to_string(tb->tid) + ",\"args\":{\"name\":\"" +
                jsonEscape(tb->name) + "\"}}");
         for (const TraceEvent &ev : tb->events) {
-            std::string e = "{\"ph\":\"";
-            e += ev.phase;
-            e += "\",\"pid\":1,\"tid\":";
+            std::string e = "{\"ph\":\"X\",\"pid\":1,\"tid\":";
             e += std::to_string(tb->tid);
             e += ",\"cat\":\"";
             e += jsonEscape(ev.category);
@@ -219,13 +182,9 @@ Tracer::toJson() const
             e += jsonEscape(ev.name);
             e += "\",\"ts\":";
             e += jsonNumber(ev.tsMicros);
-            if (ev.phase == 'X') {
-                std::snprintf(buf, sizeof(buf), ",\"dur\":%s",
-                              jsonNumber(ev.durMicros).c_str());
-                e += buf;
-            }
-            if (ev.phase == 'i')
-                e += ",\"s\":\"t\"";
+            std::snprintf(buf, sizeof(buf), ",\"dur\":%s",
+                          jsonNumber(ev.durMicros).c_str());
+            e += buf;
             if (!ev.args.empty())
                 e += ",\"args\":{" + ev.args + "}";
             e += '}';
@@ -285,7 +244,6 @@ TraceSpan::~TraceSpan()
         return;
     Tracer &tracer = Tracer::instance();
     TraceEvent ev;
-    ev.phase = 'X';
     ev.category = category_;
     ev.name = std::move(name_);
     ev.tsMicros = startMicros_;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Structured tracing: scoped spans, instant events and counters that
- * merge into a Chrome `trace_event` JSON file loadable in
+ * Structured tracing: scoped spans that merge into a Chrome
+ * `trace_event` JSON file loadable in
  * `chrome://tracing` / Perfetto.
  *
  * Design goals, in order:
@@ -39,17 +39,15 @@
 namespace tapacs::obs
 {
 
-/** One recorded event (Chrome trace_event phases 'X', 'i', 'C'). */
+/** One recorded complete event (Chrome trace_event phase 'X'). */
 struct TraceEvent
 {
-    char phase = 'X';
     /** Category; must point at storage outliving the tracer (string
      *  literals in practice). */
     const char *category = "";
     std::string name;
     /** Microseconds since the trace epoch. */
     double tsMicros = 0.0;
-    /** Duration for 'X' events, unused otherwise. */
     double durMicros = 0.0;
     /** Pre-rendered JSON object *body* for "args" (no braces), empty
      *  when the event carries none. */
@@ -83,19 +81,6 @@ class Tracer
     /** Append one event to the calling thread's buffer. No-op when
      *  disabled. */
     void record(TraceEvent event);
-
-    /** Record an instant event ('i'). */
-    void instant(const char *category, std::string name);
-
-    /** Record a counter sample ('C'); renders as a stacked chart. */
-    void counter(const char *category, std::string name, double value);
-
-    /**
-     * Name the calling thread's track in the viewer. Buffers made on
-     * ThreadPool workers default to "pool-worker-N"; everything else
-     * defaults to "thread-N" ("main" for the first thread seen).
-     */
-    void setCurrentThreadName(std::string name);
 
     /** Render every buffered event as one Chrome trace JSON string. */
     std::string toJson() const;

@@ -116,10 +116,10 @@ coarsenOnce(const Hypergraph &hg, const CoarsenOptions &opt, Rng &rng,
 
     // HDN limit from this level's average net degree.
     std::vector<char> hdn(n, 0);
-    if (opt.hdnFactor > 0.0 && n > 0) {
+    if (n > 0) {
         const double avg =
             static_cast<double>(hg.vtxNets.size()) / n;
-        const double limit = std::max(4.0, opt.hdnFactor * avg);
+        const double limit = std::max(4.0, kHdnFactor * avg);
         for (int v = 0; v < n; ++v) {
             const int deg = hg.vtxOffset[v + 1] - hg.vtxOffset[v];
             if (deg > limit)
@@ -241,7 +241,7 @@ buildHierarchy(const TaskGraph &g, const CoarsenOptions &options)
         const double shrink = static_cast<double>(cur.numVertices()) /
                               next.hg.numVertices();
         levels.push_back(std::move(next));
-        if (shrink < options.minShrinkFactor)
+        if (shrink < kMinShrinkFactor)
             break; // stagnating (caps or HDNs block further merges)
     }
     return levels;

@@ -85,6 +85,13 @@ struct Level
     std::vector<int> coarseOf;
 };
 
+/** HDN exclusion: a vertex with net degree above kHdnFactor times the
+ *  level average is left unmatched. */
+constexpr double kHdnFactor = 8.0;
+/** Stop coarsening early when a round shrinks the level by less than
+ *  this factor (stagnation guard). */
+constexpr double kMinShrinkFactor = 1.05;
+
 /** Knobs for one hierarchy build. */
 struct CoarsenOptions
 {
@@ -94,12 +101,6 @@ struct CoarsenOptions
     ResourceVector mergeCap;
     /** Per-cluster channel-demand cap (0 = uncapped). */
     int channelMergeCap = 0;
-    /** HDN exclusion: a vertex with net degree above hdnFactor times
-     *  the level average is left unmatched (0 disables). */
-    double hdnFactor = 8.0;
-    /** Stop early when a round shrinks the level by less than this
-     *  factor (stagnation guard). */
-    double minShrinkFactor = 1.05;
     std::uint64_t seed = 1;
 };
 

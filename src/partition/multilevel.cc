@@ -195,13 +195,7 @@ maybeReplicate(const TaskGraph &g, const Cluster &cluster,
     obs::TraceSpan span("partition", "replicate");
     out.replication = planReplication(g, cluster, options,
                                       out.partition);
-    const int replicas = out.replication.totalReplicas();
-    span.arg("replicas", replicas);
-    if (replicas > 0) {
-        obs::MetricsRegistry::global()
-            .counter("tapacs.partition.replicas")
-            .add(replicas);
-    }
+    span.arg("replicas", out.replication.totalReplicas());
 }
 
 } // namespace
@@ -217,9 +211,6 @@ floorplanMultilevel(const TaskGraph &g, const Cluster &cluster,
         if (!checkInterFpgaInputs(g, cluster, options, &bad))
             return bad;
     }
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-    reg.counter("tapacs.partition.solves").add();
-
     InterFpgaResult out;
     const int ilpLimit =
         std::max(options.coarseLimit, options.mlIlpVertexLimit);
@@ -239,17 +230,8 @@ floorplanMultilevel(const TaskGraph &g, const Cluster &cluster,
         out = runVCycle(g, cluster, options);
     }
     maybeReplicate(g, cluster, options, out);
-
-    if (out.feasible) {
-        reg.gauge("tapacs.partition.levels").set(out.levels);
-        reg.gauge("tapacs.partition.coarse_vertices")
-            .set(out.coarseVertices);
-        reg.gauge("tapacs.partition.cut_width_bits")
-            .set(interFpgaCutWidthBits(g, out.partition));
-    }
     out.elapsedSeconds =
         std::chrono::duration<double>(clock_type::now() - t0).count();
-    reg.gauge("tapacs.partition.last_seconds").set(out.elapsedSeconds);
     return out;
 }
 

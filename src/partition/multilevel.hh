@@ -24,7 +24,9 @@
  * cost mean the same thing at every level and for both backends.
  * Results are bit-identical for a given seed at any thread count.
  *
- * Emits tapacs.partition.* metrics and per-level trace spans.
+ * Reports through InterFpgaResult (levels, coarseVertices,
+ * elapsedSeconds, replication) and per-level trace spans; its one
+ * process metric is the tapacs.partition.fm_moves counter.
  */
 
 #ifndef TAPACS_PARTITION_MULTILEVEL_HH

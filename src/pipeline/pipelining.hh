@@ -43,9 +43,6 @@ struct EdgePipelining
     int stages = 0;
     /** Extra FIFO depth added by latency balancing. */
     int balanceDepth = 0;
-
-    /** Cycles of latency this edge adds to the path. */
-    int addedLatency() const { return stages; }
 };
 
 /** Result of the pipelining pass. */

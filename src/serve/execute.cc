@@ -272,7 +272,6 @@ executeRequest(const Request &req, const Context &ctx,
         if (st.ok() && req.simulate && out.status.ok() &&
             result.routable) {
             sim::SimOptions sopt;
-            sopt.exportMetrics = false;
             sopt.ctx = ctx;
             // A replicated design simulates as the expanded graph —
             // the one placement/binding/pipelining actually describe.

@@ -1,7 +1,5 @@
 #include "serve/manifest.hh"
 
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -20,39 +18,6 @@ knownWorkload(const std::string &name)
 }
 
 } // namespace
-
-bool
-parseInt(const std::string &text, std::int64_t lo, std::int64_t hi,
-         std::int64_t *out)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (errno == ERANGE || end != text.c_str() + text.size())
-        return false;
-    if (v < lo || v > hi)
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parseDouble(const std::string &text, double lo, double hi, double *out)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (errno == ERANGE || end != text.c_str() + text.size())
-        return false;
-    if (!(v >= lo && v <= hi)) // NaN fails too
-        return false;
-    *out = v;
-    return true;
-}
 
 Status
 parseModeName(const std::string &name, CompileMode *out)
@@ -149,7 +114,7 @@ parseManifest(const std::string &text)
                     req.graphFile = value;
                 }
             } else if (key == "fpgas") {
-                if (!parseInt(value, 1, 256, &n)) {
+                if (!explore::parseInt(value, 1, 256, &n)) {
                     reject(strprintf("fpgas must be an integer in "
                                      "[1, 256], got '%s'",
                                      value.c_str()));
@@ -171,7 +136,7 @@ parseManifest(const std::string &text)
                     bad = true;
                 }
             } else if (key == "threshold") {
-                if (!parseDouble(value, 1.0e-6, 1.0, &x)) {
+                if (!explore::parseDouble(value, 1.0e-6, 1.0, &x)) {
                     reject(strprintf("threshold must be in (0, 1], "
                                      "got '%s'",
                                      value.c_str()));
@@ -180,7 +145,7 @@ parseManifest(const std::string &text)
                     req.threshold = x;
                 }
             } else if (key == "scale") {
-                if (!parseInt(value, 0, 1'000'000'000'000LL, &n)) {
+                if (!explore::parseInt(value, 0, 1'000'000'000'000LL, &n)) {
                     reject(strprintf("scale must be an integer in "
                                      "[0, 1e12], got '%s'",
                                      value.c_str()));
@@ -189,7 +154,7 @@ parseManifest(const std::string &text)
                     req.scale = n;
                 }
             } else if (key == "repeat") {
-                if (!parseInt(value, 1, 10'000, &n)) {
+                if (!explore::parseInt(value, 1, 10'000, &n)) {
                     reject(strprintf("repeat must be an integer in "
                                      "[1, 10000], got '%s'",
                                      value.c_str()));
@@ -198,7 +163,7 @@ parseManifest(const std::string &text)
                     req.repeat = static_cast<int>(n);
                 }
             } else if (key == "deadline_ms") {
-                if (!parseDouble(value, -1.0, 1.0e9, &x)) {
+                if (!explore::parseDouble(value, -1.0, 1.0e9, &x)) {
                     reject(strprintf("deadline_ms must be in "
                                      "[-1, 1e9], got '%s'",
                                      value.c_str()));
@@ -207,7 +172,7 @@ parseManifest(const std::string &text)
                     req.deadlineMs = x;
                 }
             } else if (key == "simulate") {
-                if (!parseInt(value, 0, 1, &n)) {
+                if (!explore::parseInt(value, 0, 1, &n)) {
                     reject(strprintf("simulate must be 0 or 1, got "
                                      "'%s'", value.c_str()));
                     bad = true;
@@ -222,7 +187,7 @@ parseManifest(const std::string &text)
                     bad = true;
                 }
             } else if (key == "replicate") {
-                if (!parseInt(value, 0, 1, &n)) {
+                if (!explore::parseInt(value, 0, 1, &n)) {
                     reject(strprintf("replicate must be 0 or 1, got "
                                      "'%s'", value.c_str()));
                     bad = true;
@@ -230,7 +195,7 @@ parseManifest(const std::string &text)
                     req.replicate = n != 0;
                 }
             } else if (key == "incremental") {
-                if (!parseInt(value, 0, 1, &n)) {
+                if (!explore::parseInt(value, 0, 1, &n)) {
                     reject(strprintf("incremental must be 0 or 1, got "
                                      "'%s'", value.c_str()));
                     bad = true;
@@ -245,7 +210,7 @@ parseManifest(const std::string &text)
                     req.base = value;
                 }
             } else if (key == "explore") {
-                if (!parseInt(value, 0, 1, &n)) {
+                if (!explore::parseInt(value, 0, 1, &n)) {
                     reject(strprintf("explore must be 0 or 1, got "
                                      "'%s'", value.c_str()));
                     bad = true;
@@ -302,7 +267,7 @@ parseManifest(const std::string &text)
             } else if (key == "coarse_limit") {
                 // 0 keeps the engine default; explicit values must be
                 // a sane coarsening target.
-                if (!parseInt(value, 0, 100'000, &n) ||
+                if (!explore::parseInt(value, 0, 100'000, &n) ||
                     (n != 0 && n < 2)) {
                     reject(strprintf("coarse_limit must be 0 or in "
                                      "[2, 100000], got '%s'",

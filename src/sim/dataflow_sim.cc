@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "network/cluster.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/server.hh"
 
@@ -109,9 +108,6 @@ class Simulation
     /** Fold the run into @p out: fixed-order reductions,
      *  rate-consistency check, stats registry. */
     void finalize(SimResult *out);
-
-    /** Publish per-resource gauges (tapacs.sim.*). */
-    void exportMetrics() const;
 
   private:
     void applyArrival(EdgeId e);
@@ -543,54 +539,6 @@ Simulation::finalize(SimResult *out)
                        static_cast<double>(inter));
 }
 
-/**
- * Publish one server's utilization to the process metrics registry
- * under `tapacs.sim.<resource>.{busy_seconds,wait_seconds,requests}`.
- * Servers that never served a request are skipped so the registry
- * holds only resources the run actually touched.
- */
-void
-exportServerMetrics(const std::string &resource, const Server &server)
-{
-    if (server.requests() == 0)
-        return;
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-    const std::string base = "tapacs.sim." + resource;
-    reg.gauge(base + ".busy_seconds").set(server.busyTime());
-    reg.gauge(base + ".wait_seconds").set(server.waitTime());
-    reg.gauge(base + ".requests")
-        .set(static_cast<double>(server.requests()));
-}
-
-void
-Simulation::exportMetrics() const
-{
-    // Drop stale per-resource gauges from any earlier run: a server
-    // idle this run would otherwise keep reporting the previous run's
-    // busy/wait/request numbers.
-    obs::MetricsRegistry::global().resetPrefix("tapacs.sim.");
-    for (DeviceId d = 0; d < numDevices_; ++d) {
-        for (int c = 0; c < channels_; ++c) {
-            exportServerMetrics(strprintf("hbm.d%d.ch%d", d, c),
-                                hbm_[d * channels_ + c]);
-        }
-    }
-    for (VertexId v = 0; v < n_; ++v)
-        exportServerMetrics("task." + g_.vertex(v).name, datapath_[v]);
-    for (DeviceId a = 0; a < numDevices_; ++a) {
-        for (DeviceId b = 0; b < numDevices_; ++b) {
-            exportServerMetrics(strprintf("net.d%d.d%d", a, b),
-                                netPort_[a * numDevices_ + b]);
-        }
-    }
-    for (int a = 0; a < numNodes_; ++a) {
-        for (int b = 0; b < numNodes_; ++b) {
-            exportServerMetrics(strprintf("net.node%d.node%d", a, b),
-                                nodeLink_[a * numNodes_ + b]);
-        }
-    }
-}
-
 } // namespace
 
 StatusOr<SimResult>
@@ -610,8 +558,6 @@ trySimulate(const TaskGraph &g, const Cluster &cluster,
     sim.run();
     SimResult out;
     sim.finalize(&out);
-    if (options.exportMetrics)
-        sim.exportMetrics();
 
     sim_span
         .arg("events",

@@ -53,15 +53,6 @@ struct SimOptions
     Context ctx;
     /** Record one FiringRecord per block (for timeline export). */
     bool recordTimeline = false;
-    /**
-     * Export per-resource utilization (busy time, queueing delay,
-     * request count for every HBM channel, task datapath and network
-     * path) into obs::MetricsRegistry::global() as gauges named
-     * `tapacs.sim.<resource>.<field>` when the run completes. Stale
-     * `tapacs.sim.*` values from earlier runs are reset first so the
-     * registry always describes the latest run only.
-     */
-    bool exportMetrics = true;
 };
 
 /** One block's journey through a task (timeline entry). */

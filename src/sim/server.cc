@@ -12,20 +12,9 @@ Server::acquire(Seconds earliest, Seconds duration)
 {
     tapacs_assert(duration >= 0.0);
     const Seconds start = std::max(earliest, busyUntil_);
-    waitTime_ += start - earliest;
     busyUntil_ = start + duration;
     busyTime_ += duration;
-    ++requests_;
     return busyUntil_;
-}
-
-void
-Server::reset()
-{
-    busyUntil_ = 0.0;
-    busyTime_ = 0.0;
-    waitTime_ = 0.0;
-    requests_ = 0;
 }
 
 } // namespace tapacs::sim

@@ -12,8 +12,6 @@
 #ifndef TAPACS_SIM_SERVER_HH
 #define TAPACS_SIM_SERVER_HH
 
-#include <cstdint>
-
 #include "common/units.hh"
 
 namespace tapacs::sim
@@ -31,30 +29,12 @@ class Server
      */
     Seconds acquire(Seconds earliest, Seconds duration);
 
-    /** Time at which the resource next becomes free. */
-    Seconds busyUntil() const { return busyUntil_; }
-
     /** Total time the resource has spent serving requests. */
     Seconds busyTime() const { return busyTime_; }
-
-    /**
-     * Total queueing delay: the sum over requests of how long each
-     * waited beyond its earliest start because the resource was still
-     * serving someone else. Zero for an uncontended server.
-     */
-    Seconds waitTime() const { return waitTime_; }
-
-    /** Number of requests served. */
-    std::uint64_t requests() const { return requests_; }
-
-    /** Reset to idle at time zero; all accounting returns to zero. */
-    void reset();
 
   private:
     Seconds busyUntil_ = 0.0;
     Seconds busyTime_ = 0.0;
-    Seconds waitTime_ = 0.0;
-    std::uint64_t requests_ = 0;
 };
 
 } // namespace tapacs::sim

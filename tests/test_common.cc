@@ -149,35 +149,14 @@ TEST(Rng, PowerLawBoundsAndSkew)
     EXPECT_LT(sum / 5000.0, 50.0);
 }
 
-TEST(Accumulator, TracksMinMaxMean)
-{
-    Accumulator acc;
-    EXPECT_EQ(acc.count(), 0u);
-    EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-    acc.sample(2.0);
-    acc.sample(-4.0);
-    acc.sample(8.0);
-    EXPECT_EQ(acc.count(), 3u);
-    EXPECT_DOUBLE_EQ(acc.min(), -4.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 8.0);
-    EXPECT_DOUBLE_EQ(acc.mean(), 2.0);
-}
-
-TEST(StatRegistry, ScalarsAndAccumulators)
+TEST(StatRegistry, Scalars)
 {
     StatRegistry stats;
-    EXPECT_FALSE(stats.has("a"));
-    stats.incr("a");
-    stats.incr("a", 2.5);
+    EXPECT_DOUBLE_EQ(stats.get("a"), 0.0); // unknown names read 0
+    stats.set("a", 3.5);
     EXPECT_DOUBLE_EQ(stats.get("a"), 3.5);
     stats.set("a", 1.0);
     EXPECT_DOUBLE_EQ(stats.get("a"), 1.0);
-    stats.sample("lat", 5.0);
-    stats.sample("lat", 7.0);
-    EXPECT_DOUBLE_EQ(stats.accumulator("lat").mean(), 6.0);
-    EXPECT_NE(stats.dump().find("a 1"), std::string::npos);
-    stats.clear();
-    EXPECT_FALSE(stats.has("a"));
 }
 
 TEST(TextTable, RendersAlignedCells)

@@ -2,8 +2,8 @@
  * @file
  * Design-space-exploration suite: spec grammar, Pareto reduction,
  * and the runExplore() driver's three contracts — thread-count
- * bit-identity, sweep-vs-cold differential equality, and telemetry
- * freshness between sweeps.
+ * bit-identity, sweep-vs-cold differential equality, and results
+ * that describe their own sweep only.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "explore/pareto.hh"
 #include "explore/spec.hh"
 #include "network/cluster.hh"
-#include "obs/metrics.hh"
 
 namespace tapacs::explore
 {
@@ -311,13 +310,20 @@ TEST(RunExplore, ExpiredSweepContextYieldsTypedUnevaluatedPoints)
 }
 
 // ---------------------------------------------------------------
-// Telemetry freshness: tapacs.explore.* must describe the latest
-// sweep, not accumulate across sweeps (the tapacs.sim.* stale-gauge
-// rule).
+// Result freshness: each ExploreResult describes its own sweep, never
+// the sum of the sweeps before it.
 
-TEST(RunExplore, MetricsDescribeTheLatestSweepOnly)
+std::int64_t
+unroutableCount(const ExploreResult &r)
 {
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    std::int64_t n = 0;
+    for (const PointOutcome &po : r.trace)
+        n += po.routable ? 0 : 1;
+    return n;
+}
+
+TEST(RunExplore, ResultsDescribeTheirOwnSweepOnly)
+{
     TaskGraph g = randomDesign(4700, 3, 4);
 
     ExploreOptions opt;
@@ -326,23 +332,30 @@ TEST(RunExplore, MetricsDescribeTheLatestSweepOnly)
     const ExploreSpec big = smallSpec();
     const ExploreResult a = runExplore(g, {}, big, opt);
     ASSERT_TRUE(a.status.ok()) << a.status.message();
-    EXPECT_EQ(reg.counter("tapacs.explore.points").value(),
-              static_cast<std::int64_t>(big.numPoints()));
+    EXPECT_EQ(a.trace.size(), big.numPoints());
+    EXPECT_EQ(unroutableCount(a), 0);
+    EXPECT_GT(a.cacheHits, 0);
 
     ExploreSpec one;
     const ExploreResult b = runExplore(g, {}, one, opt);
     ASSERT_TRUE(b.status.ok()) << b.status.message();
-    // Counters and gauges were reset between sweeps: they describe
-    // the one-point sweep, not the sum of both.
-    EXPECT_EQ(reg.counter("tapacs.explore.points").value(), 1);
-    EXPECT_DOUBLE_EQ(reg.gauge("tapacs.explore.frontier_size").value(),
-                     static_cast<double>(b.frontier.size()));
+    // The one-point sweep reports itself, not the sum of both.
+    EXPECT_EQ(b.trace.size(), 1u);
+    EXPECT_EQ(b.frontier.size(), 1u);
+    EXPECT_EQ(unroutableCount(b), 0);
+    EXPECT_GT(b.cacheMisses, 0);
+    EXPECT_LT(b.cacheHits + b.cacheMisses, a.cacheHits + a.cacheMisses);
+    EXPECT_DOUBLE_EQ(b.cacheHitRate,
+                     static_cast<double>(b.cacheHits) /
+                         (b.cacheHits + b.cacheMisses));
 
-    // And the snapshot view scopes the same way.
-    const obs::MetricsSnapshot snap =
-        reg.snapshot().filterPrefix("tapacs.explore.");
-    ASSERT_TRUE(snap.hasCounter("tapacs.explore.points"));
-    EXPECT_EQ(snap.counterValue("tapacs.explore.points"), 1);
+    // Repeating the one-point sweep reads the same cache traffic: no
+    // count carries over from an earlier sweep.
+    const ExploreResult again = runExplore(g, {}, one, opt);
+    ASSERT_TRUE(again.status.ok()) << again.status.message();
+    EXPECT_EQ(again.cacheHits, b.cacheHits);
+    EXPECT_EQ(again.cacheMisses, b.cacheMisses);
+    EXPECT_EQ(again.frontier, b.frontier);
 }
 
 } // namespace

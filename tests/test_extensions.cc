@@ -10,7 +10,6 @@
 #include "common/logging.hh"
 #include "compiler/compiler.hh"
 #include "sim/dataflow_sim.hh"
-#include "sim/report.hh"
 
 namespace tapacs
 {
@@ -157,82 +156,6 @@ TEST(CrossNodeSerialization, HostStagingSerializesBlocks)
         cluster.hostLink().transferTime(12.5e6) * 2 +
         cluster.interNodeLink().transferTime(12.5e6);
     EXPECT_NEAR(r.makespan, 4.0 * per_block, per_block * 0.1);
-}
-
-TEST(BottleneckReport, ActivityAccountsBusyAndStall)
-{
-    // Chain of two tasks: downstream stalls during the upstream's
-    // first block.
-    TaskGraph g("rep");
-    WorkProfile w;
-    w.computeOps = 3.0e8; // 1 s at 1 op/cycle, 300 MHz
-    w.opsPerCycle = 1.0;
-    w.numBlocks = 4;
-    g.addVertex("up", ResourceVector{}, w);
-    g.addVertex("down", ResourceVector{}, w);
-    g.addEdge(0, 1, 64);
-
-    Cluster cluster = makePaperTestbed(1);
-    DevicePartition part;
-    part.deviceOf = {0, 0};
-    HbmBinding binding;
-    binding.channelsOf.assign(2, {});
-    binding.usersPerChannel.assign(1, std::vector<int>(32, 0));
-    PipelinePlan plan;
-    plan.edges.assign(1, EdgePipelining{});
-    plan.addedAreaPerDevice.assign(1, ResourceVector{});
-
-    sim::SimOptions opt;
-    opt.recordTimeline = true;
-    sim::SimResult r = sim::simulate(g, cluster, part, binding, plan,
-                                     {300.0e6}, opt);
-    StatusOr<std::vector<sim::TaskActivity>> analyzed =
-        sim::analyzeActivity(g, r);
-    ASSERT_TRUE(analyzed.ok()) << analyzed.status().toString();
-    const std::vector<sim::TaskActivity> &acts = analyzed.value();
-    ASSERT_EQ(acts.size(), 2u);
-    for (const auto &a : acts) {
-        EXPECT_NEAR(a.computeBusy, 1.0, 1e-6);
-        EXPECT_DOUBLE_EQ(a.memoryBusy, 0.0);
-    }
-    // The pipeline is saturated: both tasks ~fully busy over their
-    // own spans.
-    EXPECT_LT(acts[0].stallFraction(), 0.01);
-    EXPECT_LT(acts[1].stallFraction(), 0.01);
-
-    const StatusOr<std::string> rendered = sim::bottleneckReport(g, r);
-    ASSERT_TRUE(rendered.ok());
-    const std::string &report = rendered.value();
-    EXPECT_NE(report.find("up"), std::string::npos);
-    EXPECT_NE(report.find("down"), std::string::npos);
-    EXPECT_NE(report.find("Bottleneck report"), std::string::npos);
-}
-
-TEST(BottleneckReport, RequiresTimeline)
-{
-    TaskGraph g("rep2");
-    WorkProfile w;
-    w.computeOps = 100.0;
-    g.addVertex("t", ResourceVector{}, w);
-    Cluster cluster = makePaperTestbed(1);
-    DevicePartition part;
-    part.deviceOf = {0};
-    HbmBinding binding;
-    binding.channelsOf.assign(1, {});
-    binding.usersPerChannel.assign(1, std::vector<int>(32, 0));
-    PipelinePlan plan;
-    plan.addedAreaPerDevice.assign(1, ResourceVector{});
-    sim::SimResult r =
-        sim::simulate(g, cluster, part, binding, plan, {300.0e6});
-    const StatusOr<std::vector<sim::TaskActivity>> acts =
-        sim::analyzeActivity(g, r);
-    ASSERT_FALSE(acts.ok());
-    EXPECT_EQ(acts.status().code(), StatusCode::InvalidInput);
-    EXPECT_NE(acts.status().message().find("recordTimeline"),
-              std::string::npos);
-    const StatusOr<std::string> report = sim::bottleneckReport(g, r);
-    ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.status().code(), StatusCode::InvalidInput);
 }
 
 } // namespace

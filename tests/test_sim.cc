@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/metrics.hh"
 #include "sim/dataflow_sim.hh"
 #include "sim/server.hh"
 
@@ -101,165 +100,21 @@ TEST(Server, SerializesRequests)
     EXPECT_DOUBLE_EQ(s.acquire(0.0, 3.0), 5.0); // queued behind first
     EXPECT_DOUBLE_EQ(s.acquire(10.0, 1.0), 11.0);
     EXPECT_DOUBLE_EQ(s.busyTime(), 6.0);
-    EXPECT_EQ(s.requests(), 3u);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.busyUntil(), 0.0);
 }
 
-TEST(Server, BackToBackAcquiresAccrueWaitNotIdle)
+TEST(Server, BackToBackAcquiresAccrueBusyNotIdle)
 {
     Server s;
     EXPECT_DOUBLE_EQ(s.acquire(0.0, 2.0), 2.0);
     EXPECT_DOUBLE_EQ(s.acquire(0.0, 3.0), 5.0);
-    // Two requests with no idle gap: busy is the full span, and the
-    // second waited 2 s behind the first.
+    // Two requests with no idle gap: busy is the full span.
     EXPECT_DOUBLE_EQ(s.busyTime(), 5.0);
-    EXPECT_DOUBLE_EQ(s.waitTime(), 2.0);
 
     Server g;
     EXPECT_DOUBLE_EQ(g.acquire(0.0, 2.0), 2.0);
     EXPECT_DOUBLE_EQ(g.acquire(10.0, 1.0), 11.0);
-    // Gapped requests: the idle 8 s is neither busy nor waiting.
+    // Gapped requests: the idle 8 s is not busy.
     EXPECT_DOUBLE_EQ(g.busyTime(), 3.0);
-    EXPECT_DOUBLE_EQ(g.waitTime(), 0.0);
-}
-
-TEST(Server, ResetReturnsAllAccountingToZero)
-{
-    Server s;
-    s.acquire(0.0, 2.0);
-    s.acquire(0.0, 3.0);
-    ASSERT_GT(s.busyTime(), 0.0);
-    ASSERT_GT(s.waitTime(), 0.0);
-    ASSERT_EQ(s.requests(), 2u);
-
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.busyUntil(), 0.0);
-    EXPECT_DOUBLE_EQ(s.busyTime(), 0.0);
-    EXPECT_DOUBLE_EQ(s.waitTime(), 0.0);
-    EXPECT_EQ(s.requests(), 0u);
-
-    // Usable again from time zero, with fresh accounting.
-    EXPECT_DOUBLE_EQ(s.acquire(5.0, 1.0), 6.0);
-    EXPECT_DOUBLE_EQ(s.busyTime(), 1.0);
-    EXPECT_EQ(s.requests(), 1u);
-}
-
-/**
- * Acceptance: the metrics snapshot after a run reports per-resource
- * utilization matching the servers' busy-time accounting to 1e-9.
- */
-TEST(Sim, MetricsExportMatchesServerBusyTime)
-{
-    obs::MetricsRegistry::global().clear();
-    Rig r;
-    WorkProfile w;
-    w.computeOps = 3.0e9;
-    w.opsPerCycle = 10.0;
-    w.numBlocks = 4;
-    w.memReadBytes = 1.0e9;
-    w.memChannels = 2;
-    w.memPortWidthBits = 512;
-    r.add("t", w);
-    SimResult res = r.run();
-
-    obs::MetricsSnapshot snap =
-        obs::MetricsRegistry::global().snapshot();
-    // The task datapath gauge mirrors the compute busy accounting.
-    ASSERT_TRUE(snap.hasGauge("tapacs.sim.task.t.busy_seconds"));
-    EXPECT_NEAR(snap.gaugeValue("tapacs.sim.task.t.busy_seconds"),
-                res.deviceComputeBusy[0], 1e-9);
-    EXPECT_DOUBLE_EQ(snap.gaugeValue("tapacs.sim.task.t.requests"),
-                     static_cast<double>(w.numBlocks));
-    EXPECT_TRUE(snap.hasGauge("tapacs.sim.task.t.wait_seconds"));
-
-    // HBM gauges sum to the run's aggregate channel busy time.
-    // (clear() zeroes but keeps names registered by earlier tests in
-    // this binary, so only count the gauges this run populated.)
-    double hbm_busy = 0.0;
-    int hbm_gauges = 0;
-    for (const auto &[name, value] : snap.gauges) {
-        if (name.rfind("tapacs.sim.hbm.", 0) == 0 &&
-            name.size() > 13 &&
-            name.compare(name.size() - 13, 13, ".busy_seconds") == 0) {
-            hbm_busy += value;
-            if (value > 0.0)
-                ++hbm_gauges;
-        }
-    }
-    EXPECT_EQ(hbm_gauges, 2); // one per bound channel; idle skipped
-    EXPECT_NEAR(hbm_busy, res.stats.get("hbm.busy_seconds"), 1e-9);
-}
-
-TEST(Sim, MetricsExportCanBeDisabled)
-{
-    obs::MetricsRegistry::global().clear();
-    Rig r;
-    WorkProfile w;
-    w.computeOps = 1000.0;
-    r.add("t", w);
-    r.binding.channelsOf.assign(1, {});
-    r.binding.usersPerChannel.assign(1, std::vector<int>(32, 0));
-    r.plan.edges.assign(r.g.numEdges(), EdgePipelining{});
-    r.plan.addedAreaPerDevice.assign(1, ResourceVector{});
-    r.fmax.assign(1, 300.0e6);
-    SimOptions opt;
-    opt.exportMetrics = false;
-    simulate(r.g, r.cluster, r.part, r.binding, r.plan, r.fmax, opt);
-    // clear() keeps names registered by earlier tests, so "absent"
-    // means every sim gauge stayed at its cleared zero.
-    obs::MetricsSnapshot snap =
-        obs::MetricsRegistry::global().snapshot();
-    for (const auto &[name, value] : snap.gauges) {
-        if (name.rfind("tapacs.sim.", 0) == 0) {
-            EXPECT_DOUBLE_EQ(value, 0.0) << name;
-        }
-    }
-}
-
-TEST(Sim, StaleSimGaugesClearedBetweenRuns)
-{
-    // Regression for the between-runs accounting bug: a resource
-    // exported by run A but absent in run B must not keep reporting
-    // A's numbers after B exports.
-    obs::MetricsRegistry::global().clear();
-    {
-        // Producer on device 0 streams 8 blocks to a consumer on 1.
-        Rig r;
-        r.cluster = makePaperTestbed(2);
-        WorkProfile w;
-        w.computeOps = 3.0e7 * 8; // 0.1 s per block at 300 MHz
-        w.opsPerCycle = 1.0;
-        w.numBlocks = 8;
-        r.g.addEdge(r.add("src", w, 0), r.add("dst", w, 1), 64, 112.5e6);
-        r.run();
-    }
-    const auto snap1 = obs::MetricsRegistry::global().snapshot();
-    ASSERT_TRUE(snap1.hasGauge("tapacs.sim.task.dst.busy_seconds"));
-    ASSERT_GT(snap1.gaugeValue("tapacs.sim.task.dst.busy_seconds"), 0.0);
-
-    // Second run with a different graph: no task named "dst".
-    TaskGraph g("solo");
-    WorkProfile w;
-    w.computeOps = 1000.0;
-    g.addVertex("alone", ResourceVector{}, w);
-    Cluster cluster = makePaperTestbed(1);
-    DevicePartition part;
-    part.deviceOf = {0};
-    HbmBinding binding;
-    binding.channelsOf.assign(1, {});
-    binding.usersPerChannel.assign(
-        1, std::vector<int>(cluster.device().memory().channels, 0));
-    PipelinePlan plan;
-    plan.edges.assign(0, EdgePipelining{});
-    plan.addedAreaPerDevice.assign(1, ResourceVector{});
-    simulate(g, cluster, part, binding, plan, {300.0e6});
-
-    const auto snap2 = obs::MetricsRegistry::global().snapshot();
-    EXPECT_DOUBLE_EQ(snap2.gaugeValue("tapacs.sim.task.dst.busy_seconds"),
-                     0.0);
-    EXPECT_GT(snap2.gaugeValue("tapacs.sim.task.alone.busy_seconds"),
-              0.0);
 }
 
 TEST(Sim, SingleTaskComputeTime)
@@ -546,7 +401,6 @@ TEST(Sim, ExpiredDeadlineIsTyped)
     Rig r;
     buildCrossNodeChain(r);
     SimOptions opt;
-    opt.exportMetrics = false;
     opt.ctx = Context::withTimeout(0.0); // already expired
     const StatusOr<SimResult> res = r.tryRun(opt);
     ASSERT_TRUE(res.ok());
@@ -559,7 +413,6 @@ TEST(Sim, EventCapIsTyped)
     Rig r;
     buildCrossNodeChain(r);
     SimOptions opt;
-    opt.exportMetrics = false;
     opt.maxEvents = 4;
     const StatusOr<SimResult> res = r.tryRun(opt);
     ASSERT_TRUE(res.ok());

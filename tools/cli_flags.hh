@@ -1,9 +1,9 @@
 /**
  * @file
  * Strict command-line flags shared by the tools. A numeric value must
- * parse whole (serve::parseInt / serve::parseDouble: no trailing junk,
- * no overflow, no NaN) and lie in [lo, hi]; a name must be one the
- * shared lookup (the one the serve manifest uses) knows. Anything
+ * parse whole (explore::parseInt / explore::parseDouble: no trailing
+ * junk, no overflow, no NaN) and lie in [lo, hi]; a name must be one
+ * the shared lookup (the one the serve manifest uses) knows. Anything
  * else exits 2 naming the tool and the flag, before any work starts.
  */
 
@@ -15,7 +15,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "serve/manifest.hh"
+#include "explore/spec.hh"
 
 namespace tapacs::cli
 {
@@ -26,7 +26,7 @@ realFlag(const char *tool, const std::string &flag,
          const std::string &text, double lo, double hi)
 {
     double v = 0.0;
-    if (!serve::parseDouble(text, lo, hi, &v)) {
+    if (!explore::parseDouble(text, lo, hi, &v)) {
         std::fprintf(stderr, "%s: %s '%s' is not a number in [%g, %g]\n",
                      tool, flag.c_str(), text.c_str(), lo, hi);
         std::exit(2);
@@ -40,7 +40,7 @@ intFlag(const char *tool, const std::string &flag, const std::string &text,
         std::int64_t lo, std::int64_t hi)
 {
     std::int64_t v = 0;
-    if (!serve::parseInt(text, lo, hi, &v)) {
+    if (!explore::parseInt(text, lo, hi, &v)) {
         std::fprintf(stderr,
                      "%s: %s '%s' is not an integer in [%lld, %lld]\n",
                      tool, flag.c_str(), text.c_str(), (long long)lo,

@@ -61,6 +61,7 @@
 #include "explore/spec.hh"
 #include "graph/serialize.hh"
 #include "partition/multilevel.hh"
+#include "serve/manifest.hh"
 #include "sim/dataflow_sim.hh"
 
 using namespace tapacs;

@@ -112,12 +112,10 @@ renderWorkload(Workload &w, cache::CompileCache *cc = nullptr)
         js << (d ? "," : "") << perDev[d];
     js << "]";
 
-    sim::SimOptions sopt;
-    sopt.exportMetrics = false;
     js << ",\"healthy\":";
     const sim::SimResult healthy =
         sim::simulate(g, cluster, r.partition, r.binding, r.pipeline,
-                      r.deviceFmax, sopt);
+                      r.deviceFmax);
     appendSimJson(js, healthy);
     js << "}\n";
     return js.str();

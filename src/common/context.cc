@@ -1,6 +1,5 @@
 #include "common/context.hh"
 
-#include <algorithm>
 #include <chrono>
 
 namespace tapacs
@@ -19,16 +18,10 @@ Context::withTimeout(double seconds)
 {
     // seconds <= 0 pins the deadline at -inf so expired() is true on
     // every poll, independent of clock resolution — the property the
-    // deterministic degraded-path tests rely on.
+    // deterministic abort tests rely on.
     return Context(seconds <= 0.0
                        ? -std::numeric_limits<double>::infinity()
                        : monotonicSeconds() + seconds);
-}
-
-Context
-Context::withBudget(double seconds) const
-{
-    return Context(std::min(deadline_, monotonicSeconds() + seconds));
 }
 
 Status

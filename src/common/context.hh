@@ -6,9 +6,13 @@
  * A Context is a cheap value type (one double). Expiry is
  * *cooperative*: long-running loops (the branch-and-bound node loop,
  * the simplex pivot loop, the FM refinement passes, the simulator's
- * event loop) poll expired() and unwind with their best incumbent —
- * nothing is killed, so every request still produces a typed
- * response.
+ * event loop) poll expired() and unwind early — nothing is killed.
+ * A deadline only stops work: whoever owns the run checks expired()
+ * once the loops return and discards what they produced, so the
+ * request comes back DeadlineExceeded with no result. Which design a
+ * compile produces never depends on the clock (see applyDeadline in
+ * compiler/compiler.hh for how a deadline's value picks the effort
+ * tier).
  *
  * The default-constructed Context has no deadline; polling it costs
  * one compare and no clock read, so library code can poll
@@ -36,21 +40,10 @@ class Context
     Context() = default;
 
     /** A context expiring @p seconds from now (seconds <= 0 means
-     *  already expired — useful for forcing the deterministic
-     *  degraded path). */
+     *  already expired — a deterministic abort for tests). */
     static Context withTimeout(double seconds);
 
-    /**
-     * A child context whose deadline is the sooner of this one and
-     * @p seconds from now. This is how the compiler slices the
-     * request's remaining time into per-phase budgets: a phase may
-     * spend at most its slice, and never more than the request has.
-     */
-    Context withBudget(double seconds) const;
-
-    /** True when a deadline was set. A run under such a context
-     *  depends on wall-clock timing, so it never writes the compile
-     *  cache. */
+    /** True when a deadline was set. */
     bool
     hasDeadline() const
     {
@@ -60,15 +53,6 @@ class Context
     /** Absolute deadline on the monotonicSeconds() clock (+inf when
      *  none). */
     double deadline() const { return deadline_; }
-
-    /** Seconds until the deadline (+inf when none; <= 0 when past). */
-    double
-    remainingSeconds() const
-    {
-        if (!hasDeadline())
-            return std::numeric_limits<double>::infinity();
-        return deadline_ - monotonicSeconds();
-    }
 
     /** Poll point: true once the deadline has passed. */
     bool

@@ -81,10 +81,7 @@ naiveBinding(const TaskGraph &g, const Cluster &cluster,
  * The compile-local ephemeral cache. With no caller-provided cache, a
  * bounded memory-only store (dropped with this object) costs little
  * and is what lets every compile record the reuse signature that
- * recompile() seeds back. A context with a deadline gets none: a run
- * that can be cut short depends on wall-clock timing, and truncated
- * solves must never be recorded anywhere, not even in a compile-local
- * scratch store.
+ * recompile() seeds back.
  */
 class LocalCache
 {
@@ -94,23 +91,37 @@ class LocalCache
     LocalCache &operator=(const LocalCache &) = delete;
 
     /** The cache to compile against: `shared` when set, else a local
-     *  store, or null under a deadline. */
-    cache::CompileCache *
-    attach(cache::CompileCache *shared, const Context &ctx)
+     *  store. */
+    cache::CompileCache &
+    attach(cache::CompileCache *shared)
     {
-        if (shared != nullptr || ctx.hasDeadline())
-            return shared;
+        if (shared != nullptr)
+            return *shared;
         cache::CacheStore::Options so;
         so.capacityBytes = 64ull << 20; // bounded scratch, no disk tier
         store_.emplace(so);
         cache_.emplace(*store_);
-        return &*cache_;
+        return *cache_;
     }
 
   private:
     std::optional<cache::CacheStore> store_;
     std::optional<cache::CompileCache> cache_;
 };
+
+/** What compile() returns once its deadline has expired: the typed
+ *  reason, the cache lookups made so far, and no design. */
+CompileResult
+deadlineExceeded(const CompileResult &partial, const Context &ctx)
+{
+    CompileResult out;
+    out.mode = partial.mode;
+    out.cacheHits = partial.cacheHits;
+    out.cacheMisses = partial.cacheMisses;
+    out.status = ctx.status();
+    out.failureReason = out.status.message();
+    return out;
+}
 
 } // namespace
 
@@ -123,6 +134,22 @@ toString(CompileMode mode)
       case CompileMode::TapaCs: return "TAPA-CS";
     }
     return "?";
+}
+
+bool
+applyDeadline(double deadlineMs, CompileOptions *options)
+{
+    if (deadlineMs == 0.0) {
+        options->inter.useIlp = false;
+        options->intra.useIlp = false;
+        return true;
+    }
+    if (deadlineMs > 0.0) {
+        const Context mine = Context::withTimeout(deadlineMs / 1000.0);
+        if (mine.deadline() < options->ctx.deadline())
+            options->ctx = mine;
+    }
+    return false;
 }
 
 ResourceVector
@@ -160,12 +187,6 @@ compile(const TaskGraph &g, const Cluster &cluster,
     }
 
     const DeviceModel &dev = cluster.device();
-
-    // A run with a deadline never writes the cache. A phase whose
-    // budget is already spent does not read it either: it takes the
-    // deterministic degraded path, whatever full-quality answer the
-    // cache may hold.
-    const bool may_store = !options.ctx.hasDeadline();
 
     // ---- Step 1: task-graph validation + fit gates ------------------
     // (Graph *construction* happens in the app builders; this is the
@@ -229,11 +250,10 @@ compile(const TaskGraph &g, const Cluster &cluster,
     }
 
     LocalCache local_cache;
-    cache::CompileCache *cc = local_cache.attach(options.cache, options.ctx);
+    cache::CompileCache &cc = local_cache.attach(options.cache);
 
     // Keys of the artifacts this run binds, for the reuse signature.
-    cache::CacheKey l1_used_key;
-    bool l1_key_recorded = false;
+    std::vector<cache::CacheKey> l1_used_keys;
     std::vector<cache::CacheKey> l2_used_keys;
 
     // ---- Step 3: inter-FPGA floorplanning (eq. 1-3) -----------------
@@ -245,29 +265,21 @@ compile(const TaskGraph &g, const Cluster &cluster,
         inter.seed = options.seed;
         inter.numThreads = options.numThreads;
         inter.channelsPerDevice = dev.memory().channels;
-        // Phase budget: the level-1 solve may spend at most half the
-        // remaining time, leaving the rest for level 2 and the cheap
-        // tail phases. When that slice runs out the search drains
-        // with its best incumbent.
         inter.ctx = options.ctx;
-        if (options.ctx.hasDeadline()) {
-            const double remain =
-                std::max(options.ctx.remainingSeconds(), 0.0);
-            inter.ctx = options.ctx.withBudget(0.5 * remain);
-        }
-        cache::CacheKey l1_key;
-        bool l1_cached = false;
+        const cache::CacheKey l1_key =
+            cache::interKey(g, cluster, fpgas, inter);
+        l1_used_keys.push_back(l1_key);
         InterFpgaResult l1;
-        if (cc != nullptr && !inter.ctx.expired()) {
-            l1_key = cache::interKey(g, cluster, fpgas, inter);
-            l1_cached = cc->getInter(l1_key, g.numVertices(), &l1);
-            l1_used_key = l1_key;
-            l1_key_recorded = true;
-        }
+        const bool l1_cached = cc.getInter(l1_key, g.numVertices(), &l1);
+        ++(l1_cached ? out.cacheHits : out.cacheMisses);
         if (!l1_cached) {
             l1 = partition::solveL1(g, cluster, inter);
-            if (cc != nullptr && may_store)
-                cc->putInter(l1_key, l1);
+            // Expiry is monotone: a solve that ends before the
+            // deadline never saw an expired poll, so it ran to
+            // completion. One cut short is discarded here.
+            if (options.ctx.expired())
+                return deadlineExceeded(out, options.ctx);
+            cc.putInter(l1_key, l1);
         }
         if (!l1.status.ok() &&
             l1.status.code() == StatusCode::InvalidInput) {
@@ -276,11 +288,12 @@ compile(const TaskGraph &g, const Cluster &cluster,
             return out;
         }
         if (!l1.feasible && inter.useIlp) {
-            // Degraded-mode fallback: the exact tier found nothing
-            // (infeasible incumbent, or the budget fired before one
-            // appeared) — retry once on the deterministic greedy +
-            // refinement path, which is cheap and succeeds whenever
-            // any threshold-feasible partition is reachable greedily.
+            // Degraded-mode fallback: the exact tier found no
+            // feasible partition — retry once on the deterministic
+            // greedy + refinement path, which is cheap and succeeds
+            // whenever any threshold-feasible partition is reachable
+            // greedily. (If the deadline cuts the retry short, the
+            // phase-5 check discards it.)
             InterFpgaOptions fallback = inter;
             fallback.useIlp = false;
             InterFpgaResult retry = partition::solveL1(g, cluster,
@@ -292,8 +305,7 @@ compile(const TaskGraph &g, const Cluster &cluster,
                 out.degraded = true;
                 out.degradedReason =
                     "inter-FPGA ILP tier produced no feasible "
-                    "partition under its budget; greedy fallback "
-                    "succeeded";
+                    "partition; greedy fallback succeeded";
             }
         }
         span.arg("devices", static_cast<std::int64_t>(fpgas))
@@ -305,23 +317,9 @@ compile(const TaskGraph &g, const Cluster &cluster,
         if (!l1.feasible) {
             out.failureReason = strprintf(
                 "no threshold-feasible partition on %d FPGA(s)", fpgas);
-            // When the deadline expired, a fuller search might have
-            // found one — report the truncation, not infeasibility.
-            out.status = (l1.interrupted || inter.ctx.expired())
-                             ? inter.ctx.status()
-                             : Status::infeasible(
-                                   "%s", out.failureReason.c_str());
-            if (out.status.ok())
-                out.status =
-                    Status::infeasible("%s", out.failureReason.c_str());
+            out.status =
+                Status::infeasible("%s", out.failureReason.c_str());
             return out;
-        }
-        if (l1.interrupted && !out.degraded) {
-            out.degraded = true;
-            out.degradedReason = strprintf(
-                "inter-FPGA floorplan truncated (%s): best incumbent "
-                "under the budget",
-                toString(inter.ctx.status().code()));
         }
         out.partition = l1.partition;
         out.l1Seconds = l1.elapsedSeconds;
@@ -383,14 +381,7 @@ compile(const TaskGraph &g, const Cluster &cluster,
                                   ? options.slotThreshold
                                   : options.threshold;
             intra.reserved = out.reservedPerDevice;
-            // Phase budget: level 2 gets most of whatever remains —
-            // only the cheap pipelining/timing phases follow it.
             intra.ctx = options.ctx;
-            if (options.ctx.hasDeadline()) {
-                const double remain =
-                    std::max(options.ctx.remainingSeconds(), 0.0);
-                intra.ctx = options.ctx.withBudget(0.9 * remain);
-            }
             // HBM channel binding is the memory half of step 5: the
             // paper binds channels from the same placement the
             // intra-FPGA ILP produced — so placement and binding are
@@ -403,41 +394,34 @@ compile(const TaskGraph &g, const Cluster &cluster,
             const int num_devices = cluster.numDevices();
             std::vector<std::optional<IntraDeviceEntry>> known(
                 num_devices);
-            std::vector<cache::CacheKey> dev_keys(num_devices);
-            if (cc != nullptr && !intra.ctx.expired()) {
-                for (DeviceId d = 0; d < num_devices; ++d) {
-                    dev_keys[d] = cache::intraDeviceKey(
-                        dg, out.partition, d, dev, intra,
-                        options.hbmBindingSweep);
-                    IntraDeviceEntry e;
-                    if (cc->getIntraDevice(dev_keys[d], &e))
-                        known[d] = std::move(e);
+            l2_used_keys.resize(num_devices);
+            for (DeviceId d = 0; d < num_devices; ++d) {
+                l2_used_keys[d] =
+                    cache::intraDeviceKey(dg, out.partition, d, dev,
+                                          intra, options.hbmBindingSweep);
+                IntraDeviceEntry e;
+                if (cc.getIntraDevice(l2_used_keys[d], &e)) {
+                    known[d] = std::move(e);
+                    ++out.cacheHits;
+                } else {
+                    ++out.cacheMisses;
                 }
-                l2_used_keys = dev_keys;
             }
             Level2Result l2 = floorplanLevel2(
                 dg, cluster, out.partition, intra,
                 options.hbmBindingSweep, options.numThreads,
                 std::move(known));
-            if (cc != nullptr && may_store && !l2.interrupted) {
-                for (DeviceId d = 0; d < num_devices; ++d) {
-                    if (l2.solved[d])
-                        cc->putIntraDevice(dev_keys[d], l2.devices[d]);
-                }
+            // Same rule as after phase 3: everything level 2 polled
+            // ran to completion, or the request is over.
+            if (options.ctx.expired())
+                return deadlineExceeded(out, options.ctx);
+            for (DeviceId d = 0; d < num_devices; ++d) {
+                if (l2.solved[d])
+                    cc.putIntraDevice(l2_used_keys[d], l2.devices[d]);
             }
             out.placement = std::move(l2.placement);
             out.binding = std::move(l2.binding);
             out.l2SolverStats = l2.solverStats;
-
-            if (l2.interrupted) {
-                out.degraded = true;
-                if (!out.degradedReason.empty())
-                    out.degradedReason += "; ";
-                out.degradedReason += strprintf(
-                    "intra-FPGA floorplan degraded (%s): greedy cuts "
-                    "instead of per-bisection ILPs",
-                    toString(intra.ctx.status().code()));
-            }
             out.l2Seconds = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - l2_t0)
                                 .count();
@@ -504,19 +488,16 @@ compile(const TaskGraph &g, const Cluster &cluster,
     // Reuse signature: the content keys + blobs of every solver
     // artifact this run bound, for recompile() to seed forward. Only
     // keys whose blob actually sits in the store are captured.
-    if (cc != nullptr && may_store) {
-        out.signature.schemaVersion = cache::kSchemaVersion;
-        auto capture = [&](const char *tier,
-                           const cache::CacheKey &key) {
-            if (auto blob = cc->store().get(key))
-                out.signature.artifacts.push_back(
-                    cache::Artifact{tier, key, *blob});
-        };
-        if (l1_key_recorded)
-            capture(cache::kTierL1, l1_used_key);
-        for (const cache::CacheKey &key : l2_used_keys)
-            capture(cache::kTierL2Device, key);
-    }
+    out.signature.schemaVersion = cache::kSchemaVersion;
+    auto capture = [&](const char *tier, const cache::CacheKey &key) {
+        if (auto blob = cc.store().get(key))
+            out.signature.artifacts.push_back(
+                cache::Artifact{tier, key, *blob});
+    };
+    for (const cache::CacheKey &key : l1_used_keys)
+        capture(cache::kTierL1, key);
+    for (const cache::CacheKey &key : l2_used_keys)
+        capture(cache::kTierL2Device, key);
     return out;
 }
 
@@ -528,46 +509,44 @@ compileProgram(TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
     // estimates participate in the reuse signature too.
     LocalCache local_cache;
     CompileOptions opts = options;
-    opts.cache = local_cache.attach(options.cache, options.ctx);
+    opts.cache = &local_cache.attach(options.cache);
 
     std::vector<Hertz> ceilings(g.numVertices(), 340.0e6);
     std::vector<cache::CacheKey> hls_keys;
+    std::int64_t hls_hits = 0;
+    std::int64_t hls_misses = 0;
     {
         obs::TraceSpan span("compile", "phase2.synthesis");
+        // Per-task memoization: only the tasks whose content keys miss
+        // go through the (parallel) estimator; the assembled result
+        // keeps the original task order, so applySynthesis and the
+        // ceiling join below behave exactly as cold.
+        cache::CompileCache &cc = *opts.cache;
+        hls_keys.resize(tasks.size());
+        std::vector<char> have(tasks.size(), 0);
+        std::vector<hls::SynthesisResult> hit(tasks.size());
+        std::vector<hls::TaskIr> missing;
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            hls_keys[i] = cache::hlsTaskKey(tasks[i]);
+            have[i] = cc.getHls(hls_keys[i], &hit[i]) ? 1 : 0;
+            ++(have[i] ? hls_hits : hls_misses);
+            if (!have[i])
+                missing.push_back(tasks[i]);
+        }
+        hls::ProgramSynthesis fresh;
+        if (!missing.empty())
+            fresh = hls::synthesizeAll(missing, opts.numThreads);
         hls::ProgramSynthesis synth;
-        cache::CompileCache *cc = opts.cache;
-        if (cc == nullptr) {
-            synth = hls::synthesizeAll(tasks, opts.numThreads);
-        } else {
-            // Per-task memoization: only the tasks whose content keys
-            // miss go through the (parallel) estimator; the assembled
-            // result keeps the original task order, so applySynthesis
-            // and the ceiling join below behave exactly as cold.
-            std::vector<cache::CacheKey> keys(tasks.size());
-            std::vector<char> have(tasks.size(), 0);
-            std::vector<hls::SynthesisResult> hit(tasks.size());
-            std::vector<hls::TaskIr> missing;
-            for (std::size_t i = 0; i < tasks.size(); ++i) {
-                keys[i] = cache::hlsTaskKey(tasks[i]);
-                have[i] = cc->getHls(keys[i], &hit[i]) ? 1 : 0;
-                if (!have[i])
-                    missing.push_back(tasks[i]);
+        synth.tasks.reserve(tasks.size());
+        std::size_t m = 0;
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            if (have[i]) {
+                synth.tasks.push_back(std::move(hit[i]));
+            } else {
+                cc.putHls(hls_keys[i], fresh.tasks[m]);
+                synth.tasks.push_back(std::move(fresh.tasks[m]));
+                ++m;
             }
-            hls::ProgramSynthesis fresh;
-            if (!missing.empty())
-                fresh = hls::synthesizeAll(missing, opts.numThreads);
-            synth.tasks.reserve(tasks.size());
-            std::size_t m = 0;
-            for (std::size_t i = 0; i < tasks.size(); ++i) {
-                if (have[i]) {
-                    synth.tasks.push_back(std::move(hit[i]));
-                } else {
-                    cc->putHls(keys[i], fresh.tasks[m]);
-                    synth.tasks.push_back(std::move(fresh.tasks[m]));
-                    ++m;
-                }
-            }
-            hls_keys = std::move(keys);
         }
         hls::applySynthesis(g, synth);
         for (VertexId v = 0; v < g.numVertices(); ++v) {
@@ -578,10 +557,12 @@ compileProgram(TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
         span.arg("tasks", static_cast<std::int64_t>(tasks.size()));
     }
     CompileResult out = compile(g, cluster, opts, ceilings);
+    out.cacheHits += hls_hits;
+    out.cacheMisses += hls_misses;
     // Append the phase-2 artifacts to the signature compile() started
-    // (a routable run with caching and no deadline; otherwise the
-    // signature is deliberately absent and HLS reuse with it).
-    if (!hls_keys.empty() && out.signature.schemaVersion != 0) {
+    // (a routable run; otherwise the signature is absent and HLS
+    // reuse with it).
+    if (out.signature.schemaVersion != 0) {
         cache::CacheStore &store = opts.cache->store();
         for (const cache::CacheKey &key : hls_keys) {
             if (auto blob = store.get(key))
@@ -653,28 +634,19 @@ class IncrementalSeed
     {
         reject_ = priorRejectReason(prior);
         if (reject_.empty()) {
-            opts.cache = localCache_.attach(options.cache, options.ctx);
-            if (opts.cache == nullptr) {
-                // A deadline and no shared cache: compile() will run
-                // uncached (truncated solves must not be recorded), so
-                // there is nowhere to seed the prior into.
-                reject_ = "incremental: deadline context with no "
-                          "shared cache; cold compile";
-            } else {
-                // Content-addressed seeding: a put is a no-op unless
-                // the edited graph re-derives the same key, in which
-                // case the bytes are what a cold solve would produce.
-                for (const cache::Artifact &a : prior.signature.artifacts)
-                    opts.cache->store().put(a.key, a.blob);
-                seeded_ = true;
-            }
+            opts.cache = &localCache_.attach(options.cache);
+            // Content-addressed seeding: a put is a no-op unless the
+            // edited graph re-derives the same key, in which case the
+            // bytes are what a cold solve would produce.
+            for (const cache::Artifact &a : prior.signature.artifacts)
+                opts.cache->store().put(a.key, a.blob);
         }
     }
 
     void
     finish(const CompileResult &prior, CompileResult *out) const
     {
-        out->delta = seeded_
+        out->delta = reject_.empty()
                          ? computeDelta(prior.signature, out->signature)
                          : cache::CompileDelta{};
         out->delta.attempted = true;
@@ -700,7 +672,6 @@ class IncrementalSeed
   private:
     LocalCache localCache_;
     std::string reject_;
-    bool seeded_ = false;
 };
 
 } // namespace

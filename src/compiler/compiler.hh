@@ -90,14 +90,12 @@ struct CompileOptions
     /** RNG seed for level-1 partitioning; level 2 is seed-free. */
     std::uint64_t seed = 1;
     /**
-     * Deadline for this compilation. The flow derives per-phase
-     * budgets from the remaining time (the solver-heavy phases 3 and
-     * 5 each get a bounded slice) and every inner loop polls it, so an
-     * expired context drains cooperatively: the ILP tiers fall back
-     * coarse-ILP -> greedy and the result comes back with
-     * degraded = true rather than no answer. Results computed under a
-     * deadline are never written to the compile cache — a truncated
-     * solve must not poison exact keys.
+     * Deadline for this compilation. It only stops work: the solver
+     * loops poll it so an expired request unwinds promptly, and
+     * compile() then returns DeadlineExceeded with no design. A
+     * compile that finishes in time is the same design, and writes
+     * the same cache entries, as one with no deadline. Request paths
+     * set it through applyDeadline().
      */
     Context ctx;
     /**
@@ -139,18 +137,19 @@ struct CompileResult
      * Typed outcome. Ok for any produced result — including degraded
      * ones; InvalidInput for malformed requests, Infeasible when no
      * partition/routing exists, DeadlineExceeded when the deadline
-     * expired and not even a degraded answer could be formed.
+     * expired before the design was complete (no design then).
      */
     Status status;
     /**
-     * True when the deadline forced a fallback (greedy
-     * instead of ILP, best incumbent instead of optimum) anywhere in
-     * the flow. The result is still valid and feasible — just not of
-     * full quality.
+     * True when the result is valid and feasible but not of full
+     * quality: the level-1 ILP found no feasible partition and the
+     * greedy fallback did, or the caller picked the greedy tier
+     * (applyDeadline). Either way the design is a pure function of
+     * the inputs.
      */
     bool degraded = false;
     /**
-     * Which phase degraded and why. Incremental recompiles also note
+     * Why the result is degraded. Incremental recompiles also note
      * typed cold-fallback reasons here ("incremental: ...") without
      * setting degraded — a cold compile is full quality, the note just
      * says why nothing could be reused.
@@ -209,12 +208,21 @@ struct CompileResult
     double cutTrafficBytes = 0.0;
 
     /**
+     * This compile's own compile-cache lookups (per-task HLS
+     * estimates, the level-1 entry, the per-device level-2 entries)
+     * that hit and that missed, against whichever cache it ran on.
+     * Unlike the process-wide tapacs.cache.* counters, no other
+     * thread's lookups land here, so a sweep can sum its points.
+     */
+    std::int64_t cacheHits = 0;
+    std::int64_t cacheMisses = 0;
+
+    /**
      * Reuse signature of this compilation: the content keys and blobs
      * of every solver artifact (HLS estimates, L1 partition, per-device
      * L2 placements) the flow produced. recompile() seeds these into
      * the next compile's cache, so unchanged subgraphs rebind instead
-     * of re-solving. Empty when the run had a deadline (a truncated
-     * solve must never be replayed) or failed before the solver
+     * of re-solving. Empty when the run failed before the solver
      * phases completed.
      */
     cache::CompileSignature signature;
@@ -291,6 +299,30 @@ CompileResult recompileProgram(const CompileResult &prior, TaskGraph &g,
                                const std::vector<hls::TaskIr> &tasks,
                                const Cluster &cluster,
                                const CompileOptions &options);
+
+/** degradedReason of every result of the greedy tier. */
+inline constexpr char kGreedyTierReason[] =
+    "greedy tier (deadline 0): greedy level-1 partition and level-2 "
+    "cuts, no ILP";
+
+/**
+ * The deadline rule of every request path (tapacs-serve's
+ * deadline_ms=, explore's per-point deadline). The deadline's value
+ * picks the effort tier once, before the compile starts; after that
+ * the clock can only abort:
+ *  - @p deadlineMs < 0: the full tier with no deadline; @p options is
+ *    left as it is.
+ *  - 0: the greedy tier. inter.useIlp and intra.useIlp are cleared
+ *    and no clock is set, so the result is deterministic and
+ *    cacheable (both flags are part of the cache keys). The caller
+ *    reports it degraded, with kGreedyTierReason.
+ *  - > 0: the full tier under a deadline @p deadlineMs from now, or
+ *    under options->ctx when that one is sooner. If it expires,
+ *    compile() returns DeadlineExceeded and no design.
+ *
+ * @return true when the greedy tier was picked.
+ */
+bool applyDeadline(double deadlineMs, CompileOptions *options);
 
 /** Device-level utilization above which the un-floorplanned Vitis
  *  flow fails routing (see Table 8: 13x8 at 49 % DSP does not

@@ -54,7 +54,6 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
     if (!out.status.ok())
         return out;
 
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
     obs::TraceSpan sweepSpan("explore", "sweep");
 
     // One shared cache for every point of the sweep: the caller's, or
@@ -68,10 +67,6 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
         localCache = std::make_unique<cache::CompileCache>(*localStore);
         cc = localCache.get();
     }
-    const std::int64_t hits0 =
-        reg.counter("tapacs.cache.hits").value();
-    const std::int64_t misses0 =
-        reg.counter("tapacs.cache.misses").value();
 
     CompileOptions base = options.base;
     base.cache = cc;
@@ -100,10 +95,9 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
                 popt.slotThreshold = po.point.slotThreshold;
                 popt.hbmBindingSweep = po.point.bindingSweep;
                 popt.pipeline.stagesPerCrossing = po.point.depth;
-                popt.ctx = options.pointDeadlineSeconds >= 0.0
-                               ? options.ctx.withBudget(
-                                     options.pointDeadlineSeconds)
-                               : options.ctx;
+                popt.ctx = options.ctx;
+                const bool greedyTier = applyDeadline(
+                    options.pointDeadlineSeconds * 1000.0, &popt);
 
                 // compileProgram stamps areas onto the graph, so each
                 // point works on its own copy.
@@ -114,7 +108,8 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
                         : compileProgram(local, tasks, cluster, popt);
                 po.status = po.result.status;
                 po.routable = po.result.routable;
-                po.degraded = po.result.degraded;
+                po.degraded =
+                    po.result.degraded || (greedyTier && po.status.ok());
                 if (po.routable) {
                     po.obj.fmax = po.result.fmax;
                     po.obj.utilization =
@@ -174,9 +169,10 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
     }
     out.frontier = paretoFrontier(objs, eligible);
 
-    out.cacheHits = reg.counter("tapacs.cache.hits").value() - hits0;
-    out.cacheMisses =
-        reg.counter("tapacs.cache.misses").value() - misses0;
+    for (const PointOutcome &po : out.trace) {
+        out.cacheHits += po.result.cacheHits;
+        out.cacheMisses += po.result.cacheMisses;
+    }
     const std::int64_t lookups = out.cacheHits + out.cacheMisses;
     out.cacheHitRate =
         lookups > 0 ? static_cast<double>(out.cacheHits) / lookups

@@ -27,9 +27,11 @@
  * value.
  *
  * Deadlines: ExploreOptions::ctx bounds the whole sweep and
- * pointDeadlineSeconds slices it per point. Results computed under a
- * deadline are never written to the compile cache (the flow-wide
- * rule), so deadline-sliced sweeps trade reuse for bounded latency.
+ * pointDeadlineSeconds goes through applyDeadline per point (0 = the
+ * greedy tier, positive = a fresh deadline per point). A deadline
+ * only stops work: a point it expires on comes back DeadlineExceeded,
+ * and a point that finishes is the design, and writes the cache
+ * entries, a deadline-free sweep would.
  *
  * Telemetry: the sweep reports through its ExploreResult (trace with
  * per-point status and seconds, frontier, cache hits/misses/hit
@@ -65,9 +67,9 @@ struct ExploreOptions
      *  <= 0 = the shared pool's size, 1 = serial. Results are
      *  identical at any value. */
     int threads = 0;
-    /** Per-point deadline slice in seconds (< 0 = none). A compile
-     *  under a deadline skips all cache writes, so slicing disables
-     *  reuse. */
+    /** Per-point deadline in seconds, mapped by applyDeadline: < 0 =
+     *  none, 0 = the greedy tier, > 0 = a deadline from each point's
+     *  start (or the sweep ctx, when sooner). */
     double pointDeadlineSeconds = -1.0;
     /** Sweep-wide deadline; points starting after it expires come
      *  back with its typed status unevaluated. */
@@ -113,7 +115,8 @@ struct ExploreResult
     std::vector<PointOutcome> trace;
     /** Ascending trace indices of the Pareto-optimal points. */
     std::vector<std::size_t> frontier;
-    /** Compile-cache traffic measured across the sweep. */
+    /** Compile-cache lookups of the sweep's own compiles (the sum
+     *  of CompileResult::cacheHits/cacheMisses over the trace). */
     std::int64_t cacheHits = 0;
     std::int64_t cacheMisses = 0;
     /** hits / (hits + misses); 0 when the sweep was uncached. */

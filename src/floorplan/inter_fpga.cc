@@ -354,8 +354,8 @@ refine(const TaskGraph &g, const Cluster &cluster,
 
     const int max_passes = 8;
     for (int pass = 0; pass < max_passes; ++pass) {
-        // Refinement is pure polish: when the request's budget is
-        // spent, keep the current (already feasible) partition.
+        // Refinement is pure polish: an expired request stops here
+        // (the compiler discards the result).
         if (opt.ctx.expired())
             return;
         for (int i = n - 1; i > 0; --i)
@@ -632,12 +632,8 @@ floorplanInterFpga(const TaskGraph &g, const Cluster &cluster,
         out.partition.deviceOf.assign(g.numVertices(), 0);
         out.coarseVertices = g.numVertices();
         out.ilpOptimal = true;
-    } else if (!options.useIlp || options.ctx.expired()) {
-        // Heuristic mode, either requested or forced by an already-
-        // spent deadline: greedy + repair, refinement only while the
-        // budget lasts. Deterministic for a context that is done on
-        // entry (refine exits at pass 0 every run).
-        out.interrupted = options.ctx.expired();
+    } else if (!options.useIlp) {
+        // Heuristic mode: greedy + repair + refinement.
         out.partition = greedyAssign(g, cluster, options);
         repairChannels(g, cluster, options, out.partition);
         refine(g, cluster, options, out.partition, rng);
@@ -653,10 +649,8 @@ floorplanInterFpga(const TaskGraph &g, const Cluster &cluster,
         out.coarseVertices = coarse.graph.numVertices();
 
         InterFpgaOptions copt = options;
-        // The coarse ILP inherits the request deadline: when it
-        // expires mid-search the solver hands back its best incumbent (the
-        // greedy warm start at worst) instead of running out the
-        // configured node budget.
+        // The coarse ILP polls the request deadline, so an expired
+        // request stops branching promptly.
         copt.solver.ctx = options.ctx;
 
         DevicePartition warm = greedyAssign(coarse.graph, cluster,
@@ -685,7 +679,6 @@ floorplanInterFpga(const TaskGraph &g, const Cluster &cluster,
                  ilp::toString(sol.status));
             coarse_part = warm;
         }
-        out.interrupted = out.solverStats.interrupted;
 
         out.partition.deviceOf.assign(g.numVertices(), 0);
         for (int cv = 0; cv < coarse.graph.numVertices(); ++cv) {

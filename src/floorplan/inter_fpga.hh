@@ -73,11 +73,10 @@ struct InterFpgaOptions
     /** Utilization threshold T of eq. 1. */
     double threshold = 0.70;
     /**
-     * Deadline. Forwarded into the coarse ILP's branch-and-bound
-     * (which returns its best incumbent when it expires) and polled
-     * between FM refinement passes. A context that has already
-     * expired degrades the solve to the deterministic greedy +
-     * channel-repair path with no refinement.
+     * Deadline, polled by the coarse ILP's branch-and-bound and
+     * between FM refinement passes so an expired request unwinds
+     * promptly. It never picks the result: the compiler discards a
+     * solve its deadline cut short.
      */
     Context ctx;
     /** Resources reserved per device (e.g. networking IPs). */
@@ -152,13 +151,8 @@ struct InterFpgaResult
      *  needs more FPGAs); partition is then empty. */
     bool feasible = true;
     /** Ok on success; InvalidInput for malformed options, Infeasible
-     *  when no threshold-feasible partition exists. A feasible result
-     *  produced under a fired deadline keeps status Ok and sets
-     *  interrupted instead. */
+     *  when no threshold-feasible partition exists. */
     Status status;
-    /** True when the options' deadline expired during the solve (the
-     *  partition is the best found under the budget). */
-    bool interrupted = false;
     DevicePartition partition;
     /** eq. 2 objective of the final partition. */
     double cost = 0.0;

@@ -271,9 +271,8 @@ floorplanIntraDevice(const TaskGraph &g, const DeviceModel &dev,
     obs::TraceSpan span("floorplan", "intra.device");
 
     // Forward the request deadline into every bisection ILP; once it
-    // expires, remaining cuts downgrade to the greedy side assignment
-    // (still threshold-aware), so a late deadline costs quality, not
-    // liveness.
+    // expires, remaining cuts take the greedy side assignment so the
+    // request unwinds promptly (the compiler discards the result).
     IntraFpgaOptions opts = options;
     opts.solver.ctx = options.ctx;
 
@@ -370,8 +369,6 @@ floorplanIntraDevice(const TaskGraph &g, const DeviceModel &dev,
                         outcome.allIlpOptimal = false;
                 } else {
                     outcome.allIlpOptimal = false;
-                    if (options.useIlp)
-                        outcome.interrupted = true;
                 }
                 for (size_t i = 0; i < active.size(); ++i) {
                     state.regionOf[localOf[active[i]]] =
@@ -441,7 +438,6 @@ floorplanLevel2(const TaskGraph &g, const Cluster &cluster,
     // synchronization; the binder reads the slots its own device just
     // wrote.
     out.placement.slotOf.assign(g.numVertices(), SlotCoord{0, 0});
-    std::vector<char> interrupted_of(num_devices, 0);
     auto solveDevice = [&](std::int64_t d) {
         if (!out.solved[d])
             return;
@@ -458,7 +454,6 @@ floorplanLevel2(const TaskGraph &g, const Cluster &cluster,
         e.displacement = hb.displacement;
         e.allIlpOptimal = fr.allIlpOptimal;
         e.stats = fr.stats;
-        interrupted_of[d] = (fr.interrupted || fr.stats.interrupted) ? 1 : 0;
     };
     int threads = numThreads > 0 ? numThreads
                                  : ThreadPool::defaultPool().size();
@@ -481,7 +476,6 @@ floorplanLevel2(const TaskGraph &g, const Cluster &cluster,
                 out.placement.slotOf[verts_of[d][i]] = e.slots[i];
         }
         out.allIlpOptimal = out.allIlpOptimal && e.allIlpOptimal;
-        out.interrupted = out.interrupted || interrupted_of[d];
         out.solverStats.merge(e.stats);
         if (users_of[d].empty())
             continue;

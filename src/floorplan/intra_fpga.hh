@@ -40,10 +40,10 @@ struct IntraFpgaOptions
     /** Per-slot utilization threshold. */
     double threshold = 0.70;
     /**
-     * Deadline, forwarded into every bisection ILP. When it
-     * expires, remaining cuts fall back to the greedy side
-     * assignment (fast and deterministic) instead of branching — the
-     * placement is always completed.
+     * Deadline, polled by every bisection ILP and before each cut, so
+     * an expired request finishes its remaining cuts greedily and
+     * returns promptly. It never picks the result: the compiler
+     * discards a placement its deadline cut short.
      */
     Context ctx;
     /** Resources reserved per device (networking IPs), spread evenly
@@ -72,9 +72,6 @@ struct IntraDeviceResult
     /** Slot per device vertex, parallel to the `verts` argument. */
     std::vector<SlotCoord> slotOf;
     bool allIlpOptimal = true;
-    /** The options' deadline expired and at least one cut degraded
-     *  to the greedy assignment. */
-    bool interrupted = false;
     /** Aggregate over this device's bisection ILPs (provenOptimal
      *  initialized true — the merge() identity). */
     ilp::SolverStats stats;
@@ -126,9 +123,6 @@ struct Level2Result
     double cost = 0.0;
     /** True if every bisection ILP was solved to proven optimality. */
     bool allIlpOptimal = true;
-    /** True when the options' deadline expired during a solve and
-     *  at least one cut degraded to the greedy assignment. */
-    bool interrupted = false;
     /** Aggregate solver effort over every bisection ILP of every
      *  device, folded in device order. */
     ilp::SolverStats solverStats;

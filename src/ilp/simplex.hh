@@ -72,9 +72,8 @@ class LpEngine
     /**
      * @p model must outlive the engine and stay unchanged. @p ctx is
      * polled every few dozen iterations; when it expires the solve
-     * unwinds with SolveStatus::LimitReached, which branch-and-bound
-     * already treats as "not proven" — the search keeps its best
-     * incumbent.
+     * unwinds with SolveStatus::LimitReached and branch-and-bound
+     * stops at its next node.
      */
     explicit LpEngine(const Model &model, Context ctx = {});
 

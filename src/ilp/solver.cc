@@ -50,7 +50,6 @@ SolverStats::merge(const SolverStats &other)
     incumbentUpdates += other.incumbentUpdates;
     wallSeconds += other.wallSeconds;
     provenOptimal = provenOptimal && other.provenOptimal;
-    interrupted = interrupted || other.interrupted;
     threadsUsed = std::max(threadsUsed, other.threadsUsed);
 }
 
@@ -94,12 +93,8 @@ BranchBoundSolver::solve(const Model &model,
     bool root_unbounded = false;
 
     while (!stack.empty()) {
-        if (options_.ctx.expired()) {
-            stats_.interrupted = true;
-            exhausted_cleanly = false;
-            break;
-        }
-        if (stats_.nodesExplored >= options_.maxNodes) {
+        if (options_.ctx.expired() ||
+            stats_.nodesExplored >= options_.maxNodes) {
             exhausted_cleanly = false;
             break;
         }

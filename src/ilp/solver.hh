@@ -8,8 +8,8 @@
  * model sizes that arise after coarsening, with a node budget so a
  * pathological instance degrades into "best incumbent found" rather
  * than a hang. The budget counts nodes, not seconds, so a solve is a
- * pure function of (model, warm start, options); only the Context
- * deadline can cut it short by wall clock.
+ * pure function of (model, warm start, options). The Context deadline
+ * only aborts: a search it cut short is discarded by the caller.
  */
 
 #ifndef TAPACS_ILP_SOLVER_HH
@@ -37,9 +37,9 @@ struct SolverOptions
     std::int64_t maxNodes = 200000;
     /**
      * Deadline, polled once per node and inside each node's simplex
-     * loop; when it expires the search stops and returns the best
-     * incumbent found so far, exactly like hitting maxNodes.
-     * SolverStats::interrupted records that it fired. Default: never.
+     * loop; when it expires the search stops early. The caller owns
+     * the deadline and discards what an expired search returns.
+     * Default: never.
      */
     Context ctx;
     /**
@@ -70,9 +70,6 @@ struct SolverStats
     std::int64_t incumbentUpdates = 0;
     double wallSeconds = 0.0;
     bool provenOptimal = false;
-    /** True when SolverOptions::ctx expired and the search unwound
-     *  early with its best incumbent. */
-    bool interrupted = false;
     /** Threads the solves ran on: 1 for one search; level 2 records
      *  the width of its per-device pool here. */
     int threadsUsed = 1;

@@ -64,27 +64,12 @@ MetricsSnapshot::hasCounter(const std::string &name) const
     return counters.count(name) != 0;
 }
 
-bool
-MetricsSnapshot::hasGauge(const std::string &name) const
-{
-    return gauges.count(name) != 0;
-}
-
 std::int64_t
 MetricsSnapshot::counterValue(const std::string &name) const
 {
     const auto it = counters.find(name);
     if (it == counters.end())
         fatal("no counter named '%s' in snapshot", name.c_str());
-    return it->second;
-}
-
-double
-MetricsSnapshot::gaugeValue(const std::string &name) const
-{
-    const auto it = gauges.find(name);
-    if (it == gauges.end())
-        fatal("no gauge named '%s' in snapshot", name.c_str());
     return it->second;
 }
 
@@ -202,18 +187,6 @@ MetricsRegistry::snapshot() const
         snap.histograms[name] = std::move(data);
     }
     return snap;
-}
-
-void
-MetricsRegistry::clear()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto &[_, c] : counters_)
-        c->reset();
-    for (const auto &[_, g] : gauges_)
-        g->reset();
-    for (const auto &[_, h] : histograms_)
-        h->reset();
 }
 
 void

@@ -125,11 +125,9 @@ struct MetricsSnapshot
     std::map<std::string, HistogramData> histograms;
 
     bool hasCounter(const std::string &name) const;
-    bool hasGauge(const std::string &name) const;
-    /** Value accessors; fatal via tapacs_assert-style contract if the
-     *  name is absent — check has*() first when unsure. */
+    /** Fatal if the name is absent — check hasCounter() first when
+     *  unsure. */
     std::int64_t counterValue(const std::string &name) const;
-    double gaugeValue(const std::string &name) const;
 
     /**
      * Copy containing only the metrics whose names start with
@@ -161,9 +159,6 @@ class MetricsRegistry
                          std::vector<double> bounds);
 
     MetricsSnapshot snapshot() const;
-
-    /** Reset every metric to zero (for tests). Handles stay valid. */
-    void clear();
 
     /**
      * Reset to zero every metric whose name starts with @p prefix.

@@ -99,7 +99,6 @@ runVCycle(const TaskGraph &g, const Cluster &cluster,
     }
     out.solverStats = init.solverStats;
     out.ilpOptimal = init.ilpOptimal;
-    out.interrupted = init.interrupted;
 
     if (!init.feasible) {
         // Coarse clusters can be too chunky to bin-pack even when the
@@ -114,7 +113,6 @@ runVCycle(const TaskGraph &g, const Cluster &cluster,
         fb.useIlp = false;
         InterFpgaResult flat = floorplanInterFpga(g, cluster, fb);
         flat.levels = out.levels;
-        flat.interrupted = flat.interrupted || out.interrupted;
         return flat;
     }
 
@@ -135,8 +133,6 @@ runVCycle(const TaskGraph &g, const Cluster &cluster,
             .arg("moves", st.moves);
         totalMoves += st.moves;
     }
-    if (options.ctx.expired())
-        out.interrupted = true;
     out.partition.deviceOf = std::move(part);
     obs::MetricsRegistry::global()
         .counter("tapacs.partition.fm_moves")

@@ -76,8 +76,8 @@ refineLevel(const Hypergraph &hg, const Cluster &cluster,
     std::vector<int> candidates;
 
     for (int pass = 0; pass < kMaxPasses; ++pass) {
-        // Refinement is pure polish: a fired deadline keeps the
-        // current (already feasible) partition.
+        // Refinement is pure polish: an expired request stops here
+        // (the compiler discards the result).
         if (options.ctx.expired())
             break;
         ++stats.passes;

@@ -84,17 +84,8 @@ resultDigest(const CompileResult &result)
     return crc64(w.take());
 }
 
-Context
-requestContext(const Request &req)
-{
-    return req.deadlineMs < 0.0
-               ? Context()
-               : Context::withTimeout(req.deadlineMs / 1000.0);
-}
-
 ServeOutcome
-executeRequest(const Request &req, const Context &ctx,
-               const ExecutePolicy &policy)
+executeRequest(const Request &req, const ExecutePolicy &policy)
 {
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
@@ -108,11 +99,11 @@ executeRequest(const Request &req, const Context &ctx,
     opt.numFpgas = req.fpgas;
     opt.threshold = req.threshold;
     opt.cache = policy.cache;
-    opt.ctx = ctx;
     opt.inter.backend = req.solver;
     opt.inter.replicate = req.replicate;
     if (req.coarseLimit > 0)
         opt.inter.coarseLimit = req.coarseLimit;
+    const bool greedyTier = applyDeadline(req.deadlineMs, &opt);
 
     // Incremental requests resolve their base against the session's
     // retained results; a missing base (never ran, failed, evicted)
@@ -133,7 +124,8 @@ executeRequest(const Request &req, const Context &ctx,
     if (req.explore) {
         // Design-space sweep: the explore driver owns per-point
         // clusters (the topology axis), parallelism and simulation;
-        // the request's deadline bounds the whole sweep.
+        // the request's tier applies to every point and its deadline
+        // bounds the whole sweep.
         TaskGraph graph;
         std::vector<hls::TaskIr> tasks;
         Status st;
@@ -153,18 +145,17 @@ executeRequest(const Request &req, const Context &ctx,
         }
         if (st.ok()) {
             explore::ExploreOptions eopt;
-            eopt.base.mode = req.mode;
-            eopt.base.numFpgas = req.fpgas;
-            eopt.base.inter.backend = req.solver;
-            eopt.base.inter.replicate = req.replicate;
-            if (req.coarseLimit > 0)
-                eopt.base.inter.coarseLimit = req.coarseLimit;
+            eopt.base = opt;
             eopt.cache = policy.cache;
-            eopt.ctx = ctx;
+            eopt.ctx = opt.ctx;
             const explore::ExploreResult er =
                 explore::runExplore(graph, tasks, req.grid, eopt);
             out.status = er.status;
             out.explored = er.status.ok();
+            if (greedyTier && out.explored) {
+                out.degraded = true;
+                out.degradedReason = kGreedyTierReason;
+            }
             out.tasks = graph.numVertices();
             out.explorePoints = static_cast<int>(er.trace.size());
             out.exploreFrontier =
@@ -248,6 +239,12 @@ executeRequest(const Request &req, const Context &ctx,
             }
         }
         if (st.ok()) {
+            if (greedyTier && result.status.ok()) {
+                result.degraded = true;
+                if (!result.degradedReason.empty())
+                    result.degradedReason += "; ";
+                result.degradedReason += kGreedyTierReason;
+            }
             out.status = result.status;
             if (!result.routable && out.status.ok())
                 out.status = Status::internal(
@@ -272,7 +269,7 @@ executeRequest(const Request &req, const Context &ctx,
         if (st.ok() && req.simulate && out.status.ok() &&
             result.routable) {
             sim::SimOptions sopt;
-            sopt.ctx = ctx;
+            sopt.ctx = opt.ctx;
             // A replicated design simulates as the expanded graph —
             // the one placement/binding/pipelining actually describe.
             const TaskGraph &simGraph =
@@ -284,16 +281,15 @@ executeRequest(const Request &req, const Context &ctx,
                 // Shape/rate validation failed: the *request* is bad.
                 out.status = simmed.status();
                 out.failureReason = out.status.message();
+            } else if (!simmed.value().status.ok()) {
+                // A simulation its deadline (or the event cap) stopped
+                // has no makespan, only the typed reason, which the
+                // retry/deadline accounting upstream sees.
+                out.status = simmed.value().status;
+                out.failureReason = out.status.message();
             } else {
-                // Partial results (deadline, event cap) still
-                // carry their stats; the typed reason propagates so
-                // the retry/deadline accounting upstream sees it.
                 out.simulated = true;
                 out.simMakespan = simmed.value().makespan;
-                if (!simmed.value().status.ok()) {
-                    out.status = simmed.value().status;
-                    out.failureReason = out.status.message();
-                }
             }
         }
     }

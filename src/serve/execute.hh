@@ -5,9 +5,9 @@
  * executeRequest() is the one function that turns a manifest Request
  * into a typed ServeOutcome: build/parse the task graph, compile (or
  * recompile against a retained base), optionally simulate or sweep
- * the design space, all under the caller's Context. The supervisor's
- * in-process slots (FleetOptions::inProcess) call it from their own
- * threads; the fleet worker (serve/worker) calls the same function
+ * the design space, all under the request's own deadline. The
+ * supervisor's in-process slots (FleetOptions::inProcess) call it
+ * from their own threads; the fleet worker (serve/worker) calls the same function
  * from a child process, which is what makes a re-dispatched request
  * bit-identical to an uninterrupted one — both executors run
  * literally the same code against the same content-addressed cache.
@@ -32,7 +32,6 @@
 #include <functional>
 #include <string>
 
-#include "common/context.hh"
 #include "common/status.hh"
 #include "common/units.hh"
 #include "compiler/compiler.hh"
@@ -55,7 +54,8 @@ struct ServeOutcome
      *  DeadlineExceeded, ResourceExhausted, Internal). */
     Status status;
     bool routable = false;
-    /** The deadline forced a fallback somewhere in the flow. */
+    /** A valid result below full quality: the greedy tier
+     *  (deadline_ms=0) or the level-1 greedy fallback. */
     bool degraded = false;
     std::string degradedReason;
     std::string failureReason;
@@ -66,10 +66,10 @@ struct ServeOutcome
     double seconds = 0.0;
     Hertz fmax = 0.0;
     double cutTrafficBytes = 0.0;
-    /** simulate=1 and the sim ran to a result (possibly a partial one
-     *  under a deadline — then status carries the reason). */
+    /** simulate=1 and the sim ran to completion. A simulation its
+     *  deadline stopped reports only the typed status. */
     bool simulated = false;
-    /** Simulated makespan in seconds (partial when !status.ok()). */
+    /** Simulated makespan in seconds (0 unless simulated). */
     double simMakespan = 0.0;
     /** For incremental= requests: the one-line CompileDelta report
      *  (what carried over from the base). Empty otherwise. */
@@ -108,17 +108,13 @@ struct ExecutePolicy
 };
 
 /**
- * The Context one execution of @p req runs under: the request's own
- * deadline (deadline_ms=; 0 = already expired), or none when it
- * carries no deadline. Each execution gets a fresh slice.
+ * Execute one attempt of @p req. The request's deadline_ms= goes
+ * through applyDeadline: 0 picks the greedy tier (a degraded result),
+ * a positive value starts a fresh deadline for this attempt, and an
+ * expired one ends the attempt DeadlineExceeded with no design. Total:
+ * every failure mode comes back as a typed ServeOutcome::status.
  */
-Context requestContext(const Request &req);
-
-/**
- * Execute one attempt of @p req under @p ctx. Total: every failure
- * mode comes back as a typed ServeOutcome::status.
- */
-ServeOutcome executeRequest(const Request &req, const Context &ctx,
+ServeOutcome executeRequest(const Request &req,
                             const ExecutePolicy &policy);
 
 /**

@@ -22,9 +22,11 @@
  *                      stencil iterations, pagerank synthetic node
  *                      count, knn points, cnn batch size
  *       repeat=N       enqueue N copies (1..10000)
- *       deadline_ms=N  per-request deadline; 0 = already expired
- *                      (forces the deterministic degraded path),
- *                      negative = inherit the service default
+ *       deadline_ms=N  per-request deadline: a positive value aborts
+ *                      the request with DEADLINE_EXCEEDED once it
+ *                      expires; 0 = the greedy tier (no ILP, no
+ *                      clock, reported degraded); negative = inherit
+ *                      the service default
  *       simulate=0|1   also simulate the compiled design and report
  *                      its makespan (default 0); the sim honors the
  *                      request deadline
@@ -93,8 +95,9 @@ struct Request
     double threshold = 0.70;
     std::int64_t scale = 0;
     int repeat = 1;
-    /** Milliseconds; < 0 = inherit the service default, 0 = already
-     *  expired (deterministic degraded path), > 0 = that budget. */
+    /** Milliseconds, mapped by applyDeadline: < 0 = inherit the
+     *  service default, 0 = the greedy tier, > 0 = a deadline that
+     *  aborts the request when it expires. */
     double deadlineMs = -1.0;
     /** Also simulate the compiled design (simulate=1). */
     bool simulate = false;

@@ -544,8 +544,7 @@ Supervisor::processOne(Slot &slot, std::size_t idx)
                     boundedBackoff(options_.backoff, attempt - 1));
             }
             if (options_.inProcess) {
-                out = executeRequest(pending.req,
-                                     requestContext(pending.req), policy_);
+                out = executeRequest(pending.req, policy_);
             } else if (!dispatchToWorker(slot, idx, pending, &out)) {
                 span.arg("status", "DISPATCH_FAILED");
                 return;
@@ -615,10 +614,7 @@ void
 Supervisor::resolve(std::size_t idx, ServeOutcome out,
                     int dispatchAttempts)
 {
-    // A degraded result or a DeadlineExceeded outcome is how an
-    // execution that ran out of deadline reports back.
-    if (out.degraded ||
-        out.status.code() == StatusCode::DeadlineExceeded)
+    if (out.status.code() == StatusCode::DeadlineExceeded)
         reg().counter("tapacs.serve.deadline_exceeded").add();
     if (out.degraded)
         reg().counter("tapacs.serve.degraded").add();
@@ -885,9 +881,10 @@ Supervisor::dispatchOnce(Slot &slot, const Pending &pending,
         return false;
     }
 
+    // deadline_ms=0 is the greedy tier, which runs with no clock.
     const double deadlineSeconds =
-        pending.req.deadlineMs >= 0.0 ? pending.req.deadlineMs / 1000.0
-                                      : -1.0;
+        pending.req.deadlineMs > 0.0 ? pending.req.deadlineMs / 1000.0
+                                     : -1.0;
     const double now = monotonicSeconds();
     const double attemptDeadline =
         deadlineSeconds >= 0.0

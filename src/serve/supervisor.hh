@@ -16,7 +16,7 @@
  *                     CRC-checked frame protocol (serve/wire).
  *
  * Both executors get the same queue-level contract (bounded queue,
- * circuit breaker, per-execution deadline slices, bounded retries;
+ * circuit breaker, a fresh deadline per execution, bounded retries;
  * see FleetOptions), the same journal and the same drain.
  *
  * A worker process is additionally watched with two kill paths:
@@ -27,8 +27,11 @@
  *                       blown the request deadline plus a grace
  *                       window — the healthy path is that the worker
  *                       enforces the deadline itself and returns a
- *                       typed degraded outcome; the kill is the
- *                       backstop for a wedged solve.
+ *                       typed DEADLINE_EXCEEDED outcome; the kill is
+ *                       the backstop for a wedged solve. A request
+ *                       with deadline_ms=0 runs the greedy tier with
+ *                       no deadline, so only the heartbeat guards
+ *                       it.
  *
  * Worker restarts sleep the same backoff curve; a slot that keeps
  * dying past the restart limit is quarantined. A re-dispatched
@@ -122,7 +125,7 @@ struct FleetOptions
     /** Durable request journal path; empty = no journal. */
     std::string journalPath;
     /** Deadline for requests that carry none (seconds; < 0 = none,
-     *  0 = already expired: the deterministic degraded path). */
+     *  0 = the greedy tier; see applyDeadline). */
     double defaultDeadlineSeconds = -1.0;
     /** Waiting-queue bound; 0 = unbounded. */
     int maxQueue = 0;
@@ -130,7 +133,7 @@ struct FleetOptions
      *  (backpressure), false = shed with ResourceExhausted. */
     bool blockOnFull = false;
     /** Extra executions after a retryable outcome (DeadlineExceeded /
-     *  Internal). Each gets a fresh deadline slice. */
+     *  Internal). Each starts a fresh deadline. */
     int maxRetries = 0;
     /** Consecutive failed requests that open the circuit breaker;
      *  0 disables the breaker. */

@@ -176,7 +176,7 @@ runWorker(const WorkerConfig &config)
                 const Request &req = manifest.requests[0];
                 ExecutePolicy policy;
                 policy.cache = cache.get();
-                out = executeRequest(req, requestContext(req), policy);
+                out = executeRequest(req, policy);
                 out.attempts = 1;
             }
         }

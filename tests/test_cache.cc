@@ -418,7 +418,7 @@ TEST(CacheStore, LruEvictsWithinBudgetAndCountsMetrics)
     const obs::MetricsSnapshot snap =
         obs::MetricsRegistry::global().snapshot();
     EXPECT_GT(snap.counterValue("tapacs.cache.evictions"), 0);
-    EXPECT_EQ(snap.gaugeValue("tapacs.cache.bytes"),
+    EXPECT_EQ(snap.gauges.at("tapacs.cache.bytes"),
               static_cast<double>(store.bytesInMemory()));
 
     // The most recent entries survived; the oldest were evicted.
@@ -580,11 +580,11 @@ TEST(CompileCache, SeedOnlyChangesShareLevelTwoDeviceEntries)
     EXPECT_TRUE(first.placement.slotOf == second.placement.slotOf);
 }
 
-TEST(CompileCache, ExpiredRequestTakesDegradedPathOverWarmEntries)
+TEST(CompileCache, GreedyTierAddressesItsOwnEntries)
 {
-    // Solver keys no longer depend on the deadline, so an expired
-    // request addresses the same entries as an unhurried one; it must
-    // still get the deterministic degraded answer, not a cache hit.
+    // The greedy tier (deadline 0) clears useIlp, which both solver
+    // keys fold in, so it never reads a full-tier entry; and it has no
+    // clock, so its own entries are cached and hit like any other.
     TaskGraph g = randomDesign(4343, 4, 4);
     Cluster cluster = makePaperTestbed(3);
     CompileOptions opt;
@@ -596,17 +596,56 @@ TEST(CompileCache, ExpiredRequestTakesDegradedPathOverWarmEntries)
     opt.cache = &cc;
     const CompileResult full = compile(g, cluster, opt);
     ASSERT_TRUE(full.routable) << full.failureReason;
-    EXPECT_FALSE(full.degraded);
+    EXPECT_EQ(full.cacheHits, 0);
 
-    opt.ctx = Context::withTimeout(0.0);
-    const CompileResult expired = compile(g, cluster, opt);
-    opt.cache = nullptr;
-    const CompileResult expired_uncached = compile(g, cluster, opt);
-    ASSERT_TRUE(expired.routable) << expired.failureReason;
-    EXPECT_TRUE(expired.degraded);
-    EXPECT_EQ(expired.partition.deviceOf,
-              expired_uncached.partition.deviceOf);
-    EXPECT_DOUBLE_EQ(expired.fmax, expired_uncached.fmax);
+    CompileOptions greedy = opt;
+    ASSERT_TRUE(applyDeadline(0.0, &greedy));
+    const CompileResult first = compile(g, cluster, greedy);
+    const CompileResult second = compile(g, cluster, greedy);
+    greedy.cache = nullptr;
+    const CompileResult uncached = compile(g, cluster, greedy);
+    ASSERT_TRUE(first.routable) << first.failureReason;
+    EXPECT_EQ(first.cacheHits, 0); // no full-tier entry is read
+    EXPECT_EQ(second.cacheMisses, 0);
+    EXPECT_EQ(second.cacheHits, 1 + cluster.numDevices());
+    EXPECT_EQ(first.l1SolverStats.nodesExplored, 0);
+    EXPECT_EQ(first.l2SolverStats.nodesExplored, 0);
+    expectResultsIdentical(first, uncached, "greedy cold vs uncached");
+    expectResultsIdentical(second, uncached, "greedy warm vs uncached");
+}
+
+TEST(CompileCache, ExpiredCompileReturnsNoDesignAndStoresNothing)
+{
+    // An expired deadline aborts even over warm entries, and a compile
+    // it aborted leaves nothing behind that a later compile could
+    // read: the next unhurried compile on the same cache is the cold
+    // design.
+    TaskGraph g = randomDesign(4344, 4, 4);
+    Cluster cluster = makePaperTestbed(3);
+    CompileOptions opt;
+    opt.mode = CompileMode::TapaCs;
+    opt.numFpgas = 3;
+    const CompileResult cold = compile(g, cluster, opt);
+    ASSERT_TRUE(cold.routable) << cold.failureReason;
+
+    cache::CacheStore store;
+    cache::CompileCache cc(store);
+    CompileOptions expired = opt;
+    expired.cache = &cc;
+    expired.ctx = Context::withTimeout(0.0);
+    const CompileResult aborted = compile(g, cluster, expired);
+    EXPECT_EQ(aborted.status.code(), StatusCode::DeadlineExceeded);
+    EXPECT_FALSE(aborted.routable);
+    EXPECT_TRUE(aborted.partition.deviceOf.empty());
+    EXPECT_TRUE(aborted.signature.empty());
+
+    opt.cache = &cc;
+    const CompileResult after = compile(g, cluster, opt);
+    expectResultsIdentical(after, cold, "after an aborted compile");
+
+    const CompileResult warm_abort = compile(g, cluster, expired);
+    EXPECT_EQ(warm_abort.status.code(), StatusCode::DeadlineExceeded);
+    EXPECT_FALSE(warm_abort.routable);
 }
 
 TEST(CompileCache, HlsPhaseMemoizesPerTask)

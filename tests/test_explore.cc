@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "cache/compile_cache.hh"
 #include "compile_identity.hh"
 #include "explore/explore.hh"
 #include "explore/pareto.hh"
@@ -298,7 +301,7 @@ TEST(RunExplore, ExpiredSweepContextYieldsTypedUnevaluatedPoints)
     ExploreOptions opt;
     opt.base.numFpgas = 2;
     opt.threads = 1;
-    opt.ctx = Context().withBudget(0.0);
+    opt.ctx = Context::withTimeout(0.0);
     const ExploreResult r = runExplore(g, {}, spec, opt);
     EXPECT_EQ(r.status.code(), StatusCode::DeadlineExceeded);
     ASSERT_EQ(r.trace.size(), spec.numPoints());
@@ -356,6 +359,65 @@ TEST(RunExplore, ResultsDescribeTheirOwnSweepOnly)
     EXPECT_EQ(again.cacheHits, b.cacheHits);
     EXPECT_EQ(again.cacheMisses, b.cacheMisses);
     EXPECT_EQ(again.frontier, b.frontier);
+}
+
+TEST(RunExplore, CacheCountsIgnoreConcurrentCompiles)
+{
+    // A sweep counts its own compiles' lookups, so a compile running
+    // on another thread against another cache changes nothing.
+    TaskGraph g = randomDesign(4800, 3, 4);
+    ExploreOptions opt;
+    opt.base.numFpgas = 2;
+    opt.threads = 1;
+    const ExploreSpec spec = smallSpec();
+    const ExploreResult alone = runExplore(g, {}, spec, opt);
+    ASSERT_TRUE(alone.status.ok()) << alone.status.message();
+    ASSERT_GT(alone.cacheHits, 0);
+
+    std::atomic<bool> done{false};
+    std::atomic<int> compiles{0};
+    std::thread noise([&]() {
+        const TaskGraph other = randomDesign(4801, 4, 4);
+        const Cluster cluster = makePaperTestbed(2);
+        cache::CacheStore store;
+        cache::CompileCache cc(store);
+        CompileOptions copt;
+        copt.numFpgas = 2;
+        copt.cache = &cc;
+        while (!done.load() || compiles.load() == 0) {
+            compile(other, cluster, copt);
+            ++compiles;
+        }
+    });
+    const ExploreResult busy = runExplore(g, {}, spec, opt);
+    done = true;
+    noise.join();
+    ASSERT_TRUE(busy.status.ok()) << busy.status.message();
+    EXPECT_GT(compiles.load(), 0);
+    EXPECT_EQ(busy.cacheHits, alone.cacheHits);
+    EXPECT_EQ(busy.cacheMisses, alone.cacheMisses);
+    EXPECT_EQ(busy.frontier, alone.frontier);
+}
+
+TEST(RunExplore, ZeroPointDeadlineIsTheGreedyTier)
+{
+    TaskGraph g = randomDesign(4900, 3, 4);
+    ExploreOptions opt;
+    opt.base.numFpgas = 2;
+    opt.threads = 1;
+    opt.pointDeadlineSeconds = 0.0;
+    const ExploreSpec spec = smallSpec();
+    const ExploreResult r = runExplore(g, {}, spec, opt);
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    for (const PointOutcome &po : r.trace) {
+        ASSERT_TRUE(po.status.ok()) << po.status.message();
+        EXPECT_TRUE(po.degraded);
+        EXPECT_EQ(po.result.l1SolverStats.nodesExplored, 0);
+        EXPECT_EQ(po.result.l2SolverStats.nodesExplored, 0);
+    }
+    // No clock: the tier repeats exactly.
+    const ExploreResult again = runExplore(g, {}, spec, opt);
+    EXPECT_EQ(frontierCsv(again), frontierCsv(r));
 }
 
 } // namespace

@@ -506,7 +506,6 @@ expectLevel2Identical(const Level2Result &a, const Level2Result &b)
     EXPECT_TRUE(a.binding == b.binding);
     EXPECT_DOUBLE_EQ(a.cost, b.cost);
     EXPECT_EQ(a.allIlpOptimal, b.allIlpOptimal);
-    EXPECT_EQ(a.interrupted, b.interrupted);
     EXPECT_EQ(a.solverStats.nodesExplored, b.solverStats.nodesExplored);
     EXPECT_EQ(a.solverStats.lpSolves, b.solverStats.lpSolves);
     EXPECT_EQ(a.solverStats.lpIterations, b.solverStats.lpIterations);

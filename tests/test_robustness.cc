@@ -1,21 +1,28 @@
 /**
  * @file
  * Robustness suite: the error taxonomy (Status/StatusOr), deadline
- * plumbing (Context), degraded-mode compile fallbacks,
+ * plumbing (Context, the applyDeadline tier rule), deadline aborts,
  * hardened manifest parsing (including a seeded mutation fuzz), the
  * serving core's queue-level contract on its in-process executor
  * (backpressure, shedding, circuit breaker, retries), and request
  * execution itself.
  *
- * Everything here must stay deterministic: deadline-0 contexts are
- * pre-expired so the degraded path is taken on the first poll, the
- * fuzz draws from the repo's seeded Rng, and the serving tests run
- * a single slot where ordering matters.
+ * Everything here must stay deterministic: deadline 0 is the
+ * clock-free greedy tier, aborts use pre-expired contexts or
+ * deadlines far shorter than any compile, the fuzz draws from the
+ * repo's seeded Rng, and the serving tests run a single slot where
+ * ordering matters. Where a deadline races a real compile (the
+ * deadline sweep), only the outcome's type may vary, never the
+ * design.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -23,6 +30,7 @@
 
 #include "apps/stencil.hh"
 #include "apps/workloads.hh"
+#include "cache/compile_cache.hh"
 #include "common/context.hh"
 #include "common/rng.hh"
 #include "common/status.hh"
@@ -88,13 +96,7 @@ TEST(Context, DefaultHasNoDeadlineAndNeverExpires)
     EXPECT_FALSE(ctx.hasDeadline());
     EXPECT_FALSE(ctx.expired());
     EXPECT_TRUE(ctx.status().ok());
-    EXPECT_EQ(ctx.remainingSeconds(),
-              std::numeric_limits<double>::infinity());
-    // A budget slice of a deadline-free context has only its own.
-    const Context slice = ctx.withBudget(3600.0);
-    EXPECT_TRUE(slice.hasDeadline());
-    EXPECT_FALSE(slice.expired());
-    EXPECT_TRUE(slice.status().ok());
+    EXPECT_EQ(ctx.deadline(), std::numeric_limits<double>::infinity());
 }
 
 TEST(Context, ZeroTimeoutIsDeterministicallyExpired)
@@ -105,28 +107,46 @@ TEST(Context, ZeroTimeoutIsDeterministicallyExpired)
     EXPECT_TRUE(zero.hasDeadline());
     EXPECT_TRUE(zero.expired());
     EXPECT_EQ(zero.status().code(), StatusCode::DeadlineExceeded);
-    EXPECT_LT(zero.remainingSeconds(), 0.0);
 
     const Context negative = Context::withTimeout(-5.0);
     EXPECT_TRUE(negative.expired());
 }
 
-TEST(Context, BudgetSlicesTakeTheSoonerDeadline)
+TEST(DeadlineRule, ValuePicksTheTierAndTheClockOnlyAborts)
 {
-    const Context parent = Context::withTimeout(3600.0);
-    const Context slice = parent.withBudget(-1.0);
-    EXPECT_TRUE(slice.expired()); // the slice's own deadline is sooner
-    EXPECT_EQ(slice.status().code(), StatusCode::DeadlineExceeded);
-    EXPECT_FALSE(parent.expired());
+    // Negative: the full tier, options untouched.
+    CompileOptions none;
+    EXPECT_FALSE(applyDeadline(-1.0, &none));
+    EXPECT_TRUE(none.inter.useIlp);
+    EXPECT_TRUE(none.intra.useIlp);
+    EXPECT_FALSE(none.ctx.hasDeadline());
 
-    const Context child = parent.withBudget(1800.0);
-    EXPECT_LT(child.deadline(), parent.deadline());
-    // A slice longer than what the parent has left ends with the
-    // parent: a phase never outlives its request.
-    const Context longer = parent.withBudget(7200.0);
-    EXPECT_EQ(longer.deadline(), parent.deadline());
-    const Context expired = Context::withTimeout(0.0);
-    EXPECT_TRUE(expired.withBudget(3600.0).expired());
+    // Zero: the greedy tier, with no clock at all.
+    CompileOptions greedy;
+    EXPECT_TRUE(applyDeadline(0.0, &greedy));
+    EXPECT_FALSE(greedy.inter.useIlp);
+    EXPECT_FALSE(greedy.intra.useIlp);
+    EXPECT_FALSE(greedy.ctx.hasDeadline());
+
+    // Positive: the full tier under a fresh deadline.
+    CompileOptions timed;
+    EXPECT_FALSE(applyDeadline(3600.0e3, &timed));
+    EXPECT_TRUE(timed.inter.useIlp);
+    EXPECT_TRUE(timed.intra.useIlp);
+    EXPECT_TRUE(timed.ctx.hasDeadline());
+    EXPECT_FALSE(timed.ctx.expired());
+
+    // A sooner deadline the caller already set wins; a later one
+    // gives way.
+    CompileOptions sooner;
+    sooner.ctx = Context::withTimeout(0.0);
+    EXPECT_FALSE(applyDeadline(3600.0e3, &sooner));
+    EXPECT_TRUE(sooner.ctx.expired());
+    CompileOptions later;
+    later.ctx = Context::withTimeout(7200.0);
+    applyDeadline(1800.0e3, &later);
+    EXPECT_LT(later.ctx.deadline(),
+              Context::withTimeout(3600.0).deadline());
 }
 
 // ---- Serve backoff curve --------------------------------------------
@@ -374,7 +394,7 @@ TEST(Manifest, SeededMutationFuzzNeverCrashesAndIsDeterministic)
 
 // ---- Deadlines through the compile flow ------------------------------
 
-TEST(Robustness, TightDeadlineStillYieldsFeasibleDegradedResult)
+TEST(Robustness, GreedyTierYieldsFeasibleResultWithoutIlp)
 {
     apps::AppDesign app =
         apps::buildStencil(apps::StencilConfig::scaled(64, 2));
@@ -382,14 +402,40 @@ TEST(Robustness, TightDeadlineStillYieldsFeasibleDegradedResult)
     CompileOptions opt;
     opt.mode = CompileMode::TapaCs;
     opt.numFpgas = 4;
-    opt.ctx = Context::withTimeout(0.0); // already expired
+    ASSERT_TRUE(applyDeadline(0.0, &opt));
     const CompileResult r =
         compileProgram(app.graph, app.tasks, cluster, opt);
     EXPECT_TRUE(r.status.ok()) << r.status.message();
     EXPECT_TRUE(r.routable) << r.failureReason;
-    EXPECT_TRUE(r.degraded);
-    EXPECT_FALSE(r.degradedReason.empty());
+    EXPECT_EQ(r.l1SolverStats.nodesExplored, 0);
+    EXPECT_EQ(r.l2SolverStats.nodesExplored, 0);
     EXPECT_GT(r.fmax, 0.0);
+    // A pure function of its inputs, so it carries a reuse signature.
+    EXPECT_FALSE(r.signature.empty());
+}
+
+TEST(Robustness, ExpiredDeadlineReturnsNoDesign)
+{
+    const Cluster cluster = makePaperTestbed(4);
+    for (const CompileMode mode :
+         {CompileMode::TapaCs, CompileMode::TapaSingle}) {
+        CompileOptions opt;
+        opt.mode = mode;
+        opt.numFpgas = mode == CompileMode::TapaCs ? 4 : 1;
+        opt.ctx = Context::withTimeout(0.0); // already expired
+        apps::AppDesign app;
+        ASSERT_TRUE(
+            apps::buildWorkload("stencil", opt.numFpgas, 0, &app).ok());
+        const CompileResult r =
+            compileProgram(app.graph, app.tasks, cluster, opt);
+        EXPECT_EQ(r.status.code(), StatusCode::DeadlineExceeded)
+            << toString(mode) << ": " << r.status.message();
+        EXPECT_FALSE(r.routable);
+        EXPECT_FALSE(r.degraded);
+        EXPECT_TRUE(r.partition.deviceOf.empty());
+        EXPECT_TRUE(r.placement.slotOf.empty());
+        EXPECT_EQ(r.fmax, 0.0);
+    }
 }
 
 TEST(Robustness, ExpiredDeadlineBoundsSolverNodeExpansions)
@@ -412,23 +458,24 @@ TEST(Robustness, ExpiredDeadlineBoundsSolverNodeExpansions)
     expired.ctx = Context::withTimeout(0.0);
     ilp::BranchBoundSolver stopped(expired);
     stopped.solve(m);
-    EXPECT_TRUE(stopped.stats().interrupted);
+    EXPECT_FALSE(stopped.stats().provenOptimal);
     EXPECT_LE(stopped.stats().nodesExplored, 1);
 
-    // Control: the same model solved uninterrupted explores real work.
+    // Control: the same model solved without a deadline explores real
+    // work.
     ilp::BranchBoundSolver full;
     const ilp::Solution s = full.solve(m);
     EXPECT_EQ(s.status, ilp::SolveStatus::Optimal);
-    EXPECT_FALSE(full.stats().interrupted);
+    EXPECT_TRUE(full.stats().provenOptimal);
     EXPECT_GT(full.stats().nodesExplored,
               stopped.stats().nodesExplored);
 }
 
-TEST(Robustness, DegradedFallbackIsDeterministicAcrossThreadCounts)
+TEST(Robustness, GreedyTierIsDeterministicAcrossThreadCounts)
 {
-    // The deadline-0 fallback chain must not depend on worker count:
-    // greedy partitioning and the refinement passes are serial by
-    // construction once the ILP tier is skipped.
+    // The deadline-0 tier must not depend on worker count: it has no
+    // clock, and greedy partitioning, refinement and the greedy cuts
+    // are thread-count invariant like the full tier.
     apps::AppDesign app =
         apps::buildStencil(apps::StencilConfig::scaled(64, 2));
     const Cluster cluster = makePaperTestbed(4);
@@ -439,10 +486,9 @@ TEST(Robustness, DegradedFallbackIsDeterministicAcrossThreadCounts)
         opt.mode = CompileMode::TapaCs;
         opt.numFpgas = 4;
         opt.numThreads = threadCounts[i];
-        opt.ctx = Context::withTimeout(0.0);
+        applyDeadline(0.0, &opt);
         results[i] = compileProgram(app.graph, app.tasks, cluster, opt);
         ASSERT_TRUE(results[i].routable) << results[i].failureReason;
-        ASSERT_TRUE(results[i].degraded);
     }
     EXPECT_EQ(results[0].partition.deviceOf,
               results[1].partition.deviceOf);
@@ -577,16 +623,16 @@ TEST(InProcessServe, CircuitBreakerShedsAfterConsecutiveFailures)
     }
 }
 
-TEST(InProcessServe, ExpiredDeadlineStillReturnsDegradedResult)
+TEST(InProcessServe, GreedyTierRequestReturnsDegradedResult)
 {
     serve::Supervisor supervisor(inProcess(2));
     ASSERT_TRUE(supervisor.start().ok());
-    serve::Request tight = quickRequest("tight");
-    tight.workload = "stencil";
-    tight.fpgas = 4;
-    tight.mode = CompileMode::TapaCs;
-    tight.deadlineMs = 0.0; // pre-expired: deterministic degraded path
-    ASSERT_TRUE(supervisor.submit(tight).ok());
+    serve::Request greedy = quickRequest("greedy");
+    greedy.workload = "stencil";
+    greedy.fpgas = 4;
+    greedy.mode = CompileMode::TapaCs;
+    greedy.deadlineMs = 0.0; // the greedy tier: no ILP, no clock
+    ASSERT_TRUE(supervisor.submit(greedy).ok());
     ASSERT_TRUE(supervisor.submit(quickRequest("easy")).ok());
     const std::vector<serve::ServeOutcome> outcomes =
         finishOutcomes(supervisor);
@@ -595,7 +641,7 @@ TEST(InProcessServe, ExpiredDeadlineStillReturnsDegradedResult)
     EXPECT_TRUE(t.status.ok()) << t.failureReason;
     EXPECT_TRUE(t.routable);
     EXPECT_TRUE(t.degraded);
-    EXPECT_FALSE(t.degradedReason.empty());
+    EXPECT_EQ(t.degradedReason, kGreedyTierReason);
     EXPECT_TRUE(outcomes[1].status.ok());
     EXPECT_FALSE(outcomes[1].degraded);
 }
@@ -654,13 +700,14 @@ TEST(InProcessServe, RetriesAreBoundedAndCounted)
     bad.name = "invalid";
     bad.graphFile = "/nonexistent/never.graph";
     ASSERT_TRUE(supervisor.submit(bad).ok());
-    // A pre-expired simulation ends DeadlineExceeded every time: it
-    // spends the whole retry budget and keeps its typed reason.
+    // A 1 ns deadline expires long before any compile finishes, so the
+    // request ends DeadlineExceeded every time: it spends the whole
+    // retry budget and keeps its typed reason.
     serve::Request expired = quickRequest("sim-expired");
     expired.fpgas = 4;
     expired.mode = CompileMode::TapaCs;
     expired.simulate = true;
-    expired.deadlineMs = 0.0;
+    expired.deadlineMs = 1.0e-6;
     ASSERT_TRUE(supervisor.submit(expired).ok());
     const std::vector<serve::ServeOutcome> outcomes =
         finishOutcomes(supervisor);
@@ -679,8 +726,7 @@ TEST(InProcessServe, RetriesAreBoundedAndCounted)
 serve::ServeOutcome
 execute(const serve::Request &req)
 {
-    return serve::executeRequest(req, serve::requestContext(req),
-                                 serve::ExecutePolicy());
+    return serve::executeRequest(req, serve::ExecutePolicy());
 }
 
 TEST(ExecuteRequest, PagerankScaleChangesTheWorkload)
@@ -690,7 +736,7 @@ TEST(ExecuteRequest, PagerankScaleChangesTheWorkload)
     base.workload = "pagerank";
     base.fpgas = 2;
     base.mode = CompileMode::TapaCs;
-    base.deadlineMs = 0.0; // degraded path: fast and deterministic
+    base.deadlineMs = 0.0; // greedy tier: fast and deterministic
     serve::Request scaled = base;
     scaled.name = "pr-scaled";
     scaled.scale = 100'000; // synthetic 100k-node dataset
@@ -786,15 +832,126 @@ TEST(ExecuteRequest, ExpiredDeadlineOnSimulatedRequestIsTyped)
     req.fpgas = 4;
     req.mode = CompileMode::TapaCs;
     req.simulate = true;
-    req.deadlineMs = 0.0; // pre-expired: deterministic abort path
+    req.deadlineMs = 1.0e-6; // expires long before the compile ends
     const serve::ServeOutcome o = execute(req);
-    // The compile tier degrades and still routes; the simulation then
-    // observes the expired context on its first poll and reports the
-    // typed reason with whatever partial stats it gathered.
-    EXPECT_TRUE(o.routable);
-    EXPECT_TRUE(o.simulated);
+    // The deadline aborts: a typed reason, no design, no makespan.
     EXPECT_EQ(o.status.code(), StatusCode::DeadlineExceeded)
         << o.failureReason;
+    EXPECT_FALSE(o.routable);
+    EXPECT_FALSE(o.degraded);
+    EXPECT_FALSE(o.simulated);
+    EXPECT_EQ(o.simMakespan, 0.0);
+}
+
+TEST(ExecuteRequest, GreedyTierSimulatesWithoutAClock)
+{
+    serve::Request req = quickRequest("sim-greedy");
+    req.fpgas = 4;
+    req.mode = CompileMode::TapaCs;
+    req.simulate = true;
+    req.deadlineMs = 0.0;
+    const serve::ServeOutcome o = execute(req);
+    EXPECT_TRUE(o.status.ok()) << o.failureReason;
+    EXPECT_TRUE(o.routable);
+    EXPECT_TRUE(o.degraded);
+    EXPECT_TRUE(o.simulated);
+    EXPECT_GT(o.simMakespan, 0.0);
+}
+
+/** The knn F3 request of the deadline sweep below. */
+serve::Request
+knnRequest(const std::string &name, double deadlineMs)
+{
+    serve::Request req;
+    req.name = name;
+    req.workload = "knn";
+    req.fpgas = 3;
+    req.mode = CompileMode::TapaCs;
+    req.deadlineMs = deadlineMs;
+    return req;
+}
+
+TEST(DeadlineSweep, OkOutcomesCarryTheNoDeadlineDigest)
+{
+    // A deadline only stops work: over a sweep of deadlines that race
+    // a cold compile (about 55 ms on a 4-core x86 host), every Ok
+    // outcome is the design of the deadline-free compile and every
+    // other outcome is DeadlineExceeded. Each sweep shares one cold
+    // disk-tier cache, so aborted compiles run against entries that
+    // earlier attempts left behind; none of them may change a design.
+    const serve::ServeOutcome reference = execute(knnRequest("ref", -1.0));
+    ASSERT_TRUE(reference.status.ok()) << reference.failureReason;
+    ASSERT_FALSE(reference.degraded);
+    const double deadlines[] = {2, 5, 10, 15, 20, 30, 50, 100, -1};
+    for (const int workers : {1, 4}) {
+        const std::string dir = ::testing::TempDir() +
+                                "robustness_deadline_sweep_" +
+                                std::to_string(workers) + "_" +
+                                std::to_string(::getpid());
+        serve::FleetOptions opt = inProcess(workers);
+        opt.cacheDir = dir;
+        serve::Supervisor supervisor(opt);
+        ASSERT_TRUE(supervisor.start().ok());
+        for (const double d : deadlines)
+            ASSERT_TRUE(
+                supervisor
+                    .submit(knnRequest(
+                        "k" + std::to_string(static_cast<int>(d)), d))
+                    .ok());
+        const std::vector<serve::ServeOutcome> outcomes =
+            finishOutcomes(supervisor);
+        ASSERT_EQ(outcomes.size(), std::size(deadlines));
+        for (const serve::ServeOutcome &o : outcomes) {
+            if (o.status.ok()) {
+                EXPECT_FALSE(o.degraded) << o.name;
+                EXPECT_EQ(o.resultDigest, reference.resultDigest)
+                    << o.name << " at " << workers << " worker(s)";
+            } else {
+                EXPECT_EQ(o.status.code(), StatusCode::DeadlineExceeded)
+                    << o.name << ": " << o.failureReason;
+                EXPECT_FALSE(o.routable) << o.name;
+            }
+        }
+        // The deadline-free request always completes.
+        EXPECT_TRUE(outcomes.back().status.ok());
+        std::filesystem::remove_all(dir);
+    }
+}
+
+TEST(DeadlineSweep, GreedyTierIsCachedAndRepeats)
+{
+    // deadline_ms=0 has no clock, so its result is cached like any
+    // other: the second run reads the level-1 and every level-2 entry
+    // and returns the same design.
+    cache::CacheStore store;
+    cache::CompileCache cc(store);
+    serve::ExecutePolicy policy;
+    policy.cache = &cc;
+    const serve::Request req = knnRequest("greedy", 0.0);
+    const serve::ServeOutcome first = serve::executeRequest(req, policy);
+    const serve::ServeOutcome second = serve::executeRequest(req, policy);
+    ASSERT_TRUE(first.status.ok()) << first.failureReason;
+    ASSERT_TRUE(second.status.ok()) << second.failureReason;
+    EXPECT_TRUE(first.degraded);
+    EXPECT_EQ(first.degradedReason, kGreedyTierReason);
+    EXPECT_EQ(second.resultDigest, first.resultDigest);
+
+    // The same compile, counted: every lookup of the rerun hits.
+    apps::AppDesign app;
+    ASSERT_TRUE(apps::buildWorkload("knn", 3, 0, &app).ok());
+    const Cluster cluster = makePaperTestbed(3);
+    CompileOptions opt;
+    opt.mode = CompileMode::TapaCs;
+    opt.numFpgas = 3;
+    opt.cache = &cc;
+    ASSERT_TRUE(applyDeadline(0.0, &opt));
+    const CompileResult rerun =
+        compileProgram(app.graph, app.tasks, cluster, opt);
+    ASSERT_TRUE(rerun.routable) << rerun.failureReason;
+    EXPECT_EQ(rerun.cacheMisses, 0);
+    EXPECT_EQ(rerun.cacheHits,
+              static_cast<std::int64_t>(app.tasks.size()) + 1 +
+                  cluster.numDevices());
 }
 
 } // namespace

@@ -37,10 +37,10 @@
  *   --threads N      concurrent point evaluations (0 = pool size,
  *                    1 = serial; the frontier is identical at any
  *                    value)
- *   --deadline-ms N  per-point deadline slice (negative = none, the
- *                    default); sliced points are never written to
- *                    the cache (no compile under a deadline is),
- *                    so slicing trades reuse for bounded latency
+ *   --deadline-ms N  per-point deadline (negative = none, the
+ *                    default): a positive value ends a late point
+ *                    DEADLINE_EXCEEDED, 0 compiles every point in
+ *                    the greedy tier (no ILP, reported degraded)
  *   --no-cache       sweep-private in-memory cache only (the default
  *                    shares the process-global cache)
  *   --cache-dir D    add a disk tier at D

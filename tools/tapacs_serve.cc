@@ -16,8 +16,9 @@
  *
  * Both executors share the queue-level contract: a bounded queue that
  * sheds or blocks, bounded retries of DEADLINE_EXCEEDED/INTERNAL
- * outcomes, a circuit breaker, per-request deadlines that degrade
- * instead of failing, and the journal. With --journal, every
+ * outcomes, a circuit breaker, per-request deadlines (a positive one
+ * aborts a late request with DEADLINE_EXCEEDED, 0 picks the greedy
+ * tier), and the journal. With --journal, every
  * admission is durable before it can execute: a killed supervisor
  * restarted on the same journal replays completed requests from their
  * stored outcomes and re-runs incomplete ones. Run with a journal and
@@ -48,8 +49,8 @@
  *                           TAPACS_WORKER_EXE / /proc/self/exe)
  *   --repeat N              global multiplier on every request
  *   --deadline-ms N         default deadline for requests without
- *                           their own deadline_ms=; 0 = already
- *                           expired (deterministic degraded path),
+ *                           their own deadline_ms=; 0 = the greedy
+ *                           tier (no ILP, reported degraded),
  *                           negative = none (the default)
  *   --max-queue N           waiting-queue bound; submissions beyond it
  *                           are shed with RESOURCE_EXHAUSTED (0 =

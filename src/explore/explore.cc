@@ -96,8 +96,8 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
                 popt.hbmBindingSweep = po.point.bindingSweep;
                 popt.pipeline.stagesPerCrossing = po.point.depth;
                 popt.ctx = options.ctx;
-                const bool greedyTier = applyDeadline(
-                    options.pointDeadlineSeconds * 1000.0, &popt);
+                const bool greedyTier =
+                    applyDeadline(options.pointDeadlineMs, &popt);
 
                 // compileProgram stamps areas onto the graph, so each
                 // point works on its own copy.

@@ -27,7 +27,7 @@
  * value.
  *
  * Deadlines: ExploreOptions::ctx bounds the whole sweep and
- * pointDeadlineSeconds goes through applyDeadline per point (0 = the
+ * pointDeadlineMs goes through applyDeadline per point (0 = the
  * greedy tier, positive = a fresh deadline per point). A deadline
  * only stops work: a point it expires on comes back DeadlineExceeded,
  * and a point that finishes is the design, and writes the cache
@@ -67,10 +67,10 @@ struct ExploreOptions
      *  <= 0 = the shared pool's size, 1 = serial. Results are
      *  identical at any value. */
     int threads = 0;
-    /** Per-point deadline in seconds, mapped by applyDeadline: < 0 =
-     *  none, 0 = the greedy tier, > 0 = a deadline from each point's
-     *  start (or the sweep ctx, when sooner). */
-    double pointDeadlineSeconds = -1.0;
+    /** Per-point deadline in milliseconds, mapped by applyDeadline:
+     *  < 0 = none, 0 = the greedy tier, > 0 = a deadline from each
+     *  point's start (or the sweep ctx, when sooner). */
+    double pointDeadlineMs = -1.0;
     /** Sweep-wide deadline; points starting after it expires come
      *  back with its typed status unevaluated. */
     Context ctx;

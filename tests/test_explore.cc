@@ -405,7 +405,7 @@ TEST(RunExplore, ZeroPointDeadlineIsTheGreedyTier)
     ExploreOptions opt;
     opt.base.numFpgas = 2;
     opt.threads = 1;
-    opt.pointDeadlineSeconds = 0.0;
+    opt.pointDeadlineMs = 0.0;
     const ExploreSpec spec = smallSpec();
     const ExploreResult r = runExplore(g, {}, spec, opt);
     ASSERT_TRUE(r.status.ok()) << r.status.message();

@@ -219,8 +219,7 @@ main(int argc, char **argv)
     eopt.base.mode = opt.mode;
     eopt.base.numFpgas = opt.fpgas;
     eopt.threads = opt.threads;
-    eopt.pointDeadlineSeconds =
-        opt.deadlineMs < 0.0 ? -1.0 : opt.deadlineMs / 1000.0;
+    eopt.pointDeadlineMs = opt.deadlineMs;
     eopt.simulate = opt.simulate;
     if (!opt.cacheDir.empty()) {
         cache::CacheStore::Options sopt;

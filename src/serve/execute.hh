@@ -7,10 +7,11 @@
  * recompile against a retained base), optionally simulate or sweep
  * the design space, all under the request's own deadline. The
  * supervisor's in-process slots (FleetOptions::inProcess) call it
- * from their own threads; the fleet worker (serve/worker) calls the same function
- * from a child process, which is what makes a re-dispatched request
- * bit-identical to an uninterrupted one — both executors run
- * literally the same code against the same content-addressed cache.
+ * from their own threads; the fleet worker (serve/worker) calls the
+ * same function from a child process, which is what makes a
+ * re-dispatched request bit-identical to an uninterrupted one — both
+ * executors run literally the same code against the same
+ * content-addressed cache.
  *
  * ExecutePolicy carries the serving-level hooks the core needs
  * (cache, retained-result lookup/store) without coupling it to the

@@ -4,10 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
-#include "common/crc64.hh"
+#include "common/frame.hh"
 #include "common/logging.hh"
 
 namespace tapacs::cache
@@ -24,41 +22,18 @@ reg()
     return obs::MetricsRegistry::global();
 }
 
-/**
- * Disk entry format (v2): a one-line text header over the raw
- * payload, `TCE2 <crc64:016x> <size>\n`. The header self-describes
- * the payload so a truncated, bit-flipped or legacy un-checksummed
- * file is detected before its bytes reach EntryReader.
- */
-std::string
-encodeEntry(const std::string &payload)
-{
-    return strprintf("TCE2 %016llx %llu\n",
-                     (unsigned long long)crc64(payload),
-                     (unsigned long long)payload.size()) +
-           payload;
-}
+constexpr std::string_view kEntryMagic = "TCE3";
 
-/** Total: true iff @p raw is a well-formed v2 entry whose payload
- *  verifies; the payload lands in @p out. */
+/** Total: true iff @p raw is exactly one verified entry frame; the
+ *  payload lands in @p out. Trailing bytes are corruption. */
 bool
-decodeEntry(const std::string &raw, std::string *out)
+decodeDiskEntry(const std::string &raw, std::string *out)
 {
-    if (raw.compare(0, 5, "TCE2 ") != 0)
+    const DecodedFrame frame =
+        decodeFrame(raw, kEntryMagic, 0xffffffffu);
+    if (frame.check != FrameCheck::Ok || frame.consumed != raw.size())
         return false;
-    const std::size_t newline = raw.find('\n');
-    if (newline == std::string::npos)
-        return false;
-    unsigned long long crc = 0;
-    unsigned long long size = 0;
-    if (std::sscanf(raw.c_str(), "TCE2 %16llx %llu", &crc, &size) != 2)
-        return false;
-    if (raw.size() - (newline + 1) != size)
-        return false;
-    std::string payload = raw.substr(newline + 1);
-    if (crc64(payload) != crc)
-        return false;
-    *out = std::move(payload);
+    out->assign(frame.payload);
     return true;
 }
 
@@ -66,18 +41,6 @@ bool
 isTempName(const std::string &name)
 {
     return name.compare(0, 5, ".tmp.") == 0;
-}
-
-bool
-readWholeFile(const fs::path &path, std::string *out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream body;
-    body << in.rdbuf();
-    *out = body.str();
-    return true;
 }
 
 std::uint64_t
@@ -279,11 +242,11 @@ CacheStore::readDisk(const CacheKey &key, std::string *out) const
 {
     const std::string path = diskPath(key);
     std::string raw;
-    if (!readWholeFile(path, &raw))
+    if (!readFile(path, &raw).ok())
         return false;
-    if (!decodeEntry(raw, out)) {
+    if (!decodeDiskEntry(raw, out)) {
         // Anything present but unverifiable — torn write, bit flip,
-        // legacy un-checksummed format — degrades to a miss; the
+        // an older entry format — degrades to a miss; the
         // caller recomputes and the rewrite replaces the bad file.
         diskCorrupt_.add();
         warn("cache: corrupt entry '%s' (%zu bytes); unlinking",
@@ -304,18 +267,13 @@ CacheStore::writeDisk(const CacheKey &key, const std::string &value) const
         strprintf("%s/.tmp.%s.%llu", options_.directory.c_str(),
                   key.hex().c_str(),
                   (unsigned long long)counter.fetch_add(1));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            warn("cache: cannot write '%s'", tmp.c_str());
-            return;
-        }
-        out << encodeEntry(value);
-    }
-    if (std::rename(tmp.c_str(), diskPath(key).c_str()) != 0) {
-        warn("cache: cannot publish '%s'", diskPath(key).c_str());
-        std::remove(tmp.c_str());
-    }
+    // A failed write (ENOSPC) is never published: it would read back
+    // as a corrupt entry.
+    const Status st = replaceFile(diskPath(key), tmp,
+                                  encodeFrame(kEntryMagic, value), false);
+    if (!st.ok())
+        warn("cache: entry '%s' not stored: %s", diskPath(key).c_str(),
+             st.message().c_str());
 }
 
 CacheStore::ScrubReport
@@ -337,7 +295,7 @@ CacheStore::scrubDirectory(const std::string &directory)
             continue;
         std::string raw;
         std::string payload;
-        if (readWholeFile(path, &raw) && decodeEntry(raw, &payload)) {
+        if (readFile(path, &raw).ok() && decodeDiskEntry(raw, &payload)) {
             ++report.entriesOk;
             report.bytesOk += payload.size();
         } else {

@@ -15,12 +15,13 @@
  * key replaces the blob, but content-addressing means the replacement
  * carries identical bytes.
  *
- * Disk entries are checksummed: each `.tce` file carries a
- * `TCE2 <crc64> <size>` header over its payload, so a truncated or
- * bit-flipped entry (power loss, bad disk, chaos injection) degrades
- * to a typed *miss* — the corrupt file is counted, unlinked and
- * recomputed — instead of deserializing garbage into a solver
- * artifact. Stale `.tmp.*` files leaked by a crash between the temp
+ * Disk entries are checksummed: each `.tce` file is exactly one
+ * `TCE3` frame (common/frame.hh holds the format table), so a
+ * truncated or bit-flipped entry (power loss, bad disk, chaos
+ * injection) degrades to a typed *miss* — the corrupt file is
+ * counted, unlinked and recomputed — instead of deserializing
+ * garbage into a solver artifact. A write that fails (ENOSPC) is
+ * never published. Stale `.tmp.*` files leaked by a crash between the temp
  * write and the rename are swept on store open once they exceed
  * Options::tempMaxAgeSeconds; scrubDirectory() does both offline
  * (the `tapacs-cache --scrub` tool).

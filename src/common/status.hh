@@ -21,7 +21,8 @@
  *                     outcomes in journals and on the fleet wire
  *                     carry codes by number, so it keeps its slot.
  *   ResourceExhausted the service shed the request (queue full,
- *                     circuit breaker open, retry budget spent).
+ *                     circuit breaker open, retry budget spent), or
+ *                     a file exceeded its reader's size cap.
  *   Internal          an invariant failed; the one code that is the
  *                     service's fault, not the request's.
  */

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "apps/workloads.hh"
 #include "cache/compile_cache.hh"
 #include "cache/entry_io.hh"
 #include "common/crc64.hh"
+#include "common/frame.hh"
 #include "common/logging.hh"
 #include "explore/explore.hh"
 #include "graph/serialize.hh"
@@ -26,28 +25,15 @@ namespace
 
 /** Cap on graph= file size: an adversarial request must not be able
  *  to balloon the serving process. */
-constexpr std::streamoff kMaxGraphFileBytes = 64LL << 20;
+constexpr std::uint64_t kMaxGraphFileBytes = 64ull << 20;
 
 Status
-readFileBounded(const std::string &path, std::string *out)
+readGraphFile(const std::string &path, std::string *out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return Status::invalidInput("cannot open '%s'", path.c_str());
-    in.seekg(0, std::ios::end);
-    const std::streamoff size = in.tellg();
-    if (size < 0)
-        return Status::invalidInput("cannot size '%s'", path.c_str());
-    if (size > kMaxGraphFileBytes)
-        return Status::invalidInput(
-            "graph file '%s' is %lld bytes (limit %lld)", path.c_str(),
-            static_cast<long long>(size),
-            static_cast<long long>(kMaxGraphFileBytes));
-    in.seekg(0, std::ios::beg);
-    std::ostringstream body;
-    body << in.rdbuf();
-    *out = body.str();
-    return Status();
+    const Status st = readFile(path, out, kMaxGraphFileBytes);
+    if (st.code() == StatusCode::ResourceExhausted)
+        return Status::invalidInput("graph %s", st.message().c_str());
+    return st;
 }
 
 } // namespace
@@ -131,7 +117,7 @@ executeRequest(const Request &req, const ExecutePolicy &policy)
         Status st;
         if (!req.graphFile.empty()) {
             std::string text;
-            st = readFileBounded(req.graphFile, &text);
+            st = readGraphFile(req.graphFile, &text);
             if (st.ok())
                 st = tryParseTaskGraph(text, &graph);
         } else {
@@ -213,7 +199,7 @@ executeRequest(const Request &req, const ExecutePolicy &policy)
         TaskGraph graph;
         if (!req.graphFile.empty()) {
             std::string text;
-            st = readFileBounded(req.graphFile, &text);
+            st = readGraphFile(req.graphFile, &text);
             if (st.ok()) {
                 st = tryParseTaskGraph(text, &graph);
                 if (st.ok()) {
@@ -255,7 +241,10 @@ executeRequest(const Request &req, const ExecutePolicy &policy)
             out.failureReason = result.failureReason;
             out.fmax = result.fmax;
             out.cutTrafficBytes = result.cutTrafficBytes;
-            out.resultDigest = resultDigest(result);
+            // Only a produced design has a digest: a failed compile
+            // would otherwise share the digest of the empty result.
+            if (result.status.ok())
+                out.resultDigest = resultDigest(result);
             if (req.incremental)
                 out.deltaSummary = result.delta.summary();
             if (!incNote.empty()) {

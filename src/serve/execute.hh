@@ -86,7 +86,8 @@ struct ServeOutcome
     double exploreHitRate = 0.0;
     /**
      * CRC64 over the deterministic fields of the produced design
-     * (resultDigest below); 0 until a compile or sweep ran. Two
+     * (resultDigest below); 0 unless a compile produced a design or
+     * a sweep ran, so a failed compile never shares a digest. Two
      * executions of the same request — in-process, in a fleet
      * worker, or re-dispatched after a crash — agree on this value
      * iff they produced bit-identical designs.

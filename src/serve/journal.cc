@@ -1,16 +1,14 @@
 #include "serve/journal.hh"
 
+#include <algorithm>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "common/crc64.hh"
+#include "common/frame.hh"
 #include "common/logging.hh"
 
 namespace tapacs::serve
@@ -19,65 +17,31 @@ namespace tapacs::serve
 namespace
 {
 
-constexpr char kMagic[8] = {'T', 'A', 'P', 'A', 'C', 'S', 'J', '1'};
-constexpr std::size_t kHeaderBytes = 20;
+constexpr std::string_view kMagic = "TJR2";
 constexpr std::uint32_t kMaxBodyBytes = 16u << 20;
 
 std::string
-frameRecord(char kind, std::uint64_t id, const std::string &payload)
+recordBody(char kind, std::uint64_t id, const std::string &payload)
 {
-    std::string body =
-        strprintf("%c %llu ", kind, (unsigned long long)id) + payload;
-    std::string out;
-    out.reserve(kHeaderBytes + body.size());
-    out.append(kMagic, sizeof(kMagic));
-    const std::uint32_t length =
-        static_cast<std::uint32_t>(body.size());
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((length >> (8 * i)) & 0xff));
-    const std::uint64_t crc = crc64(body);
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-    out += body;
-    return out;
+    return strprintf("%c %llu ", kind, (unsigned long long)id) + payload;
 }
 
 /** Total body parse: "B <id> <payload>" / "E <id> <payload>". */
 bool
-parseBody(const std::string &body, RequestJournal::Record *out)
+parseBody(std::string_view body, RequestJournal::Record *out)
 {
     if (body.size() < 4 || (body[0] != 'B' && body[0] != 'E') ||
         body[1] != ' ')
         return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long id =
-        std::strtoull(body.c_str() + 2, &end, 10);
-    if (errno == ERANGE || end == body.c_str() + 2 || *end != ' ')
+    std::uint64_t id = 0;
+    const char *const last = body.data() + body.size();
+    const auto [end, ec] = std::from_chars(body.data() + 2, last, id);
+    if (ec != std::errc() || end == last || *end != ' ')
         return false;
     out->end = body[0] == 'E';
     out->id = id;
-    out->payload.assign(body, (end + 1) - body.c_str(),
-                        std::string::npos);
+    out->payload.assign(end + 1, last);
     return true;
-}
-
-Status
-writeAll(int fd, const std::string &bytes)
-{
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t n =
-            write(fd, bytes.data() + sent, bytes.size() - sent);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return Status::internal("journal: write failed: %s",
-                                    std::strerror(errno));
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return Status();
 }
 
 } // namespace
@@ -113,12 +77,12 @@ RequestJournal::append(char kind, std::uint64_t id,
     std::lock_guard<std::mutex> lock(mu_);
     if (fd_ < 0)
         return Status::internal("journal: append to a closed journal");
-    const std::string bytes = frameRecord(kind, id, payload);
-    if (bytes.size() - kHeaderBytes > kMaxBodyBytes)
+    const std::string body = recordBody(kind, id, payload);
+    if (body.size() > kMaxBodyBytes)
         return Status::invalidInput(
             "journal: record body %zu bytes exceeds the %u cap",
-            bytes.size() - kHeaderBytes, kMaxBodyBytes);
-    const Status st = writeAll(fd_, bytes);
+            body.size(), kMaxBodyBytes);
+    const Status st = writeAll(fd_, encodeFrame(kMagic, body));
     if (!st.ok())
         return st;
     // O_APPEND makes the write atomic w.r.t. other appenders; the
@@ -148,68 +112,32 @@ RequestJournal::ScanResult
 RequestJournal::scan(const std::string &path)
 {
     ScanResult out;
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::string bytes;
+    if (!readFile(path, &bytes).ok())
         return out; // no journal yet = nothing to replay
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string bytes = buf.str();
-    const std::string magic(kMagic, sizeof(kMagic));
-
+    const std::string_view view = bytes;
     std::size_t pos = 0;
-    // Re-anchor on the next magic after a corrupt record. The magic
-    // is 8 bytes of entropy, so a false anchor inside a payload fails
-    // its CRC and just re-anchors again — the scan always terminates
-    // because pos strictly advances.
-    auto resync = [&](std::size_t from) {
-        ++out.corruptSkipped;
-        const std::size_t next = bytes.find(magic, from + 1);
-        pos = next == std::string::npos ? bytes.size() : next;
-    };
-
-    while (pos < bytes.size()) {
-        if (bytes.size() - pos < kHeaderBytes) {
-            // Fewer bytes than a header: only a torn append can leave
-            // this, unless the bytes do not even start a record.
-            if (bytes.compare(pos, bytes.size() - pos, magic, 0,
-                              bytes.size() - pos) == 0)
-                out.tornTail = true;
-            else
-                ++out.corruptSkipped;
-            break;
-        }
-        if (bytes.compare(pos, sizeof(kMagic), magic) != 0) {
-            resync(pos);
-            continue;
-        }
-        const unsigned char *header =
-            reinterpret_cast<const unsigned char *>(bytes.data() + pos);
-        std::uint32_t length = 0;
-        for (int i = 0; i < 4; ++i)
-            length |= static_cast<std::uint32_t>(header[8 + i])
-                      << (8 * i);
-        std::uint64_t crc = 0;
-        for (int i = 0; i < 8; ++i)
-            crc |= static_cast<std::uint64_t>(header[12 + i]) << (8 * i);
-        if (length > kMaxBodyBytes) {
-            resync(pos);
-            continue;
-        }
-        if (pos + kHeaderBytes + length > bytes.size()) {
-            // The body runs past EOF: a crash mid-append. Nothing
-            // after it can exist, so stop (not a corrupt skip).
+    while (pos < view.size()) {
+        const DecodedFrame frame =
+            decodeFrame(view.substr(pos), kMagic, kMaxBodyBytes);
+        if (frame.check == FrameCheck::Torn) {
+            // A crash mid-append. Nothing after it can exist, so
+            // stop (not a corrupt skip).
             out.tornTail = true;
             break;
         }
-        const std::string body =
-            bytes.substr(pos + kHeaderBytes, length);
         Record record;
-        if (crc64(body) != crc || !parseBody(body, &record)) {
-            resync(pos);
+        if (frame.check == FrameCheck::Ok &&
+            parseBody(frame.payload, &record)) {
+            out.records.push_back(std::move(record));
+            pos += frame.consumed;
             continue;
         }
-        out.records.push_back(std::move(record));
-        pos += kHeaderBytes + length;
+        // Re-anchor on the next magic. A false anchor inside a
+        // payload fails its length cap or CRC and re-anchors again;
+        // pos strictly advances, so the scan terminates.
+        ++out.corruptSkipped;
+        pos = std::min(view.find(kMagic, pos + 1), view.size());
     }
     return out;
 }
@@ -218,36 +146,11 @@ Status
 RequestJournal::rewrite(const std::string &path,
                         const std::vector<Record> &records)
 {
-    const std::string tmp = path + ".tmp";
-    const int fd = ::open(tmp.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                          0644);
-    if (fd < 0)
-        return Status::internal("journal: cannot open '%s': %s",
-                                tmp.c_str(), std::strerror(errno));
-    for (const Record &record : records) {
-        const Status st = writeAll(
-            fd, frameRecord(record.end ? 'E' : 'B', record.id,
-                            record.payload));
-        if (!st.ok()) {
-            ::close(fd);
-            std::remove(tmp.c_str());
-            return st;
-        }
-    }
-    if (fsync(fd) != 0) {
-        ::close(fd);
-        std::remove(tmp.c_str());
-        return Status::internal("journal: fsync failed: %s",
-                                std::strerror(errno));
-    }
-    ::close(fd);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return Status::internal("journal: cannot publish '%s': %s",
-                                path.c_str(), std::strerror(errno));
-    }
-    return Status();
+    std::string bytes;
+    for (const Record &record : records)
+        bytes += encodeFrame(kMagic, recordBody(record.end ? 'E' : 'B',
+                                                record.id, record.payload));
+    return replaceFile(path, path + ".tmp", bytes, true);
 }
 
 } // namespace tapacs::serve

@@ -12,16 +12,9 @@
  * produced. Together that gives exactly-once *typed outcomes* on top
  * of at-least-once execution.
  *
- * On-disk record framing:
- *
- *   offset  size  field
- *        0     8  magic "TAPACSJ1"
- *        8     4  body length (little-endian, capped at 16 MiB)
- *       12     8  CRC64 of the body
- *       20   len  body
- *
- * body = "B <id> <manifest-line>"  (begin)
- *      | "E <id> <outcome-bytes>"  (end; wire encodeOutcome format)
+ * Each record is one `TJR2` frame (common/frame.hh holds the format
+ * table) whose body is "B <id> <manifest-line>" for a begin and
+ * "E <id> <outcome-bytes>" (wire encodeOutcome format) for an end.
  *
  * Appends are fsync'd, so a record that appendBegin/appendEnd
  * reported Ok for survives power loss. scan() is total: a torn tail

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include <poll.h>
 #include <unistd.h>
 
 #include "cache/entry_io.hh"
-#include "common/crc64.hh"
+#include "common/context.hh"
+#include "common/frame.hh"
 
 namespace tapacs::serve
 {
@@ -17,90 +17,39 @@ namespace tapacs::serve
 namespace
 {
 
-constexpr char kMagic[4] = {'T', 'A', 'P', 'F'};
-constexpr std::size_t kHeaderBytes = 24;
-
-void
-putU32(std::string *out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string *out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-double
-monotonicSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
+constexpr std::string_view kMagic = "TWF2";
 
 /**
  * Read exactly @p size bytes, polling against the shared frame
  * deadline. Ok, DeadlineExceeded, or Internal (EOF / errno).
  */
 Status
-readExact(int fd, unsigned char *buf, std::size_t size,
-          double deadline)
+readExact(int fd, char *buf, std::size_t size, double deadline)
 {
-    std::size_t got = 0;
-    while (got < size) {
+    for (std::size_t got = 0; got < size;) {
         if (deadline >= 0.0) {
             const double remaining = deadline - monotonicSeconds();
             if (remaining <= 0.0)
                 return Status::deadlineExceeded(
                     "wire: no frame within the poll budget");
-            struct pollfd pfd;
-            pfd.fd = fd;
-            pfd.events = POLLIN;
-            pfd.revents = 0;
-            const int timeoutMs = static_cast<int>(
-                std::min(remaining * 1000.0 + 1.0, 3.6e6));
-            const int polled = poll(&pfd, 1, timeoutMs);
-            if (polled < 0) {
-                if (errno == EINTR)
-                    continue;
+            struct pollfd pfd = {fd, POLLIN, 0};
+            const int polled = poll(
+                &pfd, 1,
+                static_cast<int>(std::min(remaining * 1000.0 + 1.0, 3.6e6)));
+            if (polled < 0 && errno != EINTR)
                 return Status::internal("wire: poll failed: %s",
                                         std::strerror(errno));
-            }
-            if (polled == 0)
-                continue; // re-check the deadline
+            if (polled <= 0)
+                continue; // EINTR or timeout: re-check the deadline
         }
         const ssize_t n = read(fd, buf + got, size - got);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return Status::internal("wire: read failed: %s",
-                                    std::strerror(errno));
-        }
         if (n == 0)
             return Status::internal("wire: peer closed the stream");
-        got += static_cast<std::size_t>(n);
+        if (n > 0)
+            got += static_cast<std::size_t>(n);
+        else if (errno != EINTR)
+            return Status::internal("wire: read failed: %s",
+                                    std::strerror(errno));
     }
     return Status();
 }
@@ -110,33 +59,15 @@ readExact(int fd, unsigned char *buf, std::size_t size,
 std::string
 encodeFrame(FrameType type, const std::string &payload)
 {
-    std::string out;
-    out.reserve(kHeaderBytes + payload.size());
-    out.append(kMagic, sizeof(kMagic));
-    putU32(&out, static_cast<std::uint32_t>(type));
-    putU64(&out, payload.size());
-    putU64(&out, crc64(payload));
-    out += payload;
-    return out;
+    std::string body(1, static_cast<char>(type));
+    body += payload;
+    return tapacs::encodeFrame(kMagic, body);
 }
 
 Status
 writeFrame(int fd, FrameType type, const std::string &payload)
 {
-    const std::string bytes = encodeFrame(type, payload);
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t n =
-            write(fd, bytes.data() + sent, bytes.size() - sent);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return Status::internal("wire: write failed: %s",
-                                    std::strerror(errno));
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return Status();
+    return writeAll(fd, encodeFrame(type, payload));
 }
 
 Status
@@ -144,46 +75,38 @@ readFrame(int fd, double timeoutSeconds, Frame *out, bool *corrupt)
 {
     if (corrupt != nullptr)
         *corrupt = false;
+    const auto corruptFrame = [&](const char *what) {
+        if (corrupt != nullptr)
+            *corrupt = true;
+        return Status::internal("wire: %s", what);
+    };
     const double deadline =
         timeoutSeconds < 0.0 ? -1.0
                              : monotonicSeconds() + timeoutSeconds;
 
-    unsigned char header[kHeaderBytes];
-    Status st = readExact(fd, header, sizeof(header), deadline);
+    std::string bytes(kFrameHeaderBytes, '\0');
+    Status st = readExact(fd, bytes.data(), bytes.size(), deadline);
     if (!st.ok())
         return st;
-    if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
-        if (corrupt != nullptr)
-            *corrupt = true;
-        return Status::internal("wire: bad frame magic");
-    }
-    const std::uint32_t type = getU32(header + 4);
-    const std::uint64_t length = getU64(header + 8);
-    const std::uint64_t crc = getU64(header + 16);
-    if (type < static_cast<std::uint32_t>(FrameType::Hello) ||
-        type > static_cast<std::uint32_t>(FrameType::Shutdown) ||
-        length > kMaxFramePayloadBytes) {
-        if (corrupt != nullptr)
-            *corrupt = true;
-        return Status::internal(
-            "wire: bad frame header (type %u, %llu bytes)", type,
-            (unsigned long long)length);
-    }
-    std::string payload(length, '\0');
-    if (length > 0) {
-        st = readExact(
-            fd, reinterpret_cast<unsigned char *>(&payload[0]),
-            payload.size(), deadline);
-        if (!st.ok())
-            return st;
-    }
-    if (crc64(payload) != crc) {
-        if (corrupt != nullptr)
-            *corrupt = true;
-        return Status::internal("wire: frame CRC mismatch");
-    }
-    out->type = static_cast<FrameType>(type);
-    out->payload = std::move(payload);
+    std::uint32_t length = 0;
+    if (parseFrameHeader(bytes, kMagic, kMaxFramePayloadBytes, &length) !=
+        FrameCheck::Ok)
+        return corruptFrame("bad frame header");
+    bytes.resize(kFrameHeaderBytes + length);
+    st = readExact(fd, bytes.data() + kFrameHeaderBytes, length, deadline);
+    if (!st.ok())
+        return st;
+    const DecodedFrame frame =
+        decodeFrame(bytes, kMagic, kMaxFramePayloadBytes);
+    if (frame.check != FrameCheck::Ok)
+        return corruptFrame("frame CRC mismatch");
+    // The type byte is checked only once the CRC vouches for it.
+    if (frame.payload.empty() ||
+        frame.payload[0] < static_cast<char>(FrameType::Hello) ||
+        frame.payload[0] > static_cast<char>(FrameType::Shutdown))
+        return corruptFrame("bad frame type");
+    out->type = static_cast<FrameType>(frame.payload[0]);
+    out->payload.assign(frame.payload.substr(1));
     return Status();
 }
 

@@ -1,23 +1,15 @@
 /**
  * @file
- * The supervisor <-> worker wire protocol: length-prefixed, CRC64-
- * checked frames over a pair of pipes.
+ * The supervisor <-> worker wire protocol: CRC64-checked frames over
+ * a pair of pipes. Each message is one `TWF2` frame (common/frame.hh
+ * holds the format table) whose payload is one FrameType byte and
+ * then the message bytes.
  *
- * Frame layout (all integers little-endian, fixed width):
- *
- *   offset  size  field
- *        0     4  magic "TAPF"
- *        4     4  type (FrameType)
- *        8     8  payload length (capped at 64 MiB)
- *       16     8  CRC64 of the payload
- *       24   len  payload bytes
- *
- * The magic re-anchors a desynchronized stream deterministically: a
- * reader that sees anything but "TAPF" where a frame should start
- * knows the peer is corrupt and kills the connection — there is no
- * guessing at frame boundaries. The CRC covers the payload, so a
- * torn write from a dying worker degrades to a typed corrupt-frame
- * error, never to a garbage ServeOutcome.
+ * A reader that sees anything but a valid header where a frame
+ * should start knows the peer is corrupt and kills the connection —
+ * there is no guessing at frame boundaries. The CRC covers the type
+ * byte and the message, so a torn write from a dying worker degrades
+ * to a typed corrupt-frame error, never to a garbage ServeOutcome.
  *
  * Conversation: worker sends Hello("<pid>") once; supervisor sends
  * Request("<id> <manifest-line>"); worker emits Heartbeat frames on a
@@ -44,7 +36,7 @@
 namespace tapacs::serve
 {
 
-enum class FrameType : std::uint32_t
+enum class FrameType : std::uint8_t
 {
     Hello = 1,
     Request = 2,
@@ -59,10 +51,11 @@ struct Frame
     std::string payload;
 };
 
-/** Largest accepted payload; larger means a corrupt length field. */
-constexpr std::uint64_t kMaxFramePayloadBytes = 64ull << 20;
+/** Largest accepted frame payload (type byte included); larger
+ *  means a corrupt length field. */
+constexpr std::uint32_t kMaxFramePayloadBytes = 64u << 20;
 
-/** Serialize one frame (header + payload) to bytes. */
+/** Serialize one frame (header, type byte, payload) to bytes. */
 std::string encodeFrame(FrameType type, const std::string &payload);
 
 /**
@@ -79,7 +72,7 @@ Status writeFrame(int fd, FrameType type, const std::string &payload);
  *        budget spans the whole frame, so a peer that stops mid-frame
  *        still times out.
  * @param corrupt set true when the failure was a malformed frame
- *        (bad magic, oversized length, CRC mismatch) rather than a
+ *        (bad header, CRC mismatch, unknown type) rather than a
  *        timeout or EOF; may be nullptr.
  *
  * Ok + *out, or DeadlineExceeded (timeout), or Internal (EOF /

@@ -1,7 +1,9 @@
 /**
  * @file
  * Crash-tolerance suite for the multi-process serving fleet: CRC64
- * vectors, wire-frame and outcome codecs, request-line rendering,
+ * vectors, the shared frame codec (round trip, torn prefixes, bit
+ * flips, length caps), whole-file reads and writes, wire-frame and
+ * outcome codecs, request-line rendering,
  * the durable journal (torn tails, corrupt-record resync,
  * compaction), checksummed disk-cache entries (corruption degrades
  * to a typed miss), stale-temp sweeping, and end-to-end supervisor
@@ -32,6 +34,7 @@
 
 #include "cache/store.hh"
 #include "common/crc64.hh"
+#include "common/frame.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "serve/chaos.hh"
@@ -120,6 +123,124 @@ TEST(Crc64, DetectsSingleBitFlips)
     }
 }
 
+// ---------------------------------------------------------------- frame
+
+constexpr std::string_view kTestMagic = "TST1";
+
+TEST(Frame, RoundTripsIncludingAnEmptyPayload)
+{
+    for (const std::string &payload :
+         {std::string(), std::string("x"),
+          std::string("B 7 request a workload=x")}) {
+        const std::string bytes = encodeFrame(kTestMagic, payload);
+        ASSERT_EQ(bytes.size(), kFrameHeaderBytes + payload.size());
+        const DecodedFrame frame = decodeFrame(bytes, kTestMagic, 1024);
+        ASSERT_EQ(frame.check, FrameCheck::Ok);
+        EXPECT_EQ(frame.consumed, bytes.size());
+        EXPECT_EQ(frame.payload, payload);
+        // Decoding stops at the frame's end.
+        EXPECT_EQ(decodeFrame(bytes + "next", kTestMagic, 1024).consumed,
+                  bytes.size());
+    }
+}
+
+TEST(Frame, EveryStrictPrefixIsTorn)
+{
+    const std::string bytes =
+        encodeFrame(kTestMagic, "cut short by a crash mid-write");
+    for (std::size_t n = 0; n < bytes.size(); ++n)
+        EXPECT_EQ(decodeFrame(std::string_view(bytes).substr(0, n),
+                              kTestMagic, 1024)
+                      .check,
+                  FrameCheck::Torn)
+            << "prefix " << n;
+}
+
+TEST(Frame, NoSingleBitFlipDecodesOk)
+{
+    const std::string clean =
+        encodeFrame(kTestMagic, "every bit, header included");
+    for (std::size_t bit = 0; bit < clean.size() * 8; ++bit) {
+        std::string bytes = clean;
+        bytes[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+        EXPECT_NE(decodeFrame(bytes, kTestMagic, 1024).check,
+                  FrameCheck::Ok)
+            << "bit " << bit;
+    }
+}
+
+TEST(Frame, LengthAboveTheCallersCapIsCorrupt)
+{
+    const std::string bytes =
+        encodeFrame(kTestMagic, std::string(100, 'x'));
+    EXPECT_EQ(decodeFrame(bytes, kTestMagic, 100).check, FrameCheck::Ok);
+    EXPECT_EQ(decodeFrame(bytes, kTestMagic, 99).check,
+              FrameCheck::Corrupt);
+    // The header alone decides: a claimed 4 GiB payload with nothing
+    // behind it is Corrupt, not Torn, and nothing is read for it.
+    std::string header = bytes.substr(0, kFrameHeaderBytes);
+    for (int i = 4; i < 8; ++i)
+        header[i] = '\xff';
+    EXPECT_EQ(decodeFrame(header, kTestMagic, 16u << 20).check,
+              FrameCheck::Corrupt);
+    EXPECT_EQ(decodeFrame(header.substr(0, 8), kTestMagic, 16u << 20)
+                  .check,
+              FrameCheck::Corrupt);
+}
+
+TEST(File, ReadFileRespectsTheCapAndKeepsOutOnFailure)
+{
+    const std::string dir = freshDir("fleet_read_file");
+    const std::string path = dir + "/bytes.bin";
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << std::string(1000, 'b');
+    }
+    std::string text = "untouched";
+    ASSERT_TRUE(readFile(path, &text).ok());
+    EXPECT_EQ(text, std::string(1000, 'b'));
+
+    text = "untouched";
+    const Status big = readFile(path, &text, 999);
+    EXPECT_EQ(big.code(), StatusCode::ResourceExhausted);
+    EXPECT_EQ(big.message(),
+              "file '" + path + "' is 1000 bytes (limit 999)");
+    const Status missing = readFile(dir + "/missing", &text);
+    EXPECT_EQ(missing.code(), StatusCode::InvalidInput);
+    EXPECT_EQ(missing.message(), "cannot open '" + dir + "/missing'");
+    EXPECT_EQ(text, "untouched");
+}
+
+TEST(File, WriteAllReportsAFullDevice)
+{
+    const int fd = open("/dev/full", O_WRONLY | O_CLOEXEC);
+    if (fd < 0)
+        GTEST_SKIP() << "no /dev/full";
+    const Status st = writeAll(fd, "bytes that cannot land");
+    close(fd);
+    EXPECT_EQ(st.code(), StatusCode::Internal);
+}
+
+TEST(File, FailedPublishRemovesTheTempAndKeepsTheTarget)
+{
+    const std::string dir = freshDir("fleet_replace_file");
+    // A non-empty directory as the target makes the final rename fail
+    // after the temp was fully written.
+    const std::string target = dir + "/occupied";
+    fs::create_directories(target + "/child");
+    const std::string tmp = dir + "/entry.tmp";
+    const Status st = replaceFile(target, tmp, "entry bytes", false);
+    EXPECT_EQ(st.code(), StatusCode::Internal);
+    EXPECT_FALSE(fs::exists(tmp));
+    EXPECT_TRUE(fs::is_directory(target + "/child"));
+
+    ASSERT_TRUE(replaceFile(dir + "/entry", tmp, "entry bytes", true).ok());
+    std::string back;
+    ASSERT_TRUE(readFile(dir + "/entry", &back).ok());
+    EXPECT_EQ(back, "entry bytes");
+    EXPECT_FALSE(fs::exists(tmp));
+}
+
 // ----------------------------------------------------------------- wire
 
 TEST(Wire, FrameRoundTripsThroughAPipe)
@@ -157,6 +278,44 @@ TEST(Wire, FlippedPayloadBitIsTypedCorruption)
     EXPECT_FALSE(st.ok());
     EXPECT_TRUE(corrupt) << st.message();
     close(fds[0]);
+}
+
+TEST(Wire, OversizedLengthIsCorruptBeforeAnyPayload)
+{
+    // A length field past the 64 MiB cap is rejected from the header:
+    // the reader neither allocates nor waits for the payload.
+    std::string bytes =
+        serve::encodeFrame(serve::FrameType::Response, "payload");
+    for (int i = 4; i < 8; ++i)
+        bytes[i] = '\xff';
+    int fds[2];
+    ASSERT_EQ(pipe(fds), 0);
+    ASSERT_EQ(write(fds[1], bytes.data(), kFrameHeaderBytes),
+              static_cast<ssize_t>(kFrameHeaderBytes));
+    serve::Frame frame;
+    bool corrupt = false;
+    const Status st = serve::readFrame(fds[0], 5.0, &frame, &corrupt);
+    EXPECT_EQ(st.code(), StatusCode::Internal);
+    EXPECT_TRUE(corrupt) << st.message();
+    close(fds[0]);
+    close(fds[1]);
+}
+
+TEST(Wire, UnknownTypeByteIsCorruptEvenUnderAValidCrc)
+{
+    // The type is the first payload byte, range-checked after the CRC.
+    const std::string bytes = encodeFrame("TWF2", "\x09payload");
+    int fds[2];
+    ASSERT_EQ(pipe(fds), 0);
+    ASSERT_EQ(write(fds[1], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+    serve::Frame frame;
+    bool corrupt = false;
+    const Status st = serve::readFrame(fds[0], 1.0, &frame, &corrupt);
+    EXPECT_EQ(st.code(), StatusCode::Internal);
+    EXPECT_TRUE(corrupt) << st.message();
+    close(fds[0]);
+    close(fds[1]);
 }
 
 TEST(Wire, EmptyPipeTimesOutTyped)
@@ -360,6 +519,36 @@ TEST(Journal, CorruptRecordIsSkippedWithResync)
     EXPECT_EQ(scanned.records[1].id, 3u);
 }
 
+TEST(Journal, PreviousFormatRecordIsACountedCorruptSkip)
+{
+    const std::string dir = freshDir("fleet_journal_legacy");
+    const std::string path = dir + "/journal.bin";
+    {
+        // One begin record in the layout journals had before the
+        // shared frame codec: an 8-byte tag, u32 length, CRC64.
+        const std::string body = "B 1 request a workload=x";
+        std::string legacy = "TAPACSJ1";
+        for (int i = 0; i < 4; ++i)
+            legacy.push_back(static_cast<char>(body.size() >> (8 * i)));
+        const std::uint64_t crc = crc64(body);
+        for (int i = 0; i < 8; ++i)
+            legacy.push_back(static_cast<char>(crc >> (8 * i)));
+        std::ofstream out(path, std::ios::binary);
+        out << legacy << body;
+    }
+    {
+        serve::RequestJournal journal(path);
+        ASSERT_TRUE(journal.open().ok());
+        ASSERT_TRUE(journal.appendBegin(2, "request b workload=y").ok());
+    }
+    const serve::RequestJournal::ScanResult scanned =
+        serve::RequestJournal::scan(path);
+    EXPECT_EQ(scanned.corruptSkipped, 1);
+    EXPECT_FALSE(scanned.tornTail);
+    ASSERT_EQ(scanned.records.size(), 1u);
+    EXPECT_EQ(scanned.records[0].id, 2u);
+}
+
 TEST(Journal, RewriteCompacts)
 {
     const std::string dir = freshDir("fleet_journal_rewrite");
@@ -392,9 +581,8 @@ TEST(CacheIntegrity, BitFlippedEntryDegradesToTypedMiss)
     }
     const std::string entry = dir + "/" + key.hex() + ".tce";
     ASSERT_TRUE(fs::exists(entry));
-    // Flip a payload bit (the tail of the file), not a header one: a
-    // header flip can land on a hex digit's case bit, which decodes
-    // to the same value.
+    // Flip a payload bit (the tail of the file); Frame.* covers
+    // header flips.
     ASSERT_TRUE(
         serve::flipBit(entry, (fs::file_size(entry) - 4) * 8 + 2));
 
@@ -413,6 +601,32 @@ TEST(CacheIntegrity, BitFlippedEntryDegradesToTypedMiss)
     auto healed = store.get(key);
     ASSERT_NE(healed, nullptr);
     EXPECT_EQ(*healed, "precious solver artifact bytes");
+}
+
+TEST(CacheIntegrity, PreviousFormatEntryDegradesToTypedMiss)
+{
+    const std::string dir = freshDir("fleet_cache_legacy");
+    cache::CacheKey key{44, 45};
+    const std::string entry = dir + "/" + key.hex() + ".tce";
+    {
+        // An entry in the text-header layout the disk tier used
+        // before the shared frame codec.
+        const std::string payload = "legacy artifact";
+        std::ofstream out(entry, std::ios::binary);
+        out << strprintf("TCE2 %016llx %zu\n",
+                         (unsigned long long)crc64(payload),
+                         payload.size())
+            << payload;
+    }
+    const std::int64_t corruptBefore =
+        counterValue("tapacs.cache.disk_corrupt");
+    cache::CacheStore::Options opt;
+    opt.directory = dir;
+    cache::CacheStore store(opt);
+    EXPECT_EQ(store.get(key), nullptr);
+    EXPECT_EQ(counterValue("tapacs.cache.disk_corrupt"),
+              corruptBefore + 1);
+    EXPECT_FALSE(fs::exists(entry));
 }
 
 TEST(CacheIntegrity, TruncatedEntryDegradesToTypedMiss)

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -770,6 +771,25 @@ TEST(ExecuteRequest, ExploreRequestSweepsAndReportsTheFrontier)
     EXPECT_GT(o.tasks, 0);
 }
 
+TEST(ExecuteRequest, OversizedGraphFileIsInvalidInput)
+{
+    // A sparse file one byte past the 64 MiB cap: rejected from its
+    // size, before a byte is read.
+    const std::string path = ::testing::TempDir() + "oversized_" +
+                             std::to_string(::getpid()) + ".graph";
+    std::filesystem::remove(path);
+    { std::ofstream create(path); }
+    std::filesystem::resize_file(path, (64ull << 20) + 1);
+    serve::Request req = quickRequest("oversized");
+    req.graphFile = path;
+    const serve::ServeOutcome o = execute(req);
+    EXPECT_EQ(o.status.code(), StatusCode::InvalidInput);
+    EXPECT_EQ(o.status.message(),
+              "graph file '" + path +
+                  "' is 67108865 bytes (limit 67108864)");
+    std::filesystem::remove(path);
+}
+
 TEST(ExecuteRequest, HypercubeOverThreeFpgasIsInvalidInput)
 {
     const serve::ParsedManifest m = serve::parseManifest(
@@ -915,6 +935,21 @@ TEST(DeadlineSweep, OkOutcomesCarryTheNoDeadlineDigest)
         // The deadline-free request always completes.
         EXPECT_TRUE(outcomes.back().status.ok());
         std::filesystem::remove_all(dir);
+    }
+}
+
+TEST(DeadlineSweep, ExpiredRequestsCarryNoDigest)
+{
+    // An aborted compile produced no design, so it has no digest:
+    // two different workloads must not share one.
+    for (const char *workload : {"knn", "stencil"}) {
+        serve::Request req =
+            knnRequest(std::string("expired-") + workload, 1.0e-6);
+        req.workload = workload;
+        const serve::ServeOutcome o = execute(req);
+        EXPECT_EQ(o.status.code(), StatusCode::DeadlineExceeded)
+            << workload << ": " << o.failureReason;
+        EXPECT_EQ(o.resultDigest, 0u) << workload;
     }
 }
 

@@ -61,12 +61,20 @@ for victim in "${work}/cache"/*.tce; do break; done
 # A post-run scrub of a healthy cache must be a no-op.
 "${cache_tool}" --scrub "${work}/cache" --strict
 
-# Torn journal: truncate mid-record, then a restart must skip the
-# torn tail with a typed diagnostic and still exit clean.
+# Torn journal: append a valid record header (magic, a 100-byte
+# length, a CRC) whose body stops after 7 bytes, as a crash mid-append
+# leaves it. A restart must truncate the torn tail with a typed
+# diagnostic, not count it as corruption, and still exit clean.
 "${serve}" "${manifest}" --workers 2 --journal "${work}/torn.bin" \
     --strict
-printf 'TAPACSJ1garbage-that-looks-like-a-torn-append' \
+printf 'TJR2\144\000\000\000\000\000\000\000\000\000\000\000partial' \
     >> "${work}/torn.bin"
-"${serve}" --journal "${work}/torn.bin" --workers 2 --strict
+"${serve}" --journal "${work}/torn.bin" --workers 2 --strict \
+    2> "${work}/torn.err"
+cat "${work}/torn.err" >&2
+if ! grep -q "torn tail truncated" "${work}/torn.err"; then
+    echo "restart did not report the torn journal tail" >&2
+    exit 1
+fi
 
 echo "chaos suites passed"

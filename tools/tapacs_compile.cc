@@ -50,11 +50,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "cache/delta.hh"
 #include "cli_flags.hh"
+#include "common/frame.hh"
 #include "common/logging.hh"
 #include "compiler/compiler.hh"
 #include "compiler/constraints.hh"
@@ -176,17 +176,6 @@ parseArgs(int argc, char **argv)
     return opt;
 }
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open '%s'", path.c_str());
-    std::ostringstream body;
-    body << in.rdbuf();
-    return body.str();
-}
-
 void
 writeFile(const std::string &path, const std::string &body)
 {
@@ -203,7 +192,10 @@ main(int argc, char **argv)
 {
     const CliOptions opt = parseArgs(argc, argv);
 
-    TaskGraph g = parseTaskGraph(readFile(opt.graphFile));
+    std::string text;
+    if (!readFile(opt.graphFile, &text).ok())
+        fatal("cannot open '%s'", opt.graphFile.c_str());
+    TaskGraph g = parseTaskGraph(text);
     g.validate();
     inform("loaded '%s': %d tasks, %d FIFOs", g.name().c_str(),
            g.numVertices(), g.numEdges());
@@ -285,19 +277,15 @@ main(int argc, char **argv)
         // compile — the result is bit-identical either way.
         CompileResult prior;
         std::string incNote;
-        std::ifstream state(opt.stateFile, std::ios::binary);
-        if (!state) {
+        std::string state;
+        if (!readFile(opt.stateFile, &state).ok())
             incNote = strprintf("incremental: cannot open state file "
                                 "'%s'; cold compile",
                                 opt.stateFile.c_str());
-        } else {
-            std::ostringstream bytes;
-            bytes << state.rdbuf();
-            if (!cache::parseSignature(bytes.str(), &prior.signature))
-                incNote = strprintf("incremental: invalid state file "
-                                    "'%s'; cold compile",
-                                    opt.stateFile.c_str());
-        }
+        else if (!cache::parseSignature(state, &prior.signature))
+            incNote = strprintf("incremental: invalid state file "
+                                "'%s'; cold compile",
+                                opt.stateFile.c_str());
         if (incNote.empty()) {
             result = recompile(prior, g, cluster, copt);
         } else {

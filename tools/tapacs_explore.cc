@@ -58,15 +58,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/workloads.hh"
 #include "cache/compile_cache.hh"
 #include "cli_flags.hh"
+#include "common/frame.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "explore/explore.hh"
@@ -187,15 +186,13 @@ main(int argc, char **argv)
     TaskGraph graph;
     std::vector<hls::TaskIr> tasks;
     if (!opt.graphFile.empty()) {
-        std::ifstream in(opt.graphFile, std::ios::binary);
-        if (!in) {
+        std::string text;
+        if (!readFile(opt.graphFile, &text).ok()) {
             std::fprintf(stderr, "cannot open graph '%s'\n",
                          opt.graphFile.c_str());
             return 2;
         }
-        std::ostringstream body;
-        body << in.rdbuf();
-        st = tryParseTaskGraph(body.str(), &graph);
+        st = tryParseTaskGraph(text, &graph);
         if (!st.ok()) {
             std::fprintf(stderr, "%s: %s\n", opt.graphFile.c_str(),
                          st.message().c_str());

@@ -35,6 +35,7 @@
 
 #include "apps/workloads.hh"
 #include "cache/compile_cache.hh"
+#include "common/frame.hh"
 #include "common/logging.hh"
 #include "compiler/compiler.hh"
 #include "sim/dataflow_sim.hh"
@@ -122,15 +123,13 @@ renderWorkload(Workload &w, cache::CompileCache *cc = nullptr)
 }
 
 std::string
-readFile(const std::string &path)
+readGolden(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
+    std::string body;
+    if (!readFile(path, &body).ok())
         fatal("cannot open '%s' — run tools/update_goldens.sh?",
               path.c_str());
-    std::ostringstream body;
-    body << in.rdbuf();
-    return body.str();
+    return body;
 }
 
 [[noreturn]] void
@@ -161,7 +160,7 @@ checkCached(const std::string &dir)
         const std::string cold = renderWorkload(cold_runs[i], &cc);
         const std::string warm = renderWorkload(warm_runs[i], &cc);
         const std::string golden =
-            readFile(dir + "/" + cold_runs[i].name + ".json");
+            readGolden(dir + "/" + cold_runs[i].name + ".json");
         if (warm != cold) {
             ++mismatches;
             std::printf("MISMATCH %s (warm differs from cold)\n"
@@ -214,7 +213,7 @@ main(int argc, char **argv)
             out << rendered;
             std::printf("wrote %s\n", path.c_str());
         } else {
-            const std::string golden = readFile(path);
+            const std::string golden = readGolden(path);
             if (golden == rendered) {
                 std::printf("ok      %s\n", w.name.c_str());
             } else {

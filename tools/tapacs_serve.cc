@@ -96,13 +96,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli_flags.hh"
+#include "common/frame.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "obs/metrics.hh"
@@ -328,15 +327,13 @@ main(int argc, char **argv)
 
     serve::ParsedManifest manifest;
     if (!opt.manifest.empty()) {
-        std::ifstream in(opt.manifest);
-        if (!in) {
+        std::string text;
+        if (!readFile(opt.manifest, &text).ok()) {
             std::fprintf(stderr, "cannot open manifest '%s'\n",
                          opt.manifest.c_str());
             return 2;
         }
-        std::ostringstream body;
-        body << in.rdbuf();
-        manifest = serve::parseManifest(body.str());
+        manifest = serve::parseManifest(text);
         for (const serve::ManifestDiagnostic &d : manifest.diagnostics)
             std::fprintf(stderr, "%s:%d: %s\n", opt.manifest.c_str(),
                          d.line, d.message.c_str());

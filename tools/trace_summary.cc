@@ -17,12 +17,11 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/frame.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 
@@ -266,13 +265,11 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::ifstream in(argv[1], std::ios::binary);
-    if (!in)
+    std::string text;
+    if (!tapacs::readFile(argv[1], &text).ok())
         tapacs::fatal("cannot open '%s'", argv[1]);
-    std::ostringstream ss;
-    ss << in.rdbuf();
 
-    TraceParser parser(ss.str());
+    TraceParser parser(text);
     const std::vector<Event> events = parser.parse();
 
     std::map<int, std::string> thread_names;

@@ -26,7 +26,7 @@ main()
     for (double bytes : {1.0e3, 4.0e3, 16.0e3, 64.0e3, 256.0e3, 1.0e6,
                          4.0e6, 16.0e6, 64.0e6, 256.0e6, 1.0e9}) {
         const Seconds time = link.transferTime(bytes);
-        const double gbps = bytes / time * 8.0 / 1.0e9;
+        const double gbps = link.effectiveBandwidth(bytes) * 8.0 / 1.0e9;
         const int bar = static_cast<int>(gbps / 2.0);
         t.addRow({formatBytes(bytes), formatSeconds(time),
                   strprintf("%.2f", gbps), std::string(bar, '#')});

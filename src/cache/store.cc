@@ -217,20 +217,6 @@ CacheStore::insertLocked(Shard &shard, const CacheKey &key,
         totalBytes_.load(std::memory_order_relaxed)));
 }
 
-void
-CacheStore::clear()
-{
-    for (auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        totalBytes_.fetch_sub(shard->bytes, std::memory_order_relaxed);
-        shard->bytes = 0;
-        shard->lru.clear();
-        shard->map.clear();
-    }
-    bytesGauge_.set(static_cast<double>(
-        totalBytes_.load(std::memory_order_relaxed)));
-}
-
 std::string
 CacheStore::diskPath(const CacheKey &key) const
 {

@@ -96,9 +96,6 @@ class CacheStore
      *  configured. */
     void put(const CacheKey &key, std::string value);
 
-    /** Drop every in-memory entry (the disk tier is left alone). */
-    void clear();
-
     /** Bytes currently resident in the memory tier. */
     std::uint64_t bytesInMemory() const
     {

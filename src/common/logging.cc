@@ -1,6 +1,5 @@
 #include "common/logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -11,8 +10,6 @@ namespace tapacs
 
 namespace
 {
-
-std::atomic<LogLevel> g_level{LogLevel::Inform};
 
 /**
  * Serializes emission so concurrent worker threads (PR 1 made the
@@ -35,18 +32,6 @@ emit(std::FILE *stream, const char *prefix, const std::string &msg)
 }
 
 } // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel
-logLevel()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
 
 std::string
 vstrprintf(const char *fmt, va_list args)
@@ -97,8 +82,6 @@ panic(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (logLevel() < LogLevel::Warn)
-        return;
     va_list args;
     va_start(args, fmt);
     std::string msg = vstrprintf(fmt, args);
@@ -109,25 +92,11 @@ warn(const char *fmt, ...)
 void
 inform(const char *fmt, ...)
 {
-    if (logLevel() < LogLevel::Inform)
-        return;
     va_list args;
     va_start(args, fmt);
     std::string msg = vstrprintf(fmt, args);
     va_end(args);
     emit(stdout, "info", msg);
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (logLevel() < LogLevel::Debug)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    std::string msg = vstrprintf(fmt, args);
-    va_end(args);
-    emit(stderr, "debug", msg);
 }
 
 } // namespace tapacs

@@ -19,22 +19,6 @@
 namespace tapacs
 {
 
-/** Verbosity levels for runtime log filtering. */
-enum class LogLevel
-{
-    Silent = 0,
-    Fatal = 1,
-    Warn = 2,
-    Inform = 3,
-    Debug = 4,
-};
-
-/** Set the global verbosity threshold. Messages above it are dropped. */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity threshold. */
-LogLevel logLevel();
-
 /**
  * printf-style formatting into a std::string.
  *
@@ -61,14 +45,14 @@ std::string vstrprintf(const char *fmt, va_list args);
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Report a condition that might work well enough but deserves note. */
+/**
+ * Report a condition that might work well enough but deserves note.
+ * Always printed, to stderr.
+ */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Report normal operating status. */
+/** Report normal operating status. Always printed, to stdout. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report developer-facing detail; only shown at Debug verbosity. */
-void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Assert an internal invariant; calls panic() with location info on

@@ -112,12 +112,4 @@ ResourceVector::isZero() const
     return true;
 }
 
-std::string
-ResourceVector::str() const
-{
-    return strprintf("LUT=%.0f FF=%.0f BRAM=%.0f DSP=%.0f URAM=%.0f",
-                     counts_[0], counts_[1], counts_[2], counts_[3],
-                     counts_[4]);
-}
-
 } // namespace tapacs

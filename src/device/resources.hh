@@ -96,9 +96,6 @@ class ResourceVector
     /** True if all components are zero. */
     bool isZero() const;
 
-    /** Render as "LUT=.. FF=.. BRAM=.. DSP=.. URAM=..". */
-    std::string str() const;
-
   private:
     std::array<double, kNumResourceKinds> counts_;
 };

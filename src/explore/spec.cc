@@ -135,6 +135,12 @@ ExploreSpec::validate() const
     return Status();
 }
 
+namespace
+{
+
+// Per-axis value-list parsers ("0.6,0.7" etc.): Ok + *out on success,
+// InvalidInput naming the bad token (and *out untouched) otherwise.
+
 Status
 parseThresholdAxis(const std::string &csv, std::vector<double> *out)
 {
@@ -234,12 +240,31 @@ parseDepthAxis(const std::string &csv, std::vector<int> *out)
     return Status();
 }
 
+} // namespace
+
+std::optional<Status>
+parseGridAxis(const std::string &key, const std::string &csv,
+              ExploreSpec *spec)
+{
+    if (key == "t")
+        return parseThresholdAxis(csv, &spec->thresholds);
+    if (key == "lambda")
+        return parseSlotThresholdAxis(csv, &spec->slotThresholds);
+    if (key == "topo")
+        return parseTopologyAxis(csv, &spec->topologies);
+    if (key == "binding")
+        return parseBindingAxis(csv, &spec->bindingSweeps);
+    if (key == "depth")
+        return parseDepthAxis(csv, &spec->depths);
+    return std::nullopt;
+}
+
 Status
 parseGridSpec(const std::string &text, ExploreSpec *out)
 {
     ExploreSpec spec;
     if (!text.empty()) {
-        bool seen[5] = {false, false, false, false, false};
+        std::vector<std::string> seen;
         for (const std::string &axis : split(text, ';')) {
             if (axis.empty())
                 return Status::invalidInput(
@@ -251,39 +276,19 @@ parseGridSpec(const std::string &text, ExploreSpec *out)
                     axis.c_str());
             const std::string key = axis.substr(0, eq);
             const std::string csv = axis.substr(eq + 1);
-            int which = -1;
-            Status st;
-            if (key == "t") {
-                which = 0;
-                st = parseThresholdAxis(csv, &spec.thresholds);
-            } else if (key == "lambda") {
-                which = 1;
-                st = parseSlotThresholdAxis(csv,
-                                            &spec.slotThresholds);
-            } else if (key == "topo") {
-                which = 2;
-                st = parseTopologyAxis(csv, &spec.topologies);
-            } else if (key == "binding") {
-                which = 3;
-                std::vector<bool> sweeps;
-                st = parseBindingAxis(csv, &sweeps);
-                if (st.ok())
-                    spec.bindingSweeps = std::move(sweeps);
-            } else if (key == "depth") {
-                which = 4;
-                st = parseDepthAxis(csv, &spec.depths);
-            } else {
+            const std::optional<Status> st =
+                parseGridAxis(key, csv, &spec);
+            if (!st)
                 return Status::invalidInput(
                     "unknown grid axis '%s' (want t|lambda|topo|"
                     "binding|depth)",
                     key.c_str());
-            }
-            if (!st.ok())
-                return st;
-            if (seen[which])
+            if (!st->ok())
+                return *st;
+            if (contains(seen, key))
                 return Status::invalidInput(
                     "grid axis '%s' given twice", key.c_str());
-            seen[which] = true;
+            seen.push_back(key);
         }
     }
     const Status st = spec.validate();

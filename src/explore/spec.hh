@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,21 +96,18 @@ bool parseInt(const std::string &text, std::int64_t lo, std::int64_t hi,
 bool parseDouble(const std::string &text, double lo, double hi,
                  double *out);
 
-/** Per-axis value-list parsers ("0.6,0.7" etc.), shared by the grid
- *  grammar and the serve manifest keys. Ok + *out on success,
- *  InvalidInput naming the bad token otherwise. */
-Status parseThresholdAxis(const std::string &csv,
-                          std::vector<double> *out);
-/** λ axis; the literal value `follow` maps to -1 (follow T). */
-Status parseSlotThresholdAxis(const std::string &csv,
-                              std::vector<double> *out);
-Status parseTopologyAxis(const std::string &csv,
-                         std::vector<TopologyKind> *out);
-/** `nearest` | `sweep`. */
-Status parseBindingAxis(const std::string &csv,
-                        std::vector<bool> *out);
-/** Integers in [0, 16]. */
-Status parseDepthAxis(const std::string &csv, std::vector<int> *out);
+/**
+ * Parse one axis's value list ("0.6,0.7" etc.) into the field of
+ * @p spec that @p key names (t | lambda | topo | binding | depth),
+ * replacing it: the key -> axis dispatch shared by the grid grammar
+ * and the serve manifest's axis keys. nullopt when @p key names no
+ * axis; otherwise Ok, or InvalidInput naming the bad token with
+ * @p spec untouched. λ takes the literal `follow` (-1, follow T),
+ * binding takes `nearest` | `sweep`, depth integers in [0, 16].
+ */
+std::optional<Status> parseGridAxis(const std::string &key,
+                                    const std::string &csv,
+                                    ExploreSpec *spec);
 
 /**
  * Parse a full grid spec ("t=...;lambda=...;..."). Axes not named

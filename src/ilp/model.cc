@@ -18,22 +18,6 @@ LinExpr::add(VarId var, double coeff)
     return *this;
 }
 
-LinExpr &
-LinExpr::addConstant(double c)
-{
-    constant_ += c;
-    return *this;
-}
-
-LinExpr &
-LinExpr::add(const LinExpr &other, double scale)
-{
-    for (const auto &t : other.terms_)
-        add(t.var, t.coeff * scale);
-    constant_ += other.constant_ * scale;
-    return *this;
-}
-
 void
 LinExpr::normalize()
 {

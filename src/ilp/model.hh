@@ -67,12 +67,6 @@ class LinExpr
     /** Add coeff * var to the expression. */
     LinExpr &add(VarId var, double coeff);
 
-    /** Add a constant offset. */
-    LinExpr &addConstant(double c);
-
-    /** Add another expression, scaled. */
-    LinExpr &add(const LinExpr &other, double scale = 1.0);
-
     /** Merge duplicate terms and drop zero coefficients. */
     void normalize();
 

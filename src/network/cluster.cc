@@ -58,27 +58,6 @@ Cluster::sameNode(DeviceId a, DeviceId b) const
     return nodeOf(a) == nodeOf(b);
 }
 
-Seconds
-Cluster::transferTime(DeviceId a, DeviceId b, double bytes) const
-{
-    if (a == b)
-        return 0.0;
-    if (sameNode(a, b)) {
-        const int hops = nodeTopology_.dist(localIndex(a), localIndex(b));
-        // Store-and-forward per hop through intermediate cards.
-        return hops * intraLink_.transferTime(bytes);
-    }
-    return hostLink_.transferTime(bytes) +
-           interNodeLink_.transferTime(bytes) +
-           hostLink_.transferTime(bytes);
-}
-
-BytesPerSecond
-Cluster::totalMemoryBandwidth() const
-{
-    return numDevices() * device_.memory().aggregateBandwidth;
-}
-
 Cluster
 makePaperTestbed(int numFpgas)
 {

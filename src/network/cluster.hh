@@ -8,7 +8,7 @@
  * hosts and a 10 Gbps Ethernet link between them (paper section 5.7,
  * Table 9). A Cluster bundles that physical description for the
  * floorplanner (cost distances with lambda scaling) and the
- * simulator (wall-clock transfer times).
+ * simulator (the links it charges each cross-device transfer to).
  *
  * Device ids are global: node = id / devicesPerNode, local index =
  * id % devicesPerNode. All nodes share the same intra-node topology.
@@ -83,17 +83,6 @@ class Cluster
         tapacs_assert(a >= 0 && a < f && b >= 0 && b < f);
         return costTable_[static_cast<std::size_t>(a) * f + b];
     }
-
-    /**
-     * Wall-clock time to move @p bytes from device a to device b.
-     * Intra-node transfers ride the FPGA link once per hop;
-     * inter-node transfers pay device->host, host->host and
-     * host->device serially.
-     */
-    Seconds transferTime(DeviceId a, DeviceId b, double bytes) const;
-
-    /** Aggregate cluster HBM bandwidth (devices x per-card HBM). */
-    BytesPerSecond totalMemoryBandwidth() const;
 
   private:
     DeviceModel device_;

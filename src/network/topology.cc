@@ -138,26 +138,10 @@ Topology::dist(DeviceId i, DeviceId j) const
     return dist_[static_cast<size_t>(i) * numDevices_ + j];
 }
 
-const std::vector<DeviceId> &
-Topology::neighbors(DeviceId i) const
-{
-    tapacs_assert(i >= 0 && i < numDevices_);
-    return adj_[i];
-}
-
 int
 Topology::diameter() const
 {
     return *std::max_element(dist_.begin(), dist_.end());
-}
-
-int
-Topology::numLinks() const
-{
-    int total = 0;
-    for (const auto &nbrs : adj_)
-        total += static_cast<int>(nbrs.size());
-    return total / 2;
 }
 
 } // namespace tapacs

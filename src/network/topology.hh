@@ -73,14 +73,8 @@ class Topology
      */
     int dist(DeviceId i, DeviceId j) const;
 
-    /** Direct neighbors of device i. */
-    const std::vector<DeviceId> &neighbors(DeviceId i) const;
-
     /** Largest pairwise hop distance. */
     int diameter() const;
-
-    /** Number of undirected cables. */
-    int numLinks() const;
 
   private:
     void buildAdjacency();

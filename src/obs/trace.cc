@@ -1,11 +1,11 @@
 #include "obs/trace.hh"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
+#include "common/context.hh"
 #include "common/thread_pool.hh"
 
 namespace tapacs::obs
@@ -13,14 +13,6 @@ namespace tapacs::obs
 
 namespace
 {
-
-double
-steadySeconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch())
-        .count();
-}
 
 /** Render a double for JSON: finite, no inf/nan (which JSON lacks). */
 std::string
@@ -72,7 +64,7 @@ jsonEscape(const std::string &s)
 
 Tracer::Tracer()
 {
-    epochSeconds_ = steadySeconds();
+    epochSeconds_ = monotonicSeconds();
     if (const char *path = std::getenv("TAPACS_TRACE")) {
         if (path[0] != '\0') {
             enable();
@@ -109,7 +101,7 @@ Tracer::disable()
 double
 Tracer::nowMicros() const
 {
-    return (steadySeconds() - epochSeconds_) * 1e6;
+    return (monotonicSeconds() - epochSeconds_) * 1e6;
 }
 
 Tracer::ThreadBuffer &

@@ -72,17 +72,6 @@ ChaosPlan::faultFor(int slot) const
     return workerFaults[slot];
 }
 
-bool
-ChaosPlan::empty() const
-{
-    if (wireDelaySeconds > 0.0)
-        return false;
-    for (const WorkerFault &f : workerFaults)
-        if (f.kind != WorkerFaultKind::None)
-            return false;
-    return true;
-}
-
 ChaosPlan
 randomPlan(std::uint64_t seed, int workers, int requests)
 {
@@ -199,30 +188,6 @@ flipBit(const std::string &path, std::uint64_t bitIndex)
     file.seekp(offset);
     file.write(&byte, 1);
     return static_cast<bool>(file);
-}
-
-std::string
-corruptOneFile(const std::string &dir, const std::string &extension,
-               std::uint64_t seed)
-{
-    std::vector<std::string> paths;
-    std::error_code ec;
-    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-         it.increment(ec)) {
-        if (it->path().extension() == extension)
-            paths.push_back(it->path().string());
-    }
-    if (paths.empty())
-        return "";
-    // Sort so the pick depends only on the seed and the set of
-    // names, not on directory enumeration order.
-    std::sort(paths.begin(), paths.end());
-    Rng rng(seed);
-    const std::string &victim =
-        paths[rng.uniformInt(0, paths.size() - 1)];
-    if (!flipBit(victim, rng()))
-        return "";
-    return victim;
 }
 
 } // namespace tapacs::serve

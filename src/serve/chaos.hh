@@ -24,10 +24,10 @@
  * The wire delay is supervisor-side (a sleep before each dispatch),
  * modeling a slow link without touching the worker.
  *
- * The file-corruption helpers (truncateTail, flipBit,
- * corruptOneFile) mutate cache/journal files between runs; the CRC64
- * layers below must turn every such mutation into a typed miss or a
- * skipped record — that is what the chaos suite asserts.
+ * The file-corruption helpers (truncateTail, flipBit) mutate
+ * cache/journal files between runs; the CRC64 layers below must turn
+ * every such mutation into a typed miss or a skipped record — that is
+ * what the chaos suite asserts.
  */
 
 #ifndef TAPACS_SERVE_CHAOS_HH
@@ -74,8 +74,6 @@ struct ChaosPlan
 
     /** The fault for @p slot (None when the plan has none). */
     WorkerFault faultFor(int slot) const;
-
-    bool empty() const;
 };
 
 /**
@@ -97,15 +95,6 @@ bool truncateTail(const std::string &path, std::size_t bytes);
 
 /** Flip one bit of @p path (bitIndex wraps modulo the file size). */
 bool flipBit(const std::string &path, std::uint64_t bitIndex);
-
-/**
- * Pick one file with @p extension under @p dir (seed-deterministic
- * over the sorted listing) and flip a seed-chosen bit in it. Returns
- * the corrupted path, or "" when no such file exists.
- */
-std::string corruptOneFile(const std::string &dir,
-                           const std::string &extension,
-                           std::uint64_t seed);
 
 } // namespace tapacs::serve
 

@@ -217,52 +217,17 @@ parseManifest(const std::string &text)
                 } else {
                     req.explore = n != 0;
                 }
-            } else if (key == "t") {
-                const Status st = explore::parseThresholdAxis(
-                    value, &req.grid.thresholds);
-                if (!st.ok()) {
-                    reject(st.message());
-                    bad = true;
-                } else {
-                    sawAxis = sawT = true;
-                }
-            } else if (key == "lambda") {
-                const Status st = explore::parseSlotThresholdAxis(
-                    value, &req.grid.slotThresholds);
-                if (!st.ok()) {
-                    reject(st.message());
+            } else if (const std::optional<Status> st =
+                           explore::parseGridAxis(key, value,
+                                                  &req.grid)) {
+                // A repeated axis key replaces the earlier values.
+                if (!st->ok()) {
+                    reject(st->message());
                     bad = true;
                 } else {
                     sawAxis = true;
-                }
-            } else if (key == "topo") {
-                const Status st = explore::parseTopologyAxis(
-                    value, &req.grid.topologies);
-                if (!st.ok()) {
-                    reject(st.message());
-                    bad = true;
-                } else {
-                    sawAxis = sawTopoAxis = true;
-                }
-            } else if (key == "binding") {
-                std::vector<bool> sweeps;
-                const Status st =
-                    explore::parseBindingAxis(value, &sweeps);
-                if (!st.ok()) {
-                    reject(st.message());
-                    bad = true;
-                } else {
-                    req.grid.bindingSweeps = std::move(sweeps);
-                    sawAxis = true;
-                }
-            } else if (key == "depth") {
-                const Status st =
-                    explore::parseDepthAxis(value, &req.grid.depths);
-                if (!st.ok()) {
-                    reject(st.message());
-                    bad = true;
-                } else {
-                    sawAxis = true;
+                    sawT = sawT || key == "t";
+                    sawTopoAxis = sawTopoAxis || key == "topo";
                 }
             } else if (key == "coarse_limit") {
                 // 0 keeps the engine default; explicit values must be

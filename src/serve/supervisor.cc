@@ -20,6 +20,7 @@
 
 #include "cache/compile_cache.hh"
 #include "cache/store.hh"
+#include "common/context.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -52,14 +53,6 @@ obs::MetricsRegistry &
 reg()
 {
     return obs::MetricsRegistry::global();
-}
-
-double
-monotonicSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
 }
 
 void

@@ -188,16 +188,5 @@ TEST(TextTableDeath, WrongCellCount)
     EXPECT_DEATH(t.addRow({"only-one"}), "assertion");
 }
 
-TEST(Logging, LevelGate)
-{
-    const LogLevel old = logLevel();
-    setLogLevel(LogLevel::Silent);
-    // Must not crash; output is suppressed.
-    warn("suppressed %d", 1);
-    inform("suppressed");
-    debug("suppressed");
-    setLogLevel(old);
-}
-
 } // namespace
 } // namespace tapacs

@@ -29,20 +29,9 @@ TEST(LinExpr, NormalizeMergesDuplicates)
 
 TEST(LinExpr, EvaluateWithConstant)
 {
-    LinExpr e;
-    e.add(0, 2.0).add(1, -1.0).addConstant(5.0);
+    LinExpr e(5.0);
+    e.add(0, 2.0).add(1, -1.0);
     EXPECT_DOUBLE_EQ(e.evaluate({3.0, 4.0}), 2.0 * 3 - 4 + 5);
-}
-
-TEST(LinExpr, AddScaledExpression)
-{
-    LinExpr a;
-    a.add(0, 1.0).addConstant(1.0);
-    LinExpr b;
-    b.add(0, 2.0).addConstant(3.0);
-    a.add(b, 2.0);
-    a.normalize();
-    EXPECT_DOUBLE_EQ(a.evaluate({1.0}), 1.0 + 1.0 + 2.0 * (2.0 + 3.0));
 }
 
 TEST(Model, FeasibilityCheck)

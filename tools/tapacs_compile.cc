@@ -45,7 +45,6 @@
  * without --state all exit 2 naming the flag.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -233,12 +232,8 @@ main(int argc, char **argv)
             std::printf("replicas:  %d\n",
                         r.replication.totalReplicas());
         }
-        std::vector<char> hosts(cluster.numDevices(), 0);
-        for (DeviceId d : r.partition.deviceOf)
-            hosts[d] = 1;
         std::printf("empty:     %d device(s)\n",
-                    static_cast<int>(std::count(hosts.begin(),
-                                                hosts.end(), 0)));
+                    cluster.numDevices() - r.partition.devicesUsed());
         const std::vector<ResourceVector> areas =
             perDeviceArea(g, cluster, r.partition);
         for (DeviceId d = 0; d < cluster.numDevices(); ++d) {

@@ -19,6 +19,7 @@
 # a function is in no binary and not allowlisted, and when an
 # allowlist entry is stale: reached by a binary, or no longer defined.
 set -euo pipefail
+export LC_ALL=C # one collation for sort and comm
 
 if [ $# -ne 1 ]; then
     echo "usage: $0 <build-dir>" >&2
@@ -74,13 +75,13 @@ fi
 work="$build/reachability"
 mkdir -p "$work"
 
-# Demangled tapacs:: text symbols of the given files, one per line.
+# Demangled strong tapacs:: text symbols of the given files.
 symbols() {
     nm -C --defined-only "$@" |
-        sed -n "s/^[0-9a-f]* [$SYMTYPES] \(tapacs::.*\)$/\1/p" | sort -u
+        sed -n 's/^[0-9a-f]* T \(tapacs::.*\)$/\1/p' | sort -u
 }
-SYMTYPES=T symbols "${libs[@]}" > "$work/defined"
-SYMTYPES=TtWw symbols "${bins[@]}" > "$work/reached"
+symbols "${libs[@]}" > "$work/defined"
+symbols "${bins[@]}" > "$work/reached"
 # Entries are demangled signatures; '#' starts a comment.
 sed -e 's/#.*$//' -e 's/[[:space:]]*$//' -e '/^$/d' "$allowlist" |
     sort -u > "$work/allowed"

@@ -107,6 +107,24 @@ writeAll(int fd, std::string_view bytes)
 }
 
 Status
+syncParentDirectory(const std::string &path)
+{
+    const std::filesystem::path parent =
+        std::filesystem::path(path).parent_path();
+    const std::string dir = parent.empty() ? "." : parent.string();
+    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0)
+        return Status::internal("cannot open directory '%s': %s",
+                                dir.c_str(), std::strerror(errno));
+    Status st;
+    if (fsync(fd) != 0)
+        st = Status::internal("fsync of directory '%s' failed: %s",
+                              dir.c_str(), std::strerror(errno));
+    ::close(fd);
+    return st;
+}
+
+Status
 replaceFile(const std::string &path, const std::string &tmp,
             std::string_view bytes, bool durable)
 {
@@ -123,9 +141,13 @@ replaceFile(const std::string &path, const std::string &tmp,
     if (st.ok() && std::rename(tmp.c_str(), path.c_str()) != 0)
         st = Status::internal("cannot publish '%s': %s", path.c_str(),
                               std::strerror(errno));
-    if (!st.ok())
+    if (!st.ok()) {
         std::remove(tmp.c_str());
-    return st;
+        return st;
+    }
+    // The rename is a directory update: without this fsync a power
+    // loss can bring back the old file, fsync'd temp or not.
+    return durable ? syncParentDirectory(path) : st;
 }
 
 } // namespace tapacs

@@ -77,10 +77,17 @@ Status readFile(const std::string &path, std::string *out,
 Status writeAll(int fd, std::string_view bytes);
 
 /**
+ * fsync the directory that holds @p path, so a directory entry just
+ * created or renamed there survives power loss. Internal on failure.
+ */
+Status syncParentDirectory(const std::string &path);
+
+/**
  * Replace @p path with @p bytes through the temp file @p tmp and a
  * rename, so readers see the old file or all of the new one; with
- * @p durable the temp is fsync'd first. On failure (ENOSPC included)
- * the temp is removed and @p path is left as it was.
+ * @p durable the temp is fsync'd first and the parent directory
+ * after the rename (two fsyncs). On failure (ENOSPC included) the
+ * temp is removed and @p path is left as it was.
  */
 Status replaceFile(const std::string &path, const std::string &tmp,
                    std::string_view bytes, bool durable);

@@ -10,6 +10,7 @@
 
 #include "common/frame.hh"
 #include "common/logging.hh"
+#include "obs/metrics.hh"
 
 namespace tapacs::serve
 {
@@ -19,6 +20,14 @@ namespace
 
 constexpr std::string_view kMagic = "TJR2";
 constexpr std::uint32_t kMaxBodyBytes = 16u << 20;
+
+void
+countFsyncs(std::int64_t n)
+{
+    obs::MetricsRegistry::global()
+        .counter("tapacs.fleet.journal_fsyncs")
+        .add(n);
+}
 
 std::string
 recordBody(char kind, std::uint64_t id, const std::string &payload)
@@ -52,18 +61,34 @@ RequestJournal::open()
     std::lock_guard<std::mutex> lock(mu_);
     if (fd_ >= 0)
         return Status();
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-                 0644);
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    const bool created = fd_ < 0 && errno == ENOENT;
+    if (created)
+        fd_ = ::open(path_.c_str(),
+                     O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
     if (fd_ < 0)
         return Status::internal("journal: cannot open '%s': %s",
                                 path_.c_str(), std::strerror(errno));
+    if (created) {
+        // A record fsync'd into a file whose directory entry is not
+        // durable is lost with the file.
+        const Status st = syncParentDirectory(path_);
+        if (!st.ok()) {
+            ::close(fd_);
+            fd_ = -1;
+            return Status::internal("journal: %s", st.message().c_str());
+        }
+        countFsyncs(1);
+    }
     return Status();
 }
 
 void
 RequestJournal::close()
 {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
+    // A sync leader is fsyncing fd_ outside the lock.
+    synced_.wait(lock, [&]() { return !syncing_; });
     if (fd_ >= 0) {
         ::close(fd_);
         fd_ = -1;
@@ -71,41 +96,81 @@ RequestJournal::close()
 }
 
 Status
-RequestJournal::append(char kind, std::uint64_t id,
-                       const std::string &payload)
+RequestJournal::write(char kind, std::uint64_t id,
+                      const std::string &payload, std::uint64_t *seq)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (fd_ < 0)
-        return Status::internal("journal: append to a closed journal");
     const std::string body = recordBody(kind, id, payload);
     if (body.size() > kMaxBodyBytes)
         return Status::invalidInput(
             "journal: record body %zu bytes exceeds the %u cap",
             body.size(), kMaxBodyBytes);
-    const Status st = writeAll(fd_, encodeFrame(kMagic, body));
+    const std::string frame = encodeFrame(kMagic, body);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (fd_ < 0)
+        return Status::internal("journal: write to a closed journal");
+    // O_APPEND makes the write atomic w.r.t. other appenders, and
+    // under mu_ file order is sequence order.
+    const Status st = writeAll(fd_, frame);
     if (!st.ok())
         return st;
-    // O_APPEND makes the write atomic w.r.t. other appenders; the
-    // fsync makes it durable before we report Ok — a begin record
-    // that "took" must survive the very crash it exists to cover.
-    if (fsync(fd_) != 0)
-        return Status::internal("journal: fsync failed: %s",
-                                std::strerror(errno));
+    *seq = ++written_;
     return Status();
+}
+
+Status
+RequestJournal::sync(std::uint64_t seq)
+{
+    std::unique_lock<std::mutex> lock(mu_);
+    while (true) {
+        if (durable_ >= seq)
+            return Status();
+        if (!syncFailure_.ok())
+            return syncFailure_;
+        if (fd_ < 0)
+            return Status::internal("journal: sync of a closed journal");
+        if (!syncing_)
+            break;
+        // The fsync in flight may have started before record seq
+        // was written; wait it out and look again.
+        synced_.wait(lock);
+    }
+    // Lead: one fsync for everything written so far. Writers keep
+    // appending meanwhile; their records wait for the next leader.
+    syncing_ = true;
+    const std::uint64_t target = written_;
+    const int fd = fd_;
+    lock.unlock();
+    const int rc = fsync(fd);
+    const int err = errno;
+    lock.lock();
+    syncing_ = false;
+    if (rc == 0) {
+        durable_ = target;
+        countFsyncs(1);
+    } else {
+        syncFailure_ = Status::internal("journal: fsync failed: %s",
+                                        std::strerror(err));
+    }
+    synced_.notify_all();
+    return syncFailure_;
 }
 
 Status
 RequestJournal::appendBegin(std::uint64_t id,
                             const std::string &manifestLine)
 {
-    return append('B', id, manifestLine);
+    std::uint64_t seq = 0;
+    const Status st = write('B', id, manifestLine, &seq);
+    return st.ok() ? sync(seq) : st;
 }
 
 Status
 RequestJournal::appendEnd(std::uint64_t id,
                           const std::string &outcomeBytes)
 {
-    return append('E', id, outcomeBytes);
+    std::uint64_t seq = 0;
+    const Status st = write('E', id, outcomeBytes, &seq);
+    return st.ok() ? sync(seq) : st;
 }
 
 RequestJournal::ScanResult
@@ -150,7 +215,10 @@ RequestJournal::rewrite(const std::string &path,
     for (const Record &record : records)
         bytes += encodeFrame(kMagic, recordBody(record.end ? 'E' : 'B',
                                                 record.id, record.payload));
-    return replaceFile(path, path + ".tmp", bytes, true);
+    const Status st = replaceFile(path, path + ".tmp", bytes, true);
+    if (st.ok())
+        countFsyncs(2); // the temp's and the directory's
+    return st;
 }
 
 } // namespace tapacs::serve

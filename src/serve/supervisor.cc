@@ -223,6 +223,8 @@ Supervisor::start()
     }
     for (int i = 0; i < options_.workers; ++i)
         threads_.emplace_back([this, i]() { slotLoop(i); });
+    if (journal_.isOpen())
+        committer_ = std::thread([this]() { commitLoop(); });
     return Status();
 }
 
@@ -284,7 +286,7 @@ Supervisor::replayJournal()
                     fleet.outcome.failureReason =
                         fleet.outcome.status.message();
                 }
-                pending.journaledEnd = true;
+                pending.settled = true;
                 compacted.push_back({id, true, endIt->second});
                 pending_.push_back(std::move(pending));
                 outcomes_.push_back(std::move(fleet));
@@ -318,12 +320,16 @@ Supervisor::replayJournal()
             reg().counter("tapacs.fleet.journal_resubmitted").add();
         }
     }
-    // Compact: drop the corrupt junk and torn tail for good, then
-    // reopen for this run's appends.
-    Status st = RequestJournal::rewrite(options_.journalPath,
-                                        compacted);
-    if (!st.ok())
-        return st;
+    // A damaged journal is compacted: the corrupt junk and the torn
+    // tail go for good, and this run's appends cannot land behind a
+    // torn record. A clean one (a missing file included) is appended
+    // to as it is.
+    if (scanned.corruptSkipped > 0 || scanned.tornTail) {
+        const Status st =
+            RequestJournal::rewrite(options_.journalPath, compacted);
+        if (!st.ok())
+            return st;
+    }
     return journal_.open();
 }
 
@@ -349,8 +355,10 @@ Supervisor::submit(const Request &req)
             return Status::internal("submit() before start()");
         if (closed_)
             return Status::internal("submit() after finish()");
+        // Admissions still syncing their begin record hold a place.
+        const auto waiting = [&]() { return queue_.size() + admitting_; };
         if (options_.maxQueue > 0 &&
-            queue_.size() >= static_cast<std::size_t>(options_.maxQueue)) {
+            waiting() >= static_cast<std::size_t>(options_.maxQueue)) {
             if (!options_.blockOnFull) {
                 reg().counter("tapacs.serve.rejected").add();
                 return Status::resourceExhausted(
@@ -361,7 +369,7 @@ Supervisor::submit(const Request &req)
             // always ends.
             spaceCv_.wait(lock, [&]() {
                 return closed_ ||
-                       queue_.size() <
+                       waiting() <
                            static_cast<std::size_t>(options_.maxQueue);
             });
             if (closed_)
@@ -371,14 +379,12 @@ Supervisor::submit(const Request &req)
         reg().counter("tapacs.serve.admitted").add();
         pending.id = nextId_++;
         const std::size_t idx = pending_.size();
+        // The begin record is written under mutex_, so journal order
+        // is id order.
+        std::uint64_t seq = 0;
         if (journal_.isOpen()) {
-            // The begin record must be durable before the request
-            // can possibly execute — otherwise a crash could lose an
-            // admitted request, which is the one thing the journal
-            // exists to prevent. (The fsync runs under mutex_; at
-            // fleet request rates that is noise next to a compile.)
             const Status st =
-                journal_.appendBegin(pending.id, pending.line);
+                journal_.write('B', pending.id, pending.line, &seq);
             if (!st.ok())
                 return st;
         }
@@ -386,6 +392,31 @@ Supervisor::submit(const Request &req)
         fleet.id = pending.id;
         pending_.push_back(std::move(pending));
         outcomes_.push_back(std::move(fleet));
+        if (seq > 0) {
+            // Durable before queued: a crash must not lose a request
+            // that could already be running, which is the one thing
+            // the journal exists to prevent. The fsync runs outside
+            // mutex_, so slots keep taking and resolving requests
+            // meanwhile (their end records share it).
+            ++admitting_;
+            lock.unlock();
+            const Status st = journal_.sync(seq);
+            lock.lock();
+            if (--admitting_ == 0 && closed_)
+                drainCv_.notify_all(); // finish() waits for this
+            if (!st.ok()) {
+                // Admitted but never queued: resolve it here, or
+                // drain() would wait for it forever. Settled, so the
+                // next run does not replay it either.
+                FleetOutcome &failed = outcomes_[idx];
+                failed.outcome.name = pending_[idx].req.name;
+                failed.outcome.status = st;
+                failed.outcome.failureReason = st.message();
+                publishLocked(idx);
+                spaceCv_.notify_one();
+                return st;
+            }
+        }
         queue_.push_back(idx);
         if (draining_) {
             // Admission is closed: the begin record above defers the
@@ -455,7 +486,7 @@ Supervisor::quarantinedWorkers() const
 void
 Supervisor::failQueuedLocked(const char *why)
 {
-    // No end record: the begin survives, so a restarted supervisor
+    // Not settled: the begin survives, so a restarted supervisor
     // replays these requests — deferred, not dropped.
     while (!queue_.empty()) {
         const std::size_t idx = queue_.front();
@@ -611,41 +642,76 @@ Supervisor::resolve(std::size_t idx, ServeOutcome out,
         reg().counter("tapacs.serve.deadline_exceeded").add();
     if (out.degraded)
         reg().counter("tapacs.serve.degraded").add();
-    std::uint64_t id = 0;
-    {
-        // Snapshot the id under the lock: pending_ can be growing
-        // concurrently in submit().
-        std::lock_guard<std::mutex> lock(mutex_);
-        id = pending_[idx].id;
-        if (!out.status.ok()) {
-            ++consecutiveFailures_;
-            if (options_.breakerThreshold > 0 && !breakerOpen_ &&
-                consecutiveFailures_ >= options_.breakerThreshold) {
-                breakerOpen_ = true;
-                shedSinceOpen_ = 0;
-                reg().counter("tapacs.serve.breaker_open").add();
-            }
-        } else {
-            consecutiveFailures_ = 0;
-            breakerOpen_ = false; // success (or probe) closes it
-        }
-    }
-    if (journal_.isOpen()) {
-        // End record first: a crash after the append but before the
-        // in-memory completion replays the stored outcome, which is
-        // the same one — still exactly-once.
-        const Status st = journal_.appendEnd(id, encodeOutcome(out));
-        if (!st.ok())
-            warn("fleet: journal end for id %llu failed: %s",
-                 (unsigned long long)id, st.message().c_str());
-    }
+    const std::string outcomeBytes =
+        journal_.isOpen() ? encodeOutcome(out) : std::string();
     std::lock_guard<std::mutex> lock(mutex_);
-    pending_[idx].journaledEnd = true;
+    if (!out.status.ok()) {
+        ++consecutiveFailures_;
+        if (options_.breakerThreshold > 0 && !breakerOpen_ &&
+            consecutiveFailures_ >= options_.breakerThreshold) {
+            breakerOpen_ = true;
+            shedSinceOpen_ = 0;
+            reg().counter("tapacs.serve.breaker_open").add();
+        }
+    } else {
+        consecutiveFailures_ = 0;
+        breakerOpen_ = false; // success (or probe) closes it
+    }
     FleetOutcome &fleet = outcomes_[idx];
     fleet.outcome = std::move(out);
     fleet.dispatchAttempts = dispatchAttempts;
+    if (journal_.isOpen()) {
+        // Durable before visible: the committer publishes the outcome
+        // once its end record is on disk, so a crash either replays
+        // this very outcome or re-runs a request nobody saw resolve —
+        // exactly-once either way. The slot moves on meanwhile.
+        std::uint64_t seq = 0;
+        const Status st =
+            journal_.write('E', pending_[idx].id, outcomeBytes, &seq);
+        if (st.ok()) {
+            unpublished_.emplace_back(seq, idx);
+            commitCv_.notify_one();
+            return;
+        }
+        warn("fleet: journal end for id %llu failed: %s",
+             (unsigned long long)pending_[idx].id, st.message().c_str());
+    }
+    publishLocked(idx);
+}
+
+void
+Supervisor::publishLocked(std::size_t idx)
+{
+    pending_[idx].settled = true;
     ++completed_;
     drainCv_.notify_all();
+}
+
+void
+Supervisor::commitLoop()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+        commitCv_.wait(lock, [&]() {
+            return commitStop_ || !unpublished_.empty();
+        });
+        if (unpublished_.empty())
+            return; // finish(): every end record is published
+        const std::uint64_t target = unpublished_.back().first;
+        lock.unlock();
+        const Status st = journal_.sync(target);
+        lock.lock();
+        if (!st.ok())
+            warn("fleet: journal end records not durable: %s",
+                 st.message().c_str());
+        // Publish the synced prefix in seq order, so the k-th
+        // completion is the k-th end record in the journal.
+        while (!unpublished_.empty() &&
+               unpublished_.front().first <= target) {
+            publishLocked(unpublished_.front().second);
+            unpublished_.pop_front();
+        }
+    }
 }
 
 Status
@@ -955,13 +1021,16 @@ std::vector<FleetOutcome>
 Supervisor::finish()
 {
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::unique_lock<std::mutex> lock(mutex_);
         if (finished_ || !started_) {
             finished_ = true;
             return {};
         }
         finished_ = true;
         closed_ = true;
+        // A submit() syncing a begin record outside the lock has yet
+        // to queue its request.
+        drainCv_.wait(lock, [&]() { return admitting_ == 0; });
     }
     queueCv_.notify_all();
     spaceCv_.notify_all(); // wake submitters blocked on a full queue
@@ -973,6 +1042,11 @@ Supervisor::finish()
         // queued; nothing will run it now.
         std::lock_guard<std::mutex> lock(mutex_);
         failQueuedLocked("service shut down before dispatch");
+        commitStop_ = true;
+    }
+    if (committer_.joinable()) {
+        commitCv_.notify_one();
+        committer_.join();
     }
     if (!options_.inProcess)
         reapWorkers();
@@ -985,7 +1059,7 @@ Supervisor::finish()
         std::vector<RequestJournal::Record> keep;
         std::lock_guard<std::mutex> lock(mutex_);
         for (const Pending &pending : pending_) {
-            if (!pending.journaledEnd && !pending.line.empty())
+            if (!pending.settled && !pending.line.empty())
                 keep.push_back({pending.id, false, pending.line});
         }
         const Status st =

@@ -40,13 +40,25 @@
  * bit-identical result (ServeOutcome::resultDigest), so at-least-once
  * execution still yields exactly-once typed outcomes.
  *
- * With a journal path configured, every admission writes a durable
- * begin record and every resolution an end record (serve/journal).
- * start() replays an existing journal: completed ids resolve
- * immediately from their stored outcome, incomplete ids re-enter the
- * queue — a supervisor crash therefore loses no request and double-
- * reports none. Corrupt journal records are skipped with a typed
- * diagnostic and counted.
+ * With a journal path configured, every admission writes a begin
+ * record and every resolution an end record (serve/journal), under
+ * two invariants:
+ *
+ *   durable before queued    submit() syncs the begin record before
+ *                            the request can be dispatched.
+ *   durable before visible   an outcome counts as completed (for
+ *                            completedCount, drain, finish) only once
+ *                            its end record is durable.
+ *
+ * Records are written under the supervisor lock and fsync'd outside
+ * it (RequestJournal::sync, a group commit): a slot hands its end
+ * record to one committer thread and takes its next request at once;
+ * the committer syncs and publishes outcomes in journal order. start()
+ * replays an existing journal: completed ids resolve immediately from
+ * their stored outcome, incomplete ids re-enter the queue — a
+ * supervisor crash therefore loses no request and double-reports
+ * none. Corrupt journal records are skipped with a typed diagnostic
+ * and counted.
  *
  * Counters: tapacs.serve.{admitted,rejected,retries,
  * deadline_exceeded,degraded,breaker_open,breaker_shed} for the
@@ -54,7 +66,7 @@
  * worker_spawns,worker_restarts,worker_deaths,heartbeat_timeouts,
  * deadline_kills,wire_crc_errors,quarantined,drained,
  * journal_replayed,journal_resubmitted,journal_corrupt_skipped,
- * shutdown_kills} for the fleet. Each request a slot takes runs under
+ * journal_fsyncs,shutdown_kills} for the fleet. Each request a slot takes runs under
  * a "fleet" trace span; finish() reaps the workers under a
  * "fleet.shutdown" span.
  */
@@ -199,8 +211,11 @@ class Supervisor
 
     /**
      * Admit a request (expanding Request::repeat into independent
-     * copies). Journals a begin record per copy before queueing, so
-     * an admitted request survives a supervisor crash. A copy that
+     * copies). With a journal, each copy is queued — can be
+     * dispatched — only once its begin record is durable, and Ok
+     * means exactly that, so an admitted request survives a
+     * supervisor crash. If that sync fails, the copy resolves with
+     * the typed Internal error, which is also returned. A copy that
      * meets a full queue blocks (blockOnFull) or is shed: no outcome,
      * no further copies, ResourceExhausted.
      */
@@ -209,7 +224,12 @@ class Supervisor
     /** Requests admitted (journal replays included). */
     std::size_t admitted() const;
 
-    /** Requests resolved so far. */
+    /**
+     * Requests resolved so far. With a journal, an executed request
+     * counts only once its end record is durable, and these
+     * completions come in journal order: the k-th is the k-th end
+     * record.
+     */
     std::size_t completedCount() const;
 
     /** Block until every admitted request has an outcome. */
@@ -251,7 +271,9 @@ class Supervisor
          *  bytes journaled and sent on the wire. */
         std::string line;
         int attempts = 0;
-        bool journaledEnd = false;
+        /** Resolved for good (end record journaled or replayed, or
+         *  admission failed): finish() compacts its begin away. */
+        bool settled = false;
     };
 
     struct Slot
@@ -288,10 +310,17 @@ class Supervisor
     bool dispatchOnce(Slot &slot, const Pending &pending,
                       ServeOutcome *out, Status *failure);
     /** The completion point for a request a slot took: count the
-     *  outcome, vote the circuit breaker, journal the end, store the
-     *  outcome, bump completed_. Caller must NOT hold mutex_. */
+     *  outcome, vote the circuit breaker, store the outcome, write
+     *  the end record and hand it to the committer (or publish at
+     *  once without a journal). Caller must NOT hold mutex_. */
     void resolve(std::size_t idx, ServeOutcome out,
                  int dispatchAttempts);
+    /** Make outcomes_[idx] visible: settle it, bump completed_.
+     *  Caller holds mutex_. */
+    void publishLocked(std::size_t idx);
+    /** The committer thread: sync the newest unpublished end record,
+     *  then publish every one up to it in journal order. */
+    void commitLoop();
     /** Resolve everything still queued with a typed ResourceExhausted
      *  outcome, deferred to the journal (drain, all slots quarantined,
      *  late finish). Caller holds mutex_. */
@@ -311,7 +340,13 @@ class Supervisor
     std::condition_variable queueCv_;
     std::condition_variable spaceCv_; ///< submitters: queue has space
     std::condition_variable drainCv_;
+    std::condition_variable commitCv_; ///< committer: end records
     std::deque<std::size_t> queue_; ///< indices into pending_
+    /** Written, not yet durable end records: (journal seq, index
+     *  into pending_), in seq order. */
+    std::deque<std::pair<std::uint64_t, std::size_t>> unpublished_;
+    /** submit() calls syncing a begin record outside mutex_. */
+    std::size_t admitting_ = 0;
     std::deque<Pending> pending_;   ///< admission order
     std::vector<FleetOutcome> outcomes_;
     std::size_t completed_ = 0;
@@ -320,6 +355,7 @@ class Supervisor
     bool closed_ = false;
     bool draining_ = false;
     bool finished_ = false;
+    bool commitStop_ = false;
     int activeSlots_ = 0;
     int quarantined_ = 0;
 
@@ -336,6 +372,7 @@ class Supervisor
 
     std::vector<std::unique_ptr<Slot>> slots_;
     std::vector<std::thread> threads_;
+    std::thread committer_;
 };
 
 } // namespace tapacs::serve

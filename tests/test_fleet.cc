@@ -5,12 +5,13 @@
  * flips, length caps), whole-file reads and writes, wire-frame and
  * outcome codecs, request-line rendering,
  * the durable journal (torn tails, corrupt-record resync,
- * compaction), checksummed disk-cache entries (corruption degrades
+ * compaction, group commit), checksummed disk-cache entries (corruption degrades
  * to a typed miss), stale-temp sweeping, and end-to-end supervisor
  * scenarios — worker kill mid-compile, hang detection via heartbeat
  * timeout, every worker reaped without a kill at finish(),
  * quarantine, supervisor restart with journal replay, graceful
- * drain, the circuit breaker across the process boundary,
+ * drain, outcomes visible only behind their durable end records,
+ * the circuit breaker across the process boundary,
  * serial-vs-4-worker bit-identity, and in-process-vs-worker
  * bit-identity plus journal replay on the in-process executor.
  *
@@ -21,14 +22,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -565,6 +570,111 @@ TEST(Journal, RewriteCompacts)
     // Rewriting empty leaves an empty-but-valid journal.
     ASSERT_TRUE(serve::RequestJournal::rewrite(path, {}).ok());
     EXPECT_EQ(serve::RequestJournal::scan(path).records.size(), 0u);
+}
+
+std::int64_t
+journalFsyncs()
+{
+    return counterValue("tapacs.fleet.journal_fsyncs");
+}
+
+TEST(Journal, OneSyncCoversEveryEarlierWrite)
+{
+    const std::string dir = freshDir("fleet_journal_group");
+    const std::string path = dir + "/journal.bin";
+    serve::RequestJournal journal(path);
+    // Creating the file fsyncs its directory; nothing else does yet.
+    const std::int64_t beforeOpen = journalFsyncs();
+    ASSERT_TRUE(journal.open().ok());
+    EXPECT_EQ(journalFsyncs(), beforeOpen + 1);
+
+    std::uint64_t seq[3] = {};
+    ASSERT_TRUE(journal.write('B', 1, "request a workload=x", &seq[0]).ok());
+    ASSERT_TRUE(journal.write('B', 2, "request b workload=y", &seq[1]).ok());
+    ASSERT_TRUE(journal.write('E', 1, "outcome-bytes", &seq[2]).ok());
+    EXPECT_EQ(seq[0], 1u);
+    EXPECT_EQ(seq[1], 2u);
+    EXPECT_EQ(seq[2], 3u);
+    EXPECT_EQ(journalFsyncs(), beforeOpen + 1); // writes never fsync
+
+    const std::int64_t before = journalFsyncs();
+    ASSERT_TRUE(journal.sync(3).ok());
+    EXPECT_EQ(journalFsyncs(), before + 1);
+    ASSERT_TRUE(journal.sync(2).ok()); // already covered
+    EXPECT_EQ(journalFsyncs(), before + 1);
+    journal.close();
+
+    // Reopening an existing journal creates nothing to make durable.
+    ASSERT_TRUE(journal.open().ok());
+    EXPECT_EQ(journalFsyncs(), before + 1);
+    journal.close();
+
+    const serve::RequestJournal::ScanResult scanned =
+        serve::RequestJournal::scan(path);
+    EXPECT_EQ(scanned.corruptSkipped, 0);
+    EXPECT_FALSE(scanned.tornTail);
+    ASSERT_EQ(scanned.records.size(), 3u);
+    EXPECT_EQ(scanned.records[0].id, 1u);
+    EXPECT_FALSE(scanned.records[0].end);
+    EXPECT_EQ(scanned.records[1].id, 2u);
+    EXPECT_FALSE(scanned.records[1].end);
+    EXPECT_EQ(scanned.records[2].id, 1u);
+    EXPECT_TRUE(scanned.records[2].end);
+    EXPECT_EQ(scanned.records[2].payload, "outcome-bytes");
+}
+
+TEST(Journal, ConcurrentSyncsShareFsyncs)
+{
+    const std::string dir = freshDir("fleet_journal_concurrent");
+    const std::string path = dir + "/journal.bin";
+    constexpr int kThreads = 8;
+    constexpr int kPerThread = 50;
+    serve::RequestJournal journal(path);
+    ASSERT_TRUE(journal.open().ok());
+    const std::int64_t before = journalFsyncs();
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t]() {
+            for (int i = 0; i < kPerThread; ++i) {
+                const std::uint64_t id = t * kPerThread + i + 1;
+                std::uint64_t seq = 0;
+                if (!journal.write('B', id, strprintf("request r%llu",
+                                                      (unsigned long long)id),
+                                   &seq)
+                         .ok() ||
+                    !journal.sync(seq).ok())
+                    ++failures;
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    journal.close();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_LE(journalFsyncs() - before, kThreads * kPerThread);
+
+    const serve::RequestJournal::ScanResult scanned =
+        serve::RequestJournal::scan(path);
+    EXPECT_EQ(scanned.corruptSkipped, 0);
+    EXPECT_FALSE(scanned.tornTail);
+    ASSERT_EQ(scanned.records.size(),
+              static_cast<std::size_t>(kThreads * kPerThread));
+    // Every record once, intact, and each thread's in its write order.
+    std::vector<std::uint64_t> lastOfThread(kThreads, 0);
+    std::vector<int> seen(kThreads * kPerThread + 1, 0);
+    for (const serve::RequestJournal::Record &record : scanned.records) {
+        ASSERT_GE(record.id, 1u);
+        ASSERT_LE(record.id, static_cast<std::uint64_t>(kThreads * kPerThread));
+        EXPECT_EQ(record.payload,
+                  strprintf("request r%llu", (unsigned long long)record.id));
+        ++seen[record.id];
+        const std::size_t t = (record.id - 1) / kPerThread;
+        EXPECT_GT(record.id, lastOfThread[t]);
+        lastOfThread[t] = record.id;
+    }
+    for (std::size_t id = 1; id < seen.size(); ++id)
+        EXPECT_EQ(seen[id], 1) << id;
 }
 
 // ----------------------------------------------------- cache integrity
@@ -1280,6 +1390,82 @@ TEST(Fleet, InProcessJournalReplaysExactlyOnce)
     EXPECT_NE(rerun.outcome.resultDigest, 0u);
     EXPECT_EQ(serve::RequestJournal::scan(journalPath).records.size(),
               0u);
+}
+
+/**
+ * Submit six requests to @p opt's fleet and poll completedCount():
+ * at every poll the journal already holds at least that many end
+ * records, because an outcome becomes visible only once its end
+ * record is durable.
+ */
+void
+expectOutcomesTrailTheirEndRecords(serve::FleetOptions opt)
+{
+    const std::string journalPath = opt.journalPath;
+    serve::Supervisor supervisor(std::move(opt));
+    ASSERT_TRUE(supervisor.start().ok());
+    for (int round = 0; round < 2; ++round) {
+        for (const char *line : {kStencil, kPagerank, kKnn})
+            ASSERT_TRUE(supervisor.submit(parseOneRequest(line)).ok());
+    }
+    const std::size_t admitted = supervisor.admitted();
+    int polls = 0;
+    for (std::size_t done = 0; done < admitted; ++polls) {
+        done = supervisor.completedCount();
+        std::size_t ends = 0;
+        for (const serve::RequestJournal::Record &record :
+             serve::RequestJournal::scan(journalPath).records)
+            ends += record.end ? 1 : 0;
+        ASSERT_GE(ends, done) << "poll " << polls;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    for (const serve::FleetOutcome &f : supervisor.finish())
+        EXPECT_TRUE(f.outcome.status.ok()) << f.outcome.failureReason;
+}
+
+TEST(Fleet, OutcomeIsVisibleOnlyAfterItsEndRecord)
+{
+    const std::string dir = freshDir("fleet_visible_after_end");
+    serve::FleetOptions opt;
+    opt.workers = 2;
+    opt.cacheDir = dir + "/cache";
+    opt.inProcess = true;
+    opt.journalPath = dir + "/in-process.journal";
+    expectOutcomesTrailTheirEndRecords(opt);
+
+    const std::string exe = workerExe();
+    if (exe.empty())
+        GTEST_SKIP() << "TAPACS_WORKER_EXE not set";
+    opt.inProcess = false;
+    opt.workerExe = exe;
+    opt.journalPath = dir + "/workers.journal";
+    expectOutcomesTrailTheirEndRecords(opt);
+}
+
+TEST(Fleet, CleanJournalIsAppendedToNotRewritten)
+{
+    // Only a damaged journal is compacted on start(); a clean one is
+    // reopened in place — same inode, no fsync.
+    const std::string dir = freshDir("fleet_clean_journal_start");
+    const std::string journalPath = dir + "/journal.bin";
+    serve::FleetOptions opt;
+    opt.workers = 1;
+    opt.inProcess = true;
+    opt.cacheDir = dir + "/cache";
+    opt.journalPath = journalPath;
+    const FleetRun first = runFleet(opt, {kStencil});
+    ASSERT_EQ(first.outcomes.size(), 1u);
+    struct stat before = {};
+    ASSERT_EQ(stat(journalPath.c_str(), &before), 0);
+
+    serve::Supervisor supervisor(opt);
+    const std::int64_t fsyncs = journalFsyncs();
+    ASSERT_TRUE(supervisor.start().ok());
+    EXPECT_EQ(journalFsyncs(), fsyncs);
+    struct stat after = {};
+    ASSERT_EQ(stat(journalPath.c_str(), &after), 0);
+    EXPECT_EQ(after.st_ino, before.st_ino);
+    EXPECT_TRUE(supervisor.finish().empty());
 }
 
 TEST(Fleet, BreakerShedsWorkerProcessRequests)

@@ -6,8 +6,9 @@
 # seeded chaos matrix — worker kills, supervisor restart with journal
 # replay, and offline cache/journal corruption — asserting the fleet's
 # contract from the outside: every request resolves exactly once with
-# a typed outcome, and a corrupted cache degrades to misses, never a
-# crash.
+# a typed outcome, a corrupted cache degrades to misses, never a
+# crash, and a clean multi-request run shares journal fsyncs (group
+# commit).
 #
 # Usage: tools/run_chaos.sh [build-dir]
 set -euo pipefail
@@ -46,6 +47,24 @@ done
 # The journal must be fully compacted after clean runs: nothing to
 # replay means a restart admits nothing.
 "${serve}" --journal "${work}/journal.bin" --workers 2 --strict
+
+# Group commit: a clean run whose submissions overlap execution (a
+# two-deep queue with backpressure) must share journal fsyncs. One
+# fsync per record would be two per request, plus the compaction's.
+"${serve}" "${manifest}" --workers 4 --repeat 8 --max-queue 2 \
+    --block-on-full --cache-dir "${work}/cache" \
+    --journal "${work}/group.bin" --strict > "${work}/group.out"
+admitted="$(awk '$1 == "tapacs.serve.admitted" { print $2 }' \
+    "${work}/group.out")"
+fsyncs="$(awk '$1 == "tapacs.fleet.journal_fsyncs" { print $2 }' \
+    "${work}/group.out")"
+echo "group commit: ${fsyncs:-no} journal fsyncs for ${admitted:-no}" \
+    "admitted requests"
+if [[ -z "${admitted}" || -z "${fsyncs}" ]] ||
+    (( fsyncs >= 2 * admitted )); then
+    echo "journal fsyncs not shared: want fewer than 2 per request" >&2
+    exit 1
+fi
 
 # Offline corruption: flip a bit in one cache entry, then prove the
 # scrubber removes exactly that entry and a subsequent serve run

@@ -66,9 +66,9 @@
  * worker_spawns,worker_restarts,worker_deaths,heartbeat_timeouts,
  * deadline_kills,wire_crc_errors,quarantined,drained,
  * journal_replayed,journal_resubmitted,journal_corrupt_skipped,
- * journal_fsyncs,shutdown_kills} for the fleet. Each request a slot takes runs under
- * a "fleet" trace span; finish() reaps the workers under a
- * "fleet.shutdown" span.
+ * journal_fsyncs,shutdown_kills} for the fleet. Each request a slot
+ * takes runs under a "fleet" trace span; finish() reaps the workers
+ * under a "fleet.shutdown" span.
  */
 
 #ifndef TAPACS_SERVE_SUPERVISOR_HH

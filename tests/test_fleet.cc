@@ -3,17 +3,17 @@
  * Crash-tolerance suite for the multi-process serving fleet: CRC64
  * vectors, the shared frame codec (round trip, torn prefixes, bit
  * flips, length caps), whole-file reads and writes, wire-frame and
- * outcome codecs, request-line rendering,
- * the durable journal (torn tails, corrupt-record resync,
- * compaction, group commit), checksummed disk-cache entries (corruption degrades
- * to a typed miss), stale-temp sweeping, and end-to-end supervisor
- * scenarios — worker kill mid-compile, hang detection via heartbeat
- * timeout, every worker reaped without a kill at finish(),
- * quarantine, supervisor restart with journal replay, graceful
- * drain, outcomes visible only behind their durable end records,
- * the circuit breaker across the process boundary,
- * serial-vs-4-worker bit-identity, and in-process-vs-worker
- * bit-identity plus journal replay on the in-process executor.
+ * outcome codecs, request-line rendering, the durable journal (torn
+ * tails, corrupt-record resync, compaction, group commit),
+ * checksummed disk-cache entries (corruption degrades to a typed
+ * miss), stale-temp sweeping, and end-to-end supervisor scenarios —
+ * worker kill mid-compile, hang detection via heartbeat timeout,
+ * every worker reaped without a kill at finish(), quarantine,
+ * supervisor restart with journal replay, graceful drain, outcomes
+ * visible only behind their end records, the circuit breaker across
+ * the process boundary, serial-vs-4-worker bit-identity, and
+ * in-process-vs-worker bit-identity plus journal replay on the
+ * in-process executor.
  *
  * The multi-process scenarios spawn $TAPACS_WORKER_EXE (ctest wires
  * it to the built tapacs-serve binary); without it they skip rather
@@ -638,11 +638,10 @@ TEST(Journal, ConcurrentSyncsShareFsyncs)
         threads.emplace_back([&, t]() {
             for (int i = 0; i < kPerThread; ++i) {
                 const std::uint64_t id = t * kPerThread + i + 1;
+                const std::string line =
+                    strprintf("request r%llu", (unsigned long long)id);
                 std::uint64_t seq = 0;
-                if (!journal.write('B', id, strprintf("request r%llu",
-                                                      (unsigned long long)id),
-                                   &seq)
-                         .ok() ||
+                if (!journal.write('B', id, line, &seq).ok() ||
                     !journal.sync(seq).ok())
                     ++failures;
             }
@@ -665,7 +664,8 @@ TEST(Journal, ConcurrentSyncsShareFsyncs)
     std::vector<int> seen(kThreads * kPerThread + 1, 0);
     for (const serve::RequestJournal::Record &record : scanned.records) {
         ASSERT_GE(record.id, 1u);
-        ASSERT_LE(record.id, static_cast<std::uint64_t>(kThreads * kPerThread));
+        ASSERT_LE(record.id,
+                  static_cast<std::uint64_t>(kThreads * kPerThread));
         EXPECT_EQ(record.payload,
                   strprintf("request r%llu", (unsigned long long)record.id));
         ++seen[record.id];

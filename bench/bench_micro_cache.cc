@@ -8,10 +8,19 @@
  * byte identity itself is pinned by `tapacs-golden --check-cached`
  * and tests/test_cache.cc; this bench covers the "is it actually
  * fast" half).
+ *
+ * A second table times opening a disk-backed CacheStore (what every
+ * fleet worker spawn pays) over directories holding 0, 1k and 10k
+ * entries; the open lists only the `.tmp/` staging directory, so the
+ * three medians should match. Report only, no bar.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+
+#include <unistd.h>
 
 #include "apps/cnn.hh"
 #include "apps/knn.hh"
@@ -62,6 +71,48 @@ seconds(std::chrono::steady_clock::time_point a,
         std::chrono::steady_clock::time_point b)
 {
     return std::chrono::duration<double>(b - a).count();
+}
+
+/** Median wall time of opening a store over a directory that grows
+ *  to 0, 1k and 10k planted entries. */
+void
+benchStoreOpen(JsonReport &report)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() /
+        strprintf("tapacs-bench-store-open-%ld", static_cast<long>(getpid()));
+    fs::remove_all(dir);
+    cache::CacheStore::Options opt;
+    opt.directory = dir.string();
+    constexpr int kOpens = 51;
+
+    TextTable table({"Entries", "Open p50 (us)"});
+    cache::CacheStore planter(opt);
+    std::uint64_t planted = 0;
+    for (const std::uint64_t entries : {0, 1000, 10000}) {
+        for (; planted < entries; ++planted)
+            planter.put(cache::CacheKey{planted, ~planted},
+                        std::string(64, 'e'));
+        std::vector<double> opens;
+        for (int i = 0; i < kOpens; ++i) {
+            const auto t0 = std::chrono::steady_clock::now();
+            cache::CacheStore store(opt);
+            opens.push_back(
+                seconds(t0, std::chrono::steady_clock::now()));
+        }
+        std::nth_element(opens.begin(), opens.begin() + kOpens / 2,
+                         opens.end());
+        const double p50 = opens[kOpens / 2];
+        table.addRow({strprintf("%llu", (unsigned long long)entries),
+                      strprintf("%.1f", p50 * 1e6)});
+        report.add(strprintf("store_open.%llu_entries_p50_seconds",
+                             (unsigned long long)entries),
+                   p50);
+    }
+    fs::remove_all(dir);
+    table.setTitle("Disk-backed CacheStore open, median of 51");
+    table.print();
 }
 
 } // namespace
@@ -154,6 +205,10 @@ main(int argc, char **argv)
                 "%.1fx (bar: >= 5x)\n",
                 cold_total, warm_total, speedup);
     report.add("aggregate.speedup", speedup);
+
+    std::printf("\n");
+    benchStoreOpen(report);
+
     if (speedup < 5.0) {
         std::fprintf(stderr,
                      "FAIL: warm recompile speedup %.1fx is below the "

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include <unistd.h>
+
 #include "common/frame.hh"
 #include "common/logging.hh"
 
@@ -37,8 +39,17 @@ decodeDiskEntry(const std::string &raw, std::string *out)
     return true;
 }
 
+/** Where writeDisk stages temps: a subdirectory, so the on-open
+ *  sweep lists only temps, never the entries. */
+std::string
+tempDirOf(const std::string &directory)
+{
+    return directory + "/.tmp";
+}
+
+/** Temps named by builds that staged them next to the entries. */
 bool
-isTempName(const std::string &name)
+isLegacyTempName(const std::string &name)
 {
     return name.compare(0, 5, ".tmp.") == 0;
 }
@@ -78,7 +89,7 @@ CacheStore::CacheStore(Options options)
         shards_.push_back(std::make_unique<Shard>());
     if (!options_.directory.empty()) {
         std::error_code ec;
-        std::filesystem::create_directories(options_.directory, ec);
+        fs::create_directories(tempDirOf(options_.directory), ec);
         if (ec) {
             warn("cache: cannot create '%s' (%s); disk tier disabled",
                  options_.directory.c_str(), ec.message().c_str());
@@ -95,11 +106,9 @@ CacheStore::sweepStaleTemps()
     const auto now = fs::file_time_type::clock::now();
     std::error_code ec;
     int swept = 0;
-    for (fs::directory_iterator it(options_.directory, ec), end;
+    for (fs::directory_iterator it(tempDirOf(options_.directory), ec), end;
          !ec && it != end; it.increment(ec)) {
         const fs::path path = it->path();
-        if (!isTempName(path.filename().string()))
-            continue;
         std::error_code statEc;
         const auto mtime = fs::last_write_time(path, statEc);
         if (statEc)
@@ -246,13 +255,15 @@ CacheStore::readDisk(const CacheKey &key, std::string *out) const
 void
 CacheStore::writeDisk(const CacheKey &key, const std::string &value) const
 {
-    // Unique temp name + rename keeps concurrent writers from ever
-    // exposing a torn entry; last writer wins with identical bytes.
+    // A temp name unique across processes (pid) and threads (counter)
+    // + rename keeps concurrent writers from ever exposing a torn
+    // entry; last writer wins with identical bytes. The pid is read
+    // per write: a forked child inherits the counter.
     static std::atomic<std::uint64_t> counter{0};
-    const std::string tmp =
-        strprintf("%s/.tmp.%s.%llu", options_.directory.c_str(),
-                  key.hex().c_str(),
-                  (unsigned long long)counter.fetch_add(1));
+    const std::string tmp = strprintf(
+        "%s/%s.%ld.%llu", tempDirOf(options_.directory).c_str(),
+        key.hex().c_str(), static_cast<long>(::getpid()),
+        (unsigned long long)counter.fetch_add(1));
     // A failed write (ENOSPC) is never published: it would read back
     // as a corrupt entry.
     const Status st = replaceFile(diskPath(key), tmp,
@@ -266,12 +277,18 @@ CacheStore::ScrubReport
 CacheStore::scrubDirectory(const std::string &directory)
 {
     ScrubReport report;
+    std::error_code tmpEc;
+    for (fs::directory_iterator it(tempDirOf(directory), tmpEc), end;
+         !tmpEc && it != end; it.increment(tmpEc)) {
+        std::error_code rmEc;
+        if (fs::remove(it->path(), rmEc))
+            ++report.tempsRemoved;
+    }
     std::error_code ec;
     for (fs::directory_iterator it(directory, ec), end; !ec && it != end;
          it.increment(ec)) {
         const fs::path path = it->path();
-        const std::string name = path.filename().string();
-        if (isTempName(name)) {
+        if (isLegacyTempName(path.filename().string())) {
             std::error_code rmEc;
             if (fs::remove(path, rmEc))
                 ++report.tempsRemoved;

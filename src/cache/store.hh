@@ -8,7 +8,8 @@
  * its own mutex, LRU list and byte budget — so concurrent batch
  * compiles rarely contend on the same lock. When a directory is
  * configured (explicitly or via TAPACS_CACHE_DIR), every put is
- * written through as `<dir>/<key-hex>.tce` (temp file + rename, so
+ * written through as `<dir>/<key-hex>.tce` (a temp file staged in
+ * `<dir>/.tmp/` under a per-process name, then renamed into place, so
  * concurrent writers never expose a torn entry) and a memory miss
  * falls back to a disk read, which promotes the entry back into
  * memory. Entries are immutable once stored: a put under an existing
@@ -21,10 +22,15 @@
  * injection) degrades to a typed *miss* — the corrupt file is
  * counted, unlinked and recomputed — instead of deserializing
  * garbage into a solver artifact. A write that fails (ENOSPC) is
- * never published. Stale `.tmp.*` files leaked by a crash between the temp
+ * never published. Stale temps leaked by a crash between the temp
  * write and the rename are swept on store open once they exceed
- * Options::tempMaxAgeSeconds; scrubDirectory() does both offline
- * (the `tapacs-cache --scrub` tool).
+ * Options::tempMaxAgeSeconds. The sweep lists only `<dir>/.tmp/`
+ * (created on open, on the entries' filesystem so the rename stays
+ * atomic), so opening a store costs the same however many entries
+ * the directory holds. scrubDirectory() verifies entries and removes
+ * temps offline (the `tapacs-cache --scrub` tool), including
+ * top-level `.tmp.*` temps left by builds that staged them next to
+ * the entries.
  *
  * Telemetry (process-wide, via obs::MetricsRegistry):
  *   tapacs.cache.hits         counter, memory + disk hits
@@ -71,8 +77,8 @@ class CacheStore
         /** Lock shards (power of two). */
         int shards = 16;
         /**
-         * Stale-temp sweep threshold: `.tmp.*` files older than this
-         * are removed when the store opens (a crash between temp
+         * Stale-temp sweep threshold: files in `<dir>/.tmp/` older
+         * than this are removed when the store opens (a crash between temp
          * write and rename leaks them; a healthy writer publishes in
          * well under a second). 0 sweeps every temp on open; negative
          * disables the sweep.
@@ -111,7 +117,8 @@ class CacheStore
         int entriesOk = 0;
         /** Corrupt entries (bad header, size or CRC64) unlinked. */
         int corruptRemoved = 0;
-        /** `.tmp.*` leftovers removed (all of them, any age). */
+        /** Temps removed from `.tmp/` and legacy top-level `.tmp.*`
+         *  names (all of them, any age). */
         int tempsRemoved = 0;
         /** Payload bytes across the surviving entries. */
         std::uint64_t bytesOk = 0;
@@ -119,8 +126,8 @@ class CacheStore
 
     /**
      * Verify and prune @p directory offline: checksum every `.tce`
-     * entry, unlink the corrupt ones, remove every `.tmp.*`
-     * leftover. Safe to run against a live cache dir — a concurrent
+     * entry, unlink the corrupt ones, remove every temp in `.tmp/`
+     * and every legacy top-level `.tmp.*` leftover. Safe to run against a live cache dir — a concurrent
      * writer's freshly renamed entry either verifies or is recomputed
      * by its owner on the resulting miss.
      */
@@ -158,7 +165,7 @@ class CacheStore
     bool readDisk(const CacheKey &key, std::string *out) const;
     void writeDisk(const CacheKey &key, const std::string &value) const;
     std::string diskPath(const CacheKey &key) const;
-    /** Remove `.tmp.*` leftovers older than tempMaxAgeSeconds. */
+    /** Remove `.tmp/` temps older than tempMaxAgeSeconds. */
     void sweepStaleTemps();
 
     Options options_;

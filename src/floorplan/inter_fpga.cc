@@ -564,6 +564,7 @@ checkInterFpgaInputs(const TaskGraph &g, const Cluster &cluster,
     const int f = cluster.numDevices();
     const ResourceVector budget =
         interFpgaDeviceBudget(g, cluster, options);
+    const ResourceVector total = g.totalArea();
     for (int r = 0; r < kNumResourceKinds; ++r) {
         const auto kind = static_cast<ResourceKind>(r);
         if (budget[kind] < 0.0) {
@@ -574,7 +575,7 @@ checkInterFpgaInputs(const TaskGraph &g, const Cluster &cluster,
                 toString(kind));
             return false;
         }
-        const double need = g.totalArea()[kind];
+        const double need = total[kind];
         if (need > budget[kind] * f + 1e-9) {
             warn("design '%s' needs %.0f %s but %d device(s) offer only "
                  "%.0f under threshold %.2f — add FPGAs",

@@ -1,6 +1,7 @@
 #include "graph/task_graph.hh"
 
-#include <set>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/logging.hh"
 
@@ -110,7 +111,9 @@ TaskGraph::totalArea() const
 Status
 TaskGraph::validateStatus() const
 {
-    std::set<std::string> names;
+    // Views into vertices_, which this const method cannot resize.
+    std::unordered_set<std::string_view> names;
+    names.reserve(vertices_.size());
     for (VertexId v = 0; v < numVertices(); ++v) {
         const Vertex &vert = vertices_[v];
         if (vert.name.empty())

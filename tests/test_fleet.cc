@@ -6,9 +6,10 @@
  * outcome codecs, request-line rendering, the durable journal (torn
  * tails, corrupt-record resync, compaction, group commit),
  * checksummed disk-cache entries (corruption degrades to a typed
- * miss), stale-temp sweeping, and end-to-end supervisor scenarios —
- * worker kill mid-compile, hang detection via heartbeat timeout,
- * every worker reaped without a kill at finish(), quarantine,
+ * miss), stale-temp sweeping, two writer processes of one key, and
+ * end-to-end supervisor scenarios — worker kill mid-compile, hang
+ * detection via heartbeat timeout, every worker reaped without a
+ * kill at finish(), quarantine,
  * supervisor restart with journal replay, graceful drain, outcomes
  * visible only behind their end records, the circuit breaker across
  * the process boundary, serial-vs-4-worker bit-identity, and
@@ -26,6 +27,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -33,6 +35,8 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <pthread.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -758,13 +762,25 @@ TEST(CacheIntegrity, TruncatedEntryDegradesToTypedMiss)
     EXPECT_FALSE(fs::exists(entry));
 }
 
+/** Write @p path and backdate its mtime by @p ageSeconds. */
+void
+plantFile(const std::string &path, double ageSeconds = 0.0)
+{
+    {
+        std::ofstream out(path);
+        out << "half-written entry";
+    }
+    fs::last_write_time(
+        path, fs::file_time_type::clock::now() -
+                  std::chrono::duration_cast<fs::file_time_type::duration>(
+                      std::chrono::duration<double>(ageSeconds)));
+}
+
 TEST(CacheIntegrity, StaleTempsAreSweptOnOpen)
 {
     const std::string dir = freshDir("fleet_cache_temps");
-    {
-        std::ofstream leak(dir + "/.tmp.deadbeef.1");
-        leak << "half-written entry";
-    }
+    fs::create_directories(dir + "/.tmp");
+    plantFile(dir + "/.tmp/deadbeef.1");
     {
         std::ofstream keep(dir + "/unrelated.txt");
         keep << "not a temp";
@@ -775,10 +791,121 @@ TEST(CacheIntegrity, StaleTempsAreSweptOnOpen)
     opt.directory = dir;
     opt.tempMaxAgeSeconds = 0.0; // sweep everything on open
     cache::CacheStore store(opt);
-    EXPECT_FALSE(fs::exists(dir + "/.tmp.deadbeef.1"));
+    EXPECT_FALSE(fs::exists(dir + "/.tmp/deadbeef.1"));
     EXPECT_TRUE(fs::exists(dir + "/unrelated.txt"));
     EXPECT_EQ(counterValue("tapacs.cache.tmp_swept"),
               sweptBefore + 1);
+}
+
+TEST(CacheIntegrity, OnlyTempsPastTheAgeLimitAreSwept)
+{
+    // A young temp may belong to a live writer that has not renamed
+    // it yet; only one older than tempMaxAgeSeconds is a crash leak.
+    const std::string dir = freshDir("fleet_cache_young_temp");
+    fs::create_directories(dir + "/.tmp");
+    plantFile(dir + "/.tmp/young.1");
+    plantFile(dir + "/.tmp/stale.2", 7200.0);
+    const std::int64_t sweptBefore =
+        counterValue("tapacs.cache.tmp_swept");
+    cache::CacheStore::Options opt;
+    opt.directory = dir; // default limit: one hour
+    cache::CacheStore store(opt);
+    EXPECT_TRUE(fs::exists(dir + "/.tmp/young.1"));
+    EXPECT_FALSE(fs::exists(dir + "/.tmp/stale.2"));
+    EXPECT_EQ(counterValue("tapacs.cache.tmp_swept"),
+              sweptBefore + 1);
+}
+
+TEST(CacheIntegrity, OpenLeavesTopLevelFilesAlone)
+{
+    // The open-time sweep lists `.tmp/` only: nothing next to the
+    // entries is touched, not even an old build's `.tmp.*` temp
+    // (that one is the scrubber's).
+    const std::string dir = freshDir("fleet_cache_top_level");
+    plantFile(dir + "/.tmp.deadbeef.2", 7200.0);
+    plantFile(dir + "/notes.txt", 7200.0);
+    const std::int64_t sweptBefore =
+        counterValue("tapacs.cache.tmp_swept");
+    cache::CacheStore::Options opt;
+    opt.directory = dir;
+    opt.tempMaxAgeSeconds = 0.0;
+    cache::CacheStore store(opt);
+    EXPECT_TRUE(fs::is_directory(dir + "/.tmp"));
+    EXPECT_TRUE(fs::exists(dir + "/.tmp.deadbeef.2"));
+    EXPECT_TRUE(fs::exists(dir + "/notes.txt"));
+    EXPECT_EQ(counterValue("tapacs.cache.tmp_swept"), sweptBefore);
+}
+
+TEST(CacheIntegrity, TwoProcessesPuttingOneKeyNeverTearIt)
+{
+    // Each process counts its temps from the same start, so two
+    // writers of one key would share a temp path without the pid in
+    // its name: the second O_TRUNC open lets the first publish an
+    // entry the second is still writing. The writers meet at a
+    // process-shared barrier before each put, the second starting
+    // 0-225 us later so its open sweeps across the first one's write,
+    // and each reads the key back through a fresh memory tier (so
+    // from disk) after every put, which is when such a torn entry
+    // shows. A writer runs every round whatever it reads (the other
+    // waits for it at the barrier) and exits 1 if any read did not
+    // decode to the bytes it put.
+    const std::string dir = freshDir("fleet_cache_two_writers");
+    const cache::CacheKey key{0x0123456789abcdefull, 0xfedcba9876543210ull};
+    std::string value(256 << 10, '\0');
+    for (std::size_t i = 0; i < value.size(); ++i)
+        value[i] = static_cast<char>(i % 251);
+    constexpr int kPuts = 100;
+
+    void *shared = mmap(nullptr, sizeof(pthread_barrier_t),
+                        PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS,
+                        -1, 0);
+    ASSERT_NE(shared, MAP_FAILED) << std::strerror(errno);
+    auto *barrier = static_cast<pthread_barrier_t *>(shared);
+    pthread_barrierattr_t attr;
+    pthread_barrierattr_init(&attr);
+    pthread_barrierattr_setpshared(&attr, PTHREAD_PROCESS_SHARED);
+    ASSERT_EQ(pthread_barrier_init(barrier, &attr, 2), 0);
+    pthread_barrierattr_destroy(&attr);
+
+    cache::CacheStore::Options opt;
+    opt.directory = dir;
+    const std::int64_t corruptBefore =
+        counterValue("tapacs.cache.disk_corrupt");
+    std::vector<pid_t> writers;
+    for (int w = 0; w < 2; ++w) {
+        const pid_t pid = fork();
+        ASSERT_GE(pid, 0) << std::strerror(errno);
+        if (pid == 0) {
+            cache::CacheStore store(opt);
+            bool intact = true;
+            for (int i = 0; i < kPuts; ++i) {
+                pthread_barrier_wait(barrier);
+                if (w == 1)
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(25 * (i % 10)));
+                store.put(key, value);
+                const auto got = cache::CacheStore(opt).get(key);
+                intact = intact && (got == nullptr || *got == value);
+            }
+            intact = intact && counterValue("tapacs.cache.disk_corrupt") ==
+                                   corruptBefore;
+            _exit(intact ? 0 : 1);
+        }
+        writers.push_back(pid);
+    }
+    for (const pid_t pid : writers) {
+        int status = 0;
+        ASSERT_EQ(waitpid(pid, &status, 0), pid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "a writer read back a torn or corrupt entry";
+    }
+    pthread_barrier_destroy(barrier);
+    munmap(shared, sizeof(pthread_barrier_t));
+    const auto got = cache::CacheStore(opt).get(key);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(*got, value);
+    // Every temp was renamed into place: none is left behind.
+    EXPECT_TRUE(fs::is_empty(dir + "/.tmp"));
 }
 
 TEST(CacheIntegrity, ScrubRemovesExactlyTheBrokenEntries)
@@ -795,15 +922,17 @@ TEST(CacheIntegrity, ScrubRemovesExactlyTheBrokenEntries)
     }
     ASSERT_TRUE(
         serve::flipBit(dir + "/" + bad.hex() + ".tce", 200));
-    {
-        std::ofstream leak(dir + "/.tmp.feedface.9");
-        leak << "leftover";
-    }
+    // Any age, in both layouts: staged in `.tmp/`, and next to the
+    // entries as older builds staged them.
+    plantFile(dir + "/.tmp/feedface.9");
+    plantFile(dir + "/.tmp.feedface.9");
     const cache::CacheStore::ScrubReport report =
         cache::CacheStore::scrubDirectory(dir);
     EXPECT_EQ(report.entriesOk, 1);
     EXPECT_EQ(report.corruptRemoved, 1);
-    EXPECT_EQ(report.tempsRemoved, 1);
+    EXPECT_EQ(report.tempsRemoved, 2);
+    EXPECT_FALSE(fs::exists(dir + "/.tmp/feedface.9"));
+    EXPECT_FALSE(fs::exists(dir + "/.tmp.feedface.9"));
     EXPECT_EQ(report.bytesOk, std::string("good bytes").size());
     EXPECT_TRUE(fs::exists(dir + "/" + good.hex() + ".tce"));
     EXPECT_FALSE(fs::exists(dir + "/" + bad.hex() + ".tce"));

@@ -61,6 +61,19 @@ TEST(TaskGraphDeath, ValidateCatchesDuplicateNames)
     EXPECT_DEATH(g.validate(), "duplicate task name");
 }
 
+TEST(TaskGraph, ValidateReportsTheFirstDuplicateInVertexOrder)
+{
+    // "z" repeats before "m" does, though "m" sorts first and also
+    // repeats: the diagnostic names the earliest vertex whose name
+    // was already taken.
+    TaskGraph g("dups");
+    for (const char *name : {"m", "z", "a", "z", "m"})
+        g.addVertex(name, ResourceVector{});
+    const Status st = g.validateStatus();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.message(), "task graph 'dups': duplicate task name 'z'");
+}
+
 TEST(TaskGraphDeath, ValidateCatchesBadWork)
 {
     TaskGraph g("bad");

@@ -7,8 +7,8 @@
 # replay, and offline cache/journal corruption — asserting the fleet's
 # contract from the outside: every request resolves exactly once with
 # a typed outcome, a corrupted cache degrades to misses, never a
-# crash, and a clean multi-request run shares journal fsyncs (group
-# commit).
+# crash, a stale leaked temp is swept when the cache opens, and a
+# clean multi-request run shares journal fsyncs (group commit).
 #
 # Usage: tools/run_chaos.sh [build-dir]
 set -euo pipefail
@@ -76,6 +76,19 @@ for victim in "${work}/cache"/*.tce; do break; done
 "${cache_tool}" --scrub "${work}/cache"
 "${serve}" "${manifest}" --workers 2 \
     --cache-dir "${work}/cache" --strict
+
+# Stale-temp sweep: temps are staged in <cache>/.tmp/, and opening
+# the cache removes those older than an hour (a crash between the
+# temp write and the rename leaks them). A 2-hour-old leak must be
+# gone after one in-process serve run over that cache.
+stale="${work}/cache/.tmp/leaked.0.0"
+touch -d '2 hours ago' "${stale}"
+"${serve}" "${manifest}" --in-process --workers 2 \
+    --cache-dir "${work}/cache" --strict
+if [[ -e "${stale}" ]]; then
+    echo "opening the cache did not sweep the stale temp ${stale}" >&2
+    exit 1
+fi
 
 # A post-run scrub of a healthy cache must be a no-op.
 "${cache_tool}" --scrub "${work}/cache" --strict

@@ -4,8 +4,9 @@
  *
  * --scrub walks a cache directory offline: every `.tce` entry is
  * CRC64-verified (the same check the serving path applies on read),
- * corrupt entries and stale `.tmp.*` leftovers are removed, and a
- * one-line report is printed. Scrubbing is safe while a fleet is
+ * corrupt entries are removed, every leftover temp is removed (those
+ * staged in `DIR/.tmp/` and the top-level `.tmp.*` temps older builds
+ * left next to the entries), and a one-line report is printed. Scrubbing is safe while a fleet is
  * running — readers treat a vanished entry as an ordinary miss.
  *
  * --flip and --truncate are the chaos harness's file-corruption

@@ -78,9 +78,9 @@ class CacheStore
         int shards = 16;
         /**
          * Stale-temp sweep threshold: files in `<dir>/.tmp/` older
-         * than this are removed when the store opens (a crash between temp
-         * write and rename leaks them; a healthy writer publishes in
-         * well under a second). 0 sweeps every temp on open; negative
+         * than this are removed when the store opens (a crash between
+         * temp write and rename leaks them; a healthy writer publishes
+         * in well under a second). 0 sweeps every temp on open; negative
          * disables the sweep.
          */
         double tempMaxAgeSeconds = 3600.0;
@@ -127,9 +127,10 @@ class CacheStore
     /**
      * Verify and prune @p directory offline: checksum every `.tce`
      * entry, unlink the corrupt ones, remove every temp in `.tmp/`
-     * and every legacy top-level `.tmp.*` leftover. Safe to run against a live cache dir — a concurrent
-     * writer's freshly renamed entry either verifies or is recomputed
-     * by its owner on the resulting miss.
+     * and every legacy top-level `.tmp.*` leftover. Safe to run
+     * against a live cache dir — a concurrent writer's freshly
+     * renamed entry either verifies or is recomputed by its owner on
+     * the resulting miss.
      */
     static ScrubReport scrubDirectory(const std::string &directory);
 

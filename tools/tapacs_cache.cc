@@ -6,8 +6,9 @@
  * CRC64-verified (the same check the serving path applies on read),
  * corrupt entries are removed, every leftover temp is removed (those
  * staged in `DIR/.tmp/` and the top-level `.tmp.*` temps older builds
- * left next to the entries), and a one-line report is printed. Scrubbing is safe while a fleet is
- * running — readers treat a vanished entry as an ordinary miss.
+ * left next to the entries), and a one-line report is printed.
+ * Scrubbing is safe while a fleet is running — readers treat a
+ * vanished entry as an ordinary miss.
  *
  * --flip and --truncate are the chaos harness's file-corruption
  * primitives exposed for scripts (tools/run_chaos.sh): flip one bit /
